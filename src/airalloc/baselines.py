@@ -163,10 +163,11 @@ def scheduler_nominal_rates(kind: str, mp: MultiUserParams) -> np.ndarray:
         queues=np.zeros(mp.n_servers),
         energies=np.asarray(mp.energy_capacity_j, dtype=float),
     )
-    rates = np.zeros(mp.n_users)
-    for k in range(mp.n_users):
-        rates += success_vector(mp, state, scheduler_action(kind, mp, state, k))
-    return rates / mp.n_users
+    slots = [success_vector(mp, state, scheduler_action(kind, mp, state, k))
+             for k in range(mp.n_users)]
+    # fsum rounds once, so the result does not depend on the order of the
+    # slots: symmetric users see the same numbers in a rotated order.
+    return np.array([math.fsum(user) for user in zip(*slots)]) / mp.n_users
 
 
 @dataclass

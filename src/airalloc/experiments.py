@@ -28,7 +28,7 @@ from .baselines import (
     schedulers,
 )
 from .dqn import TrainConfig, train
-from .metrics import jain_index, latency_benchmark
+from .metrics import energy_efficiency, jain_index, latency_benchmark
 from .model import (
     Allocation,
     SystemParams,
@@ -473,7 +473,8 @@ def _exp_efficiency(cfg: ExperimentConfig) -> list[MetricRow]:
                      * p.task_bits * alloc.phi[0] * w.shape * w.scale)
             done_bits = p.task_bits * (1.0 - res.p_outage)
             rows.append(MetricRow(float(task), "energy_efficiency [bits/J]",
-                                  done_bits / spent, None, f"bcd:pmax={p_max:g}"))
+                                  energy_efficiency(done_bits, spent), None,
+                                  f"bcd:pmax={p_max:g}"))
         mp = _multi_params(cfg)
         mp = dataclasses.replace(mp, p_max_w=tuple(p_max for _ in range(mp.n_users)))
         grid = enumerate_actions(mp, granularity=_granularity(cfg))
@@ -497,7 +498,8 @@ def _exp_efficiency(cfg: ExperimentConfig) -> list[MetricRow]:
                     if done:
                         break
             rows.append(MetricRow(float(task), "energy_efficiency [bits/J]",
-                                  bits / joules, None, f"dqn:pmax={p_max:g}"))
+                                  energy_efficiency(bits, joules), None,
+                                  f"dqn:pmax={p_max:g}"))
     return rows
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .special import GammaWorkload, chi, regularized_lower_gamma
+from .special import GammaWorkload, chi, ln_chi, ln_lower_gamma, regularized_lower_gamma
 
 __all__ = [
     "FeasibilityError",
@@ -31,6 +32,9 @@ __all__ = [
     "computation_success",
     "local_budget_rho",
     "local_success",
+    "LogFactors",
+    "log_factors",
+    "allocation_log_factors",
     "success_breakdown",
     "monte_carlo_outage",
 ]
@@ -146,15 +150,22 @@ class Allocation:
 
 def default_allocation(p: SystemParams, offload_only: bool = False) -> Allocation:
     """Nominal starting point: uniform split, half the latency budget spent on
-    the uplink in equal shares, full power, and the largest feasible ``rho``."""
+    the uplink in equal shares, and the largest feasible ``rho``.
+
+    The power is the cap, or less when transmitting at the cap for that half
+    would spend more than half the energy budget: E / (2 * sum(T)), written
+    as E / latency because the airtime is half the latency budget.  The start
+    is therefore feasible for every valid problem.
+    """
     m = p.n_servers
     if offload_only:
         phi = (0.0,) + (1.0 / m,) * m
     else:
         phi = (1.0 / (m + 1),) * (m + 1)
     t = (p.latency_budget_s / (2.0 * m),) * m
-    rho = local_budget_rho(p, t, p.p_max_w)
-    return Allocation(phi=phi, t_shares=t, power_w=p.p_max_w, rho=max(rho, 0.0))
+    power = min(p.p_max_w, p.energy_budget_j / p.latency_budget_s)
+    rho = local_budget_rho(p, t, power)
+    return Allocation(phi=phi, t_shares=t, power_w=power, rho=max(rho, 0.0))
 
 
 def assert_feasible(p: SystemParams, alloc: Allocation, tol: float = _FEAS_TOL) -> None:
@@ -237,6 +248,116 @@ def local_success(p: SystemParams, phi_0: float, rho: float) -> float:
     return regularized_lower_gamma(w.shape, u)
 
 
+class LogFactors(NamedTuple):
+    """Log success factors of one allocation and the gradient of their sum.
+
+    ``link[m - 1]`` and ``server[m - 1]`` belong to server m; ``d_phi`` has
+    one entry per share (local first) and ``d_t`` one per airtime.  A zero
+    share contributes a log factor of 0; its link entry of ``d_phi`` is the
+    one-sided derivative at zero, so ascent can bring the share back.
+    """
+
+    local: float
+    link: list[float]
+    server: list[float]
+    d_phi: list[float]
+    d_t: list[float]
+
+    @property
+    def total(self) -> float:
+        """ln P_success: the sum of every log factor."""
+        return self.local + sum(self.link) + sum(self.server)
+
+
+def log_factors(
+    task_bits: float,
+    bandwidth_hz: float,
+    workload: GammaWorkload,
+    deadline_s: float,
+    speeds_hz: Sequence[float],
+    cross_cycles: Sequence[float],
+    snr: Sequence[float],
+    phi,
+    t_shares,
+    rho: float,
+) -> LogFactors:
+    """The one definition of the success factors and their gradients.
+
+    Server m's link succeeds with chi(x, snr[m - 1]) at spectral demand
+    x = task_bits * phi[m] / (bandwidth * T_m); its computation succeeds with
+    P(shape, u) where u counts, in units of the share's mean-scale demand,
+    the cycles left to it before ``deadline_s``: the server speed times the
+    slack after the airtime of servers 1..m, minus ``cross_cycles[m - 1]``
+    claimed by others.  The local share succeeds with P(shape, u) at the
+    cycle budget ``rho``, which is held fixed (its t-gradient is zero).  For
+    a positive share, a link without airtime or power and a server without
+    cycles left each get a log factor of -inf and add no gradient.
+    """
+    shape, scale = workload.shape, workload.scale
+    n = len(t_shares)
+    d_phi = [0.0] * (n + 1)
+    d_t = [0.0] * n
+
+    phi0 = float(phi[0])
+    if phi0 <= 0.0:
+        ln_local = 0.0
+    elif rho <= 0.0:
+        ln_local = -math.inf
+    else:
+        u = rho / (task_bits * phi0 * scale)
+        ln_local, r = ln_lower_gamma(shape, u)
+        d_phi[0] = -r * u / phi0
+
+    link = [0.0] * n
+    server = [0.0] * n
+    elapsed = 0.0
+    for m in range(1, n + 1):
+        t_m = float(t_shares[m - 1])
+        elapsed += t_m
+        ph = float(phi[m])
+        y = snr[m - 1]
+        if t_m > 0.0 and y > 0.0:
+            x = task_bits * max(ph, 0.0) / (bandwidth_hz * t_m)
+            link[m - 1], dx = ln_chi(x, y)
+            d_phi[m] = dx * task_bits / (bandwidth_hz * t_m)
+            d_t[m - 1] = -dx * x / t_m
+        elif ph > 0.0:
+            link[m - 1] = -math.inf
+        if ph <= 0.0:
+            continue
+        cycles = speeds_hz[m - 1] * (deadline_s - elapsed) - cross_cycles[m - 1]
+        if cycles <= 0.0:
+            server[m - 1] = -math.inf
+            continue
+        demand = task_bits * ph * scale
+        u = cycles / demand
+        server[m - 1], r = ln_lower_gamma(shape, u)
+        d_phi[m] -= r * u / ph
+        # Every airtime up to and including T_m shortens server m's slack.
+        d_slack = r * speeds_hz[m - 1] / demand
+        for k in range(m):
+            d_t[k] -= d_slack
+    return LogFactors(ln_local, link, server, d_phi, d_t)
+
+
+def allocation_log_factors(
+    p: SystemParams, phi, t_shares, power_w: float, rho: float
+) -> LogFactors:
+    """:func:`log_factors` of a single-user allocation (no cross load)."""
+    return log_factors(
+        p.task_bits,
+        p.bandwidth_hz,
+        p.workload,
+        p.latency_budget_s,
+        p.server_speeds_hz,
+        (0.0,) * p.n_servers,
+        [power_w * g / p.noise_w for g in p.mean_gains],
+        phi,
+        t_shares,
+        rho,
+    )
+
+
 @dataclass(frozen=True)
 class SuccessBreakdown:
     """Per-stage success probabilities for one allocation."""
@@ -255,21 +376,13 @@ def success_breakdown(p: SystemParams, alloc: Allocation) -> SuccessBreakdown:
         raise FeasibilityError(
             f"allocation has {len(alloc.phi) - 1} server shares, expected {p.n_servers}"
         )
-    p_local = local_success(p, alloc.phi[0], alloc.rho)
-    p_tx = []
-    p_comp = []
-    elapsed = 0.0
-    for m in range(1, p.n_servers + 1):
-        t_m = alloc.t_shares[m - 1]
-        elapsed += t_m
-        p_tx.append(transmission_success(p, m, alloc.phi[m], t_m, alloc.power_w))
-        p_comp.append(computation_success(p, m, alloc.phi[m], p.latency_budget_s - elapsed))
-    p_sus = p_local * math.prod(p_tx) * math.prod(p_comp)
-    ln_p = math.log(p_sus) if p_sus > 0.0 else -math.inf
+    f = allocation_log_factors(p, alloc.phi, alloc.t_shares, alloc.power_w, alloc.rho)
+    ln_p = f.total
+    p_sus = math.exp(ln_p)
     return SuccessBreakdown(
-        p_local=p_local,
-        p_transmit=tuple(p_tx),
-        p_compute=tuple(p_comp),
+        p_local=math.exp(f.local),
+        p_transmit=tuple(math.exp(v) for v in f.link),
+        p_compute=tuple(math.exp(v) for v in f.server),
         p_success=p_sus,
         p_outage=1.0 - p_sus,
         ln_p_success=ln_p,

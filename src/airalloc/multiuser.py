@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FeasibilityError
-from .special import GammaWorkload, chi, regularized_lower_gamma
+from .model import FeasibilityError, log_factors
+from .special import GammaWorkload
 
 __all__ = [
     "ActionSpaceError",
@@ -35,8 +35,6 @@ __all__ = [
     "MultiUserAction",
     "Transition",
     "default_multiuser",
-    "multi_transmission_success",
-    "multi_computation_success",
     "interference_matrix",
     "user_success",
     "success_vector",
@@ -233,72 +231,6 @@ def _check_dims(mp: MultiUserParams, action: MultiUserAction) -> None:
         raise FeasibilityError(f"power must be {(n,)}, got {action.power.shape}")
 
 
-def multi_transmission_success(
-    mp: MultiUserParams,
-    n: int,
-    m: int,
-    phi: float,
-    T: float,
-    P_S: float,
-    interference: float,
-    task_bits: float | None = None,
-) -> float:
-    """Delivery probability of user n's share to server m under interference.
-
-    The fading average is taken against an effective noise floor raised by
-    ``interference`` watts of concurrent uplink power.  A zero share needs no
-    link (probability 1); a positive share with no airtime cannot be
-    delivered.
-    """
-    if interference < 0.0:
-        raise ValueError(f"interference must be >= 0, got {interference}")
-    if phi <= 0.0:
-        return 1.0
-    if T <= 0.0 or P_S <= 0.0:
-        return 0.0
-    bits = mp.task_bits[n - 1] if task_bits is None else task_bits
-    x = bits * phi / (mp.bandwidth_hz * T)
-    y = P_S * mp.mean_gains[n - 1][m - 1] / (mp.noise_w + interference)
-    return chi(x, y)
-
-
-def multi_computation_success(
-    mp: MultiUserParams,
-    n: int,
-    m: int,
-    phi_matrix: np.ndarray,
-    T_row: np.ndarray,
-    task_bits: np.ndarray | None = None,
-) -> float:
-    """Probability that server m finishes user n's share before the deadline.
-
-    The cycles left for user n are the server's cycle budget inside the
-    remaining slack (deadline minus the airtime spent on servers 1..m) minus
-    the cycles other users' shares on the same server are expected to claim,
-    each at the mean per-bit workload.  A non-positive residual means the
-    share cannot finish in time (probability 0 rather than an error, so that
-    reward surfaces stay continuous).
-    """
-    w = mp.workload
-    bits = np.asarray(mp.task_bits, dtype=float) if task_bits is None else np.asarray(task_bits, dtype=float)
-    phi_nm = float(phi_matrix[n - 1, m])
-    if phi_nm <= 0.0:
-        return 1.0
-    slack = mp.latency_budgets_s[n - 1] - float(np.sum(T_row[:m]))
-    if slack <= 0.0:
-        return 0.0
-    mean_cpb = w.shape * w.scale
-    cross = 0.0
-    for j in range(mp.n_users):
-        if j != n - 1:
-            cross += bits[j] * float(phi_matrix[j, m]) * mean_cpb
-    cycles = mp.server_speeds_hz[m - 1] * slack - cross
-    if cycles <= 0.0:
-        return 0.0
-    u = cycles / (bits[n - 1] * phi_nm * w.scale)
-    return regularized_lower_gamma(w.shape, u)
-
-
 def interference_matrix(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> np.ndarray:
     """Uplink interference I[n, m]: realized received power of every other
     user that actually transmits to server m this slot."""
@@ -306,47 +238,44 @@ def interference_matrix(mp: MultiUserParams, state: MultiUserState, action: Mult
     return np.maximum(rx.sum(axis=0)[None, :] - rx, 0.0)
 
 
-def _local_cycle_budget(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction, n: int) -> float:
-    """Cycles user n's CPU may spend this slot: the latency budget or the
-    energy left after the uplink bill, whichever binds.  The per-slot energy
-    allowance is additionally capped by the battery's remaining charge."""
-    s0 = mp.local_speed_hz
-    budget_j = min(mp.energy_budgets_j[n - 1], float(state.energies[n - 1]))
-    total_t = float(np.sum(action.t[n - 1]))
-    latency_cap = s0 * mp.latency_budgets_s[n - 1]
-    energy_cap = (budget_j - float(action.power[n - 1]) * total_t) / (mp.switched_capacitance * s0 * s0)
-    return min(latency_cap, energy_cap)
-
-
 def user_success(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction, n: int) -> float:
     """End-to-end success probability of user n under the joint action."""
-    interference = interference_matrix(mp, state, action)
-    w = mp.workload
-    phi0 = float(action.phi[n - 1, 0])
-    if phi0 <= 0.0:
-        p = 1.0
-    else:
-        rho = _local_cycle_budget(mp, state, action, n)
-        if rho <= 0.0:
-            p = 0.0
-        else:
-            u = rho / (float(state.task_bits[n - 1]) * phi0 * w.scale)
-            p = regularized_lower_gamma(w.shape, u)
-    for m in range(1, mp.n_servers + 1):
-        p *= multi_transmission_success(
-            mp, n, m, float(action.phi[n - 1, m]), float(action.t[n - 1, m - 1]),
-            float(action.power[n - 1]), float(interference[n - 1, m - 1]),
-            task_bits=float(state.task_bits[n - 1]),
-        )
-        p *= multi_computation_success(
-            mp, n, m, action.phi, action.t[n - 1], task_bits=state.task_bits,
-        )
-    return p
+    return float(success_vector(mp, state, action)[n - 1])
 
 
 def success_vector(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> np.ndarray:
+    """Every user's end-to-end success probability under the joint action.
+
+    Each user's factors are the single-user ones (:func:`model.log_factors`)
+    with two couplings.  The link SNR is P * g / (noise + I), I being the
+    realized power of every other user transmitting to the same server.  The
+    server's cycles before the deadline are reduced by the cycles other
+    users' shares on it are expected to claim, each at the mean per-bit
+    workload; a non-positive residual gives probability 0 rather than an
+    error, so that reward surfaces stay continuous.  A zero share needs no
+    link (probability 1); a positive share with no airtime or power cannot
+    be delivered.
+    """
     _check_dims(mp, action)
-    return np.array([user_success(mp, state, action, n) for n in range(1, mp.n_users + 1)])
+    w = mp.workload
+    gains = np.asarray(mp.mean_gains, dtype=float)
+    snr = action.power[:, None] * gains / (mp.noise_w + interference_matrix(mp, state, action))
+    load = state.task_bits[:, None] * action.phi[:, 1:] * (w.shape * w.scale)
+    cross = load.sum(axis=0)[None, :] - load
+    # Local cycle budget: the latency cap or the energy left after the uplink
+    # bill, whichever binds; the per-slot energy allowance is additionally
+    # capped by the battery's remaining charge.
+    s0 = mp.local_speed_hz
+    allowance = np.minimum(np.asarray(mp.energy_budgets_j, dtype=float), state.energies)
+    energy_cap = (allowance - action.power * action.t.sum(axis=1)) / (mp.switched_capacitance * s0 * s0)
+    rho = np.minimum(s0 * np.asarray(mp.latency_budgets_s, dtype=float), energy_cap)
+    rows = zip(state.task_bits.tolist(), mp.latency_budgets_s, cross.tolist(), snr.tolist(),
+               action.phi.tolist(), action.t.tolist(), rho.tolist())
+    return np.array([
+        math.exp(log_factors(bits, mp.bandwidth_hz, w, deadline, mp.server_speeds_hz,
+                             cross_n, snr_n, phi_n, t_n, rho_n).total)
+        for bits, deadline, cross_n, snr_n, phi_n, t_n, rho_n in rows
+    ])
 
 
 def violations(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> list[str]:

@@ -29,14 +29,12 @@ from .model import (
     FeasibilityError,
     SuccessBreakdown,
     SystemParams,
+    allocation_log_factors,
     assert_feasible,
-    computation_success,
     default_allocation,
-    local_success,
     success_breakdown,
-    transmission_success,
 )
-from .special import QuarticCoeffs, regularized_lower_gamma, solve_poly_real
+from .special import QuarticCoeffs, ln_chi, ln_lower_gamma, solve_poly_real
 from .surrogates import (
     PHI_FLOOR,
     SurrogateCoeffs,
@@ -63,8 +61,6 @@ __all__ = [
     "bcd_solve",
 ]
 
-_LN2 = math.log(2.0)
-
 
 class SolverError(RuntimeError):
     """A sub-solver failed in a way the caller cannot recover from."""
@@ -83,33 +79,7 @@ def _safe_log(v: float) -> float:
 
 def ln_success(p: SystemParams, phi, t_shares, power_w: float, rho: float) -> float:
     """ln P_success of a candidate (phi, T, P, rho); -inf when impossible."""
-    total = _safe_log(local_success(p, float(phi[0]), rho))
-    elapsed = 0.0
-    for m in range(1, p.n_servers + 1):
-        t_m = float(t_shares[m - 1])
-        elapsed += t_m
-        total += _safe_log(transmission_success(p, m, float(phi[m]), t_m, power_w))
-        total += _safe_log(
-            computation_success(p, m, float(phi[m]), p.latency_budget_s - elapsed)
-        )
-        if total == -math.inf:
-            return total
-    return total
-
-
-def _dln_lower_gamma(shape: float, scale_free_u: float) -> float:
-    """d/du ln P(shape, u), safe against underflow of either factor."""
-    u = scale_free_u
-    if u <= 0.0:
-        return math.inf
-    g = regularized_lower_gamma(shape, u)
-    log_num = (shape - 1.0) * math.log(u) - u - math.lgamma(shape)
-    if g > 0.0 and log_num > -700.0:
-        return math.exp(log_num) / g
-    if g == 0.0:
-        # Deep lower tail: P ~ u^shape e^{-u} / Gamma(shape+1) * S(u).
-        return shape / u - shape / (shape + 1.0)
-    return 0.0
+    return allocation_log_factors(p, phi, t_shares, power_w, rho).total
 
 
 # ---------------------------------------------------------------------------
@@ -148,25 +118,28 @@ def solve_p1(
         w = p.workload
         u_coef = 1.0 / (e_coef * p.task_bits * phi[0] * w.scale)
 
+        # ln chi is linear in 1/power: ln chi(x, power * y1) = -coef / power,
+        # with coef read off at unit power.
         tx_coefs = []
         for m in range(1, p.n_servers + 1):
             if phi[m] <= 0.0 or t[m - 1] <= 0.0:
                 continue
             x = p.task_bits * phi[m] / (p.bandwidth_hz * t[m - 1])
-            if x * _LN2 > 700.0:
+            ln_unit, _ = ln_chi(x, p.mean_gains[m - 1] / p.noise_w)
+            if ln_unit == -math.inf:
                 continue  # hopeless link regardless of power; leave to other blocks
-            tx_coefs.append((math.exp(x * _LN2) - 1.0) * p.noise_w / p.mean_gains[m - 1])
+            tx_coefs.append(-ln_unit)
 
         def grad(power: float) -> float:
             u = (p.energy_budget_j - power * total_t) * u_coef
-            val = -_dln_lower_gamma(w.shape, u) * total_t * u_coef
+            val = -ln_lower_gamma(w.shape, u)[1] * total_t * u_coef
             for coef in tx_coefs:
                 val += coef / (power * power)
             return val
 
         def grad2(power: float) -> float:
             u = (p.energy_budget_j - power * total_t) * u_coef
-            r = _dln_lower_gamma(w.shape, u)
+            r = ln_lower_gamma(w.shape, u)[1]
             if not math.isfinite(r):
                 return -math.inf
             rp = r * ((w.shape - 1.0) / u - 1.0 - r)
@@ -258,7 +231,6 @@ def solve_p2(
     phi = np.asarray(phi, dtype=float)
     t = np.asarray(t_start, dtype=float).copy()
     n_srv = p.n_servers
-    w = p.workload
     cap_lat = p.latency_budget_s * (1.0 - 1e-9)
     e_coef = p.switched_capacitance * p.local_speed_hz**2
     cap_energy = (
@@ -269,65 +241,23 @@ def solve_p2(
         raise FeasibilityError(
             f"committed rho {rho} and power {power_w} leave no airtime budget"
         )
-    active = [m for m in range(1, n_srv + 1) if phi[m] > 0.0]
-    if not active:
+    if not np.any(phi[1:] > 0.0):
         return np.zeros(n_srv)
+    # The local factor does not depend on the airtime: zero its share.
+    phi_tx = np.concatenate(([0.0], phi[1:]))
 
-    xc = np.array([p.task_bits * phi[m] / p.bandwidth_hz for m in range(1, n_srv + 1)])
-    y = np.array([power_w * g / p.noise_w for g in p.mean_gains])
-    comp_coef = np.array(
-        [
-            p.server_speeds_hz[m - 1] / (p.task_bits * phi[m] * w.scale) if phi[m] > 0 else 0.0
-            for m in range(1, n_srv + 1)
-        ]
-    )
-
-    active_set = set(active)
-
-    def value(tv: np.ndarray) -> float:
-        total = 0.0
-        elapsed = 0.0
-        for m in range(1, n_srv + 1):
-            t_m = tv[m - 1]
-            elapsed += t_m
-            if m not in active_set:
-                continue
-            if t_m <= 0.0:
-                return -math.inf
-            x = xc[m - 1] / t_m
-            if x * _LN2 > 700.0:
-                return -math.inf
-            total += -(math.exp(x * _LN2) - 1.0) / y[m - 1]
-            slack = p.latency_budget_s - elapsed
-            if slack <= 0.0:
-                return -math.inf
-            total += _safe_log(regularized_lower_gamma(w.shape, comp_coef[m - 1] * slack))
-        return total
-
-    def grad(tv: np.ndarray) -> np.ndarray:
-        g = np.zeros(n_srv)
-        elapsed = 0.0
-        for m in range(1, n_srv + 1):
-            t_m = tv[m - 1]
-            elapsed += t_m
-            if m not in active_set:
-                continue
-            x = xc[m - 1] / t_m
-            g[m - 1] += _LN2 * x * math.exp(min(x * _LN2, 700.0)) / (y[m - 1] * t_m)
-            slack = p.latency_budget_s - elapsed
-            r = _dln_lower_gamma(w.shape, comp_coef[m - 1] * slack)
-            g[: m] -= r * comp_coef[m - 1]
-        return g
+    def factors(tv: np.ndarray):
+        f = allocation_log_factors(p, phi_tx, tv, power_w, rho)
+        return f.total, np.array(f.d_t)
 
     # Start from a strictly interior feasible point.
     t = np.maximum(t, cap * 1e-9)
     if float(t.sum()) > cap:
         t *= cap * (1.0 - 1e-12) / float(t.sum())
-    fval = value(t)
+    fval, g = factors(t)
     step = 0.25 * cap
 
     for _ in range(max_iter):
-        g = grad(t)
         gp = _project_capped_simplex(t + g, cap) - t
         if float(np.linalg.norm(gp)) <= gtol:
             break
@@ -336,14 +266,14 @@ def solve_p2(
         for _ in range(80):
             trial = _project_capped_simplex(t + s * g, cap)
             diff = trial - t
-            tval = value(trial)
+            tval, tgrad = factors(trial)
             if tval > -math.inf and tval >= fval + 1e-4 * float(g @ diff):
                 accepted = True
                 break
             s *= 0.5
         if not accepted:
             break
-        t, fval = trial, tval
+        t, fval, g = trial, tval, tgrad
         step = min(s * 2.0, 4.0 * cap)
     return t
 
@@ -729,36 +659,36 @@ def _mm1_pieces(
         k = p.bandwidth_hz * t_m / p.task_bits
         tx_terms = (y, k / ph, -k / (ph * ph))
 
+    # The primitives are evaluated on the tangent lines: ln P at u(phi) for
+    # psi / phi, and ln chi at x = 1 / v(phi) for v = k / phi.
     def value(phi: float) -> float:
         u = u_hat + du * (phi - ph)
         if u <= 0.0:
             return -math.inf
-        total = _safe_log(regularized_lower_gamma(w.shape, u))
+        total = ln_lower_gamma(w.shape, u)[0]
         if tx_terms is not None:
             y, v_hat, dv = tx_terms
             v = v_hat + dv * (phi - ph)
             if v <= 0.0:
                 return -math.inf
-            ex = _LN2 / v
-            if ex > 700.0:
-                return -math.inf
-            total += -(math.exp(ex) - 1.0) / y
+            total += ln_chi(1.0 / v, y)[0]
         return total
 
     def deriv(phi: float) -> float:
         u = u_hat + du * (phi - ph)
         if u <= 0.0:
             return -math.inf
-        total = _dln_lower_gamma(w.shape, u) * du
+        total = ln_lower_gamma(w.shape, u)[1] * du
         if tx_terms is not None:
             y, v_hat, dv = tx_terms
             v = v_hat + dv * (phi - ph)
             if v <= 0.0:
                 return -math.inf
-            ex = _LN2 / v
-            if ex > 700.0:
+            x = 1.0 / v
+            ln_tx, dx = ln_chi(x, y)
+            if ln_tx == -math.inf:
                 return -math.inf
-            total += (_LN2 * math.exp(ex) / (y * v * v)) * dv
+            total -= dx * dv * x * x
         return total
 
     return value, deriv
@@ -847,34 +777,11 @@ def solve_p3_pg(
     like-for-like reference point for the minorize-maximize updates."""
     t = np.asarray(t_shares, dtype=float)
     n = p.n_servers
-    w = p.workload
-    slacks = p.latency_budget_s - np.cumsum(t)
     lo_idx = 1 if offload_only else 0
 
-    def value(phi: np.ndarray) -> float:
-        return ln_success(p, phi, t, power_w, rho)
-
-    def grad(phi: np.ndarray) -> np.ndarray:
-        g = np.zeros(n + 1)
-        if not offload_only and phi[0] > 0.0 and rho > 0.0:
-            psi0 = rho / (p.task_bits * w.scale)
-            u = psi0 / phi[0]
-            g[0] = -_dln_lower_gamma(w.shape, u) * psi0 / phi[0] ** 2
-        for m in range(1, n + 1):
-            if t[m - 1] <= 0.0 or slacks[m - 1] <= 0.0:
-                continue
-            c = p.task_bits / (p.bandwidth_hz * t[m - 1])
-            y = power_w * p.mean_gains[m - 1] / p.noise_w
-            x = c * max(phi[m], 0.0)
-            if x * _LN2 < 700.0:
-                g[m] += -_LN2 * c * math.exp(x * _LN2) / y
-            psi = p.server_speeds_hz[m - 1] * slacks[m - 1] / (p.task_bits * w.scale)
-            ph = max(phi[m], 1e-12)
-            u = psi / ph
-            r = _dln_lower_gamma(w.shape, u)
-            if math.isfinite(r):
-                g[m] += -r * psi / ph**2
-        return g
+    def factors(phi: np.ndarray):
+        f = allocation_log_factors(p, phi, t, power_w, rho)
+        return f.total, np.array(f.d_phi)
 
     def project(phi: np.ndarray) -> np.ndarray:
         out = np.zeros(n + 1)
@@ -882,12 +789,11 @@ def solve_p3_pg(
         return out
 
     phi = project(np.asarray(phi_start, dtype=float).copy())
-    trace = InnerTrace(ln_values=[value(phi)])
-    fval = trace.ln_values[0]
+    fval, g = factors(phi)
+    trace = InnerTrace(ln_values=[fval])
     step = 0.25
 
     for _ in range(max_iter):
-        g = grad(phi)
         gp = project(phi + g) - phi
         if float(np.linalg.norm(gp)) <= tol:
             break
@@ -896,14 +802,14 @@ def solve_p3_pg(
         for _ in range(60):
             trial = project(phi + s * g)
             diff = trial - phi
-            tval = value(trial)
+            tval, tgrad = factors(trial)
             if tval > -math.inf and tval >= fval + 1e-4 * float(g @ diff):
                 accepted = True
                 break
             s *= 0.5
         if not accepted:
             break
-        phi, fval = trial, tval
+        phi, fval, g = trial, tval, tgrad
         trace.ln_values.append(fval)
         trace.iterations += 1
         trace.search_evals += 1

@@ -20,6 +20,8 @@ __all__ = [
     "regularized_lower_gamma",
     "gamma_pdf",
     "chi",
+    "ln_chi",
+    "ln_lower_gamma",
     "solve_quartic_real",
     "solve_cubic_real",
     "solve_quadratic_real",
@@ -151,13 +153,38 @@ def chi(x: float, y: float) -> float:
         raise ValueError(f"x must be >= 0, got {x}")
     if not (y > 0.0):
         raise ValueError(f"y must be > 0, got {y}")
+    return math.exp(ln_chi(x, y)[0])
+
+
+def ln_chi(x: float, y: float) -> tuple[float, float]:
+    """ln chi(x, y) = -(2**x - 1) / y and its x-derivative -ln2 * 2**x / y.
+
+    Defined for x >= 0 and y > 0 (unchecked: the solvers call this in their
+    innermost loops).  Past 2**x = e**700 the link is hopeless: the log is
+    -inf and the derivative stays at its finite value there, so chain rules
+    built on it never produce 0 * inf.
+    """
     t = x * _LN2
     if t > 700.0:
-        return 0.0
-    arg = math.expm1(t) / y
-    if arg > 745.0:
-        return 0.0
-    return math.exp(-arg)
+        return -math.inf, -_LN2 * math.exp(700.0) / y
+    em1 = math.expm1(t)
+    return -em1 / y, -_LN2 * (em1 + 1.0) / y
+
+
+def ln_lower_gamma(shape: float, u: float) -> tuple[float, float]:
+    """ln P(shape, u) and its u-derivative, safe against underflow of either.
+
+    A non-positive ``u`` gives (-inf, inf).  When P underflows to zero the
+    log is -inf and the derivative follows the deep lower tail
+    P ~ u^shape e^{-u} / Gamma(shape + 1) * S(u).
+    """
+    if u <= 0.0:
+        return -math.inf, math.inf
+    g = regularized_lower_gamma(shape, u)
+    if g == 0.0:
+        return -math.inf, shape / u - shape / (shape + 1.0)
+    log_num = (shape - 1.0) * math.log(u) - u - math.lgamma(shape)
+    return math.log(g), (math.exp(log_num) / g if log_num > -700.0 else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .model import SystemParams
-from .special import GammaWorkload, gamma_pdf, regularized_lower_gamma
+from .special import GammaWorkload, ln_chi, ln_lower_gamma
 
 __all__ = [
     "PHI_FLOOR",
@@ -118,16 +118,9 @@ def surrogate_transmission(
         raise ValueError("airtime must be positive to build a delivery surrogate")
     y = power_w * p.mean_gains[m - 1] / p.noise_w
     c = p.task_bits / (p.bandwidth_hz * t_m)
-    x_hat = c * phi_hat
-    t_exp = x_hat * _LN2
-    if t_exp > 700.0:
-        value = 0.0
-        slope = 0.0
-    else:
-        pow2 = math.exp(t_exp)
-        arg = (pow2 - 1.0) / y
-        value = math.exp(-arg) if arg < 745.0 else 0.0
-        slope = -value * _LN2 * c * pow2 / y
+    ln_v, d_ln = ln_chi(c * phi_hat, y)
+    value = math.exp(ln_v)
+    slope = value * d_ln * c
     return _taylor_minorant(value, slope, c * c * b_chi(y), phi_hat)
 
 
@@ -150,9 +143,10 @@ def surrogate_computation(
     speed = p.local_speed_hz if m == 0 else p.server_speeds_hz[m - 1]
     psi = speed * time_slack / (p.task_bits * w.scale)
     u_hat = psi / phi_hat
-    value = regularized_lower_gamma(w.shape, u_hat)
-    # d/dphi P(shape, psi/phi) = -scale * pdf(scale * u) * psi / phi^2.
-    slope = -w.scale * gamma_pdf(w.scale * u_hat, w) * psi / (phi_hat * phi_hat)
+    ln_v, d_ln = ln_lower_gamma(w.shape, u_hat)
+    value = math.exp(ln_v)
+    # dP/dphi = P * (d ln P / du) * du/dphi with du/dphi = -u / phi.
+    slope = -value * d_ln * u_hat / phi_hat
     return _taylor_minorant(value, slope, b_gamma(psi, w), phi_hat)
 
 

@@ -115,11 +115,12 @@ def test_max_min_equalizes_served_fractions():
 
 
 def test_nominal_rates_symmetric_round_robin_exactly_equal():
-    mp = default_multiuser(2, 1)
-    rates = scheduler_nominal_rates("round_robin", mp)
-    assert rates.shape == (2,)
-    assert rates[0] == rates[1]  # exact, not approximate
-    assert rates[0] > 0.0
+    for n_users in (2, 3):
+        mp = default_multiuser(n_users, 1)
+        rates = scheduler_nominal_rates("round_robin", mp)
+        assert rates.shape == (n_users,)
+        assert np.all(rates == rates[0])  # exact, not approximate
+        assert rates[0] > 0.0
 
 
 def test_schedulers_rollout_summary():

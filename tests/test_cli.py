@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from airalloc.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
@@ -33,6 +35,10 @@ def test_solve_prints_allocation(capsys):
     assert main(["solve", "--servers", "1", "--task-mbits", "10"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "outage" in out
+    fields = {line[:16].strip(): line[16:].strip() for line in out.splitlines()}
+    ln_p = float(fields["ln P_success"])
+    assert ln_p == pytest.approx(-0.44967, abs=1e-4)
+    assert float(fields["log10 outage"]) == pytest.approx(math.log10(-math.expm1(ln_p)), abs=1e-6)
     assert "server 1:" in out
     assert "transmit power" in out
     assert "converged=True" in out

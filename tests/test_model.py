@@ -9,6 +9,7 @@ from airalloc.model import (
     Allocation,
     FeasibilityError,
     SystemParams,
+    allocation_log_factors,
     assert_feasible,
     computation_success,
     default_allocation,
@@ -19,6 +20,7 @@ from airalloc.model import (
     success_breakdown,
     transmission_success,
 )
+from airalloc.solver import ln_success
 from airalloc.special import chi, regularized_lower_gamma
 from oracles import random_feasible_allocation
 
@@ -194,6 +196,78 @@ def test_speed_jitter_shifts_the_estimate():
     assert jit.p_outage != exact.p_outage
 
 
+def test_log_factors_match_per_stage_functions(rng):
+    for n_servers in (1, 2, 4):
+        p = reference_params(n_servers, task_mbits=20.0)
+        for _ in range(5):
+            a = random_feasible_allocation(p, rng)
+            f = allocation_log_factors(p, a.phi, a.t_shares, a.power_w, a.rho)
+            assert math.exp(f.local) == pytest.approx(local_success(p, a.phi[0], a.rho), rel=1e-12)
+            elapsed = 0.0
+            for m in range(1, n_servers + 1):
+                t_m = a.t_shares[m - 1]
+                elapsed += t_m
+                tx = transmission_success(p, m, a.phi[m], t_m, a.power_w)
+                comp = computation_success(p, m, a.phi[m], p.latency_budget_s - elapsed)
+                assert math.exp(f.link[m - 1]) == pytest.approx(tx, rel=1e-12)
+                assert math.exp(f.server[m - 1]) == pytest.approx(comp, rel=1e-12)
+
+
+def _central(fn, x: float, h: float) -> float:
+    return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+def test_log_factor_gradients_match_finite_differences():
+    """d_phi and d_t against central differences of ln_success (rho fixed),
+    over M = 1-4, L = 5-60 Mbit and random interior allocations."""
+    rng = np.random.default_rng(7)
+    checked = 0
+    for n_servers in (1, 2, 3, 4):
+        for task_mbits in (5.0, 20.0, 60.0):
+            p = reference_params(n_servers, task_mbits=task_mbits)
+            for _ in range(3):
+                a = random_feasible_allocation(p, rng)
+                phi, t = list(a.phi), list(a.t_shares)
+                f = allocation_log_factors(p, phi, t, a.power_w, a.rho)
+                if not math.isfinite(f.total):
+                    continue
+                for i in range(n_servers + 1):
+                    def along_phi(v, i=i):
+                        q = list(phi)
+                        q[i] = v
+                        return ln_success(p, q, t, a.power_w, a.rho)
+
+                    fd = _central(along_phi, phi[i], 1e-6 * phi[i])
+                    assert f.d_phi[i] == pytest.approx(fd, rel=1e-5, abs=1e-7 * max(1.0, abs(f.total)))
+                for m in range(n_servers):
+                    def along_t(v, m=m):
+                        q = list(t)
+                        q[m] = v
+                        return ln_success(p, phi, q, a.power_w, a.rho)
+
+                    fd = _central(along_t, t[m], 1e-6 * t[m])
+                    assert f.d_t[m] == pytest.approx(fd, rel=1e-5, abs=1e-7 * max(1.0, abs(f.total)))
+                checked += 1
+    assert checked >= 30
+
+
+def test_log_factor_gradient_at_zero_share_is_one_sided():
+    p = reference_params(2)
+    phi, t, power = [0.6, 0.0, 0.4], [0.2, 0.3], 0.9
+    rho = local_budget_rho(p, t, power)
+    f = allocation_log_factors(p, phi, t, power, rho)
+    assert f.link[0] == 0.0 and f.server[0] == 0.0
+    # Only the link factor moves at a zero share: d ln chi / d phi = -ln2 c / y.
+    c = p.task_bits / (p.bandwidth_hz * t[0])
+    y = power * p.mean_gains[0] / p.noise_w
+    assert f.d_phi[1] == pytest.approx(-math.log(2.0) * c / y, rel=1e-12)
+    h = 1e-8
+    forward = (ln_success(p, [0.6, h, 0.4], t, power, rho) - f.total) / h
+    assert f.d_phi[1] == pytest.approx(forward, rel=1e-4)
+    # The empty server's airtime still shortens server 2's slack.
+    assert f.d_t[0] < 0.0
+
+
 def test_default_allocation_variants():
     p = reference_params(3)
     full = default_allocation(p, offload_only=True)
@@ -204,3 +278,14 @@ def test_default_allocation_variants():
     assert sum(part.t_shares) == pytest.approx(0.5 * p.latency_budget_s)
     assert_feasible(p, full)
     assert_feasible(p, part)
+
+
+@pytest.mark.parametrize("energy_j", [0.1, 0.3, 1.0])
+def test_default_allocation_fits_the_energy_budget(energy_j):
+    p = reference_params(2, energy_j=energy_j)
+    start = default_allocation(p)
+    assert_feasible(p, start)
+    assert start.power_w == min(p.p_max_w, energy_j / p.latency_budget_s)
+    # Transmitting spends at most half the budget, leaving the local CPU cycles.
+    assert start.power_w * sum(start.t_shares) <= 0.5 * energy_j * (1.0 + 1e-12)
+    assert start.rho > 0.0

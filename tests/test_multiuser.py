@@ -15,8 +15,6 @@ from airalloc.multiuser import (
     default_multiuser,
     enumerate_actions,
     interference_matrix,
-    multi_computation_success,
-    multi_transmission_success,
     reward,
     spent_energy,
     state_vector,
@@ -24,7 +22,7 @@ from airalloc.multiuser import (
     user_success,
     violations,
 )
-from airalloc.special import chi
+from airalloc.special import chi, regularized_lower_gamma
 
 
 def _feasible_action(mp, offload=0.5, time_frac=0.5, power_frac=1.0):
@@ -84,13 +82,10 @@ def test_transition_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_single_user_reduces_to_reference_model():
-    mp = default_multiuser(1, 2)
-    env = MultiUserEnv(mp, seed=42)
-    state = env.reset()
-    action = _feasible_action(mp, offload=0.6, time_frac=0.4)
-
-    base = reference_params(2)
+def _reference_twin(mp, state, action):
+    """Single-user params and allocation that describe user 1 of an N = 1
+    problem exactly (no interference, no cross load)."""
+    base = reference_params(mp.n_servers)
     p = dataclasses.replace(
         base,
         task_bits=float(state.task_bits[0]),
@@ -112,26 +107,106 @@ def test_single_user_reduces_to_reference_model():
         power_w=float(action.power[0]),
         rho=max(local_budget_rho(p, t_row, float(action.power[0])), 0.0),
     )
-    assert user_success(mp, state, action, 1) == pytest.approx(
-        success_breakdown(p, alloc).p_success, rel=1e-12
+    return p, alloc
+
+
+def test_single_user_reduces_to_reference_model():
+    mp = default_multiuser(1, 2)
+    env = MultiUserEnv(mp, seed=42)
+    state = env.reset()
+    rng = np.random.default_rng(3)
+    actions = [_feasible_action(mp, offload=0.6, time_frac=0.4)]
+    for _ in range(8):
+        phi = rng.dirichlet(np.ones(3))[None, :]
+        t = rng.uniform(0.05, 0.45, size=(1, 2))
+        actions.append(MultiUserAction(phi, t, np.array([rng.uniform(0.3, 1.0)])))
+    zero_local = _feasible_action(mp)
+    zero_local.phi[0] = [0.0, 0.7, 0.3]
+    zero_server = _feasible_action(mp)
+    zero_server.phi[0] = [0.4, 0.0, 0.6]
+    actions += [zero_local, zero_server]
+    for action in actions:
+        p, alloc = _reference_twin(mp, state, action)
+        assert user_success(mp, state, action, 1) == pytest.approx(
+            success_breakdown(p, alloc).p_success, rel=1e-12
+        )
+
+
+def _pair_state(mp):
+    return MultiUserState(
+        task_bits=np.array([1e7, 1e7]),
+        gains=np.asarray(mp.mean_gains, dtype=float).copy(),
+        queues=np.zeros(mp.n_servers),
+        energies=np.asarray(mp.energy_capacity_j, dtype=float).copy(),
     )
 
 
 def test_transmission_closed_form_and_interference_penalty():
     mp = default_multiuser(2, 1)
-    bits = 8e6
-    got = multi_transmission_success(mp, 1, 1, 0.5, 0.3, 0.8, 0.0, task_bits=bits)
-    x = bits * 0.5 / (mp.bandwidth_hz * 0.3)
+    state = _pair_state(mp)
+    w = mp.workload
+    # User 1 offloads everything, so its local factor is 1; user 2 first
+    # stays local, so user 1 hears no interference and shares no cycles.
+    action = MultiUserAction(
+        phi=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        t=np.array([[0.3], [0.3]]),
+        power=np.array([0.8, 0.5]),
+    )
+    x = 1e7 / (mp.bandwidth_hz * 0.3)
+    slack = mp.latency_budgets_s[0] - 0.3
+    comp = regularized_lower_gamma(w.shape, mp.server_speeds_hz[0] * slack / (1e7 * w.scale))
     y = 0.8 * mp.mean_gains[0][0] / mp.noise_w
-    assert got == pytest.approx(chi(x, y), rel=1e-14)
-    # Interference raises the effective noise floor and must hurt.
-    noisy = multi_transmission_success(mp, 1, 1, 0.5, 0.3, 0.8, 5.0 * mp.noise_w, task_bits=bits)
-    assert noisy < got
-    assert multi_transmission_success(mp, 1, 1, 0.0, 0.3, 0.8, 0.0) == 1.0
-    assert multi_transmission_success(mp, 1, 1, 0.5, 0.0, 0.8, 0.0) == 0.0
-    assert multi_transmission_success(mp, 1, 1, 0.5, 0.3, 0.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        multi_transmission_success(mp, 1, 1, 0.5, 0.3, 0.8, -1.0)
+    assert user_success(mp, state, action, 1) == pytest.approx(chi(x, y) * comp, rel=1e-12)
+
+    # User 2 now uploads a sliver to the same server.  Its power raises user
+    # 1's effective noise floor; its share claims expected cycles.
+    action.phi[1] = [0.99, 0.01]
+    cross = 1e7 * 0.01 * w.shape * w.scale
+    crowded = regularized_lower_gamma(
+        w.shape, (mp.server_speeds_hz[0] * slack - cross) / (1e7 * w.scale)
+    )
+    quiet = user_success(mp, state, action, 1)
+    interference = 0.5 * state.gains[1, 0]
+    y_i = 0.8 * mp.mean_gains[0][0] / (mp.noise_w + interference)
+    assert quiet == pytest.approx(chi(x, y_i) * crowded, rel=1e-12)
+    # Only the interference changes with user 2's power, and it must hurt.
+    action.power[1] = 1.0
+    assert user_success(mp, state, action, 1) < quiet
+
+
+def test_zero_share_and_dead_link_conventions():
+    mp = default_multiuser(2, 1)
+    state = _pair_state(mp)
+    w = mp.workload
+    s0 = mp.local_speed_hz
+
+    def local_only(airtime: float, power: float) -> float:
+        energy_cap = (mp.energy_budgets_j[0] - power * airtime) / (mp.switched_capacitance * s0 * s0)
+        rho = min(s0 * mp.latency_budgets_s[0], energy_cap)
+        return regularized_lower_gamma(w.shape, rho / (1e7 * w.scale))
+
+    # A zero share needs neither the link nor the server (factor 1), with or
+    # without airtime; only the local factor is left.
+    for airtime in (0.3, 0.0):
+        action = MultiUserAction(
+            phi=np.array([[1.0, 0.0], [0.5, 0.5]]),
+            t=np.array([[airtime], [0.3]]),
+            power=np.array([0.8, 0.8]),
+        )
+        assert user_success(mp, state, action, 1) == pytest.approx(
+            local_only(airtime, 0.8), rel=1e-12
+        )
+    # A positive share with no airtime or no power is never delivered.
+    action = MultiUserAction(
+        phi=np.array([[0.5, 0.5], [1.0, 0.0]]),
+        t=np.array([[0.0], [0.3]]),
+        power=np.array([0.8, 0.8]),
+    )
+    assert user_success(mp, state, action, 1) == 0.0
+    action.t[0, 0] = 0.3
+    assert user_success(mp, state, action, 1) > 0.0
+    action.power[0] = 0.0
+    assert user_success(mp, state, action, 1) == 0.0
 
 
 def test_interference_matrix_sums_other_transmitters():
@@ -152,28 +227,31 @@ def test_interference_matrix_sums_other_transmitters():
 
 def test_shared_compute_crowding_out():
     mp = default_multiuser(2, 1)
-    state = MultiUserState(
-        task_bits=np.array([1e7, 1e7]),
-        gains=np.asarray(mp.mean_gains, dtype=float).copy(),
-        queues=np.zeros(1),
-        energies=np.asarray(mp.energy_capacity_j, dtype=float).copy(),
-    )
-    phi_solo = np.array([[0.5, 0.5], [1.0, 0.0]])
-    phi_both = np.array([[0.5, 0.5], [0.5, 0.5]])
-    t_row = np.array([0.25])
-    solo = multi_computation_success(mp, 1, 1, phi_solo, t_row, task_bits=state.task_bits)
-    both = multi_computation_success(mp, 1, 1, phi_both, t_row, task_bits=state.task_bits)
-    assert both < solo  # the other user's share claims expected cycles
+    state = _pair_state(mp)
+    # User 2 transmits at zero power, so user 1 hears no interference and
+    # only user 2's claim on the shared server's cycles separates the cases.
+    power = np.array([1.0, 0.0])
+    t = np.array([[0.25], [0.25]])
+    solo = MultiUserAction(np.array([[0.0, 1.0], [1.0, 0.0]]), t, power)
+    both = MultiUserAction(np.array([[0.0, 1.0], [0.5, 0.5]]), t.copy(), power.copy())
+    assert interference_matrix(mp, state, both)[0, 0] == 0.0
+    s_solo = user_success(mp, state, solo, 1)
+    s_both = user_success(mp, state, both, 1)
+    assert s_both < s_solo  # the other user's share claims expected cycles
     # Hand check of the crowded value.
     w = mp.workload
     slack = mp.latency_budgets_s[0] - 0.25
     cross = 1e7 * 0.5 * w.shape * w.scale
     cycles = mp.server_speeds_hz[0] * slack - cross
-    from airalloc.special import regularized_lower_gamma
-
-    assert both == pytest.approx(
-        regularized_lower_gamma(w.shape, cycles / (1e7 * 0.5 * w.scale)), rel=1e-12
+    x = 1e7 / (mp.bandwidth_hz * 0.25)
+    y = 1.0 * mp.mean_gains[0][0] / mp.noise_w
+    assert s_both == pytest.approx(
+        chi(x, y) * regularized_lower_gamma(w.shape, cycles / (1e7 * w.scale)), rel=1e-12
     )
+    # A server already claimed past its cycle budget cannot finish the share.
+    both.phi[1] = [0.0, 1.0]
+    big = dataclasses.replace(state, task_bits=np.array([1e7, 1e9]))
+    assert user_success(mp, big, both, 1) == 0.0
 
 
 def test_success_vector_bounds_and_interference_coupling():

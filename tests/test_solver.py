@@ -288,6 +288,17 @@ def test_bcd_rejects_unknown_variant_and_bad_init():
         bcd_solve(p, init=over_power)
 
 
+@pytest.mark.parametrize("energy_j", [0.1, 0.3])
+@pytest.mark.parametrize("variant", ["mm2", "mm1", "pg"])
+def test_bcd_starts_inside_a_tight_energy_budget(energy_j, variant):
+    # Transmitting at the cap for half the latency budget costs 0.5 J, more
+    # than these budgets allow; the default start must still be feasible.
+    p = reference_params(energy_j=energy_j)
+    res = bcd_solve(p, variant=variant, max_outer=3)
+    assert_feasible(p, res.allocation)
+    assert math.isfinite(res.ln_p_success)
+
+
 def test_bcd_deterministic():
     p = reference_params(2, task_mbits=15.0)
     a = bcd_solve(p, variant="mm2")
