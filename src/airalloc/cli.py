@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Subcommands: ``solve`` (single-user allocation), ``sweep`` (run a configured
+Subcommands: ``solve`` (single-user allocation; ``--json`` prints it with
+the solver's work counts as one JSON object), ``sweep`` (run a configured
 experiment), ``train`` (fit a policy on a multi-user environment), ``eval``
 (score a trained policy against the schedulers), ``bench`` (decision-latency
 table).  Exit code 0 on success, 2 for configuration problems, 1 for runtime
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import math
 import sys
 from pathlib import Path
@@ -31,6 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--task-mbits", type=float, default=10.0)
     p_solve.add_argument("--variant", choices=("mm2", "mm1", "pg"), default="mm2")
     p_solve.add_argument("--offload-only", action="store_true")
+    p_solve.add_argument("--json", action="store_true",
+                         help="print one JSON object instead of the table")
 
     p_sweep = sub.add_parser("sweep", help="run a configured experiment")
     p_sweep.add_argument("--config", required=True, help="experiment config path")
@@ -75,6 +79,22 @@ def _cmd_solve(args) -> int:
     p = reference_params(n_servers=args.servers, task_mbits=args.task_mbits)
     res = bcd_solve(p, variant=args.variant, offload_only=args.offload_only)
     a = res.allocation
+    if args.json:
+        tr = res.trace
+        print(json.dumps({
+            "variant": args.variant,
+            "servers": args.servers,
+            "task_mbits": args.task_mbits,
+            "allocation": dataclasses.asdict(a),
+            "ln_p_success": res.ln_p_success,
+            "converged": tr.converged,
+            "n_outer": tr.n_outer,
+            "inner_iterations": tr.total_inner,
+            "search_evals": tr.total_search_evals,
+            "mu_evals": tr.total_mu_evals,
+            "pathologies": tr.total_pathologies,
+        }))
+        return EXIT_OK
     print(f"variant={args.variant} servers={args.servers} task={args.task_mbits:g} Mbit")
     print(f"outage          {res.p_outage:.6e}")
     # 1 - P_success rounds to 1 once P_success drops below 1e-16, and to 0

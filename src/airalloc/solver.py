@@ -12,6 +12,12 @@ The decision variables are updated in three blocks per outer iteration:
    multiplier; ``mm1`` uses tangent-composition minorants of the log factors
    and a numeric inner line search).
 
+Both split updates price the shares with one water-filling multiplier, found
+by :func:`waterfill_mu`: a geometric bracket, seeded with the previous
+multiplier of the split loop, closed by safeguarded Anderson-Bjorck false
+position.  Every multiplier tried re-runs each per-index solve, so
+:class:`BcdTrace` counts them next to the per-index work.
+
 Every block never decreases the objective, so the outer trace of
 ``ln P_success`` is monotone up to solver tolerances.
 """
@@ -367,48 +373,78 @@ def waterfill_mu(
     tol: float = 1e-8,
     max_iter: int = 200,
     mu_cap: float = 1e18,
+    mu_start: float | None = None,
 ) -> tuple[float, np.ndarray]:
     """Find the multiplier at which the per-index maximizers spend ``budget``.
 
-    Each solver maps a multiplier mu >= 0 to its share maximizer; the total
-    share is non-decreasing in mu, so a geometric bracket plus bisection
-    pins the multiplier.  The returned shares are patched (within interval
+    Each solver maps a multiplier mu >= 0 to its share maximizer, so the
+    share total S(mu) is non-decreasing.  A geometric search brackets the
+    root of S(mu) - budget: upward from mu = 1 by ratios 2, 4, 16, ... (each
+    the square of the last), or, given a positive guess ``mu_start``, from
+    the guess by ratios 1.1, 1.21, ... toward the root, and below it too when
+    it overshoots.  Anderson-Bjorck false position then closes the bracket,
+    with bisection whenever an interpolate leaves it.  The search stops once
+    the total is within ``tol`` of the budget, the bracket collapses, or
+    after ``max_iter`` interpolation steps; the upward search gives up at
+    ``mu_cap``.  The best-residual shares are then patched (within interval
     slack) so they sum to the budget to machine precision.
     """
+    mu_best, phi_best, err_best = 0.0, None, math.inf
 
-    def shares_at(mu: float) -> np.ndarray:
-        return np.array([s(mu) for s in solvers])
+    def residual(mu: float) -> float:
+        nonlocal mu_best, phi_best, err_best
+        phi = np.array([s(mu) for s in solvers])
+        r = float(phi.sum()) - budget
+        if abs(r) < err_best:
+            mu_best, phi_best, err_best = mu, phi, abs(r)
+        return r
 
-    phi = shares_at(0.0)
-    total = float(phi.sum())
-    if total > budget + tol:
+    f_lo = residual(0.0)
+    if f_lo > tol:
         raise WaterfillBracketError(
-            f"shares already sum to {total} > budget {budget} at zero multiplier"
+            f"shares already sum to {f_lo + budget} > budget {budget} at zero multiplier"
         )
-    mu_best, phi_best, err_best = 0.0, phi, abs(total - budget)
     if err_best > tol:
-        mu_lo, mu_hi = 0.0, 1.0
-        while True:
-            phi = shares_at(mu_hi)
-            total = float(phi.sum())
-            if abs(total - budget) < err_best:
-                mu_best, phi_best, err_best = mu_hi, phi, abs(total - budget)
-            if total >= budget or mu_hi >= mu_cap:
-                break
-            mu_lo = mu_hi
-            mu_hi *= 2.0
+        warm = mu_start is not None and mu_start > 0.0
+        lo = 0.0
+        hi, ratio = (mu_start, 1.1) if warm else (1.0, 2.0)
+        f_hi = residual(hi)
+        while f_hi < 0.0 and hi < mu_cap and err_best > tol:
+            lo, f_lo = hi, f_hi
+            hi = min(hi * ratio, mu_cap)
+            ratio *= ratio
+            f_hi = residual(hi)
+        if warm and lo == 0.0:
+            # The guess overshot.  Near a steep rise of S from mu = 0 false
+            # position on [0, guess] crawls, so find a lower end near it.
+            while err_best > tol:
+                mu = hi / ratio
+                ratio *= ratio
+                f_mu = residual(mu)
+                if f_mu < 0.0:
+                    lo, f_lo = mu, f_mu
+                    break
+                hi, f_hi = mu, f_mu
+        side = 0  # which end the last step replaced: -1 low, +1 high
         for _ in range(max_iter):
-            if err_best <= tol or mu_hi - mu_lo < 1e-12 * max(1.0, mu_hi):
+            if err_best <= tol or f_hi < 0.0 or hi - lo < 1e-12 * max(1.0, hi):
                 break
-            mu = 0.5 * (mu_lo + mu_hi)
-            phi = shares_at(mu)
-            total = float(phi.sum())
-            if abs(total - budget) < err_best:
-                mu_best, phi_best, err_best = mu, phi, abs(total - budget)
-            if total < budget:
-                mu_lo = mu
+            mu = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            if not lo < mu < hi:
+                mu = 0.5 * (lo + hi)
+            f_mu = residual(mu)
+            # Anderson-Bjorck: when the same end moves twice in a row, scale
+            # the value kept at the other end so the next interpolate moves it.
+            if f_mu < 0.0:
+                if side < 0:
+                    m = 1.0 - f_mu / f_lo
+                    f_hi *= m if m > 0.0 else 0.5
+                lo, f_lo, side = mu, f_mu, -1
             else:
-                mu_hi = mu
+                if side > 0:
+                    m = 1.0 - f_mu / f_hi
+                    f_lo *= m if m > 0.0 else 0.5
+                hi, f_hi, side = mu, f_mu, 1
 
     # Spend the residual inside interval slack, largest headroom first.
     phi = phi_best.copy()
@@ -434,7 +470,10 @@ class InnerTrace:
     ``iterations`` counts surrogate rebuilds; ``search_evals`` counts the
     numeric work inside them (one per closed-form per-index solve, one per
     derivative evaluation of a 1-D search), which is the unit that separates
-    the closed-form update from the search-based one.
+    the closed-form update from the search-based one.  ``mu_evals`` counts
+    the water-filling multipliers tried (each runs every per-index solve
+    once) and ``pathologies`` the degenerate surrogates, failed brackets and
+    damped steps met.
     """
 
     ln_values: list[float] = field(default_factory=list)
@@ -442,6 +481,7 @@ class InnerTrace:
     iterations: int = 0
     pathologies: int = 0
     search_evals: int = 0
+    mu_evals: int = 0
 
 
 class _WorkCounter:
@@ -449,6 +489,14 @@ class _WorkCounter:
 
     def __init__(self) -> None:
         self.n = 0
+
+
+def _tallied(solver: Callable[[float], float], trace: InnerTrace) -> Callable[[float], float]:
+    def tallied(mu: float) -> float:
+        trace.mu_evals += 1
+        return solver(mu)
+
+    return tallied
 
 
 def _mm_split_loop(
@@ -486,8 +534,13 @@ def _mm_split_loop(
             trace.pathologies += 1
             break
         solvers, intervals, indices = built
+        # Every multiplier tried runs each solver once: count the first.
+        solvers = [_tallied(solvers[0], trace), *solvers[1:]]
+        # The multiplier moves little between surrogate rebuilds, so the
+        # last one seeds the bracket search.
+        mu_start = trace.mu_values[-1] if trace.mu_values else None
         try:
-            mu, shares = waterfill_mu(solvers, intervals, budget=1.0)
+            mu, shares = waterfill_mu(solvers, intervals, budget=1.0, mu_start=mu_start)
         except WaterfillBracketError:
             trace.pathologies += 1
             break
@@ -833,13 +886,17 @@ class BcdTrace:
     """Objective trajectory of the outer loop (index 0 is the start point).
 
     ``inner_iterations`` holds per-outer surrogate-rebuild counts of the split
-    update; ``inner_search_evals`` holds the per-outer numeric-search work
-    (see :class:`InnerTrace`)."""
+    update; ``inner_search_evals``, ``inner_mu_evals`` and
+    ``inner_pathologies`` hold its per-outer numeric-search work, water-filling
+    multipliers tried and pathologies met (see :class:`InnerTrace`; the last
+    two stay 0 for ``pg``).  All counts are deterministic."""
 
     ln_p_success: list[float]
     allocations: list[Allocation]
     inner_iterations: list[int]
     inner_search_evals: list[int]
+    inner_mu_evals: list[int]
+    inner_pathologies: list[int]
     converged: bool
     variant: str
 
@@ -854,6 +911,14 @@ class BcdTrace:
     @property
     def total_search_evals(self) -> int:
         return int(sum(self.inner_search_evals))
+
+    @property
+    def total_mu_evals(self) -> int:
+        return int(sum(self.inner_mu_evals))
+
+    @property
+    def total_pathologies(self) -> int:
+        return int(sum(self.inner_pathologies))
 
 
 @dataclass
@@ -913,14 +978,13 @@ def bcd_solve(
 
     ln_vals = [ln_success(p, phi, t, power, rho)]
     allocs = [alloc]
-    inner_counts: list[int] = []
-    search_counts: list[int] = []
+    splits: list[InnerTrace] = []
     converged = False
 
     for _ in range(max_outer):
         power, rho = solve_p1(p, phi, t)
         t = solve_p2(p, phi, t, power, rho)
-        phi, inner = solve_p3(
+        phi, split = solve_p3(
             p, phi, t, power, rho, offload_only=offload_only, tol=inner_tol
         )
         # Round-trip through the stored form so the recorded objective is the
@@ -930,8 +994,7 @@ def bcd_solve(
         t = np.asarray(stored.t_shares, dtype=float)
         power, rho = stored.power_w, stored.rho
         ln_vals.append(ln_success(p, phi, t, power, rho))
-        inner_counts.append(inner.iterations)
-        search_counts.append(inner.search_evals)
+        splits.append(split)
         allocs.append(stored)
         if abs(ln_vals[-1] - ln_vals[-2]) < tol:
             converged = True
@@ -941,8 +1004,10 @@ def bcd_solve(
     trace = BcdTrace(
         ln_p_success=ln_vals,
         allocations=allocs,
-        inner_iterations=inner_counts,
-        inner_search_evals=search_counts,
+        inner_iterations=[tr.iterations for tr in splits],
+        inner_search_evals=[tr.search_evals for tr in splits],
+        inner_mu_evals=[tr.mu_evals for tr in splits],
+        inner_pathologies=[tr.pathologies for tr in splits],
         converged=converged,
         variant=variant,
     )

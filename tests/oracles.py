@@ -157,3 +157,43 @@ def analytic_success_grid(p: SystemParams, phi0, t1, power, chunk: int = 64):
 
         out[start:stop] = p0 * pt * pc
     return out
+
+
+def waterfill_bisection(solvers, budget: float = 1.0, *, tol: float = 1e-8,
+                        max_iter: int = 200, mu_cap: float = 1e18):
+    """Water-filling multiplier by a doubling bracket from mu = 1 and plain
+    bisection, keeping the best-residual multiplier.
+
+    The search the package used before its superlinear one; slow but simple
+    enough to trust.  Returns (mu, share total at mu, multipliers tried).
+    """
+    n_evals = 0
+
+    def total_at(mu: float) -> float:
+        nonlocal n_evals
+        n_evals += 1
+        return float(sum(s(mu) for s in solvers))
+
+    total = total_at(0.0)
+    mu_best, total_best = 0.0, total
+    if abs(total - budget) > tol:
+        mu_lo, mu_hi = 0.0, 1.0
+        while True:
+            total = total_at(mu_hi)
+            if abs(total - budget) < abs(total_best - budget):
+                mu_best, total_best = mu_hi, total
+            if total >= budget or mu_hi >= mu_cap:
+                break
+            mu_lo, mu_hi = mu_hi, 2.0 * mu_hi
+        for _ in range(max_iter):
+            if abs(total_best - budget) <= tol or mu_hi - mu_lo < 1e-12 * max(1.0, mu_hi):
+                break
+            mu = 0.5 * (mu_lo + mu_hi)
+            total = total_at(mu)
+            if abs(total - budget) < abs(total_best - budget):
+                mu_best, total_best = mu, total
+            if total < budget:
+                mu_lo = mu
+            else:
+                mu_hi = mu
+    return mu_best, total_best, n_evals

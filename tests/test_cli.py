@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -42,6 +43,22 @@ def test_solve_prints_allocation(capsys):
     assert "server 1:" in out
     assert "transmit power" in out
     assert "converged=True" in out
+
+
+def test_solve_json_reports_allocation_and_work_counts(capsys):
+    assert main(["solve", "--servers", "2", "--task-mbits", "10", "--variant", "mm1", "--json"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["variant"] == "mm1"
+    assert out["ln_p_success"] == pytest.approx(-0.010756, abs=1e-4)
+    assert out["converged"] is True
+    alloc = out["allocation"]
+    assert len(alloc["phi"]) == 3 and len(alloc["t_shares"]) == 2
+    assert sum(alloc["phi"]) == pytest.approx(1.0)
+    assert 0.0 < alloc["power_w"] <= 1.0 and alloc["rho"] >= 0.0
+    assert 1 <= out["n_outer"] <= out["inner_iterations"]
+    # Each multiplier tried runs a 1-D search per index, each a few steps.
+    assert out["inner_iterations"] < out["mu_evals"] < out["search_evals"]
+    assert out["pathologies"] == 0
 
 
 def test_solve_offload_only_keeps_local_share_zero(capsys):

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import waterfill_bisection
+
+from airalloc import solver
 from airalloc.model import (
     FeasibilityError,
     assert_feasible,
@@ -179,14 +182,16 @@ def test_waterfill_affine_toy():
         return lambda mu: min(max(slope * mu, iv[0]), iv[1])
 
     solvers = [make(s, iv) for s, iv in zip(slopes, intervals)]
-    mu, phi = waterfill_mu(solvers, intervals, budget=1.0)
-    assert phi.sum() == pytest.approx(1.0, abs=1e-12)
-    assert mu > 0.0
-    for v, iv in zip(phi, intervals):
-        assert iv[0] - 1e-12 <= v <= iv[1] + 1e-12
-    # Against the closed form: shares s_i*mu until a cap binds.
-    direct = np.array([min(s * mu, iv[1]) for s, iv in zip(slopes, intervals)])
-    assert np.allclose(phi, direct, atol=1e-6)
+    # No guess, and guesses far below, near and far above the root (~7.3).
+    for mu_start in (None, 1e-9, 7.0, 1e9):
+        mu, phi = waterfill_mu(solvers, intervals, budget=1.0, mu_start=mu_start)
+        assert phi.sum() == pytest.approx(1.0, abs=1e-12)
+        assert mu > 0.0
+        for v, iv in zip(phi, intervals):
+            assert iv[0] - 1e-12 <= v <= iv[1] + 1e-12
+        # Against the closed form: shares s_i*mu until a cap binds.
+        direct = np.array([min(s * mu, iv[1]) for s, iv in zip(slopes, intervals)])
+        assert np.allclose(phi, direct, atol=1e-6)
 
 
 def test_waterfill_rejects_overspent_start():
@@ -196,11 +201,109 @@ def test_waterfill_rejects_overspent_start():
         waterfill_mu(solvers, intervals, budget=1.0)
 
 
+def _counting(fn, calls: list):
+    def counted(mu):
+        calls.append(mu)
+        return fn(mu)
+
+    return counted
+
+
 def test_waterfill_patches_to_exact_budget():
     intervals = [(0.0, 1.0), (0.0, 1.0)]
-    solvers = [lambda mu: 0.3, lambda mu: 0.3]  # stuck solvers never reach 1.0
+    # Stuck solvers never reach the budget at any multiplier.
+    tried: list[float] = []
+    solvers = [_counting(lambda mu: 0.3, tried), lambda mu: 0.3]
     _, phi = waterfill_mu(solvers, intervals, budget=1.0)
     assert phi.sum() == pytest.approx(1.0, abs=1e-12)
+    assert max(tried) == 1e18  # the search gave up at mu_cap
+    _, _, oracle_evals = waterfill_bisection([lambda mu: 0.3, lambda mu: 0.3])
+    assert oracle_evals == 101
+    assert len(tried) <= oracle_evals
+
+
+def test_waterfill_step_function_stops_at_best_residual():
+    # The share total jumps over the budget at mu = 3.7, so no multiplier
+    # spends it within tol: the search must still stop within max_iter
+    # interpolation steps and return the closest total it saw, which lies
+    # just below the jump.
+    def share(mu):
+        return 0.4 + 0.05 * mu / (1.0 + mu) if mu < 3.7 else 0.65
+
+    intervals = [(0.0, 1.0), (0.0, 1.0)]
+    for mu_start in (None, 3.0, 50.0):
+        tried: list[float] = []
+        solvers = [_counting(share, tried), share]
+        mu, phi = waterfill_mu(solvers, intervals, budget=1.0, max_iter=40, mu_start=mu_start)
+        # At most 1 + 8 bracket probes (ratios square from 1.1), then max_iter steps.
+        assert len(tried) <= 1 + 8 + 40
+        assert mu == max(m for m in tried if m < 3.7)
+        assert phi.sum() == pytest.approx(1.0, abs=1e-12)
+        assert 3.7 - mu < 1e-6
+
+
+# Cells of the benchmark's solve workloads on which the search is checked.
+WATERFILL_CELLS = [(1, 10.0), (2, 10.0), (3, 10.0), (4, 10.0), (2, 25.0)]
+
+
+@pytest.fixture(scope="module")
+def recorded_waterfills():
+    """Per (cell, variant): the BcdTrace of a three-round solve and every
+    water-filling call it made, as (solvers, intervals, mu_start, mu)."""
+    out = {}
+    real = solver.waterfill_mu
+    for cell in WATERFILL_CELLS:
+        for variant in ("mm2", "mm1"):
+            calls = []
+
+            def recording(solvers, intervals, budget=1.0, calls=calls, **kw):
+                mu, phi = real(solvers, intervals, budget, **kw)
+                calls.append((solvers, intervals, kw.get("mu_start"), mu))
+                return mu, phi
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver, "waterfill_mu", recording)
+                p = reference_params(cell[0], task_mbits=cell[1])
+                res = bcd_solve(p, variant=variant, max_outer=3)
+            out[cell, variant] = (res.trace, calls)
+    return out
+
+
+@pytest.mark.parametrize("variant", ["mm2", "mm1"])
+def test_waterfill_matches_bisection_on_solver_sets(recorded_waterfills, variant):
+    # Both searches stop once the share total is within tol = 1e-8 of the
+    # budget, so their multipliers may differ by about 2e-8 / S'(mu): up to
+    # 6e-6 relative on these cells, where S is flattest (M = 4, mu ~ 2e-3).
+    for cell in WATERFILL_CELLS:
+        _, calls = recorded_waterfills[cell, variant]
+        assert calls
+        # About ten calls per cell, spread over the solve.
+        for solvers, intervals, mu_start, mu_used in calls[:: 1 + len(calls) // 10]:
+            mu_ref, total_ref, _ = waterfill_bisection(solvers)
+            assert abs(total_ref - 1.0) <= 1e-8
+            for start in (mu_start, None):
+                mu, phi = waterfill_mu(solvers, intervals, mu_start=start)
+                if start is mu_start:
+                    assert mu == mu_used
+                assert abs(sum(s(mu) for s in solvers) - 1.0) <= 1e-8
+                assert mu == pytest.approx(mu_ref, rel=1e-4)
+                assert phi.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["mm2", "mm1"])
+def test_waterfill_evaluation_budget(recorded_waterfills, variant):
+    # Doubling plus bisection spent 25-30 multipliers per split iteration on
+    # these cells; the warm-started false position spends 4-7 on average
+    # and at most 14.
+    for cell in WATERFILL_CELLS:
+        trace, calls = recorded_waterfills[cell, variant]
+        assert trace.total_pathologies == 0
+        assert trace.total_mu_evals <= 8 * trace.total_inner
+        for solvers, intervals, mu_start, _ in calls:
+            tried: list[float] = []
+            counted = [_counting(solvers[0], tried), *solvers[1:]]
+            waterfill_mu(counted, intervals, mu_start=mu_start)
+            assert len(tried) <= 16
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +402,15 @@ def test_bcd_starts_inside_a_tight_energy_budget(energy_j, variant):
     assert math.isfinite(res.ln_p_success)
 
 
-def test_bcd_deterministic():
+@pytest.mark.parametrize("variant", ["mm2", "mm1", "pg"])
+def test_bcd_deterministic(variant):
     p = reference_params(2, task_mbits=15.0)
-    a = bcd_solve(p, variant="mm2")
-    b = bcd_solve(p, variant="mm2")
+    a = bcd_solve(p, variant=variant)
+    b = bcd_solve(p, variant=variant)
     assert a.ln_p_success == b.ln_p_success
-    assert a.allocation.phi == b.allocation.phi
+    assert a.allocation == b.allocation
+    for field in ("inner_iterations", "inner_search_evals", "inner_mu_evals", "inner_pathologies"):
+        assert getattr(a.trace, field) == getattr(b.trace, field)
 
 
 def test_trace_objective_matches_stored_allocations():
