@@ -24,7 +24,6 @@ from .multiuser import (
     MultiUserEnv,
     MultiUserParams,
     MultiUserState,
-    Transition,
     default_multiuser,
     enumerate_actions,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "MultiUserEnv",
     "MultiUserParams",
     "MultiUserState",
-    "Transition",
     "default_multiuser",
     "enumerate_actions",
     "QNetworkParams",

@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .multiuser import ActionGrid, MultiUserEnv, Transition, state_vector
+from .multiuser import ActionGrid, MultiUserEnv, state_vector
 
 __all__ = [
     "QNetworkParams",
@@ -144,65 +144,55 @@ class TrainConfig:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with one priority per slot."""
+    """Fixed-capacity ring of encoded transitions with one priority per slot.
 
-    def __init__(self, capacity: int = 10_000):
+    Every field is a preallocated array indexed by slot, so a sampled batch
+    is one fancy index per field."""
+
+    def __init__(self, capacity: int, n_inputs: int):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._items: list[Transition] = []
-        self._priorities: list[float] = []
+        self.states = np.zeros((capacity, n_inputs))
+        self.next_states = np.zeros((capacity, n_inputs))
+        self.actions = np.zeros(capacity, dtype=np.intp)
+        self.rewards = np.zeros(capacity)
+        self.terminals = np.zeros(capacity, dtype=bool)
+        self._priorities = np.zeros(capacity)
+        self._size = 0
         self._cursor = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
-    def push(self, tr: Transition) -> None:
+    def push(self, state_enc, action_idx: int, reward: float, next_enc, terminal: bool = False) -> None:
+        if not math.isfinite(reward):
+            raise ValueError(f"transition reward must be finite, got {reward}")
         # New experience enters at the current maximum priority so it is seen
         # at least once before its TD error is known.
-        prio = max(self._priorities, default=1.0)
-        if len(self._items) < self.capacity:
-            self._items.append(tr)
-            self._priorities.append(prio)
-        else:
-            self._items[self._cursor] = tr
-            self._priorities[self._cursor] = prio
-            self._cursor = (self._cursor + 1) % self.capacity
+        prio = float(self._priorities[: self._size].max()) if self._size else 1.0
+        i = self._cursor
+        self.states[i] = state_enc
+        self.actions[i] = action_idx
+        self.rewards[i] = reward
+        self.next_states[i] = next_enc
+        self.terminals[i] = terminal
+        self._priorities[i] = prio
+        self._cursor = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def update_priorities(self, indices, priorities) -> None:
+        # One write per element: sampled indices repeat, and the last write
+        # to a repeated index wins.
         for i, p in zip(indices, priorities):
+            if not 0 <= i < self._size:
+                raise IndexError(f"replay index {i} outside [0, {self._size})")
             if not p > 0.0:
                 raise ValueError(f"priorities must be > 0, got {p}")
             self._priorities[i] = float(p)
 
     def priorities(self) -> np.ndarray:
-        return np.asarray(self._priorities, dtype=float)
-
-    def __getitem__(self, i: int) -> Transition:
-        return self._items[i]
-
-
-def replay_sample(
-    buffer: ReplayBuffer,
-    batch_size: int,
-    rng: np.random.Generator,
-    priority_exponent: float = 0.6,
-    importance_exponent: float = 0.4,
-) -> tuple[np.ndarray, list[Transition], np.ndarray]:
-    """Draw a prioritized batch; returns (indices, transitions, IS weights).
-
-    Sampling probability is priority^a normalized; the importance weights
-    (n * prob)^-b are rescaled so the largest weight is exactly 1.
-    """
-    n = len(buffer)
-    if n < batch_size:
-        raise ValueError(f"replay buffer holds {n} transitions, need at least {batch_size}")
-    scaled = buffer.priorities() ** priority_exponent
-    probs = scaled / scaled.sum()
-    idx = rng.choice(n, size=batch_size, p=probs)
-    weights = (n * probs[idx]) ** (-importance_exponent)
-    weights = weights / weights.max()
-    return idx, [buffer[i] for i in idx], weights
+        return self._priorities[: self._size].copy()
 
 
 @dataclass
@@ -215,6 +205,30 @@ class Batch:
     next_states: np.ndarray   # (B, n_inputs)
     terminals: np.ndarray     # (B,) bool
     weights: np.ndarray       # (B,) importance-sampling weights
+
+
+def replay_sample(
+    buffer: ReplayBuffer,
+    batch_size: int,
+    rng: np.random.Generator,
+    priority_exponent: float = 0.6,
+    importance_exponent: float = 0.4,
+) -> tuple[np.ndarray, Batch]:
+    """Draw a prioritized batch; returns (indices, batch with IS weights).
+
+    Sampling probability is priority^a normalized; the importance weights
+    (n * prob)^-b are rescaled so the largest weight is exactly 1.
+    """
+    n = len(buffer)
+    if n < batch_size:
+        raise ValueError(f"replay buffer holds {n} transitions, need at least {batch_size}")
+    scaled = buffer.priorities() ** priority_exponent
+    probs = scaled / scaled.sum()
+    idx = rng.choice(n, size=batch_size, p=probs)
+    weights = (n * probs[idx]) ** (-importance_exponent)
+    weights = weights / weights.max()
+    return idx, Batch(buffer.states[idx], buffer.actions[idx], buffer.rewards[idx],
+                      buffer.next_states[idx], buffer.terminals[idx], weights)
 
 
 def train_step(
@@ -231,13 +245,16 @@ def train_step(
     minus target), whose absolute values refresh the replay priorities.
     """
     b = batch.states.shape[0]
-    q_next_online = q_forward(theta, batch.next_states)
-    next_actions = np.argmax(q_next_online, axis=1)
+    # One online forward over [states; next_states]: rows are independent,
+    # the first b feed the backward pass, the rest pick the next actions.
+    q_both, acts_both = _forward_cached(theta, np.concatenate([batch.states, batch.next_states]))
+    next_actions = np.argmax(q_both[b:], axis=1)
     q_next_target = q_forward(theta_target, batch.next_states)
     bootstrap = q_next_target[np.arange(b), next_actions]
     targets = batch.rewards + config.discount * bootstrap * (~batch.terminals)
 
-    q_all, acts = _forward_cached(theta, batch.states)
+    q_all = q_both[:b]
+    acts = [a[:b] for a in acts_both]
     pred = q_all[np.arange(b), batch.actions]
     td = pred - targets
     loss = float(np.mean(batch.weights * td * td))
@@ -305,35 +322,27 @@ def train(
     rng_act = np.random.default_rng(act_seed)
     rng_replay = np.random.default_rng(replay_seed)
     env_seeds = env_seed.generate_state(max(config.episodes, 1))
-    buffer = ReplayBuffer(config.buffer_capacity)
+    buffer = ReplayBuffer(config.buffer_capacity, n_inputs)
 
     epsilon = config.epsilon_start
     curve: list[float] = []
     for ep in range(config.episodes):
-        state = env.reset(seed=int(env_seeds[ep]))
+        enc = state_vector(mp, env.reset(seed=int(env_seeds[ep])))
         total = 0.0
         for _ in range(config.steps_per_episode):
-            enc = state_vector(mp, state)
             a_idx = select_action(theta, enc, epsilon, rng_act)
             try:
                 nxt, r, done = env.step(grid.decode(a_idx))
             except Exception as exc:
                 raise RuntimeError(f"environment failed in episode {ep}") from exc
-            buffer.push(Transition(state, grid.decode(a_idx), r, nxt, terminal=done))
+            next_enc = state_vector(mp, nxt)
+            buffer.push(enc, a_idx, r, next_enc, terminal=done)
             total += r
-            state = nxt
+            enc = next_enc
             if len(buffer) >= config.batch_size:
-                idx, trs, weights = replay_sample(
+                idx, batch = replay_sample(
                     buffer, config.batch_size, rng_replay,
                     config.priority_exponent, config.importance_exponent,
-                )
-                batch = Batch(
-                    states=np.stack([state_vector(mp, t.state) for t in trs]),
-                    actions=np.array([grid.encode(t.action) for t in trs]),
-                    rewards=np.array([t.reward for t in trs]),
-                    next_states=np.stack([state_vector(mp, t.next_state) for t in trs]),
-                    terminals=np.array([t.terminal for t in trs]),
-                    weights=weights,
                 )
                 try:
                     theta, td = train_step(theta, theta_target, batch, config)

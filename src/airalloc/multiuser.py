@@ -33,7 +33,6 @@ __all__ = [
     "MultiUserParams",
     "MultiUserState",
     "MultiUserAction",
-    "Transition",
     "default_multiuser",
     "interference_matrix",
     "user_success",
@@ -201,24 +200,6 @@ class MultiUserAction:
     phi: np.ndarray
     t: np.ndarray
     power: np.ndarray
-
-
-@dataclass
-class Transition:
-    """One experience tuple as stored for replay."""
-
-    state: MultiUserState
-    action: MultiUserAction
-    reward: float
-    next_state: MultiUserState
-    terminal: bool = False
-    priority: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.reward):
-            raise ValueError(f"transition reward must be finite, got {self.reward}")
-        if not self.priority > 0.0:
-            raise ValueError(f"transition priority must be > 0, got {self.priority}")
 
 
 def _check_dims(mp: MultiUserParams, action: MultiUserAction) -> None:

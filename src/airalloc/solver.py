@@ -217,6 +217,46 @@ def _project_capped_simplex(t: np.ndarray, cap: float) -> np.ndarray:
     return _project_simplex_eq(t, cap)
 
 
+def _projected_ascent(
+    factors: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    project: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    scale: float,
+    gtol: float,
+    max_iter: int,
+    halvings: int,
+) -> tuple[np.ndarray, list[float]]:
+    """Projected gradient ascent on ``factors`` (value, gradient) with Armijo
+    backtracking, until the projected-gradient norm is at most ``gtol``: the
+    first trial step is 0.25 ``scale``, halved at most ``halvings`` times;
+    the next starts from twice the accepted one, capped at 4 ``scale``.
+    Returns the last iterate and the objective at the start and after every
+    accepted step."""
+    fval, g = factors(x)
+    values = [fval]
+    step = 0.25 * scale
+    for _ in range(max_iter):
+        gp = project(x + g) - x
+        if float(np.linalg.norm(gp)) <= gtol:
+            break
+        s = step
+        accepted = False
+        for _ in range(halvings):
+            trial = project(x + s * g)
+            diff = trial - x
+            tval, tgrad = factors(trial)
+            if tval > -math.inf and tval >= fval + 1e-4 * float(g @ diff):
+                accepted = True
+                break
+            s *= 0.5
+        if not accepted:
+            break
+        x, fval, g = trial, tval, tgrad
+        values.append(fval)
+        step = min(s * 2.0, 4.0 * scale)
+    return x, values
+
+
 def solve_p2(
     p: SystemParams,
     phi,
@@ -260,28 +300,8 @@ def solve_p2(
     t = np.maximum(t, cap * 1e-9)
     if float(t.sum()) > cap:
         t *= cap * (1.0 - 1e-12) / float(t.sum())
-    fval, g = factors(t)
-    step = 0.25 * cap
-
-    for _ in range(max_iter):
-        gp = _project_capped_simplex(t + g, cap) - t
-        if float(np.linalg.norm(gp)) <= gtol:
-            break
-        s = step
-        accepted = False
-        for _ in range(80):
-            trial = _project_capped_simplex(t + s * g, cap)
-            diff = trial - t
-            tval, tgrad = factors(trial)
-            if tval > -math.inf and tval >= fval + 1e-4 * float(g @ diff):
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            break
-        t, fval, g = trial, tval, tgrad
-        step = min(s * 2.0, 4.0 * cap)
-    return t
+    return _projected_ascent(factors, lambda v: _project_capped_simplex(v, cap),
+                             t, cap, gtol, max_iter, 80)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -842,32 +862,9 @@ def solve_p3_pg(
         return out
 
     phi = project(np.asarray(phi_start, dtype=float).copy())
-    fval, g = factors(phi)
-    trace = InnerTrace(ln_values=[fval])
-    step = 0.25
-
-    for _ in range(max_iter):
-        gp = project(phi + g) - phi
-        if float(np.linalg.norm(gp)) <= tol:
-            break
-        s = step
-        accepted = False
-        for _ in range(60):
-            trial = project(phi + s * g)
-            diff = trial - phi
-            tval, tgrad = factors(trial)
-            if tval > -math.inf and tval >= fval + 1e-4 * float(g @ diff):
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            break
-        phi, fval, g = trial, tval, tgrad
-        trace.ln_values.append(fval)
-        trace.iterations += 1
-        trace.search_evals += 1
-        step = min(s * 2.0, 4.0)
-    return phi, trace
+    phi, values = _projected_ascent(factors, project, phi, 1.0, tol, max_iter, 60)
+    steps = len(values) - 1
+    return phi, InnerTrace(ln_values=values, iterations=steps, search_evals=steps)
 
 
 # ---------------------------------------------------------------------------

@@ -197,3 +197,39 @@ def waterfill_bisection(solvers, budget: float = 1.0, *, tol: float = 1e-8,
             else:
                 mu_hi = mu
     return mu_best, total_best, n_evals
+
+
+class ListReplay:
+    """Prioritized replay as the package kept it before its array ring: a
+    list of per-transition tuples (state, action, reward, next state,
+    terminal) with a parallel list of priorities, sampled into a list."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.items: list[tuple] = []
+        self.priorities: list[float] = []
+        self.cursor = 0
+
+    def push(self, item: tuple) -> None:
+        prio = max(self.priorities, default=1.0)
+        if len(self.items) < self.capacity:
+            self.items.append(item)
+            self.priorities.append(prio)
+        else:
+            self.items[self.cursor] = item
+            self.priorities[self.cursor] = prio
+            self.cursor = (self.cursor + 1) % self.capacity
+
+    def update_priorities(self, indices, priorities) -> None:
+        for i, p in zip(indices, priorities):
+            self.priorities[i] = float(p)
+
+    def sample(self, batch_size: int, rng: np.random.Generator,
+               priority_exponent: float, importance_exponent: float):
+        """Returns (indices, sampled tuples, importance weights)."""
+        n = len(self.items)
+        scaled = np.asarray(self.priorities, dtype=float) ** priority_exponent
+        probs = scaled / scaled.sum()
+        idx = rng.choice(n, size=batch_size, p=probs)
+        weights = (n * probs[idx]) ** (-importance_exponent)
+        return idx, [self.items[i] for i in idx], weights / weights.max()

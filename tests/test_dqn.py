@@ -19,7 +19,8 @@ from airalloc.dqn import (
     train,
     train_step,
 )
-from airalloc.multiuser import MultiUserEnv, Transition, default_multiuser, enumerate_actions
+from airalloc.multiuser import MultiUserEnv, default_multiuser, enumerate_actions
+from oracles import ListReplay
 
 
 def _tiny_setup(seed=0, n_users=1):
@@ -96,37 +97,90 @@ def test_select_action_breaks_ties_low():
 # ---------------------------------------------------------------------------
 
 
-def _dummy_transition(r, mp=None, env=None, action=None):
-    mp_, env_, grid = _tiny_setup()
-    s = env_.reset(seed=int(abs(r) * 1000) % 997)
-    return Transition(state=s, action=grid.decode(0), reward=float(r), next_state=s)
+def _push(buf, r, n_inputs=2):
+    buf.push(np.full(n_inputs, r), int(r) % 3, float(r), np.full(n_inputs, r + 0.5))
 
 
 def test_buffer_ring_overwrites_oldest():
-    buf = ReplayBuffer(capacity=3)
+    buf = ReplayBuffer(capacity=3, n_inputs=2)
     for r in (1.0, 2.0, 3.0, 4.0):
-        buf.push(_dummy_transition(r))
+        _push(buf, r)
     assert len(buf) == 3
-    rewards = sorted(buf[i].reward for i in range(3))
-    assert rewards == [2.0, 3.0, 4.0]
+    # The fourth entry takes slot 0, where the oldest one was.
+    assert buf.rewards.tolist() == [4.0, 2.0, 3.0]
+    assert buf.states[:, 1].tolist() == [4.0, 2.0, 3.0]
+    assert buf.next_states[:, 0].tolist() == [4.5, 2.5, 3.5]
+    assert buf.actions.tolist() == [1, 2, 0]
     with pytest.raises(ValueError):
-        ReplayBuffer(capacity=0)
+        ReplayBuffer(capacity=0, n_inputs=2)
+
+
+def test_push_rejects_nonfinite_reward():
+    buf = ReplayBuffer(capacity=4, n_inputs=2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            buf.push(np.zeros(2), 0, bad, np.zeros(2))
+    assert len(buf) == 0
 
 
 def test_new_entries_get_max_priority():
-    buf = ReplayBuffer(capacity=8)
-    buf.push(_dummy_transition(1.0))
+    buf = ReplayBuffer(capacity=8, n_inputs=2)
+    _push(buf, 1.0)
+    assert buf.priorities().tolist() == [1.0]
     buf.update_priorities([0], [5.0])
-    buf.push(_dummy_transition(2.0))
+    _push(buf, 2.0)
     assert buf.priorities()[1] == 5.0
     with pytest.raises(ValueError):
         buf.update_priorities([0], [0.0])
 
 
+def test_update_priorities_rejects_out_of_range_index():
+    buf = ReplayBuffer(capacity=8, n_inputs=2)
+    for r in (0.0, 1.0, 2.0):
+        _push(buf, r)
+    # Slots 3..7 exist in the preallocated arrays but hold no transition.
+    for i in (3, 7, 8, -1):
+        with pytest.raises(IndexError):
+            buf.update_priorities([i], [2.0])
+    assert buf.priorities().tolist() == [1.0, 1.0, 1.0]
+    # A repeated index keeps the last write.
+    buf.update_priorities([1, 1], [3.0, 5.0])
+    assert buf.priorities().tolist() == [1.0, 5.0, 1.0]
+
+
+def test_replay_matches_list_oracle():
+    """The array ring stores, overwrites, reprioritizes and samples exactly
+    like the per-transition list it replaced."""
+    data = np.random.default_rng(8)
+    buf, oracle = ReplayBuffer(capacity=5, n_inputs=3), ListReplay(capacity=5)
+    rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+    for k in range(13):
+        item = (data.normal(size=3), int(data.integers(7)), float(data.normal()),
+                data.normal(size=3), k % 4 == 3)
+        buf.push(*item)
+        oracle.push(item)
+        if len(buf) < 3:
+            continue
+        idx, batch = replay_sample(buf, 3, rng_a, 0.6, 0.4)
+        want_idx, items, want_w = oracle.sample(3, rng_b, 0.6, 0.4)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(batch.weights, want_w)
+        assert np.array_equal(batch.states, np.stack([t[0] for t in items]))
+        assert np.array_equal(batch.actions, np.array([t[1] for t in items]))
+        assert np.array_equal(batch.rewards, np.array([t[2] for t in items]))
+        assert np.array_equal(batch.next_states, np.stack([t[3] for t in items]))
+        assert np.array_equal(batch.terminals, np.array([t[4] for t in items]))
+        new = data.uniform(0.1, 5.0, size=3)
+        buf.update_priorities(idx, new)
+        oracle.update_priorities(want_idx, new)
+        assert np.array_equal(buf.priorities(), oracle.priorities)
+    assert buf.rewards.tolist() == [t[2] for t in oracle.items]
+
+
 def test_replay_sample_prefers_high_priority():
-    buf = ReplayBuffer(capacity=4)
+    buf = ReplayBuffer(capacity=4, n_inputs=2)
     for r in (0.0, 1.0):
-        buf.push(_dummy_transition(r))
+        _push(buf, r)
     buf.update_priorities([0, 1], [1.0, 50.0])
     rng = np.random.default_rng(5)
     picks = np.concatenate(
@@ -134,23 +188,23 @@ def test_replay_sample_prefers_high_priority():
     )
     assert np.mean(picks == 1) > 0.9
     # Importance weights are normalized to a unit maximum.
-    _, _, w = replay_sample(buf, 2, rng, priority_exponent=1.0, importance_exponent=0.4)
-    assert w.max() == pytest.approx(1.0)
-    assert np.all(w > 0.0)
+    _, batch = replay_sample(buf, 2, rng, priority_exponent=1.0, importance_exponent=0.4)
+    assert batch.weights.max() == pytest.approx(1.0)
+    assert np.all(batch.weights > 0.0)
 
 
 def test_replay_sample_uniform_when_exponent_zero():
-    buf = ReplayBuffer(capacity=4)
+    buf = ReplayBuffer(capacity=4, n_inputs=2)
     for r in range(4):
-        buf.push(_dummy_transition(float(r)))
+        _push(buf, float(r))
     buf.update_priorities(range(4), [1.0, 7.0, 0.1, 3.0])
-    _, _, w = replay_sample(buf, 4, np.random.default_rng(0), priority_exponent=0.0)
-    assert np.allclose(w, 1.0)
+    _, batch = replay_sample(buf, 4, np.random.default_rng(0), priority_exponent=0.0)
+    assert np.allclose(batch.weights, 1.0)
 
 
 def test_replay_sample_requires_fill():
-    buf = ReplayBuffer(capacity=4)
-    buf.push(_dummy_transition(0.0))
+    buf = ReplayBuffer(capacity=4, n_inputs=2)
+    _push(buf, 0.0)
     with pytest.raises(ValueError):
         replay_sample(buf, 2, np.random.default_rng(0))
 
@@ -309,6 +363,42 @@ def test_train_is_bit_reproducible():
     assert curve_a == curve_b
     assert np.array_equal(theta_a.flat(), theta_b.flat())
     assert len(curve_a) == cfg.episodes
+
+
+def test_train_encodes_each_state_once(monkeypatch):
+    """Replay stores encodings and action indices: training encodes the
+    probe, each reset state and each next state once, and never re-keys an
+    action."""
+    import airalloc.dqn as dqn_mod
+    from airalloc.multiuser import ActionGrid, state_vector
+
+    calls = {"encode": 0, "state_vector": 0, "step": 0}
+
+    def counting_state_vector(mp, state):
+        calls["state_vector"] += 1
+        return state_vector(mp, state)
+
+    encode = ActionGrid.encode
+
+    def counting_encode(self, action):
+        calls["encode"] += 1
+        return encode(self, action)
+
+    monkeypatch.setattr(dqn_mod, "state_vector", counting_state_vector)
+    monkeypatch.setattr(ActionGrid, "encode", counting_encode)
+    mp, env, grid = _tiny_setup(seed=52)
+    step = env.step
+
+    def counting_step(action):
+        calls["step"] += 1
+        return step(action)
+
+    env.step = counting_step
+    cfg = _short_config(buffer_capacity=8, batch_size=4, episodes=4, steps_per_episode=5)
+    train(env, grid, cfg)
+    assert calls["encode"] == 0
+    assert calls["step"] > cfg.buffer_capacity
+    assert calls["state_vector"] == 1 + cfg.episodes + calls["step"]
 
 
 def test_train_zero_episodes_returns_untouched_init():

@@ -11,7 +11,6 @@ from airalloc.multiuser import (
     MultiUserEnv,
     MultiUserParams,
     MultiUserState,
-    Transition,
     default_multiuser,
     enumerate_actions,
     interference_matrix,
@@ -64,17 +63,6 @@ def test_params_validation_catches_shape_errors():
         MultiUserParams(**{**fields, "energy_weight": -0.1})
     with pytest.raises(ValueError):
         MultiUserParams(**{**fields, "mean_gains": ((1e-7,), (1e-7,), (1e-7,))})
-
-
-def test_transition_validation():
-    mp = default_multiuser(1, 1)
-    env = MultiUserEnv(mp, seed=0)
-    s = env.reset()
-    a = _feasible_action(mp)
-    with pytest.raises(ValueError):
-        Transition(state=s, action=a, reward=math.nan, next_state=s)
-    with pytest.raises(ValueError):
-        Transition(state=s, action=a, reward=0.0, next_state=s, priority=0.0)
 
 
 # ---------------------------------------------------------------------------
