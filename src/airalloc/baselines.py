@@ -136,20 +136,11 @@ def schedulers(
 ) -> np.ndarray:
     """Per-user mean success probability of the named rule over seeded
     rollouts of the stochastic environment."""
-    env = MultiUserEnv(mp)
-    seeds = np.random.SeedSequence(seed).generate_state(episodes)
-    totals = np.zeros(mp.n_users)
-    slots = 0
-    for ep in range(episodes):
-        state = env.reset(seed=int(seeds[ep]))
-        for k in range(steps_per_episode):
-            action = scheduler_action(kind, mp, state, k)
-            totals += success_vector(mp, state, action)
-            slots += 1
-            state, _, done = env.step(action)
-            if done:
-                break
-    return totals / slots
+    def policy(state: MultiUserState, slot: int) -> MultiUserAction:
+        return scheduler_action(kind, mp, state, slot)
+
+    return evaluate_policy(MultiUserEnv(mp), policy, episodes, steps_per_episode,
+                           seed=seed).per_user_success
 
 
 def scheduler_nominal_rates(kind: str, mp: MultiUserParams) -> np.ndarray:

@@ -300,7 +300,6 @@ def reward(
     state: MultiUserState,
     action: MultiUserAction,
     breakdowns: np.ndarray | None = None,
-    energies: np.ndarray | None = None,
 ) -> float:
     """Weighted log-success minus the normalized energy bill.
 
@@ -313,8 +312,10 @@ def reward(
         return _PENALTY * len(broken)
     if breakdowns is None:
         breakdowns = success_vector(mp, state, action)
-    if energies is None:
-        energies = spent_energy(mp, state, action)
+    return _feasible_reward(mp, breakdowns, spent_energy(mp, state, action))
+
+
+def _feasible_reward(mp: MultiUserParams, breakdowns: np.ndarray, energies: np.ndarray) -> float:
     weights = np.asarray(mp.weights, dtype=float)
     lnp = np.array([max(math.log(p), _LN_FLOOR) if p > 0.0 else _LN_FLOOR for p in breakdowns])
     caps = np.asarray(mp.energy_capacity_j, dtype=float)
@@ -372,16 +373,17 @@ class MultiUserEnv:
             raise RuntimeError("environment must be reset before stepping")
         mp = self.mp
         state = self.state
-        r = reward(mp, state, action)
-        feasible = not violations(mp, state, action)
-
-        if feasible:
-            bill = spent_energy(mp, state, action)
-            mean_cpb = mp.workload.shape * mp.workload.scale
-            assigned = (state.task_bits[:, None] * action.phi[:, 1:] * mean_cpb).sum(axis=0)
-        else:
+        # The reward, inlined so each constraint check and bill runs once.
+        broken = violations(mp, state, action)
+        if broken:
+            r = _PENALTY * len(broken)
             bill = np.zeros(mp.n_users)
             assigned = np.zeros(mp.n_servers)
+        else:
+            bill = spent_energy(mp, state, action)
+            r = _feasible_reward(mp, success_vector(mp, state, action), bill)
+            mean_cpb = mp.workload.shape * mp.workload.scale
+            assigned = (state.task_bits[:, None] * action.phi[:, 1:] * mean_cpb).sum(axis=0)
 
         served = np.asarray(mp.server_speeds_hz, dtype=float) * mp.slot_s
         lo, hi = mp.task_range_bits

@@ -58,7 +58,6 @@ __all__ = [
     "ln_success",
     "solve_p1",
     "solve_p2",
-    "solve_p32a",
     "solve_p32b",
     "waterfill_mu",
     "solve_p3_mm2",
@@ -328,42 +327,20 @@ def _argmax_candidates(
     return best_phi
 
 
-def solve_p32a(comp: SurrogateCoeffs, mu: float, lo: float, hi: float) -> float:
-    """Maximize ln q(phi) + mu*phi over [lo, hi] for one quadratic minorant.
-
-    The stationarity condition is a quadratic in phi (linear when mu = 0,
-    with the vertex of q as its root); when no interior stationary point
-    lies in range the better endpoint wins, ties toward the smaller share.
-    """
-    roots = solve_poly_real(
-        QuarticCoeffs(
-            0.0,
-            0.0,
-            mu * comp.c2,
-            mu * comp.c1 + 2.0 * comp.c2,
-            mu * comp.c0 + comp.c1,
-        )
-    )
-
-    def objective(phi: float) -> float:
-        return _safe_log(comp.value(phi)) + mu * phi
-
-    candidates = [lo, hi, 0.5 * (lo + hi)]
-    candidates += [r for r in roots if lo < r < hi]
-    return _argmax_candidates(objective, candidates)
-
-
 def solve_p32b(
-    tx: SurrogateCoeffs, comp: SurrogateCoeffs, mu: float, lo: float, hi: float
+    tx: SurrogateCoeffs | None, comp: SurrogateCoeffs, mu: float, lo: float, hi: float
 ) -> float:
     """Maximize ln q_tx(phi) + ln q_comp(phi) + mu*phi over [lo, hi].
 
     Clearing denominators in the stationarity condition
     q_tx'/q_tx + q_comp'/q_comp + mu = 0 yields a quartic whose coefficients
     come from expanding mu*q_tx*q_comp + (q_tx*q_comp)'; its real roots in
-    range, plus the interval endpoints, are the only candidates.
+    range, plus the interval endpoints and midpoint, are the only candidates
+    (ties toward the smaller share).  The local share has no link: ``tx``
+    None stands for q_tx = 1, which leaves a quadratic (linear when mu = 0,
+    with the vertex of q_comp as its root).
     """
-    r1, r2, r3 = tx.c2, tx.c1, tx.c0
+    r1, r2, r3 = (tx.c2, tx.c1, tx.c0) if tx is not None else (0.0, 0.0, 1.0)
     l1, l2, l3 = comp.c2, comp.c1, comp.c0
     cross_12 = r1 * l2 + r2 * l1
     cross_13 = r1 * l3 + r2 * l2 + r3 * l1
@@ -378,7 +355,8 @@ def solve_p32b(
     roots = solve_poly_real(quartic)
 
     def objective(phi: float) -> float:
-        return _safe_log(tx.value(phi)) + _safe_log(comp.value(phi)) + mu * phi
+        ln_tx = _safe_log(tx.value(phi)) if tx is not None else 0.0
+        return ln_tx + _safe_log(comp.value(phi)) + mu * phi
 
     candidates = [lo, hi, 0.5 * (lo + hi)]
     candidates += [r for r in roots if lo < r < hi]
@@ -504,13 +482,6 @@ class InnerTrace:
     mu_evals: int = 0
 
 
-class _WorkCounter:
-    __slots__ = ("n",)
-
-    def __init__(self) -> None:
-        self.n = 0
-
-
 def _tallied(solver: Callable[[float], float], trace: InnerTrace) -> Callable[[float], float]:
     def tallied(mu: float) -> float:
         trace.mu_evals += 1
@@ -519,41 +490,75 @@ def _tallied(solver: Callable[[float], float], trace: InnerTrace) -> Callable[[f
     return tallied
 
 
+def _normalized_expansion(phi: np.ndarray, indices: list[int]) -> np.ndarray:
+    """Clamp active shares to the floor and rescale them to spend the budget."""
+    ph = np.maximum(phi[indices], PHI_FLOOR)
+    return ph / ph.sum()
+
+
 def _mm_split_loop(
     p: SystemParams,
     phi_start,
     t_shares,
     power_w: float,
     rho: float,
-    build,
+    piece,
     *,
-    tol: float = 1e-6,
-    max_iter: int = 100,
+    offload_only: bool,
+    tol: float,
+    max_iter: int,
     ftol: float = 1e-9,
 ) -> tuple[np.ndarray, InnerTrace]:
-    """Shared outer loop of both split updates.
+    """Shared loop of both split updates.
 
-    ``build(phi_hat, counter)`` returns (solvers, intervals, indices) for the
-    active shares, or None when the surrogates degenerate at the expansion
-    point; in that case the previous iterate is kept.  Stops on a small step
-    (``tol``, max-norm) or when an iteration improves the objective by less
-    than ``ftol`` — near flat optima the curvature-floored surrogates keep
-    producing above-``tol`` steps of vanishing value.
+    Every iteration expands the minorants at the normalized active shares
+    (the servers, plus the local share unless ``offload_only``) and asks
+    ``piece(m, ph, slack, t_m, trace)`` for index m's share maximizer (a
+    function of the multiplier) and its share interval, or None when the
+    minorant degenerates.  ``slack`` is the compute time: ``rho`` over the
+    local speed, or for server m the latency budget left after the first m
+    airtimes; ``t_m`` is server m's airtime (0 for the local share).  No
+    local cycle budget, a server without airtime or latency slack, or a None
+    piece counts a pathology and keeps the previous iterate.  Stops on a
+    small step (``tol``, max-norm) or when an iteration improves the
+    objective by less than ``ftol`` — near flat optima the curvature-floored
+    surrogates keep producing above-``tol`` steps of vanishing value.
     """
     phi = np.asarray(phi_start, dtype=float).copy()
     total = phi.sum()
     if total > 0.0:
         phi /= total
     t = np.asarray(t_shares, dtype=float)
-    counter = _WorkCounter()
+    indices = list(range(1, p.n_servers + 1)) if offload_only else list(range(p.n_servers + 1))
+    slacks = p.latency_budget_s - np.cumsum(t)
     trace = InnerTrace(ln_values=[ln_success(p, phi, t, power_w, rho)])
 
+    def pieces(ph: np.ndarray):
+        out = []
+        for pos, m in enumerate(indices):
+            if m == 0:
+                if rho <= 0.0:
+                    return None
+                slack, t_m = rho / p.local_speed_hz, 0.0
+            else:
+                slack, t_m = slacks[m - 1], t[m - 1]
+                if t_m <= 0.0 or slack <= 0.0:
+                    return None
+            # ph, slack and t_m stay numpy scalars: np.float64 + complex is
+            # complex128, whose cube root in the quartic's closed form rounds
+            # unlike Python's complex, so float() would move mm2's shares.
+            built = piece(m, ph[pos], slack, t_m, trace)
+            if built is None:
+                return None
+            out.append(built)
+        return out
+
     for _ in range(max_iter):
-        built = build(phi, counter)
+        built = pieces(_normalized_expansion(phi, indices))
         if built is None:
             trace.pathologies += 1
             break
-        solvers, intervals, indices = built
+        solvers, intervals = zip(*built)
         # Every multiplier tried runs each solver once: count the first.
         solvers = [_tallied(solvers[0], trace), *solvers[1:]]
         # The multiplier moves little between surrogate rebuilds, so the
@@ -605,14 +610,7 @@ def _mm_split_loop(
         trace.iterations += 1
         if delta < tol or gain < ftol:
             break
-    trace.search_evals = counter.n
     return phi, trace
-
-
-def _normalized_expansion(phi: np.ndarray, indices: list[int]) -> np.ndarray:
-    """Clamp active shares to the floor and rescale them to spend the budget."""
-    ph = np.maximum(phi[indices], PHI_FLOOR)
-    return ph / ph.sum()
 
 
 def solve_p3_mm2(
@@ -627,45 +625,23 @@ def solve_p3_mm2(
     max_iter: int = 100,
 ) -> tuple[np.ndarray, InnerTrace]:
     """Split update with quadratic minorants and closed-form inner solves."""
-    t = np.asarray(t_shares, dtype=float)
-    indices = list(range(1, p.n_servers + 1)) if offload_only else list(range(p.n_servers + 1))
-    slacks = p.latency_budget_s - np.cumsum(t)
 
-    def build(phi: np.ndarray, counter: _WorkCounter):
-        ph = _normalized_expansion(phi, indices)
-        solvers = []
-        intervals = []
-        for pos, m in enumerate(indices):
-            if m == 0:
-                if rho <= 0.0:
-                    return None
-                comp = surrogate_computation(p, 0, ph[pos], rho / p.local_speed_hz)
-                iv = phi_interval(None, comp)
-                if iv is None:
-                    return None
+    def piece(m: int, ph, slack, t_m, trace: InnerTrace):
+        tx = surrogate_transmission(p, m, ph, t_m, power_w) if m > 0 else None
+        comp = surrogate_computation(p, m, ph, slack)
+        iv = phi_interval(tx, comp)
+        if iv is None:
+            return None
+        lo, hi = iv
 
-                def solver(mu: float, q=comp, lo=iv[0], hi=iv[1]) -> float:
-                    counter.n += 1
-                    return solve_p32a(q, mu, lo, hi)
+        def solver(mu: float) -> float:
+            trace.search_evals += 1
+            return solve_p32b(tx, comp, mu, lo, hi)
 
-            else:
-                if t[m - 1] <= 0.0 or slacks[m - 1] <= 0.0:
-                    return None
-                tx = surrogate_transmission(p, m, ph[pos], t[m - 1], power_w)
-                comp = surrogate_computation(p, m, ph[pos], slacks[m - 1])
-                iv = phi_interval(tx, comp)
-                if iv is None:
-                    return None
+        return solver, iv
 
-                def solver(mu: float, qt=tx, qc=comp, lo=iv[0], hi=iv[1]) -> float:
-                    counter.n += 1
-                    return solve_p32b(qt, qc, mu, lo, hi)
-
-            solvers.append(solver)
-            intervals.append(iv)
-        return solvers, intervals, indices
-
-    return _mm_split_loop(p, phi_start, t, power_w, rho, build, tol=tol, max_iter=max_iter)
+    return _mm_split_loop(p, phi_start, t_shares, power_w, rho, piece,
+                          offload_only=offload_only, tol=tol, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -708,10 +684,10 @@ def _decreasing_root_bracketed(
     return 0.5 * (a + b)
 
 
-def _mm1_pieces(
+def _mm1_derivative(
     p: SystemParams, m: int, ph: float, t_m: float, time_slack: float, power_w: float
-):
-    """Value/derivative of the tangent-composition minorant at index m.
+) -> Callable[[float], float]:
+    """Derivative of the tangent-composition minorant at index m.
 
     Each success factor is log-concave in the reciprocal share, so replacing
     the reciprocal with its tangent line at the expansion point gives a
@@ -734,19 +710,6 @@ def _mm1_pieces(
 
     # The primitives are evaluated on the tangent lines: ln P at u(phi) for
     # psi / phi, and ln chi at x = 1 / v(phi) for v = k / phi.
-    def value(phi: float) -> float:
-        u = u_hat + du * (phi - ph)
-        if u <= 0.0:
-            return -math.inf
-        total = ln_lower_gamma(w.shape, u)[0]
-        if tx_terms is not None:
-            y, v_hat, dv = tx_terms
-            v = v_hat + dv * (phi - ph)
-            if v <= 0.0:
-                return -math.inf
-            total += ln_chi(1.0 / v, y)[0]
-        return total
-
     def deriv(phi: float) -> float:
         u = u_hat + du * (phi - ph)
         if u <= 0.0:
@@ -764,7 +727,7 @@ def _mm1_pieces(
             total -= dx * dv * x * x
         return total
 
-    return value, deriv
+    return deriv
 
 
 def solve_p3_mm1(
@@ -780,52 +743,34 @@ def solve_p3_mm1(
 ) -> tuple[np.ndarray, InnerTrace]:
     """Split update with first-order minorants; same contract as ``mm2``
     but every inner maximization is a safeguarded numeric root search."""
-    t = np.asarray(t_shares, dtype=float)
-    indices = list(range(1, p.n_servers + 1)) if offload_only else list(range(p.n_servers + 1))
-    slacks = p.latency_budget_s - np.cumsum(t)
 
-    def build(phi: np.ndarray, counter: _WorkCounter):
-        ph_vec = _normalized_expansion(phi, indices)
-        solvers = []
-        intervals = []
-        for pos, m in enumerate(indices):
-            ph = float(ph_vec[pos])
-            if m == 0:
-                if rho <= 0.0:
-                    return None
-                slack = rho / p.local_speed_hz
-                t_m = 0.0
-            else:
-                if t[m - 1] <= 0.0 or slacks[m - 1] <= 0.0:
-                    return None
-                slack = float(slacks[m - 1])
-                t_m = float(t[m - 1])
-            _, deriv = _mm1_pieces(p, m, ph, t_m, slack, power_w)
-            lo = PHI_FLOOR
-            hi = min(1.0, 2.0 * ph * (1.0 - 1e-9))
-            if hi <= lo:
-                return None
+    def piece(m: int, ph, slack, t_m, trace: InnerTrace):
+        ph = float(ph)
+        deriv = _mm1_derivative(p, m, ph, float(t_m), float(slack), power_w)
+        lo = PHI_FLOOR
+        hi = min(1.0, 2.0 * ph * (1.0 - 1e-9))
+        if hi <= lo:
+            return None
 
-            def solver(mu: float, d=deriv, lo=lo, hi=hi) -> float:
-                def d_counted(x: float) -> float:
-                    counter.n += 1
-                    return d(x)
+        def d_counted(x: float) -> float:
+            trace.search_evals += 1
+            return deriv(x)
 
-                d_lo = d_counted(lo) + mu
-                if d_lo <= 0.0:
-                    return lo
-                d_hi = d_counted(hi) + mu
-                if d_hi >= 0.0:
-                    return hi
-                return _decreasing_root_bracketed(
-                    lambda x: d_counted(x) + mu, lo, hi, d_lo, d_hi
-                )
+        def solver(mu: float) -> float:
+            d_lo = d_counted(lo) + mu
+            if d_lo <= 0.0:
+                return lo
+            d_hi = d_counted(hi) + mu
+            if d_hi >= 0.0:
+                return hi
+            return _decreasing_root_bracketed(
+                lambda x: d_counted(x) + mu, lo, hi, d_lo, d_hi
+            )
 
-            solvers.append(solver)
-            intervals.append((lo, hi))
-        return solvers, intervals, indices
+        return solver, (lo, hi)
 
-    return _mm_split_loop(p, phi_start, t, power_w, rho, build, tol=tol, max_iter=max_iter)
+    return _mm_split_loop(p, phi_start, t_shares, power_w, rho, piece,
+                          offload_only=offload_only, tol=tol, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,7 @@ def _quartic_closed_form(a: float, b: float, c: float, d: float, e: float) -> li
     ]
 
 
-def _polish_complex(q: QuarticCoeffs, z: complex, steps: int = 4) -> complex:
+def _polish_complex(q: QuarticCoeffs, z: complex, steps: int) -> complex:
     for _ in range(steps):
         dq = q.derivative(z)
         if dq == 0:
@@ -289,7 +289,7 @@ def _polish_complex(q: QuarticCoeffs, z: complex, steps: int = 4) -> complex:
     return z
 
 
-def _polish_real(q: QuarticCoeffs, x: float, steps: int = 8) -> float:
+def _polish_real(q: QuarticCoeffs, x: float, steps: int) -> float:
     # Guarded Newton: only accept steps that reduce the residual.
     fx = q(x)
     for _ in range(steps):
@@ -315,12 +315,39 @@ def _merge_sorted_roots(roots: list[float], tol: float) -> list[float]:
     return merged
 
 
+def _certified_real_roots(
+    q: QuarticCoeffs,
+    candidates: list[complex],
+    imag_tol: float,
+    degree: int,
+    complex_steps: int,
+    real_steps: int,
+) -> list[float]:
+    """Newton-polish closed-form root candidates of ``q``, keep the real
+    ones, merge duplicates at 1e-8 and certify every residual:
+    |q(r)| <= 1e-9 * max(1, ||q||_inf) * max(1, |r|)^degree, the root-size
+    factor accounting for Horner evaluation noise away from the origin."""
+    real_roots: list[float] = []
+    for z in candidates:
+        z = _polish_complex(q, z, complex_steps)
+        if abs(z.imag) <= imag_tol:
+            real_roots.append(_polish_real(q, z.real, real_steps))
+
+    merged = _merge_sorted_roots(real_roots, _ROOT_MERGE_TOL)
+    for r in merged:
+        bound = _RESIDUAL_TOL * max(1.0, q.norm) * max(1.0, abs(r)) ** degree
+        if abs(q(r)) > bound:
+            raise ConvergenceError(
+                f"degree-{degree} root {r} has residual {q(r):.3e} above bound {bound:.3e}"
+            )
+    return merged
+
+
 def solve_quartic_real(coeffs: QuarticCoeffs, imag_tol: float = 1e-8) -> list[float]:
     """Real roots of a quartic, ascending, with duplicates merged at 1e-8.
 
     Every returned root carries a residual certificate
-    |q(r)| <= 1e-9 * max(1, ||coeffs||_inf) * max(1, |r|)^4; the root-size
-    factor accounts for Horner evaluation noise away from the origin.  A root
+    |q(r)| <= 1e-9 * max(1, ||coeffs||_inf) * max(1, |r|)^4.  A root
     candidate counts as real when its closed-form imaginary part is at most
     ``imag_tol`` in magnitude.
     Raises :class:`DegenerateCoefficientError` when the leading coefficient is
@@ -335,25 +362,15 @@ def solve_quartic_real(coeffs: QuarticCoeffs, imag_tol: float = 1e-8) -> list[fl
         )
 
     candidates = _quartic_closed_form(coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e)
-    real_roots: list[float] = []
-    for z in candidates:
-        z = _polish_complex(coeffs, z)
-        if abs(z.imag) <= imag_tol:
-            real_roots.append(_polish_real(coeffs, z.real))
-
-    merged = _merge_sorted_roots(real_roots, _ROOT_MERGE_TOL)
-    for r in merged:
-        bound = _RESIDUAL_TOL * max(1.0, norm) * max(1.0, abs(r)) ** 4
-        if abs(coeffs(r)) > bound:
-            raise ConvergenceError(
-                f"quartic root {r} has residual {coeffs(r):.3e} above bound {bound:.3e}"
-            )
-    return merged
+    return _certified_real_roots(coeffs, candidates, imag_tol,
+                                 degree=4, complex_steps=4, real_steps=8)
 
 
 def solve_cubic_real(b: float, c: float, d: float, e: float, imag_tol: float = 1e-8) -> list[float]:
-    """Real roots of b*x^3 + c*x^2 + d*x + e (ascending, merged)."""
-    norm = max(abs(b), abs(c), abs(d), abs(e))
+    """Real roots of b*x^3 + c*x^2 + d*x + e (ascending, merged), with the
+    quartic's residual certificate at degree 3."""
+    poly = QuarticCoeffs(0.0, b, c, d, e)
+    norm = poly.norm
     if norm == 0.0:
         raise DegenerateCoefficientError("all cubic coefficients are zero")
     if abs(b) < _DEGENERATE_REL * norm:
@@ -372,44 +389,8 @@ def solve_cubic_real(b: float, c: float, d: float, e: float, imag_tol: float = 1
     else:
         s1 = scube ** (1.0 / 3.0)
         ts = [w * s1 - p / (3.0 * (w * s1)) for w in (1, _OMEGA, _OMEGA**2)]
-
-    def f(x: float) -> float:
-        return ((b * x + c) * x + d) * x + e
-
-    def df(x: float) -> float:
-        return (3.0 * b * x + 2.0 * c) * x + d
-
-    real_roots = []
-    for t in ts:
-        z = t - shift
-        # A couple of complex Newton steps to settle the branch.
-        for _ in range(3):
-            dv = (3.0 * b * z + 2.0 * c) * z + d
-            if dv == 0:
-                break
-            z = z - (((b * z + c) * z + d) * z + e) / dv
-        if abs(z.imag) <= imag_tol:
-            x = z.real
-            fx = f(x)
-            for _ in range(6):
-                dv = df(x)
-                if dv == 0.0:
-                    break
-                x_next = x - fx / dv
-                if not math.isfinite(x_next):
-                    break
-                f_next = f(x_next)
-                if abs(f_next) >= abs(fx):
-                    break
-                x, fx = x_next, f_next
-            real_roots.append(x)
-
-    merged = _merge_sorted_roots(real_roots, _ROOT_MERGE_TOL)
-    for r in merged:
-        bound = _RESIDUAL_TOL * max(1.0, norm) * max(1.0, abs(r)) ** 3
-        if abs(f(r)) > bound:
-            raise ConvergenceError(f"cubic root {r} has residual {f(r):.3e} above bound {bound:.3e}")
-    return merged
+    return _certified_real_roots(poly, [t - shift for t in ts], imag_tol,
+                                 degree=3, complex_steps=3, real_steps=6)
 
 
 def solve_quadratic_real(c: float, d: float, e: float) -> list[float]:

@@ -14,6 +14,8 @@ from scipy import integrate
 from scipy import special as sps
 
 from airalloc.model import Allocation, SystemParams, local_budget_rho
+from airalloc.solver import _argmax_candidates
+from airalloc.special import QuarticCoeffs, solve_poly_real
 
 
 def lower_gamma_quadrature(shape: float, x: float) -> float:
@@ -197,6 +199,24 @@ def waterfill_bisection(solvers, budget: float = 1.0, *, tol: float = 1e-8,
             else:
                 mu_hi = mu
     return mu_best, total_best, n_evals
+
+
+def solve_p32a(comp, mu: float, lo: float, hi: float) -> float:
+    """The local-share closed form the package had before ``solve_p32b``
+    took over with no link factor: maximize ln q(phi) + mu*phi over
+    [lo, hi] over the roots of the quadratic stationarity condition, the
+    interval ends and the midpoint."""
+    roots = solve_poly_real(
+        QuarticCoeffs(0.0, 0.0, mu * comp.c2, mu * comp.c1 + 2.0 * comp.c2, mu * comp.c0 + comp.c1)
+    )
+
+    def objective(phi: float) -> float:
+        q = comp.value(phi)
+        return (math.log(q) if q > 0.0 else -math.inf) + mu * phi
+
+    candidates = [lo, hi, 0.5 * (lo + hi)]
+    candidates += [r for r in roots if lo < r < hi]
+    return _argmax_candidates(objective, candidates)
 
 
 class ListReplay:

@@ -372,7 +372,7 @@ def test_step_updates_queues_and_energies():
     assigned = float(np.sum(state.task_bits * action.phi[:, 1] * mean_cpb))
     served = mp.server_speeds_hz[0] * mp.slot_s
     nxt, r, done = env.step(action)
-    assert math.isfinite(r)
+    assert r == reward(mp, state, action)
     assert not done
     assert nxt.energies == pytest.approx(state.energies - bill, rel=1e-12)
     assert nxt.queues[0] == pytest.approx(max(state.queues[0] + assigned - served, 0.0))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import waterfill_bisection
 
 from airalloc import solver
@@ -21,7 +22,6 @@ from airalloc.solver import (
     ln_success,
     solve_p1,
     solve_p2,
-    solve_p32a,
     solve_p32b,
     waterfill_mu,
 )
@@ -142,7 +142,7 @@ def test_p32a_matches_dense_scan():
     comp = SurrogateCoeffs(c2=-2.0, c1=1.6, c0=0.1)
     lo, hi = 0.05, 0.9
     for mu in (0.0, 0.7, 5.0, -3.0):
-        phi = solve_p32a(comp, mu, lo, hi)
+        phi = solve_p32b(None, comp, mu, lo, hi)
         assert lo <= phi <= hi
 
         def obj(v):
@@ -151,6 +151,21 @@ def test_p32a_matches_dense_scan():
 
         ref, _ = _scan_max(obj, lo, hi)
         assert obj(phi) >= ref - 1e-8
+
+
+def test_p32b_without_link_is_the_local_closed_form(rng):
+    # With q_tx = 1 the quartic's coefficients reduce exactly to the
+    # quadratic of the local-share closed form, so the shares are bit-equal.
+    for k in range(2000):
+        comp = SurrogateCoeffs(
+            c2=-float(rng.exponential(5.0)) - 1e-3,
+            c1=float(rng.normal(0.0, 3.0)),
+            c0=float(rng.normal(0.5, 1.0)),
+        )
+        lo = float(rng.uniform(1e-6, 0.6))
+        hi = float(rng.uniform(lo + 1e-9, 1.0))
+        mu = 0.0 if k % 4 == 0 else float(rng.normal(0.0, 1.0) * 10.0 ** rng.uniform(-3, 3))
+        assert solve_p32b(None, comp, mu, lo, hi) == oracles.solve_p32a(comp, mu, lo, hi)
 
 
 def test_p32b_matches_dense_scan():
@@ -304,6 +319,26 @@ def test_waterfill_evaluation_budget(recorded_waterfills, variant):
             counted = [_counting(solvers[0], tried), *solvers[1:]]
             waterfill_mu(counted, intervals, mu_start=mu_start)
             assert len(tried) <= 16
+
+
+@pytest.mark.parametrize("variant", ["mm2", "mm1"])
+@pytest.mark.parametrize(
+    "t_shares, rho",
+    [
+        ((0.3, 0.4), 0.0),  # no local cycle budget for the local share
+        ((0.3, 0.0), 1e8),  # server 2 has no airtime
+        ((0.6, 0.5), 1e8),  # server 2 has no latency slack left
+    ],
+)
+def test_split_update_keeps_start_on_degenerate_index(variant, t_shares, rho):
+    p = reference_params(2, task_mbits=10.0)
+    phi_start = np.array([0.3, 0.6, 0.3])
+    update = getattr(solver, f"solve_p3_{variant}")
+    phi, trace = update(p, phi_start, np.array(t_shares), 1.0, rho)
+    assert np.array_equal(phi, phi_start / phi_start.sum())
+    assert (trace.pathologies, trace.iterations) == (1, 0)
+    assert (trace.search_evals, trace.mu_evals) == (0, 0)
+    assert len(trace.ln_values) == 1
 
 
 # ---------------------------------------------------------------------------
