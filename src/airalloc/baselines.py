@@ -47,30 +47,25 @@ def baseline_full_offload(p: SystemParams, variant: str = "mm2") -> BcdResult:
     return bcd_solve(p, variant=variant, offload_only=True)
 
 
-def _absorb(mp: MultiUserParams, phi: np.ndarray, n: int, m: int, bits_cap: float, task_bits: np.ndarray) -> None:
-    """Move as much of user n's remaining local share to server m as the
-    given bit budget allows (in place)."""
-    share = min(float(phi[n, 0]), bits_cap / float(task_bits[n]))
-    phi[n, m] += share
-    phi[n, 0] -= share
-
-
 def _fraction_action(mp: MultiUserParams, state: MultiUserState, fracs: np.ndarray) -> MultiUserAction:
-    """Turn per-user resource fractions (summing to at most 1) into a feasible
-    action: each user gets its fraction of every server's airtime and of every
-    server's capacity, offloading greedily until its task is placed."""
+    """Turn per-server resource fractions ``fracs[n, m-1]`` (each column
+    summing to at most 1) into a feasible action: user n gets its fraction of
+    server m's airtime and capacity, offloading greedily server by server
+    until its task is placed."""
     n_users, m_srv = mp.n_users, mp.n_servers
     phi = np.zeros((n_users, m_srv + 1))
     phi[:, 0] = 1.0
     t = np.zeros((n_users, m_srv))
     for n in range(n_users):
         for m in range(1, m_srv + 1):
-            bits_cap = fracs[n] * mp.capacities_s[m - 1] * mp.server_speeds_hz[m - 1]
-            _absorb(mp, phi, n, m, bits_cap, state.task_bits)
+            bits_cap = fracs[n, m - 1] * mp.capacities_s[m - 1] * mp.server_speeds_hz[m - 1]
+            share = min(float(phi[n, 0]), bits_cap / float(state.task_bits[n]))
+            phi[n, m] += share
+            phi[n, 0] -= share
             if phi[n, m] > 0.0:
                 # Airtime only where something is actually sent; half the
                 # granted window stays free so the server can still compute.
-                t[n, m - 1] = 0.5 * fracs[n] * mp.slot_s
+                t[n, m - 1] = 0.5 * fracs[n, m - 1] * mp.slot_s
     return MultiUserAction(phi, t, np.asarray(mp.p_max_w, dtype=float))
 
 
@@ -105,26 +100,21 @@ def scheduler_action(kind: str, mp: MultiUserParams, state: MultiUserState, slot
     task size, max_min by equalizing served task fractions.
     """
     if kind == "round_robin":
-        n_users, m_srv = mp.n_users, mp.n_servers
-        phi = np.zeros((n_users, m_srv + 1))
-        phi[:, 0] = 1.0
-        t = np.zeros((n_users, m_srv))
-        for m in range(1, m_srv + 1):
-            u = (slot + m - 1) % n_users
-            bits_cap = mp.capacities_s[m - 1] * mp.server_speeds_hz[m - 1]
-            _absorb(mp, phi, u, m, bits_cap, state.task_bits)
-            if phi[u, m] > 0.0:
-                t[u, m - 1] = 0.5 * mp.slot_s
-        return MultiUserAction(phi, t, np.asarray(mp.p_max_w, dtype=float))
+        fracs = np.zeros((mp.n_users, mp.n_servers))
+        servers = np.arange(mp.n_servers)
+        fracs[(slot + servers) % mp.n_users, servers] = 1.0
+        return _fraction_action(mp, state, fracs)
     if kind == "weighted":
         w = np.asarray(mp.weights, dtype=float)
-        return _fraction_action(mp, state, w / w.sum())
-    if kind == "proportional":
+        fracs = w / w.sum()
+    elif kind == "proportional":
         wl = np.asarray(mp.weights, dtype=float) * np.asarray(state.task_bits, dtype=float)
-        return _fraction_action(mp, state, wl / wl.sum())
-    if kind == "max_min":
-        return _fraction_action(mp, state, _max_min_fractions(mp, state))
-    raise ValueError(f"unknown scheduler kind {kind!r}, expected one of {SCHEDULER_KINDS}")
+        fracs = wl / wl.sum()
+    elif kind == "max_min":
+        fracs = _max_min_fractions(mp, state)
+    else:
+        raise ValueError(f"unknown scheduler kind {kind!r}, expected one of {SCHEDULER_KINDS}")
+    return _fraction_action(mp, state, np.repeat(fracs[:, None], mp.n_servers, axis=1))
 
 
 def schedulers(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "MultiUserAction",
     "default_multiuser",
     "interference_matrix",
-    "user_success",
     "success_vector",
     "violations",
     "spent_energy",
@@ -49,6 +48,8 @@ __all__ = [
 _FEAS_TOL = 1e-9
 _LN_FLOOR = math.log(1e-12)
 _PENALTY = -10.0
+_TIME_FRACS = (0.25, 0.5)   # airtime levels per server, fractions of the slot
+_POWER_FRACS = (0.5, 1.0)   # power levels, fractions of each user's cap
 
 
 class ActionSpaceError(ValueError):
@@ -217,11 +218,6 @@ def interference_matrix(mp: MultiUserParams, state: MultiUserState, action: Mult
     user that actually transmits to server m this slot."""
     rx = action.power[:, None] * state.gains * (action.phi[:, 1:] > 0.0)
     return np.maximum(rx.sum(axis=0)[None, :] - rx, 0.0)
-
-
-def user_success(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction, n: int) -> float:
-    """End-to-end success probability of user n under the joint action."""
-    return float(success_vector(mp, state, action)[n - 1])
 
 
 def success_vector(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> np.ndarray:
@@ -400,6 +396,8 @@ class MultiUserEnv:
 
 
 def _share_rows(n_servers: int, granularity: float) -> list[tuple[float, ...]]:
+    if not 0.0 < granularity <= 1.0:
+        raise ValueError(f"granularity must lie in (0, 1], got {granularity}")
     k = round(1.0 / granularity)
     if abs(k * granularity - 1.0) > 1e-9:
         raise ValueError(f"granularity must divide 1, got {granularity}")
@@ -417,64 +415,61 @@ def _share_rows(n_servers: int, granularity: float) -> list[tuple[float, ...]]:
 
 @dataclass
 class ActionGrid:
-    """Finite joint action space: a table of feasible actions plus an exact
-    encoder keyed on grid coordinates."""
+    """Finite joint action space as one table: action i is row i of ``phi``
+    (K x N x (M+1)), ``t`` (K x N x M) and ``power`` (K x N)."""
 
-    mp: MultiUserParams
     granularity: float
-    actions: list[MultiUserAction]
-    _index: dict[tuple, int] = field(repr=False, default_factory=dict)
+    phi: np.ndarray
+    t: np.ndarray
+    power: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.actions)
+        return self.phi.shape[0]
 
     def decode(self, idx: int) -> MultiUserAction:
-        if not 0 <= idx < len(self.actions):
-            raise IndexError(f"action index {idx} outside [0, {len(self.actions)})")
-        a = self.actions[idx]
-        return MultiUserAction(a.phi.copy(), a.t.copy(), a.power.copy())
-
-    def _key(self, action: MultiUserAction) -> tuple:
-        k = round(1.0 / self.granularity)
-        phi = tuple(int(round(v * k)) for v in action.phi.ravel())
-        t = tuple(round(float(v), 12) for v in action.t.ravel())
-        p = tuple(round(float(v), 12) for v in action.power)
-        return phi + t + p
+        if not 0 <= idx < self.size:
+            raise IndexError(f"action index {idx} outside [0, {self.size})")
+        # Copies: a row of the table is a view, and callers may write to it.
+        return MultiUserAction(self.phi[idx].copy(), self.t[idx].copy(), self.power[idx].copy())
 
     def encode(self, action: MultiUserAction) -> int:
-        try:
-            return self._index[self._key(action)]
-        except KeyError:
-            raise ValueError("action is not a point of this grid") from None
+        """Index of the grid point the action sits on: equal share counts on
+        the granularity lattice, airtimes and powers equal to 12 decimals."""
+        if (action.phi.shape, action.t.shape, action.power.shape) == (
+                self.phi.shape[1:], self.t.shape[1:], self.power.shape[1:]):
+            k = round(1.0 / self.granularity)
+            hit = (np.all(np.rint(self.phi * k) == np.rint(action.phi * k), axis=(1, 2))
+                   & np.all(np.round(self.t, 12) == np.round(action.t, 12), axis=(1, 2))
+                   & np.all(np.round(self.power, 12) == np.round(action.power, 12), axis=1))
+            found = np.flatnonzero(hit)
+            if found.size:
+                return int(found[0])
+        raise ValueError("action is not a point of this grid")
 
 
 def enumerate_actions(
     mp: MultiUserParams,
     granularity: float = 0.1,
-    time_fracs: tuple[float, ...] = (0.25, 0.5),
-    power_fracs: tuple[float, ...] = (0.5, 1.0),
     max_actions: int = 200_000,
 ) -> ActionGrid:
     """Enumerate the joint discretized action space.
 
     Each user picks a share row on the ``granularity`` simplex grid, one
-    airtime level per server (fractions of the slot), and one power level
-    (fractions of the user's cap); the joint table keeps only combinations
-    whose summed airtime fits the slot on every server.  Server capacity
-    depends on the slot's task sizes, so it is left to the reward penalty.
+    airtime level per server (``_TIME_FRACS`` of the slot), and one power
+    level (``_POWER_FRACS`` of the user's cap); the joint table keeps only
+    combinations whose summed airtime fits the slot on every server.  Server
+    capacity depends on the slot's task sizes, so it is left to the reward
+    penalty.  Actions are ordered as nested loops over users (user 1
+    slowest), each user's option running over share row, then airtime row,
+    then power level.
     """
-    rows = _share_rows(mp.n_servers, granularity)
-    m = mp.n_servers
-    t_rows = list(itertools.product(*[[f * mp.slot_s for f in time_fracs]] * m))
-    per_user = []
-    for n in range(mp.n_users):
-        powers = [f * mp.p_max_w[n] for f in power_fracs]
-        per_user.append(list(itertools.product(rows, t_rows, powers)))
-
-    total = 1
-    for opts in per_user:
-        total *= len(opts)
+    n, m = mp.n_users, mp.n_servers
+    rows = np.array(_share_rows(m, granularity))
+    levels = np.array(_TIME_FRACS) * mp.slot_s
+    t_rows = levels[np.indices((len(levels),) * m).reshape(m, -1).T]
+    per_user = (len(rows), len(t_rows), len(_POWER_FRACS))
+    total = math.prod(per_user) ** n
     if total > max_actions:
         raise ActionSpaceError(
             f"joint action grid has {total} combinations before filtering, over the "
@@ -482,21 +477,15 @@ def enumerate_actions(
             f"action selection (enumerate each user's options separately)"
         )
 
-    actions: list[MultiUserAction] = []
-    for combo in itertools.product(*per_user):
-        t = np.array([c[1] for c in combo])
-        if np.any(t.sum(axis=0) > mp.slot_s + _FEAS_TOL):
-            continue
-        phi = np.array([c[0] for c in combo])
-        power = np.array([c[2] for c in combo])
-        actions.append(MultiUserAction(phi, t, power))
-    if not actions:
+    combos = np.indices((math.prod(per_user),) * n).reshape(n, -1).T
+    share, airtime, level = np.unravel_index(combos, per_user)
+    t = t_rows[airtime]
+    keep = ~np.any(t.sum(axis=1) > mp.slot_s + _FEAS_TOL, axis=1)
+    if not keep.any():
         raise ActionSpaceError(
             "no jointly feasible action: per-user airtime levels cannot share the slot; "
-            "lower time_fracs or switch to factored per-user action selection"
+            "lower _TIME_FRACS or switch to factored per-user action selection"
         )
-
-    grid = ActionGrid(mp=mp, granularity=granularity, actions=actions)
-    for i, a in enumerate(actions):
-        grid._index[grid._key(a)] = i
-    return grid
+    powers = np.array(_POWER_FRACS)[None, :] * np.asarray(mp.p_max_w, dtype=float)[:, None]
+    return ActionGrid(granularity, rows[share[keep]], t[keep],
+                      powers[np.arange(n), level[keep]])

@@ -67,6 +67,13 @@ __all__ = [
 ]
 
 
+# Stopping rules of the inner blocks: P1's Newton search on the power
+# gradient, P2's projected ascent, and the split update called by bcd_solve.
+_P1_GTOL, _P1_MAX_ITER = 1e-8, 200
+_P2_GTOL, _P2_MAX_ITER = 1e-6, 1000
+_SPLIT_TOL = 1e-6
+
+
 class SolverError(RuntimeError):
     """A sub-solver failed in a way the caller cannot recover from."""
 
@@ -92,9 +99,7 @@ def ln_success(p: SystemParams, phi, t_shares, power_w: float, rho: float) -> fl
 # ---------------------------------------------------------------------------
 
 
-def solve_p1(
-    p: SystemParams, phi, t_shares, *, gtol: float = 1e-8, max_iter: int = 200
-) -> tuple[float, float]:
+def solve_p1(p: SystemParams, phi, t_shares) -> tuple[float, float]:
     """Best transmit power and local cycle budget for a fixed split/airtime.
 
     Below the threshold power at which transmit energy starts to eat into
@@ -158,7 +163,7 @@ def solve_p1(
         elif math.isfinite(grad(p_hi)) and grad(p_hi) >= 0.0:
             best = p_hi
         else:
-            best = _newton_decreasing_root(grad, grad2, p_lo, p_hi, gtol, max_iter)
+            best = _newton_decreasing_root(grad, grad2, p_lo, p_hi, _P1_GTOL, _P1_MAX_ITER)
 
     rho = min(rho_lat, (p.energy_budget_j - best * total_t) / e_coef)
     return best, max(rho, 0.0)
@@ -262,16 +267,13 @@ def solve_p2(
     t_start,
     power_w: float,
     rho: float,
-    *,
-    gtol: float = 1e-6,
-    max_iter: int = 1000,
 ) -> np.ndarray:
     """Airtime update: projected gradient ascent with Armijo backtracking.
 
     The feasible set couples the latency budget (total airtime must leave
     compute slack) with the energy budget (transmit energy must leave the
     committed local cycle budget ``rho`` affordable).  Ascent stops when the
-    projected-gradient norm falls below ``gtol``.
+    projected-gradient norm falls below ``_P2_GTOL``.
     """
     phi = np.asarray(phi, dtype=float)
     t = np.asarray(t_start, dtype=float).copy()
@@ -300,7 +302,7 @@ def solve_p2(
     if float(t.sum()) > cap:
         t *= cap * (1.0 - 1e-12) / float(t.sum())
     return _projected_ascent(factors, lambda v: _project_capped_simplex(v, cap),
-                             t, cap, gtol, max_iter, 80)[0]
+                             t, cap, _P2_GTOL, _P2_MAX_ITER, 80)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +900,6 @@ def bcd_solve(
     offload_only: bool = False,
     tol: float = 1e-6,
     max_outer: int = 100,
-    inner_tol: float = 1e-6,
 ) -> BcdResult:
     """Alternate the three block updates until ln P_success stalls.
 
@@ -927,7 +928,7 @@ def bcd_solve(
         power, rho = solve_p1(p, phi, t)
         t = solve_p2(p, phi, t, power, rho)
         phi, split = solve_p3(
-            p, phi, t, power, rho, offload_only=offload_only, tol=inner_tol
+            p, phi, t, power, rho, offload_only=offload_only, tol=_SPLIT_TOL
         )
         # Round-trip through the stored form so the recorded objective is the
         # objective of the recorded allocation, not of a drifted work array.

@@ -18,7 +18,6 @@ __all__ = [
     "GammaWorkload",
     "QuarticCoeffs",
     "regularized_lower_gamma",
-    "gamma_pdf",
     "chi",
     "ln_chi",
     "ln_lower_gamma",
@@ -123,23 +122,6 @@ def regularized_lower_gamma(shape: float, x: float) -> float:
     if x < shape + 1.0:
         return min(1.0, _lower_series(shape, x))
     return min(1.0, max(0.0, 1.0 - _upper_continued_fraction(shape, x)))
-
-
-def gamma_pdf(x: float, workload: GammaWorkload) -> float:
-    """Density of the per-bit processing demand at ``x`` (cycles per bit)."""
-    if math.isnan(x) or x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    a, b = workload.shape, workload.scale
-    if x == 0.0:
-        if a > 1.0:
-            return 0.0
-        if a == 1.0:
-            return 1.0 / b
-        return math.inf
-    log_pdf = (a - 1.0) * math.log(x / b) - x / b - math.lgamma(a)
-    if log_pdf < -745.0:
-        return 0.0
-    return math.exp(log_pdf) / b
 
 
 def chi(x: float, y: float) -> float:

@@ -7,6 +7,7 @@ not a tautology.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy import integrate
 from scipy import special as sps
 
 from airalloc.model import Allocation, SystemParams, local_budget_rho
+from airalloc.multiuser import MultiUserAction, _share_rows, success_vector
 from airalloc.solver import _argmax_candidates
 from airalloc.special import QuarticCoeffs, solve_poly_real
 
@@ -253,3 +255,31 @@ class ListReplay:
         idx = rng.choice(n, size=batch_size, p=probs)
         weights = (n * probs[idx]) ** (-importance_exponent)
         return idx, [self.items[i] for i in idx], weights / weights.max()
+
+
+def user_success(mp, state, action, n: int) -> float:
+    """End-to-end success probability of user n (1-based) under the joint
+    action."""
+    return float(success_vector(mp, state, action)[n - 1])
+
+
+def enumerate_actions_loop(mp, granularity: float, time_fracs=(0.25, 0.5),
+                           power_fracs=(0.5, 1.0)) -> list[MultiUserAction]:
+    """The joint action table as the package built it before its array
+    form: one object per combination, in ``itertools.product`` order over
+    users, each user's options over (share row, airtime row, power level),
+    keeping the combinations whose summed airtime fits the slot."""
+    t_rows = list(itertools.product(*[[f * mp.slot_s for f in time_fracs]] * mp.n_servers))
+    per_user = []
+    for n in range(mp.n_users):
+        powers = [f * mp.p_max_w[n] for f in power_fracs]
+        per_user.append(list(itertools.product(_share_rows(mp.n_servers, granularity),
+                                               t_rows, powers)))
+    actions = []
+    for combo in itertools.product(*per_user):
+        t = np.array([c[1] for c in combo])
+        if np.any(t.sum(axis=0) > mp.slot_s + 1e-9):
+            continue
+        actions.append(MultiUserAction(np.array([c[0] for c in combo]), t,
+                                       np.array([c[2] for c in combo])))
+    return actions

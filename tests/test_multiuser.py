@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from airalloc import multiuser
 from airalloc.model import Allocation, local_budget_rho, reference_params, success_breakdown
 from airalloc.multiuser import (
     ActionSpaceError,
@@ -18,10 +19,10 @@ from airalloc.multiuser import (
     spent_energy,
     state_vector,
     success_vector,
-    user_success,
     violations,
 )
 from airalloc.special import chi, regularized_lower_gamma
+from oracles import enumerate_actions_loop, user_success
 
 
 def _feasible_action(mp, offload=0.5, time_frac=0.5, power_frac=1.0):
@@ -436,7 +437,7 @@ def test_grid_size_and_row_structure():
     grid = enumerate_actions(mp, granularity=0.5)
     # 3 share rows x 2 airtimes x 2 powers per user, squared for the pair.
     assert grid.size == 144
-    for action in grid.actions[:20]:
+    for action in map(grid.decode, range(20)):
         assert violations(mp, MultiUserState(
             task_bits=np.full(2, 1e6),
             gains=np.asarray(mp.mean_gains, dtype=float),
@@ -453,10 +454,16 @@ def test_grid_encode_decode_roundtrip():
     for idx in rng.integers(0, grid.size, size=50):
         action = grid.decode(int(idx))
         assert grid.encode(action) == int(idx)
-    # Decode must hand out private copies.
-    a0 = grid.decode(0)
-    a0.phi[0, 0] = 0.123
-    assert grid.decode(0).phi[0, 0] != 0.123 or a0 is not grid.decode(0)
+    # Decode must hand out private copies: writing to one leaves the table.
+    fields = ("phi", "t", "power")
+    before = {f: np.array(getattr(grid.decode(7), f)) for f in fields}
+    scribbled = grid.decode(7)
+    scribbled.phi[0, 0] = 0.123
+    scribbled.t[0, 0] = 0.123
+    scribbled.power[0] = 0.123
+    after = grid.decode(7)
+    for f in fields:
+        assert np.array_equal(getattr(after, f), before[f])
 
 
 def test_grid_rejects_foreign_action():
@@ -472,9 +479,46 @@ def test_grid_explosion_guard_suggests_factoring():
     with pytest.raises(ActionSpaceError) as err:
         enumerate_actions(mp, granularity=0.1, max_actions=1000)
     assert "factored per-user" in str(err.value)
+    # Five users at the lowest airtime level already overfill the slot.
+    with pytest.raises(ActionSpaceError, match="cannot share the slot.*factored per-user"):
+        enumerate_actions(default_multiuser(5, 1), granularity=1.0)
 
 
 def test_grid_granularity_must_divide_one():
     mp = default_multiuser(2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="divide 1"):
         enumerate_actions(mp, granularity=0.3)
+    # ActionSpaceError is a ValueError too, so the message tells them apart.
+    for bad in (-0.5, 0.0, -1.0, 2.0, math.nan):
+        with pytest.raises(ValueError, match=f"granularity must lie in \\(0, 1\\], got {bad}"):
+            enumerate_actions(mp, granularity=bad)
+
+
+def _assert_table_is(grid, want):
+    assert grid.size == len(want)
+    for i, a in enumerate(want):
+        got = grid.decode(i)
+        for field in ("phi", "t", "power"):
+            g, w = getattr(got, field), getattr(a, field)
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+    # Each encode scans the whole table, so round-trip a spread of rows.
+    for i in np.unique(np.linspace(0, grid.size - 1, 100).astype(int)):
+        assert grid.encode(grid.decode(int(i))) == i
+
+
+@pytest.mark.parametrize("n_users,n_servers,granularity", [
+    (2, 1, 0.5), (2, 2, 0.5), (3, 1, 0.5), (2, 1, 0.25), (1, 3, 0.25), (3, 2, 0.5), (2, 2, 1 / 3),
+])
+def test_grid_table_matches_per_object_enumeration(n_users, n_servers, granularity):
+    mp = default_multiuser(n_users, n_servers)
+    _assert_table_is(enumerate_actions(mp, granularity=granularity),
+                     enumerate_actions_loop(mp, granularity))
+
+
+def test_grid_table_matches_per_object_enumeration_at_other_levels(monkeypatch):
+    levels = {"time_fracs": (0.2, 0.3, 0.55), "power_fracs": (0.1, 0.7, 1.0)}
+    monkeypatch.setattr(multiuser, "_TIME_FRACS", levels["time_fracs"])
+    monkeypatch.setattr(multiuser, "_POWER_FRACS", levels["power_fracs"])
+    mp = dataclasses.replace(default_multiuser(3, 1), p_max_w=(0.3, 1.0, 1.7), slot_s=0.9)
+    _assert_table_is(enumerate_actions(mp, granularity=0.5),
+                     enumerate_actions_loop(mp, 0.5, **levels))

@@ -11,7 +11,6 @@ from airalloc.special import (
     GammaWorkload,
     QuarticCoeffs,
     chi,
-    gamma_pdf,
     regularized_lower_gamma,
     solve_cubic_real,
     solve_poly_real,
@@ -68,21 +67,6 @@ def test_lower_gamma_monotone_and_bounded(shape, x, bump):
     lo = regularized_lower_gamma(shape, x)
     hi = regularized_lower_gamma(shape, x + bump)
     assert 0.0 <= lo <= hi <= 1.0
-
-
-def test_gamma_pdf_matches_closed_form():
-    w = GammaWorkload(shape=10.0, scale=50.0)
-    for x in (1.0, 100.0, 500.0, 2000.0):
-        expected = math.exp(
-            (w.shape - 1.0) * math.log(x)
-            - x / w.scale
-            - math.lgamma(w.shape)
-            - w.shape * math.log(w.scale)
-        )
-        assert gamma_pdf(x, w) == pytest.approx(expected, rel=1e-12)
-    assert gamma_pdf(0.0, w) == 0.0
-    with pytest.raises(ValueError):
-        gamma_pdf(-3.0, w)
 
 
 def test_workload_validation_and_mean():
