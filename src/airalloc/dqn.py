@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -135,12 +136,29 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            integral = name in _INT_FIELDS
+            if not isinstance(value, numbers.Integral if integral else numbers.Real):
+                raise TypeError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+        for name in ("tau", "epsilon_start", "epsilon_min"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError(f"discount must lie in [0, 1), got {self.discount}")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.batch_size < 1 or self.steps_per_episode < 1 or self.episodes < 0:
+            raise ValueError(
+                "batch_size and steps_per_episode must be >= 1 and episodes >= 0, got "
+                f"{self.batch_size}, {self.steps_per_episode}, {self.episodes}"
+            )
         if self.epsilon_min > self.epsilon_start:
             raise ValueError("epsilon_min must not exceed epsilon_start")
         if self.batch_size > self.buffer_capacity:
             raise ValueError("batch size cannot exceed buffer capacity")
+
+
+_INT_FIELDS = {"batch_size", "buffer_capacity", "episodes", "steps_per_episode", "seed"}
 
 
 class ReplayBuffer:

@@ -179,7 +179,9 @@ def load_config(path) -> ExperimentConfig:
     ``output_dir``, optional ``variant``, optional ``single_user`` /
     ``multi_user`` parameter blocks, optional ``sweep: {values: [...]}``,
     optional ``trials`` (episodes/steps/mc_trials/repetitions) and ``train``
-    (network hyperparameters) blocks.  Unknown keys anywhere are rejected.
+    (network hyperparameters, checked by building a ``TrainConfig``) blocks.
+    Every ``trials`` value must be a positive integer.  Unknown keys anywhere
+    are rejected.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -212,6 +214,14 @@ def load_config(path) -> ExperimentConfig:
     _check_keys(trials, _TRIAL_KEYS, "trials")
     train_block = _require_mapping(raw.get("train"), "train")
     _check_keys(train_block, _TRAIN_KEYS, "train")
+
+    for name, value in trials.items():
+        if type(value) is not int or value < 1:
+            raise ConfigError(f"trials.{name} must be a positive integer, got {value!r}")
+    try:
+        TrainConfig(**{k: v for k, v in train_block.items() if k != "granularity"})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"train: {exc}") from None
 
     variant = raw.get("variant", "mm2")
     if variant not in ("mm2", "mm1", "pg"):

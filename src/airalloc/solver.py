@@ -2,15 +2,17 @@
 
 The decision variables are updated in three blocks per outer iteration:
 
-1. transmit power and local cycle budget (closed-form threshold rule plus a
-   safeguarded 1-D Newton search on the concave interior piece),
+1. transmit power and local cycle budget (closed-form threshold rule plus
+   the bracketed root search of :func:`~airalloc.special.decreasing_root`
+   on the decreasing power gradient of the concave interior piece),
 2. per-server airtime (projected gradient ascent with Armijo backtracking on
    a concave objective), and
 3. the task split (two interchangeable minorize-maximize updates: ``mm2``
    replaces each success factor by a concave quadratic minorant and solves
    the budget-coupled subproblem in closed form under a water-filling
    multiplier; ``mm1`` uses tangent-composition minorants of the log factors
-   and a numeric inner line search).
+   and closes each per-index stationarity condition with the same bracketed
+   root search).
 
 Both split updates price the shares with one water-filling multiplier, found
 by :func:`waterfill_mu`: a geometric bracket, seeded with the previous
@@ -40,7 +42,7 @@ from .model import (
     default_allocation,
     success_breakdown,
 )
-from .special import QuarticCoeffs, ln_chi, ln_lower_gamma, solve_poly_real
+from .special import QuarticCoeffs, decreasing_root, ln_chi, ln_lower_gamma, solve_poly_real
 from .surrogates import (
     PHI_FLOOR,
     SurrogateCoeffs,
@@ -67,11 +69,14 @@ __all__ = [
 ]
 
 
-# Stopping rules of the inner blocks: P1's Newton search on the power
-# gradient, P2's projected ascent, and the split update called by bcd_solve.
-_P1_GTOL, _P1_MAX_ITER = 1e-8, 200
+# Stopping rules: the outer loop's ln P_success gain, P2's projected ascent,
+# the split updates' step (max-norm; projected-gradient norm for pg) and
+# per-iteration gain, and the water-filling share total with the upper end
+# of its multiplier search.
+_OUTER_TOL = 1e-6
 _P2_GTOL, _P2_MAX_ITER = 1e-6, 1000
-_SPLIT_TOL = 1e-6
+_SPLIT_TOL, _SPLIT_FTOL = 1e-6, 1e-9
+_WATERFILL_TOL, _MU_CAP = 1e-8, 1e18
 
 
 class SolverError(RuntimeError):
@@ -104,8 +109,9 @@ def solve_p1(p: SystemParams, phi, t_shares) -> tuple[float, float]:
 
     Below the threshold power at which transmit energy starts to eat into
     the local latency-capped cycle budget, more power only helps, so the cap
-    binds.  Above it the objective is concave in the power and the interior
-    stationary point is found by safeguarded Newton on the gradient.
+    binds.  Above it the objective is concave in the power, and the interior
+    stationary point is the root of the decreasing power gradient, closed by
+    :func:`~airalloc.special.decreasing_root` from the two end gradients.
     """
     phi = np.asarray(phi, dtype=float)
     t = np.asarray(t_shares, dtype=float)
@@ -147,54 +153,18 @@ def solve_p1(p: SystemParams, phi, t_shares) -> tuple[float, float]:
                 val += coef / (power * power)
             return val
 
-        def grad2(power: float) -> float:
-            u = (p.energy_budget_j - power * total_t) * u_coef
-            r = ln_lower_gamma(w.shape, u)[1]
-            if not math.isfinite(r):
-                return -math.inf
-            rp = r * ((w.shape - 1.0) / u - 1.0 - r)
-            val = rp * (total_t * u_coef) ** 2
-            for coef in tx_coefs:
-                val -= 2.0 * coef / power**3
-            return val
-
-        if grad(p_lo) <= 0.0:
+        g_lo = grad(p_lo)
+        if g_lo <= 0.0:
             best = p_lo
-        elif math.isfinite(grad(p_hi)) and grad(p_hi) >= 0.0:
-            best = p_hi
         else:
-            best = _newton_decreasing_root(grad, grad2, p_lo, p_hi, _P1_GTOL, _P1_MAX_ITER)
+            g_hi = grad(p_hi)
+            if math.isfinite(g_hi) and g_hi >= 0.0:
+                best = p_hi
+            else:
+                best = decreasing_root(grad, p_lo, p_hi, g_lo, g_hi)
 
     rho = min(rho_lat, (p.energy_budget_j - best * total_t) / e_coef)
     return best, max(rho, 0.0)
-
-
-def _newton_decreasing_root(
-    f: Callable[[float], float],
-    fprime: Callable[[float], float],
-    lo: float,
-    hi: float,
-    gtol: float,
-    max_iter: int,
-) -> float:
-    """Root of a decreasing function with a maintained bracket."""
-    a, b = lo, hi
-    x = 0.5 * (a + b)
-    for _ in range(max_iter):
-        fx = f(x)
-        if math.isfinite(fx) and abs(fx) <= gtol:
-            return x
-        if fx > 0.0:
-            a = x
-        else:
-            b = x
-        fp = fprime(x)
-        step_ok = math.isfinite(fx) and math.isfinite(fp) and fp != 0.0
-        x_newton = x - fx / fp if step_ok else math.nan
-        x = x_newton if a < x_newton < b else 0.5 * (a + b)
-        if b - a < 1e-15 * max(1.0, abs(b)):
-            return 0.5 * (a + b)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -368,56 +338,54 @@ def solve_p32b(
 def waterfill_mu(
     solvers: Sequence[Callable[[float], float]],
     intervals: Sequence[tuple[float, float]],
-    budget: float = 1.0,
     *,
-    tol: float = 1e-8,
     max_iter: int = 200,
-    mu_cap: float = 1e18,
     mu_start: float | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Find the multiplier at which the per-index maximizers spend ``budget``.
+    """Find the multiplier at which the per-index maximizers spend the unit
+    share budget.
 
     Each solver maps a multiplier mu >= 0 to its share maximizer, so the
     share total S(mu) is non-decreasing.  A geometric search brackets the
-    root of S(mu) - budget: upward from mu = 1 by ratios 2, 4, 16, ... (each
+    root of S(mu) - 1: upward from mu = 1 by ratios 2, 4, 16, ... (each
     the square of the last), or, given a positive guess ``mu_start``, from
     the guess by ratios 1.1, 1.21, ... toward the root, and below it too when
     it overshoots.  Anderson-Bjorck false position then closes the bracket,
     with bisection whenever an interpolate leaves it.  The search stops once
-    the total is within ``tol`` of the budget, the bracket collapses, or
-    after ``max_iter`` interpolation steps; the upward search gives up at
-    ``mu_cap``.  The best-residual shares are then patched (within interval
-    slack) so they sum to the budget to machine precision.
+    the total is within 1e-8 of the budget, the bracket collapses, or after
+    ``max_iter`` interpolation steps; the upward search gives up at mu = 1e18.
+    The best-residual shares are then patched (within interval slack) so
+    they sum to the budget to machine precision.
     """
     mu_best, phi_best, err_best = 0.0, None, math.inf
 
     def residual(mu: float) -> float:
         nonlocal mu_best, phi_best, err_best
         phi = np.array([s(mu) for s in solvers])
-        r = float(phi.sum()) - budget
+        r = float(phi.sum()) - 1.0
         if abs(r) < err_best:
             mu_best, phi_best, err_best = mu, phi, abs(r)
         return r
 
     f_lo = residual(0.0)
-    if f_lo > tol:
+    if f_lo > _WATERFILL_TOL:
         raise WaterfillBracketError(
-            f"shares already sum to {f_lo + budget} > budget {budget} at zero multiplier"
+            f"shares already sum to {f_lo + 1.0} > 1 at zero multiplier"
         )
-    if err_best > tol:
+    if err_best > _WATERFILL_TOL:
         warm = mu_start is not None and mu_start > 0.0
         lo = 0.0
         hi, ratio = (mu_start, 1.1) if warm else (1.0, 2.0)
         f_hi = residual(hi)
-        while f_hi < 0.0 and hi < mu_cap and err_best > tol:
+        while f_hi < 0.0 and hi < _MU_CAP and err_best > _WATERFILL_TOL:
             lo, f_lo = hi, f_hi
-            hi = min(hi * ratio, mu_cap)
+            hi = min(hi * ratio, _MU_CAP)
             ratio *= ratio
             f_hi = residual(hi)
         if warm and lo == 0.0:
             # The guess overshot.  Near a steep rise of S from mu = 0 false
             # position on [0, guess] crawls, so find a lower end near it.
-            while err_best > tol:
+            while err_best > _WATERFILL_TOL:
                 mu = hi / ratio
                 ratio *= ratio
                 f_mu = residual(mu)
@@ -427,7 +395,7 @@ def waterfill_mu(
                 hi, f_hi = mu, f_mu
         side = 0  # which end the last step replaced: -1 low, +1 high
         for _ in range(max_iter):
-            if err_best <= tol or f_hi < 0.0 or hi - lo < 1e-12 * max(1.0, hi):
+            if err_best <= _WATERFILL_TOL or f_hi < 0.0 or hi - lo < 1e-12 * max(1.0, hi):
                 break
             mu = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
             if not lo < mu < hi:
@@ -448,7 +416,7 @@ def waterfill_mu(
 
     # Spend the residual inside interval slack, largest headroom first.
     phi = phi_best.copy()
-    diff = budget - float(phi.sum())
+    diff = 1.0 - float(phi.sum())
     if abs(diff) > 0.0:
         order = np.argsort(
             [-(iv[1] - ph) if diff > 0 else -(ph - iv[0]) for ph, iv in zip(phi, intervals)]
@@ -507,9 +475,7 @@ def _mm_split_loop(
     piece,
     *,
     offload_only: bool,
-    tol: float,
     max_iter: int,
-    ftol: float = 1e-9,
 ) -> tuple[np.ndarray, InnerTrace]:
     """Shared loop of both split updates.
 
@@ -522,9 +488,9 @@ def _mm_split_loop(
     airtimes; ``t_m`` is server m's airtime (0 for the local share).  No
     local cycle budget, a server without airtime or latency slack, or a None
     piece counts a pathology and keeps the previous iterate.  Stops on a
-    small step (``tol``, max-norm) or when an iteration improves the
-    objective by less than ``ftol`` — near flat optima the curvature-floored
-    surrogates keep producing above-``tol`` steps of vanishing value.
+    step below 1e-6 (max-norm) or when an iteration improves the objective
+    by less than 1e-9 — near flat optima the curvature-floored surrogates
+    keep producing above-tolerance steps of vanishing value.
     """
     phi = np.asarray(phi_start, dtype=float).copy()
     total = phi.sum()
@@ -567,7 +533,7 @@ def _mm_split_loop(
         # last one seeds the bracket search.
         mu_start = trace.mu_values[-1] if trace.mu_values else None
         try:
-            mu, shares = waterfill_mu(solvers, intervals, budget=1.0, mu_start=mu_start)
+            mu, shares = waterfill_mu(solvers, intervals, mu_start=mu_start)
         except WaterfillBracketError:
             trace.pathologies += 1
             break
@@ -610,7 +576,7 @@ def _mm_split_loop(
         trace.ln_values.append(ln_new)
         trace.mu_values.append(mu)
         trace.iterations += 1
-        if delta < tol or gain < ftol:
+        if delta < _SPLIT_TOL or gain < _SPLIT_FTOL:
             break
     return phi, trace
 
@@ -623,7 +589,6 @@ def solve_p3_mm2(
     rho: float,
     *,
     offload_only: bool = False,
-    tol: float = 1e-6,
     max_iter: int = 100,
 ) -> tuple[np.ndarray, InnerTrace]:
     """Split update with quadratic minorants and closed-form inner solves."""
@@ -643,47 +608,12 @@ def solve_p3_mm2(
         return solver, iv
 
     return _mm_split_loop(p, phi_start, t_shares, power_w, rho, piece,
-                          offload_only=offload_only, tol=tol, max_iter=max_iter)
+                          offload_only=offload_only, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
 # Block 3, mm1: tangent-composition minorants with a numeric inner search.
 # ---------------------------------------------------------------------------
-
-
-def _decreasing_root_bracketed(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    fa: float,
-    fb: float,
-    *,
-    xtol: float = 1e-13,
-    max_iter: int = 200,
-) -> float:
-    """Illinois search for f(x) = 0 with f decreasing and f(a) > 0 > f(b)."""
-    side = 0
-    for _ in range(max_iter):
-        if math.isfinite(fa) and math.isfinite(fb) and fb != fa:
-            x = (a * fb - b * fa) / (fb - fa)
-            if not a < x < b:
-                x = 0.5 * (a + b)
-        else:
-            x = 0.5 * (a + b)
-        fx = f(x)
-        if fx == 0.0 or b - a < xtol * max(1.0, abs(b)):
-            return x
-        if fx > 0.0:
-            a, fa = x, fx
-            if side == -1 and math.isfinite(fb):
-                fb *= 0.5
-            side = -1
-        else:
-            b, fb = x, fx
-            if side == 1 and math.isfinite(fa):
-                fa *= 0.5
-            side = 1
-    return 0.5 * (a + b)
 
 
 def _mm1_derivative(
@@ -740,7 +670,6 @@ def solve_p3_mm1(
     rho: float,
     *,
     offload_only: bool = False,
-    tol: float = 1e-6,
     max_iter: int = 100,
 ) -> tuple[np.ndarray, InnerTrace]:
     """Split update with first-order minorants; same contract as ``mm2``
@@ -765,14 +694,12 @@ def solve_p3_mm1(
             d_hi = d_counted(hi) + mu
             if d_hi >= 0.0:
                 return hi
-            return _decreasing_root_bracketed(
-                lambda x: d_counted(x) + mu, lo, hi, d_lo, d_hi
-            )
+            return decreasing_root(lambda x: d_counted(x) + mu, lo, hi, d_lo, d_hi)
 
         return solver, (lo, hi)
 
     return _mm_split_loop(p, phi_start, t_shares, power_w, rho, piece,
-                          offload_only=offload_only, tol=tol, max_iter=max_iter)
+                          offload_only=offload_only, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -788,12 +715,11 @@ def solve_p3_pg(
     rho: float,
     *,
     offload_only: bool = False,
-    tol: float = 1e-6,
     max_iter: int = 500,
 ) -> tuple[np.ndarray, InnerTrace]:
     """Split update by projected gradient ascent on the true objective.
 
-    ``tol`` bounds the projected-gradient norm at exit.  Kept mainly as a
+    Stops once the projected-gradient norm is at most 1e-6.  Kept mainly as a
     like-for-like reference point for the minorize-maximize updates."""
     t = np.asarray(t_shares, dtype=float)
     n = p.n_servers
@@ -809,7 +735,7 @@ def solve_p3_pg(
         return out
 
     phi = project(np.asarray(phi_start, dtype=float).copy())
-    phi, values = _projected_ascent(factors, project, phi, 1.0, tol, max_iter, 60)
+    phi, values = _projected_ascent(factors, project, phi, 1.0, _SPLIT_TOL, max_iter, 60)
     steps = len(values) - 1
     return phi, InnerTrace(ln_values=values, iterations=steps, search_evals=steps)
 
@@ -898,12 +824,11 @@ def bcd_solve(
     init: Allocation | None = None,
     *,
     offload_only: bool = False,
-    tol: float = 1e-6,
     max_outer: int = 100,
 ) -> BcdResult:
     """Alternate the three block updates until ln P_success stalls.
 
-    Stops when the improvement drops below ``tol`` (default 1e-6) or after
+    Stops when the improvement drops below 1e-6 or after
     ``max_outer`` rounds.  Raises :class:`FeasibilityError` when the starting
     allocation violates a constraint.
     """
@@ -927,9 +852,7 @@ def bcd_solve(
     for _ in range(max_outer):
         power, rho = solve_p1(p, phi, t)
         t = solve_p2(p, phi, t, power, rho)
-        phi, split = solve_p3(
-            p, phi, t, power, rho, offload_only=offload_only, tol=_SPLIT_TOL
-        )
+        phi, split = solve_p3(p, phi, t, power, rho, offload_only=offload_only)
         # Round-trip through the stored form so the recorded objective is the
         # objective of the recorded allocation, not of a drifted work array.
         stored = _to_allocation(p, phi, t, power, rho)
@@ -939,7 +862,7 @@ def bcd_solve(
         ln_vals.append(ln_success(p, phi, t, power, rho))
         splits.append(split)
         allocs.append(stored)
-        if abs(ln_vals[-1] - ln_vals[-2]) < tol:
+        if abs(ln_vals[-1] - ln_vals[-2]) < _OUTER_TOL:
             converged = True
             break
 

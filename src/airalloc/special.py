@@ -1,9 +1,9 @@
 """Scalar special functions shared by the outage model and the solvers.
 
-The incomplete-gamma evaluation and the closed-form polynomial solvers are
-implemented from first principles because the solver loops call them many
-thousands of times and the test suite checks them against independent
-quadrature / companion-matrix oracles.
+The incomplete-gamma evaluation, the bracketed root search and the
+polynomial solvers are implemented from first principles because the solver
+loops call them many thousands of times and the test suite checks them
+against independent quadrature / companion-matrix oracles.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "ConvergenceError",
@@ -21,6 +22,7 @@ __all__ = [
     "chi",
     "ln_chi",
     "ln_lower_gamma",
+    "decreasing_root",
     "solve_quartic_real",
     "solve_cubic_real",
     "solve_quadratic_real",
@@ -32,10 +34,16 @@ _MAX_ITER = 500
 _REL_TOL = 1e-12
 _FPMIN = 1e-300
 
-# Residual certificate and root-merging tolerances for the polynomial solvers.
+# Residual certificate, root-merging and realness tolerances for the
+# polynomial solvers.
 _RESIDUAL_TOL = 1e-9
 _ROOT_MERGE_TOL = 1e-8
+_IMAG_TOL = 1e-8
 _DEGENERATE_REL = 1e-14
+
+# Relative bracket width and step budget of the bracketed root search.
+_ROOT_XTOL = 1e-13
+_ROOT_MAX_ITER = 200
 
 
 class ConvergenceError(RuntimeError):
@@ -169,8 +177,41 @@ def ln_lower_gamma(shape: float, u: float) -> tuple[float, float]:
     return math.log(g), (math.exp(log_num) / g if log_num > -700.0 else 0.0)
 
 
+def decreasing_root(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float
+) -> float:
+    """Illinois search for f(x) = 0 with f decreasing and f(a) > 0 > f(b).
+
+    The caller supplies the end values it has already computed.  Infinite
+    end values fall back to bisection; the search stops on an exact zero or
+    once the bracket is narrower than 1e-13 relative to max(1, |b|).
+    """
+    side = 0
+    for _ in range(_ROOT_MAX_ITER):
+        if math.isfinite(fa) and math.isfinite(fb) and fb != fa:
+            x = (a * fb - b * fa) / (fb - fa)
+            if not a < x < b:
+                x = 0.5 * (a + b)
+        else:
+            x = 0.5 * (a + b)
+        fx = f(x)
+        if fx == 0.0 or b - a < _ROOT_XTOL * max(1.0, abs(b)):
+            return x
+        if fx > 0.0:
+            a, fa = x, fx
+            if side == -1 and math.isfinite(fb):
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = x, fx
+            if side == 1 and math.isfinite(fa):
+                fa *= 0.5
+            side = 1
+    return 0.5 * (a + b)
+
+
 # ---------------------------------------------------------------------------
-# Closed-form polynomial solvers.
+# Polynomial solvers.
 # ---------------------------------------------------------------------------
 
 
@@ -297,25 +338,11 @@ def _merge_sorted_roots(roots: list[float], tol: float) -> list[float]:
     return merged
 
 
-def _certified_real_roots(
-    q: QuarticCoeffs,
-    candidates: list[complex],
-    imag_tol: float,
-    degree: int,
-    complex_steps: int,
-    real_steps: int,
-) -> list[float]:
-    """Newton-polish closed-form root candidates of ``q``, keep the real
-    ones, merge duplicates at 1e-8 and certify every residual:
+def _certified(q: QuarticCoeffs, roots: list[float], degree: int) -> list[float]:
+    """Merge duplicate roots of ``q`` at 1e-8 and certify every residual:
     |q(r)| <= 1e-9 * max(1, ||q||_inf) * max(1, |r|)^degree, the root-size
     factor accounting for Horner evaluation noise away from the origin."""
-    real_roots: list[float] = []
-    for z in candidates:
-        z = _polish_complex(q, z, complex_steps)
-        if abs(z.imag) <= imag_tol:
-            real_roots.append(_polish_real(q, z.real, real_steps))
-
-    merged = _merge_sorted_roots(real_roots, _ROOT_MERGE_TOL)
+    merged = _merge_sorted_roots(roots, _ROOT_MERGE_TOL)
     for r in merged:
         bound = _RESIDUAL_TOL * max(1.0, q.norm) * max(1.0, abs(r)) ** degree
         if abs(q(r)) > bound:
@@ -325,13 +352,13 @@ def _certified_real_roots(
     return merged
 
 
-def solve_quartic_real(coeffs: QuarticCoeffs, imag_tol: float = 1e-8) -> list[float]:
+def solve_quartic_real(coeffs: QuarticCoeffs) -> list[float]:
     """Real roots of a quartic, ascending, with duplicates merged at 1e-8.
 
     Every returned root carries a residual certificate
-    |q(r)| <= 1e-9 * max(1, ||coeffs||_inf) * max(1, |r|)^4.  A root
-    candidate counts as real when its closed-form imaginary part is at most
-    ``imag_tol`` in magnitude.
+    |q(r)| <= 1e-9 * max(1, ||coeffs||_inf) * max(1, |r|)^4.  A closed-form
+    root candidate is Newton-polished and counts as real when its imaginary
+    part is then at most 1e-8 in magnitude.
     Raises :class:`DegenerateCoefficientError` when the leading coefficient is
     numerically zero; callers should fall back to :func:`solve_poly_real`.
     """
@@ -343,14 +370,28 @@ def solve_quartic_real(coeffs: QuarticCoeffs, imag_tol: float = 1e-8) -> list[fl
             f"leading coefficient {coeffs.a} is degenerate relative to ||coeffs||={norm}"
         )
 
-    candidates = _quartic_closed_form(coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e)
-    return _certified_real_roots(coeffs, candidates, imag_tol,
-                                 degree=4, complex_steps=4, real_steps=8)
+    real_roots = []
+    for z in _quartic_closed_form(coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e):
+        z = _polish_complex(coeffs, z, 4)
+        if abs(z.imag) <= _IMAG_TOL:
+            real_roots.append(_polish_real(coeffs, z.real, 8))
+    return _certified(coeffs, real_roots, 4)
 
 
-def solve_cubic_real(b: float, c: float, d: float, e: float, imag_tol: float = 1e-8) -> list[float]:
+def solve_cubic_real(b: float, c: float, d: float, e: float) -> list[float]:
     """Real roots of b*x^3 + c*x^2 + d*x + e (ascending, merged), with the
-    quartic's residual certificate at degree 3."""
+    quartic's residual certificate at degree 3.
+
+    The real roots of the derivative, from the stable quadratic formula,
+    split the line into monotone pieces; the Cauchy radius
+    1 + max(|c|, |d|, |e|) / |b| bounds the outer two, since every root lies
+    inside it.  Every sign change between neighbouring breakpoints is closed
+    by :func:`decreasing_root`.  A derivative root with no sign change on
+    either side counts as a multiple root when it is an exact root of the
+    cubic with every coefficient moved by at most 1e-9 relative, that is
+    |p(x)| <= 1e-9 * (|b||x|^3 + |c|x^2 + |d||x| + |e|).
+    """
+    b, c, d, e = float(b), float(c), float(d), float(e)  # numpy scalars are slow here
     poly = QuarticCoeffs(0.0, b, c, d, e)
     norm = poly.norm
     if norm == 0.0:
@@ -358,21 +399,22 @@ def solve_cubic_real(b: float, c: float, d: float, e: float, imag_tol: float = 1
     if abs(b) < _DEGENERATE_REL * norm:
         raise DegenerateCoefficientError("cubic leading coefficient is degenerate")
 
-    # Depressed form t^3 + p t + q with x = t - c / (3 b).
-    shift = c / (3.0 * b)
-    p = d / b - (c * c) / (3.0 * b * b)
-    q = 2.0 * shift**3 - shift * (d / b) + e / b
-
-    disc = complex((q / 2.0) ** 2 + (p / 3.0) ** 3)
-    droot = cmath.sqrt(disc)
-    scube = -q / 2.0 + droot if abs(-q / 2.0 + droot) >= abs(-q / 2.0 - droot) else -q / 2.0 - droot
-    if scube == 0:
-        ts = [0j, 0j, 0j] if p == 0 else [cmath.sqrt(complex(-p)), -cmath.sqrt(complex(-p)), 0j]
-    else:
-        s1 = scube ** (1.0 / 3.0)
-        ts = [w * s1 - p / (3.0 * (w * s1)) for w in (1, _OMEGA, _OMEGA**2)]
-    return _certified_real_roots(poly, [t - shift for t in ts], imag_tol,
-                                 degree=3, complex_steps=3, real_steps=6)
+    radius = 1.0 + max(abs(c), abs(d), abs(e)) / abs(b)
+    xs = [-radius, *solve_quadratic_real(3.0 * b, 2.0 * c, d), radius]
+    vals = [poly(x) for x in xs]
+    changes = [f_lo * f_hi < 0.0 for f_lo, f_hi in zip(vals, vals[1:])]
+    roots = []
+    for lo, hi, f_lo, f_hi, change in zip(xs, xs[1:], vals, vals[1:], changes):
+        if change:
+            sign = math.copysign(1.0, f_lo)
+            root = decreasing_root(lambda x: sign * poly(x), lo, hi, sign * f_lo, sign * f_hi)
+            roots.append(root)
+    for i in range(1, len(xs) - 1):
+        x = abs(xs[i])
+        backward = _RESIDUAL_TOL * (((abs(b) * x + abs(c)) * x + abs(d)) * x + abs(e))
+        if not (changes[i - 1] or changes[i]) and abs(vals[i]) <= backward:
+            roots.append(xs[i])
+    return _certified(poly, roots, 3)
 
 
 def solve_quadratic_real(c: float, d: float, e: float) -> list[float]:
@@ -403,16 +445,16 @@ def solve_quadratic_real(c: float, d: float, e: float) -> list[float]:
     return _merge_sorted_roots(roots, _ROOT_MERGE_TOL)
 
 
-def solve_poly_real(coeffs: QuarticCoeffs, imag_tol: float = 1e-8) -> list[float]:
+def solve_poly_real(coeffs: QuarticCoeffs) -> list[float]:
     """Real roots of a polynomial of degree <= 4, routing degenerate leading
     coefficients down to the cubic/quadratic/linear solvers."""
     norm = coeffs.norm
     if norm == 0.0:
         raise ValueError("cannot solve the identically zero polynomial")
     if abs(coeffs.a) >= _DEGENERATE_REL * norm:
-        return solve_quartic_real(coeffs, imag_tol=imag_tol)
+        return solve_quartic_real(coeffs)
     if abs(coeffs.b) >= _DEGENERATE_REL * norm:
-        return solve_cubic_real(coeffs.b, coeffs.c, coeffs.d, coeffs.e, imag_tol=imag_tol)
+        return solve_cubic_real(coeffs.b, coeffs.c, coeffs.d, coeffs.e)
     if abs(coeffs.c) >= _DEGENERATE_REL * norm or abs(coeffs.d) >= _DEGENERATE_REL * norm:
         return solve_quadratic_real(coeffs.c, coeffs.d, coeffs.e)
     return []

@@ -84,14 +84,17 @@ class SurrogateCoeffs:
         return 2.0 * self.c2 * phi + self.c1
 
     def positive_roots(self) -> tuple[float, float] | None:
-        """Interval on which the quadratic is positive, or None if nowhere."""
+        """Interval on which the quadratic is positive, or None if nowhere.
+
+        The roots are q / c2 and c0 / q with q = -(c1 + sign(c1) sqrt(disc)) / 2,
+        which adds magnitudes and so does not cancel when c2 or c0 is tiny.
+        """
         disc = self.c1 * self.c1 - 4.0 * self.c2 * self.c0
         if disc <= 0.0:
             return None
-        sq = math.sqrt(disc)
-        lo = (-self.c1 + sq) / (2.0 * self.c2)
-        hi = (-self.c1 - sq) / (2.0 * self.c2)
-        return lo, hi
+        q = -0.5 * (self.c1 + math.copysign(math.sqrt(disc), self.c1))
+        r1, r2 = q / self.c2, self.c0 / q
+        return min(r1, r2), max(r1, r2)
 
 
 def _taylor_minorant(value: float, slope: float, curvature_floor: float, phi_hat: float) -> SurrogateCoeffs:
@@ -150,19 +153,14 @@ def surrogate_computation(
     return _taylor_minorant(value, slope, b_gamma(psi, w), phi_hat)
 
 
-def phi_interval(
-    tx: SurrogateCoeffs | None,
-    comp: SurrogateCoeffs,
-    floor: float = PHI_FLOOR,
-    cap: float = 1.0,
-) -> tuple[float, float] | None:
+def phi_interval(tx: SurrogateCoeffs | None, comp: SurrogateCoeffs) -> tuple[float, float] | None:
     """Share range on which every supplied surrogate is positive.
 
-    Intersects the positive intervals of the quadratics with [floor, cap].
+    Intersects the positive intervals of the quadratics with [PHI_FLOOR, 1].
     Returns None when the intersection is (numerically) empty, which signals
     the caller to keep its previous iterate.
     """
-    lo, hi = floor, cap
+    lo, hi = PHI_FLOOR, 1.0
     for q in (tx, comp):
         if q is None:
             continue

@@ -126,6 +126,28 @@ def test_sweep_unknown_key_is_a_config_error(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        "train:\n  tau: 2.0\n",
+        "train:\n  episodes: abc\n",
+        "train:\n  discount: 1.5\n",
+        "trials:\n  episodes: 0\n",
+    ],
+)
+@pytest.mark.parametrize("command", ["sweep", "train"])
+def test_bad_training_settings_fail_at_load(tmp_path, capsys, block, command):
+    # Rejected before any training runs: exit 2 and no output directory.
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        f"experiment: user_count\nseed: 0\noutput_dir: {tmp_path / 'out'}\n{block}",
+        encoding="utf-8",
+    )
+    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_writes_checkpoint_and_curve(trained, capsys):
     _, out_dir = trained
     assert (out_dir / "policy.ckpt").exists()

@@ -352,6 +352,33 @@ def test_train_config_validation():
         TrainConfig(epsilon_min=0.5, epsilon_start=0.2)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=100, buffer_capacity=50)
+    # The edges of every range are valid.
+    TrainConfig(tau=0.0, epsilon_start=1.0, epsilon_min=0.0, episodes=0, batch_size=1,
+                steps_per_episode=1)
+    TrainConfig(tau=1.0, epsilon_start=0.0, epsilon_min=0.0, learning_rate=1e-12)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tau", 2.0), ("tau", -0.1), ("tau", math.nan),
+        ("epsilon_start", 1.5), ("epsilon_min", -0.01),
+        ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", math.nan),
+        ("batch_size", 0), ("episodes", -1), ("steps_per_episode", 0),
+    ],
+)
+def test_train_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("episodes", "abc"), ("batch_size", 2.5), ("learning_rate", "1e-3"), ("tau", None)],
+)
+def test_train_config_rejects_wrong_types(field, value):
+    with pytest.raises(TypeError, match=field):
+        TrainConfig(**{field: value})
 
 
 def test_train_is_bit_reproducible():

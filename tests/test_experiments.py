@@ -141,6 +141,31 @@ def test_load_config_rejects_empty_sweep(tmp_path):
         load_config(_minimal(tmp_path, "sweep:\n  values: []"))
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "train:\n  tau: 2.0",
+        "train:\n  epsilon_start: 1.5",
+        "train:\n  epsilon_min: -0.1",
+        "train:\n  learning_rate: 0",
+        "train:\n  batch_size: 0",
+        "train:\n  episodes: -1",
+        "train:\n  episodes: abc",
+        "train:\n  steps_per_episode: 0",
+        "train:\n  discount: 1.5",
+        "train:\n  batch_size: 100\n  buffer_capacity: 50",
+        "trials:\n  episodes: 0",
+        "trials:\n  steps: -3",
+        "trials:\n  mc_trials: 2.5",
+        "trials:\n  repetitions: ten",
+        "trials:\n  episodes: true",
+    ],
+)
+def test_load_config_rejects_bad_training_settings(tmp_path, body):
+    with pytest.raises(ConfigError, match="train|trials"):
+        load_config(_minimal(tmp_path, body))
+
+
 def test_load_config_rejects_non_mapping_block(tmp_path):
     with pytest.raises(ConfigError, match="mapping"):
         load_config(_minimal(tmp_path, "trials: [1, 2]"))

@@ -59,6 +59,25 @@ def test_p1_beats_dense_power_scan():
         assert ln_success(p, phi, t, float(pw), r) <= best + 1e-9
 
 
+def test_p1_interior_power_is_stationary():
+    # Here the optimal power lies strictly inside (0, p_max), where the
+    # energy-capped local cycle budget trades against the link: the slope
+    # of ln P_success along (power, rho(power)) must vanish at the root.
+    p = reference_params(2)
+    phi = np.array([0.1, 0.5, 0.4])
+    t = np.array([0.2, 0.25])
+    power, rho = solve_p1(p, phi, t)
+    assert 0.0 < power < p.p_max_w
+    assert power == pytest.approx(0.08869, rel=1e-4)
+    assert rho == local_budget_rho(p, t, power)
+
+    def along(pw: float) -> float:
+        return ln_success(p, phi, t, pw, local_budget_rho(p, t, pw))
+
+    h = 1e-6 * power
+    assert abs(along(power + h) - along(power - h)) / (2.0 * h) <= 1e-7
+
+
 def test_p1_full_power_when_no_local_share():
     p = reference_params(1)
     power, rho = solve_p1(p, np.array([0.0, 1.0]), np.array([0.4]))
@@ -199,7 +218,7 @@ def test_waterfill_affine_toy():
     solvers = [make(s, iv) for s, iv in zip(slopes, intervals)]
     # No guess, and guesses far below, near and far above the root (~7.3).
     for mu_start in (None, 1e-9, 7.0, 1e9):
-        mu, phi = waterfill_mu(solvers, intervals, budget=1.0, mu_start=mu_start)
+        mu, phi = waterfill_mu(solvers, intervals, mu_start=mu_start)
         assert phi.sum() == pytest.approx(1.0, abs=1e-12)
         assert mu > 0.0
         for v, iv in zip(phi, intervals):
@@ -213,7 +232,7 @@ def test_waterfill_rejects_overspent_start():
     intervals = [(0.6, 0.9), (0.6, 0.9)]
     solvers = [lambda mu: 0.6, lambda mu: 0.6]
     with pytest.raises(WaterfillBracketError):
-        waterfill_mu(solvers, intervals, budget=1.0)
+        waterfill_mu(solvers, intervals)
 
 
 def _counting(fn, calls: list):
@@ -229,9 +248,9 @@ def test_waterfill_patches_to_exact_budget():
     # Stuck solvers never reach the budget at any multiplier.
     tried: list[float] = []
     solvers = [_counting(lambda mu: 0.3, tried), lambda mu: 0.3]
-    _, phi = waterfill_mu(solvers, intervals, budget=1.0)
+    _, phi = waterfill_mu(solvers, intervals)
     assert phi.sum() == pytest.approx(1.0, abs=1e-12)
-    assert max(tried) == 1e18  # the search gave up at mu_cap
+    assert max(tried) == 1e18  # the search gave up at its multiplier cap
     _, _, oracle_evals = waterfill_bisection([lambda mu: 0.3, lambda mu: 0.3])
     assert oracle_evals == 101
     assert len(tried) <= oracle_evals
@@ -249,7 +268,7 @@ def test_waterfill_step_function_stops_at_best_residual():
     for mu_start in (None, 3.0, 50.0):
         tried: list[float] = []
         solvers = [_counting(share, tried), share]
-        mu, phi = waterfill_mu(solvers, intervals, budget=1.0, max_iter=40, mu_start=mu_start)
+        mu, phi = waterfill_mu(solvers, intervals, max_iter=40, mu_start=mu_start)
         # At most 1 + 8 bracket probes (ratios square from 1.1), then max_iter steps.
         assert len(tried) <= 1 + 8 + 40
         assert mu == max(m for m in tried if m < 3.7)
@@ -271,8 +290,8 @@ def recorded_waterfills():
         for variant in ("mm2", "mm1"):
             calls = []
 
-            def recording(solvers, intervals, budget=1.0, calls=calls, **kw):
-                mu, phi = real(solvers, intervals, budget, **kw)
+            def recording(solvers, intervals, calls=calls, **kw):
+                mu, phi = real(solvers, intervals, **kw)
                 calls.append((solvers, intervals, kw.get("mu_start"), mu))
                 return mu, phi
 

@@ -199,6 +199,60 @@ def test_cubic_real_roots():
         solve_cubic_real(0.0, 0.0, 0.0, 0.0)
 
 
+def _near(x: float, ys, tol: float = 1e-6) -> bool:
+    return any(abs(x - y) <= tol * max(1.0, abs(x)) for y in ys)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        # Roots -14.5185 and a double root near 3.55130: the closed form's
+        # polished candidate missed its residual certificate.
+        (0.12259886724569508, 0.9091828018482832, -11.096123957156076, 22.448332147599746),
+        # Roots -1.92e7 and +-3.14e-6: the closed form found only the first.
+        (-5.256e-4, -10097.78, -7.128e-9, 9.930e-8),
+    ],
+)
+def test_cubic_hard_cases_match_companion_matrix(coeffs):
+    ours = solve_cubic_real(*coeffs)
+    ref = quartic_roots_companion(0.0, *coeffs)
+    assert len(ref) == 3
+    assert all(_near(r, ours) for r in ref) and all(_near(r, ref) for r in ours)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cubic_finds_every_planted_root(seed):
+    # Three roots in [-20, 20], every second cubic with one root repeated;
+    # a double root is found to about sqrt(eps) of its size.
+    rng = np.random.default_rng(seed)
+    for i in range(10000):
+        roots = rng.uniform(-20.0, 20.0, 3)
+        if i % 2:
+            roots[2] = roots[1]
+        lead = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
+        coeffs = [float(v) for v in lead * np.poly(roots)]
+        ours = solve_cubic_real(*coeffs)
+        assert all(_near(r, ours) for r in roots), (coeffs, ours)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cubic_spread_coefficients_match_companion_matrix(seed):
+    # Coefficient magnitudes spread over 1e-8..1e8: every root the
+    # eigensolver reports as exactly real is found, and every returned root
+    # is close to one of the eigensolver's (possibly complex) roots.
+    rng = np.random.default_rng(seed)
+    for _ in range(10000):
+        coeffs = [float(v) for v in rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-8.0, 8.0, 4)]
+        try:
+            ours = solve_cubic_real(*coeffs)
+        except DegenerateCoefficientError:
+            continue  # |b| below 1e-14 of the largest coefficient
+        ref = np.roots(coeffs)
+        assert all(_near(z.real, ours) for z in ref if z.imag == 0.0), (coeffs, ours)
+        for r in ours:
+            assert min(abs(r - z) for z in ref) <= 1e-6 * max(1.0, abs(r)), (coeffs, ours)
+
+
 def test_quadratic_and_linear_fallbacks():
     assert solve_quadratic_real(1.0, -3.0, 2.0) == pytest.approx([1.0, 2.0], abs=1e-12)
     assert solve_quadratic_real(1.0, 0.0, 1.0) == []

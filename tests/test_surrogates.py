@@ -108,6 +108,15 @@ def test_positive_roots_brackets_positive_region():
     assert (lo, hi) == pytest.approx((0.0, 1.0), abs=1e-12)
     # Strictly negative quadratic: no positive interval.
     assert SurrogateCoeffs(c2=-1.0, c1=0.0, c0=-0.1).positive_roots() is None
+    # Near-linear quadratics, where the textbook formula cancels: 0.5 - phi
+    # (upper root 0.5, not -0.0, so the interval still holds phi = 0.25) and
+    # 2 phi - 0.4 (lower root 0.2 to 1e-10 relative, not 0.2000000165).
+    q = SurrogateCoeffs(c2=-1e-20, c1=-1.0, c0=0.5)
+    lo, hi = q.positive_roots()
+    assert lo == pytest.approx(-1e20, rel=1e-12) and hi == pytest.approx(0.5, rel=1e-15)
+    assert phi_interval(None, q) == (PHI_FLOOR, 0.5)
+    lo, hi = SurrogateCoeffs(c2=-1e-9, c1=2.0, c0=-0.4).positive_roots()
+    assert lo == pytest.approx(0.2 + 2e-11, rel=1e-10) and hi == pytest.approx(2e9, rel=1e-9)
 
 
 def _random_cases(n, seed):
@@ -204,8 +213,6 @@ def test_phi_interval_applies_floor_and_cap():
     q = _quad_positive_on(-1.0, 2.0)
     lo, hi = phi_interval(None, q)
     assert lo == PHI_FLOOR and hi == 1.0
-    lo, hi = phi_interval(None, q, floor=0.25, cap=0.5)
-    assert (lo, hi) == (0.25, 0.5)
 
 
 def test_phi_interval_empty_cases():
