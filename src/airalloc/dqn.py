@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -136,10 +136,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            integral = name in _INT_FIELDS
-            if not isinstance(value, numbers.Integral if integral else numbers.Real):
-                raise TypeError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+        for f in fields(self):
+            value, integral = getattr(self, f.name), f.type == "int"
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+                raise TypeError(f"{f.name} must be {'an integer' if integral else 'a number'}, got {value!r}")
         for name in ("tau", "epsilon_start", "epsilon_min"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
@@ -156,9 +156,6 @@ class TrainConfig:
             raise ValueError("epsilon_min must not exceed epsilon_start")
         if self.batch_size > self.buffer_capacity:
             raise ValueError("batch size cannot exceed buffer capacity")
-
-
-_INT_FIELDS = {"batch_size", "buffer_capacity", "episodes", "steps_per_episode", "seed"}
 
 
 class ReplayBuffer:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -216,7 +217,7 @@ def load_config(path) -> ExperimentConfig:
     _check_keys(train_block, _TRAIN_KEYS, "train")
 
     for name, value in trials.items():
-        if type(value) is not int or value < 1:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
             raise ConfigError(f"trials.{name} must be a positive integer, got {value!r}")
     try:
         TrainConfig(**{k: v for k, v in train_block.items() if k != "granularity"})

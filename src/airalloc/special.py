@@ -338,13 +338,17 @@ def _merge_sorted_roots(roots: list[float], tol: float) -> list[float]:
     return merged
 
 
+def _residual_bound(q: QuarticCoeffs, r: float, degree: int) -> float:
+    return _RESIDUAL_TOL * max(1.0, q.norm) * max(1.0, abs(r)) ** degree
+
+
 def _certified(q: QuarticCoeffs, roots: list[float], degree: int) -> list[float]:
     """Merge duplicate roots of ``q`` at 1e-8 and certify every residual:
     |q(r)| <= 1e-9 * max(1, ||q||_inf) * max(1, |r|)^degree, the root-size
     factor accounting for Horner evaluation noise away from the origin."""
     merged = _merge_sorted_roots(roots, _ROOT_MERGE_TOL)
     for r in merged:
-        bound = _RESIDUAL_TOL * max(1.0, q.norm) * max(1.0, abs(r)) ** degree
+        bound = _residual_bound(q, r, degree)
         if abs(q(r)) > bound:
             raise ConvergenceError(
                 f"degree-{degree} root {r} has residual {q(r):.3e} above bound {bound:.3e}"
@@ -387,9 +391,12 @@ def solve_cubic_real(b: float, c: float, d: float, e: float) -> list[float]:
     1 + max(|c|, |d|, |e|) / |b| bounds the outer two, since every root lies
     inside it.  Every sign change between neighbouring breakpoints is closed
     by :func:`decreasing_root`.  A derivative root with no sign change on
-    either side counts as a multiple root when it is an exact root of the
-    cubic with every coefficient moved by at most 1e-9 relative, that is
-    |p(x)| <= 1e-9 * (|b||x|^3 + |c|x^2 + |d||x| + |e|).
+    either side counts as a multiple root when it passes the certificate and
+    is an exact root of the cubic with every coefficient moved by at most
+    1e-9 relative, |p(x)| <= 1e-9 * (|b||x|^3 + |c|x^2 + |d||x| + |e|);
+    otherwise it is the real part of a complex pair.  The search runs on the
+    cubic scaled by a power of two to unit norm, which is exact and keeps
+    the results independent of the coefficients' scale.
     """
     b, c, d, e = float(b), float(c), float(d), float(e)  # numpy scalars are slow here
     poly = QuarticCoeffs(0.0, b, c, d, e)
@@ -399,20 +406,25 @@ def solve_cubic_real(b: float, c: float, d: float, e: float) -> list[float]:
     if abs(b) < _DEGENERATE_REL * norm:
         raise DegenerateCoefficientError("cubic leading coefficient is degenerate")
 
+    k = -math.frexp(norm)[1]
+    unit = QuarticCoeffs(0.0, math.ldexp(b, k), math.ldexp(c, k), math.ldexp(d, k), math.ldexp(e, k))
     radius = 1.0 + max(abs(c), abs(d), abs(e)) / abs(b)
-    xs = [-radius, *solve_quadratic_real(3.0 * b, 2.0 * c, d), radius]
-    vals = [poly(x) for x in xs]
-    changes = [f_lo * f_hi < 0.0 for f_lo, f_hi in zip(vals, vals[1:])]
+    xs = [-radius, *solve_quadratic_real(3.0 * unit.b, 2.0 * unit.c, unit.d), radius]
+    vals = [unit(x) for x in xs]
+    changes = [f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) != (f_hi < 0.0)
+               for f_lo, f_hi in zip(vals, vals[1:])]
     roots = []
     for lo, hi, f_lo, f_hi, change in zip(xs, xs[1:], vals, vals[1:], changes):
         if change:
             sign = math.copysign(1.0, f_lo)
-            root = decreasing_root(lambda x: sign * poly(x), lo, hi, sign * f_lo, sign * f_hi)
+            root = decreasing_root(lambda x: sign * unit(x), lo, hi, sign * f_lo, sign * f_hi)
             roots.append(root)
     for i in range(1, len(xs) - 1):
+        if changes[i - 1] or changes[i]:
+            continue
         x = abs(xs[i])
         backward = _RESIDUAL_TOL * (((abs(b) * x + abs(c)) * x + abs(d)) * x + abs(e))
-        if not (changes[i - 1] or changes[i]) and abs(vals[i]) <= backward:
+        if abs(poly(xs[i])) <= min(backward, _residual_bound(poly, x, 3)):
             roots.append(xs[i])
     return _certified(poly, roots, 3)
 
@@ -429,19 +441,11 @@ def solve_quadratic_real(c: float, d: float, e: float) -> list[float]:
     disc = d * d - 4.0 * c * e
     if disc < 0.0:
         return []
+    # Citardauq pairing avoids cancellation when d dominates; c is nonzero
+    # here, and q is zero only for the double root 0.
     sq = math.sqrt(disc)
-    # Citardauq pairing avoids cancellation when d dominates.
-    if d >= 0.0:
-        q = -0.5 * (d + sq)
-    else:
-        q = -0.5 * (d - sq)
-    roots = []
-    if q != 0.0:
-        roots.append(e / q)
-    if c != 0.0:
-        roots.append(q / c)
-    if not roots:
-        roots = [0.0, 0.0]
+    q = -0.5 * (d + (sq if d >= 0.0 else -sq))
+    roots = [e / q, q / c] if q != 0.0 else [q / c]
     return _merge_sorted_roots(roots, _ROOT_MERGE_TOL)
 
 

@@ -374,7 +374,8 @@ def test_train_config_rejects_out_of_range(field, value):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("episodes", "abc"), ("batch_size", 2.5), ("learning_rate", "1e-3"), ("tau", None)],
+    [("episodes", "abc"), ("batch_size", 2.5), ("learning_rate", "1e-3"), ("tau", None),
+     ("episodes", True), ("tau", False)],
 )
 def test_train_config_rejects_wrong_types(field, value):
     with pytest.raises(TypeError, match=field):

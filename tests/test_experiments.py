@@ -151,6 +151,7 @@ def test_load_config_rejects_empty_sweep(tmp_path):
         "train:\n  batch_size: 0",
         "train:\n  episodes: -1",
         "train:\n  episodes: abc",
+        "train:\n  episodes: true",
         "train:\n  steps_per_episode: 0",
         "train:\n  discount: 1.5",
         "train:\n  batch_size: 100\n  buffer_capacity: 50",
