@@ -21,6 +21,7 @@ from .multiuser import (
     MultiUserEnv,
     MultiUserParams,
     MultiUserState,
+    spent_energy,
     state_vector,
     success_vector,
 )
@@ -160,6 +161,8 @@ class EvalResult:
     mean_success: float            # over users and slots
     per_user_success: np.ndarray
     episodes: int
+    bits_completed: float          # expected completed bits, summed over slots
+    energy_j: float                # energy bill of every action taken, rejected ones too
 
 
 def evaluate_policy(
@@ -170,17 +173,24 @@ def evaluate_policy(
     seed: int = 0,
 ) -> EvalResult:
     """Score ``policy(state, slot) -> MultiUserAction`` over seeded episodes."""
+    if episodes < 1 or steps_per_episode < 1:
+        raise ValueError(
+            f"episodes and steps_per_episode must be >= 1, got {episodes}, {steps_per_episode}")
     mp = env.mp
-    seeds = np.random.SeedSequence(seed).generate_state(max(episodes, 1))
+    seeds = np.random.SeedSequence(seed).generate_state(episodes)
     ep_rewards = []
     success_sum = np.zeros(mp.n_users)
+    bits = joules = 0.0
     slots = 0
     for ep in range(episodes):
         state = env.reset(seed=int(seeds[ep]))
         total = 0.0
         for k in range(steps_per_episode):
             action = policy(state, k)
-            success_sum += success_vector(mp, state, action)
+            success = success_vector(mp, state, action)
+            success_sum += success
+            bits += float(np.sum(state.task_bits * success))
+            joules += float(np.sum(spent_energy(mp, state, action)))
             slots += 1
             state, r, done = env.step(action)
             total += r
@@ -196,6 +206,8 @@ def evaluate_policy(
         mean_success=float(per_user.mean()),
         per_user_success=per_user,
         episodes=episodes,
+        bits_completed=bits,
+        energy_j=joules,
     )
 
 

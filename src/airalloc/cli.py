@@ -24,14 +24,22 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    from .solver import VARIANTS
+
     ap = argparse.ArgumentParser(prog="airalloc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="optimize one single-user allocation")
-    p_solve.add_argument("--servers", type=int, default=2)
+    p_solve.add_argument("--servers", type=_positive_int, default=2)
     p_solve.add_argument("--task-mbits", type=float, default=10.0)
-    p_solve.add_argument("--variant", choices=("mm2", "mm1", "pg"), default="mm2")
+    p_solve.add_argument("--variant", choices=VARIANTS, default="mm2")
     p_solve.add_argument("--offload-only", action="store_true")
     p_solve.add_argument("--json", action="store_true",
                          help="print one JSON object instead of the table")
@@ -49,13 +57,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint against scheduler baselines")
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--episodes", type=int, default=200)
-    p_eval.add_argument("--steps", type=int, default=25)
+    p_eval.add_argument("--episodes", type=_positive_int, default=200)
+    p_eval.add_argument("--steps", type=_positive_int, default=25)
     p_eval.add_argument("--seed", type=int, default=None)
 
     p_bench = sub.add_parser("bench", help="decision-latency benchmark")
-    p_bench.add_argument("--servers", type=int, nargs="+", default=[1, 2, 3])
-    p_bench.add_argument("--repetitions", type=int, default=5)
+    p_bench.add_argument("--servers", type=_positive_int, nargs="+", default=[1, 2, 3])
+    p_bench.add_argument("--repetitions", type=_positive_int, default=5)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--output-dir", default=".")
     return ap
@@ -119,21 +127,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .dqn import save_checkpoint, train
-    from .experiments import (
-        MetricRow,
-        _granularity,
-        _multi_params,
-        _train_config,
-        write_rows,
-    )
-    from .multiuser import MultiUserEnv, enumerate_actions
+    from .dqn import save_checkpoint
+    from .experiments import MetricRow, _multi_params, _train_policy, write_rows
 
     cfg = _load(args)
-    mp = _multi_params(cfg)
-    grid = enumerate_actions(mp, granularity=_granularity(cfg))
-    tc = _train_config(cfg, seed=cfg.seed)
-    theta, curve = train(MultiUserEnv(mp), grid, tc)
+    _, tc, theta, curve = _train_policy(cfg, _multi_params(cfg))
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "policy.ckpt"
@@ -148,12 +146,12 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     from .baselines import SCHEDULER_KINDS, evaluate_policy, greedy_policy, schedulers
     from .dqn import load_checkpoint
-    from .experiments import _granularity, _multi_params
-    from .multiuser import MultiUserEnv, enumerate_actions
+    from .experiments import _action_grid, _multi_params
+    from .multiuser import MultiUserEnv
 
     cfg = _load(args)
     mp = _multi_params(cfg)
-    grid = enumerate_actions(mp, granularity=_granularity(cfg))
+    grid = _action_grid(cfg, mp)
     theta, _ = load_checkpoint(args.checkpoint)
     if theta.n_actions != grid.size:
         print(f"checkpoint scores {theta.n_actions} actions but the configured grid has {grid.size}",
@@ -171,14 +169,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .experiments import MetricRow, write_rows
-    from .metrics import latency_benchmark
+    from .experiments import _latency_rows, write_rows
 
-    rows = [
-        MetricRow(float(c.n_servers), "median_latency [s]", c.median_s, None, c.method)
-        for c in latency_benchmark(server_grid=tuple(args.servers),
-                                   repetitions=args.repetitions, seed=args.seed)
-    ]
+    rows = _latency_rows(tuple(args.servers), args.repetitions, args.seed)
     path = write_rows(Path(args.output_dir) / "latency.csv", rows)
     print(path)
     return EXIT_OK

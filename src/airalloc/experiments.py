@@ -38,14 +38,14 @@ from .model import (
     success_breakdown,
 )
 from .multiuser import (
+    ActionGrid,
     MultiUserAction,
     MultiUserEnv,
     default_multiuser,
     enumerate_actions,
-    spent_energy,
-    success_vector,
+    grid_steps,
 )
-from .solver import bcd_solve
+from .solver import VARIANTS, bcd_solve
 
 __all__ = [
     "ConfigError",
@@ -57,18 +57,6 @@ __all__ = [
     "read_rows",
     "run_experiment",
 ]
-
-EXPERIMENT_KINDS = (
-    "convergence",
-    "task_sweep",
-    "server_sweep",
-    "speed_uncertainty",
-    "learning_rate",
-    "user_count",
-    "fairness",
-    "latency",
-    "efficiency",
-)
 
 CSV_HEADER = "sweep_value,metric,value,std_error,tag"
 
@@ -178,11 +166,13 @@ def load_config(path) -> ExperimentConfig:
 
     Schema: ``experiment`` (one of the known kinds), ``seed`` (int, required),
     ``output_dir``, optional ``variant``, optional ``single_user`` /
-    ``multi_user`` parameter blocks, optional ``sweep: {values: [...]}``,
-    optional ``trials`` (episodes/steps/mc_trials/repetitions) and ``train``
-    (network hyperparameters, checked by building a ``TrainConfig``) blocks.
-    Every ``trials`` value must be a positive integer.  Unknown keys anywhere
-    are rejected.
+    ``multi_user`` parameter blocks (checked by building their parameters),
+    optional ``sweep: {values: [...]}``, optional ``trials``
+    (episodes/steps/mc_trials/repetitions) and ``train`` (network
+    hyperparameters, checked by building a ``TrainConfig`` for each swept
+    learning rate, and the action grid's ``granularity``) blocks.  Every
+    ``trials`` value must be a positive integer.  Unknown keys anywhere are
+    rejected.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -219,16 +209,20 @@ def load_config(path) -> ExperimentConfig:
     for name, value in trials.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
             raise ConfigError(f"trials.{name} must be a positive integer, got {value!r}")
+    settings = {k: v for k, v in train_block.items() if k != "granularity"}
     try:
-        TrainConfig(**{k: v for k, v in train_block.items() if k != "granularity"})
+        TrainConfig(**settings)
+        for rate in values if kind == "learning_rate" else ():
+            TrainConfig(**{**settings, "learning_rate": float(rate)})
+        grid_steps(float(train_block.get("granularity", 0.5)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"train: {exc}") from None
 
     variant = raw.get("variant", "mm2")
-    if variant not in ("mm2", "mm1", "pg"):
-        raise ConfigError(f"variant must be mm2, mm1, or pg, got {variant!r}")
+    if variant not in VARIANTS:
+        raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         experiment=kind,
         seed=raw["seed"],
         output_dir=Path(raw["output_dir"]),
@@ -239,6 +233,12 @@ def load_config(path) -> ExperimentConfig:
         trials=trials,
         train=train_block,
     )
+    for name, build in (("single_user", _single_params), ("multi_user", _multi_params)):
+        try:
+            build(cfg)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+    return cfg
 
 
 def _single_params(cfg: ExperimentConfig, **overrides) -> SystemParams:
@@ -273,15 +273,18 @@ def _multi_params(cfg: ExperimentConfig, **overrides):
     return dataclasses.replace(mp, **changes) if changes else mp
 
 
-def _train_config(cfg: ExperimentConfig, seed: int, **overrides) -> TrainConfig:
-    block = dict(cfg.train)
-    block.pop("granularity", None)
-    block.update(overrides)
-    return TrainConfig(seed=seed, **block)
+def _action_grid(cfg: ExperimentConfig, mp) -> ActionGrid:
+    return enumerate_actions(mp, granularity=float(cfg.train.get("granularity", 0.5)))
 
 
-def _granularity(cfg: ExperimentConfig) -> float:
-    return float(cfg.train.get("granularity", 0.5))
+def _train_policy(cfg: ExperimentConfig, mp, **overrides):
+    """Train on ``mp`` with the config's ``train`` block (``overrides`` win)
+    and seed; returns ``(grid, train_config, theta, curve)``."""
+    grid = _action_grid(cfg, mp)
+    block = {k: v for k, v in cfg.train.items() if k != "granularity"}
+    tc = TrainConfig(seed=cfg.seed, **{**block, **overrides})
+    theta, curve = train(MultiUserEnv(mp), grid, tc)
+    return grid, tc, theta, curve
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +368,9 @@ def _exp_speed_uncertainty(cfg: ExperimentConfig) -> list[MetricRow]:
 def _exp_learning_rate(cfg: ExperimentConfig) -> list[MetricRow]:
     values = cfg.sweep_values or [1e-3, 8e-4, 5e-4, 1e-4]
     mp = _multi_params(cfg)
-    grid = enumerate_actions(mp, granularity=_granularity(cfg))
     rows = []
     for lr in values:
-        tc = _train_config(cfg, seed=cfg.seed, learning_rate=float(lr))
-        _, curve = train(MultiUserEnv(mp), grid, tc)
+        curve = _train_policy(cfg, mp, learning_rate=float(lr))[3]
         for ep, r in enumerate(curve):
             rows.append(MetricRow(float(ep), "episode_reward [1]", r, None, f"lr={float(lr):g}"))
     return rows
@@ -418,9 +419,7 @@ def _exp_user_count(cfg: ExperimentConfig) -> list[MetricRow]:
     rows = []
     for n in values:
         mp = _multi_params(cfg, n_users=int(n))
-        grid = enumerate_actions(mp, granularity=_granularity(cfg))
-        tc = _train_config(cfg, seed=cfg.seed)
-        theta, _ = train(MultiUserEnv(mp), grid, tc)
+        grid, _, theta, _ = _train_policy(cfg, mp)
         learned = evaluate_policy(MultiUserEnv(mp), greedy_policy(theta, grid, mp),
                                   episodes, steps, seed=cfg.seed + 1)
         rows.append(MetricRow(float(n), "mean_success [probability]",
@@ -449,8 +448,7 @@ def _exp_fairness(cfg: ExperimentConfig) -> list[MetricRow]:
             rows.append(MetricRow(float(ratio), "jain_index [1]",
                                   jain_index(rates), None, kind))
         if train_episodes > 0:
-            grid = enumerate_actions(mp, granularity=_granularity(cfg))
-            theta, _ = train(MultiUserEnv(mp), grid, _train_config(cfg, seed=cfg.seed))
+            grid, _, theta, _ = _train_policy(cfg, mp)
             learned = evaluate_policy(MultiUserEnv(mp), greedy_policy(theta, grid, mp),
                                       episodes, steps, seed=cfg.seed)
             rows.append(MetricRow(float(ratio), "jain_index [1]",
@@ -460,12 +458,12 @@ def _exp_fairness(cfg: ExperimentConfig) -> list[MetricRow]:
 
 def _exp_latency(cfg: ExperimentConfig) -> list[MetricRow]:
     grid = tuple(int(v) for v in cfg.sweep_values) or (1, 2, 3)
-    reps = int(cfg.trials.get("repetitions", 5))
-    rows = []
-    for cell in latency_benchmark(server_grid=grid, repetitions=reps, seed=cfg.seed):
-        rows.append(MetricRow(float(cell.n_servers), "median_latency [s]",
-                              cell.median_s, None, cell.method))
-    return rows
+    return _latency_rows(grid, int(cfg.trials.get("repetitions", 5)), cfg.seed)
+
+
+def _latency_rows(server_grid: tuple, repetitions: int, seed: int) -> list[MetricRow]:
+    return [MetricRow(float(c.n_servers), "median_latency [s]", c.median_s, None, c.method)
+            for c in latency_benchmark(server_grid=server_grid, repetitions=repetitions, seed=seed)]
 
 
 def _exp_efficiency(cfg: ExperimentConfig) -> list[MetricRow]:
@@ -488,28 +486,15 @@ def _exp_efficiency(cfg: ExperimentConfig) -> list[MetricRow]:
                                   f"bcd:pmax={p_max:g}"))
         mp = _multi_params(cfg)
         mp = dataclasses.replace(mp, p_max_w=tuple(p_max for _ in range(mp.n_users)))
-        grid = enumerate_actions(mp, granularity=_granularity(cfg))
-        theta, _ = train(MultiUserEnv(mp), grid, _train_config(cfg, seed=cfg.seed))
+        grid, _, theta, _ = _train_policy(cfg, mp)
         for task in values:
             # expected completed bits per joule under the greedy policy, with
             # the slot task size pinned to the sweep value
             cell = dataclasses.replace(mp, task_range_bits=(float(task) * 1e6, float(task) * 1e6))
-            pol = greedy_policy(theta, grid, cell)
-            seeds = np.random.SeedSequence(cfg.seed + 1).generate_state(episodes)
-            bits = 0.0
-            joules = 0.0
-            for ep in range(episodes):
-                env = MultiUserEnv(cell)
-                state = env.reset(int(seeds[ep]))
-                for k in range(steps):
-                    action = pol(state, k)
-                    bits += float(np.sum(state.task_bits * success_vector(cell, state, action)))
-                    joules += float(np.sum(spent_energy(cell, state, action)))
-                    state, _, done = env.step(action)
-                    if done:
-                        break
+            rollout = evaluate_policy(MultiUserEnv(cell), greedy_policy(theta, grid, cell),
+                                      episodes, steps, seed=cfg.seed + 1)
             rows.append(MetricRow(float(task), "energy_efficiency [bits/J]",
-                                  energy_efficiency(bits, joules), None,
+                                  energy_efficiency(rollout.bits_completed, rollout.energy_j), None,
                                   f"dqn:pmax={p_max:g}"))
     return rows
 
@@ -525,6 +510,7 @@ _RUNNERS = {
     "latency": _exp_latency,
     "efficiency": _exp_efficiency,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:

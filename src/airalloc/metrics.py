@@ -20,6 +20,7 @@ __all__ = [
 ]
 
 BENCH_METHODS = ("bcd_mm1", "bcd_mm2", "gradient_descent", "dqn_inference")
+_BENCH_TASK_MBITS = 10.0
 
 
 def jain_index(values) -> float:
@@ -75,7 +76,6 @@ def latency_benchmark(
     server_grid=(1, 2, 3),
     repetitions: int = 5,
     seed: int = 0,
-    task_mbits: float = 10.0,
 ) -> list[LatencyRow]:
     """Per-decision latency of each allocator across problem scales.
 
@@ -85,10 +85,12 @@ def latency_benchmark(
     on a matching two-user environment.  All methods run on the same machine
     in the same process; the first call of each cell is warmup and excluded.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     rows: list[LatencyRow] = []
     variant_of = {"bcd_mm1": "mm1", "bcd_mm2": "mm2", "gradient_descent": "pg"}
     for m in server_grid:
-        p = reference_params(n_servers=m, task_mbits=task_mbits)
+        p = reference_params(n_servers=m, task_mbits=_BENCH_TASK_MBITS)
         for method in methods:
             if method in variant_of:
                 variant = variant_of[method]

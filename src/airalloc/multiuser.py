@@ -42,6 +42,7 @@ __all__ = [
     "state_vector",
     "MultiUserEnv",
     "ActionGrid",
+    "grid_steps",
     "enumerate_actions",
 ]
 
@@ -395,12 +396,19 @@ class MultiUserEnv:
         return nxt.copy(), r, terminal
 
 
-def _share_rows(n_servers: int, granularity: float) -> list[tuple[float, ...]]:
+def grid_steps(granularity: float) -> int:
+    """Number of share steps ``1 / granularity``; the granularity must lie in
+    (0, 1] and divide 1."""
     if not 0.0 < granularity <= 1.0:
         raise ValueError(f"granularity must lie in (0, 1], got {granularity}")
     k = round(1.0 / granularity)
     if abs(k * granularity - 1.0) > 1e-9:
         raise ValueError(f"granularity must divide 1, got {granularity}")
+    return k
+
+
+def _share_rows(n_servers: int, granularity: float) -> list[tuple[float, ...]]:
+    k = grid_steps(granularity)
     rows = []
     for cuts in itertools.combinations(range(k + n_servers), n_servers):
         counts = []
@@ -438,7 +446,7 @@ class ActionGrid:
         the granularity lattice, airtimes and powers equal to 12 decimals."""
         if (action.phi.shape, action.t.shape, action.power.shape) == (
                 self.phi.shape[1:], self.t.shape[1:], self.power.shape[1:]):
-            k = round(1.0 / self.granularity)
+            k = grid_steps(self.granularity)
             hit = (np.all(np.rint(self.phi * k) == np.rint(action.phi * k), axis=(1, 2))
                    & np.all(np.round(self.t, 12) == np.round(action.t, 12), axis=(1, 2))
                    & np.all(np.round(self.power, 12) == np.round(action.power, 12), axis=1))

@@ -52,6 +52,7 @@ from .surrogates import (
 )
 
 __all__ = [
+    "VARIANTS",
     "SolverError",
     "WaterfillBracketError",
     "InnerTrace",
@@ -749,6 +750,7 @@ _P3_VARIANTS = {
     "mm1": solve_p3_mm1,
     "pg": solve_p3_pg,
 }
+VARIANTS = tuple(_P3_VARIANTS)
 
 
 @dataclass

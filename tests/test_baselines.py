@@ -16,11 +16,14 @@ from airalloc.baselines import (
 from airalloc.dqn import init_network, q_forward
 from airalloc.model import reference_params
 from airalloc.multiuser import (
+    MultiUserAction,
     MultiUserEnv,
     MultiUserState,
     default_multiuser,
     enumerate_actions,
+    spent_energy,
     state_vector,
+    success_vector,
     violations,
 )
 from airalloc.solver import bcd_solve
@@ -145,6 +148,58 @@ def test_evaluate_policy_statistics():
     again = evaluate_policy(MultiUserEnv(mp), random_policy(grid, seed=4),
                             episodes=6, steps_per_episode=5, seed=21)
     assert again.mean_reward == res.mean_reward
+
+
+def test_evaluate_policy_sums_bits_and_energy_per_slot():
+    mp = default_multiuser(2, 1)
+    grid = enumerate_actions(mp, granularity=0.5)
+
+    def overdrawing_policy():
+        # Odd slots exceed the power cap, so the environment rejects them.
+        pick = random_policy(grid, seed=3)
+
+        def policy(state, slot):
+            a = pick(state, slot)
+            return MultiUserAction(a.phi, a.t, a.power + slot % 2 * np.asarray(mp.p_max_w))
+
+        return policy
+
+    episodes, steps = 4, 6
+    res = evaluate_policy(MultiUserEnv(mp), overdrawing_policy(), episodes, steps, seed=9)
+
+    # Independent reference: one fresh environment per episode on the same seeds.
+    policy = overdrawing_policy()
+    seeds = np.random.SeedSequence(9).generate_state(episodes)
+    bits = joules = 0.0
+    rejected = 0
+    for ep in range(episodes):
+        env = MultiUserEnv(mp)
+        state = env.reset(int(seeds[ep]))
+        for k in range(steps):
+            action = policy(state, k)
+            bits += float(np.sum(state.task_bits * success_vector(mp, state, action)))
+            joules += float(np.sum(spent_energy(mp, state, action)))
+            broken = violations(mp, state, action)
+            nxt, _, done = env.step(action)
+            if broken:
+                # The bill still counts in energy_j, but the battery pays nothing.
+                rejected += 1
+                assert np.array_equal(nxt.energies, state.energies)
+                assert np.sum(spent_energy(mp, state, action)) > 0.0
+            state = nxt
+            if done:
+                break
+    assert rejected > 0
+    assert res.bits_completed == bits and res.energy_j == joules
+    assert bits > 0.0
+
+
+@pytest.mark.parametrize("episodes,steps", [(0, 5), (3, 0), (-1, 5)])
+def test_evaluate_policy_rejects_empty_rollouts(episodes, steps):
+    mp = default_multiuser(2, 1)
+    grid = enumerate_actions(mp, granularity=0.5)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        evaluate_policy(MultiUserEnv(mp), random_policy(grid), episodes, steps)
 
 
 def test_greedy_policy_picks_argmax_action():

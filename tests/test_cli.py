@@ -133,14 +133,21 @@ def test_sweep_unknown_key_is_a_config_error(tmp_path, capsys):
         "train:\n  episodes: abc\n",
         "train:\n  discount: 1.5\n",
         "trials:\n  episodes: 0\n",
+        "experiment: learning_rate\nsweep:\n  values: [0.001, -0.001]\n",
+        "train:\n  granularity: 0.3\n",
+        "single_user:\n  energy_j: -1.0\n",
+        "multi_user:\n  task_range_mbits: [30, 5]\n",
+        "multi_user:\n  energy_weight: -1\n",
     ],
 )
 @pytest.mark.parametrize("command", ["sweep", "train"])
 def test_bad_training_settings_fail_at_load(tmp_path, capsys, block, command):
     # Rejected before any training runs: exit 2 and no output directory.
+    # A block may name its own experiment; the default is user_count.
+    kind = "" if block.startswith("experiment:") else "experiment: user_count\n"
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
-        f"experiment: user_count\nseed: 0\noutput_dir: {tmp_path / 'out'}\n{block}",
+        f"{kind}seed: 0\noutput_dir: {tmp_path / 'out'}\n{block}",
         encoding="utf-8",
     )
     assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
@@ -210,3 +217,22 @@ def test_bench_writes_latency_table(tmp_path, capsys):
     rows = read_rows(tmp_path / "latency.csv")
     assert {r.tag for r in rows} == {"bcd_mm1", "bcd_mm2", "gradient_descent", "dqn_inference"}
     assert all(r.value > 0.0 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--config", "cfg.yaml", "--checkpoint", "p.ckpt", "--episodes", "0"],
+        ["eval", "--config", "cfg.yaml", "--checkpoint", "p.ckpt", "--steps", "0"],
+        ["eval", "--config", "cfg.yaml", "--checkpoint", "p.ckpt", "--episodes", "1.5"],
+        ["bench", "--repetitions", "0"],
+        ["bench", "--servers", "1", "0"],
+        ["solve", "--servers", "-2"],
+    ],
+)
+def test_counts_must_be_positive(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--output-dir", str(tmp_path / "out")] if argv[0] == "bench" else []))
+    assert exc.value.code == EXIT_CONFIG
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -12,6 +12,7 @@ from airalloc.experiments import (
     run_experiment,
     write_rows,
 )
+from airalloc.solver import VARIANTS
 
 
 def _write(tmp_path, text, name="cfg.yaml"):
@@ -21,7 +22,9 @@ def _write(tmp_path, text, name="cfg.yaml"):
 
 
 def _minimal(tmp_path, body=""):
-    text = f"experiment: task_sweep\nseed: 7\noutput_dir: {tmp_path / 'out'}\n{body}\n"
+    # A body may name its own experiment; the default is task_sweep.
+    kind = "" if body.startswith("experiment:") else "experiment: task_sweep\n"
+    text = f"{kind}seed: 7\noutput_dir: {tmp_path / 'out'}\n{body}\n"
     return _write(tmp_path, text)
 
 
@@ -160,11 +163,40 @@ def test_load_config_rejects_empty_sweep(tmp_path):
         "trials:\n  mc_trials: 2.5",
         "trials:\n  repetitions: ten",
         "trials:\n  episodes: true",
+        "experiment: learning_rate\nsweep:\n  values: [0.001, -0.001]",
+        "experiment: learning_rate\nsweep:\n  values: [0]",
+        "train:\n  granularity: 0.3",
+        "train:\n  granularity: 0",
+        "train:\n  granularity: 1.5",
     ],
 )
 def test_load_config_rejects_bad_training_settings(tmp_path, body):
     with pytest.raises(ConfigError, match="train|trials"):
         load_config(_minimal(tmp_path, body))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "single_user:\n  energy_j: -1.0",
+        "single_user:\n  n_servers: 0",
+        "single_user:\n  task_mbits: abc",
+        "multi_user:\n  task_range_mbits: [30, 5]",
+        "multi_user:\n  task_range_mbits: 5",
+        "multi_user:\n  energy_weight: -1",
+        "multi_user:\n  weights: [1.0, 2.0, 3.0]",
+    ],
+)
+def test_load_config_rejects_bad_parameter_blocks(tmp_path, body):
+    with pytest.raises(ConfigError, match="single_user|multi_user"):
+        load_config(_minimal(tmp_path, body))
+
+
+def test_load_config_accepts_a_learning_rate_sweep_and_every_variant(tmp_path):
+    cfg = load_config(_minimal(tmp_path, "experiment: learning_rate\nsweep:\n  values: [0.001, 0.0005]"))
+    assert cfg.sweep_values == [0.001, 0.0005]
+    for variant in VARIANTS:
+        assert load_config(_minimal(tmp_path, f"variant: {variant}")).variant == variant
 
 
 def test_load_config_rejects_non_mapping_block(tmp_path):
@@ -375,23 +407,22 @@ def test_run_fairness(tmp_path):
 
 
 def test_run_fairness_rejects_weight_mismatch(tmp_path):
-    cfg = load_config(
-        _write(
-            tmp_path,
-            f"""\
-            experiment: fairness
-            seed: 0
-            output_dir: {tmp_path / "out"}
-            multi_user:
-              n_users: 2
-              weights: [1.0, 2.0, 3.0]
-            sweep:
-              values: [1.0]
-            """,
-        )
+    path = _write(
+        tmp_path,
+        f"""\
+        experiment: fairness
+        seed: 0
+        output_dir: {tmp_path / "out"}
+        multi_user:
+          n_users: 2
+          weights: [1.0, 2.0, 3.0]
+        sweep:
+          values: [1.0]
+        """,
     )
+    # Caught when the config is loaded, before anything runs.
     with pytest.raises(ConfigError, match="weights"):
-        run_experiment(cfg)
+        run_experiment(load_config(path))
 
 
 def test_run_latency(tmp_path):

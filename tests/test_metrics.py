@@ -54,3 +54,8 @@ def test_latency_benchmark_rows():
 def test_latency_benchmark_rejects_unknown_method():
     with pytest.raises(ValueError):
         latency_benchmark(methods=("simulated_annealing",), server_grid=(1,), repetitions=1)
+
+
+def test_latency_benchmark_rejects_zero_repetitions():
+    with pytest.raises(ValueError, match="repetitions"):
+        latency_benchmark(server_grid=(1,), repetitions=0)
