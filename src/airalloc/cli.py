@@ -30,6 +30,22 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     from .solver import VARIANTS
 
@@ -38,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="optimize one single-user allocation")
     p_solve.add_argument("--servers", type=_positive_int, default=2)
-    p_solve.add_argument("--task-mbits", type=float, default=10.0)
+    p_solve.add_argument("--task-mbits", type=_positive_float, default=10.0)
     p_solve.add_argument("--variant", choices=VARIANTS, default="mm2")
     p_solve.add_argument("--offload-only", action="store_true")
     p_solve.add_argument("--json", action="store_true",
@@ -46,25 +62,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a configured experiment")
     p_sweep.add_argument("--config", required=True, help="experiment config path")
-    p_sweep.add_argument("--seed", type=int, default=None, help="override config seed")
+    p_sweep.add_argument("--seed", type=_seed, default=None, help="override config seed")
     p_sweep.add_argument("--output-dir", default=None, help="override config output dir")
 
     p_train = sub.add_parser("train", help="train a policy on a multi-user environment")
     p_train.add_argument("--config", required=True, help="experiment config path (multi_user + train blocks)")
     p_train.add_argument("--output-dir", default=None)
-    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--seed", type=_seed, default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint against scheduler baselines")
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--episodes", type=_positive_int, default=200)
     p_eval.add_argument("--steps", type=_positive_int, default=25)
-    p_eval.add_argument("--seed", type=int, default=None)
+    p_eval.add_argument("--seed", type=_seed, default=None)
 
     p_bench = sub.add_parser("bench", help="decision-latency benchmark")
     p_bench.add_argument("--servers", type=_positive_int, nargs="+", default=[1, 2, 3])
     p_bench.add_argument("--repetitions", type=_positive_int, default=5)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_seed, default=0)
     p_bench.add_argument("--output-dir", default=".")
     return ap
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .metrics import energy_efficiency, jain_index, latency_benchmark
 from .model import (
     Allocation,
     SystemParams,
+    local_cycle_energy,
     monte_carlo_outage,
     reference_params,
     success_breakdown,
@@ -41,6 +43,7 @@ from .multiuser import (
     ActionGrid,
     MultiUserAction,
     MultiUserEnv,
+    MultiUserParams,
     default_multiuser,
     enumerate_actions,
     grid_steps,
@@ -161,18 +164,28 @@ def _check_keys(block: dict, allowed: set, name: str) -> None:
         )
 
 
+@contextmanager
+def _config_errors(name: str):
+    """Report a ``TypeError`` / ``ValueError`` as a :class:`ConfigError`."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a YAML experiment config.
 
-    Schema: ``experiment`` (one of the known kinds), ``seed`` (int, required),
-    ``output_dir``, optional ``variant``, optional ``single_user`` /
-    ``multi_user`` parameter blocks (checked by building their parameters),
-    optional ``sweep: {values: [...]}``, optional ``trials``
+    Schema: ``experiment`` (one of the known kinds), ``seed`` (non-negative
+    int, required), ``output_dir``, optional ``variant``, optional
+    ``single_user`` / ``multi_user`` parameter blocks, optional
+    ``sweep: {values: [...]}``, optional ``trials``
     (episodes/steps/mc_trials/repetitions) and ``train`` (network
-    hyperparameters, checked by building a ``TrainConfig`` for each swept
-    learning rate, and the action grid's ``granularity``) blocks.  Every
-    ``trials`` value must be a positive integer.  Unknown keys anywhere are
-    rejected.
+    hyperparameters and the action grid's ``granularity``) blocks.  Every
+    ``trials`` value must be a positive integer.  The parameter blocks, the
+    ``train`` block and every sweep value are checked by building the
+    parameters they give (``_CELLS`` for a sweep value), so nothing runs on a
+    bad config.  Unknown keys anywhere are rejected.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -187,8 +200,9 @@ def load_config(path) -> ExperimentConfig:
     kind = raw.get("experiment")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {kind!r}")
-    if "seed" not in raw or not isinstance(raw["seed"], int):
-        raise ConfigError("config requires an integer seed")
+    seed = raw.get("seed")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"config requires a non-negative integer seed, got {seed!r}")
     if "output_dir" not in raw:
         raise ConfigError("config requires output_dir")
 
@@ -209,14 +223,6 @@ def load_config(path) -> ExperimentConfig:
     for name, value in trials.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
             raise ConfigError(f"trials.{name} must be a positive integer, got {value!r}")
-    settings = {k: v for k, v in train_block.items() if k != "granularity"}
-    try:
-        TrainConfig(**settings)
-        for rate in values if kind == "learning_rate" else ():
-            TrainConfig(**{**settings, "learning_rate": float(rate)})
-        grid_steps(float(train_block.get("granularity", 0.5)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train: {exc}") from None
 
     variant = raw.get("variant", "mm2")
     if variant not in VARIANTS:
@@ -224,7 +230,7 @@ def load_config(path) -> ExperimentConfig:
 
     cfg = ExperimentConfig(
         experiment=kind,
-        seed=raw["seed"],
+        seed=seed,
         output_dir=Path(raw["output_dir"]),
         variant=variant,
         single_user=single,
@@ -233,11 +239,17 @@ def load_config(path) -> ExperimentConfig:
         trials=trials,
         train=train_block,
     )
-    for name, build in (("single_user", _single_params), ("multi_user", _multi_params)):
-        try:
-            build(cfg)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name}: {exc}") from None
+    with _config_errors("train"):
+        _train_config(cfg)
+        grid_steps(float(train_block.get("granularity", 0.5)))
+    with _config_errors("single_user"):
+        _single_params(cfg)
+    with _config_errors("multi_user"):
+        _multi_params(cfg)
+    block, cell = _CELLS[kind]
+    for value in cfg.sweep_values:
+        with _config_errors(f"{block}: sweep value {value!r}"):
+            cell(cfg, value)
     return cfg
 
 
@@ -277,14 +289,70 @@ def _action_grid(cfg: ExperimentConfig, mp) -> ActionGrid:
     return enumerate_actions(mp, granularity=float(cfg.train.get("granularity", 0.5)))
 
 
-def _train_policy(cfg: ExperimentConfig, mp, **overrides):
-    """Train on ``mp`` with the config's ``train`` block (``overrides`` win)
-    and seed; returns ``(grid, train_config, theta, curve)``."""
-    grid = _action_grid(cfg, mp)
+def _train_config(cfg: ExperimentConfig) -> TrainConfig:
+    """The config's ``train`` block and seed."""
     block = {k: v for k, v in cfg.train.items() if k != "granularity"}
-    tc = TrainConfig(seed=cfg.seed, **{**block, **overrides})
+    return TrainConfig(seed=cfg.seed, **block)
+
+
+def _train_policy(cfg: ExperimentConfig, mp, tc: TrainConfig | None = None):
+    """Train on ``mp`` with ``tc`` (default: :func:`_train_config`); returns
+    ``(grid, train_config, theta, curve)``."""
+    grid = _action_grid(cfg, mp)
+    if tc is None:
+        tc = _train_config(cfg)
     theta, curve = train(MultiUserEnv(mp), grid, tc)
     return grid, tc, theta, curve
+
+
+# ---------------------------------------------------------------------------
+# sweep cells: one sweep value -> the parameters its cell runs on
+
+
+def _convergence_cell(cfg: ExperimentConfig, cell) -> SystemParams:
+    m, task = cell
+    return _single_params(cfg, n_servers=int(m), task_mbits=float(task))
+
+
+def _task_cell(cfg: ExperimentConfig, task) -> SystemParams:
+    return _single_params(cfg, task_mbits=float(task))
+
+
+def _server_cell(cfg: ExperimentConfig, m) -> SystemParams:
+    return _single_params(cfg, n_servers=int(m))
+
+
+def _rate_cell(cfg: ExperimentConfig, lr) -> TrainConfig:
+    return dataclasses.replace(_train_config(cfg), learning_rate=float(lr))
+
+
+def _users_cell(cfg: ExperimentConfig, n) -> MultiUserParams:
+    return _multi_params(cfg, n_users=int(n))
+
+
+def _fairness_cell(cfg: ExperimentConfig, ratio) -> MultiUserParams:
+    mp = _multi_params(cfg)
+    return dataclasses.replace(mp, weights=(float(ratio),) + (1.0,) * (mp.n_users - 1))
+
+
+def _efficiency_cell(cfg: ExperimentConfig, task) -> tuple[SystemParams, MultiUserParams]:
+    """The single-user problem and the multi-user one with every slot's task
+    size pinned to ``task``."""
+    return _task_cell(cfg, task), _multi_params(cfg, task_range_mbits=(task, task))
+
+
+# Each kind's cell builder and the config block its sweep values override.
+_CELLS = {
+    "convergence": ("single_user", _convergence_cell),
+    "task_sweep": ("single_user", _task_cell),
+    "server_sweep": ("single_user", _server_cell),
+    "speed_uncertainty": ("single_user", _task_cell),
+    "learning_rate": ("train", _rate_cell),
+    "user_count": ("multi_user", _users_cell),
+    "fairness": ("multi_user", _fairness_cell),
+    "latency": ("single_user", _server_cell),
+    "efficiency": ("single_user and multi_user", _efficiency_cell),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +362,13 @@ def _train_policy(cfg: ExperimentConfig, mp, **overrides):
 def _exp_convergence(cfg: ExperimentConfig) -> list[MetricRow]:
     cells = cfg.sweep_values or [[2, 10.0], [2, 15.0], [3, 10.0], [3, 15.0]]
     rows = []
-    for m, task in cells:
-        p = _single_params(cfg, n_servers=int(m), task_mbits=float(task))
+    for cell in cells:
+        p = _convergence_cell(cfg, cell)
         for variant in ("mm2", "mm1"):
             res = bcd_solve(p, variant=variant)
             for it, ln in enumerate(res.trace.ln_p_success):
                 rows.append(MetricRow(it, "ln_p_success [nats]", ln, None,
-                                      f"{variant}:M={int(m)}:L={float(task):g}"))
+                                      f"{variant}:M={p.n_servers}:L={float(cell[1]):g}"))
     return rows
 
 
@@ -319,7 +387,7 @@ def _exp_task_sweep(cfg: ExperimentConfig) -> list[MetricRow]:
     rows = []
     prev = None
     for task in values:
-        p = _single_params(cfg, task_mbits=float(task))
+        p = _task_cell(cfg, task)
         res = _best_solve(p, cfg.variant, prev)
         prev = res.allocation
         rows.append(MetricRow(float(task), "outage [probability]", res.p_outage, None, "proposed"))
@@ -341,8 +409,8 @@ def _exp_server_sweep(cfg: ExperimentConfig) -> list[MetricRow]:
     rows = []
     prev = None
     for m in values:
-        p = _single_params(cfg, n_servers=int(m))
-        init = _extend_allocation(prev, int(m)) if prev is not None else None
+        p = _server_cell(cfg, m)
+        init = _extend_allocation(prev, p.n_servers) if prev is not None else None
         res = _best_solve(p, cfg.variant, init)
         prev = res.allocation
         rows.append(MetricRow(float(m), "outage [probability]", res.p_outage, None, "proposed"))
@@ -354,7 +422,7 @@ def _exp_speed_uncertainty(cfg: ExperimentConfig) -> list[MetricRow]:
     n_trials = int(cfg.trials.get("mc_trials", 100_000))
     rows = []
     for task in values:
-        p = _single_params(cfg, task_mbits=float(task))
+        p = _task_cell(cfg, task)
         res = bcd_solve(p, variant=cfg.variant)
         rows.append(MetricRow(float(task), "outage [probability]", res.p_outage, None, "analytic"))
         for jitter, tag in ((0.0, "mc_exact_speed"), (0.2, "mc_speed_jitter_20pct")):
@@ -370,7 +438,7 @@ def _exp_learning_rate(cfg: ExperimentConfig) -> list[MetricRow]:
     mp = _multi_params(cfg)
     rows = []
     for lr in values:
-        curve = _train_policy(cfg, mp, learning_rate=float(lr))[3]
+        curve = _train_policy(cfg, mp, _rate_cell(cfg, lr))[3]
         for ep, r in enumerate(curve):
             rows.append(MetricRow(float(ep), "episode_reward [1]", r, None, f"lr={float(lr):g}"))
     return rows
@@ -386,21 +454,7 @@ def _static_bcd_action(mp, variant: str) -> MultiUserAction:
     t = np.zeros((n, m))
     power = np.zeros(n)
     for u in range(n):
-        p = SystemParams(
-            task_bits=mp.task_bits[u],
-            bandwidth_hz=mp.bandwidth_hz,
-            noise_w=mp.noise_w,
-            p_max_w=mp.p_max_w[u],
-            mean_gains=tuple(mp.mean_gains[u]),
-            local_speed_hz=mp.local_speed_hz,
-            server_speeds_hz=tuple(mp.server_speeds_hz),
-            latency_budget_s=mp.latency_budgets_s[u],
-            energy_budget_j=mp.energy_budgets_j[u],
-            switched_capacitance=mp.switched_capacitance,
-            workload=mp.workload,
-        )
-        res = bcd_solve(p, variant=variant)
-        alloc = res.allocation
+        alloc = bcd_solve(mp.device(u), variant=variant).allocation
         share = np.asarray(alloc.t_shares, dtype=float)
         cap = mp.slot_s / n
         total = share.sum()
@@ -418,7 +472,7 @@ def _exp_user_count(cfg: ExperimentConfig) -> list[MetricRow]:
     steps = int(cfg.trials.get("steps", 20))
     rows = []
     for n in values:
-        mp = _multi_params(cfg, n_users=int(n))
+        mp = _users_cell(cfg, n)
         grid, _, theta, _ = _train_policy(cfg, mp)
         learned = evaluate_policy(MultiUserEnv(mp), greedy_policy(theta, grid, mp),
                                   episodes, steps, seed=cfg.seed + 1)
@@ -439,9 +493,7 @@ def _exp_fairness(cfg: ExperimentConfig) -> list[MetricRow]:
     train_episodes = int(cfg.train.get("episodes", 0))
     rows = []
     for ratio in values:
-        mp = _multi_params(cfg)
-        weights = (float(ratio),) + (1.0,) * (mp.n_users - 1)
-        mp = dataclasses.replace(mp, weights=weights)
+        mp = _fairness_cell(cfg, ratio)
         for kind in SCHEDULER_KINDS:
             rates = schedulers(kind, mp, episodes=episodes, seed=cfg.seed,
                                steps_per_episode=steps)
@@ -457,7 +509,7 @@ def _exp_fairness(cfg: ExperimentConfig) -> list[MetricRow]:
 
 
 def _exp_latency(cfg: ExperimentConfig) -> list[MetricRow]:
-    grid = tuple(int(v) for v in cfg.sweep_values) or (1, 2, 3)
+    grid = tuple(_server_cell(cfg, v).n_servers for v in cfg.sweep_values) or (1, 2, 3)
     return _latency_rows(grid, int(cfg.trials.get("repetitions", 5)), cfg.seed)
 
 
@@ -470,30 +522,30 @@ def _exp_efficiency(cfg: ExperimentConfig) -> list[MetricRow]:
     values = cfg.sweep_values or [5.0, 10.0, 15.0]
     episodes = int(cfg.trials.get("episodes", 10))
     steps = int(cfg.trials.get("steps", 20))
+    cells = [(float(task), *_efficiency_cell(cfg, task)) for task in values]
     rows = []
     for p_max in (0.8, 1.0):
-        for task in values:
-            p = dataclasses.replace(_single_params(cfg, task_mbits=float(task)), p_max_w=p_max)
+        for task, p, _ in cells:
+            p = dataclasses.replace(p, p_max_w=p_max)
             res = bcd_solve(p, variant=cfg.variant)
             alloc = res.allocation
-            w = p.workload
-            spent = (alloc.power_w * sum(alloc.t_shares)
-                     + p.switched_capacitance * p.local_speed_hz ** 2
-                     * p.task_bits * alloc.phi[0] * w.shape * w.scale)
+            # Times shape, then scale: a product with workload.mean rounds differently.
+            spent = (alloc.power_w * sum(alloc.t_shares) + local_cycle_energy(p) * p.task_bits
+                     * alloc.phi[0] * p.workload.shape * p.workload.scale)
             done_bits = p.task_bits * (1.0 - res.p_outage)
-            rows.append(MetricRow(float(task), "energy_efficiency [bits/J]",
+            rows.append(MetricRow(task, "energy_efficiency [bits/J]",
                                   energy_efficiency(done_bits, spent), None,
                                   f"bcd:pmax={p_max:g}"))
         mp = _multi_params(cfg)
         mp = dataclasses.replace(mp, p_max_w=tuple(p_max for _ in range(mp.n_users)))
         grid, _, theta, _ = _train_policy(cfg, mp)
-        for task in values:
+        for task, _, cell in cells:
             # expected completed bits per joule under the greedy policy, with
             # the slot task size pinned to the sweep value
-            cell = dataclasses.replace(mp, task_range_bits=(float(task) * 1e6, float(task) * 1e6))
+            cell = dataclasses.replace(cell, p_max_w=mp.p_max_w)
             rollout = evaluate_policy(MultiUserEnv(cell), greedy_policy(theta, grid, cell),
                                       episodes, steps, seed=cfg.seed + 1)
-            rows.append(MetricRow(float(task), "energy_efficiency [bits/J]",
+            rows.append(MetricRow(task, "energy_efficiency [bits/J]",
                                   energy_efficiency(rollout.bits_completed, rollout.energy_j), None,
                                   f"dqn:pmax={p_max:g}"))
     return rows

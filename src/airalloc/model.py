@@ -30,6 +30,8 @@ __all__ = [
     "assert_feasible",
     "transmission_success",
     "computation_success",
+    "local_cycle_energy",
+    "local_cycle_budget",
     "local_budget_rho",
     "local_success",
     "LogFactors",
@@ -227,14 +229,28 @@ def computation_success(p: SystemParams, m: int, phi_m: float, time_slack: float
     return regularized_lower_gamma(w.shape, u)
 
 
+def local_cycle_energy(p) -> float:
+    """Joules per local CPU cycle, kappa * s0 * s0 (multiplied left to right),
+    of a :class:`SystemParams` or of the devices of a ``MultiUserParams``."""
+    return p.switched_capacitance * p.local_speed_hz * p.local_speed_hz
+
+
+def local_cycle_budget(p, latency_s, energy_left_j):
+    """Cycles the local CPU of ``p`` (as in :func:`local_cycle_energy`) may
+    spend: the smaller of what fits in ``latency_s`` and what ``energy_left_j``
+    pays for.  Elementwise over arrays; scalars keep the type ``min`` picks."""
+    latency_cap = p.local_speed_hz * latency_s
+    energy_cap = energy_left_j / local_cycle_energy(p)
+    if isinstance(energy_cap, np.ndarray):
+        return np.minimum(latency_cap, energy_cap)
+    return min(latency_cap, energy_cap)
+
+
 def local_budget_rho(p: SystemParams, t_shares, power_w: float) -> float:
     """Largest cycle count the local CPU may spend: the binding one of the
     latency budget and of the energy left after paying for the uplink."""
     total_t = float(np.sum(np.asarray(t_shares, dtype=float)))
-    s0 = p.local_speed_hz
-    latency_cap = s0 * p.latency_budget_s
-    energy_cap = (p.energy_budget_j - power_w * total_t) / (p.switched_capacitance * s0 * s0)
-    return min(latency_cap, energy_cap)
+    return local_cycle_budget(p, p.latency_budget_s, p.energy_budget_j - power_w * total_t)
 
 
 def local_success(p: SystemParams, phi_0: float, rho: float) -> float:

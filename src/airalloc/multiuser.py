@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FeasibilityError, log_factors
+from .model import (
+    FeasibilityError,
+    SystemParams,
+    local_cycle_budget,
+    local_cycle_energy,
+    log_factors,
+    reference_params,
+)
 from .special import GammaWorkload
 
 __all__ = [
@@ -90,43 +97,20 @@ class MultiUserParams:
         n = len(self.task_bits)
         if n == 0:
             raise ValueError("at least one user is required")
-        per_user = {
-            "latency_budgets_s": self.latency_budgets_s,
-            "energy_budgets_j": self.energy_budgets_j,
-            "p_max_w": self.p_max_w,
-            "weights": self.weights,
-            "mean_gains": self.mean_gains,
-            "energy_capacity_j": self.energy_capacity_j,
-        }
-        for name, tup in per_user.items():
-            if len(tup) != n:
-                raise ValueError(f"{name} must have one entry per user ({n}), got {len(tup)}")
-        m = len(self.server_speeds_hz)
-        if m == 0:
-            raise ValueError("at least one edge server is required")
-        if len(self.capacities_s) != m:
+        for name in ("latency_budgets_s", "energy_budgets_j", "p_max_w", "weights",
+                     "mean_gains", "energy_capacity_j"):
+            k = len(getattr(self, name))
+            if k != n:
+                raise ValueError(f"{name} must have one entry per user ({n}), got {k}")
+        if len(self.capacities_s) != len(self.server_speeds_hz):
             raise ValueError("capacities_s must have one entry per server")
-        for row in self.mean_gains:
-            if len(row) != m:
-                raise ValueError("each mean_gains row must have one entry per server")
-            for g in row:
-                if not (math.isfinite(g) and g > 0.0):
-                    raise ValueError(f"mean gains must be finite and > 0, got {g}")
-        scalars = {
-            "bandwidth_hz": self.bandwidth_hz,
-            "noise_w": self.noise_w,
-            "local_speed_hz": self.local_speed_hz,
-            "slot_s": self.slot_s,
-            "switched_capacitance": self.switched_capacitance,
-        }
-        for name, v in scalars.items():
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        for k in range(n):
+            self.device(k)  # checks every shared device field
+        if not (math.isfinite(self.slot_s) and self.slot_s > 0.0):
+            raise ValueError(f"slot_s must be finite and > 0, got {self.slot_s}")
         if not (math.isfinite(self.energy_weight) and self.energy_weight >= 0.0):
             raise ValueError("energy_weight must be finite and >= 0")
-        for name in ("task_bits", "latency_budgets_s", "energy_budgets_j",
-                     "p_max_w", "weights", "server_speeds_hz", "capacities_s",
-                     "energy_capacity_j"):
+        for name in ("weights", "capacities_s", "energy_capacity_j"):
             for v in getattr(self, name):
                 if not (math.isfinite(v) and v > 0.0):
                     raise ValueError(f"{name} entries must be finite and > 0, got {v}")
@@ -142,34 +126,48 @@ class MultiUserParams:
     def n_servers(self) -> int:
         return len(self.server_speeds_hz)
 
+    def device(self, n: int) -> SystemParams:
+        """User n's single-user problem on the shared servers, at its
+        nominal task size and per-slot energy allowance."""
+        return SystemParams(
+            task_bits=self.task_bits[n],
+            bandwidth_hz=self.bandwidth_hz,
+            noise_w=self.noise_w,
+            p_max_w=self.p_max_w[n],
+            mean_gains=tuple(self.mean_gains[n]),
+            local_speed_hz=self.local_speed_hz,
+            server_speeds_hz=tuple(self.server_speeds_hz),
+            latency_budget_s=self.latency_budgets_s[n],
+            energy_budget_j=self.energy_budgets_j[n],
+            switched_capacitance=self.switched_capacitance,
+            workload=self.workload,
+        )
+
 
 def default_multiuser(n_users: int = 2, n_servers: int = 1) -> MultiUserParams:
     """Measurement configuration for the shared-server experiments: the
-    single-user reference numbers replicated per user, unit priority weights,
-    per-slot compute capacity 1.5x the largest task, and a 50 J battery."""
-    speeds = tuple(5e9 for _ in range(n_servers))
-    gains = tuple(
-        tuple((11.0 - m) * 1e-7 for m in range(1, n_servers + 1))
-        for _ in range(n_users)
-    )
+    single-user reference device (:func:`model.reference_params`) replicated
+    per user, unit priority weights, a one-second slot, per-slot compute
+    capacity 1.5x the largest task, and a 50 J battery."""
+    ref = reference_params(n_servers)
     task_hi = 30e6
     return MultiUserParams(
-        task_bits=tuple(10e6 for _ in range(n_users)),
-        latency_budgets_s=tuple(1.0 for _ in range(n_users)),
-        energy_budgets_j=tuple(1.0 for _ in range(n_users)),
-        p_max_w=tuple(1.0 for _ in range(n_users)),
-        weights=tuple(1.0 for _ in range(n_users)),
-        mean_gains=gains,
-        bandwidth_hz=1e8,
-        noise_w=1e-9,
-        local_speed_hz=1e9,
-        server_speeds_hz=speeds,
-        capacities_s=tuple(1.5 * task_hi / s for s in speeds),
+        task_bits=(ref.task_bits,) * n_users,
+        latency_budgets_s=(ref.latency_budget_s,) * n_users,
+        energy_budgets_j=(ref.energy_budget_j,) * n_users,
+        p_max_w=(ref.p_max_w,) * n_users,
+        weights=(1.0,) * n_users,
+        mean_gains=(ref.mean_gains,) * n_users,
+        bandwidth_hz=ref.bandwidth_hz,
+        noise_w=ref.noise_w,
+        local_speed_hz=ref.local_speed_hz,
+        server_speeds_hz=ref.server_speeds_hz,
+        capacities_s=tuple(1.5 * task_hi / s for s in ref.server_speeds_hz),
         slot_s=1.0,
-        switched_capacitance=1e-27,
+        switched_capacitance=ref.switched_capacitance,
         energy_weight=0.1,
-        energy_capacity_j=tuple(50.0 for _ in range(n_users)),
-        workload=GammaWorkload(10.0, 50.0),
+        energy_capacity_j=(50.0,) * n_users,
+        workload=ref.workload,
     )
 
 
@@ -238,15 +236,13 @@ def success_vector(mp: MultiUserParams, state: MultiUserState, action: MultiUser
     w = mp.workload
     gains = np.asarray(mp.mean_gains, dtype=float)
     snr = action.power[:, None] * gains / (mp.noise_w + interference_matrix(mp, state, action))
-    load = state.task_bits[:, None] * action.phi[:, 1:] * (w.shape * w.scale)
+    load = state.task_bits[:, None] * action.phi[:, 1:] * w.mean
     cross = load.sum(axis=0)[None, :] - load
-    # Local cycle budget: the latency cap or the energy left after the uplink
-    # bill, whichever binds; the per-slot energy allowance is additionally
-    # capped by the battery's remaining charge.
-    s0 = mp.local_speed_hz
+    # Local cycle budget after the uplink bill; the per-slot energy allowance
+    # is additionally capped by the battery's remaining charge.
     allowance = np.minimum(np.asarray(mp.energy_budgets_j, dtype=float), state.energies)
-    energy_cap = (allowance - action.power * action.t.sum(axis=1)) / (mp.switched_capacitance * s0 * s0)
-    rho = np.minimum(s0 * np.asarray(mp.latency_budgets_s, dtype=float), energy_cap)
+    rho = local_cycle_budget(mp, np.asarray(mp.latency_budgets_s, dtype=float),
+                             allowance - action.power * action.t.sum(axis=1))
     rows = zip(state.task_bits.tolist(), mp.latency_budgets_s, cross.tolist(), snr.tolist(),
                action.phi.tolist(), action.t.tolist(), rho.tolist())
     return np.array([
@@ -285,11 +281,9 @@ def violations(mp: MultiUserParams, state: MultiUserState, action: MultiUserActi
 def spent_energy(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> np.ndarray:
     """Per-user energy bill for the slot: uplink power times total airtime
     plus local-compute energy at the mean per-bit workload."""
-    w = mp.workload
     tx = action.power * action.t.sum(axis=1)
-    local_cycles = state.task_bits * action.phi[:, 0] * (w.shape * w.scale)
-    local = mp.switched_capacitance * mp.local_speed_hz ** 2 * local_cycles
-    return tx + local
+    local_cycles = state.task_bits * action.phi[:, 0] * mp.workload.mean
+    return tx + local_cycle_energy(mp) * local_cycles
 
 
 def reward(
@@ -379,8 +373,7 @@ class MultiUserEnv:
         else:
             bill = spent_energy(mp, state, action)
             r = _feasible_reward(mp, success_vector(mp, state, action), bill)
-            mean_cpb = mp.workload.shape * mp.workload.scale
-            assigned = (state.task_bits[:, None] * action.phi[:, 1:] * mean_cpb).sum(axis=0)
+            assigned = (state.task_bits[:, None] * action.phi[:, 1:] * mp.workload.mean).sum(axis=0)
 
         served = np.asarray(mp.server_speeds_hz, dtype=float) * mp.slot_s
         lo, hi = mp.task_range_bits

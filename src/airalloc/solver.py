@@ -40,6 +40,8 @@ from .model import (
     allocation_log_factors,
     assert_feasible,
     default_allocation,
+    local_cycle_budget,
+    local_cycle_energy,
     success_breakdown,
 )
 from .special import QuarticCoeffs, decreasing_root, ln_chi, ln_lower_gamma, solve_poly_real
@@ -116,12 +118,11 @@ def solve_p1(p: SystemParams, phi, t_shares) -> tuple[float, float]:
     """
     phi = np.asarray(phi, dtype=float)
     t = np.asarray(t_shares, dtype=float)
-    s0 = p.local_speed_hz
-    e_coef = p.switched_capacitance * s0 * s0
-    rho_lat = s0 * p.latency_budget_s
+    e_coef = local_cycle_energy(p)
+    rho_lat = local_cycle_budget(p, p.latency_budget_s, math.inf)  # the latency cap alone
     total_t = float(t.sum())
     if total_t <= 0.0:
-        return p.p_max_w, min(rho_lat, p.energy_budget_j / e_coef)
+        return p.p_max_w, local_cycle_budget(p, p.latency_budget_s, p.energy_budget_j)
 
     p_thresh = (p.energy_budget_j - e_coef * rho_lat) / total_t
     if p.p_max_w <= p_thresh:
@@ -164,7 +165,7 @@ def solve_p1(p: SystemParams, phi, t_shares) -> tuple[float, float]:
             else:
                 best = decreasing_root(grad, p_lo, p_hi, g_lo, g_hi)
 
-    rho = min(rho_lat, (p.energy_budget_j - best * total_t) / e_coef)
+    rho = local_cycle_budget(p, p.latency_budget_s, p.energy_budget_j - best * total_t)
     return best, max(rho, 0.0)
 
 
@@ -250,9 +251,8 @@ def solve_p2(
     t = np.asarray(t_start, dtype=float).copy()
     n_srv = p.n_servers
     cap_lat = p.latency_budget_s * (1.0 - 1e-9)
-    e_coef = p.switched_capacitance * p.local_speed_hz**2
     cap_energy = (
-        (p.energy_budget_j - rho * e_coef) / power_w if power_w > 0.0 else math.inf
+        (p.energy_budget_j - rho * local_cycle_energy(p)) / power_w if power_w > 0.0 else math.inf
     )
     cap = min(cap_lat, cap_energy)
     if cap <= 0.0:

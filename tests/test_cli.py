@@ -138,6 +138,10 @@ def test_sweep_unknown_key_is_a_config_error(tmp_path, capsys):
         "single_user:\n  energy_j: -1.0\n",
         "multi_user:\n  task_range_mbits: [30, 5]\n",
         "multi_user:\n  energy_weight: -1\n",
+        "experiment: task_sweep\nsweep:\n  values: [5, -5]\n",
+        "experiment: server_sweep\nsweep:\n  values: [0]\n",
+        "experiment: fairness\nsweep:\n  values: [-1.0]\n",
+        "multi_user:\n  weights: [1.0, 2.0]\nsweep:\n  values: [2, 3]\n",
     ],
 )
 @pytest.mark.parametrize("command", ["sweep", "train"])
@@ -236,3 +240,36 @@ def test_counts_must_be_positive(tmp_path, capsys, argv):
     assert exc.value.code == EXIT_CONFIG
     assert "must be a positive integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "seed_line, argv",
+    [
+        ("seed: -1", []),
+        ("seed: true", []),
+        ("seed: 0", ["--seed", "-2"]),
+        ("seed: 0", ["--seed", "1.5"]),
+    ],
+)
+def test_bad_seed_fails_before_running(tmp_path, capsys, seed_line, argv):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        f"experiment: speed_uncertainty\n{seed_line}\noutput_dir: {tmp_path / 'out'}\n"
+        "sweep:\n  values: [5.0]\n",
+        encoding="utf-8",
+    )
+    try:
+        code = main(["sweep", "--config", str(cfg)] + argv)
+    except SystemExit as exc:  # argparse rejects a bad --seed
+        code = exc.code
+    assert code == EXIT_CONFIG
+    assert "non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "nan", "inf", "ten"])
+def test_task_size_must_be_positive_and_finite(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", f"--task-mbits={value}"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "must be a positive finite number" in capsys.readouterr().err

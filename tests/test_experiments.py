@@ -113,6 +113,11 @@ def test_load_config_requires_integer_seed(tmp_path):
     )
     with pytest.raises(ConfigError, match="integer seed"):
         load_config(path)
+    # Negative and boolean seeds are rejected too (YAML reads true as a bool).
+    for seed in ("-1", "true", "1.5"):
+        path = _write(tmp_path, f"experiment: task_sweep\nseed: {seed}\noutput_dir: {tmp_path}\n")
+        with pytest.raises(ConfigError, match="non-negative integer seed"):
+            load_config(path)
 
 
 def test_load_config_requires_output_dir(tmp_path):
@@ -185,6 +190,11 @@ def test_load_config_rejects_bad_training_settings(tmp_path, body):
         "multi_user:\n  task_range_mbits: 5",
         "multi_user:\n  energy_weight: -1",
         "multi_user:\n  weights: [1.0, 2.0, 3.0]",
+        # Sweep values are checked by building each cell's parameters.
+        "experiment: task_sweep\nsweep:\n  values: [5, -5]",
+        "experiment: server_sweep\nsweep:\n  values: [0]",
+        "experiment: fairness\nsweep:\n  values: [-1.0]",
+        "experiment: user_count\nmulti_user:\n  weights: [1.0, 2.0]\nsweep:\n  values: [2, 3]",
     ],
 )
 def test_load_config_rejects_bad_parameter_blocks(tmp_path, body):
@@ -469,6 +479,6 @@ def test_run_efficiency(tmp_path):
 
 def test_experiment_kinds_all_have_runners():
     # every advertised kind is runnable through the dispatcher
-    from airalloc.experiments import _RUNNERS
+    from airalloc.experiments import _CELLS, _RUNNERS
 
-    assert set(EXPERIMENT_KINDS) == set(_RUNNERS)
+    assert set(EXPERIMENT_KINDS) == set(_RUNNERS) == set(_CELLS)

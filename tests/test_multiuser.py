@@ -47,6 +47,11 @@ def test_default_multiuser_layout():
     assert len(mp.weights) == 3
     assert mp.task_range_bits[0] < mp.task_range_bits[1]
     assert all(c > 0 for c in mp.capacities_s)
+    # Every user's device is the single-user reference problem.
+    for m in (1, 2, 3, 4):
+        mp = default_multiuser(2, m)
+        for k in range(mp.n_users):
+            assert mp.device(k) == reference_params(m)
 
 
 def test_params_validation_catches_shape_errors():
@@ -64,6 +69,16 @@ def test_params_validation_catches_shape_errors():
         MultiUserParams(**{**fields, "energy_weight": -0.1})
     with pytest.raises(ValueError):
         MultiUserParams(**{**fields, "mean_gains": ((1e-7,), (1e-7,), (1e-7,))})
+    # Shared device fields are checked by building each user's device.
+    bad_device = [
+        {"bandwidth_hz": 0.0},
+        {"local_speed_hz": math.nan},
+        {"switched_capacitance": -1.0},
+        {"mean_gains": ((1e-7,), (1e-7, 2e-7))},  # second row one entry too long
+    ]
+    for change in bad_device:
+        with pytest.raises(ValueError):
+            MultiUserParams(**{**fields, **change})
 
 
 # ---------------------------------------------------------------------------
@@ -74,20 +89,10 @@ def test_params_validation_catches_shape_errors():
 def _reference_twin(mp, state, action):
     """Single-user params and allocation that describe user 1 of an N = 1
     problem exactly (no interference, no cross load)."""
-    base = reference_params(mp.n_servers)
     p = dataclasses.replace(
-        base,
+        mp.device(0),
         task_bits=float(state.task_bits[0]),
-        mean_gains=tuple(mp.mean_gains[0]),
-        server_speeds_hz=tuple(mp.server_speeds_hz),
-        local_speed_hz=mp.local_speed_hz,
-        bandwidth_hz=mp.bandwidth_hz,
-        noise_w=mp.noise_w,
-        p_max_w=mp.p_max_w[0],
-        latency_budget_s=mp.latency_budgets_s[0],
         energy_budget_j=min(mp.energy_budgets_j[0], float(state.energies[0])),
-        switched_capacitance=mp.switched_capacitance,
-        workload=mp.workload,
     )
     t_row = tuple(float(v) for v in action.t[0])
     alloc = Allocation(
