@@ -221,7 +221,7 @@ def load_config(path) -> ExperimentConfig:
     _check_keys(train_block, _TRAIN_KEYS, "train")
 
     for name, value in trials.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        if _count(value, f"trials.{name}") < 1:
             raise ConfigError(f"trials.{name} must be a positive integer, got {value!r}")
 
     variant = raw.get("variant", "mm2")
@@ -253,11 +253,19 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
+def _count(value, name: str) -> int:
+    """An integer-valued entry; a bool, float or string is a ConfigError
+    rather than silently truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _single_params(cfg: ExperimentConfig, **overrides) -> SystemParams:
     block = dict(cfg.single_user)
     block.update(overrides)
     return reference_params(
-        n_servers=int(block.get("n_servers", 2)),
+        n_servers=_count(block.get("n_servers", 2), "n_servers"),
         task_mbits=float(block.get("task_mbits", 10.0)),
         latency_s=float(block.get("latency_s", 1.0)),
         energy_j=float(block.get("energy_j", 1.0)),
@@ -268,8 +276,8 @@ def _multi_params(cfg: ExperimentConfig, **overrides):
     block = dict(cfg.multi_user)
     block.update(overrides)
     mp = default_multiuser(
-        n_users=int(block.get("n_users", 2)),
-        n_servers=int(block.get("n_servers", 1)),
+        n_users=_count(block.get("n_users", 2), "n_users"),
+        n_servers=_count(block.get("n_servers", 1), "n_servers"),
     )
     changes = {}
     if "task_range_mbits" in block:
@@ -311,7 +319,7 @@ def _train_policy(cfg: ExperimentConfig, mp, tc: TrainConfig | None = None):
 
 def _convergence_cell(cfg: ExperimentConfig, cell) -> SystemParams:
     m, task = cell
-    return _single_params(cfg, n_servers=int(m), task_mbits=float(task))
+    return _single_params(cfg, n_servers=m, task_mbits=float(task))
 
 
 def _task_cell(cfg: ExperimentConfig, task) -> SystemParams:
@@ -319,7 +327,7 @@ def _task_cell(cfg: ExperimentConfig, task) -> SystemParams:
 
 
 def _server_cell(cfg: ExperimentConfig, m) -> SystemParams:
-    return _single_params(cfg, n_servers=int(m))
+    return _single_params(cfg, n_servers=m)
 
 
 def _rate_cell(cfg: ExperimentConfig, lr) -> TrainConfig:
@@ -327,7 +335,7 @@ def _rate_cell(cfg: ExperimentConfig, lr) -> TrainConfig:
 
 
 def _users_cell(cfg: ExperimentConfig, n) -> MultiUserParams:
-    return _multi_params(cfg, n_users=int(n))
+    return _multi_params(cfg, n_users=n)
 
 
 def _fairness_cell(cfg: ExperimentConfig, ratio) -> MultiUserParams:

@@ -68,6 +68,7 @@ __all__ = [
     "solve_p3_mm2",
     "solve_p3_mm1",
     "solve_p3_pg",
+    "split_residual",
     "bcd_solve",
 ]
 
@@ -80,6 +81,9 @@ _OUTER_TOL = 1e-6
 _P2_GTOL, _P2_MAX_ITER = 1e-6, 1000
 _SPLIT_TOL, _SPLIT_FTOL = 1e-6, 1e-9
 _WATERFILL_TOL, _MU_CAP = 1e-8, 1e18
+# mm2 builds each minorant on the trust region [phi_hat / F, min(1, F phi_hat)]
+# with F = _TRUST_FACTOR; F = 2 is the upper end mm1's tangent implies.
+_TRUST_FACTOR = 2.0
 
 
 class SolverError(RuntimeError):
@@ -592,11 +596,16 @@ def solve_p3_mm2(
     offload_only: bool = False,
     max_iter: int = 100,
 ) -> tuple[np.ndarray, InnerTrace]:
-    """Split update with quadratic minorants and closed-form inner solves."""
+    """Split update with quadratic minorants and closed-form inner solves.
+
+    Each minorant takes its curvature floor over a trust region around the
+    expansion point, so a factor deep in its tail is bent by its local
+    curvature rather than by its worst case over all shares."""
 
     def piece(m: int, ph, slack, t_m, trace: InnerTrace):
-        tx = surrogate_transmission(p, m, ph, t_m, power_w) if m > 0 else None
-        comp = surrogate_computation(p, m, ph, slack)
+        region = (ph / _TRUST_FACTOR, min(1.0, _TRUST_FACTOR * ph))
+        tx = surrogate_transmission(p, m, ph, t_m, power_w, region) if m > 0 else None
+        comp = surrogate_computation(p, m, ph, slack, region)
         iv = phi_interval(tx, comp)
         if iv is None:
             return None
@@ -708,6 +717,31 @@ def solve_p3_mm1(
 # ---------------------------------------------------------------------------
 
 
+def _split_projection(n_servers: int, offload_only: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """Euclidean projection onto the split simplex (local share pinned to 0
+    when ``offload_only``)."""
+    lo_idx = 1 if offload_only else 0
+
+    def project(phi: np.ndarray) -> np.ndarray:
+        out = np.zeros(n_servers + 1)
+        out[lo_idx:] = _project_simplex_eq(phi[lo_idx:], 1.0)
+        return out
+
+    return project
+
+
+def split_residual(
+    p: SystemParams, phi, t_shares, power_w: float, rho: float, *, offload_only: bool = False
+) -> float:
+    """Projected-gradient norm of ln P_success in the split, the quantity
+    ``solve_p3_pg`` stops on: 0 at a stationary split, large where a split
+    update froze short of one."""
+    phi = np.asarray(phi, dtype=float)
+    grad = np.array(allocation_log_factors(p, phi, t_shares, power_w, rho).d_phi)
+    step = _split_projection(p.n_servers, offload_only)(phi + grad) - phi
+    return float(np.linalg.norm(step))
+
+
 def solve_p3_pg(
     p: SystemParams,
     phi_start,
@@ -723,17 +757,11 @@ def solve_p3_pg(
     Stops once the projected-gradient norm is at most 1e-6.  Kept mainly as a
     like-for-like reference point for the minorize-maximize updates."""
     t = np.asarray(t_shares, dtype=float)
-    n = p.n_servers
-    lo_idx = 1 if offload_only else 0
+    project = _split_projection(p.n_servers, offload_only)
 
     def factors(phi: np.ndarray):
         f = allocation_log_factors(p, phi, t, power_w, rho)
         return f.total, np.array(f.d_phi)
-
-    def project(phi: np.ndarray) -> np.ndarray:
-        out = np.zeros(n + 1)
-        out[lo_idx:] = _project_simplex_eq(phi[lo_idx:], 1.0)
-        return out
 
     phi = project(np.asarray(phi_start, dtype=float).copy())
     phi, values = _projected_ascent(factors, project, phi, 1.0, _SPLIT_TOL, max_iter, 60)
@@ -761,7 +789,8 @@ class BcdTrace:
     update; ``inner_search_evals``, ``inner_mu_evals`` and
     ``inner_pathologies`` hold its per-outer numeric-search work, water-filling
     multipliers tried and pathologies met (see :class:`InnerTrace`; the last
-    two stay 0 for ``pg``).  All counts are deterministic."""
+    two stay 0 for ``pg``).  All counts are deterministic.
+    ``split_residual`` is :func:`split_residual` at the final allocation."""
 
     ln_p_success: list[float]
     allocations: list[Allocation]
@@ -771,6 +800,7 @@ class BcdTrace:
     inner_pathologies: list[int]
     converged: bool
     variant: str
+    split_residual: float
 
     @property
     def n_outer(self) -> int:
@@ -878,6 +908,8 @@ def bcd_solve(
         inner_pathologies=[tr.pathologies for tr in splits],
         converged=converged,
         variant=variant,
+        split_residual=split_residual(p, final.phi, final.t_shares, final.power_w, final.rho,
+                                      offload_only=offload_only),
     )
     return BcdResult(
         params=p,

@@ -390,13 +390,14 @@ def solve_cubic_real(b: float, c: float, d: float, e: float) -> list[float]:
     split the line into monotone pieces; the Cauchy radius
     1 + max(|c|, |d|, |e|) / |b| bounds the outer two, since every root lies
     inside it.  Every sign change between neighbouring breakpoints is closed
-    by :func:`decreasing_root`.  A derivative root with no sign change on
-    either side counts as a multiple root when it passes the certificate and
-    is an exact root of the cubic with every coefficient moved by at most
-    1e-9 relative, |p(x)| <= 1e-9 * (|b||x|^3 + |c|x^2 + |d||x| + |e|);
-    otherwise it is the real part of a complex pair.  The search runs on the
-    cubic scaled by a power of two to unit norm, which is exact and keeps
-    the results independent of the coefficients' scale.
+    by :func:`decreasing_root` and polished by four guarded Newton steps.
+    A derivative root with no sign change on either side counts as a
+    multiple root when it passes the certificate and is an exact root of the
+    cubic with every coefficient moved by at most 1e-9 relative,
+    |p(x)| <= 1e-9 * (|b||x|^3 + |c|x^2 + |d||x| + |e|); otherwise it is
+    the real part of a complex pair.  The search runs on the cubic scaled by
+    a power of two to unit norm, which is exact and keeps the results
+    independent of the coefficients' scale.
     """
     b, c, d, e = float(b), float(c), float(d), float(e)  # numpy scalars are slow here
     poly = QuarticCoeffs(0.0, b, c, d, e)
@@ -418,7 +419,9 @@ def solve_cubic_real(b: float, c: float, d: float, e: float) -> list[float]:
         if change:
             sign = math.copysign(1.0, f_lo)
             root = decreasing_root(lambda x: sign * unit(x), lo, hi, sign * f_lo, sign * f_hi)
-            roots.append(root)
+            # The search stops at an absolute bracket below |x| = 1; Newton
+            # restores the relative accuracy of roots far below 1.
+            roots.append(_polish_real(unit, root, 4))
     for i in range(1, len(xs) - 1):
         if changes[i - 1] or changes[i]:
             continue

@@ -59,6 +59,8 @@ def test_solve_json_reports_allocation_and_work_counts(capsys):
     # Each multiplier tried runs a 1-D search per index, each a few steps.
     assert out["inner_iterations"] < out["mu_evals"] < out["search_evals"]
     assert out["pathologies"] == 0
+    # The split is stationary at the end: pg's own stopping norm is small.
+    assert 0.0 <= out["split_residual"] < 1e-4
 
 
 def test_solve_offload_only_keeps_local_share_zero(capsys):
@@ -140,6 +142,8 @@ def test_sweep_unknown_key_is_a_config_error(tmp_path, capsys):
         "multi_user:\n  energy_weight: -1\n",
         "experiment: task_sweep\nsweep:\n  values: [5, -5]\n",
         "experiment: server_sweep\nsweep:\n  values: [0]\n",
+        "experiment: server_sweep\nsweep:\n  values: [2.7]\n",
+        "multi_user:\n  n_users: 2.5\n",
         "experiment: fairness\nsweep:\n  values: [-1.0]\n",
         "multi_user:\n  weights: [1.0, 2.0]\nsweep:\n  values: [2, 3]\n",
     ],

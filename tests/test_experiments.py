@@ -195,6 +195,14 @@ def test_load_config_rejects_bad_training_settings(tmp_path, body):
         "experiment: server_sweep\nsweep:\n  values: [0]",
         "experiment: fairness\nsweep:\n  values: [-1.0]",
         "experiment: user_count\nmulti_user:\n  weights: [1.0, 2.0]\nsweep:\n  values: [2, 3]",
+        # Counts are rejected, not truncated to the integer below.
+        "single_user:\n  n_servers: 2.5",
+        "single_user:\n  n_servers: true",
+        "multi_user:\n  n_users: 2.5",
+        "multi_user:\n  n_servers: 1.5",
+        "experiment: server_sweep\nsweep:\n  values: [2, 2.7]",
+        "experiment: user_count\nsweep:\n  values: [2.5]",
+        "experiment: convergence\nsweep:\n  values: [[2.5, 10.0]]",
     ],
 )
 def test_load_config_rejects_bad_parameter_blocks(tmp_path, body):

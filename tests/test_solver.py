@@ -22,7 +22,9 @@ from airalloc.solver import (
     ln_success,
     solve_p1,
     solve_p2,
+    solve_p3_pg,
     solve_p32b,
+    split_residual,
     waterfill_mu,
 )
 from airalloc.surrogates import SurrogateCoeffs, surrogate_computation, surrogate_transmission
@@ -454,6 +456,60 @@ def test_bcd_starts_inside_a_tight_energy_budget(energy_j, variant):
     res = bcd_solve(p, variant=variant, max_outer=3)
     assert_feasible(p, res.allocation)
     assert math.isfinite(res.ln_p_success)
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"energy_j": 0.1}, {"latency_s": 0.05}, {"task_mbits": 60.0}]
+)
+def test_mm2_reaches_pg_in_deep_outage(overrides):
+    # A success factor far in its tail used to freeze mm2's split (e.g. at
+    # -20.96 instead of -0.0207 for a 0.1 J budget) or cap every inner loop.
+    p = reference_params(2, **overrides)
+    mm2 = bcd_solve(p, variant="mm2")
+    pg = bcd_solve(p, variant="pg")
+    assert mm2.ln_p_success >= pg.ln_p_success - 1e-6
+    assert mm2.trace.converged and max(mm2.trace.inner_iterations) < 100
+    assert mm2.trace.split_residual < 1e-2
+
+
+def test_mm2_converges_at_a_tight_energy_budget():
+    res = bcd_solve(reference_params(2, energy_j=0.3), variant="mm2")
+    assert res.trace.converged and res.trace.n_outer < 100
+
+
+def test_mm2_tracks_mm1_over_random_cells():
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        p = reference_params(
+            int(rng.integers(1, 5)),
+            task_mbits=float(rng.uniform(5.0, 100.0)),
+            energy_j=float(rng.uniform(0.1, 2.0)),
+            latency_s=float(rng.uniform(0.05, 2.0)),
+        )
+        mm2 = bcd_solve(p, variant="mm2")
+        mm1 = bcd_solve(p, variant="mm1")
+        assert mm2.ln_p_success >= mm1.ln_p_success - 1e-4, p
+
+
+def test_split_residual_is_the_pg_stopping_norm():
+    p = reference_params(2, task_mbits=10.0)
+    for offload_only in (False, True):
+        a = default_allocation(p, offload_only=offload_only)
+        start = split_residual(p, a.phi, a.t_shares, a.power_w, a.rho, offload_only=offload_only)
+        assert start > 0.1
+        phi, trace = solve_p3_pg(p, a.phi, a.t_shares, a.power_w, a.rho,
+                                 offload_only=offload_only, max_iter=2000)
+        assert trace.iterations < 2000
+        end = split_residual(p, phi, a.t_shares, a.power_w, a.rho, offload_only=offload_only)
+        assert end <= 1e-6
+    # Pinning the local share at 0 is stationary only for the offload-only
+    # projection: moving work back to the local CPU pays.
+    assert split_residual(p, phi, a.t_shares, a.power_w, a.rho) > 0.1
+    res = bcd_solve(p, variant="pg")
+    final = res.allocation
+    assert res.trace.split_residual == split_residual(
+        p, final.phi, final.t_shares, final.power_w, final.rho
+    )
 
 
 @pytest.mark.parametrize("variant", ["mm2", "mm1", "pg"])

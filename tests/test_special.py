@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -264,6 +265,51 @@ def test_cubic_spread_coefficients_match_companion_matrix(seed):
         assert all(_near(z.real, ours) for z in ref if z.imag == 0.0), (coeffs, ours)
         for r in ours:
             assert min(abs(r - z) - 1e-6 * abs(z) for z in ref) <= 1e-12, (coeffs, ours)
+
+
+def _brackets_exactly(coeffs, r: float, rel: float) -> bool:
+    """The cubic changes sign between r (1 - rel) and r (1 + rel), evaluated
+    in exact rational arithmetic."""
+    b, c, d, e = (Fraction(v) for v in coeffs)
+
+    def p(x):
+        x = Fraction(x)
+        return ((b * x + c) * x + d) * x + e
+
+    lo, hi = p(r * (1.0 - rel)), p(r * (1.0 + rel))
+    return lo == 0 or hi == 0 or (lo < 0) != (hi < 0)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        # The bracketing search stops at an absolute 1e-13 width below
+        # |x| = 1: the root -2.6177e-13 came back as -2.2833e-13 ...
+        (3420521.108417245, -1.9278249563116867e-05, -2920687.213582015, -7.645573454108361e-07),
+        # ... and 6.3650e-9 as 6.3649808785722344e-09 (6.0e-6 relative off).
+        (-0.062128380825878814, -459.5558708622656, 19626750.479439285, -0.12492464497038974),
+    ],
+)
+def test_cubic_small_roots_are_relatively_accurate(coeffs):
+    small = [r for r in solve_cubic_real(*coeffs) if abs(r) < 1e-6]
+    assert len(small) == 1
+    assert _brackets_exactly(coeffs, small[0], 1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cubic_spread_coefficients_roots_below_one_bracket_exactly(seed):
+    # Every returned root below 1 in magnitude lies within 1e-8 relative of
+    # a true root: the exact cubic changes sign across r (1 +- 1e-8).
+    rng = np.random.default_rng(seed)
+    for _ in range(10000):
+        coeffs = [float(v) for v in rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-8.0, 8.0, 4)]
+        try:
+            ours = solve_cubic_real(*coeffs)
+        except DegenerateCoefficientError:
+            continue
+        for r in ours:
+            if abs(r) < 1.0:
+                assert _brackets_exactly(coeffs, r, 1e-8), (coeffs, r)
 
 
 def test_quadratic_and_linear_fallbacks():

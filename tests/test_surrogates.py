@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sps
 
 from airalloc.model import (
     computation_success,
@@ -11,6 +12,7 @@ from airalloc.model import (
 )
 from airalloc.special import GammaWorkload, chi, regularized_lower_gamma
 from airalloc.surrogates import (
+    CONVEX_CURVATURE,
     PHI_FLOOR,
     SurrogateCoeffs,
     b_chi,
@@ -85,6 +87,146 @@ def test_gamma_floor_scales_inverse_square():
         b_gamma(0.0, w)
     with pytest.raises(ValueError):
         b_gamma(math.inf, w)
+
+
+# ---------------------------------------------------------------------------
+# Region floors: exact minima of the true curvature over a share interval.
+# ---------------------------------------------------------------------------
+
+_SHAPE = 10.0
+# Shares at which the factor is e^-20: u with P(10, u) = e^-20, and the
+# spectral demand whose decode probability is e^-20 at SNR y.
+_U_DEEP = float(sps.gammaincinv(_SHAPE, math.exp(-20.0)))
+
+
+def _x_deep(y):
+    return math.log2(1.0 + 20.0 * y)
+
+
+def _region_cases(seed):
+    """(phi_hat, region) pairs: trust regions and arbitrary sub-intervals."""
+    rng = np.random.default_rng(seed)
+    for i in range(24):
+        phi_hat = float(10.0 ** rng.uniform(-3.0, 0.0))
+        if i % 2:
+            yield phi_hat, (phi_hat / 2.0, min(1.0, 2.0 * phi_hat))
+        else:
+            lo, hi = sorted(10.0 ** rng.uniform(-3.0, 0.0, 2))
+            yield phi_hat, (min(float(lo), phi_hat), max(float(hi), phi_hat))
+
+
+def _check_region_floor(f, floor, region):
+    """The floor lies below the finite-difference curvature on the region,
+    and is attained there (the true minimum, not a looser bound).  The
+    tolerance covers the rounding of the second difference."""
+    lo, hi = region
+    h = 3e-4 * (hi - lo)
+    xs = np.geomspace(lo + h, hi - h, 2001)
+    fd = np.array([fd_second(f, float(x), h) for x in xs])
+    tol = 1e-6 * float(np.max(np.abs(fd))) + 1e-14 * max(abs(f(float(x))) for x in xs) / h**2
+    assert np.all(fd >= floor - tol), (region, floor, fd.min(), tol)
+    assert floor >= fd.min() - 1e-2 * float(np.max(np.abs(fd))) - tol, (region, floor, fd.min())
+
+
+def test_gamma_region_floor_matches_finite_differences():
+    w = GammaWorkload(shape=_SHAPE, scale=50.0)
+    rng = np.random.default_rng(11)
+    for i, (phi_hat, region) in enumerate(_region_cases(12)):
+        # Every third case puts the expansion point e^-20 deep in the tail.
+        psi = _U_DEEP * phi_hat if i % 3 == 0 else float(10.0 ** rng.uniform(-2.0, 1.5))
+        floor = b_gamma(psi, w, region)
+        assert floor >= b_gamma(psi, w) * (1.0 + 1e-12)
+        _check_region_floor(lambda t: regularized_lower_gamma(w.shape, psi / t), floor, region)
+
+
+def test_chi_region_floor_matches_finite_differences():
+    rng = np.random.default_rng(13)
+    for i, (phi_hat, region) in enumerate(_region_cases(14)):
+        y = float(10.0 ** rng.uniform(-0.5, 4.0))
+        # Every third case decodes with probability e^-20 at phi_hat.
+        c = _x_deep(y) / phi_hat if i % 3 == 0 else float(rng.uniform(0.5, 30.0))
+        floor = b_chi(y, c, region)
+        assert floor >= b_chi(y, c) * (1.0 + 1e-12)
+        _check_region_floor(lambda v: chi(c * v, y), floor, region)
+
+
+def test_region_floor_without_region_is_the_global_floor():
+    w = GammaWorkload(shape=_SHAPE, scale=50.0)
+    assert b_chi(1000.0, 3.0) == pytest.approx(9.0 * b_chi(1000.0), rel=1e-15)
+    # A region holding the global minimizers gives the global floor.
+    assert b_gamma(2.0, w, (0.01, 100.0)) == b_gamma(2.0, w)
+    assert b_chi(1000.0, 3.0, (PHI_FLOOR, 100.0)) == b_chi(1000.0, 3.0)
+
+
+def test_convex_region_bends_by_a_share_of_the_value():
+    # The local share e^-20 deep in its tail: the factor is convex on the
+    # whole trust region, so the minorant's curvature is scaled to its value.
+    p = reference_params(2)
+    phi_hat = 0.3
+    region = (phi_hat / 2.0, 2.0 * phi_hat)
+    psi = _U_DEEP * phi_hat
+    rho = psi * p.task_bits * p.workload.scale
+    assert b_gamma(psi, p.workload, region) >= 0.0
+    q = surrogate_computation(p, 0, phi_hat, rho / p.local_speed_hz, region)
+    value = local_success(p, phi_hat, rho)
+    assert value == pytest.approx(math.exp(-20.0), rel=1e-9)
+    width = max(phi_hat - region[0], region[1] - phi_hat)
+    assert q.c2 == pytest.approx(-0.5 * CONVEX_CURVATURE * value / width**2, rel=1e-12)
+    assert (q.lo, q.hi) == region
+    for phi in np.linspace(*region, 101):
+        assert q.value(float(phi)) <= local_success(p, float(phi), rho) * (1.0 + 1e-12)
+
+
+def test_chi_region_floor_survives_overflowing_links():
+    # 2^(c phi) overflows a double over most of the region.
+    y, c = 5.0, 2000.0
+    assert b_chi(y, c, (0.3, 1.0)) == 0.0  # hopeless throughout: e^-s is 0
+    # The region reaching near zero holds the global minimizer.
+    assert b_chi(y, c, (1e-4, 1.0)) == pytest.approx(b_chi(y, c), rel=1e-9)
+    # A hopelessly weak link (1/y > 700) has no global floor, but a finite
+    # region floor: the factor is convex wherever it is defined.
+    assert b_chi(1e-3) == -math.inf
+    assert 0.0 <= b_chi(1e-3, 2.0, (PHI_FLOOR, 1.0)) < math.inf
+    p = reference_params(1, task_mbits=100.0)
+    for t_m, power in ((5e-4, 1.0), (0.1, 1e-9)):
+        q = surrogate_transmission(p, 1, 0.3, t_m, power)
+        assert all(math.isfinite(v) for v in (q.c2, q.c1, q.c0))
+        assert phi_interval(q, SurrogateCoeffs(c2=-1.0, c1=1.0, c0=0.0)) is None
+
+
+def _trust_cases(n, seed):
+    """Random links and computations, every third expansion point e^-20 deep."""
+    for i, (p, m, phi_hat, t_m, power, rng) in enumerate(_random_cases(n, seed)):
+        deep = i % 3 == 0
+        if deep:
+            c = _x_deep(power * p.mean_gains[m - 1] / p.noise_w) / phi_hat
+            t_m = p.task_bits / (p.bandwidth_hz * c)
+        psi = _U_DEEP * phi_hat if deep else float(rng.uniform(0.05, 5.0))
+        slack = psi * p.task_bits * p.workload.scale / p.server_speeds_hz[m - 1]
+        yield p, m, phi_hat, t_m, power, slack, (phi_hat / 2.0, min(1.0, 2.0 * phi_hat))
+
+
+def _rounding(q, phi):
+    """Bound on the rounding error of evaluating q's coefficient form."""
+    return 1e-14 * ((abs(q.c2) * phi + abs(q.c1)) * phi + abs(q.c0))
+
+
+def test_trust_region_surrogates_minorize_on_their_region():
+    for p, m, phi_hat, t_m, power, slack, region in _trust_cases(60, seed=404):
+        grid = [float(v) for v in np.linspace(region[0], region[1], 101)]
+        q = surrogate_transmission(p, m, phi_hat, t_m, power, region)
+        f_hat = transmission_success(p, m, phi_hat, t_m, power)
+        assert (q.lo, q.hi) == region
+        assert abs(q.value(phi_hat) - f_hat) <= 1e-12 * f_hat + _rounding(q, phi_hat)
+        for phi in grid:
+            f = transmission_success(p, m, phi, t_m, power)
+            assert q.value(phi) <= f + 1e-12 * f_hat + _rounding(q, phi)
+        q = surrogate_computation(p, m, phi_hat, slack, region)
+        f_hat = computation_success(p, m, phi_hat, slack)
+        assert abs(q.value(phi_hat) - f_hat) <= 1e-12 * f_hat + _rounding(q, phi_hat)
+        for phi in grid:
+            f = computation_success(p, m, phi, slack)
+            assert q.value(phi) <= f + 1e-12 * f_hat + _rounding(q, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +355,12 @@ def test_phi_interval_applies_floor_and_cap():
     q = _quad_positive_on(-1.0, 2.0)
     lo, hi = phi_interval(None, q)
     assert lo == PHI_FLOOR and hi == 1.0
+
+
+def test_phi_interval_stays_inside_each_region():
+    q = SurrogateCoeffs(c2=-1.0, c1=1.0, c0=0.0, lo=0.3, hi=0.5)
+    assert phi_interval(None, q) == (0.3, 0.5)
+    assert phi_interval(_quad_positive_on(0.4, 0.9), q) == pytest.approx((0.4, 0.5), abs=1e-12)
 
 
 def test_phi_interval_empty_cases():
