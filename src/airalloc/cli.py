@@ -117,6 +117,7 @@ def _cmd_solve(args) -> int:
             "search_evals": tr.total_search_evals,
             "mu_evals": tr.total_mu_evals,
             "pathologies": tr.total_pathologies,
+            "p2_evals": tr.total_p2_evals,
             "split_residual": tr.split_residual,
         }))
         return EXIT_OK

@@ -17,7 +17,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .special import GammaWorkload, chi, ln_chi, ln_lower_gamma, regularized_lower_gamma
+from .special import (
+    GammaWorkload,
+    chi,
+    ln_chi,
+    ln_chi_curvature,
+    ln_lower_gamma,
+    ln_lower_gamma_curvature,
+    regularized_lower_gamma,
+)
 
 __all__ = [
     "FeasibilityError",
@@ -265,12 +273,19 @@ def local_success(p: SystemParams, phi_0: float, rho: float) -> float:
 
 
 class LogFactors(NamedTuple):
-    """Log success factors of one allocation and the gradient of their sum.
+    """Log success factors of one allocation and the derivatives of their sum.
 
     ``link[m - 1]`` and ``server[m - 1]`` belong to server m; ``d_phi`` has
     one entry per share (local first) and ``d_t`` one per airtime.  A zero
     share contributes a log factor of 0; its link entry of ``d_phi`` is the
     one-sided derivative at zero, so ascent can bring the share back.
+
+    The second derivatives are filled in only on request (``second_order``
+    of :func:`log_factors`).  Each factor depends on one share, so the split
+    Hessian is diagonal: ``h_phi`` holds it.  In the airtimes, link m
+    depends on T_m alone and server m on the cumulative airtime
+    T_1 + ... + T_m, so ``h_t`` (dense, one row per airtime) is a diagonal
+    link term plus one all-ones block over the first m airtimes per server.
     """
 
     local: float
@@ -278,6 +293,8 @@ class LogFactors(NamedTuple):
     server: list[float]
     d_phi: list[float]
     d_t: list[float]
+    h_phi: list[float] | None = None
+    h_t: np.ndarray | None = None
 
     @property
     def total(self) -> float:
@@ -296,8 +313,10 @@ def log_factors(
     phi,
     t_shares,
     rho: float,
+    *,
+    second_order: bool = False,
 ) -> LogFactors:
-    """The one definition of the success factors and their gradients.
+    """The one definition of the success factors and their derivatives.
 
     Server m's link succeeds with chi(x, snr[m - 1]) at spectral demand
     x = task_bits * phi[m] / (bandwidth * T_m); its computation succeeds with
@@ -306,13 +325,19 @@ def log_factors(
     slack after the airtime of servers 1..m, minus ``cross_cycles[m - 1]``
     claimed by others.  The local share succeeds with P(shape, u) at the
     cycle budget ``rho``, which is held fixed (its t-gradient is zero).  For
-    a positive share, a link without airtime or power and a server without
-    cycles left each get a log factor of -inf and add no gradient.
+    a positive share, a link without airtime or power, a hopeless link
+    (2**x past e**700, see :func:`~airalloc.special.ln_chi`) and a server
+    without cycles left each get a log factor of -inf and add no gradient
+    and no curvature.  ``second_order`` also fills ``h_phi`` and ``h_t``.
     """
     shape, scale = workload.shape, workload.scale
     n = len(t_shares)
     d_phi = [0.0] * (n + 1)
     d_t = [0.0] * n
+    if second_order:
+        h_phi = [0.0] * (n + 1)
+        h_link = [0.0] * n
+        h_server = [0.0] * n  # d^2 / ds_m^2 of server m at s_m = T_1 + ... + T_m
 
     phi0 = float(phi[0])
     if phi0 <= 0.0:
@@ -323,6 +348,10 @@ def log_factors(
         u = rho / (task_bits * phi0 * scale)
         ln_local, r = ln_lower_gamma(shape, u)
         d_phi[0] = -r * u / phi0
+        if second_order:
+            # u = c / phi: u' = -u / phi, u'' = 2 u / phi^2.
+            d2 = ln_lower_gamma_curvature(shape, u, r)
+            h_phi[0] = (d2 * u + 2.0 * r) * u / (phi0 * phi0)
 
     link = [0.0] * n
     server = [0.0] * n
@@ -335,8 +364,16 @@ def log_factors(
         if t_m > 0.0 and y > 0.0:
             x = task_bits * max(ph, 0.0) / (bandwidth_hz * t_m)
             link[m - 1], dx = ln_chi(x, y)
-            d_phi[m] = dx * task_bits / (bandwidth_hz * t_m)
-            d_t[m - 1] = -dx * x / t_m
+            if link[m - 1] > -math.inf:
+                d_phi[m] = dx * task_bits / (bandwidth_hz * t_m)
+                d_t[m - 1] = -dx * x / t_m
+                if second_order:
+                    # x = c phi with c = bits / (bandwidth T); x' = -x / T and
+                    # x'' = 2 x / T^2 in T.
+                    d2 = ln_chi_curvature(dx)
+                    c = task_bits / (bandwidth_hz * t_m)
+                    h_phi[m] = d2 * c * c
+                    h_link[m - 1] = (d2 * x + 2.0 * dx) * x / (t_m * t_m)
         elif ph > 0.0:
             link[m - 1] = -math.inf
         if ph <= 0.0:
@@ -353,11 +390,23 @@ def log_factors(
         d_slack = r * speeds_hz[m - 1] / demand
         for k in range(m):
             d_t[k] -= d_slack
-    return LogFactors(ln_local, link, server, d_phi, d_t)
+        if second_order:
+            d2 = ln_lower_gamma_curvature(shape, u, r)
+            h_phi[m] += (d2 * u + 2.0 * r) * u / (ph * ph)
+            h_server[m - 1] = d2 * (speeds_hz[m - 1] / demand) ** 2
+    if not second_order:
+        return LogFactors(ln_local, link, server, d_phi, d_t)
+    # Row k, column l: the link term on the diagonal plus the curvature of
+    # every server whose cumulative airtime holds both T_k and T_l.
+    tail = np.cumsum(h_server[::-1])[::-1]
+    idx = np.arange(n)
+    h_t = tail[np.maximum.outer(idx, idx)]
+    h_t[idx, idx] += h_link
+    return LogFactors(ln_local, link, server, d_phi, d_t, h_phi, h_t)
 
 
 def allocation_log_factors(
-    p: SystemParams, phi, t_shares, power_w: float, rho: float
+    p: SystemParams, phi, t_shares, power_w: float, rho: float, *, second_order: bool = False
 ) -> LogFactors:
     """:func:`log_factors` of a single-user allocation (no cross load)."""
     return log_factors(
@@ -371,6 +420,7 @@ def allocation_log_factors(
         phi,
         t_shares,
         rho,
+        second_order=second_order,
     )
 
 

@@ -5,14 +5,16 @@ The decision variables are updated in three blocks per outer iteration:
 1. transmit power and local cycle budget (closed-form threshold rule plus
    the bracketed root search of :func:`~airalloc.special.decreasing_root`
    on the decreasing power gradient of the concave interior piece),
-2. per-server airtime (projected gradient ascent with Armijo backtracking on
-   a concave objective), and
+2. per-server airtime (projected Newton ascent on a concave objective with
+   its exact Hessian: a diagonal link term plus one all-ones block over the
+   first m airtimes per server, whose slack they share), and
 3. the task split (two interchangeable minorize-maximize updates: ``mm2``
    replaces each success factor by a concave quadratic minorant and solves
    the budget-coupled subproblem in closed form under a water-filling
    multiplier; ``mm1`` uses tangent-composition minorants of the log factors
    and closes each per-index stationarity condition with the same bracketed
-   root search).
+   root search; the reference update ``pg`` runs block 2's projected Newton
+   on the true objective, whose split Hessian is diagonal).
 
 Both split updates price the shares with one water-filling multiplier, found
 by :func:`waterfill_mu`: a geometric bracket, seeded with the previous
@@ -73,14 +75,20 @@ __all__ = [
 ]
 
 
-# Stopping rules: the outer loop's ln P_success gain, P2's projected ascent,
-# the split updates' step (max-norm; projected-gradient norm for pg) and
-# per-iteration gain, and the water-filling share total with the upper end
-# of its multiplier search.
+# Stopping rules: the outer loop's ln P_success gain, the split updates'
+# step (max-norm) and per-iteration gain, and the water-filling share total
+# with the upper end of its multiplier search.
 _OUTER_TOL = 1e-6
-_P2_GTOL, _P2_MAX_ITER = 1e-6, 1000
 _SPLIT_TOL, _SPLIT_FTOL = 1e-6, 1e-9
 _WATERFILL_TOL, _MU_CAP = 1e-8, 1e18
+# Projected Newton (P2 and pg's split): the predicted gain in nats below
+# which it stops, the relative eigenvalue floor of its clamped curvature
+# and the relative distance at which a bound counts as reached, the Armijo
+# halvings per step, and P2's step budget (pg's is max_iter).
+_NEWTON_TOL = 1e-14
+_CURV_FLOOR, _BOUND_TOL = 1e-10, 1e-10
+_HALVINGS = 40
+_P2_MAX_ITER = 100
 # mm2 builds each minorant on the trust region [phi_hat / F, min(1, F phi_hat)]
 # with F = _TRUST_FACTOR; F = 2 is the upper end mm1's tangent implies.
 _TRUST_FACTOR = 2.0
@@ -197,44 +205,93 @@ def _project_capped_simplex(t: np.ndarray, cap: float) -> np.ndarray:
     return _project_simplex_eq(t, cap)
 
 
-def _projected_ascent(
-    factors: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    project: Callable[[np.ndarray], np.ndarray],
+def _newton_direction(
+    x: np.ndarray, g: np.ndarray, h: np.ndarray, cap: float, equality: bool
+) -> tuple[np.ndarray, float]:
+    """Newton direction of a quadratic model on the face of active
+    constraints of {x >= 0, sum(x) <= cap} (``sum(x) == cap`` when
+    ``equality``), and the gain the model predicts for it.
+
+    The curvature ``h`` is first clamped to negative definite: each
+    eigenvalue becomes -max(|w|, 1e-10 max|w|), so a convex direction is
+    climbed with its own curvature's step, and a flat model (every w = 0)
+    takes the plain gradient.  A constraint counts as reached within 1e-10
+    cap, so round-off does not free it.  A bound x_i = 0 is active while the
+    gradient, net of the sum constraint's multiplier, points outward; the
+    sum constraint is active (always when ``equality``) while its multiplier
+    is positive.  On the free set the direction solves the KKT system of the
+    model, so it sums to zero when the sum constraint is active.  Bounds the
+    multiplier shows to point inward are freed and the system solved again.
+    """
+    w, v = np.linalg.eigh(h)
+    mag = np.abs(w)
+    floor = _CURV_FLOOR * float(mag.max()) or 1.0
+    h = (v * -np.maximum(mag, floor)) @ v.T
+    free = x > _BOUND_TOL * cap
+    sum_on = equality or float(x.sum()) >= cap * (1.0 - _BOUND_TOL)
+    while True:
+        d = np.zeros_like(x)
+        lam = 0.0
+        if free.any():
+            q = np.linalg.inv(h[np.ix_(free, free)])
+            g_free = g[free]
+            if sum_on:
+                q1 = q.sum(axis=1)
+                lam = float(q1 @ g_free) / float(q1.sum())
+            d[free] = q @ (lam - g_free)
+        if sum_on and not equality and lam <= 0.0:
+            sum_on = False
+            continue
+        release = ~free & (g > lam)
+        if not release.any():
+            return d, 0.5 * float(g @ d)
+        free |= release
+
+
+def _projected_newton(
+    kernel: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
     x: np.ndarray,
-    scale: float,
-    gtol: float,
+    cap: float,
+    equality: bool,
     max_iter: int,
-    halvings: int,
-) -> tuple[np.ndarray, list[float]]:
-    """Projected gradient ascent on ``factors`` (value, gradient) with Armijo
-    backtracking, until the projected-gradient norm is at most ``gtol``: the
-    first trial step is 0.25 ``scale``, halved at most ``halvings`` times;
-    the next starts from twice the accepted one, capped at 4 ``scale``.
-    Returns the last iterate and the objective at the start and after every
-    accepted step."""
-    fval, g = factors(x)
-    values = [fval]
-    step = 0.25 * scale
+) -> tuple[np.ndarray, list[float], int]:
+    """Projected Newton ascent (Bertsekas, SIAM J. Control Optim. 1982) of
+    ``kernel`` (value, gradient, Hessian) over {x >= 0, sum(x) <= cap}, or
+    ``sum(x) == cap`` when ``equality``.
+
+    Each step takes :func:`_newton_direction`, clipped to the box
+    [0, cap], along the projection arc: the first trial is the full step,
+    halved at most 40 times until the Armijo test passes (a decrease is
+    never accepted).  Stops when the model predicts a gain of at most 1e-14
+    nats, when an accepted step gains nothing, when no trial passes, or
+    after ``max_iter`` steps.  Returns the last iterate, the objective at
+    the start and after every accepted step, and the number of kernel
+    evaluations.
+    """
+    project = _project_simplex_eq if equality else _project_capped_simplex
+    fval, g, h = kernel(x)
+    values, evals = [fval], 1
     for _ in range(max_iter):
-        gp = project(x + g) - x
-        if float(np.linalg.norm(gp)) <= gtol:
+        d, gain = _newton_direction(x, g, h, cap, equality)
+        if not gain > _NEWTON_TOL:
             break
-        s = step
-        accepted = False
-        for _ in range(halvings):
-            trial = project(x + s * g)
-            diff = trial - x
-            tval, tgrad = factors(trial)
-            if tval > -math.inf and tval >= fval + 1e-4 * float(g @ diff):
-                accepted = True
+        d = np.clip(d, -x, cap - x)
+        s = 1.0
+        for _ in range(_HALVINGS):
+            trial = project(x + s * d, cap)
+            tval, tgrad, thess = kernel(trial)
+            evals += 1
+            if tval > -math.inf and tval >= fval + 1e-4 * max(float(g @ (trial - x)), 0.0):
                 break
             s *= 0.5
-        if not accepted:
+        else:
             break
-        x, fval, g = trial, tval, tgrad
+        gained = tval > fval
+        x, fval, g, h = trial, tval, tgrad, thess
         values.append(fval)
-        step = min(s * 2.0, 4.0 * scale)
-    return x, values
+        if not gained:
+            break
+    return x, values, evals
 
 
 def solve_p2(
@@ -243,13 +300,14 @@ def solve_p2(
     t_start,
     power_w: float,
     rho: float,
-) -> np.ndarray:
-    """Airtime update: projected gradient ascent with Armijo backtracking.
+) -> tuple[np.ndarray, int]:
+    """Airtime update: projected Newton ascent (:func:`_projected_newton`)
+    on the concave airtime objective, with its exact Hessian.
 
     The feasible set couples the latency budget (total airtime must leave
     compute slack) with the energy budget (transmit energy must leave the
-    committed local cycle budget ``rho`` affordable).  Ascent stops when the
-    projected-gradient norm falls below ``_P2_GTOL``.
+    committed local cycle budget ``rho`` affordable).  Returns the airtimes
+    and the number of objective evaluations spent.
     """
     phi = np.asarray(phi, dtype=float)
     t = np.asarray(t_start, dtype=float).copy()
@@ -264,20 +322,20 @@ def solve_p2(
             f"committed rho {rho} and power {power_w} leave no airtime budget"
         )
     if not np.any(phi[1:] > 0.0):
-        return np.zeros(n_srv)
+        return np.zeros(n_srv), 0
     # The local factor does not depend on the airtime: zero its share.
     phi_tx = np.concatenate(([0.0], phi[1:]))
 
-    def factors(tv: np.ndarray):
-        f = allocation_log_factors(p, phi_tx, tv, power_w, rho)
-        return f.total, np.array(f.d_t)
+    def kernel(tv: np.ndarray):
+        f = allocation_log_factors(p, phi_tx, tv, power_w, rho, second_order=True)
+        return f.total, np.array(f.d_t), f.h_t
 
     # Start from a strictly interior feasible point.
     t = np.maximum(t, cap * 1e-9)
     if float(t.sum()) > cap:
         t *= cap * (1.0 - 1e-12) / float(t.sum())
-    return _projected_ascent(factors, lambda v: _project_capped_simplex(v, cap),
-                             t, cap, _P2_GTOL, _P2_MAX_ITER, 80)[0]
+    t, _, evals = _projected_newton(kernel, t, cap, False, _P2_MAX_ITER)
+    return t, evals
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +771,7 @@ def solve_p3_mm1(
 
 
 # ---------------------------------------------------------------------------
-# Block 3, plain projected gradient (baseline quality/latency reference).
+# Block 3, pg: projected Newton on the true objective (reference update).
 # ---------------------------------------------------------------------------
 
 
@@ -733,9 +791,8 @@ def _split_projection(n_servers: int, offload_only: bool) -> Callable[[np.ndarra
 def split_residual(
     p: SystemParams, phi, t_shares, power_w: float, rho: float, *, offload_only: bool = False
 ) -> float:
-    """Projected-gradient norm of ln P_success in the split, the quantity
-    ``solve_p3_pg`` stops on: 0 at a stationary split, large where a split
-    update froze short of one."""
+    """Projected-gradient norm of ln P_success in the split (unit step): 0
+    at a stationary split, large where a split update froze short of one."""
     phi = np.asarray(phi, dtype=float)
     grad = np.array(allocation_log_factors(p, phi, t_shares, power_w, rho).d_phi)
     step = _split_projection(p.n_servers, offload_only)(phi + grad) - phi
@@ -752,21 +809,34 @@ def solve_p3_pg(
     offload_only: bool = False,
     max_iter: int = 500,
 ) -> tuple[np.ndarray, InnerTrace]:
-    """Split update by projected gradient ascent on the true objective.
+    """Split update by projected Newton ascent (:func:`_projected_newton`)
+    on the true objective, with its diagonal Hessian clamped to negative
+    definite where the split is not concave.
 
-    Stops once the projected-gradient norm is at most 1e-6.  Kept mainly as a
-    like-for-like reference point for the minorize-maximize updates."""
+    ``iterations`` counts the accepted steps and ``search_evals`` the
+    objective evaluations.  Kept mainly as a like-for-like reference point
+    for the minorize-maximize updates."""
     t = np.asarray(t_shares, dtype=float)
-    project = _split_projection(p.n_servers, offload_only)
+    # Shares that no split can serve stay at zero: the local one without a
+    # cycle budget (or when offload-only), a server without airtime or slack.
+    free = np.flatnonzero(np.concatenate((
+        [rho > 0.0 and not offload_only],
+        (t > 0.0) & (np.cumsum(t) < p.latency_budget_s),
+    )))
+    start = np.asarray(phi_start, dtype=float)
+    if free.size == 0:
+        return _split_projection(p.n_servers, offload_only)(start), InnerTrace()
+    phi = np.zeros(p.n_servers + 1)
+    phi[free] = _project_simplex_eq(start[free], 1.0)
 
-    def factors(phi: np.ndarray):
-        f = allocation_log_factors(p, phi, t, power_w, rho)
-        return f.total, np.array(f.d_phi)
+    def kernel(x: np.ndarray):
+        phi[free] = x
+        f = allocation_log_factors(p, phi, t, power_w, rho, second_order=True)
+        return f.total, np.array(f.d_phi)[free], np.diag(np.array(f.h_phi)[free])
 
-    phi = project(np.asarray(phi_start, dtype=float).copy())
-    phi, values = _projected_ascent(factors, project, phi, 1.0, _SPLIT_TOL, max_iter, 60)
-    steps = len(values) - 1
-    return phi, InnerTrace(ln_values=values, iterations=steps, search_evals=steps)
+    x, values, evals = _projected_newton(kernel, phi[free], 1.0, True, max_iter)
+    phi[free] = x
+    return phi, InnerTrace(ln_values=values, iterations=len(values) - 1, search_evals=evals)
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +859,8 @@ class BcdTrace:
     update; ``inner_search_evals``, ``inner_mu_evals`` and
     ``inner_pathologies`` hold its per-outer numeric-search work, water-filling
     multipliers tried and pathologies met (see :class:`InnerTrace`; the last
-    two stay 0 for ``pg``).  All counts are deterministic.
+    two stay 0 for ``pg``).  ``p2_evals`` holds the per-outer objective
+    evaluations of the airtime update.  All counts are deterministic.
     ``split_residual`` is :func:`split_residual` at the final allocation."""
 
     ln_p_success: list[float]
@@ -798,6 +869,7 @@ class BcdTrace:
     inner_search_evals: list[int]
     inner_mu_evals: list[int]
     inner_pathologies: list[int]
+    p2_evals: list[int]
     converged: bool
     variant: str
     split_residual: float
@@ -821,6 +893,10 @@ class BcdTrace:
     @property
     def total_pathologies(self) -> int:
         return int(sum(self.inner_pathologies))
+
+    @property
+    def total_p2_evals(self) -> int:
+        return int(sum(self.p2_evals))
 
 
 @dataclass
@@ -879,11 +955,13 @@ def bcd_solve(
     ln_vals = [ln_success(p, phi, t, power, rho)]
     allocs = [alloc]
     splits: list[InnerTrace] = []
+    p2_evals: list[int] = []
     converged = False
 
     for _ in range(max_outer):
         power, rho = solve_p1(p, phi, t)
-        t = solve_p2(p, phi, t, power, rho)
+        t, evals = solve_p2(p, phi, t, power, rho)
+        p2_evals.append(evals)
         phi, split = solve_p3(p, phi, t, power, rho, offload_only=offload_only)
         # Round-trip through the stored form so the recorded objective is the
         # objective of the recorded allocation, not of a drifted work array.
@@ -906,6 +984,7 @@ def bcd_solve(
         inner_search_evals=[tr.search_evals for tr in splits],
         inner_mu_evals=[tr.mu_evals for tr in splits],
         inner_pathologies=[tr.pathologies for tr in splits],
+        p2_evals=p2_evals,
         converged=converged,
         variant=variant,
         split_residual=split_residual(p, final.phi, final.t_shares, final.power_w, final.rho,

@@ -21,7 +21,9 @@ __all__ = [
     "regularized_lower_gamma",
     "chi",
     "ln_chi",
+    "ln_chi_curvature",
     "ln_lower_gamma",
+    "ln_lower_gamma_curvature",
     "decreasing_root",
     "solve_quartic_real",
     "solve_cubic_real",
@@ -161,6 +163,13 @@ def ln_chi(x: float, y: float) -> tuple[float, float]:
     return -em1 / y, -_LN2 * (em1 + 1.0) / y
 
 
+def ln_chi_curvature(slope: float) -> float:
+    """Second x-derivative of ln chi from ``slope``, the first one that
+    :func:`ln_chi` returns: d/dx 2**x = ln2 * 2**x, so it is ln2 * slope.
+    At a hopeless link the clamped slope gives the matching finite value."""
+    return _LN2 * slope
+
+
 def ln_lower_gamma(shape: float, u: float) -> tuple[float, float]:
     """ln P(shape, u) and its u-derivative, safe against underflow of either.
 
@@ -175,6 +184,20 @@ def ln_lower_gamma(shape: float, u: float) -> tuple[float, float]:
         return -math.inf, shape / u - shape / (shape + 1.0)
     log_num = (shape - 1.0) * math.log(u) - u - math.lgamma(shape)
     return math.log(g), (math.exp(log_num) / g if log_num > -700.0 else 0.0)
+
+
+def ln_lower_gamma_curvature(shape: float, u: float, slope: float) -> float:
+    """Second u-derivative of ln P(shape, u) from ``slope``, the first one
+    that :func:`ln_lower_gamma` returns at the same u > 0 (unchecked).
+
+    P' = u^(shape - 1) e^-u / Gamma(shape) gives P'' = P' ((shape - 1)/u - 1),
+    so (ln P)'' = P''/P - slope^2 = slope ((shape - 1)/u - 1 - slope).  Both
+    of ln_lower_gamma's special slopes give finite values: the far upper
+    tail's 0 gives 0, and the underflow branch's shape/u - shape/(shape + 1)
+    gives -shape/u^2 + shape/(shape + 1)^2, the deep tail's curvature up to
+    the O(1) term that slope drops.  Finite for u above 1e-150.
+    """
+    return slope * ((shape - 1.0) / u - 1.0 - slope)
 
 
 def decreasing_root(

@@ -59,6 +59,8 @@ def test_solve_json_reports_allocation_and_work_counts(capsys):
     # Each multiplier tried runs a 1-D search per index, each a few steps.
     assert out["inner_iterations"] < out["mu_evals"] < out["search_evals"]
     assert out["pathologies"] == 0
+    # Each outer iteration's airtime update takes a few Newton steps.
+    assert out["n_outer"] <= out["p2_evals"] <= 15 * out["n_outer"]
     # The split is stationary at the end: pg's own stopping norm is small.
     assert 0.0 <= out["split_residual"] < 1e-4
 

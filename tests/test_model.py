@@ -268,6 +268,56 @@ def test_log_factor_gradients_match_finite_differences():
     assert checked >= 30
 
 
+def _hessian_cases(rng):
+    """(p, phi, t, power, rho) over M = 1-4 and L = 5-100 Mbit: random
+    interior allocations, the same with a tenth of the airtime (links deep
+    in outage), and with a local cycle budget so small that P underflows."""
+    for n_servers in (1, 2, 3, 4):
+        for task_mbits in (5.0, 20.0, 60.0, 100.0):
+            p = reference_params(n_servers, task_mbits=task_mbits)
+            for _ in range(2):
+                a = random_feasible_allocation(p, rng)
+                phi, t = np.array(a.phi), np.array(a.t_shares)
+                yield p, phi, t, a.power_w, a.rho
+                yield p, phi, 0.1 * t, a.power_w, local_budget_rho(p, 0.1 * t, a.power_w)
+                yield p, phi, t, a.power_w, 1e-30
+
+
+def test_log_factor_hessians_match_finite_differences():
+    """h_phi and h_t against central differences of d_phi and d_t: the split
+    Hessian is diagonal, the airtime Hessian dense."""
+    rng = np.random.default_rng(11)
+    checked = deep = 0
+    for p, phi, t, power, rho in _hessian_cases(rng):
+        f = allocation_log_factors(p, phi, t, power, rho, second_order=True)
+        first = allocation_log_factors(p, phi, t, power, rho)
+        assert first.h_phi is None and first.h_t is None
+        assert (first.d_phi, first.d_t) == (f.d_phi, f.d_t)
+        deep += f.local == -math.inf or min(f.link) < -20.0
+        n = p.n_servers
+        h_split = np.diag(f.h_phi)
+        tol = 1e-6 * float(np.abs(h_split).max())
+        for i in range(n + 1):
+            h = 1e-6 * phi[i]
+            up, down = phi.copy(), phi.copy()
+            up[i] += h
+            down[i] -= h
+            fd = (np.array(allocation_log_factors(p, up, t, power, rho).d_phi)
+                  - np.array(allocation_log_factors(p, down, t, power, rho).d_phi)) / (2.0 * h)
+            np.testing.assert_allclose(fd, h_split[:, i], rtol=1e-5, atol=tol)
+        tol = 1e-6 * float(np.abs(f.h_t).max())
+        for k in range(n):
+            h = 1e-6 * t[k]
+            up, down = t.copy(), t.copy()
+            up[k] += h
+            down[k] -= h
+            fd = (np.array(allocation_log_factors(p, phi, up, power, rho).d_t)
+                  - np.array(allocation_log_factors(p, phi, down, power, rho).d_t)) / (2.0 * h)
+            np.testing.assert_allclose(fd, f.h_t[:, k], rtol=1e-5, atol=tol)
+        checked += 1
+    assert checked == 96 and deep >= 40
+
+
 def test_log_factor_gradient_at_zero_share_is_one_sided():
     p = reference_params(2)
     phi, t, power = [0.6, 0.0, 0.4], [0.2, 0.3], 0.9

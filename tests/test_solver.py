@@ -1,4 +1,6 @@
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +14,12 @@ from airalloc.model import (
     assert_feasible,
     default_allocation,
     local_budget_rho,
+    log_factors,
     reference_params,
     success_breakdown,
 )
 from airalloc.solver import (
+    VARIANTS,
     BcdResult,
     WaterfillBracketError,
     bcd_solve,
@@ -109,7 +113,7 @@ def test_p2_improves_and_stays_feasible():
     phi = np.array([0.1, 0.3, 0.3, 0.3])
     t0 = np.array([0.15, 0.15, 0.15])
     power, rho = solve_p1(p, phi, t0)
-    t1 = solve_p2(p, phi, t0, power, rho)
+    t1, _ = solve_p2(p, phi, t0, power, rho)
     assert ln_success(p, phi, t1, power, rho) >= ln_success(p, phi, t0, power, rho) - 1e-12
     assert float(t1.sum()) <= p.latency_budget_s
     assert float(t1.sum()) * power + rho * p.switched_capacitance * p.local_speed_hz ** 2 \
@@ -122,7 +126,7 @@ def test_p2_single_server_matches_dense_scan():
     phi = np.array([0.05, 0.95])
     power = 1.0
     rho = 2e8
-    t1 = solve_p2(p, phi, np.array([0.5]), power, rho)
+    t1, _ = solve_p2(p, phi, np.array([0.5]), power, rho)
     vals = []
     cap = (p.energy_budget_j - rho * p.switched_capacitance * p.local_speed_hz ** 2) / power
     for tt in np.linspace(1e-4, min(cap, p.latency_budget_s) - 1e-4, 4000):
@@ -135,7 +139,7 @@ def test_p2_single_server_matches_dense_scan():
 def test_p2_never_grows_idle_airtime():
     p = reference_params(2)
     phi = np.array([0.5, 0.5, 0.0])
-    t = solve_p2(p, phi, np.array([0.2, 0.2]), 1.0, 1e8)
+    t, _ = solve_p2(p, phi, np.array([0.2, 0.2]), 1.0, 1e8)
     # Server 2 has no share, so nothing should push more airtime onto it.
     assert t[1] <= 0.2 + 1e-9
 
@@ -519,7 +523,8 @@ def test_bcd_deterministic(variant):
     b = bcd_solve(p, variant=variant)
     assert a.ln_p_success == b.ln_p_success
     assert a.allocation == b.allocation
-    for field in ("inner_iterations", "inner_search_evals", "inner_mu_evals", "inner_pathologies"):
+    for field in ("inner_iterations", "inner_search_evals", "inner_mu_evals", "inner_pathologies",
+                  "p2_evals"):
         assert getattr(a.trace, field) == getattr(b.trace, field)
 
 
@@ -535,3 +540,88 @@ def test_trace_objective_matches_stored_allocations():
         assert ln == pytest.approx(direct, abs=1e-9)
         assert sum(alloc.phi) == pytest.approx(1.0, abs=1e-9)
     assert res.p_outage == pytest.approx(1.0 - math.exp(res.ln_p_success), abs=1e-12)
+
+
+def _seed1_cells(*indices):
+    """Cells of the random draw of test_mm2_tracks_mm1_over_random_cells,
+    made with default_rng(1) instead of 0, by index."""
+    rng = np.random.default_rng(1)
+    out = {}
+    for i in range(max(indices) + 1):
+        p = reference_params(
+            int(rng.integers(1, 5)),
+            task_mbits=float(rng.uniform(5.0, 100.0)),
+            energy_j=float(rng.uniform(0.1, 2.0)),
+            latency_s=float(rng.uniform(0.05, 2.0)),
+        )
+        if i in indices:
+            out[i] = p
+    return out
+
+
+def test_hopeless_link_keeps_derivatives_finite():
+    # M = 3, L = 65.7 Mbit, E = 1.63 J, latency 1.93 s: the solvers' trial
+    # points drive an airtime toward 0, where the link's d_phi and d_t would
+    # overflow.
+    p = _seed1_cells(19)[19]
+    assert p.n_servers == 3 and round(p.task_bits / 1e6, 1) == 65.7
+    # The solvers' power is a numpy scalar, whose overflow warns.
+    snr = [np.float64(0.9) * g / p.noise_w for g in p.mean_gains]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # Server 1's link: x ln2 = 6e5, far past the hopeless threshold 700.
+        f = log_factors(p.task_bits, p.bandwidth_hz, p.workload, p.latency_budget_s,
+                        p.server_speeds_hz, (0.0,) * 3, snr, [0.1, 0.5, 0.2, 0.2],
+                        [1e-9, 0.3, 0.3], 1e8, second_order=True)
+        assert f.link[0] == -math.inf and f.total == -math.inf
+        assert all(math.isfinite(v) for v in f.d_phi + f.d_t + f.h_phi)
+        assert np.all(np.isfinite(f.h_t))
+        for variant in VARIANTS:
+            res = bcd_solve(p, variant=variant)
+            assert math.isfinite(res.ln_p_success) and res.trace.converged, variant
+
+
+# Cells of the evaluation budgets: the benchmark's, the three hard cells and
+# three seeded random cells (11 ends with a server without airtime).
+_SOLVE_REF = [(m, 10.0) for m in (1, 2, 3, 4)]
+_BUDGET_CELLS = (
+    [(f"M{m} L{l:g}", reference_params(m, task_mbits=l))
+     for m, l in _SOLVE_REF + [(2, 20.0), (2, 25.0)]]
+    + [(f"hard {k}={v}", reference_params(2, **{k: v}))
+       for k, v in (("energy_j", 0.1), ("latency_s", 0.05), ("task_mbits", 60.0))]
+    + [(f"seed1 cell {i}", p) for i, p in _seed1_cells(11, 17, 19).items()]
+)
+
+
+@pytest.fixture(scope="module")
+def budget_solves():
+    return {(name, v): bcd_solve(p, variant=v) for name, p in _BUDGET_CELLS for v in VARIANTS}
+
+
+def test_p2_never_reaches_its_step_cap(budget_solves):
+    for key, res in budget_solves.items():
+        assert len(res.trace.p2_evals) == res.trace.n_outer
+        assert max(res.trace.p2_evals) < solver._P2_MAX_ITER, key
+        assert res.trace.total_p2_evals == sum(res.trace.p2_evals)
+
+
+def test_p2_evaluations_per_call_on_reference_cells(budget_solves):
+    evals = [n for (name, _), res in budget_solves.items()
+             if name in {f"M{m} L10" for m, _ in _SOLVE_REF} for n in res.trace.p2_evals]
+    assert len(evals) >= 3 * 4 * 6
+    assert sum(evals) / len(evals) <= 15.0
+
+
+def test_pg_split_stays_below_its_step_cap(budget_solves):
+    cap = inspect.signature(solve_p3_pg).parameters["max_iter"].default
+    assert cap == 500
+    for (name, v), res in budget_solves.items():
+        if v == "pg":
+            assert max(res.trace.inner_iterations) < cap, name
+
+
+def test_pg_tracks_mm1_on_a_four_server_cell(budget_solves):
+    # M = 4, L = 10.9 Mbit, E = 1.32 J, latency 1.71 s.
+    pg = budget_solves["seed1 cell 11", "pg"].ln_p_success
+    mm1 = budget_solves["seed1 cell 11", "mm1"].ln_p_success
+    assert abs(pg - mm1) <= 1e-4

@@ -12,6 +12,10 @@ from airalloc.special import (
     GammaWorkload,
     QuarticCoeffs,
     chi,
+    ln_chi,
+    ln_chi_curvature,
+    ln_lower_gamma,
+    ln_lower_gamma_curvature,
     regularized_lower_gamma,
     solve_cubic_real,
     solve_poly_real,
@@ -105,6 +109,57 @@ def test_chi_monotone_in_both_arguments(x, y, dx, dy):
     assert 0.0 <= base <= 1.0
     assert chi(x + dx, y) <= base + 1e-15
     assert chi(x, y + dy) >= base - 1e-15
+
+
+def _central_slope(fn, x: float, h: float) -> float:
+    """Central difference of the slope (second entry) that ``fn`` returns."""
+    return (fn(x + h)[1] - fn(x - h)[1]) / (2.0 * h)
+
+
+def test_ln_chi_curvature_matches_finite_differences():
+    # From the bulk to the edge of the hopeless branch (x ln2 = 693 < 700).
+    for y in (1e-2, 1.0, 1e3, 1e6):
+        for x in (1e-3, 0.5, 3.0, 20.0, 200.0, 1000.0):
+            _, slope = ln_chi(x, y)
+            fd = _central_slope(lambda v: ln_chi(v, y), x, 1e-6 * max(x, 1.0))
+            assert ln_chi_curvature(slope) == pytest.approx(fd, rel=1e-6)
+    # Past 2**x = e**700 the slope is clamped; the curvature is the same
+    # clamp times ln2: finite and negative.
+    for y in (1e-2, 1.0, 1e3):
+        value, slope = ln_chi(2000.0, y)
+        assert value == -math.inf
+        curv = ln_chi_curvature(slope)
+        assert math.isfinite(curv) and curv < 0.0
+        assert curv == math.log(2.0) * slope
+
+
+@pytest.mark.parametrize("shape", [0.5, 1.0, 2.0, 10.0])
+def test_ln_lower_gamma_curvature_matches_finite_differences(shape):
+    # Deep lower tail (P(10, 1e-3) is 3e-37) through the bulk to the upper
+    # tail, where the slope is of order e^-u.
+    for u in np.geomspace(1e-3, 200.0, 25):
+        u = float(u)
+        _, slope = ln_lower_gamma(shape, u)
+        fd = _central_slope(lambda v: ln_lower_gamma(shape, v), u, 1e-5 * u)
+        curv = ln_lower_gamma_curvature(shape, u, slope)
+        assert curv == pytest.approx(fd, rel=1e-5, abs=1e-300)
+
+
+def test_ln_lower_gamma_curvature_in_the_underflow_branch():
+    # P(10, u) underflows below u ~ 1e-31: the log is -inf, the slope follows
+    # the deep tail, and the curvature is that slope's derivative -shape/u^2.
+    shape = 10.0
+    for u in (1e-35, 1e-60, 1e-120):
+        value, slope = ln_lower_gamma(shape, u)
+        assert value == -math.inf
+        fd = _central_slope(lambda v: ln_lower_gamma(shape, v), u, 1e-5 * u)
+        curv = ln_lower_gamma_curvature(shape, u, slope)
+        assert math.isfinite(curv)
+        assert curv == pytest.approx(fd, rel=1e-8)
+        assert curv == pytest.approx(-shape / (u * u), rel=1e-12)
+    # The far upper tail has a zero slope, and so a zero curvature.
+    _, slope = ln_lower_gamma(shape, 2000.0)
+    assert slope == 0.0 and ln_lower_gamma_curvature(shape, 2000.0, slope) == 0.0
 
 
 # ---------------------------------------------------------------------------
