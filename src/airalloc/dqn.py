@@ -7,6 +7,12 @@ target network prices it).  The optimizer is deliberately bare stochastic
 gradient descent so that the analytic backward pass can be checked against
 central finite differences to tight tolerance, and so that training is
 bit-reproducible from a single seed.
+
+Training updates the online and target networks in place: `train_step` and
+`soft_update` write into a destination network (`out=`, numpy's convention)
+through one workspace of scratch arrays that the destination keeps and
+reuses, so a steady-state step allocates nothing large.  A pure call
+(`out=None`) copies first and leaves its inputs untouched.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,6 +53,9 @@ class QNetworkParams:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    # Scratch arrays of the training step and the soft update that write into
+    # this network, reused from call to call; never copied, compared or saved.
+    _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def copy(self) -> "QNetworkParams":
         return QNetworkParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
@@ -84,17 +93,18 @@ def init_network(n_inputs: int, n_actions: int, seed: int | None = None) -> QNet
     return QNetworkParams(weights, biases)
 
 
-def _forward_cached(theta: QNetworkParams, x: np.ndarray):
-    """Run the network on a batch, keeping post-activation layers for the
-    backward pass.  Returns (q_values, activations)."""
+def _forward(theta: QNetworkParams, x: np.ndarray, outs: list[np.ndarray]) -> list[np.ndarray]:
+    """Run the network on the batch x, writing layer i's post-activation
+    output into outs[i] (rows of x by the layer's width); returns outs."""
     h = x
-    acts = [h]
     last = len(theta.weights) - 1
-    for i, (w, b) in enumerate(zip(theta.weights, theta.biases)):
-        z = h @ w + b
-        h = z if i == last else np.maximum(z, 0.0)
-        acts.append(h)
-    return h, acts
+    for i, (w, b, z) in enumerate(zip(theta.weights, theta.biases, outs)):
+        np.matmul(h, w, out=z)
+        z += b
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+        h = z
+    return outs
 
 
 def q_forward(theta: QNetworkParams, state: np.ndarray) -> np.ndarray:
@@ -105,7 +115,7 @@ def q_forward(theta: QNetworkParams, state: np.ndarray) -> np.ndarray:
         x = x[None, :]
     if x.shape[1] != theta.n_inputs:
         raise ValueError(f"state encoding has {x.shape[1]} features, network expects {theta.n_inputs}")
-    q, _ = _forward_cached(theta, x)
+    q = _forward(theta, x, [np.empty((x.shape[0], w.shape[1])) for w in theta.weights])[-1]
     return q[0] if single else q
 
 
@@ -197,14 +207,27 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
 
     def update_priorities(self, indices, priorities) -> None:
-        # One write per element: sampled indices repeat, and the last write
-        # to a repeated index wins.
-        for i, p in zip(indices, priorities):
-            if not 0 <= i < self._size:
-                raise IndexError(f"replay index {i} outside [0, {self._size})")
-            if not p > 0.0:
-                raise ValueError(f"priorities must be > 0, got {p}")
-            self._priorities[i] = float(p)
+        """Set the priority of each listed slot.  Every index and priority is
+        checked before any is written, and a repeated index keeps its last
+        priority."""
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise IndexError(f"replay indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.intp, copy=False)
+        prio = np.asarray(priorities, dtype=float)
+        if idx.shape != prio.shape or idx.ndim != 1:
+            raise ValueError(f"need one priority per index, got shapes {idx.shape} and {prio.shape}")
+        outside = (idx < 0) | (idx >= self._size)
+        if outside.any():
+            raise IndexError(f"replay index {idx[outside][0]} outside [0, {self._size})")
+        bad = ~(prio > 0.0)
+        if bad.any():
+            raise ValueError(f"priorities must be > 0, got {prio[bad][0]}")
+        # A fancy assignment does not order repeated indices, so write only
+        # each index's last occurrence.
+        _, first_from_end = np.unique(idx[::-1], return_index=True)
+        last = idx.size - 1 - first_from_end
+        self._priorities[idx[last]] = prio[last]
 
     def priorities(self) -> np.ndarray:
         return self._priorities[: self._size].copy()
@@ -246,31 +269,71 @@ def replay_sample(
                       buffer.next_states[idx], buffer.terminals[idx], weights)
 
 
+def _arrays(theta: QNetworkParams) -> list[np.ndarray]:
+    return [*theta.weights, *theta.biases]
+
+
+def _check_shapes(net: QNetworkParams, like: QNetworkParams) -> None:
+    have, want = [a.shape for a in _arrays(net)], [a.shape for a in _arrays(like)]
+    if have != want:
+        raise ValueError(f"network shape mismatch: {have} vs {want}")
+
+
+class _StepScratch:
+    """Every large temporary of `train_step` at one batch size: the stacked
+    [states; next_states] input, the layer outputs of the online (2b rows)
+    and target (b rows) passes, the output gradient `dq` (all zero between
+    steps), and the per-layer gradients, deltas and rectifier masks.  The
+    target pass writes its Q-values over the online ones, which the backward
+    pass does not read."""
+
+    def __init__(self, theta: QNetworkParams, b: int):
+        widths = [w.shape[1] for w in theta.weights]
+        self.b = b
+        self.x = np.empty((2 * b, theta.n_inputs))
+        self.online = [np.empty((2 * b, n)) for n in widths]
+        self.target = [*(np.empty((b, n)) for n in widths[:-1]), self.online[-1][:b]]
+        self.dq = np.zeros((b, widths[-1]))
+        self.grads = [np.empty_like(a) for a in _arrays(theta)]
+        self.deltas = [np.empty((b, n)) for n in widths[:-1]]
+        self.masks = [np.empty((b, n), dtype=bool) for n in widths[:-1]]
+
+
 def train_step(
     theta: QNetworkParams,
     theta_target: QNetworkParams,
     batch: Batch,
     config: TrainConfig,
+    *,
+    out: QNetworkParams | None = None,
 ) -> tuple[QNetworkParams, np.ndarray]:
     """One SGD step on the importance-weighted squared TD error.
 
     Targets are double-Q: the online network chooses the next action, the
     target network evaluates it; terminal transitions bootstrap nothing.
-    Returns the updated parameters and the per-sample TD errors (prediction
-    minus target), whose absolute values refresh the replay priorities.
+    The updated parameters are written into `out` (a fresh copy of theta
+    when None; `out=theta` updates the online network in place) through
+    `out`'s reusable workspace.  Returns `out` and the per-sample TD errors
+    (prediction minus target), whose absolute values refresh the replay
+    priorities.
     """
+    if out is None:
+        out = theta.copy()
+    _check_shapes(out, theta)
     b = batch.states.shape[0]
+    ws = out._scratch.get("step")
+    if ws is None or ws.b != b:
+        ws = out._scratch["step"] = _StepScratch(theta, b)
+    rows = np.arange(b)
     # One online forward over [states; next_states]: rows are independent,
     # the first b feed the backward pass, the rest pick the next actions.
-    q_both, acts_both = _forward_cached(theta, np.concatenate([batch.states, batch.next_states]))
-    next_actions = np.argmax(q_both[b:], axis=1)
-    q_next_target = q_forward(theta_target, batch.next_states)
-    bootstrap = q_next_target[np.arange(b), next_actions]
+    ws.x[:b] = batch.states
+    ws.x[b:] = batch.next_states
+    acts = [ws.x, *_forward(theta, ws.x, ws.online)]
+    next_actions = np.argmax(acts[-1][b:], axis=1)
+    pred = acts[-1][rows, batch.actions]
+    bootstrap = _forward(theta_target, batch.next_states, ws.target)[-1][rows, next_actions]
     targets = batch.rewards + config.discount * bootstrap * (~batch.terminals)
-
-    q_all = q_both[:b]
-    acts = [a[:b] for a in acts_both]
-    pred = q_all[np.arange(b), batch.actions]
     td = pred - targets
     loss = float(np.mean(batch.weights * td * td))
     if not math.isfinite(loss):
@@ -279,39 +342,52 @@ def train_step(
             f"reward range [{batch.rewards.min()}, {batch.rewards.max()}]"
         )
 
-    # Backward pass: d loss / d q is nonzero only at the taken actions.
-    dq = np.zeros_like(q_all)
-    dq[np.arange(b), batch.actions] = 2.0 * batch.weights * td / b
+    # Backward pass: d loss / d q is nonzero only at the taken actions.  Layer
+    # i's weights feed the next delta before they are overwritten, so `out`
+    # may alias theta.
+    n_layers = len(theta.weights)
+    dq = ws.dq
+    dq[rows, batch.actions] = 2.0 * batch.weights * td / b
+    try:
+        delta = dq
+        for i in range(n_layers - 1, -1, -1):
+            h_in = acts[i][:b]
+            grad_w = np.matmul(h_in.T, delta, out=ws.grads[i])
+            grad_b = np.sum(delta, axis=0, out=ws.grads[n_layers + i])
+            if i > 0:
+                mask = np.greater(h_in, 0.0, out=ws.masks[i - 1])
+                delta = np.matmul(delta, theta.weights[i].T, out=ws.deltas[i - 1])
+                delta *= mask
+            grad_w *= config.learning_rate
+            grad_b *= config.learning_rate
+            np.subtract(theta.weights[i], grad_w, out=out.weights[i])
+            np.subtract(theta.biases[i], grad_b, out=out.biases[i])
+    finally:
+        dq[rows, batch.actions] = 0.0
 
-    new_w = [w.copy() for w in theta.weights]
-    new_b = [bv.copy() for bv in theta.biases]
-    delta = dq
-    for i in range(len(theta.weights) - 1, -1, -1):
-        h_in = acts[i]
-        grad_w = h_in.T @ delta
-        grad_b = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ theta.weights[i].T) * (acts[i] > 0.0)
-        new_w[i] -= config.learning_rate * grad_w
-        new_b[i] -= config.learning_rate * grad_b
-
-    updated = QNetworkParams(new_w, new_b)
-    updated.check_finite()
-    return updated, td
+    out.check_finite()
+    return out, td
 
 
-def soft_update(theta_target: QNetworkParams, theta: QNetworkParams, tau: float) -> QNetworkParams:
-    """Convex elementwise blend: tau of the online net into the target."""
+def soft_update(theta_target: QNetworkParams, theta: QNetworkParams, tau: float, *,
+                out: QNetworkParams | None = None) -> QNetworkParams:
+    """Convex elementwise blend: tau of the online net into the target,
+    written into `out` (a fresh copy of the target when None; `out=
+    theta_target` blends in place) through `out`'s reusable workspace."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be within [0, 1], got {tau}")
-    ws, bs = [], []
-    for wt, w in zip(theta_target.weights, theta.weights):
-        if wt.shape != w.shape:
-            raise ValueError(f"shape mismatch {wt.shape} vs {w.shape}")
-        ws.append(tau * w + (1.0 - tau) * wt)
-    for bt, bv in zip(theta_target.biases, theta.biases):
-        bs.append(tau * bv + (1.0 - tau) * bt)
-    return QNetworkParams(ws, bs)
+    _check_shapes(theta_target, theta)
+    if out is None:
+        out = theta_target.copy()
+    _check_shapes(out, theta)
+    if "blend" not in out._scratch:
+        out._scratch["blend"] = [np.empty_like(a) for a in _arrays(out)]
+    blends = out._scratch["blend"]
+    for online, target, dst, blend in zip(_arrays(theta), _arrays(theta_target), _arrays(out), blends):
+        np.multiply(online, tau, out=blend)
+        np.multiply(target, 1.0 - tau, out=dst)
+        dst += blend
+    return out
 
 
 def train(
@@ -360,15 +436,16 @@ def train(
                     config.priority_exponent, config.importance_exponent,
                 )
                 try:
-                    theta, td = train_step(theta, theta_target, batch, config)
+                    _, td = train_step(theta, theta_target, batch, config, out=theta)
                 except FloatingPointError as exc:
                     raise RuntimeError(f"training diverged in episode {ep}: {exc}") from exc
                 buffer.update_priorities(idx, np.abs(td) + 1e-6)
-                theta_target = soft_update(theta_target, theta, config.tau)
+                soft_update(theta_target, theta, config.tau, out=theta_target)
             if done:
                 break
         curve.append(total)
         epsilon = max(config.epsilon_min, epsilon * config.epsilon_decay)
+    theta._scratch.clear()  # the returned network carries no training workspace
     return theta, curve
 
 

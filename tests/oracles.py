@@ -14,6 +14,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sps
 
+from airalloc.dqn import QNetworkParams
 from airalloc.model import Allocation, SystemParams, local_budget_rho
 from airalloc.multiuser import MultiUserAction, _share_rows, success_vector
 from airalloc.solver import _argmax_candidates
@@ -283,3 +284,83 @@ def enumerate_actions_loop(mp, granularity: float, time_fracs=(0.25, 0.5),
         actions.append(MultiUserAction(np.array([c[0] for c in combo]), t,
                                        np.array([c[2] for c in combo])))
     return actions
+
+
+def forward_cached(theta: QNetworkParams, x: np.ndarray):
+    """The network's forward pass before its output buffers: run the network on a batch, keeping post-activation layers for the
+    backward pass.  Returns (q_values, activations)."""
+    h = x
+    acts = [h]
+    last = len(theta.weights) - 1
+    for i, (w, b) in enumerate(zip(theta.weights, theta.biases)):
+        z = h @ w + b
+        h = z if i == last else np.maximum(z, 0.0)
+        acts.append(h)
+    return h, acts
+
+
+def train_step_alloc(theta: QNetworkParams, theta_target: QNetworkParams, batch, config):
+    """`dqn.train_step` as the package kept it before its reusable workspace:
+    fresh arrays for every temporary and a new network as the result.
+
+    One SGD step on the importance-weighted squared TD error.
+
+    Targets are double-Q: the online network chooses the next action, the
+    target network evaluates it; terminal transitions bootstrap nothing.
+    Returns the updated parameters and the per-sample TD errors (prediction
+    minus target), whose absolute values refresh the replay priorities.
+    """
+    b = batch.states.shape[0]
+    # One online forward over [states; next_states]: rows are independent,
+    # the first b feed the backward pass, the rest pick the next actions.
+    q_both, acts_both = forward_cached(theta, np.concatenate([batch.states, batch.next_states]))
+    next_actions = np.argmax(q_both[b:], axis=1)
+    q_next_target, _ = forward_cached(theta_target, batch.next_states)
+    bootstrap = q_next_target[np.arange(b), next_actions]
+    targets = batch.rewards + config.discount * bootstrap * (~batch.terminals)
+
+    q_all = q_both[:b]
+    acts = [a[:b] for a in acts_both]
+    pred = q_all[np.arange(b), batch.actions]
+    td = pred - targets
+    loss = float(np.mean(batch.weights * td * td))
+    if not math.isfinite(loss):
+        raise FloatingPointError(
+            f"non-finite training loss {loss}: |td|max={np.max(np.abs(td))}, "
+            f"reward range [{batch.rewards.min()}, {batch.rewards.max()}]"
+        )
+
+    # Backward pass: d loss / d q is nonzero only at the taken actions.
+    dq = np.zeros_like(q_all)
+    dq[np.arange(b), batch.actions] = 2.0 * batch.weights * td / b
+
+    new_w = [w.copy() for w in theta.weights]
+    new_b = [bv.copy() for bv in theta.biases]
+    delta = dq
+    for i in range(len(theta.weights) - 1, -1, -1):
+        h_in = acts[i]
+        grad_w = h_in.T @ delta
+        grad_b = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ theta.weights[i].T) * (acts[i] > 0.0)
+        new_w[i] -= config.learning_rate * grad_w
+        new_b[i] -= config.learning_rate * grad_b
+
+    updated = QNetworkParams(new_w, new_b)
+    updated.check_finite()
+    return updated, td
+
+
+def soft_update_alloc(theta_target: QNetworkParams, theta: QNetworkParams, tau: float) -> QNetworkParams:
+    """`dqn.soft_update` before its reusable workspace: a convex elementwise
+    blend of tau of the online net into a new target."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must be within [0, 1], got {tau}")
+    ws, bs = [], []
+    for wt, w in zip(theta_target.weights, theta.weights):
+        if wt.shape != w.shape:
+            raise ValueError(f"shape mismatch {wt.shape} vs {w.shape}")
+        ws.append(tau * w + (1.0 - tau) * wt)
+    for bt, bv in zip(theta_target.biases, theta.biases):
+        bs.append(tau * bv + (1.0 - tau) * bt)
+    return QNetworkParams(ws, bs)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from airalloc.dqn import (
     train,
     train_step,
 )
-from airalloc.multiuser import MultiUserEnv, default_multiuser, enumerate_actions
-from oracles import ListReplay
+from airalloc.multiuser import MultiUserEnv, default_multiuser, enumerate_actions, state_vector
+from oracles import ListReplay, soft_update_alloc, train_step_alloc
 
 
 def _tiny_setup(seed=0, n_users=1):
@@ -146,6 +147,34 @@ def test_update_priorities_rejects_out_of_range_index():
     # A repeated index keeps the last write.
     buf.update_priorities([1, 1], [3.0, 5.0])
     assert buf.priorities().tolist() == [1.0, 5.0, 1.0]
+
+
+def test_rejected_priority_update_writes_nothing():
+    buf = ReplayBuffer(capacity=8, n_inputs=2)
+    for r in range(5):
+        _push(buf, float(r))
+    buf.update_priorities(range(5), [1.0, 2.0, 3.0, 4.0, 5.0])
+    # The bad entry sits after good ones, which must not be applied either.
+    for indices, prios, error in (
+        ([0, 1, 5], [9.0, 9.0, 9.0], IndexError),
+        ([0, 1, -1], [9.0, 9.0, 9.0], IndexError),
+        ([0, 1, 2], [9.0, 9.0, 0.0], ValueError),
+        ([0, 1, 2], [9.0, 9.0, math.nan], ValueError),
+        ([0, 1, 2], [9.0, 9.0, -1.0], ValueError),
+        ([0, 1], [9.0], ValueError),
+        ([0.0, 1.5], [9.0, 9.0], IndexError),
+    ):
+        with pytest.raises(error):
+            buf.update_priorities(indices, prios)
+        assert buf.priorities().tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    # Many repeats: each slot keeps the priority of its last occurrence.
+    rng = np.random.default_rng(3)
+    idx, prios = rng.integers(0, 5, size=200), rng.uniform(0.1, 5.0, size=200)
+    want = buf.priorities()
+    for i, p in zip(idx, prios):
+        want[i] = p
+    buf.update_priorities(idx, prios)
+    assert np.array_equal(buf.priorities(), want)
 
 
 def test_replay_matches_list_oracle():
@@ -326,6 +355,120 @@ def test_soft_update_lag_decays_geometrically():
         target = soft_update(target, online, tau)
         gap = np.linalg.norm(target.flat() - online.flat())
         assert gap == pytest.approx((1.0 - tau) ** k * gap0, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def fleet_shape():
+    """(state features, joint actions) of the benchmark's fleet: two users
+    sharing two servers at granularity 0.5."""
+    mp = default_multiuser(2, 2)
+    n_inputs = state_vector(mp, MultiUserEnv(mp, seed=0).reset(seed=0)).shape[0]
+    return n_inputs, enumerate_actions(mp, granularity=0.5).size
+
+
+def _fleet_batch(rng, n_inputs, n_actions, b=64):
+    """A batch with repeated actions (half the rows pick among 4) and
+    terminal rows."""
+    actions = np.where(np.arange(b) % 2 == 0, rng.integers(0, 4, size=b),
+                       rng.integers(0, n_actions, size=b))
+    return Batch(
+        states=rng.normal(size=(b, n_inputs)),
+        actions=actions,
+        rewards=rng.normal(size=b),
+        next_states=rng.normal(size=(b, n_inputs)),
+        terminals=rng.random(size=b) < 0.25,
+        weights=rng.uniform(0.2, 1.0, size=b),
+    )
+
+
+def test_in_place_step_matches_allocating_oracle(fleet_shape):
+    """Chained steps written into the online and target networks agree bit
+    for bit with the step that builds new networks from fresh arrays."""
+    n_inputs, n_actions = fleet_shape
+    cfg = TrainConfig(learning_rate=1e-2, tau=0.05)
+    theta = init_network(n_inputs, n_actions, seed=70)
+    target = init_network(n_inputs, n_actions, seed=71)
+    ref, ref_target = theta.copy(), target.copy()
+    rng = np.random.default_rng(72)
+    for step in range(50):
+        batch = _fleet_batch(rng, n_inputs, n_actions)
+        ref, ref_td = train_step_alloc(ref, ref_target, batch, cfg)
+        ref_target = soft_update_alloc(ref_target, ref, cfg.tau)
+        got, td = train_step(theta, target, batch, cfg, out=theta)
+        assert got is theta
+        assert soft_update(target, theta, cfg.tau, out=target) is target
+        assert np.array_equal(td, ref_td), step
+        for have, want in ((theta, ref), (target, ref_target)):
+            assert all(np.array_equal(a, b) for a, b in zip(have.weights, want.weights)), step
+            assert all(np.array_equal(a, b) for a, b in zip(have.biases, want.biases)), step
+    assert not np.array_equal(theta.flat(), init_network(n_inputs, n_actions, seed=70).flat())
+
+
+def test_steady_state_step_allocates_nothing_large(fleet_shape):
+    n_inputs, n_actions = fleet_shape
+    cfg = TrainConfig()
+    theta = init_network(n_inputs, n_actions, seed=80)
+    target = theta.copy()
+    rng = np.random.default_rng(81)
+    batches = [_fleet_batch(rng, n_inputs, n_actions) for _ in range(3)]
+    for batch in batches[:2]:  # warm-up builds the workspaces
+        train_step(theta, target, batch, cfg, out=theta)
+        soft_update(target, theta, cfg.tau, out=target)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train_step(theta, target, batches[2], cfg, out=theta)
+        soft_update(target, theta, cfg.tau, out=target)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # One layer's output alone is 64 x 2304 x 8 bytes = 1.2 MB.
+    assert peak < 128 * 1024, f"steady-state step peaked at {peak} bytes"
+
+
+def test_pure_step_keeps_inputs_and_failed_step_leaves_workspace_clean(fleet_shape):
+    n_inputs, n_actions = fleet_shape
+    cfg = TrainConfig(learning_rate=1e-2)
+    theta = init_network(n_inputs, n_actions, seed=90)
+    target = init_network(n_inputs, n_actions, seed=91)
+    rng = np.random.default_rng(92)
+    batch = _fleet_batch(rng, n_inputs, n_actions)
+
+    def raw():
+        arrays = [a for net in (theta, target) for a in (*net.weights, *net.biases)]
+        return [a.tobytes() for a in (*arrays, *vars(batch).values())]
+
+    before = raw()
+    stepped, _ = train_step(theta, target, batch, cfg)
+    blended = soft_update(target, theta, 0.3)
+    assert raw() == before
+    assert stepped is not theta and blended is not target
+    with pytest.raises(ValueError):
+        train_step(theta, target, batch, cfg, out=init_network(n_inputs, n_actions + 1, seed=0))
+    with pytest.raises(ValueError):
+        soft_update(target, theta, 0.3, out=init_network(n_inputs + 1, n_actions, seed=0))
+
+    good = _fleet_batch(rng, n_inputs, n_actions)
+    want, want_td = train_step(theta, target, good, cfg, out=theta.copy())
+    bad_loss = _fleet_batch(rng, n_inputs, n_actions)
+    bad_loss.rewards[5] = math.inf
+    # A step so large that the update overflows fails after the output
+    # gradient has been scattered: at the finiteness check, or inside the
+    # backward pass when numpy raises on overflow.
+    bad_update = _fleet_batch(rng, n_inputs, n_actions)
+    bad_update.rewards *= 1e10
+    overflow = TrainConfig(learning_rate=1e308)
+    for bad, bad_cfg, errstate in (
+        (bad_loss, cfg, {}),
+        (bad_update, overflow, {"over": "ignore", "invalid": "ignore"}),
+        (bad_update, overflow, {"over": "raise"}),
+    ):
+        dest = theta.copy()
+        with pytest.raises(FloatingPointError), np.errstate(**errstate):
+            train_step(theta, target, bad, bad_cfg, out=dest)
+        got, td = train_step(theta, target, good, cfg, out=dest)
+        assert np.array_equal(td, want_td)
+        assert np.array_equal(got.flat(), want.flat())
 
 
 # ---------------------------------------------------------------------------
