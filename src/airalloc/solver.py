@@ -12,9 +12,11 @@ The decision variables are updated in three blocks per outer iteration:
    replaces each success factor by a concave quadratic minorant and solves
    the budget-coupled subproblem in closed form under a water-filling
    multiplier; ``mm1`` uses tangent-composition minorants of the log factors
-   and closes each per-index stationarity condition with the same bracketed
-   root search; the reference update ``pg`` runs block 2's projected Newton
-   on the true objective, whose split Hessian is diagonal).
+   and closes each per-index stationarity condition by the safeguarded
+   Newton search of :func:`~airalloc.special.decreasing_root_newton`, with
+   the minorant's own second derivative; the reference update ``pg`` runs
+   block 2's projected Newton on the true objective, whose split Hessian is
+   diagonal).
 
 Both split updates price the shares with one water-filling multiplier, found
 by :func:`waterfill_mu`: a geometric bracket, seeded with the previous
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,7 +49,17 @@ from .model import (
     local_cycle_energy,
     success_breakdown,
 )
-from .special import QuarticCoeffs, decreasing_root, ln_chi, ln_lower_gamma, solve_poly_real
+from .special import (
+    ConvergenceError,
+    QuarticCoeffs,
+    decreasing_root,
+    decreasing_root_newton,
+    ln_chi,
+    ln_chi_curvature,
+    ln_lower_gamma,
+    ln_lower_gamma_curvature,
+    solve_poly_real,
+)
 from .surrogates import (
     PHI_FLOOR,
     SurrogateCoeffs,
@@ -503,8 +516,8 @@ class InnerTrace:
     derivative evaluation of a 1-D search), which is the unit that separates
     the closed-form update from the search-based one.  ``mu_evals`` counts
     the water-filling multipliers tried (each runs every per-index solve
-    once) and ``pathologies`` the degenerate surrogates, failed brackets and
-    damped steps met.
+    once) and ``pathologies`` the degenerate surrogates, failed brackets,
+    failed per-index solves and damped steps met.
     """
 
     ln_values: list[float] = field(default_factory=list)
@@ -549,8 +562,10 @@ def _mm_split_loop(
     minorant degenerates.  ``slack`` is the compute time: ``rho`` over the
     local speed, or for server m the latency budget left after the first m
     airtimes; ``t_m`` is server m's airtime (0 for the local share).  No
-    local cycle budget, a server without airtime or latency slack, or a None
-    piece counts a pathology and keeps the previous iterate.  Stops on a
+    local cycle budget, a server without airtime or latency slack, a None
+    piece, a multiplier search that cannot bracket the budget, or a
+    per-index solve that raises :class:`~airalloc.special.ConvergenceError`
+    counts a pathology and keeps the previous iterate.  Stops on a
     step below 1e-6 (max-norm) or when an iteration improves the objective
     by less than 1e-9 — near flat optima the curvature-floored surrogates
     keep producing above-tolerance steps of vanishing value.
@@ -597,7 +612,7 @@ def _mm_split_loop(
         mu_start = trace.mu_values[-1] if trace.mu_values else None
         try:
             mu, shares = waterfill_mu(solvers, intervals, mu_start=mu_start)
-        except WaterfillBracketError:
+        except (WaterfillBracketError, ConvergenceError):
             trace.pathologies += 1
             break
         phi_new = np.zeros_like(phi)
@@ -686,14 +701,17 @@ def solve_p3_mm2(
 
 def _mm1_derivative(
     p: SystemParams, m: int, ph: float, t_m: float, time_slack: float, power_w: float
-) -> Callable[[float], float]:
-    """Derivative of the tangent-composition minorant at index m.
+) -> Callable[[float], tuple[float, float]]:
+    """First and second derivative of the tangent-composition minorant at
+    index m.
 
     Each success factor is log-concave in the reciprocal share, so replacing
     the reciprocal with its tangent line at the expansion point gives a
     concave lower bound of the log factor that is exact to first order.  The
     bound degenerates to -inf once the tangent argument crosses zero, which
     happens at twice the expansion share and acts as a natural trust region.
+    The second derivative comes from the kernel's curvature at no extra
+    kernel call.
     """
     w = p.workload
     speed = p.local_speed_hz if m == 0 else p.server_speeds_hz[m - 1]
@@ -709,25 +727,67 @@ def _mm1_derivative(
         tx_terms = (y, k / ph, -k / (ph * ph))
 
     # The primitives are evaluated on the tangent lines: ln P at u(phi) for
-    # psi / phi, and ln chi at x = 1 / v(phi) for v = k / phi.
-    def deriv(phi: float) -> float:
+    # psi / phi, and ln chi at x = 1 / v(phi) for v = k / phi, whose phi-slope
+    # is -dv x^2.
+    def deriv(phi: float) -> tuple[float, float]:
         u = u_hat + du * (phi - ph)
         if u <= 0.0:
-            return -math.inf
-        total = ln_lower_gamma(w.shape, u)[1] * du
+            return -math.inf, -math.inf
+        slope = ln_lower_gamma(w.shape, u)[1]
+        total = slope * du
+        curv = ln_lower_gamma_curvature(w.shape, u, slope) * du * du
         if tx_terms is not None:
             y, v_hat, dv = tx_terms
             v = v_hat + dv * (phi - ph)
             if v <= 0.0:
-                return -math.inf
+                return -math.inf, -math.inf
             x = 1.0 / v
             ln_tx, dx = ln_chi(x, y)
             if ln_tx == -math.inf:
-                return -math.inf
+                return -math.inf, -math.inf
             total -= dx * dv * x * x
-        return total
+            curv += dv * dv * x**3 * (ln_chi_curvature(dx) * x + 2.0 * dx)
+        return total, curv
 
     return deriv
+
+
+def _mm1_piece(p: SystemParams, power_w: float, m: int, ph, slack, t_m, trace: InnerTrace):
+    """``mm1``'s per-index maximizer on [PHI_FLOOR, min(1, 2 ph)] (None
+    when that is empty): the stationary point of the minorant plus mu phi,
+    by :func:`~airalloc.special.decreasing_root_newton` from ph, or the end
+    at which the derivative keeps its sign.  The search is a pure function
+    of mu; the end derivatives do not depend on it, so the first call
+    evaluates them once.  Every derivative evaluation counts one
+    ``search_eval``."""
+    ph = float(ph)
+    deriv = _mm1_derivative(p, m, ph, float(t_m), float(slack), float(power_w))
+    lo = PHI_FLOOR
+    hi = min(1.0, 2.0 * ph * (1.0 - 1e-9))
+    if hi <= lo:
+        return None
+
+    def d_counted(x: float) -> tuple[float, float]:
+        trace.search_evals += 1
+        return deriv(x)
+
+    ends: list[float] = []
+
+    def solver(mu: float) -> float:
+        if not ends:
+            ends.extend((d_counted(lo)[0], d_counted(hi)[0]))
+        if ends[0] + mu <= 0.0:
+            return lo
+        if ends[1] + mu >= 0.0:
+            return hi
+
+        def shifted(x: float) -> tuple[float, float]:
+            d, curv = d_counted(x)
+            return d + mu, curv
+
+        return decreasing_root_newton(shifted, lo, hi, ph)
+
+    return solver, (lo, hi)
 
 
 def solve_p3_mm1(
@@ -741,32 +801,9 @@ def solve_p3_mm1(
     max_iter: int = 100,
 ) -> tuple[np.ndarray, InnerTrace]:
     """Split update with first-order minorants; same contract as ``mm2``
-    but every inner maximization is a safeguarded numeric root search."""
-
-    def piece(m: int, ph, slack, t_m, trace: InnerTrace):
-        ph = float(ph)
-        deriv = _mm1_derivative(p, m, ph, float(t_m), float(slack), power_w)
-        lo = PHI_FLOOR
-        hi = min(1.0, 2.0 * ph * (1.0 - 1e-9))
-        if hi <= lo:
-            return None
-
-        def d_counted(x: float) -> float:
-            trace.search_evals += 1
-            return deriv(x)
-
-        def solver(mu: float) -> float:
-            d_lo = d_counted(lo) + mu
-            if d_lo <= 0.0:
-                return lo
-            d_hi = d_counted(hi) + mu
-            if d_hi >= 0.0:
-                return hi
-            return decreasing_root(lambda x: d_counted(x) + mu, lo, hi, d_lo, d_hi)
-
-        return solver, (lo, hi)
-
-    return _mm_split_loop(p, phi_start, t_shares, power_w, rho, piece,
+    but every inner maximization is a safeguarded Newton root search on the
+    minorant's derivative (:func:`_mm1_piece`)."""
+    return _mm_split_loop(p, phi_start, t_shares, power_w, rho, partial(_mm1_piece, p, power_w),
                           offload_only=offload_only, max_iter=max_iter)
 
 

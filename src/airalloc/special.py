@@ -25,6 +25,7 @@ __all__ = [
     "ln_lower_gamma",
     "ln_lower_gamma_curvature",
     "decreasing_root",
+    "decreasing_root_newton",
     "solve_quartic_real",
     "solve_cubic_real",
     "solve_quadratic_real",
@@ -231,6 +232,55 @@ def decreasing_root(
                 fa *= 0.5
             side = 1
     return 0.5 * (a + b)
+
+
+def decreasing_root_newton(
+    fd: Callable[[float], tuple[float, float]], a: float, b: float, x: float
+) -> float:
+    """Safeguarded Newton search for f(x) = 0 with f decreasing and
+    f(a) > 0 > f(b); ``fd`` returns f and its derivative at one call.
+
+    Starts at ``x`` (by bisection when it is not strictly inside [a, b]) and
+    keeps [a, b] around the root.  A Newton step below 1e-13 relative to
+    max(1, |x|) ends the search before the bracket test, since from a
+    one-sided approach the converged step rounds onto a bracket end.  Falls
+    back to bisection, as in Numerical Recipes' ``rtsafe``, on a non-finite
+    f, a slope that is not negative, a step that leaves the bracket, or one
+    longer than half the step before last (a crawl along a steep wall):
+    geometric while the bracket spans more than a factor 4 (the root may lie
+    decades below b), arithmetic after.  Also stops on an exact zero, on a
+    bracket narrower than 1e-13 relative to max(1, |b|), or after 200
+    evaluations.
+    """
+    if not a < x < b:
+        x = _bisection_point(a, b)
+    step = step_old = b - a
+    for _ in range(_ROOT_MAX_ITER):
+        fx, slope = fd(x)
+        if fx == 0.0:
+            return x
+        if fx > 0.0:
+            a = x
+        else:
+            b = x
+        if math.isfinite(fx) and -math.inf < slope < 0.0:
+            newton = fx / slope
+            if abs(newton) <= _ROOT_XTOL * max(1.0, abs(x)):
+                return min(max(x - newton, a), b)
+            if a < x - newton < b and 2.0 * abs(newton) <= abs(step_old):
+                step_old, step = step, newton
+                x -= newton
+                continue
+        if b - a < _ROOT_XTOL * max(1.0, abs(b)):
+            break
+        x_new = _bisection_point(a, b)
+        step_old, step = step, x - x_new
+        x = x_new
+    return 0.5 * (a + b)
+
+
+def _bisection_point(a: float, b: float) -> float:
+    return math.sqrt(a * b) if a > 0.0 and b > 4.0 * a else 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------

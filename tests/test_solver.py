@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import waterfill_bisection
+from oracles import random_feasible_allocation, waterfill_bisection
 
-from airalloc import solver
+from airalloc import solver, special
 from airalloc.model import (
     FeasibilityError,
     assert_feasible,
@@ -31,7 +31,13 @@ from airalloc.solver import (
     split_residual,
     waterfill_mu,
 )
-from airalloc.surrogates import SurrogateCoeffs, surrogate_computation, surrogate_transmission
+from airalloc.special import ln_chi, ln_lower_gamma
+from airalloc.surrogates import (
+    PHI_FLOOR,
+    SurrogateCoeffs,
+    surrogate_computation,
+    surrogate_transmission,
+)
 
 
 def test_ln_success_matches_breakdown():
@@ -366,6 +372,167 @@ def test_split_update_keeps_start_on_degenerate_index(variant, t_shares, rho):
     assert len(trace.ln_values) == 1
 
 
+def test_convergence_error_in_split_counts_a_pathology(monkeypatch):
+    # A root the quartic's certificate rejects raises ConvergenceError inside
+    # a split iteration; the iteration keeps its previous iterate instead.
+    p = reference_params(2, task_mbits=10.0)
+    clean = bcd_solve(p, variant="mm2")
+    assert clean.trace.total_pathologies == 0
+    real = solver.solve_poly_real
+    calls = [0]
+
+    def failing(coeffs):
+        calls[0] += 1
+        if calls[0] == 100:
+            raise special.ConvergenceError("rejected root")
+        return real(coeffs)
+
+    monkeypatch.setattr(solver, "solve_poly_real", failing)
+    res = bcd_solve(p, variant="mm2")
+    assert calls[0] > 100
+    assert_feasible(p, res.allocation)
+    vals = res.trace.ln_p_success
+    assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
+    assert res.trace.total_pathologies == 1
+    assert res.ln_p_success == pytest.approx(clean.ln_p_success, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# mm1's per-index search.
+# ---------------------------------------------------------------------------
+
+
+def _mm1_states(rng, tasks_mbits=(5.0, 20.0, 60.0, 100.0)):
+    """(p, m, ph, slack, t_m, power) of every mm1 index over M = 1-4 and
+    the given task sizes, at random feasible allocations."""
+    for n_servers in (1, 2, 3, 4):
+        for task_mbits in tasks_mbits:
+            p = reference_params(n_servers, task_mbits=task_mbits)
+            for _ in range(2):
+                a = random_feasible_allocation(p, rng)
+                ph = np.maximum(np.array(a.phi), PHI_FLOOR)
+                ph /= ph.sum()
+                slacks = p.latency_budget_s - np.cumsum(a.t_shares)
+                yield p, 0, float(ph[0]), a.rho / p.local_speed_hz, 0.0, a.power_w
+                for m in range(1, n_servers + 1):
+                    yield p, m, float(ph[m]), float(slacks[m - 1]), a.t_shares[m - 1], a.power_w
+
+
+def _check_mm1_curvature(deriv, x: float, ph: float, rel: float = 1e-5) -> None:
+    d, curv = deriv(x)
+    assert math.isfinite(d) and math.isfinite(curv)
+    # The minorant has a pole at 2 ph: keep the step well inside it.
+    h = 1e-6 * min(x, 2.0 * ph - x)
+    fd = (deriv(x + h)[0] - deriv(x - h)[0]) / (2.0 * h)
+    assert curv == pytest.approx(fd, rel=rel)
+
+
+def test_mm1_derivative_curvature_matches_finite_differences():
+    """The second derivative of mm1's minorant against central differences
+    of its first, over M = 1-4 and L = 5-100 Mbit, plus a link near its
+    hopeless branch and a local factor in ln_lower_gamma's underflow branch."""
+    rng = np.random.default_rng(5)
+    checked = near_hopeless = underflow = 0
+    for p, m, ph, slack, t_m, power in _mm1_states(rng):
+        deriv = solver._mm1_derivative(p, m, ph, t_m, slack, power)
+        hi = min(1.0, 2.0 * ph)
+        for frac in (0.2, 0.7, 1.0, 1.4, 1.9):
+            x = frac * ph
+            if x < hi:
+                _check_mm1_curvature(deriv, x, ph)
+                checked += 1
+        if m == 0:
+            # A local cycle budget of 1e-30 cycles: P(10, u) underflows to 0.
+            deriv = solver._mm1_derivative(p, 0, ph, 0.0, 1e-30 / p.local_speed_hz, power)
+            psi = 1e-30 / (p.task_bits * p.workload.scale)
+            assert ln_lower_gamma(p.workload.shape, psi / ph)[0] == -math.inf
+            _check_mm1_curvature(deriv, ph, ph)
+            underflow += 1
+        elif ph > 1e-3:
+            # The tangent line v(phi) = k (2 ph - phi) / ph^2 gives the link
+            # demand 1 / v; put it at 650 / ln2, below the hopeless 700 / ln2.
+            # Closer to it, or for a share near the floor, whose tangent is
+            # steeper, the curvature overflows to -inf before the slope does.
+            # The difference quotient is noisier here: the tangent line
+            # cancels near its zero, and 2^(1/v) amplifies that 650-fold.
+            k = p.bandwidth_hz * t_m / p.task_bits
+            x = 2.0 * ph - math.log(2.0) / 650.0 * ph * ph / k
+            if PHI_FLOOR < x < hi:
+                y = power * p.mean_gains[m - 1] / p.noise_w
+                assert -math.inf < ln_chi(1.0 / (k * (2.0 * ph - x) / (ph * ph)), y)[0] < -1e200
+                _check_mm1_curvature(deriv, x, ph, rel=1e-4)
+                near_hopeless += 1
+    assert checked >= 300 and near_hopeless >= 20 and underflow == 32
+
+
+@pytest.fixture(scope="module")
+def mm1_pieces():
+    """Every mm1 piece at random feasible allocations (L = 5-100 Mbit) and
+    at the start and end of three-round solves of the benchmark cells, with
+    its derivative and its trace."""
+    states = list(_mm1_states(np.random.default_rng(9), (5.0, 30.0, 100.0)))
+    for cell in WATERFILL_CELLS:
+        p = reference_params(cell[0], task_mbits=cell[1])
+        for a in (default_allocation(p), bcd_solve(p, variant="mm1", max_outer=3).allocation):
+            ph = np.maximum(np.array(a.phi), PHI_FLOOR)
+            ph /= ph.sum()
+            slacks = p.latency_budget_s - np.cumsum(a.t_shares)
+            states.append((p, 0, float(ph[0]), a.rho / p.local_speed_hz, 0.0, a.power_w))
+            states += [(p, m, float(ph[m]), float(slacks[m - 1]), a.t_shares[m - 1], a.power_w)
+                       for m in range(1, p.n_servers + 1)]
+    out = []
+    for p, m, ph, slack, t_m, power in states:
+        trace = solver.InnerTrace()
+        built = solver._mm1_piece(p, power, m, ph, slack, t_m, trace)
+        if built is not None:
+            out.append((built, solver._mm1_derivative(p, m, ph, t_m, slack, power), trace))
+    return out
+
+
+_MUS = [0.0, *np.geomspace(1e-4, 1e4, 33).tolist()]
+
+
+def test_mm1_piece_is_a_pure_function_of_mu(mm1_pieces):
+    rng = np.random.default_rng(3)
+    assert len(mm1_pieces) >= 100
+    for (solve, _), _, _ in mm1_pieces:
+        ascending = {mu: solve(mu) for mu in _MUS}
+        assert {mu: solve(mu) for mu in reversed(_MUS)} == ascending
+        shuffled = list(_MUS)
+        rng.shuffle(shuffled)
+        assert {mu: solve(mu) for mu in shuffled} == ascending
+
+
+def test_mm1_piece_matches_the_illinois_search_in_fewer_evaluations(mm1_pieces):
+    # Over multipliers from 1e-4 to 1e4 many roots sit against the pole at
+    # 2 ph; there the Illinois search takes 22 evaluations per root on
+    # average and up to 79, the Newton search about 9 and at most 19.
+    newton = illinois = 0
+    for (solve, (lo, hi)), deriv, trace in mm1_pieces:
+        solve(0.0)  # the first call evaluates both ends
+        d_lo, d_hi = deriv(lo)[0], deriv(hi)[0]
+        for mu in _MUS:
+            before = trace.search_evals
+            share = solve(mu)
+            spent = trace.search_evals - before
+            if d_lo + mu <= 0.0 or d_hi + mu >= 0.0:
+                assert share == (lo if d_lo + mu <= 0.0 else hi) and spent == 0
+                continue
+            assert lo <= share <= hi and spent <= 25
+            newton += spent
+            calls = [0]
+
+            def counted(x, mu=mu, calls=calls):
+                calls[0] += 1
+                return deriv(x)[0] + mu
+
+            ref = special.decreasing_root(counted, lo, hi, d_lo + mu, d_hi + mu)
+            assert abs(share - ref) <= 1e-12
+            illinois += calls[0]
+    assert illinois >= 1000 * 20
+    assert newton <= 0.5 * illinois
+
+
 # ---------------------------------------------------------------------------
 # The full coordinate loop.
 # ---------------------------------------------------------------------------
@@ -618,6 +785,16 @@ def test_pg_split_stays_below_its_step_cap(budget_solves):
     for (name, v), res in budget_solves.items():
         if v == "pg":
             assert max(res.trace.inner_iterations) < cap, name
+
+
+def test_mm1_search_budget_on_reference_cells(budget_solves):
+    # solve_ref's four cells: 89546 search evaluations with the Illinois
+    # search, against a ROADMAP target of 30000; the outer loops and the
+    # multipliers tried stay those of that search.
+    traces = [budget_solves[f"M{m} L10", "mm1"].trace for m, _ in _SOLVE_REF]
+    assert sum(tr.total_search_evals for tr in traces) <= 30000
+    assert sum(tr.n_outer for tr in traces) == 30
+    assert sum(tr.total_mu_evals for tr in traces) == 1020
 
 
 def test_pg_tracks_mm1_on_a_four_server_cell(budget_solves):

@@ -12,6 +12,7 @@ from airalloc.special import (
     GammaWorkload,
     QuarticCoeffs,
     chi,
+    decreasing_root_newton,
     ln_chi,
     ln_chi_curvature,
     ln_lower_gamma,
@@ -160,6 +161,65 @@ def test_ln_lower_gamma_curvature_in_the_underflow_branch():
     # The far upper tail has a zero slope, and so a zero curvature.
     _, slope = ln_lower_gamma(shape, 2000.0)
     assert slope == 0.0 and ln_lower_gamma_curvature(shape, 2000.0, slope) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Safeguarded Newton root search.
+# ---------------------------------------------------------------------------
+
+
+def _counted(fd):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return fd(x)
+
+    return wrapped, calls
+
+
+def test_newton_root_converges_quadratically_from_inside():
+    # f = 0.5 - x^3 on [0, 1] from 0.5: Newton alone, to the last bit.
+    fd, calls = _counted(lambda x: (0.5 - x**3, -3.0 * x * x))
+    root = decreasing_root_newton(fd, 0.0, 1.0, 0.5)
+    assert root == pytest.approx(0.5 ** (1.0 / 3.0), rel=1e-15)
+    assert len(calls) <= 7
+
+
+def test_newton_root_bisects_down_to_a_root_near_the_floor():
+    # A root six decades below the bracket's top: Newton steps from 0.5 leave
+    # the bracket, and geometric bisection closes the decades in a few steps.
+    fd, calls = _counted(lambda x: (math.log(2e-6 / x), -1.0 / x))
+    root = decreasing_root_newton(fd, 1e-6, 1.0, 0.5)
+    assert root == pytest.approx(2e-6, rel=1e-12)
+    assert len(calls) <= 12
+
+
+def test_newton_root_does_not_crawl_along_a_steep_wall():
+    # f = e^10 - e^g with g = 500 / (2 - x) - 490, root at x = 1: from the
+    # wall side each Newton step lowers g by about 1, so 200 steps from the
+    # start (g = 419) would not reach it.  The search must bisect instead.
+    def fd(x):
+        g = 500.0 / (2.0 - x) - 490.0
+        return math.exp(10.0) - math.exp(g), -math.exp(g) * 500.0 / (2.0 - x) ** 2
+
+    wrapped, calls = _counted(fd)
+    root = decreasing_root_newton(wrapped, 0.0, 1.5, 1.45)
+    assert root == pytest.approx(1.0, rel=1e-13)
+    assert len(calls) <= 30
+
+
+def test_newton_root_bisects_past_infinite_values_and_bad_starts():
+    # -inf beyond 0.9, a start outside the bracket, and a flat start.
+    def fd(x):
+        if x > 0.9:
+            return -math.inf, -math.inf
+        return 0.3 - x, -1.0
+
+    for start in (2.0, 0.95, 0.0):
+        assert decreasing_root_newton(fd, 0.0, 1.0, start) == pytest.approx(0.3, abs=1e-15)
+    flat = lambda x: (0.3 - x, 0.0 if x > 0.5 else -1.0)  # noqa: E731
+    assert decreasing_root_newton(flat, 0.0, 1.0, 0.75) == pytest.approx(0.3, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
