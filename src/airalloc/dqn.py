@@ -13,6 +13,14 @@ Training updates the online and target networks in place: `train_step` and
 through one workspace of scratch arrays that the destination keeps and
 reuses, so a steady-state step allocates nothing large.  A pure call
 (`out=None`) copies first and leaves its inputs untouched.
+
+The step's output layer is column-sparse.  The squared TD error reads the
+online Q-value only at each taken action and the target's only at each next
+action, so those come from the gathered output columns; the one full-width
+output product is the online pass over the next states, whose argmax needs
+every action.  The output gradient is nonzero only in the columns of the
+batch's distinct actions, and only those columns are updated.  Every value
+equals the dense computation's bit for bit.
 """
 
 from __future__ import annotations
@@ -94,8 +102,9 @@ def init_network(n_inputs: int, n_actions: int, seed: int | None = None) -> QNet
 
 
 def _forward(theta: QNetworkParams, x: np.ndarray, outs: list[np.ndarray]) -> list[np.ndarray]:
-    """Run the network on the batch x, writing layer i's post-activation
-    output into outs[i] (rows of x by the layer's width); returns outs."""
+    """Run the first len(outs) layers of the network on the batch x, writing
+    layer i's post-activation output into outs[i] (rows of x by the layer's
+    width); returns outs.  Rectifiers apply to every layer but the output."""
     h = x
     last = len(theta.weights) - 1
     for i, (w, b, z) in enumerate(zip(theta.weights, theta.biases, outs)):
@@ -280,23 +289,46 @@ def _check_shapes(net: QNetworkParams, like: QNetworkParams) -> None:
 
 
 class _StepScratch:
-    """Every large temporary of `train_step` at one batch size: the stacked
-    [states; next_states] input, the layer outputs of the online (2b rows)
-    and target (b rows) passes, the output gradient `dq` (all zero between
-    steps), and the per-layer gradients, deltas and rectifier masks.  The
-    target pass writes its Q-values over the online ones, which the backward
-    pass does not read."""
+    """Every large temporary of `train_step` at one batch size b: the stacked
+    [states; next_states] input, the hidden-layer outputs of the online (2b
+    rows) and target (b rows) passes, the online Q-values of the next states
+    (the only full-width output), the output columns at the batch's actions
+    with their b x b products against the last hidden layer, the output
+    gradient and its running column sums over the k <= b distinct actions,
+    and the hidden layers' gradients, deltas and rectifier masks.  The
+    per-batch blocks of k columns are views of flat buffers sized for k = b."""
 
     def __init__(self, theta: QNetworkParams, b: int):
-        widths = [w.shape[1] for w in theta.weights]
+        widths = [w.shape[1] for w in theta.weights[:-1]]
         self.b = b
         self.x = np.empty((2 * b, theta.n_inputs))
         self.online = [np.empty((2 * b, n)) for n in widths]
-        self.target = [*(np.empty((b, n)) for n in widths[:-1]), self.online[-1][:b]]
-        self.dq = np.zeros((b, widths[-1]))
-        self.grads = [np.empty_like(a) for a in _arrays(theta)]
-        self.deltas = [np.empty((b, n)) for n in widths[:-1]]
-        self.masks = [np.empty((b, n), dtype=bool) for n in widths[:-1]]
+        self.target = [np.empty((b, n)) for n in widths]
+        self.q_next = np.empty((b, theta.n_actions))
+        self.cols = np.empty((widths[-1], b))
+        self.gram = np.empty((b, b))
+        self.dq = np.empty(b * b)
+        self.dq_sums = np.empty(b * b)
+        self.grad_out = np.empty(widths[-1] * b)
+        self.w_out = np.empty(widths[-1] * b)
+        self.grad_w = [np.empty_like(w) for w in theta.weights[:-1]]
+        self.grad_b = [np.empty_like(v) for v in theta.biases[:-1]]
+        self.deltas = [np.empty((b, n)) for n in widths]
+        self.masks = [np.empty((b, n), dtype=bool) for n in widths]
+
+
+def _block(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A contiguous rows x cols view of the front of a flat buffer."""
+    return flat[: rows * cols].reshape(rows, cols)
+
+
+def _q_at(theta: QNetworkParams, h: np.ndarray, actions: np.ndarray, ws: _StepScratch) -> np.ndarray:
+    """Q-value of each row of the last hidden layer h at its action, with
+    the output columns gathered into ws.cols.  The diagonal of the one b x b
+    product is, entry for entry, the dot product the full output layer
+    computes, so it matches it bit for bit."""
+    cols = np.take(theta.weights[-1], actions, axis=1, out=ws.cols)
+    return np.matmul(h, cols, out=ws.gram).diagonal() + theta.biases[-1][actions]
 
 
 def train_step(
@@ -315,24 +347,34 @@ def train_step(
     when None; `out=theta` updates the online network in place) through
     `out`'s reusable workspace.  Returns `out` and the per-sample TD errors
     (prediction minus target), whose absolute values refresh the replay
-    priorities.
+    priorities.  An action outside the grid raises IndexError before any
+    write.
     """
+    copy_output = out is not None and out is not theta
     if out is None:
         out = theta.copy()
     _check_shapes(out, theta)
     b = batch.states.shape[0]
+    taken, column = np.unique(batch.actions, return_inverse=True)
+    if taken.size and (taken[0] < 0 or taken[-1] >= theta.n_actions):
+        raise IndexError(f"batch actions must lie in [0, {theta.n_actions}), got "
+                         f"[{taken[0]}, {taken[-1]}]")
     ws = out._scratch.get("step")
     if ws is None or ws.b != b:
         ws = out._scratch["step"] = _StepScratch(theta, b)
-    rows = np.arange(b)
-    # One online forward over [states; next_states]: rows are independent,
-    # the first b feed the backward pass, the rest pick the next actions.
+    # One online forward of the hidden layers over [states; next_states]:
+    # rows are independent, the first b feed the backward pass, the rest
+    # pick the next actions from the one full-width output product.
     ws.x[:b] = batch.states
     ws.x[b:] = batch.next_states
     acts = [ws.x, *_forward(theta, ws.x, ws.online)]
-    next_actions = np.argmax(acts[-1][b:], axis=1)
-    pred = acts[-1][rows, batch.actions]
-    bootstrap = _forward(theta_target, batch.next_states, ws.target)[-1][rows, next_actions]
+    w_last, b_last = theta.weights[-1], theta.biases[-1]
+    q_next = np.matmul(acts[-1][b:], w_last, out=ws.q_next)
+    q_next += b_last
+    next_actions = np.argmax(q_next, axis=1)
+    h_target = _forward(theta_target, batch.next_states, ws.target)[-1]
+    bootstrap = _q_at(theta_target, h_target, next_actions, ws)
+    pred = _q_at(theta, acts[-1][:b], batch.actions, ws)  # leaves W[:, actions] in ws.cols
     targets = batch.rewards + config.discount * bootstrap * (~batch.terminals)
     td = pred - targets
     loss = float(np.mean(batch.weights * td * td))
@@ -342,28 +384,47 @@ def train_step(
             f"reward range [{batch.rewards.min()}, {batch.rewards.max()}]"
         )
 
-    # Backward pass: d loss / d q is nonzero only at the taken actions.  Layer
-    # i's weights feed the next delta before they are overwritten, so `out`
-    # may alias theta.
-    n_layers = len(theta.weights)
-    dq = ws.dq
-    dq[rows, batch.actions] = 2.0 * batch.weights * td / b
-    try:
-        delta = dq
-        for i in range(n_layers - 1, -1, -1):
-            h_in = acts[i][:b]
-            grad_w = np.matmul(h_in.T, delta, out=ws.grads[i])
-            grad_b = np.sum(delta, axis=0, out=ws.grads[n_layers + i])
-            if i > 0:
-                mask = np.greater(h_in, 0.0, out=ws.masks[i - 1])
-                delta = np.matmul(delta, theta.weights[i].T, out=ws.deltas[i - 1])
-                delta *= mask
-            grad_w *= config.learning_rate
-            grad_b *= config.learning_rate
-            np.subtract(theta.weights[i], grad_w, out=out.weights[i])
-            np.subtract(theta.biases[i], grad_b, out=out.biases[i])
-    finally:
-        dq[rows, batch.actions] = 0.0
+    # Backward pass: d loss / d q is nonzero only at the taken actions, so the
+    # output layer's gradient lives on the k distinct ones; every other
+    # output column keeps its value, as w - 0 = w.  Layer i's weights feed
+    # the next delta before they are overwritten, so `out` may alias theta.
+    lr = config.learning_rate
+    n_layers, k, n_last = len(theta.weights), taken.size, w_last.shape[0]
+    dq_rows = 2.0 * batch.weights * td / b
+    dq = _block(ws.dq, b, k)
+    dq.fill(0.0)
+    dq[np.arange(b), column] = dq_rows
+    h_in = acts[-1][:b]
+    grad_w = np.matmul(h_in.T, dq, out=_block(ws.grad_out, n_last, k))
+    # A running sum adds the rows in order, as the full-width column sum
+    # does; np.sum over a block this narrow may sum pairwise instead.
+    grad_b = np.cumsum(dq, axis=0, out=_block(ws.dq_sums, b, k))[-1]
+    # Row i of dq holds one nonzero, so its product with W^T is column
+    # actions[i] of W scaled by it.
+    delta = np.multiply(ws.cols.T, dq_rows[:, None], out=ws.deltas[-1])
+    delta *= np.greater(h_in, 0.0, out=ws.masks[-1])
+    grad_w *= lr
+    grad_b *= lr
+    w_new = np.take(w_last, taken, axis=1, out=_block(ws.w_out, n_last, k))
+    w_new -= grad_w
+    b_new = b_last[taken] - grad_b
+    if copy_output:
+        np.copyto(out.weights[-1], w_last)
+        np.copyto(out.biases[-1], b_last)
+    out.weights[-1][:, taken] = w_new
+    out.biases[-1][taken] = b_new
+    for i in range(n_layers - 2, -1, -1):
+        h_in = acts[i][:b]
+        grad_w = np.matmul(h_in.T, delta, out=ws.grad_w[i])
+        grad_b = np.sum(delta, axis=0, out=ws.grad_b[i])
+        if i > 0:
+            mask = np.greater(h_in, 0.0, out=ws.masks[i - 1])
+            delta = np.matmul(delta, theta.weights[i].T, out=ws.deltas[i - 1])
+            delta *= mask
+        grad_w *= lr
+        grad_b *= lr
+        np.subtract(theta.weights[i], grad_w, out=out.weights[i])
+        np.subtract(theta.biases[i], grad_b, out=out.biases[i])
 
     out.check_finite()
     return out, td
@@ -474,7 +535,12 @@ def save_checkpoint(path, theta: QNetworkParams, config: TrainConfig | None = No
 
 
 def load_checkpoint(path) -> tuple[QNetworkParams, dict]:
-    """Inverse of save_checkpoint; returns (network, header dict)."""
+    """Inverse of save_checkpoint; returns (network, header dict).
+
+    Raises ValueError for a file that does not hold a usable network: a
+    wrong magic, a parameter count that disagrees with the header or the
+    layer shapes, no layers, layers whose shapes do not chain, or a
+    non-finite parameter."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _MAGIC:
@@ -484,9 +550,18 @@ def load_checkpoint(path) -> tuple[QNetworkParams, dict]:
         flat = np.frombuffer(fh.read(), dtype="<f8").astype(float)
     if flat.size != header["n_params"]:
         raise ValueError(f"checkpoint holds {flat.size} parameters, header says {header['n_params']}")
+    shapes = header["layer_shapes"]
+    if not shapes:
+        raise ValueError("checkpoint holds no layers")
+    if any(prev[1] != nxt[0] for prev, nxt in zip(shapes[:-1], shapes[1:])):
+        raise ValueError(f"checkpoint layer shapes do not chain: {shapes}")
+    if sum(rows * cols + cols for rows, cols in shapes) != flat.size:
+        raise ValueError(f"checkpoint layer shapes {shapes} do not hold {flat.size} parameters")
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("checkpoint parameters contain non-finite entries")
     weights, biases = [], []
     pos = 0
-    for rows, cols in header["layer_shapes"]:
+    for rows, cols in shapes:
         weights.append(flat[pos:pos + rows * cols].reshape(rows, cols))
         pos += rows * cols
         biases.append(flat[pos:pos + cols])

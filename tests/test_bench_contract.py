@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from airalloc import solver
+from airalloc import dqn, solver
 from airalloc.model import reference_params
+from airalloc.multiuser import MultiUserEnv, default_multiuser, enumerate_actions
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -61,3 +62,27 @@ def test_traced_solve_reaches_the_rebound_layers(tracer):
                  "special.solve_quartic_real"):
         assert calls.get(name, 0) > 0, name
     assert solver._P3_VARIANTS["mm2"] is solver.solve_p3_mm2
+
+
+def test_traced_training_reaches_the_dqn_layers(tracer):
+    # The training loop must reach the learner's layers through their module
+    # names, with one step and one target blend per sampled batch, or the
+    # per-layer counts of the fleet workload stop meaning what they say.
+    layers = ("train_step", "soft_update", "replay_sample", "q_forward")
+    originals = {attr: getattr(dqn, attr) for attr in layers}
+    mp = default_multiuser(1, 1)
+    config = dqn.TrainConfig(episodes=3, steps_per_episode=6, batch_size=4, buffer_capacity=32,
+                             epsilon_start=0.5, seed=3)
+    t = tracer.Tracer()
+    restore = tracer.install(t)
+    try:
+        dqn.train(MultiUserEnv(mp), enumerate_actions(mp, granularity=0.5), config)
+    finally:
+        restore()
+    t.end_segment("train")
+    calls = {name: n for name, (n, _) in t.summary("train").items()}
+    assert calls.get("dqn.replay_sample", 0) > 0
+    for name in ("dqn.train_step", "dqn.soft_update"):
+        assert calls.get(name, 0) == calls["dqn.replay_sample"], name
+    assert calls.get("dqn.q_forward", 0) > 0
+    assert {attr: getattr(dqn, attr) for attr in layers} == originals

@@ -218,6 +218,31 @@ def test_eval_missing_checkpoint_is_a_runtime_error(trained, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["nan", "unchained"])
+def test_eval_rejects_malformed_checkpoint_before_rollout(trained, tmp_path, capsys, monkeypatch,
+                                                          damage):
+    import airalloc.baselines
+    from airalloc.dqn import QNetworkParams, load_checkpoint, save_checkpoint
+
+    rollouts = []
+    monkeypatch.setattr(airalloc.baselines, "evaluate_policy",
+                        lambda *args, **kwargs: rollouts.append(args))
+    cfg, out_dir = trained
+    theta, _ = load_checkpoint(out_dir / "policy.ckpt")
+    if damage == "nan":
+        theta.weights[1][0, 0] = math.nan
+    else:
+        theta = QNetworkParams([theta.weights[0][:, :-1], *theta.weights[1:]], theta.biases)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, theta)
+    code = main([
+        "eval", "--config", str(cfg), "--checkpoint", str(bad), "--episodes", "1", "--steps", "1",
+    ])
+    assert code == EXIT_RUNTIME
+    assert rollouts == []
+    assert "checkpoint" in capsys.readouterr().err
+
+
 def test_bench_writes_latency_table(tmp_path, capsys):
     code = main([
         "bench", "--servers", "1", "--repetitions", "1",

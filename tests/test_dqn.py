@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -471,6 +473,111 @@ def test_pure_step_keeps_inputs_and_failed_step_leaves_workspace_clean(fleet_sha
         assert np.array_equal(got.flat(), want.flat())
 
 
+def _networks_equal(have, want):
+    return all(np.array_equal(a, b) for a, b in zip((*have.weights, *have.biases),
+                                                    (*want.weights, *want.biases)))
+
+
+def _edge_batch(kind, rng, n_inputs, n_actions):
+    b = 1 if kind == "single_row" else 64
+    batch = _fleet_batch(rng, n_inputs, n_actions, b=b)
+    if kind == "same_action":
+        batch.actions[:] = 17
+    elif kind == "distinct":
+        batch.actions = rng.choice(n_actions, size=b, replace=False)
+    elif kind == "all_terminal":
+        batch.terminals[:] = True
+    return batch
+
+
+@pytest.mark.parametrize("kind", ["same_action", "distinct", "single_row", "all_terminal"])
+def test_edge_batches_match_allocating_oracle(fleet_shape, kind):
+    """The output layer is priced and updated only at the batch's distinct
+    actions; at the extremes of that count, and with nothing to bootstrap,
+    every destination still agrees bit for bit with the dense step."""
+    n_inputs, n_actions = fleet_shape
+    cfg = TrainConfig(learning_rate=1e-2)
+    theta = init_network(n_inputs, n_actions, seed=100)
+    target = init_network(n_inputs, n_actions, seed=101)
+    rng = np.random.default_rng(102)
+    for _ in range(3):
+        batch = _edge_batch(kind, rng, n_inputs, n_actions)
+        want, want_td = train_step_alloc(theta, target, batch, cfg)
+        foreign = init_network(n_inputs, n_actions, seed=103)
+        pure, pure_td = train_step(theta, target, batch, cfg)
+        into, into_td = train_step(theta, target, batch, cfg, out=foreign)
+        assert into is foreign
+        for got, td in ((pure, pure_td), (into, into_td)):
+            assert np.array_equal(td, want_td)
+            assert _networks_equal(got, want)
+        # The pure call copies theta, so the columns no action touched keep
+        # theta's bytes.
+        untouched = np.setdiff1d(np.arange(n_actions), batch.actions)
+        assert pure.weights[-1][:, untouched].tobytes() == theta.weights[-1][:, untouched].tobytes()
+        assert pure.biases[-1][untouched].tobytes() == theta.biases[-1][untouched].tobytes()
+        got, td = train_step(theta, target, batch, cfg, out=theta)
+        assert np.array_equal(td, want_td) and _networks_equal(theta, want)
+        soft_update(target, theta, 0.5, out=target)
+
+
+def test_step_rejects_actions_outside_the_grid(fleet_shape):
+    n_inputs, n_actions = fleet_shape
+    theta = init_network(n_inputs, n_actions, seed=104)
+    rng = np.random.default_rng(105)
+    for bad in (-1, n_actions):
+        batch = _fleet_batch(rng, n_inputs, n_actions)
+        batch.actions[3] = bad
+        dest = theta.copy()
+        with pytest.raises(IndexError):
+            train_step(theta, theta.copy(), batch, TrainConfig(), out=dest)
+        assert _networks_equal(dest, theta)
+
+
+def test_cold_first_step_stays_small(fleet_shape):
+    """The first step builds the workspace: one b x n_actions block of
+    next-state Q-values and nothing else full-width."""
+    n_inputs, n_actions = fleet_shape
+    theta = init_network(n_inputs, n_actions, seed=106)
+    target = theta.copy()
+    batch = _fleet_batch(np.random.default_rng(107), n_inputs, n_actions)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train_step(theta, target, batch, TrainConfig(), out=theta)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024, f"first step peaked at {peak} bytes"
+
+
+def test_fleet_training_matches_dense_oracle(monkeypatch):
+    """A whole fleet-shape training run, whose prioritized replay repeats
+    actions within a batch, gives the same bytes with the dense oracle
+    standing in for the training step."""
+    import airalloc.dqn as dqn_mod
+
+    mp = default_multiuser(2, 2)
+    grid = enumerate_actions(mp, granularity=0.5)
+    cfg = TrainConfig(episodes=8, steps_per_episode=25, batch_size=64, seed=7)
+    theta, curve = train(MultiUserEnv(mp), grid, cfg)
+
+    repeats = []
+
+    def dense_step(theta, theta_target, batch, config, *, out=None):
+        repeats.append(np.unique(batch.actions).size < batch.actions.size)
+        ref, td = train_step_alloc(theta, theta_target, batch, config)
+        out = theta.copy() if out is None else out
+        for dst, src in zip((*out.weights, *out.biases), (*ref.weights, *ref.biases)):
+            np.copyto(dst, src)
+        return out, td
+
+    monkeypatch.setattr(dqn_mod, "train_step", dense_step)
+    ref_theta, ref_curve = train(MultiUserEnv(mp), grid, cfg)
+    assert len(repeats) > 20 and any(repeats)
+    assert np.asarray(curve).tobytes() == np.asarray(ref_curve).tobytes()
+    assert theta.flat().tobytes() == ref_theta.flat().tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Full loop and checkpoints.
 # ---------------------------------------------------------------------------
@@ -607,3 +714,32 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
         load_checkpoint(bad)
+
+
+def _write_raw_checkpoint(path, shapes, flat):
+    """A checkpoint in save_checkpoint's layout whose header and parameters
+    are taken as given."""
+    blob = json.dumps({"config": None, "layer_shapes": shapes, "n_params": len(flat)}).encode()
+    path.write_bytes(b"QNETCKPT" + struct.pack("<I", len(blob)) + blob
+                     + np.asarray(flat, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize(
+    "shapes, poison, match",
+    [
+        ([[4, 128], [64, 128], [128, 32], [32, 6]], None, "chain"),
+        ([], None, "no layers"),
+        ([[3, 4], [4, 2]], None, "do not hold"),
+        ([[3, 4], [4, 2]], math.nan, "non-finite"),
+        ([[3, 4], [4, 2]], -math.inf, "non-finite"),
+    ],
+)
+def test_checkpoint_rejects_malformed_network(tmp_path, shapes, poison, match):
+    n_params = sum(r * c + c for r, c in shapes)
+    flat = np.random.default_rng(0).normal(size=n_params + (3 if match == "do not hold" else 0))
+    if poison is not None:
+        flat[5] = poison
+    path = tmp_path / "net.ckpt"
+    _write_raw_checkpoint(path, shapes, flat)
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(path)
