@@ -8,11 +8,10 @@ gradient descent so that the analytic backward pass can be checked against
 central finite differences to tight tolerance, and so that training is
 bit-reproducible from a single seed.
 
-Training updates the online and target networks in place: `train_step` and
-`soft_update` write into a destination network (`out=`, numpy's convention)
-through one workspace of scratch arrays that the destination keeps and
-reuses, so a steady-state step allocates nothing large.  A pure call
-(`out=None`) copies first and leaves its inputs untouched.
+Training updates the online and target networks in place: `train_step`
+writes into the online network and `soft_update` into the target, each
+through one workspace of scratch arrays that the network keeps and reuses,
+so a steady-state step allocates nothing large.
 
 The step's output layer is column-sparse.  The squared TD error reads the
 online Q-value only at each taken action and the target's only at each next
@@ -61,8 +60,9 @@ class QNetworkParams:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    # Scratch arrays of the training step and the soft update that write into
-    # this network, reused from call to call; never copied, compared or saved.
+    # Scratch arrays of the training step and the soft update that update
+    # this network in place, reused from call to call; never copied, compared
+    # or saved.
     _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def copy(self) -> "QNetworkParams":
@@ -258,8 +258,8 @@ def replay_sample(
     buffer: ReplayBuffer,
     batch_size: int,
     rng: np.random.Generator,
-    priority_exponent: float = 0.6,
-    importance_exponent: float = 0.4,
+    priority_exponent: float,
+    importance_exponent: float,
 ) -> tuple[np.ndarray, Batch]:
     """Draw a prioritized batch; returns (indices, batch with IS weights).
 
@@ -336,32 +336,24 @@ def train_step(
     theta_target: QNetworkParams,
     batch: Batch,
     config: TrainConfig,
-    *,
-    out: QNetworkParams | None = None,
-) -> tuple[QNetworkParams, np.ndarray]:
-    """One SGD step on the importance-weighted squared TD error.
+) -> np.ndarray:
+    """One SGD step on the importance-weighted squared TD error, written
+    into theta through theta's reusable workspace.
 
     Targets are double-Q: the online network chooses the next action, the
     target network evaluates it; terminal transitions bootstrap nothing.
-    The updated parameters are written into `out` (a fresh copy of theta
-    when None; `out=theta` updates the online network in place) through
-    `out`'s reusable workspace.  Returns `out` and the per-sample TD errors
-    (prediction minus target), whose absolute values refresh the replay
-    priorities.  An action outside the grid raises IndexError before any
-    write.
+    Returns the per-sample TD errors (prediction minus target), whose
+    absolute values refresh the replay priorities.  An action outside the
+    grid raises IndexError before any write.
     """
-    copy_output = out is not None and out is not theta
-    if out is None:
-        out = theta.copy()
-    _check_shapes(out, theta)
     b = batch.states.shape[0]
     taken, column = np.unique(batch.actions, return_inverse=True)
     if taken.size and (taken[0] < 0 or taken[-1] >= theta.n_actions):
         raise IndexError(f"batch actions must lie in [0, {theta.n_actions}), got "
                          f"[{taken[0]}, {taken[-1]}]")
-    ws = out._scratch.get("step")
+    ws = theta._scratch.get("step")
     if ws is None or ws.b != b:
-        ws = out._scratch["step"] = _StepScratch(theta, b)
+        ws = theta._scratch["step"] = _StepScratch(theta, b)
     # One online forward of the hidden layers over [states; next_states]:
     # rows are independent, the first b feed the backward pass, the rest
     # pick the next actions from the one full-width output product.
@@ -387,7 +379,7 @@ def train_step(
     # Backward pass: d loss / d q is nonzero only at the taken actions, so the
     # output layer's gradient lives on the k distinct ones; every other
     # output column keeps its value, as w - 0 = w.  Layer i's weights feed
-    # the next delta before they are overwritten, so `out` may alias theta.
+    # the next delta before they are overwritten.
     lr = config.learning_rate
     n_layers, k, n_last = len(theta.weights), taken.size, w_last.shape[0]
     dq_rows = 2.0 * batch.weights * td / b
@@ -408,11 +400,8 @@ def train_step(
     w_new = np.take(w_last, taken, axis=1, out=_block(ws.w_out, n_last, k))
     w_new -= grad_w
     b_new = b_last[taken] - grad_b
-    if copy_output:
-        np.copyto(out.weights[-1], w_last)
-        np.copyto(out.biases[-1], b_last)
-    out.weights[-1][:, taken] = w_new
-    out.biases[-1][taken] = b_new
+    w_last[:, taken] = w_new
+    b_last[taken] = b_new
     for i in range(n_layers - 2, -1, -1):
         h_in = acts[i][:b]
         grad_w = np.matmul(h_in.T, delta, out=ws.grad_w[i])
@@ -423,32 +412,25 @@ def train_step(
             delta *= mask
         grad_w *= lr
         grad_b *= lr
-        np.subtract(theta.weights[i], grad_w, out=out.weights[i])
-        np.subtract(theta.biases[i], grad_b, out=out.biases[i])
+        theta.weights[i] -= grad_w
+        theta.biases[i] -= grad_b
 
-    out.check_finite()
-    return out, td
+    theta.check_finite()
+    return td
 
 
-def soft_update(theta_target: QNetworkParams, theta: QNetworkParams, tau: float, *,
-                out: QNetworkParams | None = None) -> QNetworkParams:
-    """Convex elementwise blend: tau of the online net into the target,
-    written into `out` (a fresh copy of the target when None; `out=
-    theta_target` blends in place) through `out`'s reusable workspace."""
+def soft_update(theta_target: QNetworkParams, theta: QNetworkParams, tau: float) -> None:
+    """Convex elementwise blend of tau of the online net into the target,
+    in place, through the target's reusable workspace."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be within [0, 1], got {tau}")
     _check_shapes(theta_target, theta)
-    if out is None:
-        out = theta_target.copy()
-    _check_shapes(out, theta)
-    if "blend" not in out._scratch:
-        out._scratch["blend"] = [np.empty_like(a) for a in _arrays(out)]
-    blends = out._scratch["blend"]
-    for online, target, dst, blend in zip(_arrays(theta), _arrays(theta_target), _arrays(out), blends):
+    if "blend" not in theta_target._scratch:
+        theta_target._scratch["blend"] = [np.empty_like(a) for a in _arrays(theta_target)]
+    for online, target, blend in zip(_arrays(theta), _arrays(theta_target), theta_target._scratch["blend"]):
         np.multiply(online, tau, out=blend)
-        np.multiply(target, 1.0 - tau, out=dst)
-        dst += blend
-    return out
+        target *= 1.0 - tau
+        target += blend
 
 
 def train(
@@ -497,11 +479,11 @@ def train(
                     config.priority_exponent, config.importance_exponent,
                 )
                 try:
-                    _, td = train_step(theta, theta_target, batch, config, out=theta)
+                    td = train_step(theta, theta_target, batch, config)
                 except FloatingPointError as exc:
                     raise RuntimeError(f"training diverged in episode {ep}: {exc}") from exc
                 buffer.update_priorities(idx, np.abs(td) + 1e-6)
-                soft_update(theta_target, theta, config.tau, out=theta_target)
+                soft_update(theta_target, theta, config.tau)
             if done:
                 break
         curve.append(total)
@@ -534,23 +516,45 @@ def save_checkpoint(path, theta: QNetworkParams, config: TrainConfig | None = No
         fh.write(flat.astype("<f8").tobytes())
 
 
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def load_checkpoint(path) -> tuple[QNetworkParams, dict]:
     """Inverse of save_checkpoint; returns (network, header dict).
 
-    Raises ValueError for a file that does not hold a usable network: a
-    wrong magic, a parameter count that disagrees with the header or the
+    Raises ValueError, naming the file, for a file that does not hold a
+    usable network: a wrong magic, a header that is cut short or is not a
+    JSON object with an integer parameter count and [rows, cols] integer
+    layer shapes, a parameter count that disagrees with the header or the
     layer shapes, no layers, layers whose shapes do not chain, or a
     non-finite parameter."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        flat = np.frombuffer(fh.read(), dtype="<f8").astype(float)
-    if flat.size != header["n_params"]:
-        raise ValueError(f"checkpoint holds {flat.size} parameters, header says {header['n_params']}")
-    shapes = header["layer_shapes"]
+        raw = fh.read()
+    try:
+        return _parse_checkpoint(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_checkpoint(raw: bytes) -> tuple[QNetworkParams, dict]:
+    if raw[:8] != _MAGIC:
+        raise ValueError(f"not a checkpoint file (magic {raw[:8]!r})")
+    if len(raw) < 12:
+        raise ValueError("checkpoint ends before its header length")
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12:12 + hlen].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError(f"checkpoint header is not a JSON object: {header!r}")
+    n_params, shapes = header.get("n_params"), header.get("layer_shapes")
+    if not _is_count(n_params, 0):
+        raise ValueError(f"checkpoint header needs an integer n_params, got {n_params!r}")
+    if not (isinstance(shapes, list) and all(
+            isinstance(s, list) and len(s) == 2 and all(_is_count(v, 1) for v in s) for s in shapes)):
+        raise ValueError(f"checkpoint layer shapes must be [rows, cols] integer pairs, got {shapes!r}")
+    flat = np.frombuffer(raw[12 + hlen:], dtype="<f8").astype(float)
+    if flat.size != n_params:
+        raise ValueError(f"checkpoint holds {flat.size} parameters, header says {n_params}")
     if not shapes:
         raise ValueError("checkpoint holds no layers")
     if any(prev[1] != nxt[0] for prev, nxt in zip(shapes[:-1], shapes[1:])):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    _FEAS_TOL,
     FeasibilityError,
     SystemParams,
     local_cycle_budget,
@@ -45,7 +46,6 @@ __all__ = [
     "success_vector",
     "violations",
     "spent_energy",
-    "reward",
     "state_vector",
     "MultiUserEnv",
     "ActionGrid",
@@ -53,7 +53,6 @@ __all__ = [
     "enumerate_actions",
 ]
 
-_FEAS_TOL = 1e-9
 _LN_FLOOR = math.log(1e-12)
 _PENALTY = -10.0
 _TIME_FRACS = (0.25, 0.5)   # airtime levels per server, fractions of the slot
@@ -286,26 +285,6 @@ def spent_energy(mp: MultiUserParams, state: MultiUserState, action: MultiUserAc
     return tx + local_cycle_energy(mp) * local_cycles
 
 
-def reward(
-    mp: MultiUserParams,
-    state: MultiUserState,
-    action: MultiUserAction,
-    breakdowns: np.ndarray | None = None,
-) -> float:
-    """Weighted log-success minus the normalized energy bill.
-
-    Infeasible actions short-circuit to a fixed penalty per violated
-    constraint; otherwise each user's log-success is clamped at ln(1e-12) so
-    a zero-probability user costs a large but finite amount.
-    """
-    broken = violations(mp, state, action)
-    if broken:
-        return _PENALTY * len(broken)
-    if breakdowns is None:
-        breakdowns = success_vector(mp, state, action)
-    return _feasible_reward(mp, breakdowns, spent_energy(mp, state, action))
-
-
 def _feasible_reward(mp: MultiUserParams, breakdowns: np.ndarray, energies: np.ndarray) -> float:
     weights = np.asarray(mp.weights, dtype=float)
     lnp = np.array([max(math.log(p), _LN_FLOOR) if p > 0.0 else _LN_FLOOR for p in breakdowns])
@@ -364,7 +343,10 @@ class MultiUserEnv:
             raise RuntimeError("environment must be reset before stepping")
         mp = self.mp
         state = self.state
-        # The reward, inlined so each constraint check and bill runs once.
+        # Reward: weighted log-success, each user's clamped at ln(1e-12) so a
+        # zero-probability user costs a large but finite amount, minus the
+        # normalized energy bill; an infeasible action earns a fixed penalty
+        # per violated constraint instead.
         broken = violations(mp, state, action)
         if broken:
             r = _PENALTY * len(broken)

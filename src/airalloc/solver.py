@@ -716,37 +716,36 @@ def _mm1_derivative(
     w = p.workload
     speed = p.local_speed_hz if m == 0 else p.server_speeds_hz[m - 1]
     psi = speed * time_slack / (p.task_bits * w.scale)
-    u_hat = psi / ph
-    du = -psi / (ph * ph)
-
-    if m == 0:
-        tx_terms = None
-    else:
+    ph2 = ph * ph
+    u_drop = psi / ph2
+    if m > 0:
         y = power_w * p.mean_gains[m - 1] / p.noise_w
         k = p.bandwidth_hz * t_m / p.task_bits
-        tx_terms = (y, k / ph, -k / (ph * ph))
+        v_drop = k / ph2
 
-    # The primitives are evaluated on the tangent lines: ln P at u(phi) for
-    # psi / phi, and ln chi at x = 1 / v(phi) for v = k / phi, whose phi-slope
-    # is -dv x^2.
+    # The primitives are evaluated on the tangent lines c (2 ph - phi) / ph^2
+    # of c / phi, which drop by c / ph^2 per unit phi: ln P at u for c = psi,
+    # and ln chi at x = 1 / v for c = k.  The two lines share the factor
+    # (2 ph - phi) / ph^2, which stays accurate as phi nears 2 ph: the
+    # difference is exact there, so nothing cancels.
     def deriv(phi: float) -> tuple[float, float]:
-        u = u_hat + du * (phi - ph)
+        line = (2.0 * ph - phi) / ph2
+        u = psi * line
         if u <= 0.0:
             return -math.inf, -math.inf
         slope = ln_lower_gamma(w.shape, u)[1]
-        total = slope * du
-        curv = ln_lower_gamma_curvature(w.shape, u, slope) * du * du
-        if tx_terms is not None:
-            y, v_hat, dv = tx_terms
-            v = v_hat + dv * (phi - ph)
+        total = -slope * u_drop
+        curv = ln_lower_gamma_curvature(w.shape, u, slope) * u_drop * u_drop
+        if m > 0:
+            v = k * line
             if v <= 0.0:
                 return -math.inf, -math.inf
             x = 1.0 / v
             ln_tx, dx = ln_chi(x, y)
             if ln_tx == -math.inf:
                 return -math.inf, -math.inf
-            total -= dx * dv * x * x
-            curv += dv * dv * x**3 * (ln_chi_curvature(dx) * x + 2.0 * dx)
+            total += dx * v_drop * x * x
+            curv += v_drop * v_drop * x**3 * (ln_chi_curvature(dx) * x + 2.0 * dx)
         return total, curv
 
     return deriv
@@ -872,6 +871,9 @@ def solve_p3_pg(
         return f.total, np.array(f.d_phi)[free], np.diag(np.array(f.h_phi)[free])
 
     x, values, evals = _projected_newton(kernel, phi[free], 1.0, True, max_iter)
+    # A share within the bound tolerance is a projection residue, not a
+    # choice: left in place it asks the airtime update for a link.
+    x[x <= _BOUND_TOL] = 0.0
     phi[free] = x
     return phi, InnerTrace(ln_values=values, iterations=len(values) - 1, search_evals=evals)
 

@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# e**x overflows float64 just past x = 709.78: a factor whose exponent passes
+# this limit counts as hopeless (or its term as 0) instead.
+_EXP_LIMIT = 700.0
 _MAX_ITER = 500
 _REL_TOL = 1e-12
 _FPMIN = 1e-300
@@ -158,8 +161,8 @@ def ln_chi(x: float, y: float) -> tuple[float, float]:
     built on it never produce 0 * inf.
     """
     t = x * _LN2
-    if t > 700.0:
-        return -math.inf, -_LN2 * math.exp(700.0) / y
+    if t > _EXP_LIMIT:
+        return -math.inf, -_LN2 * math.exp(_EXP_LIMIT) / y
     em1 = math.expm1(t)
     return -em1 / y, -_LN2 * (em1 + 1.0) / y
 
@@ -184,7 +187,7 @@ def ln_lower_gamma(shape: float, u: float) -> tuple[float, float]:
     if g == 0.0:
         return -math.inf, shape / u - shape / (shape + 1.0)
     log_num = (shape - 1.0) * math.log(u) - u - math.lgamma(shape)
-    return math.log(g), (math.exp(log_num) / g if log_num > -700.0 else 0.0)
+    return math.log(g), (math.exp(log_num) / g if log_num > -_EXP_LIMIT else 0.0)
 
 
 def ln_lower_gamma_curvature(shape: float, u: float, slope: float) -> float:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .model import SystemParams
-from .special import GammaWorkload, ln_chi, ln_lower_gamma
+from .special import _EXP_LIMIT, _LN2, GammaWorkload, ln_chi, ln_lower_gamma
 
 __all__ = [
     "PHI_FLOOR",
@@ -51,7 +51,6 @@ PHI_FLOOR = 1e-6
 # many orders flatter leave the quartic's root certificate unreachable.
 CONVEX_CURVATURE = 1e-4
 
-_LN2 = math.log(2.0)
 _V_STAR = (3.0 - math.sqrt(5.0)) / 2.0
 # Global minimum of e^{-v} (v^2 - v) over v >= 0, attained at _V_STAR.
 _PSI_MIN = math.exp(-_V_STAR) * (_V_STAR * _V_STAR - _V_STAR)
@@ -62,7 +61,7 @@ def _chi_curvature(t: float, y: float) -> float:
 
     Past e^t = e^700 the link is hopeless (as in ``ln_chi``) and e^-s is 0.
     """
-    if t > 700.0:
+    if t > _EXP_LIMIT:
         return 0.0
     s = math.exp(t) / y
     if s == 1.0:
@@ -85,7 +84,7 @@ def b_chi(y: float, c: float = 1.0, region: tuple[float, float] | None = None) -
     if not (y > 0.0):
         raise ValueError(f"y must be > 0, got {y}")
     if region is None:
-        if 1.0 / y > 700.0:
+        if 1.0 / y > _EXP_LIMIT:
             return -math.inf
         return c * c * (_LN2 * _LN2) * math.exp(1.0 / y) * _PSI_MIN
     # t = ln(2) c phi, so s = e^t / y; the minimizer is at t = ln(_V_STAR y).

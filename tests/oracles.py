@@ -16,7 +16,17 @@ from scipy import special as sps
 
 from airalloc.dqn import QNetworkParams
 from airalloc.model import Allocation, SystemParams, local_budget_rho
-from airalloc.multiuser import MultiUserAction, _share_rows, success_vector
+from airalloc.multiuser import (
+    _PENALTY,
+    MultiUserAction,
+    MultiUserParams,
+    MultiUserState,
+    _feasible_reward,
+    _share_rows,
+    spent_energy,
+    success_vector,
+    violations,
+)
 from airalloc.solver import _argmax_candidates
 from airalloc.special import QuarticCoeffs, solve_poly_real
 
@@ -262,6 +272,26 @@ def user_success(mp, state, action, n: int) -> float:
     """End-to-end success probability of user n (1-based) under the joint
     action."""
     return float(success_vector(mp, state, action)[n - 1])
+
+
+def reward(
+    mp: MultiUserParams,
+    state: MultiUserState,
+    action: MultiUserAction,
+    breakdowns: np.ndarray | None = None,
+) -> float:
+    """Weighted log-success minus the normalized energy bill.
+
+    Infeasible actions short-circuit to a fixed penalty per violated
+    constraint; otherwise each user's log-success is clamped at ln(1e-12) so
+    a zero-probability user costs a large but finite amount.
+    """
+    broken = violations(mp, state, action)
+    if broken:
+        return _PENALTY * len(broken)
+    if breakdowns is None:
+        breakdowns = success_vector(mp, state, action)
+    return _feasible_reward(mp, breakdowns, spent_energy(mp, state, action))
 
 
 def enumerate_actions_loop(mp, granularity: float, time_fracs=(0.25, 0.5),

@@ -320,7 +320,8 @@ def test_criterion_10_learning_machinery():
         pred = q_forward(t, batch.states)[np.arange(b), batch.actions]
         return float(np.mean(batch.weights * (pred - targets) ** 2))
 
-    updated, _ = train_step(theta, target, batch, cfg)
+    updated = theta.copy()
+    train_step(updated, target, batch, cfg)
     grad = theta.flat() - updated.flat()
     base = theta.flat()
     coords = np.random.default_rng(21).choice(base.size, size=250, replace=False)
@@ -346,17 +347,19 @@ def test_criterion_10_learning_machinery():
     lagged = init_network(3, 4, seed=6)
     start_gap = lagged.flat() - online.flat()
     tau = 0.25
-    blended = lagged
+    blended = lagged.copy()
     updates_exact = True
     for k in range(1, 6):
-        blended = soft_update(blended, online, tau)
+        soft_update(blended, online, tau)
         expect = online.flat() + (1.0 - tau) ** k * start_gap
         updates_exact = updates_exact and bool(
             np.max(np.abs(blended.flat() - expect)) <= 1e-12 * np.max(np.abs(expect))
         )
-    updates_exact = updates_exact and bool(
-        np.all(soft_update(lagged, online, 1.0).flat() == online.flat())
-    ) and bool(np.all(soft_update(lagged, online, 0.0).flat() == lagged.flat()))
+    full, none = lagged.copy(), lagged.copy()
+    soft_update(full, online, 1.0)
+    soft_update(none, online, 0.0)
+    updates_exact = updates_exact and bool(np.all(full.flat() == online.flat())) and bool(
+        np.all(none.flat() == lagged.flat()))
 
     # a fully greedy selector must not consume randomness
     r1, r2 = np.random.default_rng(0), np.random.default_rng(0)

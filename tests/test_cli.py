@@ -243,6 +243,16 @@ def test_eval_rejects_malformed_checkpoint_before_rollout(trained, tmp_path, cap
     assert "checkpoint" in capsys.readouterr().err
 
 
+def test_eval_names_a_checkpoint_with_a_malformed_header(trained, malformed_checkpoint, capsys):
+    cfg, _ = trained
+    code = main([
+        "eval", "--config", str(cfg), "--checkpoint", str(malformed_checkpoint),
+        "--episodes", "1", "--steps", "1",
+    ])
+    assert code == EXIT_RUNTIME
+    assert str(malformed_checkpoint) in capsys.readouterr().err
+
+
 def test_bench_writes_latency_table(tmp_path, capsys):
     code = main([
         "bench", "--servers", "1", "--repetitions", "1",

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -215,11 +216,11 @@ def test_replay_sample_prefers_high_priority():
     buf.update_priorities([0, 1], [1.0, 50.0])
     rng = np.random.default_rng(5)
     picks = np.concatenate(
-        [replay_sample(buf, 2, rng, priority_exponent=1.0)[0] for _ in range(300)]
+        [replay_sample(buf, 2, rng, 1.0, 0.4)[0] for _ in range(300)]
     )
     assert np.mean(picks == 1) > 0.9
     # Importance weights are normalized to a unit maximum.
-    _, batch = replay_sample(buf, 2, rng, priority_exponent=1.0, importance_exponent=0.4)
+    _, batch = replay_sample(buf, 2, rng, 1.0, 0.4)
     assert batch.weights.max() == pytest.approx(1.0)
     assert np.all(batch.weights > 0.0)
 
@@ -229,7 +230,7 @@ def test_replay_sample_uniform_when_exponent_zero():
     for r in range(4):
         _push(buf, float(r))
     buf.update_priorities(range(4), [1.0, 7.0, 0.1, 3.0])
-    _, batch = replay_sample(buf, 4, np.random.default_rng(0), priority_exponent=0.0)
+    _, batch = replay_sample(buf, 4, np.random.default_rng(0), 0.0, 0.4)
     assert np.allclose(batch.weights, 1.0)
 
 
@@ -237,7 +238,7 @@ def test_replay_sample_requires_fill():
     buf = ReplayBuffer(capacity=4, n_inputs=2)
     _push(buf, 0.0)
     with pytest.raises(ValueError):
-        replay_sample(buf, 2, np.random.default_rng(0))
+        replay_sample(buf, 2, np.random.default_rng(0), 0.6, 0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +281,8 @@ def test_gradient_matches_finite_differences():
         pred = q_forward(t, batch.states)[np.arange(b), batch.actions]
         return float(np.mean(batch.weights * (pred - targets) ** 2))
 
-    updated, td = train_step(theta, target, batch, cfg)
+    updated = theta.copy()
+    td = train_step(updated, target, batch, cfg)
     assert np.allclose(td, q_forward(theta, batch.states)[np.arange(b), batch.actions] - targets)
     grad = theta.flat() - updated.flat()
 
@@ -314,7 +316,8 @@ def test_train_step_decreases_frozen_loss():
         pred = q_forward(t, batch.states)[np.arange(b), batch.actions]
         return float(np.mean(batch.weights * (pred - targets) ** 2))
 
-    updated, _ = train_step(theta, target, batch, cfg)
+    updated = theta.copy()
+    train_step(updated, target, batch, cfg)
     assert frozen_loss(updated) < frozen_loss(theta)
 
 
@@ -326,6 +329,13 @@ def test_train_step_raises_on_nonfinite_loss():
         train_step(theta, theta.copy(), batch, TrainConfig())
 
 
+def _blended(target, online, tau):
+    """A copy of target with tau of online blended into it."""
+    out = target.copy()
+    soft_update(out, online, tau)
+    return out
+
+
 def test_soft_update_algebra():
     sizes = (2, *HIDDEN_LAYERS, 2)
     zeros = QNetworkParams(
@@ -333,15 +343,15 @@ def test_soft_update_algebra():
         biases=[np.zeros(o) for o in sizes[1:]],
     )
     online = init_network(2, 2, seed=9)
-    once = soft_update(zeros, online, 0.5)
-    twice = soft_update(once, online, 0.5)
+    twice = _blended(zeros, online, 0.5)
+    assert soft_update(twice, online, 0.5) is None
     for w2, w in zip(twice.weights, online.weights):
         assert np.allclose(w2, 0.75 * w)
-    same = soft_update(online, online, 0.37)
+    same = _blended(online, online, 0.37)
     for a, b in zip(same.weights, online.weights):
         assert np.allclose(a, b)
-    assert np.allclose(soft_update(zeros, online, 1.0).flat(), online.flat())
-    assert np.allclose(soft_update(zeros, online, 0.0).flat(), zeros.flat())
+    assert np.allclose(_blended(zeros, online, 1.0).flat(), online.flat())
+    assert np.allclose(_blended(zeros, online, 0.0).flat(), zeros.flat())
     with pytest.raises(ValueError):
         soft_update(zeros, online, 1.5)
     with pytest.raises(ValueError):
@@ -354,7 +364,7 @@ def test_soft_update_lag_decays_geometrically():
     gap0 = np.linalg.norm(target.flat() - online.flat())
     tau = 0.25
     for k in range(1, 6):
-        target = soft_update(target, online, tau)
+        soft_update(target, online, tau)
         gap = np.linalg.norm(target.flat() - online.flat())
         assert gap == pytest.approx((1.0 - tau) ** k * gap0, rel=1e-12)
 
@@ -396,9 +406,8 @@ def test_in_place_step_matches_allocating_oracle(fleet_shape):
         batch = _fleet_batch(rng, n_inputs, n_actions)
         ref, ref_td = train_step_alloc(ref, ref_target, batch, cfg)
         ref_target = soft_update_alloc(ref_target, ref, cfg.tau)
-        got, td = train_step(theta, target, batch, cfg, out=theta)
-        assert got is theta
-        assert soft_update(target, theta, cfg.tau, out=target) is target
+        td = train_step(theta, target, batch, cfg)
+        soft_update(target, theta, cfg.tau)
         assert np.array_equal(td, ref_td), step
         for have, want in ((theta, ref), (target, ref_target)):
             assert all(np.array_equal(a, b) for a, b in zip(have.weights, want.weights)), step
@@ -414,13 +423,13 @@ def test_steady_state_step_allocates_nothing_large(fleet_shape):
     rng = np.random.default_rng(81)
     batches = [_fleet_batch(rng, n_inputs, n_actions) for _ in range(3)]
     for batch in batches[:2]:  # warm-up builds the workspaces
-        train_step(theta, target, batch, cfg, out=theta)
-        soft_update(target, theta, cfg.tau, out=target)
+        train_step(theta, target, batch, cfg)
+        soft_update(target, theta, cfg.tau)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        train_step(theta, target, batches[2], cfg, out=theta)
-        soft_update(target, theta, cfg.tau, out=target)
+        train_step(theta, target, batches[2], cfg)
+        soft_update(target, theta, cfg.tau)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -428,30 +437,17 @@ def test_steady_state_step_allocates_nothing_large(fleet_shape):
     assert peak < 128 * 1024, f"steady-state step peaked at {peak} bytes"
 
 
-def test_pure_step_keeps_inputs_and_failed_step_leaves_workspace_clean(fleet_shape):
+def test_failed_step_leaves_workspace_clean(fleet_shape):
+    """A step that raises FloatingPointError may leave the network it was
+    updating half-written; once its parameters are restored, the next step
+    through the same workspace equals the allocating oracle."""
     n_inputs, n_actions = fleet_shape
     cfg = TrainConfig(learning_rate=1e-2)
     theta = init_network(n_inputs, n_actions, seed=90)
     target = init_network(n_inputs, n_actions, seed=91)
     rng = np.random.default_rng(92)
-    batch = _fleet_batch(rng, n_inputs, n_actions)
-
-    def raw():
-        arrays = [a for net in (theta, target) for a in (*net.weights, *net.biases)]
-        return [a.tobytes() for a in (*arrays, *vars(batch).values())]
-
-    before = raw()
-    stepped, _ = train_step(theta, target, batch, cfg)
-    blended = soft_update(target, theta, 0.3)
-    assert raw() == before
-    assert stepped is not theta and blended is not target
-    with pytest.raises(ValueError):
-        train_step(theta, target, batch, cfg, out=init_network(n_inputs, n_actions + 1, seed=0))
-    with pytest.raises(ValueError):
-        soft_update(target, theta, 0.3, out=init_network(n_inputs + 1, n_actions, seed=0))
-
     good = _fleet_batch(rng, n_inputs, n_actions)
-    want, want_td = train_step(theta, target, good, cfg, out=theta.copy())
+    want, want_td = train_step_alloc(theta, target, good, cfg)
     bad_loss = _fleet_batch(rng, n_inputs, n_actions)
     bad_loss.rewards[5] = math.inf
     # A step so large that the update overflows fails after the output
@@ -465,12 +461,14 @@ def test_pure_step_keeps_inputs_and_failed_step_leaves_workspace_clean(fleet_sha
         (bad_update, overflow, {"over": "ignore", "invalid": "ignore"}),
         (bad_update, overflow, {"over": "raise"}),
     ):
-        dest = theta.copy()
+        net = theta.copy()
         with pytest.raises(FloatingPointError), np.errstate(**errstate):
-            train_step(theta, target, bad, bad_cfg, out=dest)
-        got, td = train_step(theta, target, good, cfg, out=dest)
+            train_step(net, target, bad, bad_cfg)
+        for dst, src in zip((*net.weights, *net.biases), (*theta.weights, *theta.biases)):
+            np.copyto(dst, src)
+        td = train_step(net, target, good, cfg)
         assert np.array_equal(td, want_td)
-        assert np.array_equal(got.flat(), want.flat())
+        assert _networks_equal(net, want)
 
 
 def _networks_equal(have, want):
@@ -494,7 +492,8 @@ def _edge_batch(kind, rng, n_inputs, n_actions):
 def test_edge_batches_match_allocating_oracle(fleet_shape, kind):
     """The output layer is priced and updated only at the batch's distinct
     actions; at the extremes of that count, and with nothing to bootstrap,
-    every destination still agrees bit for bit with the dense step."""
+    the in-place step still agrees bit for bit with the dense step, and
+    every output column no action touched keeps its bytes."""
     n_inputs, n_actions = fleet_shape
     cfg = TrainConfig(learning_rate=1e-2)
     theta = init_network(n_inputs, n_actions, seed=100)
@@ -503,21 +502,12 @@ def test_edge_batches_match_allocating_oracle(fleet_shape, kind):
     for _ in range(3):
         batch = _edge_batch(kind, rng, n_inputs, n_actions)
         want, want_td = train_step_alloc(theta, target, batch, cfg)
-        foreign = init_network(n_inputs, n_actions, seed=103)
-        pure, pure_td = train_step(theta, target, batch, cfg)
-        into, into_td = train_step(theta, target, batch, cfg, out=foreign)
-        assert into is foreign
-        for got, td in ((pure, pure_td), (into, into_td)):
-            assert np.array_equal(td, want_td)
-            assert _networks_equal(got, want)
-        # The pure call copies theta, so the columns no action touched keep
-        # theta's bytes.
         untouched = np.setdiff1d(np.arange(n_actions), batch.actions)
-        assert pure.weights[-1][:, untouched].tobytes() == theta.weights[-1][:, untouched].tobytes()
-        assert pure.biases[-1][untouched].tobytes() == theta.biases[-1][untouched].tobytes()
-        got, td = train_step(theta, target, batch, cfg, out=theta)
+        before = theta.weights[-1][:, untouched].tobytes(), theta.biases[-1][untouched].tobytes()
+        td = train_step(theta, target, batch, cfg)
         assert np.array_equal(td, want_td) and _networks_equal(theta, want)
-        soft_update(target, theta, 0.5, out=target)
+        assert (theta.weights[-1][:, untouched].tobytes(), theta.biases[-1][untouched].tobytes()) == before
+        soft_update(target, theta, 0.5)
 
 
 def test_step_rejects_actions_outside_the_grid(fleet_shape):
@@ -527,10 +517,10 @@ def test_step_rejects_actions_outside_the_grid(fleet_shape):
     for bad in (-1, n_actions):
         batch = _fleet_batch(rng, n_inputs, n_actions)
         batch.actions[3] = bad
-        dest = theta.copy()
+        net = theta.copy()
         with pytest.raises(IndexError):
-            train_step(theta, theta.copy(), batch, TrainConfig(), out=dest)
-        assert _networks_equal(dest, theta)
+            train_step(net, theta.copy(), batch, TrainConfig())
+        assert _networks_equal(net, theta)
 
 
 def test_cold_first_step_stays_small(fleet_shape):
@@ -543,7 +533,7 @@ def test_cold_first_step_stays_small(fleet_shape):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        train_step(theta, target, batch, TrainConfig(), out=theta)
+        train_step(theta, target, batch, TrainConfig())
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -563,13 +553,12 @@ def test_fleet_training_matches_dense_oracle(monkeypatch):
 
     repeats = []
 
-    def dense_step(theta, theta_target, batch, config, *, out=None):
+    def dense_step(theta, theta_target, batch, config):
         repeats.append(np.unique(batch.actions).size < batch.actions.size)
         ref, td = train_step_alloc(theta, theta_target, batch, config)
-        out = theta.copy() if out is None else out
-        for dst, src in zip((*out.weights, *out.biases), (*ref.weights, *ref.biases)):
+        for dst, src in zip((*theta.weights, *theta.biases), (*ref.weights, *ref.biases)):
             np.copyto(dst, src)
-        return out, td
+        return td
 
     monkeypatch.setattr(dqn_mod, "train_step", dense_step)
     ref_theta, ref_curve = train(MultiUserEnv(mp), grid, cfg)
@@ -743,3 +732,8 @@ def test_checkpoint_rejects_malformed_network(tmp_path, shapes, poison, match):
     _write_raw_checkpoint(path, shapes, flat)
     with pytest.raises(ValueError, match=match):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_malformed_header(malformed_checkpoint):
+    with pytest.raises(ValueError, match=re.escape(str(malformed_checkpoint))):
+        load_checkpoint(malformed_checkpoint)

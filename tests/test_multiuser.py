@@ -15,14 +15,13 @@ from airalloc.multiuser import (
     default_multiuser,
     enumerate_actions,
     interference_matrix,
-    reward,
     spent_energy,
     state_vector,
     success_vector,
     violations,
 )
 from airalloc.special import chi, regularized_lower_gamma
-from oracles import enumerate_actions_loop, user_success
+from oracles import enumerate_actions_loop, reward, user_success
 
 
 def _feasible_action(mp, offload=0.5, time_frac=0.5, power_frac=1.0):

@@ -1,6 +1,7 @@
 import inspect
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -453,8 +454,8 @@ def test_mm1_derivative_curvature_matches_finite_differences():
             # demand 1 / v; put it at 650 / ln2, below the hopeless 700 / ln2.
             # Closer to it, or for a share near the floor, whose tangent is
             # steeper, the curvature overflows to -inf before the slope does.
-            # The difference quotient is noisier here: the tangent line
-            # cancels near its zero, and 2^(1/v) amplifies that 650-fold.
+            # The difference quotient is noisier here: 2^(1/v) amplifies its
+            # round-off 650-fold.
             k = p.bandwidth_hz * t_m / p.task_bits
             x = 2.0 * ph - math.log(2.0) / 650.0 * ph * ph / k
             if PHI_FLOOR < x < hi:
@@ -463,6 +464,41 @@ def test_mm1_derivative_curvature_matches_finite_differences():
                 _check_mm1_curvature(deriv, x, ph, rel=1e-4)
                 near_hopeless += 1
     assert checked >= 300 and near_hopeless >= 20 and underflow == 32
+
+
+def _mm1_slope_on_exact_lines(p, m, ph, t_m, slack, power, phi):
+    """mm1's minorant slope at phi with the tangent lines u = psi (2 ph -
+    phi) / ph^2 and v = k (2 ph - phi) / ph^2 formed in exact rationals and
+    rounded once, then passed to the same float kernels."""
+    w = p.workload
+    psi = p.server_speeds_hz[m - 1] * slack / (p.task_bits * w.scale)
+    k = p.bandwidth_hz * t_m / p.task_bits
+    line = (2 * Fraction(ph) - Fraction(phi)) / Fraction(ph) ** 2
+    u, v = float(Fraction(psi) * line), float(Fraction(k) * line)
+    x = 1.0 / v
+    ln_tx, dx = ln_chi(x, power * p.mean_gains[m - 1] / p.noise_w)
+    if ln_tx == -math.inf:
+        return -math.inf
+    return -ln_lower_gamma(w.shape, u)[1] * (psi / (ph * ph)) + dx * (k / (ph * ph)) * x * x
+
+
+def test_mm1_slope_keeps_its_accuracy_near_twice_the_expansion_share():
+    """As phi nears 2 ph the tangent lines near their zero; the slope stays
+    within 1e-12 of the one on exactly formed lines."""
+    p = reference_params(2)
+    finite = 0
+    for ph, t_m, slack, power in ((0.3, 0.2, 0.5, 0.5), (0.01, 0.05, 0.6, 1.0),
+                                  (0.001, 0.3, 0.4, 0.2)):
+        deriv = solver._mm1_derivative(p, 1, ph, t_m, slack, power)
+        for d in np.geomspace(1e-9, 0.5, 40):
+            phi = 2.0 * ph * (1.0 - float(d))
+            got, want = deriv(phi)[0], _mm1_slope_on_exact_lines(p, 1, ph, t_m, slack, power, phi)
+            if want == -math.inf:
+                assert got == want, (ph, d)
+            else:
+                assert abs(got - want) <= 1e-12 * abs(want), (ph, d)
+                finite += 1
+    assert finite >= 60
 
 
 @pytest.fixture(scope="module")
@@ -709,10 +745,10 @@ def test_trace_objective_matches_stored_allocations():
     assert res.p_outage == pytest.approx(1.0 - math.exp(res.ln_p_success), abs=1e-12)
 
 
-def _seed1_cells(*indices):
+def _random_cells(seed, *indices):
     """Cells of the random draw of test_mm2_tracks_mm1_over_random_cells,
-    made with default_rng(1) instead of 0, by index."""
-    rng = np.random.default_rng(1)
+    made with default_rng(seed) and continued past its 12 cells, by index."""
+    rng = np.random.default_rng(seed)
     out = {}
     for i in range(max(indices) + 1):
         p = reference_params(
@@ -730,7 +766,7 @@ def test_hopeless_link_keeps_derivatives_finite():
     # M = 3, L = 65.7 Mbit, E = 1.63 J, latency 1.93 s: the solvers' trial
     # points drive an airtime toward 0, where the link's d_phi and d_t would
     # overflow.
-    p = _seed1_cells(19)[19]
+    p = _random_cells(1, 19)[19]
     assert p.n_servers == 3 and round(p.task_bits / 1e6, 1) == 65.7
     # The solvers' power is a numpy scalar, whose overflow warns.
     snr = [np.float64(0.9) * g / p.noise_w for g in p.mean_gains]
@@ -749,14 +785,16 @@ def test_hopeless_link_keeps_derivatives_finite():
 
 
 # Cells of the evaluation budgets: the benchmark's, the three hard cells and
-# three seeded random cells (11 ends with a server without airtime).
+# four seeded random cells (seed-1 cell 11 ends with a server without
+# airtime; at seed-0 cell 26 pg's first split leaves a round-off share).
 _SOLVE_REF = [(m, 10.0) for m in (1, 2, 3, 4)]
 _BUDGET_CELLS = (
     [(f"M{m} L{l:g}", reference_params(m, task_mbits=l))
      for m, l in _SOLVE_REF + [(2, 20.0), (2, 25.0)]]
     + [(f"hard {k}={v}", reference_params(2, **{k: v}))
        for k, v in (("energy_j", 0.1), ("latency_s", 0.05), ("task_mbits", 60.0))]
-    + [(f"seed1 cell {i}", p) for i, p in _seed1_cells(11, 17, 19).items()]
+    + [(f"seed1 cell {i}", p) for i, p in _random_cells(1, 11, 17, 19).items()]
+    + [("seed0 cell 26", _random_cells(0, 26)[26])]
 )
 
 
@@ -770,6 +808,14 @@ def test_p2_never_reaches_its_step_cap(budget_solves):
         assert len(res.trace.p2_evals) == res.trace.n_outer
         assert max(res.trace.p2_evals) < solver._P2_MAX_ITER, key
         assert res.trace.total_p2_evals == sum(res.trace.p2_evals)
+
+
+def test_pg_split_leaves_no_round_off_share(budget_solves):
+    # M = 3, L = 6.4 Mbit, E = 1.74 J, latency 1.96 s: the simplex
+    # projection leaves 2.8e-16 on server 3, which P2 then spent its whole
+    # step cap on.
+    res = budget_solves["seed0 cell 26", "pg"]
+    assert res.allocation.phi[3] == 0.0
 
 
 def test_p2_evaluations_per_call_on_reference_cells(budget_solves):
