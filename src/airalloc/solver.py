@@ -118,10 +118,6 @@ class WaterfillBracketError(SolverError):
     multiplier, which indicates a pathological surrogate interval."""
 
 
-def _safe_log(v: float) -> float:
-    return math.log(v) if v > 0.0 else -math.inf
-
-
 def ln_success(p: SystemParams, phi, t_shares, power_w: float, rho: float) -> float:
     """ln P_success of a candidate (phi, T, P, rho); -inf when impossible."""
     return allocation_log_factors(p, phi, t_shares, power_w, rho).total
@@ -356,37 +352,22 @@ def solve_p2(
 # ---------------------------------------------------------------------------
 
 
-def _argmax_candidates(
-    objective: Callable[[float], float], candidates: Sequence[float]
-) -> float:
-    """Maximizer over candidates; ties go to the smallest share."""
-    best_phi = None
-    best_val = -math.inf
-    for c in sorted(candidates):
-        v = objective(c)
-        if v == -math.inf:
-            continue
-        if best_phi is None or v > best_val + 1e-12 * max(1.0, abs(best_val)):
-            best_phi, best_val = c, v
-    if best_phi is None:
-        # Every candidate is impossible under the surrogate; return the
-        # midpoint so the caller's monotonicity guard can reject the step.
-        best_phi = sorted(candidates)[len(candidates) // 2]
-    return best_phi
-
-
 def solve_p32b(
     tx: SurrogateCoeffs | None, comp: SurrogateCoeffs, mu: float, lo: float, hi: float
 ) -> float:
     """Maximize ln q_tx(phi) + ln q_comp(phi) + mu*phi over [lo, hi].
 
-    Clearing denominators in the stationarity condition
-    q_tx'/q_tx + q_comp'/q_comp + mu = 0 yields a quartic whose coefficients
-    come from expanding mu*q_tx*q_comp + (q_tx*q_comp)'; its real roots in
-    range, plus the interval endpoints and midpoint, are the only candidates
-    (ties toward the smaller share).  The local share has no link: ``tx``
-    None stands for q_tx = 1, which leaves a quadratic (linear when mu = 0,
-    with the vertex of q_comp as its root).
+    Precondition: both quadratics are positive on (lo, hi), as
+    :func:`~airalloc.surrogates.phi_interval` gives.  There the objective
+    is strictly concave, and clearing the positive denominators in its
+    slope q_tx'/q_tx + q_comp'/q_comp + mu leaves the quartic
+    mu*q_tx*q_comp + (q_tx*q_comp)' with the slope's sign.  So a quartic
+    that is not positive at lo returns lo, one that is not negative at hi
+    returns hi, and otherwise its one root inside (lo, hi) is the answer:
+    the closed form's, or the bracketed search's if the closed form missed
+    it.  The local share has no link: ``tx`` None stands for q_tx = 1,
+    which leaves a quadratic (linear when mu = 0, with the vertex of
+    q_comp as its root).
     """
     r1, r2, r3 = (tx.c2, tx.c1, tx.c0) if tx is not None else (0.0, 0.0, 1.0)
     l1, l2, l3 = comp.c2, comp.c1, comp.c0
@@ -400,15 +381,15 @@ def solve_p32b(
         mu * cross_23 + 2.0 * cross_13,
         mu * r3 * l3 + cross_23,
     )
-    roots = solve_poly_real(quartic)
-
-    def objective(phi: float) -> float:
-        ln_tx = _safe_log(tx.value(phi)) if tx is not None else 0.0
-        return ln_tx + _safe_log(comp.value(phi)) + mu * phi
-
-    candidates = [lo, hi, 0.5 * (lo + hi)]
-    candidates += [r for r in roots if lo < r < hi]
-    return _argmax_candidates(objective, candidates)
+    f_lo, f_hi = quartic(lo), quartic(hi)
+    if f_lo <= 0.0:
+        return lo
+    if f_hi >= 0.0:
+        return hi
+    for r in solve_poly_real(quartic):
+        if lo < r < hi:
+            return r
+    return decreasing_root(quartic, lo, hi, f_lo, f_hi)
 
 
 def waterfill_mu(

@@ -27,7 +27,6 @@ from airalloc.multiuser import (
     success_vector,
     violations,
 )
-from airalloc.solver import _argmax_candidates
 from airalloc.special import QuarticCoeffs, solve_poly_real
 
 
@@ -214,6 +213,25 @@ def waterfill_bisection(solvers, budget: float = 1.0, *, tol: float = 1e-8,
     return mu_best, total_best, n_evals
 
 
+def argmax_candidates(objective, candidates) -> float:
+    """Maximizer over candidates; ties go to the smallest share.  This is
+    how the package's per-index share solve picked its answer before it
+    read the end slopes of its stationarity quartic."""
+    best_phi = None
+    best_val = -math.inf
+    for c in sorted(candidates):
+        v = objective(c)
+        if v == -math.inf:
+            continue
+        if best_phi is None or v > best_val + 1e-12 * max(1.0, abs(best_val)):
+            best_phi, best_val = c, v
+    if best_phi is None:
+        # Every candidate is impossible under the surrogate; return the
+        # midpoint so the caller's monotonicity guard can reject the step.
+        best_phi = sorted(candidates)[len(candidates) // 2]
+    return best_phi
+
+
 def solve_p32a(comp, mu: float, lo: float, hi: float) -> float:
     """The local-share closed form the package had before ``solve_p32b``
     took over with no link factor: maximize ln q(phi) + mu*phi over
@@ -229,7 +247,39 @@ def solve_p32a(comp, mu: float, lo: float, hi: float) -> float:
 
     candidates = [lo, hi, 0.5 * (lo + hi)]
     candidates += [r for r in roots if lo < r < hi]
-    return _argmax_candidates(objective, candidates)
+    return argmax_candidates(objective, candidates)
+
+
+def solve_p32b_candidates(tx, comp, mu: float, lo: float, hi: float) -> float:
+    """The per-index share solve the package had before it read the end
+    slopes of its stationarity quartic: maximize
+    ln q_tx(phi) + ln q_comp(phi) + mu*phi over the quartic's real roots in
+    (lo, hi), the interval ends and the midpoint (``tx`` None stands for
+    q_tx = 1).  The quartic is built with the package's expressions, so
+    the two see the same roots."""
+    r1, r2, r3 = (tx.c2, tx.c1, tx.c0) if tx is not None else (0.0, 0.0, 1.0)
+    l1, l2, l3 = comp.c2, comp.c1, comp.c0
+    cross_12 = r1 * l2 + r2 * l1
+    cross_13 = r1 * l3 + r2 * l2 + r3 * l1
+    cross_23 = r2 * l3 + r3 * l2
+    roots = solve_poly_real(QuarticCoeffs(
+        mu * r1 * l1,
+        mu * cross_12 + 4.0 * r1 * l1,
+        mu * cross_13 + 3.0 * cross_12,
+        mu * cross_23 + 2.0 * cross_13,
+        mu * r3 * l3 + cross_23,
+    ))
+
+    def ln(v: float) -> float:
+        return math.log(v) if v > 0.0 else -math.inf
+
+    def objective(phi: float) -> float:
+        ln_tx = ln(tx.value(phi)) if tx is not None else 0.0
+        return ln_tx + ln(comp.value(phi)) + mu * phi
+
+    candidates = [lo, hi, 0.5 * (lo + hi)]
+    candidates += [r for r in roots if lo < r < hi]
+    return argmax_candidates(objective, candidates)
 
 
 class ListReplay:

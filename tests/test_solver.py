@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import random_feasible_allocation, waterfill_bisection
@@ -36,6 +38,7 @@ from airalloc.special import ln_chi, ln_lower_gamma
 from airalloc.surrogates import (
     PHI_FLOOR,
     SurrogateCoeffs,
+    phi_interval,
     surrogate_computation,
     surrogate_transmission,
 )
@@ -188,16 +191,106 @@ def test_p32a_matches_dense_scan():
 def test_p32b_without_link_is_the_local_closed_form(rng):
     # With q_tx = 1 the quartic's coefficients reduce exactly to the
     # quadratic of the local-share closed form, so the shares are bit-equal.
-    for k in range(2000):
+    # The intervals lie where q > 0, as phi_interval hands them over.
+    n_drawn = 0
+    while n_drawn < 2000:
         comp = SurrogateCoeffs(
             c2=-float(rng.exponential(5.0)) - 1e-3,
             c1=float(rng.normal(0.0, 3.0)),
             c0=float(rng.normal(0.5, 1.0)),
         )
-        lo = float(rng.uniform(1e-6, 0.6))
-        hi = float(rng.uniform(lo + 1e-9, 1.0))
-        mu = 0.0 if k % 4 == 0 else float(rng.normal(0.0, 1.0) * 10.0 ** rng.uniform(-3, 3))
+        roots = comp.positive_roots()
+        if roots is None:
+            continue
+        a, b = max(PHI_FLOOR, roots[0]), min(1.0, roots[1])
+        if not b - a > 1e-9:
+            continue
+        lo = float(rng.uniform(a, b - 1e-9))
+        hi = float(rng.uniform(lo + 1e-9, b))
+        mu = 0.0 if n_drawn % 4 == 0 else float(rng.normal(0.0, 1.0) * 10.0 ** rng.uniform(-3, 3))
         assert solve_p32b(None, comp, mu, lo, hi) == oracles.solve_p32a(comp, mu, lo, hi)
+        n_drawn += 1
+
+
+def test_p32b_finds_the_root_the_closed_form_misses():
+    # A piece of mm2 at seed-0 cell 26 of the random draw (M = 3,
+    # L = 6.4 Mbit).  With these numpy-scalar coefficients the quartic's
+    # closed form misses its root inside the interval, where the end slopes
+    # still bracket one.
+    f64 = np.float64
+    region = dict(lo=f64(5.094510563808367e-07), hi=f64(2.0378042255233467e-06))
+    tx = SurrogateCoeffs(c2=f64(-48162059.35653723), c1=f64(98.07665419603562),
+                         c0=f64(0.9999500000042635), **region)
+    comp = SurrogateCoeffs(c2=f64(-48162062.702937976), c1=f64(98.14485488596738),
+                           c0=f64(0.99995), **region)
+    mu, lo, hi = f64(0.0002894722279685606), 1e-6, f64(2.0378042255233467e-06)
+    share = solve_p32b(tx, comp, mu, lo, hi)
+    assert lo < share < hi
+    # mu*q_tx*q_comp + (q_tx*q_comp)', highest power first.
+    product = np.convolve([tx.c2, tx.c1, tx.c0], [comp.c2, comp.c1, comp.c0])
+    quartic = mu * product + np.concatenate(([0.0], product[:-1] * [4.0, 3.0, 2.0, 1.0]))
+    inside = [r for r in oracles.quartic_roots_companion(*quartic) if lo < r < hi]
+    assert len(inside) == 1
+    assert share == pytest.approx(inside[0], rel=1e-9)
+
+
+@given(
+    n_servers=st.integers(1, 4),
+    task_mbits=st.floats(1.0, 100.0),
+    index=st.integers(0, 4),
+    ln_phi_hat=st.floats(math.log(PHI_FLOOR), 0.0),
+    airtime=st.floats(1e-3, 1.0),
+    slack=st.floats(1e-3, 1.0),
+    power_w=st.floats(1e-3, 1.0),
+    mu=st.floats(0.0, 1e6),
+)
+@settings(max_examples=200)
+def test_p32b_beats_the_candidate_argmax_on_mm2_pieces(
+    n_servers, task_mbits, index, ln_phi_hat, airtime, slack, power_w, mu
+):
+    # The pieces mm2 builds: minorants on its trust region around the
+    # expansion point (index 0 is the local share, with no link), the share
+    # interval phi_interval gives, mu >= 0.
+    p = reference_params(n_servers, task_mbits=task_mbits)
+    m = index % (n_servers + 1)
+    ph = math.exp(ln_phi_hat)
+    region = (ph / solver._TRUST_FACTOR, min(1.0, solver._TRUST_FACTOR * ph))
+    tx = surrogate_transmission(p, m, ph, airtime, power_w, region) if m > 0 else None
+    comp = surrogate_computation(p, m, ph, slack, region)
+    iv = phi_interval(tx, comp)
+    if iv is None:
+        return
+    lo, hi = iv
+    try:
+        share = solve_p32b(tx, comp, mu, lo, hi)
+    except special.ConvergenceError:
+        # The quartic's certificate rejected a root; the split loop counts
+        # a pathology.  The candidate argmax solves the same quartic.
+        with pytest.raises(special.ConvergenceError):
+            oracles.solve_p32b_candidates(tx, comp, mu, lo, hi)
+        return
+    assert lo <= share <= hi
+
+    def objective(phi):
+        # Each q in exact rational arithmetic, plus the rounding that a float
+        # evaluation of q carries.  Where q is a small difference of large
+        # terms (a link whose minorant is positive on a sliver), that
+        # rounding exceeds the objective's differences near its maximum, and
+        # the quartic's root is no more accurate than that.
+        x, total, rounding = Fraction(float(phi)), mu * phi, 0.0
+        for q in (tx, comp):
+            if q is not None:
+                v = float((Fraction(q.c2) * x + Fraction(q.c1)) * x + Fraction(q.c0))
+                if not v > 0.0:
+                    return -math.inf, 0.0
+                total += math.log(v)
+                scale = (abs(q.c2) * phi + abs(q.c1)) * phi + abs(q.c0)
+                rounding += 4.0 * np.finfo(float).eps * scale / v
+        return total, rounding
+
+    value, _ = objective(share)
+    best, rounding = objective(oracles.solve_p32b_candidates(tx, comp, mu, lo, hi))
+    assert value >= best - 1e-12 * max(1.0, abs(best)) - rounding
 
 
 def test_p32b_matches_dense_scan():
