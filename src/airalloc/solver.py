@@ -51,14 +51,17 @@ from .model import (
 )
 from .special import (
     ConvergenceError,
+    DegenerateCoefficientError,
     QuarticCoeffs,
+    _polish_real,
     decreasing_root,
     decreasing_root_newton,
     ln_chi,
     ln_chi_curvature,
     ln_lower_gamma,
     ln_lower_gamma_curvature,
-    solve_poly_real,
+    solve_quadratic_real,
+    solve_quartic_real,
 )
 from .surrogates import (
     PHI_FLOOR,
@@ -363,11 +366,14 @@ def solve_p32b(
     slope q_tx'/q_tx + q_comp'/q_comp + mu leaves the quartic
     mu*q_tx*q_comp + (q_tx*q_comp)' with the slope's sign.  So a quartic
     that is not positive at lo returns lo, one that is not negative at hi
-    returns hi, and otherwise its one root inside (lo, hi) is the answer:
-    the closed form's, or the bracketed search's if the closed form missed
-    it.  The local share has no link: ``tx`` None stands for q_tx = 1,
-    which leaves a quadratic (linear when mu = 0, with the vertex of
-    q_comp as its root).
+    returns hi, and otherwise its one root inside (lo, hi) is the answer.
+    The closed form polishes and certifies only its candidates inside the
+    interval; when the leading coefficient is degenerate (mu = 0 leaves a
+    cubic) or no certified root lies inside, the bracketed search from the
+    two end values finds it, and guarded Newton steps polish it.  The
+    local share has no link: ``tx`` None stands for q_tx = 1, which leaves
+    a quadratic (linear when mu = 0, with the vertex of q_comp as its
+    root) for the quadratic formula.
     """
     r1, r2, r3 = (tx.c2, tx.c1, tx.c0) if tx is not None else (0.0, 0.0, 1.0)
     l1, l2, l3 = comp.c2, comp.c1, comp.c0
@@ -386,10 +392,18 @@ def solve_p32b(
         return lo
     if f_hi >= 0.0:
         return hi
-    for r in solve_poly_real(quartic):
+    if tx is None:
+        roots = solve_quadratic_real(quartic.c, quartic.d, quartic.e)
+    else:
+        try:
+            roots = solve_quartic_real(quartic, (lo, hi))
+        except DegenerateCoefficientError:
+            roots = []
+    for r in roots:
         if lo < r < hi:
             return r
-    return decreasing_root(quartic, lo, hi, f_lo, f_hi)
+    root = _polish_real(quartic, decreasing_root(quartic, lo, hi, f_lo, f_hi), 4)
+    return min(max(root, lo), hi)
 
 
 def waterfill_mu(
@@ -571,10 +585,8 @@ def _mm_split_loop(
                 slack, t_m = slacks[m - 1], t[m - 1]
                 if t_m <= 0.0 or slack <= 0.0:
                     return None
-            # ph, slack and t_m stay numpy scalars: np.float64 + complex is
-            # complex128, whose cube root in the quartic's closed form rounds
-            # unlike Python's complex, so float() would move mm2's shares.
-            built = piece(m, ph[pos], slack, t_m, trace)
+            # The pieces do scalar arithmetic, which numpy scalars slow down.
+            built = piece(m, float(ph[pos]), float(slack), float(t_m), trace)
             if built is None:
                 return None
             out.append(built)

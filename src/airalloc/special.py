@@ -432,30 +432,41 @@ def _certified(q: QuarticCoeffs, roots: list[float], degree: int) -> list[float]
     return merged
 
 
-def solve_quartic_real(coeffs: QuarticCoeffs) -> list[float]:
-    """Real roots of a quartic, ascending, with duplicates merged at 1e-8.
+def solve_quartic_real(
+    coeffs: QuarticCoeffs, interval: tuple[float, float] = (-math.inf, math.inf)
+) -> list[float]:
+    """Real roots of a quartic inside the open ``interval`` (default: the
+    whole line), ascending, with duplicates merged at 1e-8.
 
     Every returned root carries a residual certificate
     |q(r)| <= 1e-9 * max(1, ||coeffs||_inf) * max(1, |r|)^4.  A closed-form
-    root candidate is Newton-polished and counts as real when its imaginary
-    part is then at most 1e-8 in magnitude.
+    root candidate whose real part lies inside the interval is
+    Newton-polished and counts as real when its imaginary part is then at
+    most 1e-8 in magnitude; candidates outside it are neither polished nor
+    certified.  The coefficients are taken as Python floats.
     Raises :class:`DegenerateCoefficientError` when the leading coefficient is
     numerically zero; callers should fall back to :func:`solve_poly_real`.
     """
-    norm = coeffs.norm
+    # Python floats: numpy scalars are slow here, and np.float64 + complex
+    # is complex128, whose cube root rounds unlike Python's complex.
+    q = QuarticCoeffs(float(coeffs.a), float(coeffs.b), float(coeffs.c), float(coeffs.d),
+                      float(coeffs.e))
+    norm = q.norm
     if norm == 0.0:
         raise DegenerateCoefficientError("all quartic coefficients are zero")
-    if abs(coeffs.a) < _DEGENERATE_REL * norm:
+    if abs(q.a) < _DEGENERATE_REL * norm:
         raise DegenerateCoefficientError(
-            f"leading coefficient {coeffs.a} is degenerate relative to ||coeffs||={norm}"
+            f"leading coefficient {q.a} is degenerate relative to ||coeffs||={norm}"
         )
 
+    lo, hi = interval
     real_roots = []
-    for z in _quartic_closed_form(coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e):
-        z = _polish_complex(coeffs, z, 4)
-        if abs(z.imag) <= _IMAG_TOL:
-            real_roots.append(_polish_real(coeffs, z.real, 8))
-    return _certified(coeffs, real_roots, 4)
+    for z in _quartic_closed_form(q.a, q.b, q.c, q.d, q.e):
+        if lo < z.real < hi:
+            z = _polish_complex(q, z, 4)
+            if abs(z.imag) <= _IMAG_TOL:
+                real_roots.append(_polish_real(q, z.real, 8))
+    return [r for r in _certified(q, real_roots, 4) if lo < r < hi]
 
 
 def solve_cubic_real(b: float, c: float, d: float, e: float) -> list[float]:

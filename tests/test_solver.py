@@ -214,9 +214,9 @@ def test_p32b_without_link_is_the_local_closed_form(rng):
 
 def test_p32b_finds_the_root_the_closed_form_misses():
     # A piece of mm2 at seed-0 cell 26 of the random draw (M = 3,
-    # L = 6.4 Mbit).  With these numpy-scalar coefficients the quartic's
-    # closed form misses its root inside the interval, where the end slopes
-    # still bracket one.
+    # L = 6.4 Mbit).  Run in complex128 on these numpy-scalar coefficients,
+    # the quartic's closed form missed its root inside the interval, where
+    # the end slopes still bracket one.
     f64 = np.float64
     region = dict(lo=f64(5.094510563808367e-07), hi=f64(2.0378042255233467e-06))
     tx = SurrogateCoeffs(c2=f64(-48162059.35653723), c1=f64(98.07665419603562),
@@ -232,6 +232,57 @@ def test_p32b_finds_the_root_the_closed_form_misses():
     inside = [r for r in oracles.quartic_roots_companion(*quartic) if lo < r < hi]
     assert len(inside) == 1
     assert share == pytest.approx(inside[0], rel=1e-9)
+
+
+def _stationarity_sign(tx, comp, mu, phi: float) -> int:
+    """Sign of mu*q_tx*q_comp + (q_tx*q_comp)' at phi in exact arithmetic."""
+    x = Fraction(phi)
+
+    def value_and_slope(q):
+        c2, c1, c0 = Fraction(q.c2), Fraction(q.c1), Fraction(q.c0)
+        return (c2 * x + c1) * x + c0, 2 * c2 * x + c1
+
+    (tx_v, tx_d), (comp_v, comp_d) = value_and_slope(tx), value_and_slope(comp)
+    value = Fraction(mu) * tx_v * comp_v + tx_d * comp_v + tx_v * comp_d
+    return (value > 0) - (value < 0)
+
+
+def test_p32b_is_accurate_on_a_quartic_of_tiny_norm():
+    # A quartic of norm 3.6e-18, below the scale at which the closed form's
+    # absolute thresholds hold: it collapses every pairing into double roots
+    # far outside [0.5, 1].  Polished over the whole line, one of them ended
+    # at 0.8133995, 5.3e-6 off the root, inside the residual certificate.
+    p = reference_params(1, task_mbits=14)
+    tx = surrogate_transmission(p, 1, 1.0, 0.25, 0.001, (0.5, 1.0))
+    comp = surrogate_computation(p, 1, 1.0, 0.0078125, (0.5, 1.0))
+    lo, hi = phi_interval(tx, comp)
+    share = solve_p32b(tx, comp, 4.0, lo, hi)
+    product = np.convolve([tx.c2, tx.c1, tx.c0], [comp.c2, comp.c1, comp.c0])
+    quartic = 4.0 * product + np.concatenate(([0.0], product[:-1] * [4.0, 3.0, 2.0, 1.0]))
+    assert max(abs(quartic)) < 1e-17
+    inside = [r for r in oracles.quartic_roots_companion(*quartic) if lo < r < hi]
+    assert len(inside) == 1
+    assert share == pytest.approx(inside[0], rel=1e-9)
+    assert share == pytest.approx(0.81340386, rel=1e-8)
+
+
+def test_p32b_solves_a_near_degenerate_quartic_inside_its_interval():
+    # M = 1, L = 1 Mbit, a link deep in its tail (phi_hat = e^-8) and
+    # mu = 1e-9: the leading coefficient is 2.5e-10 of the norm, and the
+    # closed form's candidates are far off.  Polished over the whole line,
+    # one ended at -0.156, outside the interval, and failed its certificate;
+    # now none lies inside (lo, hi), and the end slopes bracket the root.
+    p = reference_params(1, task_mbits=1.0)
+    ph = math.exp(-8.0)
+    region = (ph / 2.0, 2.0 * ph)
+    tx = surrogate_transmission(p, 1, ph, 0.25, 1.0, region)
+    comp = surrogate_computation(p, 1, ph, 1.0, region)
+    lo, hi = phi_interval(tx, comp)
+    mu = 1e-9
+    share = solve_p32b(tx, comp, mu, lo, hi)
+    assert lo < share < hi
+    assert _stationarity_sign(tx, comp, mu, share * (1.0 - 1e-12)) == 1
+    assert _stationarity_sign(tx, comp, mu, share * (1.0 + 1e-12)) == -1
 
 
 @given(
@@ -472,16 +523,16 @@ def test_convergence_error_in_split_counts_a_pathology(monkeypatch):
     p = reference_params(2, task_mbits=10.0)
     clean = bcd_solve(p, variant="mm2")
     assert clean.trace.total_pathologies == 0
-    real = solver.solve_poly_real
+    real = solver.solve_quartic_real
     calls = [0]
 
-    def failing(coeffs):
+    def failing(coeffs, interval):
         calls[0] += 1
         if calls[0] == 100:
             raise special.ConvergenceError("rejected root")
-        return real(coeffs)
+        return real(coeffs, interval)
 
-    monkeypatch.setattr(solver, "solve_poly_real", failing)
+    monkeypatch.setattr(solver, "solve_quartic_real", failing)
     res = bcd_solve(p, variant="mm2")
     assert calls[0] > 100
     assert_feasible(p, res.allocation)

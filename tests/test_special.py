@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from airalloc.special import (
@@ -299,6 +299,57 @@ def test_quartic_matches_companion_property(seed):
     assert len(ours) == len(ref)
     for a, b in zip(ours, ref):
         assert a == pytest.approx(b, abs=1e-7)
+
+
+def test_quartic_on_numpy_scalars_finds_every_root():
+    # mm2's stationarity quartic mu*q_tx*q_comp + (q_tx*q_comp)' from the
+    # piece of test_p32b_finds_the_root_the_closed_form_misses, with
+    # np.float64 coefficients.  Run in complex128, the closed form turned
+    # the roots 1.02e-6 and 1.45e-4 into a complex pair; the solver takes
+    # its coefficients as Python floats, so it finds all four.
+    f64 = np.float64
+    tx = [f64(-48162059.35653723), f64(98.07665419603562), f64(0.9999500000042635)]
+    comp = [f64(-48162062.702937976), f64(98.14485488596738), f64(0.99995)]
+    mu = f64(0.0002894722279685606)
+    product = np.convolve(tx, comp)
+    coeffs = mu * product + np.concatenate(([0.0], product[:-1] * [4.0, 3.0, 2.0, 1.0]))
+    assert all(type(c) is np.float64 for c in coeffs)
+    ours = solve_quartic_real(QuarticCoeffs(*coeffs))
+    assert ours == solve_quartic_real(QuarticCoeffs(*map(float, coeffs)))
+    ref = quartic_roots_companion(*map(float, coeffs))
+    assert len(ours) == len(ref) == 4
+    assert ours == pytest.approx(ref, rel=1e-9)
+
+    def sign(x: float) -> int:
+        value = Fraction(0)
+        for c in coeffs:
+            value = value * Fraction(x) + Fraction(float(c))
+        return (value > 0) - (value < 0)
+
+    # Each root is bracketed to 1e-12 relative in exact arithmetic.
+    for r in ours:
+        assert sign(r * (1.0 - 1e-12)) == -sign(r * (1.0 + 1e-12)) != 0
+
+
+@given(
+    first=st.floats(-10.0, 10.0),
+    gaps=st.lists(st.floats(1e-2, 5.0), min_size=3, max_size=3),
+    lead=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+    ends=st.lists(st.floats(-30.0, 30.0) | st.just(-math.inf) | st.just(math.inf),
+                  min_size=2, max_size=2),
+)
+def test_quartic_interval_form_filters_the_whole_line(first, gaps, lead, ends):
+    # Separated real roots, and interval ends that keep clear of them, so
+    # a closed-form candidate lies on the same side of an end as its root.
+    roots = np.cumsum([first, *gaps])
+    lo, hi = sorted(ends)
+    assume(all(abs(r - end) > 1e-6 * max(1.0, abs(r)) for r in roots for end in (lo, hi)))
+    poly = np.array([lead])
+    for r in roots:
+        poly = np.convolve(poly, [1.0, -r])
+    q = QuarticCoeffs(*map(float, poly))
+    whole = solve_quartic_real(q)
+    assert solve_quartic_real(q, (lo, hi)) == [r for r in whole if lo < r < hi]
 
 
 # ---------------------------------------------------------------------------
