@@ -21,6 +21,7 @@ from .multiuser import (
     MultiUserEnv,
     MultiUserParams,
     MultiUserState,
+    _total,
     spent_energy,
     state_vector,
     success_vector,
@@ -48,39 +49,37 @@ def baseline_full_offload(p: SystemParams, variant: str = "mm2") -> BcdResult:
     return bcd_solve(p, variant=variant, offload_only=True)
 
 
-def _fraction_action(mp: MultiUserParams, state: MultiUserState, fracs: np.ndarray) -> MultiUserAction:
-    """Turn per-server resource fractions ``fracs[n, m-1]`` (each column
+def _fraction_action(mp: MultiUserParams, state: MultiUserState, fracs: list[list[float]]) -> MultiUserAction:
+    """Turn per-server resource fractions ``fracs[n][m-1]`` (each column
     summing to at most 1) into a feasible action: user n gets its fraction of
     server m's airtime and capacity, offloading greedily server by server
     until its task is placed."""
-    n_users, m_srv = mp.n_users, mp.n_servers
-    phi = np.zeros((n_users, m_srv + 1))
-    phi[:, 0] = 1.0
-    t = np.zeros((n_users, m_srv))
-    for n in range(n_users):
-        for m in range(1, m_srv + 1):
-            bits_cap = fracs[n, m - 1] * mp.capacities_s[m - 1] * mp.server_speeds_hz[m - 1]
-            share = min(float(phi[n, 0]), bits_cap / float(state.task_bits[n]))
-            phi[n, m] += share
-            phi[n, 0] -= share
-            if phi[n, m] > 0.0:
-                # Airtime only where something is actually sent; half the
-                # granted window stays free so the server can still compute.
-                t[n, m - 1] = 0.5 * fracs[n, m - 1] * mp.slot_s
-    return MultiUserAction(phi, t, np.asarray(mp.p_max_w, dtype=float))
+    phi, t = [], []
+    for f_n, bits in zip(fracs, state.task_bits.tolist()):
+        local = 1.0
+        shares, times = [], []
+        for f, capacity, speed in zip(f_n, mp.capacities_s, mp.server_speeds_hz):
+            share = min(local, f * capacity * speed / bits)
+            local -= share
+            shares.append(share)
+            # Airtime only where something is actually sent; half the
+            # granted window stays free so the server can still compute.
+            times.append(0.5 * f * mp.slot_s if share > 0.0 else 0.0)
+        phi.append([local, *shares])
+        t.append(times)
+    return MultiUserAction(np.array(phi), np.array(t), np.asarray(mp.p_max_w, dtype=float))
 
 
-def _max_min_fractions(mp: MultiUserParams, state: MultiUserState) -> np.ndarray:
+def _max_min_fractions(mp: MultiUserParams, tasks: list[float]) -> list[float]:
     """Raise every user's served task fraction together until the fraction
     budget runs out, freezing users whose whole task fits."""
     total_bits = sum(c * s for c, s in zip(mp.capacities_s, mp.server_speeds_hz))
-    tasks = np.asarray(state.task_bits, dtype=float)
-    f = np.zeros(mp.n_users)
-    served = np.zeros(mp.n_users)
+    f = [0.0] * mp.n_users
+    served = [0.0] * mp.n_users
     budget = 1.0
     active = list(range(mp.n_users))
     while active and budget > 1e-12:
-        rate = sum(tasks[n] / total_bits for n in active)
+        rate = _total(tasks[n] / total_bits for n in active)
         dr = min(min(1.0 - served[n] for n in active), budget / rate)
         if dr <= 0.0:
             break
@@ -101,21 +100,22 @@ def scheduler_action(kind: str, mp: MultiUserParams, state: MultiUserState, slot
     task size, max_min by equalizing served task fractions.
     """
     if kind == "round_robin":
-        fracs = np.zeros((mp.n_users, mp.n_servers))
-        servers = np.arange(mp.n_servers)
-        fracs[(slot + servers) % mp.n_users, servers] = 1.0
-        return _fraction_action(mp, state, fracs)
-    if kind == "weighted":
-        w = np.asarray(mp.weights, dtype=float)
-        fracs = w / w.sum()
-    elif kind == "proportional":
-        wl = np.asarray(mp.weights, dtype=float) * np.asarray(state.task_bits, dtype=float)
-        fracs = wl / wl.sum()
-    elif kind == "max_min":
-        fracs = _max_min_fractions(mp, state)
+        # Server m goes wholly to user (slot + m) mod N, both counted from 0.
+        return _fraction_action(mp, state, [
+            [1.0 if (slot + m) % mp.n_users == n else 0.0 for m in range(mp.n_servers)]
+            for n in range(mp.n_users)
+        ])
+    if kind == "max_min":
+        fracs = _max_min_fractions(mp, state.task_bits.tolist())
+    elif kind in ("weighted", "proportional"):
+        claims = list(mp.weights)
+        if kind == "proportional":
+            claims = [w * b for w, b in zip(claims, state.task_bits.tolist())]
+        total = _total(claims)
+        fracs = [c / total for c in claims]
     else:
         raise ValueError(f"unknown scheduler kind {kind!r}, expected one of {SCHEDULER_KINDS}")
-    return _fraction_action(mp, state, np.repeat(fracs[:, None], mp.n_servers, axis=1))
+    return _fraction_action(mp, state, [[f] * mp.n_servers for f in fracs])
 
 
 def schedulers(
@@ -179,7 +179,7 @@ def evaluate_policy(
     mp = env.mp
     seeds = np.random.SeedSequence(seed).generate_state(episodes)
     ep_rewards = []
-    success_sum = np.zeros(mp.n_users)
+    success_sum = [0.0] * mp.n_users
     bits = joules = 0.0
     slots = 0
     for ep in range(episodes):
@@ -187,10 +187,10 @@ def evaluate_policy(
         total = 0.0
         for k in range(steps_per_episode):
             action = policy(state, k)
-            success = success_vector(mp, state, action)
-            success_sum += success
-            bits += float(np.sum(state.task_bits * success))
-            joules += float(np.sum(spent_energy(mp, state, action)))
+            success = success_vector(mp, state, action).tolist()
+            success_sum = [s + p for s, p in zip(success_sum, success)]
+            bits += _total(b * p for b, p in zip(state.task_bits.tolist(), success))
+            joules += _total(spent_energy(mp, state, action).tolist())
             slots += 1
             state, r, done = env.step(action)
             total += r
@@ -199,7 +199,7 @@ def evaluate_policy(
         ep_rewards.append(total)
     rewards = np.asarray(ep_rewards)
     se = float(rewards.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0
-    per_user = success_sum / slots
+    per_user = np.array(success_sum) / slots
     return EvalResult(
         mean_reward=float(rewards.mean()),
         se_reward=se,

@@ -42,7 +42,6 @@ __all__ = [
     "MultiUserState",
     "MultiUserAction",
     "default_multiuser",
-    "interference_matrix",
     "success_vector",
     "violations",
     "spent_energy",
@@ -211,11 +210,29 @@ def _check_dims(mp: MultiUserParams, action: MultiUserAction) -> None:
         raise FeasibilityError(f"power must be {(n,)}, got {action.power.shape}")
 
 
-def interference_matrix(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> np.ndarray:
-    """Uplink interference I[n, m]: realized received power of every other
-    user that actually transmits to server m this slot."""
-    rx = action.power[:, None] * state.gains * (action.phi[:, 1:] > 0.0)
-    return np.maximum(rx.sum(axis=0)[None, :] - rx, 0.0)
+def _total(values) -> float:
+    """Sum from 0.0, left to right.  numpy's ``add.reduce`` takes this order
+    for fewer than 8 entries, so the two agree to the bit there; the builtin
+    ``sum`` compensates float sums from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _column_totals(rows: list[list[float]]) -> list[float]:
+    """Per-column totals of equal-length rows, adding the rows in sequence
+    as numpy's ``sum(axis=0)`` does."""
+    totals = [0.0] * len(rows[0])
+    for row in rows:
+        totals = [s + v for s, v in zip(totals, row)]
+    return totals
+
+
+def _server_loads(mp: MultiUserParams, bits: list[float], phi: list[list[float]]) -> list[list[float]]:
+    """Cycles each user's server shares claim, at the mean per-bit workload."""
+    mean = mp.workload.mean
+    return [[b * ph * mean for ph in phi_n[1:]] for b, phi_n in zip(bits, phi)]
 
 
 def success_vector(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> np.ndarray:
@@ -232,23 +249,25 @@ def success_vector(mp: MultiUserParams, state: MultiUserState, action: MultiUser
     be delivered.
     """
     _check_dims(mp, action)
-    w = mp.workload
-    gains = np.asarray(mp.mean_gains, dtype=float)
-    snr = action.power[:, None] * gains / (mp.noise_w + interference_matrix(mp, state, action))
-    load = state.task_bits[:, None] * action.phi[:, 1:] * w.mean
-    cross = load.sum(axis=0)[None, :] - load
-    # Local cycle budget after the uplink bill; the per-slot energy allowance
-    # is additionally capped by the battery's remaining charge.
-    allowance = np.minimum(np.asarray(mp.energy_budgets_j, dtype=float), state.energies)
-    rho = local_cycle_budget(mp, np.asarray(mp.latency_budgets_s, dtype=float),
-                             allowance - action.power * action.t.sum(axis=1))
-    rows = zip(state.task_bits.tolist(), mp.latency_budgets_s, cross.tolist(), snr.tolist(),
-               action.phi.tolist(), action.t.tolist(), rho.tolist())
-    return np.array([
-        math.exp(log_factors(bits, mp.bandwidth_hz, w, deadline, mp.server_speeds_hz,
-                             cross_n, snr_n, phi_n, t_n, rho_n).total)
-        for bits, deadline, cross_n, snr_n, phi_n, t_n, rho_n in rows
-    ])
+    bits = state.task_bits.tolist()
+    phi = action.phi.tolist()
+    power = action.power.tolist()
+    rx = [[p * g if ph > 0.0 else 0.0 for g, ph in zip(g_n, phi_n[1:])]
+          for p, g_n, phi_n in zip(power, state.gains.tolist(), phi)]
+    loads = _server_loads(mp, bits, phi)
+    rx_total, load_total = _column_totals(rx), _column_totals(loads)
+    rows = zip(bits, phi, action.t.tolist(), power, mp.mean_gains, rx, loads,
+               mp.latency_budgets_s, mp.energy_budgets_j, state.energies.tolist())
+    out = []
+    for b, phi_n, t_n, p, gains_n, rx_n, load_n, deadline, budget, energy in rows:
+        snr = [p * g / (mp.noise_w + max(s - r, 0.0)) for g, s, r in zip(gains_n, rx_total, rx_n)]
+        cross = [s - c for s, c in zip(load_total, load_n)]
+        # Local cycle budget after the uplink bill; the per-slot energy
+        # allowance is additionally capped by the battery's remaining charge.
+        rho = local_cycle_budget(mp, deadline, min(budget, energy) - p * _total(t_n))
+        out.append(math.exp(log_factors(b, mp.bandwidth_hz, mp.workload, deadline,
+                                        mp.server_speeds_hz, cross, snr, phi_n, t_n, rho).total))
+    return np.array(out)
 
 
 def violations(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> list[str]:
@@ -259,37 +278,43 @@ def violations(mp: MultiUserParams, state: MultiUserState, action: MultiUserActi
     power caps.  Each violated constraint is reported once.
     """
     _check_dims(mp, action)
+    phi = action.phi.tolist()
+    t = action.t.tolist()
     out: list[str] = []
-    for n in range(mp.n_users):
-        row = action.phi[n]
-        if row.min() < -_FEAS_TOL or abs(row.sum() - 1.0) > 1e-6:
-            out.append(f"share row of user {n + 1} off the simplex")
-        if action.t[n].min() < -_FEAS_TOL:
-            out.append(f"negative airtime for user {n + 1}")
-        if not 0.0 <= action.power[n] <= mp.p_max_w[n] + _FEAS_TOL:
-            out.append(f"power of user {n + 1} outside [0, {mp.p_max_w[n]}]")
-    for m in range(mp.n_servers):
-        if action.t[:, m].sum() > mp.slot_s + _FEAS_TOL:
-            out.append(f"airtime on server {m + 1} over the slot budget")
-        load = float(np.sum(state.task_bits * action.phi[:, m + 1])) / mp.server_speeds_hz[m]
-        if load > mp.capacities_s[m] + _FEAS_TOL:
-            out.append(f"compute load on server {m + 1} over capacity")
+    for n, (phi_n, t_n, p, cap) in enumerate(zip(phi, t, action.power.tolist(), mp.p_max_w), start=1):
+        if min(phi_n) < -_FEAS_TOL or abs(_total(phi_n) - 1.0) > 1e-6:
+            out.append(f"share row of user {n} off the simplex")
+        if min(t_n) < -_FEAS_TOL:
+            out.append(f"negative airtime for user {n}")
+        if not 0.0 <= p <= cap + _FEAS_TOL:
+            out.append(f"power of user {n} outside [0, {cap}]")
+    bits = state.task_bits.tolist()
+    for m, (speed, capacity) in enumerate(zip(mp.server_speeds_hz, mp.capacities_s), start=1):
+        if _total(t_n[m - 1] for t_n in t) > mp.slot_s + _FEAS_TOL:
+            out.append(f"airtime on server {m} over the slot budget")
+        if _total(b * phi_n[m] for b, phi_n in zip(bits, phi)) / speed > capacity + _FEAS_TOL:
+            out.append(f"compute load on server {m} over capacity")
     return out
 
 
 def spent_energy(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> np.ndarray:
     """Per-user energy bill for the slot: uplink power times total airtime
     plus local-compute energy at the mean per-bit workload."""
-    tx = action.power * action.t.sum(axis=1)
-    local_cycles = state.task_bits * action.phi[:, 0] * mp.workload.mean
-    return tx + local_cycle_energy(mp) * local_cycles
+    per_cycle = local_cycle_energy(mp)
+    mean = mp.workload.mean
+    return np.array([
+        p * _total(t_n) + per_cycle * (b * phi_n[0] * mean)
+        for p, t_n, b, phi_n in zip(action.power.tolist(), action.t.tolist(),
+                                    state.task_bits.tolist(), action.phi.tolist())
+    ])
 
 
-def _feasible_reward(mp: MultiUserParams, breakdowns: np.ndarray, energies: np.ndarray) -> float:
-    weights = np.asarray(mp.weights, dtype=float)
-    lnp = np.array([max(math.log(p), _LN_FLOOR) if p > 0.0 else _LN_FLOOR for p in breakdowns])
-    caps = np.asarray(mp.energy_capacity_j, dtype=float)
-    return float(np.dot(weights, lnp) - mp.energy_weight * np.sum(energies / caps))
+def _feasible_reward(mp: MultiUserParams, breakdowns: list[float], energies: list[float]) -> float:
+    lnp = [max(math.log(p), _LN_FLOOR) if p > 0.0 else _LN_FLOOR for p in breakdowns]
+    spend = _total(e / c for e, c in zip(energies, mp.energy_capacity_j))
+    # np.dot, not a loop: BLAS may fuse its multiply-adds, and the weighted
+    # sum has to round the same way wherever it is computed.
+    return float(np.dot(mp.weights, lnp)) - mp.energy_weight * spend
 
 
 def state_vector(mp: MultiUserParams, state: MultiUserState) -> np.ndarray:
@@ -324,6 +349,13 @@ class MultiUserEnv:
         self.mp = mp
         self._rng = np.random.default_rng(seed)
         self.state: MultiUserState | None = None
+        self._mean_gains = np.asarray(mp.mean_gains, dtype=float)
+        self._served = [s * mp.slot_s for s in mp.server_speeds_hz]  # cycles per slot
+
+    def _draw_gains(self) -> np.ndarray:
+        # Standard exponentials times the means: the draws of
+        # exponential(means), without its per-call argument checks.
+        return self._rng.standard_exponential(self._mean_gains.shape) * self._mean_gains
 
     def reset(self, seed: int | None = None) -> MultiUserState:
         if seed is not None:
@@ -332,7 +364,7 @@ class MultiUserEnv:
         lo, hi = mp.task_range_bits
         self.state = MultiUserState(
             task_bits=self._rng.uniform(lo, hi, size=mp.n_users),
-            gains=self._rng.exponential(np.asarray(mp.mean_gains, dtype=float)),
+            gains=self._draw_gains(),
             queues=np.zeros(mp.n_servers),
             energies=np.asarray(mp.energy_capacity_j, dtype=float),
         )
@@ -350,23 +382,23 @@ class MultiUserEnv:
         broken = violations(mp, state, action)
         if broken:
             r = _PENALTY * len(broken)
-            bill = np.zeros(mp.n_users)
-            assigned = np.zeros(mp.n_servers)
+            bill = [0.0] * mp.n_users
+            assigned = [0.0] * mp.n_servers
         else:
-            bill = spent_energy(mp, state, action)
-            r = _feasible_reward(mp, success_vector(mp, state, action), bill)
-            assigned = (state.task_bits[:, None] * action.phi[:, 1:] * mp.workload.mean).sum(axis=0)
+            bill = spent_energy(mp, state, action).tolist()
+            r = _feasible_reward(mp, success_vector(mp, state, action).tolist(), bill)
+            assigned = _column_totals(_server_loads(mp, state.task_bits.tolist(), action.phi.tolist()))
 
-        served = np.asarray(mp.server_speeds_hz, dtype=float) * mp.slot_s
         lo, hi = mp.task_range_bits
-        energies = np.maximum(state.energies - bill, 0.0)
+        energies = [max(e - b, 0.0) for e, b in zip(state.energies.tolist(), bill)]
+        queues = [max(q + a - s, 0.0) for q, a, s in zip(state.queues.tolist(), assigned, self._served)]
         nxt = MultiUserState(
             task_bits=self._rng.uniform(lo, hi, size=mp.n_users),
-            gains=self._rng.exponential(np.asarray(mp.mean_gains, dtype=float)),
-            queues=np.maximum(state.queues + assigned - served, 0.0),
-            energies=energies,
+            gains=self._draw_gains(),
+            queues=np.array(queues),
+            energies=np.array(energies),
         )
-        terminal = bool(np.any(energies <= 0.0))
+        terminal = any(e <= 0.0 for e in energies)
         self.state = nxt
         return nxt.copy(), r, terminal
 

@@ -293,7 +293,8 @@ def _bisection_point(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class QuarticCoeffs:
-    """Real coefficients of a*x^4 + b*x^3 + c*x^2 + d*x + e."""
+    """Real coefficients of a*x^4 + b*x^3 + c*x^2 + d*x + e, stored as
+    Python floats."""
 
     a: float
     b: float
@@ -302,10 +303,14 @@ class QuarticCoeffs:
     e: float
 
     def __post_init__(self) -> None:
+        # Python floats: numpy scalars are slow in the closed form, and
+        # np.float64 + complex is complex128, whose cube root rounds unlike
+        # Python's complex.
         for name in ("a", "b", "c", "d", "e"):
-            v = getattr(self, name)
+            v = float(getattr(self, name))
             if not math.isfinite(v):
                 raise ValueError(f"coefficient {name} must be finite, got {v}")
+            object.__setattr__(self, name, v)
 
     @property
     def norm(self) -> float:
@@ -443,30 +448,26 @@ def solve_quartic_real(
     root candidate whose real part lies inside the interval is
     Newton-polished and counts as real when its imaginary part is then at
     most 1e-8 in magnitude; candidates outside it are neither polished nor
-    certified.  The coefficients are taken as Python floats.
+    certified.
     Raises :class:`DegenerateCoefficientError` when the leading coefficient is
     numerically zero; callers should fall back to :func:`solve_poly_real`.
     """
-    # Python floats: numpy scalars are slow here, and np.float64 + complex
-    # is complex128, whose cube root rounds unlike Python's complex.
-    q = QuarticCoeffs(float(coeffs.a), float(coeffs.b), float(coeffs.c), float(coeffs.d),
-                      float(coeffs.e))
-    norm = q.norm
+    norm = coeffs.norm
     if norm == 0.0:
         raise DegenerateCoefficientError("all quartic coefficients are zero")
-    if abs(q.a) < _DEGENERATE_REL * norm:
+    if abs(coeffs.a) < _DEGENERATE_REL * norm:
         raise DegenerateCoefficientError(
-            f"leading coefficient {q.a} is degenerate relative to ||coeffs||={norm}"
+            f"leading coefficient {coeffs.a} is degenerate relative to ||coeffs||={norm}"
         )
 
     lo, hi = interval
     real_roots = []
-    for z in _quartic_closed_form(q.a, q.b, q.c, q.d, q.e):
+    for z in _quartic_closed_form(coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e):
         if lo < z.real < hi:
-            z = _polish_complex(q, z, 4)
+            z = _polish_complex(coeffs, z, 4)
             if abs(z.imag) <= _IMAG_TOL:
-                real_roots.append(_polish_real(q, z.real, 8))
-    return [r for r in _certified(q, real_roots, 4) if lo < r < hi]
+                real_roots.append(_polish_real(coeffs, z.real, 8))
+    return [r for r in _certified(coeffs, real_roots, 4) if lo < r < hi]
 
 
 def solve_cubic_real(b: float, c: float, d: float, e: float) -> list[float]:

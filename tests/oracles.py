@@ -15,19 +15,30 @@ from scipy import integrate
 from scipy import special as sps
 
 from airalloc.dqn import QNetworkParams
-from airalloc.model import Allocation, SystemParams, local_budget_rho
+from airalloc.model import (
+    _FEAS_TOL,
+    Allocation,
+    SystemParams,
+    local_budget_rho,
+    local_cycle_budget,
+    local_cycle_energy,
+    log_factors,
+)
 from airalloc.multiuser import (
+    _LN_FLOOR,
     _PENALTY,
     MultiUserAction,
     MultiUserParams,
     MultiUserState,
-    _feasible_reward,
+    _check_dims,
     _share_rows,
-    spent_energy,
-    success_vector,
-    violations,
 )
-from airalloc.special import QuarticCoeffs, solve_poly_real
+from airalloc.special import (
+    DegenerateCoefficientError,
+    QuarticCoeffs,
+    solve_poly_real,
+    solve_quartic_real,
+)
 
 
 def lower_gamma_quadrature(shape: float, x: float) -> float:
@@ -255,20 +266,26 @@ def solve_p32b_candidates(tx, comp, mu: float, lo: float, hi: float) -> float:
     slopes of its stationarity quartic: maximize
     ln q_tx(phi) + ln q_comp(phi) + mu*phi over the quartic's real roots in
     (lo, hi), the interval ends and the midpoint (``tx`` None stands for
-    q_tx = 1).  The quartic is built with the package's expressions, so
-    the two see the same roots."""
+    q_tx = 1).  The quartic is built with the package's expressions, and
+    only its roots inside (lo, hi) are certified, as in the package, so the
+    two see the same roots: a root outside may fail the whole-line
+    certificate without bearing on the answer."""
     r1, r2, r3 = (tx.c2, tx.c1, tx.c0) if tx is not None else (0.0, 0.0, 1.0)
     l1, l2, l3 = comp.c2, comp.c1, comp.c0
     cross_12 = r1 * l2 + r2 * l1
     cross_13 = r1 * l3 + r2 * l2 + r3 * l1
     cross_23 = r2 * l3 + r3 * l2
-    roots = solve_poly_real(QuarticCoeffs(
+    quartic = QuarticCoeffs(
         mu * r1 * l1,
         mu * cross_12 + 4.0 * r1 * l1,
         mu * cross_13 + 3.0 * cross_12,
         mu * cross_23 + 2.0 * cross_13,
         mu * r3 * l3 + cross_23,
-    ))
+    )
+    try:
+        roots = solve_quartic_real(quartic, (lo, hi))
+    except DegenerateCoefficientError:
+        roots = solve_poly_real(quartic)
 
     def ln(v: float) -> float:
         return math.log(v) if v > 0.0 else -math.inf
@@ -318,10 +335,67 @@ class ListReplay:
         return idx, [self.items[i] for i in idx], weights / weights.max()
 
 
+def interference_matrix(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> np.ndarray:
+    """Uplink interference I[n, m]: realized received power of every other
+    user that actually transmits to server m this slot."""
+    rx = action.power[:, None] * state.gains * (action.phi[:, 1:] > 0.0)
+    return np.maximum(rx.sum(axis=0)[None, :] - rx, 0.0)
+
+
+def success_vector_numpy(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> np.ndarray:
+    """``multiuser.success_vector`` as the package computed it on arrays: the
+    couplings (interference, cross load, local budget) as whole-matrix numpy
+    expressions, then :func:`~airalloc.model.log_factors` per user."""
+    _check_dims(mp, action)
+    w = mp.workload
+    gains = np.asarray(mp.mean_gains, dtype=float)
+    snr = action.power[:, None] * gains / (mp.noise_w + interference_matrix(mp, state, action))
+    load = state.task_bits[:, None] * action.phi[:, 1:] * w.mean
+    cross = load.sum(axis=0)[None, :] - load
+    allowance = np.minimum(np.asarray(mp.energy_budgets_j, dtype=float), state.energies)
+    rho = local_cycle_budget(mp, np.asarray(mp.latency_budgets_s, dtype=float),
+                             allowance - action.power * action.t.sum(axis=1))
+    rows = zip(state.task_bits.tolist(), mp.latency_budgets_s, cross.tolist(), snr.tolist(),
+               action.phi.tolist(), action.t.tolist(), rho.tolist())
+    return np.array([
+        math.exp(log_factors(bits, mp.bandwidth_hz, w, deadline, mp.server_speeds_hz,
+                             cross_n, snr_n, phi_n, t_n, rho_n).total)
+        for bits, deadline, cross_n, snr_n, phi_n, t_n, rho_n in rows
+    ])
+
+
+def violations_numpy(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> list[str]:
+    """``multiuser.violations`` on array rows and columns."""
+    _check_dims(mp, action)
+    out: list[str] = []
+    for n in range(mp.n_users):
+        row = action.phi[n]
+        if row.min() < -_FEAS_TOL or abs(row.sum() - 1.0) > 1e-6:
+            out.append(f"share row of user {n + 1} off the simplex")
+        if action.t[n].min() < -_FEAS_TOL:
+            out.append(f"negative airtime for user {n + 1}")
+        if not 0.0 <= action.power[n] <= mp.p_max_w[n] + _FEAS_TOL:
+            out.append(f"power of user {n + 1} outside [0, {mp.p_max_w[n]}]")
+    for m in range(mp.n_servers):
+        if action.t[:, m].sum() > mp.slot_s + _FEAS_TOL:
+            out.append(f"airtime on server {m + 1} over the slot budget")
+        load = float(np.sum(state.task_bits * action.phi[:, m + 1])) / mp.server_speeds_hz[m]
+        if load > mp.capacities_s[m] + _FEAS_TOL:
+            out.append(f"compute load on server {m + 1} over capacity")
+    return out
+
+
+def spent_energy_numpy(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> np.ndarray:
+    """``multiuser.spent_energy`` as whole-array expressions."""
+    tx = action.power * action.t.sum(axis=1)
+    local_cycles = state.task_bits * action.phi[:, 0] * mp.workload.mean
+    return tx + local_cycle_energy(mp) * local_cycles
+
+
 def user_success(mp, state, action, n: int) -> float:
     """End-to-end success probability of user n (1-based) under the joint
     action."""
-    return float(success_vector(mp, state, action)[n - 1])
+    return float(success_vector_numpy(mp, state, action)[n - 1])
 
 
 def reward(
@@ -336,12 +410,16 @@ def reward(
     constraint; otherwise each user's log-success is clamped at ln(1e-12) so
     a zero-probability user costs a large but finite amount.
     """
-    broken = violations(mp, state, action)
+    broken = violations_numpy(mp, state, action)
     if broken:
         return _PENALTY * len(broken)
     if breakdowns is None:
-        breakdowns = success_vector(mp, state, action)
-    return _feasible_reward(mp, breakdowns, spent_energy(mp, state, action))
+        breakdowns = success_vector_numpy(mp, state, action)
+    weights = np.asarray(mp.weights, dtype=float)
+    lnp = np.array([max(math.log(p), _LN_FLOOR) if p > 0.0 else _LN_FLOOR for p in breakdowns])
+    caps = np.asarray(mp.energy_capacity_j, dtype=float)
+    energies = spent_energy_numpy(mp, state, action)
+    return float(np.dot(weights, lnp) - mp.energy_weight * np.sum(energies / caps))
 
 
 def enumerate_actions_loop(mp, granularity: float, time_fracs=(0.25, 0.5),

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airalloc import multiuser
 from airalloc.model import Allocation, local_budget_rho, reference_params, success_breakdown
@@ -14,14 +16,21 @@ from airalloc.multiuser import (
     MultiUserState,
     default_multiuser,
     enumerate_actions,
-    interference_matrix,
     spent_energy,
     state_vector,
     success_vector,
     violations,
 )
 from airalloc.special import chi, regularized_lower_gamma
-from oracles import enumerate_actions_loop, reward, user_success
+from oracles import (
+    enumerate_actions_loop,
+    interference_matrix,
+    reward,
+    spent_energy_numpy,
+    success_vector_numpy,
+    user_success,
+    violations_numpy,
+)
 
 
 def _feasible_action(mp, offload=0.5, time_frac=0.5, power_frac=1.0):
@@ -526,3 +535,68 @@ def test_grid_table_matches_per_object_enumeration_at_other_levels(monkeypatch):
     mp = dataclasses.replace(default_multiuser(3, 1), p_max_w=(0.3, 1.0, 1.7), slot_s=0.9)
     _assert_table_is(enumerate_actions(mp, granularity=0.5),
                      enumerate_actions_loop(mp, 0.5, **levels))
+
+
+# ---------------------------------------------------------------------------
+# The per-slot float path against the numpy references.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _slots(draw):
+    """A small system, a state and a joint action.  Batteries may be empty or
+    below the per-slot allowance, and shares, airtimes and powers may be
+    zero.  Half the actions keep every share row on the simplex, every
+    airtime inside its slot share and every power inside its cap; the rest
+    may break any rule, with negative entries included.  The values come
+    from a drawn seed, so that their sums round as generic floats do."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(shape, lo, hi):
+        """Uniform entries in [lo, hi], each exactly zero a third of the time."""
+        return np.where(rng.random(shape) < 1.0 / 3.0, 0.0, rng.uniform(lo, hi, shape))
+
+    mp = dataclasses.replace(default_multiuser(n, m), weights=tuple(rng.uniform(0.1, 5.0, n).tolist()))
+    state = MultiUserState(
+        task_bits=rng.uniform(*mp.task_range_bits, n),
+        gains=entries((n, m), 1e-8, 2e-6),
+        queues=entries(m, 0.0, 1e10),
+        energies=entries(n, 0.0, 2.0 * mp.energy_budgets_j[0]),
+    )
+    if draw(st.booleans()):
+        phi = entries((n, m + 1), 0.0, 1.0)
+        phi[phi.sum(axis=1) == 0.0, 0] = 1.0
+        phi /= phi.sum(axis=1, keepdims=True)
+        t = entries((n, m), 0.0, mp.slot_s / n)
+        power = entries(n, 0.0, mp.p_max_w[0])
+    else:
+        phi = entries((n, m + 1), -0.05, 1.0)
+        t = entries((n, m), -0.05, 0.7)
+        power = entries(n, -1.0, 1.2)
+    return mp, state, MultiUserAction(phi, t, power)
+
+
+@settings(max_examples=150)
+@given(_slots())
+def test_float_path_equals_numpy_references(slot):
+    mp, state, action = slot
+    assert violations(mp, state, action) == violations_numpy(mp, state, action)
+    assert success_vector(mp, state, action).tolist() == success_vector_numpy(mp, state, action).tolist()
+    bill = spent_energy(mp, state, action)
+    assert bill.tolist() == spent_energy_numpy(mp, state, action).tolist()
+
+    env = MultiUserEnv(mp, seed=0)
+    env.reset()
+    env.state = state.copy()
+    nxt, r, done = env.step(action)
+    assert r == reward(mp, state, action)
+    if violations_numpy(mp, state, action):
+        bill, assigned = np.zeros(mp.n_users), np.zeros(mp.n_servers)
+    else:
+        assigned = (state.task_bits[:, None] * action.phi[:, 1:] * mp.workload.mean).sum(axis=0)
+    served = np.asarray(mp.server_speeds_hz, dtype=float) * mp.slot_s
+    assert nxt.queues.tolist() == np.maximum(state.queues + assigned - served, 0.0).tolist()
+    energies = np.maximum(state.energies - bill, 0.0)
+    assert nxt.energies.tolist() == energies.tolist()
+    assert done == bool(np.any(energies <= 0.0))
