@@ -19,9 +19,12 @@ The decision variables are updated in three blocks per outer iteration:
    diagonal).
 
 Both split updates price the shares with one water-filling multiplier, found
-by :func:`waterfill_mu`: a geometric bracket, seeded with the previous
-multiplier of the split loop, closed by safeguarded Anderson-Bjorck false
-position.  Every multiplier tried re-runs each per-index solve, so
+by :func:`waterfill_mu`: safeguarded Newton steps on the share total,
+started from the previous multiplier of the split loop.  Each per-index
+solve returns its share with the share's slope in the multiplier, which its
+own root already gives (``mm2``: -q_tx q_comp / F' of its stationarity
+quartic F; ``mm1``: -1 / d' of its minorant's derivative d; 0 at an
+interval end).  Every multiplier tried re-runs each per-index solve, so
 :class:`BcdTrace` counts them next to the per-index work.
 
 Every block never decreases the objective, so the outer trace of
@@ -357,8 +360,9 @@ def solve_p2(
 
 def solve_p32b(
     tx: SurrogateCoeffs | None, comp: SurrogateCoeffs, mu: float, lo: float, hi: float
-) -> float:
-    """Maximize ln q_tx(phi) + ln q_comp(phi) + mu*phi over [lo, hi].
+) -> tuple[float, float]:
+    """Maximize ln q_tx(phi) + ln q_comp(phi) + mu*phi over [lo, hi]; return
+    the maximizer and its slope in mu.
 
     Precondition: both quadratics are positive on (lo, hi), as
     :func:`~airalloc.surrogates.phi_interval` gives.  There the objective
@@ -373,7 +377,9 @@ def solve_p32b(
     two end values finds it, and guarded Newton steps polish it.  The
     local share has no link: ``tx`` None stands for q_tx = 1, which leaves
     a quadratic (linear when mu = 0, with the vertex of q_comp as its
-    root) for the quadratic formula.
+    root) for the quadratic formula.  The share's slope in mu is
+    -q_tx q_comp / F' at a root of the quartic F, by implicit
+    differentiation (dF/dmu = q_tx q_comp), and 0 at an end.
     """
     r1, r2, r3 = (tx.c2, tx.c1, tx.c0) if tx is not None else (0.0, 0.0, 1.0)
     l1, l2, l3 = comp.c2, comp.c1, comp.c0
@@ -389,9 +395,9 @@ def solve_p32b(
     )
     f_lo, f_hi = quartic(lo), quartic(hi)
     if f_lo <= 0.0:
-        return lo
+        return lo, 0.0
     if f_hi >= 0.0:
-        return hi
+        return hi, 0.0
     if tx is None:
         roots = solve_quadratic_real(quartic.c, quartic.d, quartic.e)
     else:
@@ -399,15 +405,17 @@ def solve_p32b(
             roots = solve_quartic_real(quartic, (lo, hi))
         except DegenerateCoefficientError:
             roots = []
-    for r in roots:
-        if lo < r < hi:
-            return r
-    root = _polish_real(quartic, decreasing_root(quartic, lo, hi, f_lo, f_hi), 4)
-    return min(max(root, lo), hi)
+    root = next((r for r in roots if lo < r < hi), None)
+    if root is None:
+        root = _polish_real(quartic, decreasing_root(quartic, lo, hi, f_lo, f_hi), 4)
+        root = min(max(root, lo), hi)
+    f_root = quartic.derivative(root)
+    product = ((r1 * root + r2) * root + r3) * ((l1 * root + l2) * root + l3)
+    return root, (-product / f_root if f_root < 0.0 else 0.0)
 
 
 def waterfill_mu(
-    solvers: Sequence[Callable[[float], float]],
+    solvers: Sequence[Callable[[float], tuple[float, float]]],
     intervals: Sequence[tuple[float, float]],
     *,
     max_iter: int = 200,
@@ -416,77 +424,73 @@ def waterfill_mu(
     """Find the multiplier at which the per-index maximizers spend the unit
     share budget.
 
-    Each solver maps a multiplier mu >= 0 to its share maximizer, so the
-    share total S(mu) is non-decreasing.  A geometric search brackets the
-    root of S(mu) - 1: upward from mu = 1 by ratios 2, 4, 16, ... (each
-    the square of the last), or, given a positive guess ``mu_start``, from
-    the guess by ratios 1.1, 1.21, ... toward the root, and below it too when
-    it overshoots.  Anderson-Bjorck false position then closes the bracket,
-    with bisection whenever an interpolate leaves it.  The search stops once
-    the total is within 1e-8 of the budget, the bracket collapses, or after
-    ``max_iter`` interpolation steps; the upward search gives up at mu = 1e18.
-    The best-residual shares are then patched (within interval slack) so
-    they sum to the budget to machine precision.
+    Each solver maps a multiplier mu >= 0 to its share maximizer and that
+    share's slope in mu, so the share total S(mu) is non-decreasing and its
+    slope is the sum of theirs.  The search starts at ``mu_start`` (1 when
+    there is none or it is not positive) and takes the Newton step on
+    S(mu) - 1 whenever it lands strictly inside the known bracket and is at
+    most half the step before last (Numerical Recipes' ``rtsafe`` rule,
+    which stops a crawl on a wrong slope).  A step down that would land
+    more than mu below zero says S is far from linear there (shares that
+    grow like ln mu), so the Newton step in ln mu, which stays positive,
+    takes its place.  Otherwise the search grows upward by ratios 2, 4,
+    16, ... (each the square of the last) while there is no upper end,
+    tries mu = 0 while no multiplier has spent less than the budget (by
+    monotonicity, S(0) <= 1 in every other case), and bisects once both
+    ends are known.  The search stops once the total is within
+    1e-8 of the budget, the bracket collapses, or after ``max_iter``
+    multipliers; the upward search gives up at mu = 1e18.  The best-residual
+    shares are then patched (within interval slack) so they sum to the
+    budget to machine precision.  Raises :class:`WaterfillBracketError`
+    when S(0) exceeds the budget.
     """
     mu_best, phi_best, err_best = 0.0, None, math.inf
 
-    def residual(mu: float) -> float:
+    def residual(mu: float) -> tuple[float, float]:
         nonlocal mu_best, phi_best, err_best
-        phi = np.array([s(mu) for s in solvers])
-        r = float(phi.sum()) - 1.0
+        shares, slope = [], 0.0
+        for s in solvers:
+            share, ds = s(mu)
+            shares.append(share)
+            slope += ds
+        r = sum(shares) - 1.0
+        if mu == 0.0 and r > _WATERFILL_TOL:
+            raise WaterfillBracketError(f"shares already sum to {r + 1.0} > 1 at zero multiplier")
         if abs(r) < err_best:
-            mu_best, phi_best, err_best = mu, phi, abs(r)
-        return r
+            mu_best, phi_best, err_best = mu, shares, abs(r)
+        return r, slope
 
-    f_lo = residual(0.0)
-    if f_lo > _WATERFILL_TOL:
-        raise WaterfillBracketError(
-            f"shares already sum to {f_lo + 1.0} > 1 at zero multiplier"
-        )
-    if err_best > _WATERFILL_TOL:
-        warm = mu_start is not None and mu_start > 0.0
-        lo = 0.0
-        hi, ratio = (mu_start, 1.1) if warm else (1.0, 2.0)
-        f_hi = residual(hi)
-        while f_hi < 0.0 and hi < _MU_CAP and err_best > _WATERFILL_TOL:
-            lo, f_lo = hi, f_hi
-            hi = min(hi * ratio, _MU_CAP)
+    lo, hi, below = 0.0, math.inf, False  # S(lo) < 1 once below; S(hi) >= 1
+    mu = mu_start if mu_start is not None and mu_start > 0.0 else 1.0
+    ratio = 2.0
+    step = step_old = math.inf
+    for _ in range(max_iter):
+        r, slope = residual(mu)
+        if r < 0.0:
+            lo, below = mu, True
+        else:
+            hi = mu
+        if err_best <= _WATERFILL_TOL or lo >= _MU_CAP or hi - lo < 1e-12 * max(1.0, hi):
+            break
+        newton = r / slope if slope > 0.0 else math.inf
+        candidate = min(mu - newton, _MU_CAP)
+        if candidate < -mu and r > 0.0:
+            candidate = mu * math.exp(-newton / mu)
+            newton = mu - candidate
+        if lo < candidate < hi and 2.0 * abs(newton) <= abs(step_old):
+            step_old, step, mu = step, newton, candidate
+            continue
+        if hi == math.inf:
+            nxt = min(mu * ratio, _MU_CAP)
             ratio *= ratio
-            f_hi = residual(hi)
-        if warm and lo == 0.0:
-            # The guess overshot.  Near a steep rise of S from mu = 0 false
-            # position on [0, guess] crawls, so find a lower end near it.
-            while err_best > _WATERFILL_TOL:
-                mu = hi / ratio
-                ratio *= ratio
-                f_mu = residual(mu)
-                if f_mu < 0.0:
-                    lo, f_lo = mu, f_mu
-                    break
-                hi, f_hi = mu, f_mu
-        side = 0  # which end the last step replaced: -1 low, +1 high
-        for _ in range(max_iter):
-            if err_best <= _WATERFILL_TOL or f_hi < 0.0 or hi - lo < 1e-12 * max(1.0, hi):
-                break
-            mu = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            if not lo < mu < hi:
-                mu = 0.5 * (lo + hi)
-            f_mu = residual(mu)
-            # Anderson-Bjorck: when the same end moves twice in a row, scale
-            # the value kept at the other end so the next interpolate moves it.
-            if f_mu < 0.0:
-                if side < 0:
-                    m = 1.0 - f_mu / f_lo
-                    f_hi *= m if m > 0.0 else 0.5
-                lo, f_lo, side = mu, f_mu, -1
-            else:
-                if side > 0:
-                    m = 1.0 - f_mu / f_hi
-                    f_lo *= m if m > 0.0 else 0.5
-                hi, f_hi, side = mu, f_mu, 1
+        else:
+            nxt = 0.5 * (lo + hi) if below else 0.0
+        step_old, step, mu = step, mu - nxt, nxt
+    if not below and err_best > _WATERFILL_TOL:
+        residual(0.0)  # every multiplier tried overspent: S(0) decides
 
     # Spend the residual inside interval slack, largest headroom first.
-    phi = phi_best.copy()
+    phi = np.array(phi_best)
     diff = 1.0 - float(phi.sum())
     if abs(diff) > 0.0:
         order = np.argsort(
@@ -523,8 +527,10 @@ class InnerTrace:
     mu_evals: int = 0
 
 
-def _tallied(solver: Callable[[float], float], trace: InnerTrace) -> Callable[[float], float]:
-    def tallied(mu: float) -> float:
+def _tallied(
+    solver: Callable[[float], tuple[float, float]], trace: InnerTrace
+) -> Callable[[float], tuple[float, float]]:
+    def tallied(mu: float) -> tuple[float, float]:
         trace.mu_evals += 1
         return solver(mu)
 
@@ -667,6 +673,7 @@ def solve_p3_mm2(
     Each minorant takes its curvature floor over a trust region around the
     expansion point, so a factor deep in its tail is bent by its local
     curvature rather than by its worst case over all shares."""
+    power_w = float(power_w)  # numpy scalars would reach the multiplier through the slopes
 
     def piece(m: int, ph, slack, t_m, trace: InnerTrace):
         region = (ph / _TRUST_FACTOR, min(1.0, _TRUST_FACTOR * ph))
@@ -747,11 +754,13 @@ def _mm1_derivative(
 def _mm1_piece(p: SystemParams, power_w: float, m: int, ph, slack, t_m, trace: InnerTrace):
     """``mm1``'s per-index maximizer on [PHI_FLOOR, min(1, 2 ph)] (None
     when that is empty): the stationary point of the minorant plus mu phi,
-    by :func:`~airalloc.special.decreasing_root_newton` from ph, or the end
-    at which the derivative keeps its sign.  The search is a pure function
-    of mu; the end derivatives do not depend on it, so the first call
-    evaluates them once.  Every derivative evaluation counts one
-    ``search_eval``."""
+    by :func:`~airalloc.special.decreasing_root_newton` from the root
+    returned for the previous multiplier (ph at first), or the end at which
+    the derivative d keeps its sign.  Returns the share and its slope in
+    mu, -1 / d' at a root (d' from the curvature of the search's last
+    evaluation) and 0 at an end.  The end derivatives do not depend on mu,
+    so the first call evaluates them once.  Every derivative evaluation
+    counts one ``search_eval``."""
     ph = float(ph)
     deriv = _mm1_derivative(p, m, ph, float(t_m), float(slack), float(power_w))
     lo = PHI_FLOOR
@@ -764,20 +773,22 @@ def _mm1_piece(p: SystemParams, power_w: float, m: int, ph, slack, t_m, trace: I
         return deriv(x)
 
     ends: list[float] = []
+    last = [ph, 0.0]  # the last root and the curvature last evaluated
 
-    def solver(mu: float) -> float:
+    def solver(mu: float) -> tuple[float, float]:
         if not ends:
             ends.extend((d_counted(lo)[0], d_counted(hi)[0]))
         if ends[0] + mu <= 0.0:
-            return lo
+            return lo, 0.0
         if ends[1] + mu >= 0.0:
-            return hi
+            return hi, 0.0
 
         def shifted(x: float) -> tuple[float, float]:
-            d, curv = d_counted(x)
-            return d + mu, curv
+            d, last[1] = d_counted(x)
+            return d + mu, last[1]
 
-        return decreasing_root_newton(shifted, lo, hi, ph)
+        last[0] = decreasing_root_newton(shifted, lo, hi, last[0])
+        return last[0], (-1.0 / last[1] if last[1] < 0.0 else 0.0)
 
     return solver, (lo, hi)
 

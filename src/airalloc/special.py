@@ -91,7 +91,7 @@ def _lower_series(shape: float, x: float) -> float:
         denom += 1.0
         term *= x / denom
         total += term
-        if abs(term) < abs(total) * _REL_TOL:
+        if term < total * _REL_TOL:  # both positive for x > 0
             return total * math.exp(-x + shape * math.log(x) - math.lgamma(shape))
     raise ConvergenceError(f"lower-gamma series stalled at shape={shape}, x={x}")
 
@@ -106,15 +106,15 @@ def _upper_continued_fraction(shape: float, x: float) -> float:
         an = -i * (i - shape)
         b += 2.0
         d = an * d + b
-        if abs(d) < _FPMIN:
+        if -_FPMIN < d < _FPMIN:
             d = _FPMIN
         c = b + an / c
-        if abs(c) < _FPMIN:
+        if -_FPMIN < c < _FPMIN:
             c = _FPMIN
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _REL_TOL:
+        if -_REL_TOL < delta - 1.0 < _REL_TOL:
             return h * math.exp(-x + shape * math.log(x) - math.lgamma(shape))
     raise ConvergenceError(f"upper-gamma continued fraction stalled at shape={shape}, x={x}")
 
@@ -448,7 +448,10 @@ def solve_quartic_real(
     root candidate whose real part lies inside the interval is
     Newton-polished and counts as real when its imaginary part is then at
     most 1e-8 in magnitude; candidates outside it are neither polished nor
-    certified.
+    certified.  On the whole line every sign change between the roots of
+    the derivative yields one root, also where the closed form misses it
+    (:func:`_close_sign_changes`); an interval only gets the closed form's
+    candidates.
     Raises :class:`DegenerateCoefficientError` when the leading coefficient is
     numerically zero; callers should fall back to :func:`solve_poly_real`.
     """
@@ -467,7 +470,35 @@ def solve_quartic_real(
             z = _polish_complex(coeffs, z, 4)
             if abs(z.imag) <= _IMAG_TOL:
                 real_roots.append(_polish_real(coeffs, z.real, 8))
+    if lo == -math.inf and hi == math.inf:
+        real_roots = _close_sign_changes(coeffs, real_roots)
     return [r for r in _certified(coeffs, real_roots, 4) if lo < r < hi]
+
+
+def _close_sign_changes(q: QuarticCoeffs, roots: list[float]) -> list[float]:
+    """Check the closed form's real roots of ``q`` against its monotone
+    pieces: the real roots of the derivative cubic and the Cauchy radius
+    split the line, as in :func:`solve_cubic_real`, and a piece whose ends
+    differ in sign holds exactly one root.  Where the closed form put no
+    candidate or several there (clustered roots, whose cluster the residual
+    certificate cannot resolve), the piece's root comes from
+    :func:`decreasing_root` and four guarded Newton steps instead."""
+    radius = 1.0 + max(abs(q.b), abs(q.c), abs(q.d), abs(q.e)) / abs(q.a)
+    turns = solve_cubic_real(4.0 * q.a, 3.0 * q.b, 2.0 * q.c, q.d)
+    xs = [-radius, *(x for x in turns if -radius < x < radius), radius]
+    vals = [q(x) for x in xs]
+    kept = list(roots)
+    for x0, x1, f0, f1 in zip(xs, xs[1:], vals, vals[1:]):
+        if f0 == 0.0 or f1 == 0.0 or (f0 < 0.0) == (f1 < 0.0):
+            continue
+        inside = [r for r in roots if x0 <= r <= x1]
+        if len(inside) == 1:
+            continue
+        kept = [r for r in kept if r not in inside]
+        sign = math.copysign(1.0, f0)
+        root = decreasing_root(lambda x: sign * q(x), x0, x1, sign * f0, sign * f1)
+        kept.append(_polish_real(q, root, 4))
+    return kept
 
 
 def solve_cubic_real(b: float, c: float, d: float, e: float) -> list[float]:

@@ -187,7 +187,8 @@ def analytic_success_grid(p: SystemParams, phi0, t1, power, chunk: int = 64):
 def waterfill_bisection(solvers, budget: float = 1.0, *, tol: float = 1e-8,
                         max_iter: int = 200, mu_cap: float = 1e18):
     """Water-filling multiplier by a doubling bracket from mu = 1 and plain
-    bisection, keeping the best-residual multiplier.
+    bisection, keeping the best-residual multiplier.  Each solver returns
+    (share, slope), as the package's do; the slopes are not used.
 
     The search the package used before its superlinear one; slow but simple
     enough to trust.  Returns (mu, share total at mu, multipliers tried).
@@ -197,7 +198,7 @@ def waterfill_bisection(solvers, budget: float = 1.0, *, tol: float = 1e-8,
     def total_at(mu: float) -> float:
         nonlocal n_evals
         n_evals += 1
-        return float(sum(s(mu) for s in solvers))
+        return float(sum(s(mu)[0] for s in solvers))
 
     total = total_at(0.0)
     mu_best, total_best = 0.0, total
