@@ -33,7 +33,6 @@ __all__ = [
     "baseline_full_offload",
     "scheduler_action",
     "schedulers",
-    "scheduler_nominal_rates",
     "EvalResult",
     "evaluate_policy",
     "random_policy",
@@ -132,24 +131,6 @@ def schedulers(
 
     return evaluate_policy(MultiUserEnv(mp), policy, episodes, steps_per_episode,
                            seed=seed).per_user_success
-
-
-def scheduler_nominal_rates(kind: str, mp: MultiUserParams) -> np.ndarray:
-    """Per-user success of the rule on the nominal deterministic state (mean
-    gains, configured task sizes, full batteries), averaged over one full
-    rotation of slots.  Symmetric users under round_robin come out exactly
-    equal, which pins the fairness index at 1."""
-    state = MultiUserState(
-        task_bits=np.asarray(mp.task_bits, dtype=float),
-        gains=np.asarray(mp.mean_gains, dtype=float),
-        queues=np.zeros(mp.n_servers),
-        energies=np.asarray(mp.energy_capacity_j, dtype=float),
-    )
-    slots = [success_vector(mp, state, scheduler_action(kind, mp, state, k))
-             for k in range(mp.n_users)]
-    # fsum rounds once, so the result does not depend on the order of the
-    # slots: symmetric users see the same numbers in a rotated order.
-    return np.array([math.fsum(user) for user in zip(*slots)]) / mp.n_users
 
 
 @dataclass

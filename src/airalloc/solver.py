@@ -515,8 +515,8 @@ class InnerTrace:
     derivative evaluation of a 1-D search), which is the unit that separates
     the closed-form update from the search-based one.  ``mu_evals`` counts
     the water-filling multipliers tried (each runs every per-index solve
-    once) and ``pathologies`` the degenerate surrogates, failed brackets,
-    failed per-index solves and damped steps met.
+    once) and ``pathologies`` the degenerate minorants, failed brackets,
+    per-index solves that raised ``ConvergenceError`` and damped steps met.
     """
 
     ln_values: list[float] = field(default_factory=list)
@@ -535,6 +535,20 @@ def _tallied(
         return solver(mu)
 
     return tallied
+
+
+def _active_shares(p: SystemParams, t, rho: float, offload_only: bool) -> list[int]:
+    """Indices of the shares the split block may move: the local share
+    while there is a cycle budget and the solve is not offload-only, and
+    server m while it has airtime and latency is left after the first m
+    airtimes.  Every update and :func:`split_residual` pin the others at 0."""
+    active = [0] if rho > 0.0 and not offload_only else []
+    elapsed = 0.0
+    for m, t_m in enumerate(np.asarray(t, dtype=float).tolist(), start=1):
+        elapsed += t_m
+        if t_m > 0.0 and elapsed < p.latency_budget_s:
+            active.append(m)
+    return active
 
 
 def _normalized_expansion(phi: np.ndarray, indices: list[int]) -> np.ndarray:
@@ -556,14 +570,14 @@ def _mm_split_loop(
 ) -> tuple[np.ndarray, InnerTrace]:
     """Shared loop of both split updates.
 
-    Every iteration expands the minorants at the normalized active shares
-    (the servers, plus the local share unless ``offload_only``) and asks
-    ``piece(m, ph, slack, t_m, trace)`` for index m's share maximizer (a
-    function of the multiplier) and its share interval, or None when the
+    The shares outside :func:`_active_shares` are pinned at 0 (the update
+    returns its start with an empty trace when no share is active).  Every
+    iteration expands the minorants at the normalized active shares and
+    asks ``piece(m, ph, slack, t_m, trace)`` for index m's share maximizer
+    (a function of the multiplier) and its share interval, or None when the
     minorant degenerates.  ``slack`` is the compute time: ``rho`` over the
     local speed, or for server m the latency budget left after the first m
-    airtimes; ``t_m`` is server m's airtime (0 for the local share).  No
-    local cycle budget, a server without airtime or latency slack, a None
+    airtimes; ``t_m`` is server m's airtime (0 for the local share).  A None
     piece, a multiplier search that cannot bracket the budget, or a
     per-index solve that raises :class:`~airalloc.special.ConvergenceError`
     counts a pathology and keeps the previous iterate.  Stops on a
@@ -571,12 +585,15 @@ def _mm_split_loop(
     by less than 1e-9 — near flat optima the curvature-floored surrogates
     keep producing above-tolerance steps of vanishing value.
     """
-    phi = np.asarray(phi_start, dtype=float).copy()
+    t = np.asarray(t_shares, dtype=float)
+    indices = _active_shares(p, t, rho, offload_only)
+    if not indices:
+        return np.array(phi_start, dtype=float), InnerTrace()
+    phi = np.zeros(p.n_servers + 1)
+    phi[indices] = np.asarray(phi_start, dtype=float)[indices]
     total = phi.sum()
     if total > 0.0:
         phi /= total
-    t = np.asarray(t_shares, dtype=float)
-    indices = list(range(1, p.n_servers + 1)) if offload_only else list(range(p.n_servers + 1))
     slacks = p.latency_budget_s - np.cumsum(t)
     trace = InnerTrace(ln_values=[ln_success(p, phi, t, power_w, rho)])
 
@@ -584,13 +601,9 @@ def _mm_split_loop(
         out = []
         for pos, m in enumerate(indices):
             if m == 0:
-                if rho <= 0.0:
-                    return None
                 slack, t_m = rho / p.local_speed_hz, 0.0
             else:
                 slack, t_m = slacks[m - 1], t[m - 1]
-                if t_m <= 0.0 or slack <= 0.0:
-                    return None
             # The pieces do scalar arithmetic, which numpy scalars slow down.
             built = piece(m, float(ph[pos]), float(slack), float(t_m), trace)
             if built is None:
@@ -634,12 +647,14 @@ def _mm_split_loop(
             # collapses that crawl at one objective evaluation per doubling.
             # Candidates are renormalized because rounding in the step can
             # leak off the simplex, where a smaller share total fakes an
-            # objective gain that no feasible split provides.
+            # objective gain that no feasible split provides.  The search
+            # stops before an active share drops below the floor, where the
+            # next expansion would clamp it off the iterate.
             direction = phi_new - phi
             scale = 2.0
             while scale <= 2.0**30:
                 cand = phi + scale * direction
-                if float(cand.min()) < 0.0 or cand.sum() <= 0.0:
+                if float(cand[indices].min()) < PHI_FLOOR:
                     break
                 cand /= cand.sum()
                 ln_cand = ln_success(p, cand, t, power_w, rho)
@@ -815,28 +830,19 @@ def solve_p3_mm1(
 # ---------------------------------------------------------------------------
 
 
-def _split_projection(n_servers: int, offload_only: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """Euclidean projection onto the split simplex (local share pinned to 0
-    when ``offload_only``)."""
-    lo_idx = 1 if offload_only else 0
-
-    def project(phi: np.ndarray) -> np.ndarray:
-        out = np.zeros(n_servers + 1)
-        out[lo_idx:] = _project_simplex_eq(phi[lo_idx:], 1.0)
-        return out
-
-    return project
-
-
 def split_residual(
     p: SystemParams, phi, t_shares, power_w: float, rho: float, *, offload_only: bool = False
 ) -> float:
-    """Projected-gradient norm of ln P_success in the split (unit step): 0
-    at a stationary split, large where a split update froze short of one."""
+    """Projected-gradient norm of ln P_success over the active split
+    (:func:`_active_shares`, unit step): 0 at a stationary split, large
+    where a split update froze short of one."""
     phi = np.asarray(phi, dtype=float)
+    active = _active_shares(p, t_shares, rho, offload_only)
     grad = np.array(allocation_log_factors(p, phi, t_shares, power_w, rho).d_phi)
-    step = _split_projection(p.n_servers, offload_only)(phi + grad) - phi
-    return float(np.linalg.norm(step))
+    target = np.zeros_like(phi)
+    if active:
+        target[active] = _project_simplex_eq(phi[active] + grad[active], 1.0)
+    return float(np.linalg.norm(target - phi))
 
 
 def solve_p3_pg(
@@ -857,15 +863,10 @@ def solve_p3_pg(
     objective evaluations.  Kept mainly as a like-for-like reference point
     for the minorize-maximize updates."""
     t = np.asarray(t_shares, dtype=float)
-    # Shares that no split can serve stay at zero: the local one without a
-    # cycle budget (or when offload-only), a server without airtime or slack.
-    free = np.flatnonzero(np.concatenate((
-        [rho > 0.0 and not offload_only],
-        (t > 0.0) & (np.cumsum(t) < p.latency_budget_s),
-    )))
+    free = _active_shares(p, t, rho, offload_only)
     start = np.asarray(phi_start, dtype=float)
-    if free.size == 0:
-        return _split_projection(p.n_servers, offload_only)(start), InnerTrace()
+    if not free:
+        return start.copy(), InnerTrace()
     phi = np.zeros(p.n_servers + 1)
     phi[free] = _project_simplex_eq(start[free], 1.0)
 

@@ -14,6 +14,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sps
 
+from airalloc.baselines import scheduler_action
 from airalloc.dqn import QNetworkParams
 from airalloc.model import (
     _FEAS_TOL,
@@ -32,6 +33,7 @@ from airalloc.multiuser import (
     MultiUserState,
     _check_dims,
     _share_rows,
+    success_vector,
 )
 from airalloc.special import (
     DegenerateCoefficientError,
@@ -421,6 +423,24 @@ def reward(
     caps = np.asarray(mp.energy_capacity_j, dtype=float)
     energies = spent_energy_numpy(mp, state, action)
     return float(np.dot(weights, lnp) - mp.energy_weight * np.sum(energies / caps))
+
+
+def scheduler_nominal_rates(kind: str, mp: MultiUserParams) -> np.ndarray:
+    """Per-user success of the rule on the nominal deterministic state (mean
+    gains, configured task sizes, full batteries), averaged over one full
+    rotation of slots.  Symmetric users under round_robin come out exactly
+    equal, which pins the fairness index at 1."""
+    state = MultiUserState(
+        task_bits=np.asarray(mp.task_bits, dtype=float),
+        gains=np.asarray(mp.mean_gains, dtype=float),
+        queues=np.zeros(mp.n_servers),
+        energies=np.asarray(mp.energy_capacity_j, dtype=float),
+    )
+    slots = [success_vector(mp, state, scheduler_action(kind, mp, state, k))
+             for k in range(mp.n_users)]
+    # fsum rounds once, so the result does not depend on the order of the
+    # slots: symmetric users see the same numbers in a rotated order.
+    return np.array([math.fsum(user) for user in zip(*slots)]) / mp.n_users
 
 
 def enumerate_actions_loop(mp, granularity: float, time_fracs=(0.25, 0.5),

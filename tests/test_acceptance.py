@@ -21,6 +21,7 @@ from oracles import (
     lower_gamma_quadrature,
     quartic_roots_companion,
     random_feasible_allocation,
+    scheduler_nominal_rates,
 )
 from test_dqn import _random_batch
 from test_special import _planted_quartic
@@ -31,7 +32,6 @@ from airalloc.baselines import (
     evaluate_policy,
     greedy_policy,
     random_policy,
-    scheduler_nominal_rates,
     schedulers,
 )
 from airalloc.dqn import (

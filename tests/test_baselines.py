@@ -4,6 +4,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from oracles import scheduler_nominal_rates
+
 from airalloc.baselines import (
     SCHEDULER_KINDS,
     baseline_full_offload,
@@ -11,7 +13,6 @@ from airalloc.baselines import (
     greedy_policy,
     random_policy,
     scheduler_action,
-    scheduler_nominal_rates,
     schedulers,
 )
 from airalloc.dqn import TrainConfig, init_network, q_forward, train
