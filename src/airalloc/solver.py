@@ -56,7 +56,7 @@ from .special import (
     ConvergenceError,
     DegenerateCoefficientError,
     QuarticCoeffs,
-    _polish_real,
+    bracketed_poly_root,
     decreasing_root,
     decreasing_root_newton,
     ln_chi,
@@ -373,11 +373,11 @@ def solve_p32b(
     returns hi, and otherwise its one root inside (lo, hi) is the answer.
     The closed form polishes and certifies only its candidates inside the
     interval; when the leading coefficient is degenerate (mu = 0 leaves a
-    cubic) or no certified root lies inside, the bracketed search from the
-    two end values finds it, and guarded Newton steps polish it.  The
-    local share has no link: ``tx`` None stands for q_tx = 1, which leaves
-    a quadratic (linear when mu = 0, with the vertex of q_comp as its
-    root) for the quadratic formula.  The share's slope in mu is
+    cubic) or no certified root lies inside, the bracketed search of
+    :func:`~airalloc.special.bracketed_poly_root` finds it from the two end
+    values.  The local share has no link: ``tx`` None stands for q_tx = 1,
+    which leaves a quadratic (linear when mu = 0, with the vertex of q_comp
+    as its root) for the quadratic formula.  The share's slope in mu is
     -q_tx q_comp / F' at a root of the quartic F, by implicit
     differentiation (dF/dmu = q_tx q_comp), and 0 at an end.
     """
@@ -407,8 +407,7 @@ def solve_p32b(
             roots = []
     root = next((r for r in roots if lo < r < hi), None)
     if root is None:
-        root = _polish_real(quartic, decreasing_root(quartic, lo, hi, f_lo, f_hi), 4)
-        root = min(max(root, lo), hi)
+        root = min(max(bracketed_poly_root(quartic, lo, hi, f_lo, f_hi), lo), hi)
     f_root = quartic.derivative(root)
     product = ((r1 * root + r2) * root + r3) * ((l1 * root + l2) * root + l3)
     return root, (-product / f_root if f_root < 0.0 else 0.0)
@@ -520,7 +519,6 @@ class InnerTrace:
     """
 
     ln_values: list[float] = field(default_factory=list)
-    mu_values: list[float] = field(default_factory=list)
     iterations: int = 0
     pathologies: int = 0
     search_evals: int = 0
@@ -596,6 +594,7 @@ def _mm_split_loop(
         phi /= total
     slacks = p.latency_budget_s - np.cumsum(t)
     trace = InnerTrace(ln_values=[ln_success(p, phi, t, power_w, rho)])
+    mu = None
 
     def pieces(ph: np.ndarray):
         out = []
@@ -621,9 +620,8 @@ def _mm_split_loop(
         solvers = [_tallied(solvers[0], trace), *solvers[1:]]
         # The multiplier moves little between surrogate rebuilds, so the
         # last one seeds the bracket search.
-        mu_start = trace.mu_values[-1] if trace.mu_values else None
         try:
-            mu, shares = waterfill_mu(solvers, intervals, mu_start=mu_start)
+            mu, shares = waterfill_mu(solvers, intervals, mu_start=mu)
         except (WaterfillBracketError, ConvergenceError):
             trace.pathologies += 1
             break
@@ -666,7 +664,6 @@ def _mm_split_loop(
         gain = ln_new - trace.ln_values[-1]
         phi = phi_new
         trace.ln_values.append(ln_new)
-        trace.mu_values.append(mu)
         trace.iterations += 1
         if delta < _SPLIT_TOL or gain < _SPLIT_FTOL:
             break
@@ -897,7 +894,8 @@ VARIANTS = tuple(_P3_VARIANTS)
 
 @dataclass
 class BcdTrace:
-    """Objective trajectory of the outer loop (index 0 is the start point).
+    """State of the outer loop: the objective trajectory and the stored
+    allocations (index 0 is the start point), one entry per sweep after it.
 
     ``inner_iterations`` holds per-outer surrogate-rebuild counts of the split
     update; ``inner_search_evals``, ``inner_mu_evals`` and
@@ -907,16 +905,16 @@ class BcdTrace:
     evaluations of the airtime update.  All counts are deterministic.
     ``split_residual`` is :func:`split_residual` at the final allocation."""
 
-    ln_p_success: list[float]
-    allocations: list[Allocation]
-    inner_iterations: list[int]
-    inner_search_evals: list[int]
-    inner_mu_evals: list[int]
-    inner_pathologies: list[int]
-    p2_evals: list[int]
-    converged: bool
     variant: str
-    split_residual: float
+    ln_p_success: list[float] = field(default_factory=list)
+    allocations: list[Allocation] = field(default_factory=list)
+    inner_iterations: list[int] = field(default_factory=list)
+    inner_search_evals: list[int] = field(default_factory=list)
+    inner_mu_evals: list[int] = field(default_factory=list)
+    inner_pathologies: list[int] = field(default_factory=list)
+    p2_evals: list[int] = field(default_factory=list)
+    converged: bool = False
+    split_residual: float = math.nan
 
     @property
     def n_outer(self) -> int:
@@ -970,6 +968,28 @@ def _to_allocation(p: SystemParams, phi, t, power_w: float, rho: float) -> Alloc
     )
 
 
+def _sweep(p: SystemParams, solve_p3: Callable, trace: BcdTrace, offload_only: bool) -> None:
+    """One outer iteration from the trace's last allocation: the power and
+    local budget, the airtimes, then the split by ``solve_p3``.  Appends
+    the stored allocation, its ln P_success and the blocks' work counts."""
+    last = trace.allocations[-1]
+    phi = np.asarray(last.phi, dtype=float)
+    t = np.asarray(last.t_shares, dtype=float)
+    power, rho = solve_p1(p, phi, t)
+    t, evals = solve_p2(p, phi, t, power, rho)
+    phi, split = solve_p3(p, phi, t, power, rho, offload_only=offload_only)
+    # Round-trip through the stored form so the recorded objective is the
+    # objective of the recorded allocation, not of a drifted work array.
+    stored = _to_allocation(p, phi, t, power, rho)
+    trace.ln_p_success.append(ln_success(p, stored.phi, stored.t_shares, stored.power_w, stored.rho))
+    trace.allocations.append(stored)
+    trace.p2_evals.append(evals)
+    trace.inner_iterations.append(split.iterations)
+    trace.inner_search_evals.append(split.search_evals)
+    trace.inner_mu_evals.append(split.mu_evals)
+    trace.inner_pathologies.append(split.pathologies)
+
+
 def bcd_solve(
     p: SystemParams,
     variant: str = "mm2",
@@ -978,7 +998,8 @@ def bcd_solve(
     offload_only: bool = False,
     max_outer: int = 100,
 ) -> BcdResult:
-    """Alternate the three block updates until ln P_success stalls.
+    """Alternate the three block updates (:func:`_sweep`) until ln
+    P_success stalls.
 
     Stops when the improvement drops below 1e-6 or after
     ``max_outer`` rounds.  Raises :class:`FeasibilityError` when the starting
@@ -992,48 +1013,17 @@ def bcd_solve(
     assert_feasible(p, alloc)
     solve_p3 = _P3_VARIANTS[variant]
 
-    phi = np.asarray(alloc.phi, dtype=float)
-    t = np.asarray(alloc.t_shares, dtype=float)
-    power, rho = alloc.power_w, alloc.rho
-
-    ln_vals = [ln_success(p, phi, t, power, rho)]
-    allocs = [alloc]
-    splits: list[InnerTrace] = []
-    p2_evals: list[int] = []
-    converged = False
-
+    trace = BcdTrace(variant, allocations=[alloc],
+                     ln_p_success=[ln_success(p, alloc.phi, alloc.t_shares, alloc.power_w, alloc.rho)])
     for _ in range(max_outer):
-        power, rho = solve_p1(p, phi, t)
-        t, evals = solve_p2(p, phi, t, power, rho)
-        p2_evals.append(evals)
-        phi, split = solve_p3(p, phi, t, power, rho, offload_only=offload_only)
-        # Round-trip through the stored form so the recorded objective is the
-        # objective of the recorded allocation, not of a drifted work array.
-        stored = _to_allocation(p, phi, t, power, rho)
-        phi = np.asarray(stored.phi, dtype=float)
-        t = np.asarray(stored.t_shares, dtype=float)
-        power, rho = stored.power_w, stored.rho
-        ln_vals.append(ln_success(p, phi, t, power, rho))
-        splits.append(split)
-        allocs.append(stored)
-        if abs(ln_vals[-1] - ln_vals[-2]) < _OUTER_TOL:
-            converged = True
+        _sweep(p, solve_p3, trace, offload_only)
+        if abs(trace.ln_p_success[-1] - trace.ln_p_success[-2]) < _OUTER_TOL:
+            trace.converged = True
             break
 
-    final = allocs[-1]
-    trace = BcdTrace(
-        ln_p_success=ln_vals,
-        allocations=allocs,
-        inner_iterations=[tr.iterations for tr in splits],
-        inner_search_evals=[tr.search_evals for tr in splits],
-        inner_mu_evals=[tr.mu_evals for tr in splits],
-        inner_pathologies=[tr.pathologies for tr in splits],
-        p2_evals=p2_evals,
-        converged=converged,
-        variant=variant,
-        split_residual=split_residual(p, final.phi, final.t_shares, final.power_w, final.rho,
-                                      offload_only=offload_only),
-    )
+    final = trace.allocations[-1]
+    trace.split_residual = split_residual(p, final.phi, final.t_shares, final.power_w, final.rho,
+                                          offload_only=offload_only)
     return BcdResult(
         params=p,
         allocation=final,

@@ -26,10 +26,10 @@ __all__ = [
     "ln_lower_gamma_curvature",
     "decreasing_root",
     "decreasing_root_newton",
+    "bracketed_poly_root",
     "solve_quartic_real",
     "solve_cubic_real",
     "solve_quadratic_real",
-    "solve_poly_real",
 ]
 
 _LN2 = math.log(2.0)
@@ -410,6 +410,17 @@ def _polish_real(q: QuarticCoeffs, x: float, steps: int) -> float:
     return x
 
 
+def bracketed_poly_root(q: QuarticCoeffs, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """The root of ``q`` in [lo, hi], whose end values ``f_lo`` and ``f_hi``
+    differ in sign: :func:`decreasing_root` on q signed to decrease, then
+    four guarded Newton steps.  The search stops at an absolute bracket
+    below |x| = 1; Newton restores the relative accuracy of roots far below
+    1."""
+    sign = math.copysign(1.0, f_lo)
+    root = decreasing_root(lambda x: sign * q(x), lo, hi, sign * f_lo, sign * f_hi)
+    return _polish_real(q, root, 4)
+
+
 def _merge_sorted_roots(roots: list[float], tol: float) -> list[float]:
     merged: list[float] = []
     for r in sorted(roots):
@@ -453,7 +464,7 @@ def solve_quartic_real(
     (:func:`_close_sign_changes`); an interval only gets the closed form's
     candidates.
     Raises :class:`DegenerateCoefficientError` when the leading coefficient is
-    numerically zero; callers should fall back to :func:`solve_poly_real`.
+    numerically zero.
     """
     norm = coeffs.norm
     if norm == 0.0:
@@ -482,7 +493,7 @@ def _close_sign_changes(q: QuarticCoeffs, roots: list[float]) -> list[float]:
     differ in sign holds exactly one root.  Where the closed form put no
     candidate or several there (clustered roots, whose cluster the residual
     certificate cannot resolve), the piece's root comes from
-    :func:`decreasing_root` and four guarded Newton steps instead."""
+    :func:`bracketed_poly_root` instead."""
     radius = 1.0 + max(abs(q.b), abs(q.c), abs(q.d), abs(q.e)) / abs(q.a)
     turns = solve_cubic_real(4.0 * q.a, 3.0 * q.b, 2.0 * q.c, q.d)
     xs = [-radius, *(x for x in turns if -radius < x < radius), radius]
@@ -495,9 +506,7 @@ def _close_sign_changes(q: QuarticCoeffs, roots: list[float]) -> list[float]:
         if len(inside) == 1:
             continue
         kept = [r for r in kept if r not in inside]
-        sign = math.copysign(1.0, f0)
-        root = decreasing_root(lambda x: sign * q(x), x0, x1, sign * f0, sign * f1)
-        kept.append(_polish_real(q, root, 4))
+        kept.append(bracketed_poly_root(q, x0, x1, f0, f1))
     return kept
 
 
@@ -509,7 +518,7 @@ def solve_cubic_real(b: float, c: float, d: float, e: float) -> list[float]:
     split the line into monotone pieces; the Cauchy radius
     1 + max(|c|, |d|, |e|) / |b| bounds the outer two, since every root lies
     inside it.  Every sign change between neighbouring breakpoints is closed
-    by :func:`decreasing_root` and polished by four guarded Newton steps.
+    by :func:`bracketed_poly_root`.
     A derivative root with no sign change on either side counts as a
     multiple root when it passes the certificate and is an exact root of the
     cubic with every coefficient moved by at most 1e-9 relative,
@@ -536,11 +545,7 @@ def solve_cubic_real(b: float, c: float, d: float, e: float) -> list[float]:
     roots = []
     for lo, hi, f_lo, f_hi, change in zip(xs, xs[1:], vals, vals[1:], changes):
         if change:
-            sign = math.copysign(1.0, f_lo)
-            root = decreasing_root(lambda x: sign * unit(x), lo, hi, sign * f_lo, sign * f_hi)
-            # The search stops at an absolute bracket below |x| = 1; Newton
-            # restores the relative accuracy of roots far below 1.
-            roots.append(_polish_real(unit, root, 4))
+            roots.append(bracketed_poly_root(unit, lo, hi, f_lo, f_hi))
     for i in range(1, len(xs) - 1):
         if changes[i - 1] or changes[i]:
             continue
@@ -569,18 +574,3 @@ def solve_quadratic_real(c: float, d: float, e: float) -> list[float]:
     q = -0.5 * (d + (sq if d >= 0.0 else -sq))
     roots = [e / q, q / c] if q != 0.0 else [q / c]
     return _merge_sorted_roots(roots, _ROOT_MERGE_TOL)
-
-
-def solve_poly_real(coeffs: QuarticCoeffs) -> list[float]:
-    """Real roots of a polynomial of degree <= 4, routing degenerate leading
-    coefficients down to the cubic/quadratic/linear solvers."""
-    norm = coeffs.norm
-    if norm == 0.0:
-        raise ValueError("cannot solve the identically zero polynomial")
-    if abs(coeffs.a) >= _DEGENERATE_REL * norm:
-        return solve_quartic_real(coeffs)
-    if abs(coeffs.b) >= _DEGENERATE_REL * norm:
-        return solve_cubic_real(coeffs.b, coeffs.c, coeffs.d, coeffs.e)
-    if abs(coeffs.c) >= _DEGENERATE_REL * norm or abs(coeffs.d) >= _DEGENERATE_REL * norm:
-        return solve_quadratic_real(coeffs.c, coeffs.d, coeffs.e)
-    return []

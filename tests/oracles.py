@@ -36,9 +36,11 @@ from airalloc.multiuser import (
     success_vector,
 )
 from airalloc.special import (
+    _DEGENERATE_REL,
     DegenerateCoefficientError,
     QuarticCoeffs,
-    solve_poly_real,
+    solve_cubic_real,
+    solve_quadratic_real,
     solve_quartic_real,
 )
 
@@ -244,6 +246,23 @@ def argmax_candidates(objective, candidates) -> float:
         # midpoint so the caller's monotonicity guard can reject the step.
         best_phi = sorted(candidates)[len(candidates) // 2]
     return best_phi
+
+
+def solve_poly_real(coeffs: QuarticCoeffs) -> list[float]:
+    """Real roots of a polynomial of degree <= 4, routing degenerate leading
+    coefficients down to the package's cubic/quadratic/linear solvers.  The
+    package dispatched this way before its per-index solves asked the
+    quartic solver for one interval only."""
+    norm = coeffs.norm
+    if norm == 0.0:
+        raise ValueError("cannot solve the identically zero polynomial")
+    if abs(coeffs.a) >= _DEGENERATE_REL * norm:
+        return solve_quartic_real(coeffs)
+    if abs(coeffs.b) >= _DEGENERATE_REL * norm:
+        return solve_cubic_real(coeffs.b, coeffs.c, coeffs.d, coeffs.e)
+    if abs(coeffs.c) >= _DEGENERATE_REL * norm or abs(coeffs.d) >= _DEGENERATE_REL * norm:
+        return solve_quadratic_real(coeffs.c, coeffs.d, coeffs.e)
+    return []
 
 
 def solve_p32a(comp, mu: float, lo: float, hi: float) -> float:

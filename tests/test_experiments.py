@@ -1,3 +1,4 @@
+import json
 import textwrap
 
 import pytest
@@ -13,6 +14,8 @@ from airalloc.experiments import (
     write_rows,
 )
 from airalloc.solver import VARIANTS
+
+import pinned
 
 
 def _write(tmp_path, text, name="cfg.yaml"):
@@ -483,6 +486,16 @@ def test_run_efficiency(tmp_path):
     assert tags == {"bcd:pmax=0.8", "bcd:pmax=1", "dqn:pmax=0.8", "dqn:pmax=1"}
     for r in rows:
         assert r.value > 0.0
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_experiment_csv_matches_the_pinned_manifest(kind, tmp_path):
+    # Each kind's CSV at its small pinned config, the row set for latency
+    # (tests/pinned.py regenerates the manifest).
+    manifest = json.loads(pinned.EXPERIMENT_MANIFEST.read_text())
+    path = pinned.run_kind(kind, pinned.EXPERIMENT_CONFIGS[kind], tmp_path)
+    assert pinned.csv_digest(kind, path) == manifest["kinds"][kind], (
+        f"{kind} CSV moved." + pinned.environment_note(manifest))
 
 
 def test_experiment_kinds_all_have_runners():

@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import pinned
 from oracles import random_feasible_allocation, waterfill_bisection
 
 from airalloc import solver, special
@@ -1072,15 +1074,13 @@ def test_hopeless_link_keeps_derivatives_finite():
             assert math.isfinite(res.ln_p_success) and res.trace.converged, variant
 
 
-# Cells of the evaluation budgets: the benchmark's, the three hard cells and
-# four seeded random cells (seed-1 cell 11 ends with a server without
-# airtime; at seed-0 cell 26 pg's first split leaves a round-off share).
+# Cells of the evaluation budgets: the pinned ones (the benchmark's and the
+# three hard cells) and four seeded random cells (seed-1 cell 11 ends with a
+# server without airtime; at seed-0 cell 26 pg's first split leaves a
+# round-off share).
 _SOLVE_REF = [(m, 10.0) for m in (1, 2, 3, 4)]
 _BUDGET_CELLS = (
-    [(f"M{m} L{l:g}", reference_params(m, task_mbits=l))
-     for m, l in _SOLVE_REF + [(2, 20.0), (2, 25.0)]]
-    + [(f"hard {k}={v}", reference_params(2, **{k: v}))
-       for k, v in (("energy_j", 0.1), ("latency_s", 0.05), ("task_mbits", 60.0))]
+    pinned.SOLVE_CELLS
     + [(f"seed1 cell {i}", p) for i, p in _random_cells(1, 11, 17, 19).items()]
     + [("seed0 cell 26", _random_cells(0, 26)[26])]
 )
@@ -1089,6 +1089,16 @@ _BUDGET_CELLS = (
 @pytest.fixture(scope="module")
 def budget_solves():
     return {(name, v): bcd_solve(p, variant=v) for name, p in _BUDGET_CELLS for v in VARIANTS}
+
+
+def test_solve_traces_match_the_pinned_digests(budget_solves):
+    # Every BcdTrace field, allocations included, of the 27 pinned solves
+    # (tests/pinned.py regenerates the manifest).
+    manifest = json.loads(pinned.SOLVE_MANIFEST.read_text())
+    digests = pinned.solve_digests(budget_solves)
+    assert digests.keys() == manifest["digests"].keys()
+    moved = [key for key, d in digests.items() if d != manifest["digests"][key]]
+    assert not moved, f"solve traces moved: {moved}." + pinned.environment_note(manifest)
 
 
 def test_p2_never_reaches_its_step_cap(budget_solves):

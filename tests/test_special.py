@@ -20,11 +20,15 @@ from airalloc.special import (
     ln_lower_gamma_curvature,
     regularized_lower_gamma,
     solve_cubic_real,
-    solve_poly_real,
     solve_quadratic_real,
     solve_quartic_real,
 )
-from oracles import lower_gamma_quadrature, lower_gamma_scipy, quartic_roots_companion
+from oracles import (
+    lower_gamma_quadrature,
+    lower_gamma_scipy,
+    quartic_roots_companion,
+    solve_poly_real,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +502,17 @@ def test_cubic_spread_coefficients_roots_below_one_bracket_exactly(seed):
         for r in ours:
             if abs(r) < 1.0:
                 assert _brackets_exactly(coeffs, r, 1e-8), (coeffs, r)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_bracketed_poly_root_closes_either_sign_change(sign):
+    # sign * (x - 1e-7)(x - 0.5)(x + 2) on [0, 0.25]: decreasing for sign 1,
+    # increasing for -1, and the root far below 1 keeps its relative accuracy.
+    coeffs = tuple(sign * v for v in (1.0, 1.5 - 1e-7, -1.0 - 1.5e-7, 1e-7))
+    q = QuarticCoeffs(0.0, *coeffs)
+    root = special.bracketed_poly_root(q, 0.0, 0.25, q(0.0), q(0.25))
+    assert root == pytest.approx(1e-7, rel=1e-9)
+    assert _brackets_exactly(coeffs, root, 1e-12)
 
 
 def test_quadratic_and_linear_fallbacks():
