@@ -20,12 +20,14 @@ The decision variables are updated in three blocks per outer iteration:
 
 Both split updates price the shares with one water-filling multiplier, found
 by :func:`waterfill_mu`: safeguarded Newton steps on the share total,
-started from the previous multiplier of the split loop.  Each per-index
-solve returns its share with the share's slope in the multiplier, which its
-own root already gives (``mm2``: -q_tx q_comp / F' of its stationarity
-quartic F; ``mm1``: -1 / d' of its minorant's derivative d; 0 at an
-interval end).  Every multiplier tried re-runs each per-index solve, so
-:class:`BcdTrace` counts them next to the per-index work.
+started from the previous multiplier, the split loop's last one or, for its
+first search, the one the previous outer iteration's split update reported
+(:class:`InnerTrace` ``mu``).  Each per-index solve returns its share with
+the share's slope in the multiplier, which its own root already gives
+(``mm2``: -q_tx q_comp / F' of its stationarity quartic F; ``mm1``: -1 / d'
+of its minorant's derivative d; 0 at an interval end).  Every multiplier
+tried re-runs each per-index solve, so :class:`BcdTrace` counts them next
+to the per-index work.
 
 Every block never decreases the objective, so the outer trace of
 ``ln P_success`` is monotone up to solver tolerances.
@@ -109,8 +111,14 @@ _CURV_FLOOR, _BOUND_TOL = 1e-10, 1e-10
 _HALVINGS = 40
 _P2_MAX_ITER = 100
 # mm2 builds each minorant on the trust region [phi_hat / F, min(1, F phi_hat)]
-# with F = _TRUST_FACTOR; F = 2 is the upper end mm1's tangent implies.
-_TRUST_FACTOR = 2.0
+# with F = _TRUST_FACTOR.  Nearly every per-index step ends strictly inside
+# its region, so F only sets how far the curvature floor looks: a narrower
+# region bends the minorant less, and each rebuild moves further.  Over the
+# 82 seeded cells of the tests' random draw and the 6 benchmark cells, mm2
+# takes 10,532 split iterations (9 loops at their cap) at F = 2, 8,395 (3)
+# at 1.75, 7,702 (4) at 1.6, 7,160 (1) at 1.5, 6,988 (1) at 1.4, 7,004 (6)
+# at 1.3 and 7,314 (7) at 1.2.  1.5 sits in the flat middle of that basin.
+_TRUST_FACTOR = 1.5
 
 
 class SolverError(RuntimeError):
@@ -516,6 +524,9 @@ class InnerTrace:
     the water-filling multipliers tried (each runs every per-index solve
     once) and ``pathologies`` the degenerate minorants, failed brackets,
     per-index solves that raised ``ConvergenceError`` and damped steps met.
+    ``mu`` is the multiplier of the last water-filling search (the one
+    handed in as ``mu_start`` when there was none), for the next split
+    update to start from; ``pg`` prices no shares and reports None.
     """
 
     ln_values: list[float] = field(default_factory=list)
@@ -523,6 +534,7 @@ class InnerTrace:
     pathologies: int = 0
     search_evals: int = 0
     mu_evals: int = 0
+    mu: float | None = None
 
 
 def _tallied(
@@ -565,6 +577,7 @@ def _mm_split_loop(
     *,
     offload_only: bool,
     max_iter: int,
+    mu_start: float | None,
 ) -> tuple[np.ndarray, InnerTrace]:
     """Shared loop of both split updates.
 
@@ -573,7 +586,8 @@ def _mm_split_loop(
     iteration expands the minorants at the normalized active shares and
     asks ``piece(m, ph, slack, t_m, trace)`` for index m's share maximizer
     (a function of the multiplier) and its share interval, or None when the
-    minorant degenerates.  ``slack`` is the compute time: ``rho`` over the
+    minorant degenerates; the multiplier search starts from the last
+    iteration's multiplier, the first one from ``mu_start``.  ``slack`` is the compute time: ``rho`` over the
     local speed, or for server m the latency budget left after the first m
     airtimes; ``t_m`` is server m's airtime (0 for the local share).  A None
     piece, a multiplier search that cannot bracket the budget, or a
@@ -586,15 +600,14 @@ def _mm_split_loop(
     t = np.asarray(t_shares, dtype=float)
     indices = _active_shares(p, t, rho, offload_only)
     if not indices:
-        return np.array(phi_start, dtype=float), InnerTrace()
+        return np.array(phi_start, dtype=float), InnerTrace(mu=mu_start)
     phi = np.zeros(p.n_servers + 1)
     phi[indices] = np.asarray(phi_start, dtype=float)[indices]
     total = phi.sum()
     if total > 0.0:
         phi /= total
     slacks = p.latency_budget_s - np.cumsum(t)
-    trace = InnerTrace(ln_values=[ln_success(p, phi, t, power_w, rho)])
-    mu = None
+    trace = InnerTrace(ln_values=[ln_success(p, phi, t, power_w, rho)], mu=mu_start)
 
     def pieces(ph: np.ndarray):
         out = []
@@ -621,7 +634,7 @@ def _mm_split_loop(
         # The multiplier moves little between surrogate rebuilds, so the
         # last one seeds the bracket search.
         try:
-            mu, shares = waterfill_mu(solvers, intervals, mu_start=mu)
+            trace.mu, shares = waterfill_mu(solvers, intervals, mu_start=trace.mu)
         except (WaterfillBracketError, ConvergenceError):
             trace.pathologies += 1
             break
@@ -679,12 +692,15 @@ def solve_p3_mm2(
     *,
     offload_only: bool = False,
     max_iter: int = 100,
+    mu_start: float | None = None,
 ) -> tuple[np.ndarray, InnerTrace]:
     """Split update with quadratic minorants and closed-form inner solves.
 
     Each minorant takes its curvature floor over a trust region around the
     expansion point, so a factor deep in its tail is bent by its local
-    curvature rather than by its worst case over all shares."""
+    curvature rather than by its worst case over all shares.  The first
+    multiplier search starts from ``mu_start`` (the previous update's
+    ``InnerTrace.mu``)."""
     power_w = float(power_w)  # numpy scalars would reach the multiplier through the slopes
 
     def piece(m: int, ph, slack, t_m, trace: InnerTrace):
@@ -703,7 +719,7 @@ def solve_p3_mm2(
         return solver, iv
 
     return _mm_split_loop(p, phi_start, t_shares, power_w, rho, piece,
-                          offload_only=offload_only, max_iter=max_iter)
+                          offload_only=offload_only, max_iter=max_iter, mu_start=mu_start)
 
 
 # ---------------------------------------------------------------------------
@@ -814,12 +830,13 @@ def solve_p3_mm1(
     *,
     offload_only: bool = False,
     max_iter: int = 100,
+    mu_start: float | None = None,
 ) -> tuple[np.ndarray, InnerTrace]:
     """Split update with first-order minorants; same contract as ``mm2``
     but every inner maximization is a safeguarded Newton root search on the
     minorant's derivative (:func:`_mm1_piece`)."""
     return _mm_split_loop(p, phi_start, t_shares, power_w, rho, partial(_mm1_piece, p, power_w),
-                          offload_only=offload_only, max_iter=max_iter)
+                          offload_only=offload_only, max_iter=max_iter, mu_start=mu_start)
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +868,7 @@ def solve_p3_pg(
     *,
     offload_only: bool = False,
     max_iter: int = 500,
+    mu_start: float | None = None,
 ) -> tuple[np.ndarray, InnerTrace]:
     """Split update by projected Newton ascent (:func:`_projected_newton`)
     on the true objective, with its diagonal Hessian clamped to negative
@@ -858,7 +876,8 @@ def solve_p3_pg(
 
     ``iterations`` counts the accepted steps and ``search_evals`` the
     objective evaluations.  Kept mainly as a like-for-like reference point
-    for the minorize-maximize updates."""
+    for the minorize-maximize updates; it takes ``mu_start`` for the same
+    call shape, prices no shares and so ignores it and reports no ``mu``."""
     t = np.asarray(t_shares, dtype=float)
     free = _active_shares(p, t, rho, offload_only)
     start = np.asarray(phi_start, dtype=float)
@@ -901,8 +920,10 @@ class BcdTrace:
     update; ``inner_search_evals``, ``inner_mu_evals`` and
     ``inner_pathologies`` hold its per-outer numeric-search work, water-filling
     multipliers tried and pathologies met (see :class:`InnerTrace`; the last
-    two stay 0 for ``pg``).  ``p2_evals`` holds the per-outer objective
-    evaluations of the airtime update.  All counts are deterministic.
+    two stay 0 for ``pg``), and ``split_mu`` its last water-filling
+    multiplier (None for ``pg``), which the next sweep's split update starts
+    from.  ``p2_evals`` holds the per-outer objective evaluations of the
+    airtime update.  All counts are deterministic.
     ``split_residual`` is :func:`split_residual` at the final allocation."""
 
     variant: str
@@ -912,6 +933,7 @@ class BcdTrace:
     inner_search_evals: list[int] = field(default_factory=list)
     inner_mu_evals: list[int] = field(default_factory=list)
     inner_pathologies: list[int] = field(default_factory=list)
+    split_mu: list[float | None] = field(default_factory=list)
     p2_evals: list[int] = field(default_factory=list)
     converged: bool = False
     split_residual: float = math.nan
@@ -970,14 +992,17 @@ def _to_allocation(p: SystemParams, phi, t, power_w: float, rho: float) -> Alloc
 
 def _sweep(p: SystemParams, solve_p3: Callable, trace: BcdTrace, offload_only: bool) -> None:
     """One outer iteration from the trace's last allocation: the power and
-    local budget, the airtimes, then the split by ``solve_p3``.  Appends
-    the stored allocation, its ln P_success and the blocks' work counts."""
+    local budget, the airtimes, then the split by ``solve_p3``, whose
+    multiplier search starts from the last sweep's multiplier.  Appends the
+    stored allocation, its ln P_success, the split's last multiplier and the
+    blocks' work counts."""
     last = trace.allocations[-1]
     phi = np.asarray(last.phi, dtype=float)
     t = np.asarray(last.t_shares, dtype=float)
     power, rho = solve_p1(p, phi, t)
     t, evals = solve_p2(p, phi, t, power, rho)
-    phi, split = solve_p3(p, phi, t, power, rho, offload_only=offload_only)
+    mu_start = trace.split_mu[-1] if trace.split_mu else None
+    phi, split = solve_p3(p, phi, t, power, rho, offload_only=offload_only, mu_start=mu_start)
     # Round-trip through the stored form so the recorded objective is the
     # objective of the recorded allocation, not of a drifted work array.
     stored = _to_allocation(p, phi, t, power, rho)
@@ -988,6 +1013,7 @@ def _sweep(p: SystemParams, solve_p3: Callable, trace: BcdTrace, offload_only: b
     trace.inner_search_evals.append(split.search_evals)
     trace.inner_mu_evals.append(split.mu_evals)
     trace.inner_pathologies.append(split.pathologies)
+    trace.split_mu.append(split.mu)
 
 
 def bcd_solve(

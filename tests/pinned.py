@@ -11,7 +11,9 @@ numpy version and the BLAS build they were taken with, because some results
 follow the BLAS kernel (``np.dot`` may fuse multiply-adds).
 
 A change that moves a pinned result on purpose regenerates the manifests
-and names the moved entries::
+and names the moved entries, which the regeneration prints, one line per
+entry that differs from the manifest it replaces ("<cell>/<variant>" for a
+solve trace, the kind for an experiment CSV)::
 
     PYTHONPATH=src python tests/pinned.py
 """
@@ -121,18 +123,36 @@ def run_kind(kind: str, config: dict, workdir: Path) -> Path:
     return run_experiment(load_config(cfg_path))[0]
 
 
-def regenerate() -> None:
+def moved_entries(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """Names whose digest in ``new`` differs from ``old``'s or is new, in
+    ``new``'s order, then the names ``new`` no longer has."""
+    return [k for k, d in new.items() if old.get(k) != d] + [k for k in old if k not in new]
+
+
+def _pinned_digests(path: Path, key: str) -> dict[str, str]:
+    return json.loads(path.read_text())[key] if path.exists() else {}
+
+
+def regenerate() -> list[str]:
+    """Rewrite both manifests; return "<manifest>: <entry>" for every entry
+    that moved against the manifest it replaces."""
     GOLDEN_DIR.mkdir(exist_ok=True)
     env = environment()
-    SOLVE_MANIFEST.write_text(json.dumps({**env, "digests": solve_digests()}, indent=1) + "\n")
+    old_solves = _pinned_digests(SOLVE_MANIFEST, "digests")
+    old_kinds = _pinned_digests(EXPERIMENT_MANIFEST, "kinds")
+    digests = solve_digests()
+    SOLVE_MANIFEST.write_text(json.dumps({**env, "digests": digests}, indent=1) + "\n")
     kinds = {}
     with tempfile.TemporaryDirectory() as tmp:
         for kind, config in EXPERIMENT_CONFIGS.items():
             path = run_kind(kind, config, Path(tmp))
             kinds[kind] = csv_digest(kind, path)
     EXPERIMENT_MANIFEST.write_text(json.dumps({**env, "kinds": kinds}, indent=1) + "\n")
+    return ([f"{SOLVE_MANIFEST.stem}: {k}" for k in moved_entries(old_solves, digests)]
+            + [f"{EXPERIMENT_MANIFEST.stem}: {k}" for k in moved_entries(old_kinds, kinds)])
 
 
 if __name__ == "__main__":
-    regenerate()
+    moved = regenerate()
+    print("\n".join(moved) if moved else "no pinned entry moved")
     print(f"wrote {SOLVE_MANIFEST} and {EXPERIMENT_MANIFEST}", file=sys.stderr)

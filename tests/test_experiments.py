@@ -498,6 +498,30 @@ def test_experiment_csv_matches_the_pinned_manifest(kind, tmp_path):
         f"{kind} CSV moved." + pinned.environment_note(manifest))
 
 
+def test_regeneration_names_the_moved_entries(tmp_path, monkeypatch):
+    # Regenerating prints the entries a change moved, so they are named by
+    # the tool rather than worked out by hand.
+    solves = {"M1 L10/mm2": "a", "M1 L10/pg": "b", "hard x/mm1": "c"}
+    monkeypatch.setattr(pinned, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(pinned, "SOLVE_MANIFEST", tmp_path / "solve_traces.json")
+    monkeypatch.setattr(pinned, "EXPERIMENT_MANIFEST", tmp_path / "experiments.json")
+    monkeypatch.setattr(pinned, "solve_digests", lambda: dict(solves))
+    monkeypatch.setattr(pinned, "EXPERIMENT_CONFIGS",
+                        {k: pinned.EXPERIMENT_CONFIGS[k] for k in ("server_sweep", "task_sweep")})
+    first = pinned.regenerate()
+    assert first == ["solve_traces: " + k for k in solves] + [
+        "experiments: server_sweep", "experiments: task_sweep"]
+    assert pinned.regenerate() == []
+
+    solves.update({"M1 L10/mm2": "moved", "M2 L10/mm1": "new"})
+    del solves["hard x/mm1"]
+    kinds = json.loads(pinned.EXPERIMENT_MANIFEST.read_text())
+    kinds["kinds"]["task_sweep"] = "stale"
+    pinned.EXPERIMENT_MANIFEST.write_text(json.dumps(kinds))
+    assert pinned.regenerate() == ["solve_traces: M1 L10/mm2", "solve_traces: M2 L10/mm1",
+                                   "solve_traces: hard x/mm1", "experiments: task_sweep"]
+
+
 def test_experiment_kinds_all_have_runners():
     # every advertised kind is runnable through the dispatcher
     from airalloc.experiments import _CELLS, _RUNNERS

@@ -1021,6 +1021,77 @@ def test_bcd_deterministic(variant):
         assert getattr(a.trace, field) == getattr(b.trace, field)
 
 
+def _split_inputs(p):
+    """The split block's inputs after the default start's power and airtime
+    updates, as the first sweep hands them over."""
+    a = default_allocation(p)
+    phi, t = np.asarray(a.phi), np.asarray(a.t_shares)
+    power, rho = solve_p1(p, phi, t)
+    t, _ = solve_p2(p, phi, t, power, rho)
+    return phi, t, power, rho
+
+
+@pytest.mark.parametrize("variant", ["mm2", "mm1"])
+@pytest.mark.parametrize("cell", [(1, 10.0), (4, 10.0), (2, 25.0)])
+def test_split_update_hands_back_its_final_multiplier(variant, cell):
+    p = reference_params(cell[0], task_mbits=cell[1])
+    phi, t, power, rho = _split_inputs(p)
+    update = getattr(solver, f"solve_p3_{variant}")
+    returned = []
+
+    real = solver.waterfill_mu
+
+    def recording(*args, **kw):
+        mu, shares = real(*args, **kw)
+        returned.append(mu)
+        return mu, shares
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "waterfill_mu", recording)
+        _, trace = update(p, phi, t, power, rho)
+    assert trace.iterations >= 3 and trace.mu == returned[-1] > 0.0
+    # One rebuild, cold and restarted from its own multiplier: the restart's
+    # search stops at its first multiplier, on the same shares.
+    cold_phi, cold = update(p, phi, t, power, rho, max_iter=1)
+    warm_phi, warm = update(p, phi, t, power, rho, max_iter=1, mu_start=cold.mu)
+    assert np.max(np.abs(warm_phi - cold_phi)) <= 1e-12
+    assert warm.mu_evals <= cold.mu_evals
+    # An update with no active share hands the multiplier on unchanged.
+    _, idle = update(p, phi, np.zeros_like(t), power, 0.0, mu_start=0.25)
+    assert idle.iterations == 0 and idle.mu == 0.25
+
+
+def test_pg_takes_a_multiplier_and_reports_none():
+    p = reference_params(2, task_mbits=25.0)
+    phi, t, power, rho = _split_inputs(p)
+    cold_phi, cold = solve_p3_pg(p, phi, t, power, rho)
+    warm_phi, warm = solve_p3_pg(p, phi, t, power, rho, mu_start=7.5)
+    assert np.array_equal(warm_phi, cold_phi) and warm == cold and warm.mu is None
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sweeps_hand_the_multiplier_forward(variant):
+    # Each sweep's split update starts from the multiplier the last sweep's
+    # update reported, which the trace records per sweep.
+    p = reference_params(2, task_mbits=20.0)
+    starts = []
+    real = solver._P3_VARIANTS[variant]
+
+    def recording(*args, **kw):
+        starts.append(kw["mu_start"])
+        return real(*args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(solver._P3_VARIANTS, variant, recording)
+        trace = bcd_solve(p, variant=variant).trace
+    assert len(trace.split_mu) == trace.n_outer >= 3
+    assert starts == [None] + trace.split_mu[:-1]
+    if variant == "pg":
+        assert trace.split_mu == [None] * trace.n_outer
+    else:
+        assert all(mu > 0.0 for mu in trace.split_mu)
+
+
 def test_trace_objective_matches_stored_allocations():
     # The recorded trajectory must be the objective of the recorded points.
     # Four servers used to expose a drift where the extrapolation search let
@@ -1135,11 +1206,30 @@ def test_mm1_search_budget_on_reference_cells(budget_solves):
     # solve_ref's four cells: 89546 search evaluations with the Illinois
     # search, against a ROADMAP target of 30000; the outer loops stay those
     # of that search.  The multipliers tried fell from 1020 to 519 when
-    # their search took Newton steps on the per-index slopes.
+    # their search took Newton steps on the per-index slopes, and to 462
+    # when each split update started from the previous one's multiplier.
     traces = [budget_solves[f"M{m} L10", "mm1"].trace for m, _ in _SOLVE_REF]
     assert sum(tr.total_search_evals for tr in traces) <= 30000
     assert sum(tr.n_outer for tr in traces) == 30
-    assert sum(tr.total_mu_evals for tr in traces) == 519
+    assert sum(tr.total_mu_evals for tr in traces) == 462
+
+
+def test_mm2_split_iterations_on_tail_cells(budget_solves):
+    # solve_tail's two cells (M = 2, L = 20 and 25 Mbit): 169 split
+    # iterations on the trust region [phi_hat / 2, 2 phi_hat] with every
+    # split update's multiplier search started cold, 96 on
+    # [phi_hat / 1.5, 1.5 phi_hat] with the multiplier handed across.
+    assert sum(budget_solves[f"M2 L{l}", "mm2"].trace.total_inner for l in (20, 25)) <= 110
+
+
+def test_mm2_does_not_crawl_at_seed1_cell17(budget_solves):
+    # M = 4, L = 31.0 Mbit, E = 0.11 J, latency 1.31 s: 1574 split iterations
+    # with one split loop at its cap on the wider trust region, 676 now;
+    # mm1 takes 124.
+    trace = budget_solves["seed1 cell 17", "mm2"].trace
+    cap = inspect.signature(solver.solve_p3_mm2).parameters["max_iter"].default
+    assert max(trace.inner_iterations) < cap
+    assert trace.total_inner <= 700
 
 
 def test_pg_tracks_mm1_on_a_four_server_cell(budget_solves):
