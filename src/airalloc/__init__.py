@@ -6,7 +6,13 @@ whose inner step is majorize-maximize with either first-order or quadratic
 surrogates (the latter solved in closed form).  Multi-user: an interference-
 and contention-aware slotted environment with a from-scratch value-learning
 agent, classical scheduler baselines, and a reproducible experiment harness.
+
+Importing the package loads the solvers, the environment and the learner.
+The experiment harness (``airalloc.experiments``, which needs PyYAML) and
+``airalloc.metrics`` load on first use of one of their names.
 """
+
+import importlib
 
 from .model import (
     Allocation,
@@ -38,8 +44,6 @@ from .dqn import (
     train,
 )
 from .baselines import baseline_full_offload, evaluate_policy, schedulers
-from .metrics import energy_efficiency, jain_index, latency_benchmark
-from .experiments import ExperimentConfig, MetricRow, load_config, run_experiment
 
 __version__ = "0.1.0"
 
@@ -85,3 +89,27 @@ __all__ = [
     "load_config",
     "run_experiment",
 ]
+
+# Names of the submodules that load on first use, each with its exported names.
+_LAZY_MODULES = {
+    "metrics": ("energy_efficiency", "jain_index", "latency_benchmark"),
+    "experiments": ("ExperimentConfig", "MetricRow", "load_config", "run_experiment"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name):
+    """Import a lazy submodule on first use of it or of one of its names,
+    and keep the value in the package namespace (PEP 562)."""
+    module = _LAZY_NAMES.get(name, name)
+    if module not in _LAZY_MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

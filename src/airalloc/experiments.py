@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .baselines import (
     SCHEDULER_KINDS,
@@ -187,11 +186,15 @@ def load_config(path) -> ExperimentConfig:
     parameters they give (``_CELLS`` for a sweep value), so nothing runs on a
     bad config.  Unknown keys anywhere are rejected.
     """
+    import yaml  # only config reading needs PyYAML
+
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from None
     raw = _require_mapping(raw, "config")

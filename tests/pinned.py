@@ -1,19 +1,20 @@
 """Pinned outputs: the solve traces and the experiment CSVs that later
 changes must reproduce bit for bit.
 
-``tests/golden/solve_traces.json`` holds a SHA-256 of every ``BcdTrace``
-field (allocations included) of each variant on the benchmark cells and
-three hard cells.  ``tests/golden/experiments.json`` holds, per experiment
-kind, the SHA-256 of the CSV that the kind's small fixed config below
-writes; for ``latency``, whose values are wall-clock times, the digest
-covers only the row set (sweep value, metric, tag).  Both files record the
+``tests/golden/solve_traces.json`` holds, under each "<cell>/<variant>",
+one SHA-256 per ``BcdTrace`` field (allocations included) of each variant
+on the benchmark cells and three hard cells.
+``tests/golden/experiments.json`` holds, per experiment kind, the SHA-256
+of the CSV that the kind's small fixed config below writes; for
+``latency``, whose values are wall-clock times, the digest covers only the
+row set (sweep value, metric, tag).  Both files record the
 numpy version and the BLAS build they were taken with, because some results
 follow the BLAS kernel (``np.dot`` may fuse multiply-adds).
 
 A change that moves a pinned result on purpose regenerates the manifests
 and names the moved entries, which the regeneration prints, one line per
-entry that differs from the manifest it replaces ("<cell>/<variant>" for a
-solve trace, the kind for an experiment CSV)::
+entry that differs from the manifest it replaces ("<cell>/<variant>: <fields>"
+for a solve trace, the kind for an experiment CSV)::
 
     PYTHONPATH=src python tests/pinned.py
 """
@@ -84,16 +85,17 @@ def environment_note(pinned: dict) -> str:
             f"{here['blas']}; results that go through the BLAS may differ in their last bits.")
 
 
-def trace_digest(trace) -> str:
-    """SHA-256 of every field of a ``BcdTrace``; floats by their shortest
-    round-trip repr, so any bit that moves changes the digest."""
-    blob = json.dumps(dataclasses.asdict(trace), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+def trace_digest(trace) -> dict[str, str]:
+    """SHA-256 per field of a ``BcdTrace``; floats by their shortest
+    round-trip repr, so any bit that moves changes its field's digest."""
+    return {name: hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+            for name, value in dataclasses.asdict(trace).items()}
 
 
-def solve_digests(solves=None) -> dict[str, str]:
-    """Digest per "<cell>/<variant>"; ``solves`` maps (cell, variant) to a
-    ``BcdResult`` already computed, and missing ones are solved here."""
+def solve_digests(solves=None) -> dict[str, dict[str, str]]:
+    """Field digests per "<cell>/<variant>"; ``solves`` maps (cell,
+    variant) to a ``BcdResult`` already computed, and missing ones are
+    solved here."""
     solves = solves or {}
     out = {}
     for name, p in SOLVE_CELLS:
@@ -123,13 +125,26 @@ def run_kind(kind: str, config: dict, workdir: Path) -> Path:
     return run_experiment(load_config(cfg_path))[0]
 
 
-def moved_entries(old: dict[str, str], new: dict[str, str]) -> list[str]:
+def moved_entries(old: dict, new: dict) -> list[str]:
     """Names whose digest in ``new`` differs from ``old``'s or is new, in
-    ``new``'s order, then the names ``new`` no longer has."""
-    return [k for k, d in new.items() if old.get(k) != d] + [k for k in old if k not in new]
+    ``new``'s order, then the names ``new`` no longer has.  Where both hold
+    field digests (a solve trace), the name carries the fields that moved,
+    "(added)" or "(removed)" when only one side has the field:
+    "<name>: <field>, <field> (added)"."""
+    out = []
+    for k, d in new.items():
+        was = old.get(k)
+        if was == d:
+            continue
+        if isinstance(was, dict) and isinstance(d, dict):
+            fields = ([f if f in was else f"{f} (added)" for f in d if was.get(f) != d[f]]
+                      + [f"{f} (removed)" for f in was if f not in d])
+            k = f"{k}: {', '.join(fields)}"
+        out.append(k)
+    return out + [k for k in old if k not in new]
 
 
-def _pinned_digests(path: Path, key: str) -> dict[str, str]:
+def _pinned_digests(path: Path, key: str) -> dict:
     return json.loads(path.read_text())[key] if path.exists() else {}
 
 

@@ -119,6 +119,21 @@ def test_sweep_missing_config_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_sweep_unreadable_config_is_a_config_error(tmp_path, capsys):
+    # A directory in place of the config file.
+    assert main(["sweep", "--config", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and str(tmp_path) in err
+
+
+def test_sweep_config_not_in_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.yaml"
+    cfg.write_bytes("experiment: task_sweep\nseed: 0\n# caf\u00e9\n".encode("latin-1"))
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and str(cfg) in err
+
+
 def test_sweep_unknown_key_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(

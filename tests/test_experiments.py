@@ -499,13 +499,16 @@ def test_experiment_csv_matches_the_pinned_manifest(kind, tmp_path):
 
 
 def test_regeneration_names_the_moved_entries(tmp_path, monkeypatch):
-    # Regenerating prints the entries a change moved, so they are named by
-    # the tool rather than worked out by hand.
-    solves = {"M1 L10/mm2": "a", "M1 L10/pg": "b", "hard x/mm1": "c"}
+    # Regenerating prints the entries a change moved, and for a solve trace
+    # the fields that moved, so they are named by the tool rather than worked
+    # out by hand.
+    solves = {"M1 L10/mm2": {"ln_p_success": "a", "converged": "t"},
+              "M1 L10/pg": {"ln_p_success": "b", "converged": "t"},
+              "hard x/mm1": {"ln_p_success": "c"}}
     monkeypatch.setattr(pinned, "GOLDEN_DIR", tmp_path)
     monkeypatch.setattr(pinned, "SOLVE_MANIFEST", tmp_path / "solve_traces.json")
     monkeypatch.setattr(pinned, "EXPERIMENT_MANIFEST", tmp_path / "experiments.json")
-    monkeypatch.setattr(pinned, "solve_digests", lambda: dict(solves))
+    monkeypatch.setattr(pinned, "solve_digests", lambda: {k: dict(d) for k, d in solves.items()})
     monkeypatch.setattr(pinned, "EXPERIMENT_CONFIGS",
                         {k: pinned.EXPERIMENT_CONFIGS[k] for k in ("server_sweep", "task_sweep")})
     first = pinned.regenerate()
@@ -513,13 +516,18 @@ def test_regeneration_names_the_moved_entries(tmp_path, monkeypatch):
         "experiments: server_sweep", "experiments: task_sweep"]
     assert pinned.regenerate() == []
 
-    solves.update({"M1 L10/mm2": "moved", "M2 L10/mm1": "new"})
+    solves["M1 L10/mm2"]["ln_p_success"] = "moved"
+    solves["M1 L10/pg"]["split_mu"] = "new field"
+    del solves["M1 L10/pg"]["converged"]
+    solves["M2 L10/mm1"] = {"ln_p_success": "new entry"}
     del solves["hard x/mm1"]
     kinds = json.loads(pinned.EXPERIMENT_MANIFEST.read_text())
     kinds["kinds"]["task_sweep"] = "stale"
     pinned.EXPERIMENT_MANIFEST.write_text(json.dumps(kinds))
-    assert pinned.regenerate() == ["solve_traces: M1 L10/mm2", "solve_traces: M2 L10/mm1",
-                                   "solve_traces: hard x/mm1", "experiments: task_sweep"]
+    assert pinned.regenerate() == [
+        "solve_traces: M1 L10/mm2: ln_p_success",
+        "solve_traces: M1 L10/pg: split_mu (added), converged (removed)",
+        "solve_traces: M2 L10/mm1", "solve_traces: hard x/mm1", "experiments: task_sweep"]
 
 
 def test_experiment_kinds_all_have_runners():

@@ -1163,12 +1163,13 @@ def budget_solves():
 
 
 def test_solve_traces_match_the_pinned_digests(budget_solves):
-    # Every BcdTrace field, allocations included, of the 27 pinned solves
-    # (tests/pinned.py regenerates the manifest).
+    # Every BcdTrace field, allocations included, of the 27 pinned solves;
+    # a failure names the fields that moved (tests/pinned.py regenerates the
+    # manifest).
     manifest = json.loads(pinned.SOLVE_MANIFEST.read_text())
     digests = pinned.solve_digests(budget_solves)
     assert digests.keys() == manifest["digests"].keys()
-    moved = [key for key, d in digests.items() if d != manifest["digests"][key]]
+    moved = pinned.moved_entries(manifest["digests"], digests)
     assert not moved, f"solve traces moved: {moved}." + pinned.environment_note(manifest)
 
 
