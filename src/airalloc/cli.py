@@ -206,14 +206,15 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    from .experiments import ConfigError
-
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
+        # Only the experiment harness raises ConfigError, so a command that
+        # never loaded it cannot have raised one; `solve` need not load it.
+        harness = sys.modules.get(f"{__package__}.experiments")
+        if harness is not None and isinstance(exc, harness.ConfigError):
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

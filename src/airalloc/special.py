@@ -3,7 +3,10 @@
 The incomplete-gamma evaluation, the bracketed root search and the
 polynomial solvers are implemented from first principles because the solver
 loops call them many thousands of times and the test suite checks them
-against independent quadrature / companion-matrix oracles.
+against independent quadrature / companion-matrix oracles.  The incomplete
+gamma P(shape, x) has three branches: a power series below shape + 1, the
+finite Erlang tail sum above it for an integral shape up to 40, and a
+continued fraction above it for every other shape.
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ _EXP_LIMIT = 700.0
 _MAX_ITER = 500
 _REL_TOL = 1e-12
 _FPMIN = 1e-300
+# Largest integral shape whose upper tail is the finite sum rather than the
+# continued fraction.  The sum takes one step per unit of shape, the fraction
+# fewer terms the farther x lies past the shape.  At shape 40 the sum is 3x
+# faster at x = 41.5, even near x = 85 and 10% slower at x = 165 (2-vCPU
+# Xeon, Python 3.11).
+_ERLANG_MAX_SHAPE = 40
 
 # Residual certificate, root-merging and realness tolerances for the
 # polynomial solvers.
@@ -119,11 +128,27 @@ def _upper_continued_fraction(shape: float, x: float) -> float:
     raise ConvergenceError(f"upper-gamma continued fraction stalled at shape={shape}, x={x}")
 
 
+def _erlang_upper_tail(n: int, x: float) -> float:
+    # Q(n, x) = e^-x sum_{k<n} x^k / k! for an integral shape n (DLMF 8.4.10).
+    # The sum runs on e^(-x/2) and the product takes the other half, so the
+    # tail keeps full relative accuracy past x = 745, where e^-x underflows,
+    # and reads 0 only once it underflows itself; below the shape cap no
+    # term overflows.
+    half = math.exp(-0.5 * x)
+    term = total = half
+    for k in range(1, n):
+        term *= x / k
+        total += term
+    return total * half
+
+
 def regularized_lower_gamma(shape: float, x: float) -> float:
     """Regularized lower incomplete gamma P(shape, x) in [0, 1].
 
-    Series expansion below ``shape + 1``, continued fraction above; both run
-    to a relative tolerance of 1e-12.
+    Below ``shape + 1`` a power series; above it, for an integral shape up
+    to 40, one minus the finite Erlang tail sum, and otherwise one minus the
+    continued fraction.  The series and the fraction run to a relative
+    tolerance of 1e-12; the finite sum is exact up to rounding.
     """
     if not (math.isfinite(shape) and shape > 0.0):
         raise ValueError(f"shape must be finite and > 0, got {shape}")
@@ -135,6 +160,9 @@ def regularized_lower_gamma(shape: float, x: float) -> float:
         return 1.0
     if x < shape + 1.0:
         return min(1.0, _lower_series(shape, x))
+    n = int(shape)
+    if n == shape and n <= _ERLANG_MAX_SHAPE:
+        return 1.0 - _erlang_upper_tail(n, x)
     return min(1.0, max(0.0, 1.0 - _upper_continued_fraction(shape, x)))
 
 

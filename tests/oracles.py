@@ -83,6 +83,11 @@ def lower_gamma_scipy(shape: float, x) -> float:
     return sps.gammainc(shape, x)
 
 
+def upper_gamma_scipy(shape: float, x) -> float:
+    """scipy's own regularized upper gamma Q = 1 - P (vectorized)."""
+    return sps.gammaincc(shape, x)
+
+
 def quartic_roots_companion(a: float, b: float, c: float, d: float, e: float,
                             imag_tol: float = 1e-8) -> list[float]:
     """Real quartic roots via numpy's companion-matrix eigensolver."""

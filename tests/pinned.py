@@ -1,5 +1,5 @@
-"""Pinned outputs: the solve traces and the experiment CSVs that later
-changes must reproduce bit for bit.
+"""Pinned outputs: the solve traces, the experiment CSVs and the multi-user
+rollouts that later changes must reproduce bit for bit.
 
 ``tests/golden/solve_traces.json`` holds, under each "<cell>/<variant>",
 one SHA-256 per ``BcdTrace`` field (allocations included) of each variant
@@ -7,14 +7,18 @@ on the benchmark cells and three hard cells.
 ``tests/golden/experiments.json`` holds, per experiment kind, the SHA-256
 of the CSV that the kind's small fixed config below writes; for
 ``latency``, whose values are wall-clock times, the digest covers only the
-row set (sweep value, metric, tag).  Both files record the
-numpy version and the BLAS build they were taken with, because some results
-follow the BLAS kernel (``np.dot`` may fuse multiply-adds).
+row set (sweep value, metric, tag).  ``tests/golden/rollouts.json`` holds
+every ``EvalResult`` field of short rollouts of each scheduler and of a
+greedy policy on ``default_multiuser(2, 2)``, and the digest of the short
+training run behind that policy.  All three files record the numpy version
+and the BLAS build they were taken with, because some results follow the
+BLAS kernel (``np.dot`` may fuse multiply-adds).
 
 A change that moves a pinned result on purpose regenerates the manifests
 and names the moved entries, which the regeneration prints, one line per
 entry that differs from the manifest it replaces ("<cell>/<variant>: <fields>"
-for a solve trace, the kind for an experiment CSV)::
+for a solve trace, the kind for an experiment CSV, "<policy>: <fields>" for
+a rollout)::
 
     PYTHONPATH=src python tests/pinned.py
 """
@@ -31,13 +35,17 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from airalloc.baselines import SCHEDULER_KINDS, evaluate_policy, greedy_policy, scheduler_action
+from airalloc.dqn import TrainConfig, train
 from airalloc.experiments import load_config, run_experiment
 from airalloc.model import reference_params
+from airalloc.multiuser import MultiUserEnv, default_multiuser, enumerate_actions
 from airalloc.solver import VARIANTS, bcd_solve
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SOLVE_MANIFEST = GOLDEN_DIR / "solve_traces.json"
 EXPERIMENT_MANIFEST = GOLDEN_DIR / "experiments.json"
+ROLLOUT_MANIFEST = GOLDEN_DIR / "rollouts.json"
 
 # The benchmark's cells (M = 1-4 at L = 10 Mbit; M = 2 at L = 20 and 25) and
 # three hard cells: a tight energy budget, a tight deadline and a large task.
@@ -125,10 +133,40 @@ def run_kind(kind: str, config: dict, workdir: Path) -> Path:
     return run_experiment(load_config(cfg_path))[0]
 
 
+def eval_fields(res) -> dict:
+    """Every ``EvalResult`` field, the per-user array as a list."""
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in dataclasses.asdict(res).items()}
+
+
+def rollout_values() -> dict[str, dict]:
+    """Short rollouts on ``default_multiuser(2, 2)``: each scheduler's
+    ``EvalResult`` fields (4 x 25 slots), the SHA-256 of a short training
+    run's reward curve and weights, and the greedy rollout of the trained
+    network (3 x 25 slots).  Any change in the last bit of a success, a
+    bill, a reward or a state update shows here."""
+    mp = default_multiuser(2, 2)
+    out = {}
+    for kind in SCHEDULER_KINDS:
+        def policy(state, slot, kind=kind):
+            return scheduler_action(kind, mp, state, slot)
+
+        out[kind] = eval_fields(evaluate_policy(MultiUserEnv(mp), policy, 4, 25, seed=5))
+    grid = enumerate_actions(mp, granularity=0.5)
+    config = TrainConfig(episodes=6, steps_per_episode=25, batch_size=16, seed=1)
+    theta, curve = train(MultiUserEnv(mp), grid, config)
+    digest = hashlib.sha256(np.asarray(curve, dtype=np.float64).tobytes())
+    digest.update(theta.flat().tobytes())
+    out["train"] = {"digest": digest.hexdigest()}
+    out["greedy"] = eval_fields(
+        evaluate_policy(MultiUserEnv(mp), greedy_policy(theta, grid, mp), 3, 25, seed=5))
+    return out
+
+
 def moved_entries(old: dict, new: dict) -> list[str]:
     """Names whose digest in ``new`` differs from ``old``'s or is new, in
     ``new``'s order, then the names ``new`` no longer has.  Where both hold
-    field digests (a solve trace), the name carries the fields that moved,
+    fields (a solve trace, a rollout), the name carries the fields that moved,
     "(added)" or "(removed)" when only one side has the field:
     "<name>: <field>, <field> (added)"."""
     out = []
@@ -149,12 +187,13 @@ def _pinned_digests(path: Path, key: str) -> dict:
 
 
 def regenerate() -> list[str]:
-    """Rewrite both manifests; return "<manifest>: <entry>" for every entry
-    that moved against the manifest it replaces."""
+    """Rewrite the three manifests; return "<manifest>: <entry>" for every
+    entry that moved against the manifest it replaces."""
     GOLDEN_DIR.mkdir(exist_ok=True)
     env = environment()
     old_solves = _pinned_digests(SOLVE_MANIFEST, "digests")
     old_kinds = _pinned_digests(EXPERIMENT_MANIFEST, "kinds")
+    old_rollouts = _pinned_digests(ROLLOUT_MANIFEST, "values")
     digests = solve_digests()
     SOLVE_MANIFEST.write_text(json.dumps({**env, "digests": digests}, indent=1) + "\n")
     kinds = {}
@@ -163,11 +202,14 @@ def regenerate() -> list[str]:
             path = run_kind(kind, config, Path(tmp))
             kinds[kind] = csv_digest(kind, path)
     EXPERIMENT_MANIFEST.write_text(json.dumps({**env, "kinds": kinds}, indent=1) + "\n")
+    rollouts = rollout_values()
+    ROLLOUT_MANIFEST.write_text(json.dumps({**env, "values": rollouts}, indent=1) + "\n")
     return ([f"{SOLVE_MANIFEST.stem}: {k}" for k in moved_entries(old_solves, digests)]
-            + [f"{EXPERIMENT_MANIFEST.stem}: {k}" for k in moved_entries(old_kinds, kinds)])
+            + [f"{EXPERIMENT_MANIFEST.stem}: {k}" for k in moved_entries(old_kinds, kinds)]
+            + [f"{ROLLOUT_MANIFEST.stem}: {k}" for k in moved_entries(old_rollouts, rollouts)])
 
 
 if __name__ == "__main__":
     moved = regenerate()
     print("\n".join(moved) if moved else "no pinned entry moved")
-    print(f"wrote {SOLVE_MANIFEST} and {EXPERIMENT_MANIFEST}", file=sys.stderr)
+    print(f"wrote {SOLVE_MANIFEST}, {EXPERIMENT_MANIFEST} and {ROLLOUT_MANIFEST}", file=sys.stderr)

@@ -47,8 +47,9 @@ def test_split_variants_match_the_tracer(tracer):
 
 
 def test_traced_solve_reaches_the_rebound_layers(tracer):
-    # The split updates must call the surrogates and the multiplier search
-    # through their module names, or the tracer's wrappers never see them.
+    # The split updates must call the surrogates and the multiplier search,
+    # and ln_lower_gamma the incomplete-gamma kernel, through their module
+    # names, or the tracer's wrappers never see them.
     t = tracer.Tracer()
     restore = tracer.install(t)
     try:
@@ -59,7 +60,7 @@ def test_traced_solve_reaches_the_rebound_layers(tracer):
     calls = {name: n for name, (n, _) in t.summary("solve").items()}
     for name in ("solver.solve_p3.mm2", "solver.waterfill_mu",
                  "surrogates.surrogate_transmission", "surrogates.surrogate_computation",
-                 "special.solve_quartic_real"):
+                 "special.solve_quartic_real", "special.regularized_lower_gamma"):
         assert calls.get(name, 0) > 0, name
     assert solver._P3_VARIANTS["mm2"] is solver.solve_p3_mm2
 

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +116,38 @@ def test_sweep_output_dir_override(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--output-dir", str(override)]) == EXIT_OK
     assert (override / "task_sweep.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=False)
+
+
+def test_solve_leaves_the_harness_unloaded():
+    # main catches ConfigError without importing the harness that defines it.
+    proc = _fresh_interpreter("""
+        import sys
+        from airalloc import cli
+
+        assert cli.main(["solve", "--servers", "1"]) == cli.EXIT_OK
+        print(sorted(m for m in ("airalloc.experiments", "yaml") if m in sys.modules))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_bad_config_exits_with_config_error_in_a_fresh_interpreter(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("experiment: task_sweep\nseed: 0\nno_such_block: 1\n", encoding="utf-8")
+    proc = _fresh_interpreter(f"""
+        import sys
+        from airalloc import cli
+
+        sys.exit(cli.main(["sweep", "--config", {str(cfg)!r}]))
+    """)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config error:")
 
 
 def test_sweep_missing_config_is_a_config_error(tmp_path, capsys):

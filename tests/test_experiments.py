@@ -500,20 +500,26 @@ def test_experiment_csv_matches_the_pinned_manifest(kind, tmp_path):
 
 def test_regeneration_names_the_moved_entries(tmp_path, monkeypatch):
     # Regenerating prints the entries a change moved, and for a solve trace
-    # the fields that moved, so they are named by the tool rather than worked
-    # out by hand.
+    # or a rollout the fields that moved, so they are named by the tool
+    # rather than worked out by hand.
     solves = {"M1 L10/mm2": {"ln_p_success": "a", "converged": "t"},
               "M1 L10/pg": {"ln_p_success": "b", "converged": "t"},
               "hard x/mm1": {"ln_p_success": "c"}}
+    rollouts = {"weighted": {"mean_reward": -1.5, "per_user_success": [0.25, 0.5]},
+                "train": {"digest": "d"}}
     monkeypatch.setattr(pinned, "GOLDEN_DIR", tmp_path)
     monkeypatch.setattr(pinned, "SOLVE_MANIFEST", tmp_path / "solve_traces.json")
     monkeypatch.setattr(pinned, "EXPERIMENT_MANIFEST", tmp_path / "experiments.json")
+    monkeypatch.setattr(pinned, "ROLLOUT_MANIFEST", tmp_path / "rollouts.json")
     monkeypatch.setattr(pinned, "solve_digests", lambda: {k: dict(d) for k, d in solves.items()})
+    monkeypatch.setattr(pinned, "rollout_values",
+                        lambda: {k: dict(d) for k, d in rollouts.items()})
     monkeypatch.setattr(pinned, "EXPERIMENT_CONFIGS",
                         {k: pinned.EXPERIMENT_CONFIGS[k] for k in ("server_sweep", "task_sweep")})
     first = pinned.regenerate()
     assert first == ["solve_traces: " + k for k in solves] + [
-        "experiments: server_sweep", "experiments: task_sweep"]
+        "experiments: server_sweep", "experiments: task_sweep"] + [
+        "rollouts: " + k for k in rollouts]
     assert pinned.regenerate() == []
 
     solves["M1 L10/mm2"]["ln_p_success"] = "moved"
@@ -524,10 +530,12 @@ def test_regeneration_names_the_moved_entries(tmp_path, monkeypatch):
     kinds = json.loads(pinned.EXPERIMENT_MANIFEST.read_text())
     kinds["kinds"]["task_sweep"] = "stale"
     pinned.EXPERIMENT_MANIFEST.write_text(json.dumps(kinds))
+    rollouts["weighted"]["per_user_success"] = [0.25, 0.5000000000000001]
     assert pinned.regenerate() == [
         "solve_traces: M1 L10/mm2: ln_p_success",
         "solve_traces: M1 L10/pg: split_mu (added), converged (removed)",
-        "solve_traces: M2 L10/mm1", "solve_traces: hard x/mm1", "experiments: task_sweep"]
+        "solve_traces: M2 L10/mm1", "solve_traces: hard x/mm1", "experiments: task_sweep",
+        "rollouts: weighted: per_user_success"]
 
 
 def test_experiment_kinds_all_have_runners():

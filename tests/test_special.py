@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,7 @@ from oracles import (
     lower_gamma_scipy,
     quartic_roots_companion,
     solve_poly_real,
+    upper_gamma_scipy,
 )
 
 
@@ -78,6 +81,52 @@ def test_lower_gamma_monotone_and_bounded(shape, x, bump):
     lo = regularized_lower_gamma(shape, x)
     hi = regularized_lower_gamma(shape, x + bump)
     assert 0.0 <= lo <= hi <= 1.0
+
+
+def test_erlang_tail_matches_scipy_for_every_integral_shape_below_the_cap():
+    # Q(n, x) from the finite sum, from x = n + 1 (where it takes over from
+    # the series) to 745 (past which e^-x underflows).  scipy flushes a
+    # subnormal Q to 0, so there the sum only has to be subnormal too.
+    for n in range(1, special._ERLANG_MAX_SHAPE + 1):
+        xs = np.linspace(n + 1.0, 745.0, 300)
+        ours = np.array([special._erlang_upper_tail(n, float(x)) for x in xs])
+        ref = upper_gamma_scipy(n, xs)
+        normal = ref >= sys.float_info.min
+        assert normal.sum() > 200, n
+        err = np.abs(ours[normal] - ref[normal]) / ref[normal]
+        assert float(err.max()) <= 1e-12, n
+        assert np.all(ours[~normal] < sys.float_info.min), n
+
+
+@pytest.mark.parametrize("shape", [1.0, 10.0, float(special._ERLANG_MAX_SHAPE)])
+def test_erlang_tail_reads_one_past_the_underflow(shape):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (750.0, 1e4):
+            assert regularized_lower_gamma(shape, x) == 1.0
+        assert special._erlang_upper_tail(int(shape), 1e4) == 0.0
+
+
+def test_lower_gamma_is_continuous_where_the_series_meets_the_tail():
+    # Below n + 1 the series, at n + 1 the finite sum: the jump between
+    # neighbouring floats is the series' own truncation (it stops at 1e-12
+    # relative), not a seam between two formulas.
+    for n in range(1, special._ERLANG_MAX_SHAPE + 1):
+        x = float(n + 1)
+        below = regularized_lower_gamma(n, math.nextafter(x, 0.0))
+        at = regularized_lower_gamma(n, x)
+        assert below <= at
+        assert at - below <= 1e-11 * at, n
+
+
+@pytest.mark.parametrize("shape", [0.5, 4.5, 10.5, special._ERLANG_MAX_SHAPE + 1.0, 60.0])
+def test_upper_region_of_other_shapes_keeps_the_continued_fraction(shape):
+    # Non-integral shapes and integral ones above the cap are bit for bit
+    # one minus the continued fraction.
+    for x in np.linspace(shape + 1.0, 400.0, 60):
+        x = float(x)
+        want = min(1.0, max(0.0, 1.0 - special._upper_continued_fraction(shape, x)))
+        assert regularized_lower_gamma(shape, x) == want, x
 
 
 def test_workload_validation_and_mean():
