@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 HIDDEN_LAYERS = (128, 64, 32)
+# Prioritized replay's exponents (see `replay_sample`).
+PRIORITY_EXPONENT = 0.6
+IMPORTANCE_EXPONENT = 0.4
 
 
 @dataclass
@@ -150,8 +153,6 @@ class TrainConfig:
     buffer_capacity: int = 10_000
     episodes: int = 100
     steps_per_episode: int = 50
-    priority_exponent: float = 0.6
-    importance_exponent: float = 0.4
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -258,21 +259,20 @@ def replay_sample(
     buffer: ReplayBuffer,
     batch_size: int,
     rng: np.random.Generator,
-    priority_exponent: float,
-    importance_exponent: float,
 ) -> tuple[np.ndarray, Batch]:
     """Draw a prioritized batch; returns (indices, batch with IS weights).
 
-    Sampling probability is priority^a normalized; the importance weights
-    (n * prob)^-b are rescaled so the largest weight is exactly 1.
+    Sampling probability is priority^PRIORITY_EXPONENT normalized; the
+    importance weights (n * prob)^-IMPORTANCE_EXPONENT are rescaled so the
+    largest weight is exactly 1.
     """
     n = len(buffer)
     if n < batch_size:
         raise ValueError(f"replay buffer holds {n} transitions, need at least {batch_size}")
-    scaled = buffer.priorities() ** priority_exponent
+    scaled = buffer.priorities() ** PRIORITY_EXPONENT
     probs = scaled / scaled.sum()
     idx = rng.choice(n, size=batch_size, p=probs)
-    weights = (n * probs[idx]) ** (-importance_exponent)
+    weights = (n * probs[idx]) ** (-IMPORTANCE_EXPONENT)
     weights = weights / weights.max()
     return idx, Batch(buffer.states[idx], buffer.actions[idx], buffer.rewards[idx],
                       buffer.next_states[idx], buffer.terminals[idx], weights)
@@ -474,10 +474,7 @@ def train(
             total += r
             enc = next_enc
             if len(buffer) >= config.batch_size:
-                idx, batch = replay_sample(
-                    buffer, config.batch_size, rng_replay,
-                    config.priority_exponent, config.importance_exponent,
-                )
+                idx, batch = replay_sample(buffer, config.batch_size, rng_replay)
                 try:
                     td = train_step(theta, theta_target, batch, config)
                 except FloatingPointError as exc:

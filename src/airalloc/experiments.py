@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -182,9 +183,10 @@ def load_config(path) -> ExperimentConfig:
     (episodes/steps/mc_trials/repetitions) and ``train`` (network
     hyperparameters and the action grid's ``granularity``) blocks.  Every
     ``trials`` value must be a positive integer.  The parameter blocks, the
-    ``train`` block and every sweep value are checked by building the
-    parameters they give (``_CELLS`` for a sweep value), so nothing runs on a
-    bad config.  Unknown keys anywhere are rejected.
+    ``train`` block and every value of the sweep that will run (the kind's
+    default when ``sweep`` is absent) are checked by building the parameters
+    they give, so nothing runs on a bad config.  Unknown keys anywhere are
+    rejected.
     """
     import yaml  # only config reading needs PyYAML
 
@@ -249,10 +251,7 @@ def load_config(path) -> ExperimentConfig:
         _single_params(cfg)
     with _config_errors("multi_user"):
         _multi_params(cfg)
-    block, cell = _CELLS[kind]
-    for value in cfg.sweep_values:
-        with _config_errors(f"{block}: sweep value {value!r}"):
-            cell(cfg, value)
+    _sweep_cells(cfg)
     return cfg
 
 
@@ -352,34 +351,29 @@ def _efficiency_cell(cfg: ExperimentConfig, task) -> tuple[SystemParams, MultiUs
     return _task_cell(cfg, task), _multi_params(cfg, task_range_mbits=(task, task))
 
 
-# Each kind's cell builder and the config block its sweep values override.
-_CELLS = {
-    "convergence": ("single_user", _convergence_cell),
-    "task_sweep": ("single_user", _task_cell),
-    "server_sweep": ("single_user", _server_cell),
-    "speed_uncertainty": ("single_user", _task_cell),
-    "learning_rate": ("train", _rate_cell),
-    "user_count": ("multi_user", _users_cell),
-    "fairness": ("multi_user", _fairness_cell),
-    "latency": ("single_user", _server_cell),
-    "efficiency": ("single_user and multi_user", _efficiency_cell),
-}
+def _sweep_cells(cfg: ExperimentConfig) -> list[tuple]:
+    """``(value, parameters)`` for every value of the sweep that runs: the
+    config's, or else the kind's default."""
+    kind = _KINDS[cfg.experiment]
+    cells = []
+    for value in cfg.sweep_values or kind.default_sweep:
+        with _config_errors(f"{kind.block}: sweep value {value!r}"):
+            cells.append((value, kind.cell(cfg, value)))
+    return cells
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds
+# experiment kinds: each runner gets the config and its sweep's cells
 
 
-def _exp_convergence(cfg: ExperimentConfig) -> list[MetricRow]:
-    cells = cfg.sweep_values or [[2, 10.0], [2, 15.0], [3, 10.0], [3, 15.0]]
+def _exp_convergence(cfg: ExperimentConfig, cells) -> list[MetricRow]:
     rows = []
-    for cell in cells:
-        p = _convergence_cell(cfg, cell)
+    for (_, task), p in cells:
         for variant in ("mm2", "mm1"):
             res = bcd_solve(p, variant=variant)
             for it, ln in enumerate(res.trace.ln_p_success):
                 rows.append(MetricRow(it, "ln_p_success [nats]", ln, None,
-                                      f"{variant}:M={p.n_servers}:L={float(cell[1]):g}"))
+                                      f"{variant}:M={p.n_servers}:L={float(task):g}"))
     return rows
 
 
@@ -393,12 +387,10 @@ def _best_solve(p: SystemParams, variant: str, init: Allocation | None):
     return res
 
 
-def _exp_task_sweep(cfg: ExperimentConfig) -> list[MetricRow]:
-    values = cfg.sweep_values or [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
+def _exp_task_sweep(cfg: ExperimentConfig, cells) -> list[MetricRow]:
     rows = []
     prev = None
-    for task in values:
-        p = _task_cell(cfg, task)
+    for task, p in cells:
         res = _best_solve(p, cfg.variant, prev)
         prev = res.allocation
         rows.append(MetricRow(float(task), "outage [probability]", res.p_outage, None, "proposed"))
@@ -415,12 +407,10 @@ def _extend_allocation(prev: Allocation, n_servers: int) -> Allocation:
     return Allocation(phi=phi, t_shares=t, power_w=prev.power_w, rho=prev.rho)
 
 
-def _exp_server_sweep(cfg: ExperimentConfig) -> list[MetricRow]:
-    values = cfg.sweep_values or [1, 2, 3, 4]
+def _exp_server_sweep(cfg: ExperimentConfig, cells) -> list[MetricRow]:
     rows = []
     prev = None
-    for m in values:
-        p = _server_cell(cfg, m)
+    for m, p in cells:
         init = _extend_allocation(prev, p.n_servers) if prev is not None else None
         res = _best_solve(p, cfg.variant, init)
         prev = res.allocation
@@ -428,12 +418,10 @@ def _exp_server_sweep(cfg: ExperimentConfig) -> list[MetricRow]:
     return rows
 
 
-def _exp_speed_uncertainty(cfg: ExperimentConfig) -> list[MetricRow]:
-    values = cfg.sweep_values or [5.0, 10.0, 15.0, 20.0]
+def _exp_speed_uncertainty(cfg: ExperimentConfig, cells) -> list[MetricRow]:
     n_trials = int(cfg.trials.get("mc_trials", 100_000))
     rows = []
-    for task in values:
-        p = _task_cell(cfg, task)
+    for task, p in cells:
         res = bcd_solve(p, variant=cfg.variant)
         rows.append(MetricRow(float(task), "outage [probability]", res.p_outage, None, "analytic"))
         for jitter, tag in ((0.0, "mc_exact_speed"), (0.2, "mc_speed_jitter_20pct")):
@@ -444,12 +432,11 @@ def _exp_speed_uncertainty(cfg: ExperimentConfig) -> list[MetricRow]:
     return rows
 
 
-def _exp_learning_rate(cfg: ExperimentConfig) -> list[MetricRow]:
-    values = cfg.sweep_values or [1e-3, 8e-4, 5e-4, 1e-4]
+def _exp_learning_rate(cfg: ExperimentConfig, cells) -> list[MetricRow]:
     mp = _multi_params(cfg)
     rows = []
-    for lr in values:
-        curve = _train_policy(cfg, mp, _rate_cell(cfg, lr))[3]
+    for lr, tc in cells:
+        curve = _train_policy(cfg, mp, tc)[3]
         for ep, r in enumerate(curve):
             rows.append(MetricRow(float(ep), "episode_reward [1]", r, None, f"lr={float(lr):g}"))
     return rows
@@ -477,13 +464,11 @@ def _static_bcd_action(mp, variant: str) -> MultiUserAction:
     return MultiUserAction(phi, t, power)
 
 
-def _exp_user_count(cfg: ExperimentConfig) -> list[MetricRow]:
-    values = cfg.sweep_values or [2, 3]
+def _exp_user_count(cfg: ExperimentConfig, cells) -> list[MetricRow]:
     episodes = int(cfg.trials.get("episodes", 100))
     steps = int(cfg.trials.get("steps", 20))
     rows = []
-    for n in values:
-        mp = _users_cell(cfg, n)
+    for n, mp in cells:
         grid, _, theta, _ = _train_policy(cfg, mp)
         learned = evaluate_policy(MultiUserEnv(mp), greedy_policy(theta, grid, mp),
                                   episodes, steps, seed=cfg.seed + 1)
@@ -497,14 +482,12 @@ def _exp_user_count(cfg: ExperimentConfig) -> list[MetricRow]:
     return rows
 
 
-def _exp_fairness(cfg: ExperimentConfig) -> list[MetricRow]:
-    values = cfg.sweep_values or [1.0, 2.0, 4.0, 8.0]
+def _exp_fairness(cfg: ExperimentConfig, cells) -> list[MetricRow]:
     episodes = int(cfg.trials.get("episodes", 100))
     steps = int(cfg.trials.get("steps", 20))
     train_episodes = int(cfg.train.get("episodes", 0))
     rows = []
-    for ratio in values:
-        mp = _fairness_cell(cfg, ratio)
+    for ratio, mp in cells:
         for kind in SCHEDULER_KINDS:
             rates = schedulers(kind, mp, episodes=episodes, seed=cfg.seed,
                                steps_per_episode=steps)
@@ -519,8 +502,8 @@ def _exp_fairness(cfg: ExperimentConfig) -> list[MetricRow]:
     return rows
 
 
-def _exp_latency(cfg: ExperimentConfig) -> list[MetricRow]:
-    grid = tuple(_server_cell(cfg, v).n_servers for v in cfg.sweep_values) or (1, 2, 3)
+def _exp_latency(cfg: ExperimentConfig, cells) -> list[MetricRow]:
+    grid = tuple(p.n_servers for _, p in cells)
     return _latency_rows(grid, int(cfg.trials.get("repetitions", 5)), cfg.seed)
 
 
@@ -529,14 +512,12 @@ def _latency_rows(server_grid: tuple, repetitions: int, seed: int) -> list[Metri
             for c in latency_benchmark(server_grid=server_grid, repetitions=repetitions, seed=seed)]
 
 
-def _exp_efficiency(cfg: ExperimentConfig) -> list[MetricRow]:
-    values = cfg.sweep_values or [5.0, 10.0, 15.0]
+def _exp_efficiency(cfg: ExperimentConfig, cells) -> list[MetricRow]:
     episodes = int(cfg.trials.get("episodes", 10))
     steps = int(cfg.trials.get("steps", 20))
-    cells = [(float(task), *_efficiency_cell(cfg, task)) for task in values]
     rows = []
     for p_max in (0.8, 1.0):
-        for task, p, _ in cells:
+        for task, (p, _) in cells:
             p = dataclasses.replace(p, p_max_w=p_max)
             res = bcd_solve(p, variant=cfg.variant)
             alloc = res.allocation
@@ -550,7 +531,7 @@ def _exp_efficiency(cfg: ExperimentConfig) -> list[MetricRow]:
         mp = _multi_params(cfg)
         mp = dataclasses.replace(mp, p_max_w=tuple(p_max for _ in range(mp.n_users)))
         grid, _, theta, _ = _train_policy(cfg, mp)
-        for task, _, cell in cells:
+        for task, (_, cell) in cells:
             # expected completed bits per joule under the greedy policy, with
             # the slot task size pinned to the sweep value
             cell = dataclasses.replace(cell, p_max_w=mp.p_max_w)
@@ -562,22 +543,38 @@ def _exp_efficiency(cfg: ExperimentConfig) -> list[MetricRow]:
     return rows
 
 
-_RUNNERS = {
-    "convergence": _exp_convergence,
-    "task_sweep": _exp_task_sweep,
-    "server_sweep": _exp_server_sweep,
-    "speed_uncertainty": _exp_speed_uncertainty,
-    "learning_rate": _exp_learning_rate,
-    "user_count": _exp_user_count,
-    "fairness": _exp_fairness,
-    "latency": _exp_latency,
-    "efficiency": _exp_efficiency,
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind: the config block its sweep values override, the
+    builder from a sweep value to its cell's parameters, the sweep run when
+    the config gives none, and the runner over ``(value, parameters)``."""
+
+    block: str
+    cell: Callable
+    default_sweep: tuple
+    run: Callable
+
+
+_KINDS = {
+    "convergence": _Kind("single_user", _convergence_cell,
+                         ((2, 10.0), (2, 15.0), (3, 10.0), (3, 15.0)), _exp_convergence),
+    "task_sweep": _Kind("single_user", _task_cell, (5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+                        _exp_task_sweep),
+    "server_sweep": _Kind("single_user", _server_cell, (1, 2, 3, 4), _exp_server_sweep),
+    "speed_uncertainty": _Kind("single_user", _task_cell, (5.0, 10.0, 15.0, 20.0),
+                               _exp_speed_uncertainty),
+    "learning_rate": _Kind("train", _rate_cell, (1e-3, 8e-4, 5e-4, 1e-4), _exp_learning_rate),
+    "user_count": _Kind("multi_user", _users_cell, (2, 3), _exp_user_count),
+    "fairness": _Kind("multi_user", _fairness_cell, (1.0, 2.0, 4.0, 8.0), _exp_fairness),
+    "latency": _Kind("single_user", _server_cell, (1, 2, 3), _exp_latency),
+    "efficiency": _Kind("single_user and multi_user", _efficiency_cell, (5.0, 10.0, 15.0),
+                        _exp_efficiency),
 }
-EXPERIMENT_KINDS = tuple(_RUNNERS)
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     """Run the configured experiment and write its CSV; returns the paths."""
-    rows = _RUNNERS[cfg.experiment](cfg)
+    rows = _KINDS[cfg.experiment].run(cfg, _sweep_cells(cfg))
     out = write_rows(cfg.output_dir / f"{cfg.experiment}.csv", rows)
     return [out]

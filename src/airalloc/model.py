@@ -178,29 +178,29 @@ def default_allocation(p: SystemParams, offload_only: bool = False) -> Allocatio
     return Allocation(phi=phi, t_shares=t, power_w=power, rho=max(rho, 0.0))
 
 
-def assert_feasible(p: SystemParams, alloc: Allocation, tol: float = _FEAS_TOL) -> None:
+def assert_feasible(p: SystemParams, alloc: Allocation) -> None:
     """Raise :class:`FeasibilityError` on any constraint violation."""
     if len(alloc.phi) != p.n_servers + 1:
         raise FeasibilityError(
             f"allocation has {len(alloc.phi) - 1} server shares, expected {p.n_servers}"
         )
-    if alloc.power_w > p.p_max_w * (1.0 + tol):
+    if alloc.power_w > p.p_max_w * (1.0 + _FEAS_TOL):
         raise FeasibilityError(f"power {alloc.power_w} exceeds cap {p.p_max_w}")
     total_t = sum(alloc.t_shares)
-    if total_t >= p.latency_budget_s * (1.0 + tol):
+    if total_t >= p.latency_budget_s * (1.0 + _FEAS_TOL):
         raise FeasibilityError(
             f"total airtime {total_t} leaves no compute slack within {p.latency_budget_s}"
         )
     for m in range(1, p.n_servers + 1):
-        if alloc.phi[m] > tol and alloc.t_shares[m - 1] <= 0.0:
+        if alloc.phi[m] > _FEAS_TOL and alloc.t_shares[m - 1] <= 0.0:
             raise FeasibilityError(f"server {m} receives work but zero airtime")
     rho_cap = local_budget_rho(p, alloc.t_shares, alloc.power_w)
-    if rho_cap < -tol * p.energy_budget_j:
+    if rho_cap < -_FEAS_TOL * p.energy_budget_j:
         raise FeasibilityError(
             "transmit energy alone exceeds the device energy budget "
             f"(power {alloc.power_w} W for {total_t} s)"
         )
-    if alloc.rho > rho_cap + tol * max(1.0, abs(rho_cap)):
+    if alloc.rho > rho_cap + _FEAS_TOL * max(1.0, abs(rho_cap)):
         raise FeasibilityError(f"rho {alloc.rho} exceeds its feasible cap {rho_cap}")
 
 

@@ -56,6 +56,7 @@ _LN_FLOOR = math.log(1e-12)
 _PENALTY = -10.0
 _TIME_FRACS = (0.25, 0.5)   # airtime levels per server, fractions of the slot
 _POWER_FRACS = (0.5, 1.0)   # power levels, fractions of each user's cap
+_MAX_ACTIONS = 200_000      # cap on the joint grid's combinations before filtering
 
 
 class ActionSpaceError(ValueError):
@@ -312,9 +313,7 @@ def spent_energy(mp: MultiUserParams, state: MultiUserState, action: MultiUserAc
 def _feasible_reward(mp: MultiUserParams, breakdowns: list[float], energies: list[float]) -> float:
     lnp = [max(math.log(p), _LN_FLOOR) if p > 0.0 else _LN_FLOOR for p in breakdowns]
     spend = _total(e / c for e, c in zip(energies, mp.energy_capacity_j))
-    # np.dot, not a loop: BLAS may fuse its multiply-adds, and the weighted
-    # sum has to round the same way wherever it is computed.
-    return float(np.dot(mp.weights, lnp)) - mp.energy_weight * spend
+    return _total(w * lp for w, lp in zip(mp.weights, lnp)) - mp.energy_weight * spend
 
 
 def state_vector(mp: MultiUserParams, state: MultiUserState) -> np.ndarray:
@@ -466,7 +465,6 @@ class ActionGrid:
 def enumerate_actions(
     mp: MultiUserParams,
     granularity: float = 0.1,
-    max_actions: int = 200_000,
 ) -> ActionGrid:
     """Enumerate the joint discretized action space.
 
@@ -485,10 +483,10 @@ def enumerate_actions(
     t_rows = levels[np.indices((len(levels),) * m).reshape(m, -1).T]
     per_user = (len(rows), len(t_rows), len(_POWER_FRACS))
     total = math.prod(per_user) ** n
-    if total > max_actions:
+    if total > _MAX_ACTIONS:
         raise ActionSpaceError(
             f"joint action grid has {total} combinations before filtering, over the "
-            f"cap of {max_actions}; coarsen the grid or switch to factored per-user "
+            f"cap of {_MAX_ACTIONS}; coarsen the grid or switch to factored per-user "
             f"action selection (enumerate each user's options separately)"
         )
 

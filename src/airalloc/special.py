@@ -92,7 +92,9 @@ class GammaWorkload:
 
 
 def _lower_series(shape: float, x: float) -> float:
-    # Power series around zero; effective for x < shape + 1.
+    # Power series around zero; effective for x < shape + 1.  It stops once
+    # the term and the geometric bound on the rest, term * x / (denom + 1 - x),
+    # are both below the tolerance; the bound is the larger while 2x > denom + 1.
     term = 1.0 / shape
     total = term
     denom = shape
@@ -100,7 +102,7 @@ def _lower_series(shape: float, x: float) -> float:
         denom += 1.0
         term *= x / denom
         total += term
-        if term < total * _REL_TOL:  # both positive for x > 0
+        if term < total * _REL_TOL and term * x / (denom + 1.0 - x) < total * _REL_TOL:
             return total * math.exp(-x + shape * math.log(x) - math.lgamma(shape))
     raise ConvergenceError(f"lower-gamma series stalled at shape={shape}, x={x}")
 
@@ -147,8 +149,11 @@ def regularized_lower_gamma(shape: float, x: float) -> float:
 
     Below ``shape + 1`` a power series; above it, for an integral shape up
     to 40, one minus the finite Erlang tail sum, and otherwise one minus the
-    continued fraction.  The series and the fraction run to a relative
-    tolerance of 1e-12; the finite sum is exact up to rounding.
+    continued fraction.  The series stops once its remainder is bounded
+    below 1e-12 of its sum, and the fraction once a step moves it by less
+    than 1e-12 relative; the finite sum is exact up to rounding.  The
+    series' prefactor adds its own rounding: against 40-digit mpmath the
+    relative error below shape + 1 reaches about 1.1e-12 at shape 200.
     """
     if not (math.isfinite(shape) and shape > 0.0):
         raise ValueError(f"shape must be finite and > 0, got {shape}")

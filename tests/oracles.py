@@ -442,11 +442,15 @@ def reward(
         return _PENALTY * len(broken)
     if breakdowns is None:
         breakdowns = success_vector_numpy(mp, state, action)
-    weights = np.asarray(mp.weights, dtype=float)
-    lnp = np.array([max(math.log(p), _LN_FLOOR) if p > 0.0 else _LN_FLOOR for p in breakdowns])
+    lnp = [max(math.log(p), _LN_FLOOR) if p > 0.0 else _LN_FLOOR for p in breakdowns]
+    # Left to right, one rounding per product and per sum: np.dot may fuse
+    # its multiply-adds, and then rounds differently with the BLAS.
+    weighted = 0.0
+    for w, lp in zip(mp.weights, lnp):
+        weighted += w * lp
     caps = np.asarray(mp.energy_capacity_j, dtype=float)
     energies = spent_energy_numpy(mp, state, action)
-    return float(np.dot(weights, lnp) - mp.energy_weight * np.sum(energies / caps))
+    return float(weighted - mp.energy_weight * np.sum(energies / caps))
 
 
 def scheduler_nominal_rates(kind: str, mp: MultiUserParams) -> np.ndarray:

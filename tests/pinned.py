@@ -11,8 +11,9 @@ row set (sweep value, metric, tag).  ``tests/golden/rollouts.json`` holds
 every ``EvalResult`` field of short rollouts of each scheduler and of a
 greedy policy on ``default_multiuser(2, 2)``, and the digest of the short
 training run behind that policy.  All three files record the numpy version
-and the BLAS build they were taken with, because some results follow the
-BLAS kernel (``np.dot`` may fuse multiply-adds).
+and the BLAS build they were taken with, because the DQN's matrix products
+go through the BLAS, whose kernels may fuse multiply-adds and so round
+differently from one build to another.
 
 A change that moves a pinned result on purpose regenerates the manifests
 and names the moved entries, which the regeneration prints, one line per

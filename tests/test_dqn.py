@@ -193,7 +193,7 @@ def test_replay_matches_list_oracle():
         oracle.push(item)
         if len(buf) < 3:
             continue
-        idx, batch = replay_sample(buf, 3, rng_a, 0.6, 0.4)
+        idx, batch = replay_sample(buf, 3, rng_a)
         want_idx, items, want_w = oracle.sample(3, rng_b, 0.6, 0.4)
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(batch.weights, want_w)
@@ -213,32 +213,22 @@ def test_replay_sample_prefers_high_priority():
     buf = ReplayBuffer(capacity=4, n_inputs=2)
     for r in (0.0, 1.0):
         _push(buf, r)
-    buf.update_priorities([0, 1], [1.0, 50.0])
+    # At exponent 0.6 the second slot is drawn 1000**0.6 = 63 times as often.
+    buf.update_priorities([0, 1], [1.0, 1000.0])
     rng = np.random.default_rng(5)
-    picks = np.concatenate(
-        [replay_sample(buf, 2, rng, 1.0, 0.4)[0] for _ in range(300)]
-    )
+    picks = np.concatenate([replay_sample(buf, 2, rng)[0] for _ in range(300)])
     assert np.mean(picks == 1) > 0.9
     # Importance weights are normalized to a unit maximum.
-    _, batch = replay_sample(buf, 2, rng, 1.0, 0.4)
+    _, batch = replay_sample(buf, 2, rng)
     assert batch.weights.max() == pytest.approx(1.0)
     assert np.all(batch.weights > 0.0)
-
-
-def test_replay_sample_uniform_when_exponent_zero():
-    buf = ReplayBuffer(capacity=4, n_inputs=2)
-    for r in range(4):
-        _push(buf, float(r))
-    buf.update_priorities(range(4), [1.0, 7.0, 0.1, 3.0])
-    _, batch = replay_sample(buf, 4, np.random.default_rng(0), 0.0, 0.4)
-    assert np.allclose(batch.weights, 1.0)
 
 
 def test_replay_sample_requires_fill():
     buf = ReplayBuffer(capacity=4, n_inputs=2)
     _push(buf, 0.0)
     with pytest.raises(ValueError):
-        replay_sample(buf, 2, np.random.default_rng(0), 0.6, 0.4)
+        replay_sample(buf, 2, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

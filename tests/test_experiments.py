@@ -213,6 +213,20 @@ def test_load_config_rejects_bad_parameter_blocks(tmp_path, body):
         load_config(_minimal(tmp_path, body))
 
 
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_load_config_checks_every_default_sweep(kind, tmp_path):
+    # A config without a sweep runs the kind's default one, which loading
+    # builds and so checks.
+    assert load_config(_minimal(tmp_path, f"experiment: {kind}")).sweep_values == []
+
+
+def test_load_config_rejects_a_default_sweep_value(tmp_path):
+    # user_count's default sweep is n = 2, 3; two weights fit only n = 2.
+    body = "experiment: user_count\nmulti_user:\n  weights: [1.0, 2.0]"
+    with pytest.raises(ConfigError, match="multi_user: sweep value 3: weights must have 3"):
+        load_config(_minimal(tmp_path, body))
+
+
 def test_load_config_accepts_a_learning_rate_sweep_and_every_variant(tmp_path):
     cfg = load_config(_minimal(tmp_path, "experiment: learning_rate\nsweep:\n  values: [0.001, 0.0005]"))
     assert cfg.sweep_values == [0.001, 0.0005]
@@ -539,7 +553,11 @@ def test_regeneration_names_the_moved_entries(tmp_path, monkeypatch):
 
 
 def test_experiment_kinds_all_have_runners():
-    # every advertised kind is runnable through the dispatcher
-    from airalloc.experiments import _CELLS, _RUNNERS
+    # Every advertised kind is one record: a sweep block, a cell builder, a
+    # non-empty default sweep and a runner.
+    from airalloc.experiments import _KINDS
 
-    assert set(EXPERIMENT_KINDS) == set(_RUNNERS) == set(_CELLS)
+    assert EXPERIMENT_KINDS == tuple(_KINDS)
+    for kind in _KINDS.values():
+        assert kind.block and kind.default_sweep
+        assert callable(kind.cell) and callable(kind.run)

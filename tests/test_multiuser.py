@@ -488,9 +488,10 @@ def test_grid_rejects_foreign_action():
 
 
 def test_grid_explosion_guard_suggests_factoring():
+    # 528 options per user: 1.47e8 joint combinations, over the cap.
     mp = default_multiuser(3, 2)
-    with pytest.raises(ActionSpaceError) as err:
-        enumerate_actions(mp, granularity=0.1, max_actions=1000)
+    with pytest.raises(ActionSpaceError, match="over the cap") as err:
+        enumerate_actions(mp, granularity=0.1)
     assert "factored per-user" in str(err.value)
     # Five users at the lowest airtime level already overfill the slot.
     with pytest.raises(ActionSpaceError, match="cannot share the slot.*factored per-user"):
@@ -575,6 +576,22 @@ def _slots(draw):
         t = entries((n, m), -0.05, 0.7)
         power = entries(n, -1.0, 1.2)
     return mp, state, MultiUserAction(phi, t, power)
+
+
+def test_reward_sums_weighted_log_successes_left_to_right():
+    # One rounding per product and per addition, in user order: a fused
+    # multiply-add, as a BLAS dot product may use, rounds non-unit weights
+    # differently.
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        mp = dataclasses.replace(default_multiuser(n, 1), weights=tuple(rng.uniform(0.1, 5.0, n).tolist()))
+        success, energies = rng.uniform(1e-3, 1.0, n).tolist(), rng.uniform(0.0, 1.0, n).tolist()
+        weighted = spend = 0.0
+        for w, p, e, c in zip(mp.weights, success, energies, mp.energy_capacity_j):
+            weighted += w * math.log(p)
+            spend += e / c
+        assert multiuser._feasible_reward(mp, success, energies) == weighted - mp.energy_weight * spend
 
 
 @settings(max_examples=150)

@@ -119,6 +119,29 @@ def test_lower_gamma_is_continuous_where_the_series_meets_the_tail():
         assert at - below <= 1e-11 * at, n
 
 
+def _series_to_the_last_bit(shape, x):
+    # The lower series summed until a term no longer changes the sum, times
+    # the same prefactor as special._lower_series.
+    term = total = 1.0 / shape
+    denom = shape
+    while True:
+        denom += 1.0
+        term *= x / denom
+        if total + term == total:
+            return total * math.exp(-x + shape * math.log(x) - math.lgamma(shape))
+        total += term
+
+
+def test_lower_series_truncates_within_its_tolerance():
+    # Near shape + 1 the terms fall slowest, and above shape 39 the remainder
+    # past a 1e-12 term outweighs the term: the stop bounds the remainder.
+    for shape in range(1, 201):
+        for x in np.linspace(shape / 2.0, shape + 1.0, 40, endpoint=False):
+            got = special._lower_series(float(shape), float(x))
+            want = _series_to_the_last_bit(float(shape), float(x))
+            assert abs(got / want - 1.0) <= 1e-12, (shape, x)
+
+
 @pytest.mark.parametrize("shape", [0.5, 4.5, 10.5, special._ERLANG_MAX_SHAPE + 1.0, 60.0])
 def test_upper_region_of_other_shapes_keeps_the_continued_fraction(shape):
     # Non-integral shapes and integral ones above the cap are bit for bit
