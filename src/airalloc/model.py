@@ -42,6 +42,9 @@ __all__ = [
     "local_cycle_budget",
     "local_budget_rho",
     "local_success",
+    "local_energy_scale",
+    "ShareScales",
+    "share_scales",
     "LogFactors",
     "log_factors",
     "allocation_log_factors",
@@ -270,6 +273,43 @@ def local_success(p: SystemParams, phi_0: float, rho: float) -> float:
     w = p.workload
     u = rho / (p.task_bits * phi_0 * w.scale)
     return regularized_lower_gamma(w.shape, u)
+
+
+def local_energy_scale(p: SystemParams, phi_0: float) -> float:
+    """The local factor's argument per joule left to the local CPU: the
+    local share phi_0 > 0 succeeds with P(shape, u) at u = joules times this."""
+    return 1.0 / (local_cycle_energy(p) * p.task_bits * phi_0 * p.workload.scale)
+
+
+class ShareScales(NamedTuple):
+    """Factor arguments of one share phi of the split block: its computation
+    succeeds with P(shape, psi / phi) and, for a server, its delivery with
+    chi(c * phi, y), where k = 1 / c.  The local share has no link (y, c
+    and k None).  These are :func:`log_factors`' arguments, to rounding."""
+
+    psi: float
+    y: float | None = None
+    c: float | None = None
+    k: float | None = None
+
+
+def share_scales(p: SystemParams, t_shares, power_w: float, rho: float) -> list[ShareScales]:
+    """:class:`ShareScales` of every share (local first) at airtimes
+    ``t_shares``, transmit power ``power_w`` and local cycle budget ``rho``.
+    Server m's psi counts the slack after the first m airtimes; a server
+    without airtime gets c = inf.  Every entry is a Python float."""
+    demand = p.task_bits * p.workload.scale
+    # s0 (rho / s0), not rho: the pinned split iterates carry this rounding.
+    scales = [ShareScales(p.local_speed_hz * (float(rho) / p.local_speed_hz) / demand)]
+    t = np.asarray(t_shares, dtype=float)
+    slacks = p.latency_budget_s - np.cumsum(t)
+    for m, (t_m, slack) in enumerate(zip(t.tolist(), slacks.tolist()), start=1):
+        c = p.task_bits / (p.bandwidth_hz * t_m) if t_m > 0.0 else math.inf
+        # k as bandwidth T / bits, not 1 / c: mm1's pinned iterates carry this rounding.
+        k = p.bandwidth_hz * t_m / p.task_bits
+        y = float(power_w) * p.mean_gains[m - 1] / p.noise_w
+        scales.append(ShareScales(p.server_speeds_hz[m - 1] * slack / demand, y, c, k))
+    return scales
 
 
 class LogFactors(NamedTuple):

@@ -45,13 +45,17 @@ import numpy as np
 from .model import (
     Allocation,
     FeasibilityError,
+    ShareScales,
     SuccessBreakdown,
     SystemParams,
     allocation_log_factors,
     assert_feasible,
     default_allocation,
+    local_budget_rho,
     local_cycle_budget,
     local_cycle_energy,
+    local_energy_scale,
+    share_scales,
     success_breakdown,
 )
 from .special import (
@@ -157,7 +161,7 @@ def solve_p1(p: SystemParams, phi, t_shares) -> tuple[float, float]:
     rho_lat = local_cycle_budget(p, p.latency_budget_s, math.inf)  # the latency cap alone
     total_t = float(t.sum())
     if total_t <= 0.0:
-        return p.p_max_w, local_cycle_budget(p, p.latency_budget_s, p.energy_budget_j)
+        return p.p_max_w, local_budget_rho(p, t, p.p_max_w)
 
     p_thresh = (p.energy_budget_j - e_coef * rho_lat) / total_t
     if p.p_max_w <= p_thresh:
@@ -168,24 +172,16 @@ def solve_p1(p: SystemParams, phi, t_shares) -> tuple[float, float]:
     if p_lo >= p_hi or phi[0] <= 0.0:
         best = p_hi
     else:
-        w = p.workload
-        u_coef = 1.0 / (e_coef * p.task_bits * phi[0] * w.scale)
-
+        shape, u_coef = p.workload.shape, local_energy_scale(p, phi[0])
         # ln chi is linear in 1/power: ln chi(x, power * y1) = -coef / power,
-        # with coef read off at unit power.
-        tx_coefs = []
-        for m in range(1, p.n_servers + 1):
-            if phi[m] <= 0.0 or t[m - 1] <= 0.0:
-                continue
-            x = p.task_bits * phi[m] / (p.bandwidth_hz * t[m - 1])
-            ln_unit, _ = ln_chi(x, p.mean_gains[m - 1] / p.noise_w)
-            if ln_unit == -math.inf:
-                continue  # hopeless link regardless of power; leave to other blocks
-            tx_coefs.append(-ln_unit)
+        # with coef read off at unit power.  A hopeless link stays hopeless
+        # at every power; the other blocks deal with it.
+        unit = allocation_log_factors(p, phi, t, 1.0, 0.0).link
+        tx_coefs = [-v for v in unit if v > -math.inf]
 
         def grad(power: float) -> float:
             u = (p.energy_budget_j - power * total_t) * u_coef
-            val = -ln_lower_gamma(w.shape, u)[1] * total_t * u_coef
+            val = -ln_lower_gamma(shape, u)[1] * total_t * u_coef
             for coef in tx_coefs:
                 val += coef / (power * power)
             return val
@@ -200,8 +196,7 @@ def solve_p1(p: SystemParams, phi, t_shares) -> tuple[float, float]:
             else:
                 best = decreasing_root(grad, p_lo, p_hi, g_lo, g_hi)
 
-    rho = local_cycle_budget(p, p.latency_budget_s, p.energy_budget_j - best * total_t)
-    return best, max(rho, 0.0)
+    return best, max(local_budget_rho(p, t, best), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -584,15 +579,15 @@ def _mm_split_loop(
     The shares outside :func:`_active_shares` are pinned at 0 (the update
     returns its start with an empty trace when no share is active).  Every
     iteration expands the minorants at the normalized active shares and
-    asks ``piece(m, ph, slack, t_m, trace)`` for index m's share maximizer
-    (a function of the multiplier) and its share interval, or None when the
-    minorant degenerates; the multiplier search starts from the last
-    iteration's multiplier, the first one from ``mu_start``.  ``slack`` is the compute time: ``rho`` over the
-    local speed, or for server m the latency budget left after the first m
-    airtimes; ``t_m`` is server m's airtime (0 for the local share).  A None
-    piece, a multiplier search that cannot bracket the budget, or a
-    per-index solve that raises :class:`~airalloc.special.ConvergenceError`
-    counts a pathology and keeps the previous iterate.  Stops on a
+    asks ``piece(scales, ph, trace)`` for index m's share maximizer (a
+    function of the multiplier) and its share interval, or None when the
+    minorant degenerates; ``scales`` is index m's entry of
+    :func:`~airalloc.model.share_scales`, built once per update.  The
+    multiplier search starts from the last iteration's multiplier, the first
+    one from ``mu_start``.  A None piece, a multiplier search that cannot
+    bracket the budget, or a per-index solve that raises
+    :class:`~airalloc.special.ConvergenceError` counts a pathology and keeps
+    the previous iterate.  Stops on a
     step below 1e-6 (max-norm) or when an iteration improves the objective
     by less than 1e-9 — near flat optima the curvature-floored surrogates
     keep producing above-tolerance steps of vanishing value.
@@ -606,18 +601,14 @@ def _mm_split_loop(
     total = phi.sum()
     if total > 0.0:
         phi /= total
-    slacks = p.latency_budget_s - np.cumsum(t)
+    scales = share_scales(p, t, power_w, rho)
     trace = InnerTrace(ln_values=[ln_success(p, phi, t, power_w, rho)], mu=mu_start)
 
     def pieces(ph: np.ndarray):
         out = []
         for pos, m in enumerate(indices):
-            if m == 0:
-                slack, t_m = rho / p.local_speed_hz, 0.0
-            else:
-                slack, t_m = slacks[m - 1], t[m - 1]
             # The pieces do scalar arithmetic, which numpy scalars slow down.
-            built = piece(m, float(ph[pos]), float(slack), float(t_m), trace)
+            built = piece(scales[m], float(ph[pos]), trace)
             if built is None:
                 return None
             out.append(built)
@@ -701,12 +692,11 @@ def solve_p3_mm2(
     curvature rather than by its worst case over all shares.  The first
     multiplier search starts from ``mu_start`` (the previous update's
     ``InnerTrace.mu``)."""
-    power_w = float(power_w)  # numpy scalars would reach the multiplier through the slopes
 
-    def piece(m: int, ph, slack, t_m, trace: InnerTrace):
+    def piece(s: ShareScales, ph: float, trace: InnerTrace):
         region = (ph / _TRUST_FACTOR, min(1.0, _TRUST_FACTOR * ph))
-        tx = surrogate_transmission(p, m, ph, t_m, power_w, region) if m > 0 else None
-        comp = surrogate_computation(p, m, ph, slack, region)
+        tx = surrogate_transmission(s.y, s.c, ph, region) if s.c is not None else None
+        comp = surrogate_computation(s.psi, p.workload, ph, region)
         iv = phi_interval(tx, comp)
         if iv is None:
             return None
@@ -727,11 +717,9 @@ def solve_p3_mm2(
 # ---------------------------------------------------------------------------
 
 
-def _mm1_derivative(
-    p: SystemParams, m: int, ph: float, t_m: float, time_slack: float, power_w: float
-) -> Callable[[float], tuple[float, float]]:
-    """First and second derivative of the tangent-composition minorant at
-    index m.
+def _mm1_derivative(shape: float, s: ShareScales, ph: float) -> Callable[[float], tuple[float, float]]:
+    """First and second derivative of the tangent-composition minorant of
+    the share with factor arguments ``s`` and workload shape ``shape``.
 
     Each success factor is log-concave in the reciprocal share, so replacing
     the reciprocal with its tangent line at the expansion point gives a
@@ -741,14 +729,10 @@ def _mm1_derivative(
     The second derivative comes from the kernel's curvature at no extra
     kernel call.
     """
-    w = p.workload
-    speed = p.local_speed_hz if m == 0 else p.server_speeds_hz[m - 1]
-    psi = speed * time_slack / (p.task_bits * w.scale)
+    psi, y, k = s.psi, s.y, s.k
     ph2 = ph * ph
     u_drop = psi / ph2
-    if m > 0:
-        y = power_w * p.mean_gains[m - 1] / p.noise_w
-        k = p.bandwidth_hz * t_m / p.task_bits
+    if k is not None:
         v_drop = k / ph2
 
     # The primitives are evaluated on the tangent lines c (2 ph - phi) / ph^2
@@ -761,10 +745,10 @@ def _mm1_derivative(
         u = psi * line
         if u <= 0.0:
             return -math.inf, -math.inf
-        slope = ln_lower_gamma(w.shape, u)[1]
+        slope = ln_lower_gamma(shape, u)[1]
         total = -slope * u_drop
-        curv = ln_lower_gamma_curvature(w.shape, u, slope) * u_drop * u_drop
-        if m > 0:
+        curv = ln_lower_gamma_curvature(shape, u, slope) * u_drop * u_drop
+        if k is not None:
             v = k * line
             if v <= 0.0:
                 return -math.inf, -math.inf
@@ -779,7 +763,7 @@ def _mm1_derivative(
     return deriv
 
 
-def _mm1_piece(p: SystemParams, power_w: float, m: int, ph, slack, t_m, trace: InnerTrace):
+def _mm1_piece(shape: float, s: ShareScales, ph: float, trace: InnerTrace):
     """``mm1``'s per-index maximizer on [PHI_FLOOR, min(1, 2 ph)] (None
     when that is empty): the stationary point of the minorant plus mu phi,
     by :func:`~airalloc.special.decreasing_root_newton` from the root
@@ -789,8 +773,7 @@ def _mm1_piece(p: SystemParams, power_w: float, m: int, ph, slack, t_m, trace: I
     evaluation) and 0 at an end.  The end derivatives do not depend on mu,
     so the first call evaluates them once.  Every derivative evaluation
     counts one ``search_eval``."""
-    ph = float(ph)
-    deriv = _mm1_derivative(p, m, ph, float(t_m), float(slack), float(power_w))
+    deriv = _mm1_derivative(shape, s, ph)
     lo = PHI_FLOOR
     hi = min(1.0, 2.0 * ph * (1.0 - 1e-9))
     if hi <= lo:
@@ -835,7 +818,8 @@ def solve_p3_mm1(
     """Split update with first-order minorants; same contract as ``mm2``
     but every inner maximization is a safeguarded Newton root search on the
     minorant's derivative (:func:`_mm1_piece`)."""
-    return _mm_split_loop(p, phi_start, t_shares, power_w, rho, partial(_mm1_piece, p, power_w),
+    piece = partial(_mm1_piece, p.workload.shape)
+    return _mm_split_loop(p, phi_start, t_shares, power_w, rho, piece,
                           offload_only=offload_only, max_iter=max_iter, mu_start=mu_start)
 
 

@@ -11,10 +11,10 @@ touches the true function at the expansion point and never exceeds it on
 that region, which is exactly what the minorize-maximize split update needs.
 Where a factor is convex on the whole region any negative curvature
 minorizes it, and the quadratic bends by `CONVEX_CURVATURE` of the factor's
-value across the region instead.  The surrogates default to the region
-[PHI_FLOOR, 1]; `mm2` passes a trust region around each expansion point,
-where the floor tracks the factor's local curvature instead of its worst
-case over all shares.
+value across the region instead.  The surrogates take the factor arguments
+of :class:`~airalloc.model.ShareScales` and a share region: `mm2` passes a
+trust region around each expansion point, where the floor tracks the
+factor's local curvature instead of its worst case over all shares.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import SystemParams
 from .special import _EXP_LIMIT, _LN2, GammaWorkload, ln_chi, ln_lower_gamma
 
 __all__ = [
@@ -192,59 +191,34 @@ def _floor_region(region: tuple[float, float], phi_hat: float) -> tuple[float, f
 
 
 def surrogate_transmission(
-    p: SystemParams,
-    m: int,
-    phi_hat: float,
-    t_m: float,
-    power_w: float,
-    region: tuple[float, float] = (PHI_FLOOR, 1.0),
+    y: float, c: float, phi_hat: float, region: tuple[float, float]
 ) -> SurrogateCoeffs:
     """Quadratic minorant, on the share interval ``region``, of the delivery
-    probability of server m's share."""
-    if not 1 <= m <= p.n_servers:
-        raise ValueError(f"server index {m} out of range 1..{p.n_servers}")
+    probability chi(c * phi, y) of a server's share."""
     if not (phi_hat > 0.0):
         raise ValueError("expansion point must be positive")
-    if not (t_m > 0.0):
-        raise ValueError("airtime must be positive to build a delivery surrogate")
-    y = power_w * p.mean_gains[m - 1] / p.noise_w
-    c = p.task_bits / (p.bandwidth_hz * t_m)
+    if not (0.0 < c < math.inf):
+        raise ValueError(f"c must be finite and > 0, got {c}")
+    floor = b_chi(y, c, _floor_region(region, phi_hat))  # first: it rejects y <= 0
     ln_v, d_ln = ln_chi(c * phi_hat, y)
     value = math.exp(ln_v)
     slope = value * d_ln * c
-    floor = b_chi(y, c, _floor_region(region, phi_hat))
     return _taylor_minorant(value, slope, floor, phi_hat, region)
 
 
 def surrogate_computation(
-    p: SystemParams,
-    m: int,
-    phi_hat: float,
-    time_slack: float,
-    region: tuple[float, float] = (PHI_FLOOR, 1.0),
+    psi: float, workload: GammaWorkload, phi_hat: float, region: tuple[float, float]
 ) -> SurrogateCoeffs:
     """Quadratic minorant, on the share interval ``region``, of the
-    compute-success probability of share m.
-
-    For servers (m >= 1) ``time_slack`` is the wall-clock slack left after
-    the uplink; for the local CPU (m = 0) pass ``rho / local_speed``, the
-    compute-time budget implied by the joint latency/energy cycle cap.
-    """
-    if not 0 <= m <= p.n_servers:
-        raise ValueError(f"index {m} out of range 0..{p.n_servers}")
+    compute-success probability P(shape, psi / phi) of a share."""
     if not (phi_hat > 0.0):
         raise ValueError("expansion point must be positive")
-    if not (time_slack > 0.0 and math.isfinite(time_slack)):
-        raise ValueError(f"time slack must be finite and > 0, got {time_slack}")
-    w = p.workload
-    speed = p.local_speed_hz if m == 0 else p.server_speeds_hz[m - 1]
-    psi = speed * time_slack / (p.task_bits * w.scale)
+    floor = b_gamma(psi, workload, _floor_region(region, phi_hat))  # first: it rejects bad psi
     u_hat = psi / phi_hat
-    ln_v, d_ln = ln_lower_gamma(w.shape, u_hat)
+    ln_v, d_ln = ln_lower_gamma(workload.shape, u_hat)
     value = math.exp(ln_v)
     # dP/dphi = P * (d ln P / du) * du/dphi with du/dphi = -u / phi.
     slope = -value * d_ln * u_hat / phi_hat
-    floor = b_gamma(psi, w, _floor_region(region, phi_hat))
     return _taylor_minorant(value, slope, floor, phi_hat, region)
 
 

@@ -102,6 +102,21 @@ def quartic_roots_companion(a: float, b: float, c: float, d: float, e: float,
     return merged
 
 
+def link_args(p: SystemParams, m: int, t_m: float, power_w: float) -> tuple[float, float]:
+    """(y, c) of server m's link at airtime ``t_m`` and power ``power_w``, so
+    that it delivers share phi with chi(c * phi, y); formed from the device
+    independently of ``model.share_scales``."""
+    return power_w * p.mean_gains[m - 1] / p.noise_w, p.task_bits / (p.bandwidth_hz * t_m)
+
+
+def compute_arg(p: SystemParams, m: int, time_slack: float) -> float:
+    """psi of share m's computation in ``time_slack`` seconds at its speed
+    (the local CPU's for m = 0), so that it succeeds with P(shape, psi /
+    phi); formed independently of ``model.share_scales``."""
+    speed = p.local_speed_hz if m == 0 else p.server_speeds_hz[m - 1]
+    return speed * time_slack / (p.task_bits * p.workload.scale)
+
+
 def fd_second(f, x: float, h: float) -> float:
     """Central second difference of a scalar function."""
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)

@@ -3,7 +3,8 @@ rollouts that later changes must reproduce bit for bit.
 
 ``tests/golden/solve_traces.json`` holds, under each "<cell>/<variant>",
 one SHA-256 per ``BcdTrace`` field (allocations included) of each variant
-on the benchmark cells and three hard cells.
+on the benchmark cells and three hard cells, and under
+"<cell>/<variant>/offload_only" the same of the offload-only solve.
 ``tests/golden/experiments.json`` holds, per experiment kind, the SHA-256
 of the CSV that the kind's small fixed config below writes; for
 ``latency``, whose values are wall-clock times, the digest covers only the
@@ -19,7 +20,7 @@ A change that moves a pinned result on purpose regenerates the manifests
 and names the moved entries, which the regeneration prints, one line per
 entry that differs from the manifest it replaces ("<cell>/<variant>: <fields>"
 for a solve trace, the kind for an experiment CSV, "<policy>: <fields>" for
-a rollout)::
+a rollout; "(added)" or "(removed)" after an entry only one of them has)::
 
     PYTHONPATH=src python tests/pinned.py
 """
@@ -102,8 +103,9 @@ def trace_digest(trace) -> dict[str, str]:
 
 
 def solve_digests(solves=None) -> dict[str, dict[str, str]]:
-    """Field digests per "<cell>/<variant>"; ``solves`` maps (cell,
-    variant) to a ``BcdResult`` already computed, and missing ones are
+    """Field digests per "<cell>/<variant>", then per
+    "<cell>/<variant>/offload_only"; ``solves`` maps (cell, variant) to a
+    ``BcdResult`` already computed (not offload-only), and missing ones are
     solved here."""
     solves = solves or {}
     out = {}
@@ -111,6 +113,10 @@ def solve_digests(solves=None) -> dict[str, dict[str, str]]:
         for v in VARIANTS:
             res = solves.get((name, v)) or bcd_solve(p, variant=v)
             out[f"{name}/{v}"] = trace_digest(res.trace)
+    for name, p in SOLVE_CELLS:
+        for v in VARIANTS:
+            res = bcd_solve(p, variant=v, offload_only=True)
+            out[f"{name}/{v}/offload_only"] = trace_digest(res.trace)
     return out
 
 
@@ -165,9 +171,10 @@ def rollout_values() -> dict[str, dict]:
 
 
 def moved_entries(old: dict, new: dict) -> list[str]:
-    """Names whose digest in ``new`` differs from ``old``'s or is new, in
-    ``new``'s order, then the names ``new`` no longer has.  Where both hold
-    fields (a solve trace, a rollout), the name carries the fields that moved,
+    """Names whose digest in ``new`` differs from ``old``'s, or "<name>
+    (added)" where ``old`` has none, in ``new``'s order, then "<name>
+    (removed)" for the names ``new`` no longer has.  Where both hold fields
+    (a solve trace, a rollout), the name carries the fields that moved,
     "(added)" or "(removed)" when only one side has the field:
     "<name>: <field>, <field> (added)"."""
     out = []
@@ -175,12 +182,14 @@ def moved_entries(old: dict, new: dict) -> list[str]:
         was = old.get(k)
         if was == d:
             continue
-        if isinstance(was, dict) and isinstance(d, dict):
+        if k not in old:
+            k = f"{k} (added)"
+        elif isinstance(was, dict) and isinstance(d, dict):
             fields = ([f if f in was else f"{f} (added)" for f in d if was.get(f) != d[f]]
                       + [f"{f} (removed)" for f in was if f not in d])
             k = f"{k}: {', '.join(fields)}"
         out.append(k)
-    return out + [k for k in old if k not in new]
+    return out + [f"{k} (removed)" for k in old if k not in new]
 
 
 def _pinned_digests(path: Path, key: str) -> dict:

@@ -17,7 +17,9 @@ from scipy import special as sps
 
 from oracles import (
     analytic_success_grid,
+    compute_arg,
     fd_second,
+    link_args,
     lower_gamma_quadrature,
     quartic_roots_companion,
     random_feasible_allocation,
@@ -169,16 +171,15 @@ def test_criterion_05_minorization_and_monotone_traces():
         phi_hat = float(rng.uniform(0.02, 0.95))
         grid = np.linspace(PHI_FLOOR, 1.0, 100)
 
-        q_tx = surrogate_transmission(p, m, phi_hat, t_m, power)
-        c = p.task_bits / (p.bandwidth_hz * t_m)
-        y = power * p.mean_gains[m - 1] / p.noise_w
+        y, c = link_args(p, m, t_m, power)
+        q_tx = surrogate_transmission(y, c, phi_hat, (PHI_FLOOR, 1.0))
         with np.errstate(over="ignore"):
             tx_target = np.exp(-(np.exp2(c * grid) - 1.0) / y)
         worst_gap = max(worst_gap, float(np.max([q_tx.value(float(g)) for g in grid] - tx_target)))
 
         slack = float(rng.uniform(0.1, 0.9)) * p.latency_budget_s
-        q_cp = surrogate_computation(p, m, phi_hat, slack)
-        psi = p.server_speeds_hz[m - 1] * slack / (p.task_bits * p.workload.scale)
+        psi = compute_arg(p, m, slack)
+        q_cp = surrogate_computation(psi, p.workload, phi_hat, (PHI_FLOOR, 1.0))
         cp_target = sps.gammainc(p.workload.shape, psi / grid)
         worst_gap = max(worst_gap, float(np.max([q_cp.value(float(g)) for g in grid] - cp_target)))
 

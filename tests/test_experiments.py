@@ -531,9 +531,9 @@ def test_regeneration_names_the_moved_entries(tmp_path, monkeypatch):
     monkeypatch.setattr(pinned, "EXPERIMENT_CONFIGS",
                         {k: pinned.EXPERIMENT_CONFIGS[k] for k in ("server_sweep", "task_sweep")})
     first = pinned.regenerate()
-    assert first == ["solve_traces: " + k for k in solves] + [
-        "experiments: server_sweep", "experiments: task_sweep"] + [
-        "rollouts: " + k for k in rollouts]
+    assert first == [f"solve_traces: {k} (added)" for k in solves] + [
+        "experiments: server_sweep (added)", "experiments: task_sweep (added)"] + [
+        f"rollouts: {k} (added)" for k in rollouts]
     assert pinned.regenerate() == []
 
     solves["M1 L10/mm2"]["ln_p_success"] = "moved"
@@ -548,7 +548,8 @@ def test_regeneration_names_the_moved_entries(tmp_path, monkeypatch):
     assert pinned.regenerate() == [
         "solve_traces: M1 L10/mm2: ln_p_success",
         "solve_traces: M1 L10/pg: split_mu (added), converged (removed)",
-        "solve_traces: M2 L10/mm1", "solve_traces: hard x/mm1", "experiments: task_sweep",
+        "solve_traces: M2 L10/mm1 (added)", "solve_traces: hard x/mm1 (removed)",
+        "experiments: task_sweep",
         "rollouts: weighted: per_user_success"]
 
 

@@ -19,11 +19,12 @@ from airalloc.model import (
     local_success,
     monte_carlo_outage,
     reference_params,
+    share_scales,
     success_breakdown,
     transmission_success,
 )
 from airalloc.solver import ln_success
-from airalloc.special import chi, regularized_lower_gamma
+from airalloc.special import chi, ln_chi, ln_lower_gamma, regularized_lower_gamma
 from oracles import random_feasible_allocation
 
 
@@ -228,6 +229,33 @@ def test_log_factors_match_per_stage_functions(rng):
                 comp = computation_success(p, m, a.phi[m], p.latency_budget_s - elapsed)
                 assert math.exp(f.link[m - 1]) == pytest.approx(tx, rel=1e-12)
                 assert math.exp(f.server[m - 1]) == pytest.approx(comp, rel=1e-12)
+
+
+def test_share_scales_agree_with_the_kernel():
+    # The split block's factor arguments give the kernel's log factors: the
+    # compute factor P(shape, psi / phi) and the link chi(c * phi, y), per
+    # active share, and k is 1 / c.
+    rng = np.random.default_rng(17)
+    checked = 0
+    for n_servers in (1, 2, 3, 4):
+        for task_mbits in (5.0, 20.0, 60.0):
+            p = reference_params(n_servers, task_mbits=task_mbits)
+            for _ in range(4):
+                a = random_feasible_allocation(p, rng)
+                f = allocation_log_factors(p, a.phi, a.t_shares, a.power_w, a.rho)
+                scales = share_scales(p, a.t_shares, a.power_w, a.rho)
+                assert len(scales) == n_servers + 1
+                assert scales[0].y is scales[0].c is scales[0].k is None
+                assert ln_lower_gamma(p.workload.shape, scales[0].psi / a.phi[0])[0] == \
+                    pytest.approx(f.local, rel=1e-12)
+                for m, s in enumerate(scales[1:], start=1):
+                    ph = a.phi[m]
+                    assert ln_lower_gamma(p.workload.shape, s.psi / ph)[0] == \
+                        pytest.approx(f.server[m - 1], rel=1e-12)
+                    assert ln_chi(s.c * ph, s.y)[0] == pytest.approx(f.link[m - 1], rel=1e-12)
+                    assert abs(s.c * s.k - 1.0) <= 2.0 * np.finfo(float).eps
+                    checked += 1
+    assert checked == 3 * 4 * (1 + 2 + 3 + 4)
 
 
 def _central(fn, x: float, h: float) -> float:

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 import oracles
 import pinned
-from oracles import random_feasible_allocation, waterfill_bisection
+from oracles import compute_arg, link_args, random_feasible_allocation, waterfill_bisection
 
 from airalloc import solver, special
 from airalloc.model import (
     FeasibilityError,
+    ShareScales,
     assert_feasible,
     default_allocation,
     local_budget_rho,
@@ -255,8 +256,8 @@ def test_p32b_is_accurate_on_a_quartic_of_tiny_norm():
     # far outside [0.5, 1].  Polished over the whole line, one of them ended
     # at 0.8133995, 5.3e-6 off the root, inside the residual certificate.
     p = reference_params(1, task_mbits=14)
-    tx = surrogate_transmission(p, 1, 1.0, 0.25, 0.001, (0.5, 1.0))
-    comp = surrogate_computation(p, 1, 1.0, 0.0078125, (0.5, 1.0))
+    tx = surrogate_transmission(*link_args(p, 1, 0.25, 0.001), 1.0, (0.5, 1.0))
+    comp = surrogate_computation(compute_arg(p, 1, 0.0078125), p.workload, 1.0, (0.5, 1.0))
     lo, hi = phi_interval(tx, comp)
     share, _ = solve_p32b(tx, comp, 4.0, lo, hi)
     product = np.convolve([tx.c2, tx.c1, tx.c0], [comp.c2, comp.c1, comp.c0])
@@ -277,8 +278,8 @@ def test_p32b_solves_a_near_degenerate_quartic_inside_its_interval():
     p = reference_params(1, task_mbits=1.0)
     ph = math.exp(-8.0)
     region = (ph / 2.0, 2.0 * ph)
-    tx = surrogate_transmission(p, 1, ph, 0.25, 1.0, region)
-    comp = surrogate_computation(p, 1, ph, 1.0, region)
+    tx = surrogate_transmission(*link_args(p, 1, 0.25, 1.0), ph, region)
+    comp = surrogate_computation(compute_arg(p, 1, 1.0), p.workload, ph, region)
     lo, hi = phi_interval(tx, comp)
     mu = 1e-9
     share, _ = solve_p32b(tx, comp, mu, lo, hi)
@@ -308,8 +309,8 @@ def test_p32b_beats_the_candidate_argmax_on_mm2_pieces(
     m = index % (n_servers + 1)
     ph = math.exp(ln_phi_hat)
     region = (ph / solver._TRUST_FACTOR, min(1.0, solver._TRUST_FACTOR * ph))
-    tx = surrogate_transmission(p, m, ph, airtime, power_w, region) if m > 0 else None
-    comp = surrogate_computation(p, m, ph, slack, region)
+    tx = surrogate_transmission(*link_args(p, m, airtime, power_w), ph, region) if m > 0 else None
+    comp = surrogate_computation(compute_arg(p, m, slack), p.workload, ph, region)
     iv = phi_interval(tx, comp)
     if iv is None:
         return
@@ -348,8 +349,8 @@ def test_p32b_beats_the_candidate_argmax_on_mm2_pieces(
 
 def test_p32b_matches_dense_scan():
     p = reference_params(1, task_mbits=10.0)
-    tx = surrogate_transmission(p, 1, 0.6, 0.4, 1.0)
-    comp = surrogate_computation(p, 1, 0.6, 0.5)
+    tx = surrogate_transmission(*link_args(p, 1, 0.4, 1.0), 0.6, (PHI_FLOOR, 1.0))
+    comp = surrogate_computation(compute_arg(p, 1, 0.5), p.workload, 0.6, (PHI_FLOOR, 1.0))
     lo, hi = 0.05, 0.99
     for mu in (0.0, 2.5, -4.0):
         phi, _ = solve_p32b(tx, comp, mu, lo, hi)
@@ -702,6 +703,14 @@ def _mm1_states(rng, tasks_mbits=(5.0, 20.0, 60.0, 100.0)):
                     yield p, m, float(ph[m]), float(slacks[m - 1]), a.t_shares[m - 1], a.power_w
 
 
+def _scales(p, m, slack, t_m, power) -> ShareScales:
+    """Index m's factor arguments formed by the oracles, k as bandwidth T / bits."""
+    psi = compute_arg(p, m, slack)
+    if m == 0:
+        return ShareScales(psi)
+    return ShareScales(psi, *link_args(p, m, t_m, power), p.bandwidth_hz * t_m / p.task_bits)
+
+
 def _check_mm1_curvature(deriv, x: float, ph: float, rel: float = 1e-5) -> None:
     d, curv = deriv(x)
     assert math.isfinite(d) and math.isfinite(curv)
@@ -718,7 +727,7 @@ def test_mm1_derivative_curvature_matches_finite_differences():
     rng = np.random.default_rng(5)
     checked = near_hopeless = underflow = 0
     for p, m, ph, slack, t_m, power in _mm1_states(rng):
-        deriv = solver._mm1_derivative(p, m, ph, t_m, slack, power)
+        deriv = solver._mm1_derivative(p.workload.shape, _scales(p, m, slack, t_m, power), ph)
         hi = min(1.0, 2.0 * ph)
         for frac in (0.2, 0.7, 1.0, 1.4, 1.9):
             x = frac * ph
@@ -727,8 +736,8 @@ def test_mm1_derivative_curvature_matches_finite_differences():
                 checked += 1
         if m == 0:
             # A local cycle budget of 1e-30 cycles: P(10, u) underflows to 0.
-            deriv = solver._mm1_derivative(p, 0, ph, 0.0, 1e-30 / p.local_speed_hz, power)
             psi = 1e-30 / (p.task_bits * p.workload.scale)
+            deriv = solver._mm1_derivative(p.workload.shape, ShareScales(psi), ph)
             assert ln_lower_gamma(p.workload.shape, psi / ph)[0] == -math.inf
             _check_mm1_curvature(deriv, ph, ph)
             underflow += 1
@@ -772,7 +781,7 @@ def test_mm1_slope_keeps_its_accuracy_near_twice_the_expansion_share():
     finite = 0
     for ph, t_m, slack, power in ((0.3, 0.2, 0.5, 0.5), (0.01, 0.05, 0.6, 1.0),
                                   (0.001, 0.3, 0.4, 0.2)):
-        deriv = solver._mm1_derivative(p, 1, ph, t_m, slack, power)
+        deriv = solver._mm1_derivative(p.workload.shape, _scales(p, 1, slack, t_m, power), ph)
         for d in np.geomspace(1e-9, 0.5, 40):
             phi = 2.0 * ph * (1.0 - float(d))
             got, want = deriv(phi)[0], _mm1_slope_on_exact_lines(p, 1, ph, t_m, slack, power, phi)
@@ -802,9 +811,10 @@ def mm1_pieces():
     out = []
     for p, m, ph, slack, t_m, power in states:
         trace = solver.InnerTrace()
-        built = solver._mm1_piece(p, power, m, ph, slack, t_m, trace)
+        scales = _scales(p, m, slack, t_m, power)
+        built = solver._mm1_piece(p.workload.shape, scales, ph, trace)
         if built is not None:
-            out.append((built, solver._mm1_derivative(p, m, ph, t_m, slack, power), trace))
+            out.append((built, solver._mm1_derivative(p.workload.shape, scales, ph), trace))
     return out
 
 
@@ -1163,7 +1173,8 @@ def budget_solves():
 
 
 def test_solve_traces_match_the_pinned_digests(budget_solves):
-    # Every BcdTrace field, allocations included, of the 27 pinned solves;
+    # Every BcdTrace field, allocations included, of the 54 pinned solves
+    # (27 of them offload-only);
     # a failure names the fields that moved (tests/pinned.py regenerates the
     # manifest).
     manifest = json.loads(pinned.SOLVE_MANIFEST.read_text())

@@ -21,7 +21,7 @@ from airalloc.surrogates import (
     surrogate_computation,
     surrogate_transmission,
 )
-from oracles import fd_second
+from oracles import compute_arg, fd_second, link_args
 
 _V_STAR = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -167,7 +167,7 @@ def test_convex_region_bends_by_a_share_of_the_value():
     psi = _U_DEEP * phi_hat
     rho = psi * p.task_bits * p.workload.scale
     assert b_gamma(psi, p.workload, region) >= 0.0
-    q = surrogate_computation(p, 0, phi_hat, rho / p.local_speed_hz, region)
+    q = surrogate_computation(compute_arg(p, 0, rho / p.local_speed_hz), p.workload, phi_hat, region)
     value = local_success(p, phi_hat, rho)
     assert value == pytest.approx(math.exp(-20.0), rel=1e-9)
     width = max(phi_hat - region[0], region[1] - phi_hat)
@@ -189,7 +189,7 @@ def test_chi_region_floor_survives_overflowing_links():
     assert 0.0 <= b_chi(1e-3, 2.0, (PHI_FLOOR, 1.0)) < math.inf
     p = reference_params(1, task_mbits=100.0)
     for t_m, power in ((5e-4, 1.0), (0.1, 1e-9)):
-        q = surrogate_transmission(p, 1, 0.3, t_m, power)
+        q = surrogate_transmission(*link_args(p, 1, t_m, power), 0.3, (PHI_FLOOR, 1.0))
         assert all(math.isfinite(v) for v in (q.c2, q.c1, q.c0))
         assert phi_interval(q, SurrogateCoeffs(c2=-1.0, c1=1.0, c0=0.0)) is None
 
@@ -214,14 +214,14 @@ def _rounding(q, phi):
 def test_trust_region_surrogates_minorize_on_their_region():
     for p, m, phi_hat, t_m, power, slack, region in _trust_cases(60, seed=404):
         grid = [float(v) for v in np.linspace(region[0], region[1], 101)]
-        q = surrogate_transmission(p, m, phi_hat, t_m, power, region)
+        q = surrogate_transmission(*link_args(p, m, t_m, power), phi_hat, region)
         f_hat = transmission_success(p, m, phi_hat, t_m, power)
         assert (q.lo, q.hi) == region
         assert abs(q.value(phi_hat) - f_hat) <= 1e-12 * f_hat + _rounding(q, phi_hat)
         for phi in grid:
             f = transmission_success(p, m, phi, t_m, power)
             assert q.value(phi) <= f + 1e-12 * f_hat + _rounding(q, phi)
-        q = surrogate_computation(p, m, phi_hat, slack, region)
+        q = surrogate_computation(compute_arg(p, m, slack), p.workload, phi_hat, region)
         f_hat = computation_success(p, m, phi_hat, slack)
         assert abs(q.value(phi_hat) - f_hat) <= 1e-12 * f_hat + _rounding(q, phi_hat)
         for phi in grid:
@@ -276,7 +276,7 @@ def _random_cases(n, seed):
 def test_transmission_surrogate_minorizes_everywhere():
     grid = np.linspace(PHI_FLOOR, 1.0, 100)
     for p, m, phi_hat, t_m, power, _ in _random_cases(40, seed=101):
-        q = surrogate_transmission(p, m, phi_hat, t_m, power)
+        q = surrogate_transmission(*link_args(p, m, t_m, power), phi_hat, (PHI_FLOOR, 1.0))
         f_hat = transmission_success(p, m, phi_hat, t_m, power)
         assert q.value(phi_hat) == pytest.approx(f_hat, abs=1e-12)
         for phi in grid:
@@ -288,7 +288,7 @@ def test_computation_surrogate_minorizes_everywhere():
     grid = np.linspace(PHI_FLOOR, 1.0, 100)
     for p, m, phi_hat, t_m, _power, rng in _random_cases(40, seed=202):
         slack = float(rng.uniform(0.05, p.latency_budget_s - t_m))
-        q = surrogate_computation(p, m, phi_hat, slack)
+        q = surrogate_computation(compute_arg(p, m, slack), p.workload, phi_hat, (PHI_FLOOR, 1.0))
         f_hat = computation_success(p, m, phi_hat, slack)
         assert q.value(phi_hat) == pytest.approx(f_hat, abs=1e-12)
         for phi in grid:
@@ -300,7 +300,7 @@ def test_local_surrogate_uses_cycle_time_budget():
     p = reference_params(2)
     rho = 4e8
     slack = rho / p.local_speed_hz
-    q = surrogate_computation(p, 0, 0.05, slack)
+    q = surrogate_computation(compute_arg(p, 0, slack), p.workload, 0.05, (PHI_FLOOR, 1.0))
     assert q.value(0.05) == pytest.approx(local_success(p, 0.05, rho), abs=1e-12)
     for phi in np.linspace(PHI_FLOOR, 1.0, 50):
         assert q.value(float(phi)) <= local_success(p, float(phi), rho) + 1e-9
@@ -308,7 +308,7 @@ def test_local_surrogate_uses_cycle_time_budget():
 
 def test_surrogate_slope_matches_finite_difference():
     for p, m, phi_hat, t_m, power, _ in _random_cases(10, seed=303):
-        q = surrogate_transmission(p, m, phi_hat, t_m, power)
+        q = surrogate_transmission(*link_args(p, m, t_m, power), phi_hat, (PHI_FLOOR, 1.0))
         h = 1e-6
         fd = (
             transmission_success(p, m, phi_hat + h, t_m, power)
@@ -318,17 +318,26 @@ def test_surrogate_slope_matches_finite_difference():
 
 
 def test_surrogate_argument_validation():
-    p = reference_params(1)
-    with pytest.raises(ValueError):
-        surrogate_transmission(p, 0, 0.5, 0.3, 1.0)
-    with pytest.raises(ValueError):
-        surrogate_transmission(p, 1, 0.0, 0.3, 1.0)
-    with pytest.raises(ValueError):
-        surrogate_transmission(p, 1, 0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        surrogate_computation(p, 2, 0.5, 0.3)
-    with pytest.raises(ValueError):
-        surrogate_computation(p, 1, 0.5, -0.1)
+    # The factor arguments are checked where they are used: a non-positive
+    # expansion point or link scale c by the surrogates, y by b_chi and psi
+    # by b_gamma.
+    w, region = GammaWorkload(10.0, 50.0), (PHI_FLOOR, 1.0)
+    surrogate_transmission(1e3, 2.0, 0.5, region)
+    surrogate_computation(1.0, w, 0.5, region)
+    for phi_hat in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="expansion point"):
+            surrogate_transmission(1e3, 2.0, phi_hat, region)
+        with pytest.raises(ValueError, match="expansion point"):
+            surrogate_computation(1.0, w, phi_hat, region)
+    for c in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="c must be"):
+            surrogate_transmission(1e3, c, 0.5, region)
+    for y in (0.0, -2.0):
+        with pytest.raises(ValueError, match="y must be"):
+            surrogate_transmission(y, 2.0, 0.5, region)
+    for psi in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="psi must be"):
+            surrogate_computation(psi, w, 0.5, region)
 
 
 # ---------------------------------------------------------------------------
