@@ -44,9 +44,9 @@ from .multiuser import (
     MultiUserAction,
     MultiUserEnv,
     MultiUserParams,
+    action_options,
     default_multiuser,
     enumerate_actions,
-    grid_steps,
 )
 from .solver import VARIANTS, bcd_solve
 
@@ -185,7 +185,8 @@ def load_config(path) -> ExperimentConfig:
     ``trials`` value must be a positive integer.  The parameter blocks, the
     ``train`` block and every value of the sweep that will run (the kind's
     default when ``sweep`` is absent) are checked by building the parameters
-    they give, so nothing runs on a bad config.  Unknown keys anywhere are
+    they give, and the action grids that training would enumerate by their
+    size, so nothing runs on a bad config.  Unknown keys anywhere are
     rejected.
     """
     import yaml  # only config reading needs PyYAML
@@ -246,12 +247,19 @@ def load_config(path) -> ExperimentConfig:
     )
     with _config_errors("train"):
         _train_config(cfg)
-        grid_steps(float(train_block.get("granularity", 0.5)))
     with _config_errors("single_user"):
         _single_params(cfg)
     with _config_errors("multi_user"):
-        _multi_params(cfg)
-    _sweep_cells(cfg)
+        mp = _multi_params(cfg)
+    cells = _sweep_cells(cfg)
+    # The grid of `airalloc train` and `eval`, and of each sweep cell with
+    # its own number of users.
+    with _config_errors("train"):
+        action_options(mp, _granularity(cfg))
+    for value, cell in cells:
+        if isinstance(cell, MultiUserParams):
+            with _config_errors(f"train: sweep value {value!r}"):
+                action_options(cell, _granularity(cfg))
     return cfg
 
 
@@ -295,8 +303,12 @@ def _multi_params(cfg: ExperimentConfig, **overrides):
     return dataclasses.replace(mp, **changes) if changes else mp
 
 
+def _granularity(cfg: ExperimentConfig) -> float:
+    return float(cfg.train.get("granularity", 0.5))
+
+
 def _action_grid(cfg: ExperimentConfig, mp) -> ActionGrid:
-    return enumerate_actions(mp, granularity=float(cfg.train.get("granularity", 0.5)))
+    return enumerate_actions(mp, granularity=_granularity(cfg))
 
 
 def _train_config(cfg: ExperimentConfig) -> TrainConfig:

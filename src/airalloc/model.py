@@ -284,13 +284,12 @@ def local_energy_scale(p: SystemParams, phi_0: float) -> float:
 class ShareScales(NamedTuple):
     """Factor arguments of one share phi of the split block: its computation
     succeeds with P(shape, psi / phi) and, for a server, its delivery with
-    chi(c * phi, y), where k = 1 / c.  The local share has no link (y, c
-    and k None).  These are :func:`log_factors`' arguments, to rounding."""
+    chi(c * phi, y).  The local share has no link (y and c None).  These
+    are :func:`log_factors`' arguments, to rounding."""
 
     psi: float
     y: float | None = None
     c: float | None = None
-    k: float | None = None
 
 
 def share_scales(p: SystemParams, t_shares, power_w: float, rho: float) -> list[ShareScales]:
@@ -299,16 +298,13 @@ def share_scales(p: SystemParams, t_shares, power_w: float, rho: float) -> list[
     Server m's psi counts the slack after the first m airtimes; a server
     without airtime gets c = inf.  Every entry is a Python float."""
     demand = p.task_bits * p.workload.scale
-    # s0 (rho / s0), not rho: the pinned split iterates carry this rounding.
-    scales = [ShareScales(p.local_speed_hz * (float(rho) / p.local_speed_hz) / demand)]
+    scales = [ShareScales(float(rho) / demand)]
     t = np.asarray(t_shares, dtype=float)
     slacks = p.latency_budget_s - np.cumsum(t)
     for m, (t_m, slack) in enumerate(zip(t.tolist(), slacks.tolist()), start=1):
         c = p.task_bits / (p.bandwidth_hz * t_m) if t_m > 0.0 else math.inf
-        # k as bandwidth T / bits, not 1 / c: mm1's pinned iterates carry this rounding.
-        k = p.bandwidth_hz * t_m / p.task_bits
         y = float(power_w) * p.mean_gains[m - 1] / p.noise_w
-        scales.append(ShareScales(p.server_speeds_hz[m - 1] * slack / demand, y, c, k))
+        scales.append(ShareScales(p.server_speeds_hz[m - 1] * slack / demand, y, c))
     return scales
 
 

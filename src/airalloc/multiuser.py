@@ -49,6 +49,7 @@ __all__ = [
     "MultiUserEnv",
     "ActionGrid",
     "grid_steps",
+    "action_options",
     "enumerate_actions",
 ]
 
@@ -146,8 +147,10 @@ class MultiUserParams:
 def default_multiuser(n_users: int = 2, n_servers: int = 1) -> MultiUserParams:
     """Measurement configuration for the shared-server experiments: the
     single-user reference device (:func:`model.reference_params`) replicated
-    per user, unit priority weights, a one-second slot, per-slot compute
-    capacity 1.5x the largest task, and a 50 J battery."""
+    per user, unit priority weights, a one-second slot, a 50 J battery, and
+    per server a compute-time budget of 1.5 x 30e6 over its speed: 1.5
+    times the top of the default task range (30 Mbit), fixed, so a config's
+    ``task_range_mbits`` does not rescale it."""
     ref = reference_params(n_servers)
     task_hi = 30e6
     return MultiUserParams(
@@ -462,6 +465,25 @@ class ActionGrid:
         raise ValueError("action is not a point of this grid")
 
 
+def action_options(mp: MultiUserParams, granularity: float) -> tuple[int, int, int]:
+    """Each user's option counts on the joint action grid: share rows on the
+    ``granularity`` simplex grid, airtime rows and power levels.  Raises
+    :class:`ActionSpaceError` when the joint grid has more than
+    ``_MAX_ACTIONS`` combinations before filtering, so its size is checked
+    without enumerating it."""
+    m = mp.n_servers
+    per_user = (math.comb(grid_steps(granularity) + m, m), len(_TIME_FRACS) ** m,
+                len(_POWER_FRACS))
+    total = math.prod(per_user) ** mp.n_users
+    if total > _MAX_ACTIONS:
+        raise ActionSpaceError(
+            f"joint action grid has {total} combinations before filtering, over the "
+            f"cap of {_MAX_ACTIONS}; coarsen the grid or switch to factored per-user "
+            f"action selection (enumerate each user's options separately)"
+        )
+    return per_user
+
+
 def enumerate_actions(
     mp: MultiUserParams,
     granularity: float = 0.1,
@@ -475,20 +497,13 @@ def enumerate_actions(
     capacity depends on the slot's task sizes, so it is left to the reward
     penalty.  Actions are ordered as nested loops over users (user 1
     slowest), each user's option running over share row, then airtime row,
-    then power level.
+    then power level.  Raises as :func:`action_options` does.
     """
     n, m = mp.n_users, mp.n_servers
+    per_user = action_options(mp, granularity)
     rows = np.array(_share_rows(m, granularity))
     levels = np.array(_TIME_FRACS) * mp.slot_s
     t_rows = levels[np.indices((len(levels),) * m).reshape(m, -1).T]
-    per_user = (len(rows), len(t_rows), len(_POWER_FRACS))
-    total = math.prod(per_user) ** n
-    if total > _MAX_ACTIONS:
-        raise ActionSpaceError(
-            f"joint action grid has {total} combinations before filtering, over the "
-            f"cap of {_MAX_ACTIONS}; coarsen the grid or switch to factored per-user "
-            f"action selection (enumerate each user's options separately)"
-        )
 
     combos = np.indices((math.prod(per_user),) * n).reshape(n, -1).T
     share, airtime, level = np.unravel_index(combos, per_user)

@@ -418,7 +418,6 @@ def solve_p32b(
 
 def waterfill_mu(
     solvers: Sequence[Callable[[float], tuple[float, float]]],
-    intervals: Sequence[tuple[float, float]],
     *,
     max_iter: int = 200,
     mu_start: float | None = None,
@@ -441,10 +440,9 @@ def waterfill_mu(
     monotonicity, S(0) <= 1 in every other case), and bisects once both
     ends are known.  The search stops once the total is within
     1e-8 of the budget, the bracket collapses, or after ``max_iter``
-    multipliers; the upward search gives up at mu = 1e18.  The best-residual
-    shares are then patched (within interval slack) so they sum to the
-    budget to machine precision.  Raises :class:`WaterfillBracketError`
-    when S(0) exceeds the budget.
+    multipliers; the upward search gives up at mu = 1e18.  Returns the
+    multiplier with the smallest residual and the shares it produced.
+    Raises :class:`WaterfillBracketError` when S(0) exceeds the budget.
     """
     mu_best, phi_best, err_best = 0.0, None, math.inf
 
@@ -490,22 +488,7 @@ def waterfill_mu(
         step_old, step, mu = step, mu - nxt, nxt
     if not below and err_best > _WATERFILL_TOL:
         residual(0.0)  # every multiplier tried overspent: S(0) decides
-
-    # Spend the residual inside interval slack, largest headroom first.
-    phi = np.array(phi_best)
-    diff = 1.0 - float(phi.sum())
-    if abs(diff) > 0.0:
-        order = np.argsort(
-            [-(iv[1] - ph) if diff > 0 else -(ph - iv[0]) for ph, iv in zip(phi, intervals)]
-        )
-        for i in order:
-            lo_i, hi_i = intervals[i]
-            move = min(diff, hi_i - phi[i]) if diff > 0 else max(diff, lo_i - phi[i])
-            phi[i] += move
-            diff -= move
-            if abs(diff) <= 1e-15:
-                break
-    return mu_best, phi
+    return mu_best, np.array(phi_best)
 
 
 @dataclass
@@ -579,18 +562,18 @@ def _mm_split_loop(
     The shares outside :func:`_active_shares` are pinned at 0 (the update
     returns its start with an empty trace when no share is active).  Every
     iteration expands the minorants at the normalized active shares and
-    asks ``piece(scales, ph, trace)`` for index m's share maximizer (a
-    function of the multiplier) and its share interval, or None when the
-    minorant degenerates; ``scales`` is index m's entry of
-    :func:`~airalloc.model.share_scales`, built once per update.  The
-    multiplier search starts from the last iteration's multiplier, the first
-    one from ``mu_start``.  A None piece, a multiplier search that cannot
-    bracket the budget, or a per-index solve that raises
+    asks ``piece(scales, ph, trace)`` for index m's share maximizer, a
+    function of the multiplier, or None when the minorant degenerates;
+    ``scales`` is index m's entry of :func:`~airalloc.model.share_scales`,
+    built once per update.  The multiplier search starts from the last
+    iteration's multiplier, the first one from ``mu_start``, and its shares,
+    divided by their sum, are the update's step.  A None piece, a multiplier
+    search that cannot bracket the budget, or a per-index solve that raises
     :class:`~airalloc.special.ConvergenceError` counts a pathology and keeps
-    the previous iterate.  Stops on a
-    step below 1e-6 (max-norm) or when an iteration improves the objective
-    by less than 1e-9 — near flat optima the curvature-floored surrogates
-    keep producing above-tolerance steps of vanishing value.
+    the previous iterate.  Stops on a step below 1e-6 (max-norm) or when an
+    iteration improves the objective by less than 1e-9 — near flat optima
+    the curvature-floored surrogates keep producing above-tolerance steps of
+    vanishing value.
     """
     t = np.asarray(t_shares, dtype=float)
     indices = _active_shares(p, t, rho, offload_only)
@@ -615,17 +598,16 @@ def _mm_split_loop(
         return out
 
     for _ in range(max_iter):
-        built = pieces(_normalized_expansion(phi, indices))
-        if built is None:
+        solvers = pieces(_normalized_expansion(phi, indices))
+        if solvers is None:
             trace.pathologies += 1
             break
-        solvers, intervals = zip(*built)
         # Every multiplier tried runs each solver once: count the first.
-        solvers = [_tallied(solvers[0], trace), *solvers[1:]]
+        solvers[0] = _tallied(solvers[0], trace)
         # The multiplier moves little between surrogate rebuilds, so the
         # last one seeds the bracket search.
         try:
-            trace.mu, shares = waterfill_mu(solvers, intervals, mu_start=trace.mu)
+            trace.mu, shares = waterfill_mu(solvers, mu_start=trace.mu)
         except (WaterfillBracketError, ConvergenceError):
             trace.pathologies += 1
             break
@@ -702,11 +684,11 @@ def solve_p3_mm2(
             return None
         lo, hi = iv
 
-        def solver(mu: float) -> float:
+        def solver(mu: float) -> tuple[float, float]:
             trace.search_evals += 1
             return solve_p32b(tx, comp, mu, lo, hi)
 
-        return solver, iv
+        return solver
 
     return _mm_split_loop(p, phi_start, t_shares, power_w, rho, piece,
                           offload_only=offload_only, max_iter=max_iter, mu_start=mu_start)
@@ -729,17 +711,14 @@ def _mm1_derivative(shape: float, s: ShareScales, ph: float) -> Callable[[float]
     The second derivative comes from the kernel's curvature at no extra
     kernel call.
     """
-    psi, y, k = s.psi, s.y, s.k
+    psi, y, c = s
     ph2 = ph * ph
     u_drop = psi / ph2
-    if k is not None:
-        v_drop = k / ph2
 
-    # The primitives are evaluated on the tangent lines c (2 ph - phi) / ph^2
-    # of c / phi, which drop by c / ph^2 per unit phi: ln P at u for c = psi,
-    # and ln chi at x = 1 / v for c = k.  The two lines share the factor
-    # (2 ph - phi) / ph^2, which stays accurate as phi nears 2 ph: the
-    # difference is exact there, so nothing cancels.
+    # The primitives are evaluated on the tangent line (2 ph - phi) / ph^2
+    # of 1 / phi, which drops by 1 / ph^2 per unit phi: ln P at u = psi
+    # times the line, and ln chi at x = c over it.  The line stays accurate
+    # as phi nears 2 ph: the difference is exact there, so nothing cancels.
     def deriv(phi: float) -> tuple[float, float]:
         line = (2.0 * ph - phi) / ph2
         u = psi * line
@@ -748,16 +727,14 @@ def _mm1_derivative(shape: float, s: ShareScales, ph: float) -> Callable[[float]
         slope = ln_lower_gamma(shape, u)[1]
         total = -slope * u_drop
         curv = ln_lower_gamma_curvature(shape, u, slope) * u_drop * u_drop
-        if k is not None:
-            v = k * line
-            if v <= 0.0:
-                return -math.inf, -math.inf
-            x = 1.0 / v
+        if c is not None:
+            x = c / line
             ln_tx, dx = ln_chi(x, y)
             if ln_tx == -math.inf:
                 return -math.inf, -math.inf
-            total += dx * v_drop * x * x
-            curv += v_drop * v_drop * x**3 * (ln_chi_curvature(dx) * x + 2.0 * dx)
+            x_drop = x / (line * ph2)  # dx/dphi
+            total += dx * x_drop
+            curv += x_drop * x_drop * (ln_chi_curvature(dx) + 2.0 * dx / x)
         return total, curv
 
     return deriv
@@ -801,7 +778,7 @@ def _mm1_piece(shape: float, s: ShareScales, ph: float, trace: InnerTrace):
         last[0] = decreasing_root_newton(shifted, lo, hi, last[0])
         return last[0], (-1.0 / last[1] if last[1] < 0.0 else 0.0)
 
-    return solver, (lo, hi)
+    return solver
 
 
 def solve_p3_mm1(
@@ -949,7 +926,6 @@ class BcdTrace:
 
 @dataclass
 class BcdResult:
-    params: SystemParams
     allocation: Allocation
     breakdown: SuccessBreakdown
     trace: BcdTrace
@@ -1034,9 +1010,4 @@ def bcd_solve(
     final = trace.allocations[-1]
     trace.split_residual = split_residual(p, final.phi, final.t_shares, final.power_w, final.rho,
                                           offload_only=offload_only)
-    return BcdResult(
-        params=p,
-        allocation=final,
-        breakdown=success_breakdown(p, final),
-        trace=trace,
-    )
+    return BcdResult(allocation=final, breakdown=success_breakdown(p, final), trace=trace)

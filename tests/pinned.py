@@ -3,8 +3,9 @@ rollouts that later changes must reproduce bit for bit.
 
 ``tests/golden/solve_traces.json`` holds, under each "<cell>/<variant>",
 one SHA-256 per ``BcdTrace`` field (allocations included) of each variant
-on the benchmark cells and three hard cells, and under
-"<cell>/<variant>/offload_only" the same of the offload-only solve.
+on the benchmark cells and three hard cells, and the final ln P_success
+itself as ``final_ln_p``; under "<cell>/<variant>/offload_only" the same of
+the offload-only solve.
 ``tests/golden/experiments.json`` holds, per experiment kind, the SHA-256
 of the CSV that the kind's small fixed config below writes; for
 ``latency``, whose values are wall-clock times, the digest covers only the
@@ -20,7 +21,9 @@ A change that moves a pinned result on purpose regenerates the manifests
 and names the moved entries, which the regeneration prints, one line per
 entry that differs from the manifest it replaces ("<cell>/<variant>: <fields>"
 for a solve trace, the kind for an experiment CSV, "<policy>: <fields>" for
-a rollout; "(added)" or "(removed)" after an entry only one of them has)::
+a rollout; "(added)" or "(removed)" after an entry only one of them has).
+A moved field that holds a number, such as a solve's ``final_ln_p``, shows
+its value before and after, so the line says how far the entry moved::
 
     PYTHONPATH=src python tests/pinned.py
 """
@@ -95,11 +98,14 @@ def environment_note(pinned: dict) -> str:
             f"{here['blas']}; results that go through the BLAS may differ in their last bits.")
 
 
-def trace_digest(trace) -> dict[str, str]:
-    """SHA-256 per field of a ``BcdTrace``; floats by their shortest
-    round-trip repr, so any bit that moves changes its field's digest."""
-    return {name: hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
-            for name, value in dataclasses.asdict(trace).items()}
+def trace_digest(trace) -> dict:
+    """SHA-256 per field of a ``BcdTrace``, floats by their shortest
+    round-trip repr, so any bit that moves changes its field's digest; and
+    ``final_ln_p``, the last ln P_success as a number."""
+    out = {name: hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+           for name, value in dataclasses.asdict(trace).items()}
+    out["final_ln_p"] = trace.ln_p_success[-1]
+    return out
 
 
 def solve_digests(solves=None) -> dict[str, dict[str, str]]:
@@ -175,8 +181,15 @@ def moved_entries(old: dict, new: dict) -> list[str]:
     (added)" where ``old`` has none, in ``new``'s order, then "<name>
     (removed)" for the names ``new`` no longer has.  Where both hold fields
     (a solve trace, a rollout), the name carries the fields that moved,
-    "(added)" or "(removed)" when only one side has the field:
-    "<name>: <field>, <field> (added)"."""
+    "(added)" or "(removed)" when only one side has the field, and both
+    values when both sides hold a number:
+    "<name>: <field>, <field> <old> -> <new>, <field> (added)"."""
+
+    def moved(f, a, b):
+        if isinstance(a, float) and isinstance(b, float):
+            return f"{f} {a!r} -> {b!r}"
+        return f
+
     out = []
     for k, d in new.items():
         was = old.get(k)
@@ -185,7 +198,8 @@ def moved_entries(old: dict, new: dict) -> list[str]:
         if k not in old:
             k = f"{k} (added)"
         elif isinstance(was, dict) and isinstance(d, dict):
-            fields = ([f if f in was else f"{f} (added)" for f in d if was.get(f) != d[f]]
+            fields = ([moved(f, was[f], d[f]) if f in was else f"{f} (added)"
+                       for f in d if was.get(f) != d[f]]
                       + [f"{f} (removed)" for f in was if f not in d])
             k = f"{k}: {', '.join(fields)}"
         out.append(k)

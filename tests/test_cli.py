@@ -118,6 +118,23 @@ def test_sweep_output_dir_override(tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
+def test_sweep_seed_override(tmp_path):
+    # --seed replaces the config's seed: the Monte-Carlo rows of a seed-0
+    # config run with --seed 7 are those of a seed-7 config.
+    def csv(seed: int, *flags: str) -> bytes:
+        cfg = tmp_path / f"seed{seed}{''.join(flags)}.yaml"
+        out = tmp_path / cfg.stem
+        cfg.write_text(f"experiment: speed_uncertainty\nseed: {seed}\noutput_dir: {out}\n"
+                       "single_user:\n  n_servers: 1\nsweep:\n  values: [10.0]\n"
+                       "trials:\n  mc_trials: 2000\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), *flags]) == EXIT_OK
+        return (out / "speed_uncertainty.csv").read_bytes()
+
+    overridden = csv(0, "--seed", "7")
+    assert overridden == csv(7)
+    assert overridden != csv(0)
+
+
 def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
@@ -200,19 +217,31 @@ def test_sweep_unknown_key_is_a_config_error(tmp_path, capsys):
         "multi_user:\n  n_users: 2.5\n",
         "experiment: fairness\nsweep:\n  values: [-1.0]\n",
         "multi_user:\n  weights: [1.0, 2.0]\nsweep:\n  values: [2, 3]\n",
+        # Joint action grids over the cap of 200,000: 2 users x 2 servers
+        # at granularity 0.1 (528 options each), and 5 users x 1 server at
+        # the default 0.5 (12 each).
+        "experiment: fairness\nmulti_user:\n  n_servers: 2\ntrain:\n  granularity: 0.1\n"
+        "  episodes: 1\n",
+        "experiment: learning_rate\nmulti_user:\n  n_servers: 2\ntrain:\n  granularity: 0.1\n",
+        "experiment: efficiency\nmulti_user:\n  n_servers: 2\ntrain:\n  granularity: 0.1\n",
+        "sweep:\n  values: [2, 5]\n",
     ],
 )
-@pytest.mark.parametrize("command", ["sweep", "train"])
+@pytest.mark.parametrize("command", ["sweep", "train", "eval"])
 def test_bad_training_settings_fail_at_load(tmp_path, capsys, block, command):
-    # Rejected before any training runs: exit 2 and no output directory.
-    # A block may name its own experiment; the default is user_count.
+    # Rejected before any training or rollout runs: exit 2 and no output
+    # directory.  A block may name its own experiment; the default is
+    # user_count.
     kind = "" if block.startswith("experiment:") else "experiment: user_count\n"
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
         f"{kind}seed: 0\noutput_dir: {tmp_path / 'out'}\n{block}",
         encoding="utf-8",
     )
-    assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+    argv = [command, "--config", str(cfg)]
+    if command == "eval":
+        argv += ["--checkpoint", str(tmp_path / "policy.ckpt")]
+    assert main(argv) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import textwrap
 
+import numpy as np
 import pytest
 
 from airalloc.experiments import (
@@ -8,12 +10,14 @@ from airalloc.experiments import (
     EXPERIMENT_KINDS,
     ConfigError,
     MetricRow,
+    _static_bcd_action,
     load_config,
     read_rows,
     run_experiment,
     write_rows,
 )
-from airalloc.solver import VARIANTS
+from airalloc.multiuser import default_multiuser
+from airalloc.solver import VARIANTS, bcd_solve
 
 import pinned
 
@@ -421,6 +425,25 @@ def test_run_user_count(tmp_path):
         assert 0.0 <= r.value <= 1.0
 
 
+def test_static_bcd_action_scales_airtime_into_an_equal_slot_share():
+    # At a tenth of the bandwidth, user 0 (2 Mbit) alone would take 0.5 s
+    # of airtime, over its 1/3 share of the slot, so its airtimes shrink in
+    # proportion; user 1 (10 Mbit) takes 0.24 s and keeps its own.
+    mp = default_multiuser(3, 2)
+    mp = dataclasses.replace(mp, bandwidth_hz=mp.bandwidth_hz / 10.0,
+                             task_bits=(2e6, 10e6, 10e6))
+    action = _static_bcd_action(mp, "mm2")
+    cap = mp.slot_s / 3
+    for u in range(2):
+        solo = bcd_solve(mp.device(u), variant="mm2").allocation
+        t = np.array(solo.t_shares)
+        assert (t.sum() > cap) == (u == 0)
+        want = t * (cap / t.sum()) if u == 0 else t
+        assert np.array_equal(action.t[u], want)
+        assert action.phi[u].tolist() == list(solo.phi) and action.power[u] == solo.power_w
+    assert action.t[0].sum() == pytest.approx(cap, rel=1e-15)
+
+
 def test_run_fairness(tmp_path):
     rows, _ = _run(
         tmp_path,
@@ -514,9 +537,9 @@ def test_experiment_csv_matches_the_pinned_manifest(kind, tmp_path):
 
 def test_regeneration_names_the_moved_entries(tmp_path, monkeypatch):
     # Regenerating prints the entries a change moved, and for a solve trace
-    # or a rollout the fields that moved, so they are named by the tool
-    # rather than worked out by hand.
-    solves = {"M1 L10/mm2": {"ln_p_success": "a", "converged": "t"},
+    # or a rollout the fields that moved, with the values of a numeric one,
+    # so they are named by the tool rather than worked out by hand.
+    solves = {"M1 L10/mm2": {"ln_p_success": "a", "converged": "t", "final_ln_p": -1.25},
               "M1 L10/pg": {"ln_p_success": "b", "converged": "t"},
               "hard x/mm1": {"ln_p_success": "c"}}
     rollouts = {"weighted": {"mean_reward": -1.5, "per_user_success": [0.25, 0.5]},
@@ -537,6 +560,7 @@ def test_regeneration_names_the_moved_entries(tmp_path, monkeypatch):
     assert pinned.regenerate() == []
 
     solves["M1 L10/mm2"]["ln_p_success"] = "moved"
+    solves["M1 L10/mm2"]["final_ln_p"] = -1.2500000000000002
     solves["M1 L10/pg"]["split_mu"] = "new field"
     del solves["M1 L10/pg"]["converged"]
     solves["M2 L10/mm1"] = {"ln_p_success": "new entry"}
@@ -545,12 +569,13 @@ def test_regeneration_names_the_moved_entries(tmp_path, monkeypatch):
     kinds["kinds"]["task_sweep"] = "stale"
     pinned.EXPERIMENT_MANIFEST.write_text(json.dumps(kinds))
     rollouts["weighted"]["per_user_success"] = [0.25, 0.5000000000000001]
+    rollouts["weighted"]["mean_reward"] = -1.25
     assert pinned.regenerate() == [
-        "solve_traces: M1 L10/mm2: ln_p_success",
+        "solve_traces: M1 L10/mm2: ln_p_success, final_ln_p -1.25 -> -1.2500000000000002",
         "solve_traces: M1 L10/pg: split_mu (added), converged (removed)",
         "solve_traces: M2 L10/mm1 (added)", "solve_traces: hard x/mm1 (removed)",
         "experiments: task_sweep",
-        "rollouts: weighted: per_user_success"]
+        "rollouts: weighted: mean_reward -1.5 -> -1.25, per_user_success"]
 
 
 def test_experiment_kinds_all_have_runners():

@@ -405,8 +405,8 @@ def test_waterfill_affine_toy():
                for s, (lo, hi) in zip(slopes, intervals)]
     # No guess, and guesses far below, near and far above the root (~7.3).
     for mu_start in (None, 1e-9, 7.0, 1e9):
-        mu, phi = waterfill_mu(solvers, intervals, mu_start=mu_start)
-        assert phi.sum() == pytest.approx(1.0, abs=1e-12)
+        mu, phi = waterfill_mu(solvers, mu_start=mu_start)
+        assert abs(phi.sum() - 1.0) <= 1e-8
         assert mu > 0.0
         for v, iv in zip(phi, intervals):
             assert iv[0] - 1e-12 <= v <= iv[1] + 1e-12
@@ -416,10 +416,9 @@ def test_waterfill_affine_toy():
 
 
 def test_waterfill_rejects_overspent_start():
-    intervals = [(0.6, 0.9), (0.6, 0.9)]
     solvers = [lambda mu: (0.6, 0.0), lambda mu: (0.6, 0.0)]
     with pytest.raises(WaterfillBracketError):
-        waterfill_mu(solvers, intervals)
+        waterfill_mu(solvers)
 
 
 def _counting(fn, calls: list):
@@ -430,13 +429,13 @@ def _counting(fn, calls: list):
     return counted
 
 
-def test_waterfill_patches_to_exact_budget():
-    intervals = [(0.0, 1.0), (0.0, 1.0)]
-    # Stuck solvers never reach the budget at any multiplier.
+def test_waterfill_gives_up_at_its_multiplier_cap():
+    # Stuck solvers never reach the budget at any multiplier: the search
+    # returns the first multiplier and its shares as they are.
     tried: list[float] = []
     solvers = [_counting(lambda mu: (0.3, 0.0), tried), lambda mu: (0.3, 0.0)]
-    _, phi = waterfill_mu(solvers, intervals)
-    assert phi.sum() == pytest.approx(1.0, abs=1e-12)
+    mu, phi = waterfill_mu(solvers)
+    assert mu == 1.0 and phi.tolist() == [0.3, 0.3]
     assert max(tried) == 1e18  # the search gave up at its multiplier cap
     _, _, oracle_evals = waterfill_bisection([lambda mu: (0.3, 0.0), lambda mu: (0.3, 0.0)])
     assert oracle_evals == 101
@@ -447,35 +446,34 @@ def test_waterfill_step_function_stops_at_best_residual():
     # The share total jumps over the budget at mu = 3.7, so no multiplier
     # spends it within tol: the search must still stop within max_iter
     # multipliers and return the closest total it saw, which lies just
-    # below the jump.
+    # below the jump, with the shares that multiplier produced.
     def share(mu):
         if mu < 3.7:
             return 0.4 + 0.05 * mu / (1.0 + mu), 0.05 / (1.0 + mu) ** 2
         return 0.65, 0.0
 
-    intervals = [(0.0, 1.0), (0.0, 1.0)]
     for mu_start in (None, 3.0, 50.0):
         tried: list[float] = []
         solvers = [_counting(share, tried), share]
-        mu, phi = waterfill_mu(solvers, intervals, max_iter=40, mu_start=mu_start)
+        mu, phi = waterfill_mu(solvers, max_iter=40, mu_start=mu_start)
         # At most max_iter multipliers, and S(0) once more when none of
         # them spent less than the budget.
         assert len(tried) <= 1 + 40
         assert mu == max(m for m in tried if m < 3.7)
-        assert phi.sum() == pytest.approx(1.0, abs=1e-12)
+        assert phi.tolist() == [share(mu)[0]] * 2
         assert 3.7 - mu < 1e-6
 
 
 def _monotone_pieces(seed, factor):
     """1-5 random pieces whose share totals run from below 0.9 at mu = 0 to
     above 1.1; returns the solvers with their slopes times ``factor``, the
-    same solvers with exact slopes, and the share intervals."""
+    same solvers with exact slopes."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 6))
     low, width = rng.uniform(0.0, 1.0, n), rng.uniform(0.05, 1.0, n)
     low *= rng.uniform(0.0, 0.9) / max(float(low.sum()), 1e-300)
     width *= (rng.uniform(1.1, 3.0) - low.sum()) / width.sum()
-    solvers, exact, intervals = [], [], []
+    solvers, exact = [], []
     for lo, w in zip(low.tolist(), width.tolist()):
         m0 = 10.0 ** rng.uniform(-3.0, 3.0)
         if rng.random() < 0.5:
@@ -484,8 +482,7 @@ def _monotone_pieces(seed, factor):
             make, shape = _logistic_piece, rng.uniform(1.0, 4.0)
         solvers.append(make(lo, lo + w, m0, shape, factor))
         exact.append(make(lo, lo + w, m0, shape, 1.0))
-        intervals.append((lo, lo + w))
-    return solvers, exact, intervals
+    return solvers, exact
 
 
 @given(
@@ -501,13 +498,12 @@ def test_waterfill_on_random_monotone_pieces(seed, factor, mu_start):
     # test_waterfill_matches_bisection_on_solver_sets (2e-8 / S' apart, and
     # 1e-4 relative where S is steep), and stop by its own rule, before its
     # max_iter budget of 200 multipliers (127 at most seen, at factor 10).
-    solvers, exact, intervals = _monotone_pieces(seed, factor)
+    solvers, exact = _monotone_pieces(seed, factor)
     tried: list[float] = []
-    mu, phi = waterfill_mu([_counting(solvers[0], tried), *solvers[1:]], intervals,
-                           mu_start=mu_start)
+    mu, phi = waterfill_mu([_counting(solvers[0], tried), *solvers[1:]], mu_start=mu_start)
     assert len(tried) < 200
-    assert abs(sum(s(mu)[0] for s in exact) - 1.0) <= 1e-8
-    assert phi.sum() == pytest.approx(1.0, abs=1e-12)
+    assert phi.tolist() == [s(mu)[0] for s in exact]
+    assert abs(phi.sum() - 1.0) <= 1e-8
     mu_ref, total_ref, _ = waterfill_bisection(exact)
     assert abs(total_ref - 1.0) <= 1e-8
     steepness = min(sum(s(m)[1] for s in exact) for m in (mu, mu_ref))
@@ -524,34 +520,43 @@ def recorded_waterfills():
     water-filling call it made, as (fresh, intervals, mu_start, mu).
     ``fresh()`` gives the call's per-index solvers as they stood before it:
     an mm1 solver starts each root from its previous one, so its pieces
-    are built again from their recorded arguments."""
+    are built again from their recorded arguments.  ``intervals`` are the
+    solvers' share intervals: ``phi_interval``'s for mm2, and for mm1
+    [PHI_FLOOR, min(1, 2 ph)] less its 1e-9 relative margin."""
     out = {}
-    real, real_piece = solver.waterfill_mu, solver._mm1_piece
+    real, real_piece, real_interval = solver.waterfill_mu, solver._mm1_piece, solver.phi_interval
     for cell in WATERFILL_CELLS:
         for variant in ("mm2", "mm1"):
-            calls, built = [], []
+            calls, built, ivs = [], [], []
 
-            def piece(*args, built=built):
+            def piece(*args, built=built, ivs=ivs):
                 built.append(args[:-1])  # all but the trace
+                ivs.append((PHI_FLOOR, min(1.0, 2.0 * args[2] * (1.0 - 1e-9))))
                 return real_piece(*args)
 
-            def recording(solvers, intervals, calls=calls, built=built, variant=variant, **kw):
-                mu, phi = real(solvers, intervals, **kw)
+            def interval(*args, ivs=ivs):
+                ivs.append(real_interval(*args))
+                return ivs[-1]
+
+            def recording(solvers, calls=calls, built=built, ivs=ivs, variant=variant, **kw):
+                mu, phi = real(solvers, **kw)
                 if variant == "mm1":
                     args = built[-len(solvers):]
 
                     def fresh(args=args):
-                        return [real_piece(*a, solver.InnerTrace())[0] for a in args]
+                        return [real_piece(*a, solver.InnerTrace()) for a in args]
                 else:
                     def fresh(solvers=solvers):
                         return solvers
+                calls.append((fresh, ivs[-len(solvers):], kw.get("mu_start"), mu))
                 built.clear()
-                calls.append((fresh, intervals, kw.get("mu_start"), mu))
+                ivs.clear()
                 return mu, phi
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(solver, "waterfill_mu", recording)
                 mp.setattr(solver, "_mm1_piece", piece)
+                mp.setattr(solver, "phi_interval", interval)
                 p = reference_params(cell[0], task_mbits=cell[1])
                 res = bcd_solve(p, variant=variant, max_outer=3)
             out[cell, variant] = (res.trace, calls)
@@ -567,17 +572,15 @@ def test_waterfill_matches_bisection_on_solver_sets(recorded_waterfills, variant
         _, calls = recorded_waterfills[cell, variant]
         assert calls
         # About ten calls per cell, spread over the solve.
-        for fresh, intervals, mu_start, mu_used in calls[:: 1 + len(calls) // 10]:
+        for fresh, _, mu_start, mu_used in calls[:: 1 + len(calls) // 10]:
             mu_ref, total_ref, _ = waterfill_bisection(fresh())
             assert abs(total_ref - 1.0) <= 1e-8
             for start in (mu_start, None):
-                solvers = fresh()
-                mu, phi = waterfill_mu(solvers, intervals, mu_start=start)
+                mu, phi = waterfill_mu(fresh(), mu_start=start)
                 if start is mu_start:
                     assert mu == mu_used
-                assert abs(sum(s(mu)[0] for s in solvers) - 1.0) <= 1e-8
+                assert abs(phi.sum() - 1.0) <= 1e-8
                 assert mu == pytest.approx(mu_ref, rel=1e-4)
-                assert phi.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["mm2", "mm1"])
@@ -591,11 +594,11 @@ def test_waterfill_evaluation_budget(recorded_waterfills, variant):
         trace, calls = recorded_waterfills[cell, variant]
         assert trace.total_pathologies == 0
         assert trace.total_mu_evals <= 5 * trace.total_inner
-        for fresh, intervals, mu_start, _ in calls:
+        for fresh, _, mu_start, _ in calls:
             tried: list[float] = []
             solvers = fresh()
             counted = [_counting(solvers[0], tried), *solvers[1:]]
-            waterfill_mu(counted, intervals, mu_start=mu_start)
+            waterfill_mu(counted, mu_start=mu_start)
             assert len(tried) <= 10
 
 
@@ -704,11 +707,11 @@ def _mm1_states(rng, tasks_mbits=(5.0, 20.0, 60.0, 100.0)):
 
 
 def _scales(p, m, slack, t_m, power) -> ShareScales:
-    """Index m's factor arguments formed by the oracles, k as bandwidth T / bits."""
+    """Index m's factor arguments formed by the oracles."""
     psi = compute_arg(p, m, slack)
     if m == 0:
         return ShareScales(psi)
-    return ShareScales(psi, *link_args(p, m, t_m, power), p.bandwidth_hz * t_m / p.task_bits)
+    return ShareScales(psi, *link_args(p, m, t_m, power))
 
 
 def _check_mm1_curvature(deriv, x: float, ph: float, rel: float = 1e-5) -> None:
@@ -742,36 +745,36 @@ def test_mm1_derivative_curvature_matches_finite_differences():
             _check_mm1_curvature(deriv, ph, ph)
             underflow += 1
         elif ph > 1e-3:
-            # The tangent line v(phi) = k (2 ph - phi) / ph^2 gives the link
-            # demand 1 / v; put it at 650 / ln2, below the hopeless 700 / ln2.
-            # Closer to it, or for a share near the floor, whose tangent is
-            # steeper, the curvature overflows to -inf before the slope does.
-            # The difference quotient is noisier here: 2^(1/v) amplifies its
-            # round-off 650-fold.
-            k = p.bandwidth_hz * t_m / p.task_bits
-            x = 2.0 * ph - math.log(2.0) / 650.0 * ph * ph / k
+            # On the tangent line (2 ph - phi) / ph^2 of 1 / phi the link
+            # demand is c over the line; put it at 650 / ln2, below the
+            # hopeless 700 / ln2.  Closer to it, or for a share near the
+            # floor, whose tangent is steeper, the curvature overflows to
+            # -inf before the slope does.  The difference quotient is
+            # noisier here: 2^demand amplifies its round-off 650-fold.
+            y, c = link_args(p, m, t_m, power)
+            x = 2.0 * ph - math.log(2.0) / 650.0 * ph * ph * c
             if PHI_FLOOR < x < hi:
-                y = power * p.mean_gains[m - 1] / p.noise_w
-                assert -math.inf < ln_chi(1.0 / (k * (2.0 * ph - x) / (ph * ph)), y)[0] < -1e200
+                assert -math.inf < ln_chi(c / ((2.0 * ph - x) / (ph * ph)), y)[0] < -1e200
                 _check_mm1_curvature(deriv, x, ph, rel=1e-4)
                 near_hopeless += 1
     assert checked >= 300 and near_hopeless >= 20 and underflow == 32
 
 
 def _mm1_slope_on_exact_lines(p, m, ph, t_m, slack, power, phi):
-    """mm1's minorant slope at phi with the tangent lines u = psi (2 ph -
-    phi) / ph^2 and v = k (2 ph - phi) / ph^2 formed in exact rationals and
-    rounded once, then passed to the same float kernels."""
+    """mm1's minorant slope at phi with the compute argument u = psi (2 ph
+    - phi) / ph^2, the link demand x = c ph^2 / (2 ph - phi) and its slope
+    in phi formed in exact rationals and rounded once, then passed to the
+    same float kernels."""
     w = p.workload
-    psi = p.server_speeds_hz[m - 1] * slack / (p.task_bits * w.scale)
-    k = p.bandwidth_hz * t_m / p.task_bits
+    psi = compute_arg(p, m, slack)
+    y, c = link_args(p, m, t_m, power)
     line = (2 * Fraction(ph) - Fraction(phi)) / Fraction(ph) ** 2
-    u, v = float(Fraction(psi) * line), float(Fraction(k) * line)
-    x = 1.0 / v
-    ln_tx, dx = ln_chi(x, power * p.mean_gains[m - 1] / p.noise_w)
+    u, x = float(Fraction(psi) * line), float(Fraction(c) / line)
+    x_drop = float(Fraction(c) / (line * line * Fraction(ph) ** 2))
+    ln_tx, dx = ln_chi(x, y)
     if ln_tx == -math.inf:
         return -math.inf
-    return -ln_lower_gamma(w.shape, u)[1] * (psi / (ph * ph)) + dx * (k / (ph * ph)) * x * x
+    return -ln_lower_gamma(w.shape, u)[1] * (psi / (ph * ph)) + dx * x_drop
 
 
 def test_mm1_slope_keeps_its_accuracy_near_twice_the_expansion_share():
@@ -797,7 +800,7 @@ def test_mm1_slope_keeps_its_accuracy_near_twice_the_expansion_share():
 def mm1_pieces():
     """Every mm1 piece at random feasible allocations (L = 5-100 Mbit) and
     at the start and end of three-round solves of the benchmark cells, with
-    its derivative and its trace."""
+    its share interval, its derivative and its trace."""
     states = list(_mm1_states(np.random.default_rng(9), (5.0, 30.0, 100.0)))
     for cell in WATERFILL_CELLS:
         p = reference_params(cell[0], task_mbits=cell[1])
@@ -814,7 +817,9 @@ def mm1_pieces():
         scales = _scales(p, m, slack, t_m, power)
         built = solver._mm1_piece(p.workload.shape, scales, ph, trace)
         if built is not None:
-            out.append((built, solver._mm1_derivative(p.workload.shape, scales, ph), trace))
+            interval = (PHI_FLOOR, min(1.0, 2.0 * ph * (1.0 - 1e-9)))
+            out.append((built, interval, solver._mm1_derivative(p.workload.shape, scales, ph),
+                        trace))
     return out
 
 
@@ -828,7 +833,7 @@ def test_mm1_piece_is_a_function_of_mu_to_its_root_tolerance(mm1_pieces):
     # change over that distance (4e-9 relative seen).
     rng = np.random.default_rng(3)
     assert len(mm1_pieces) >= 100
-    for (solve, _), _, _ in mm1_pieces:
+    for solve, _, _, _ in mm1_pieces:
         ascending = {mu: solve(mu) for mu in _MUS}
         shuffled = list(_MUS)
         rng.shuffle(shuffled)
@@ -844,7 +849,7 @@ def test_mm1_piece_matches_the_illinois_search_in_fewer_evaluations(mm1_pieces):
     # 2 ph; there the Illinois search takes 22 evaluations per root on
     # average and up to 79, the Newton search about 9 and at most 19.
     newton = illinois = 0
-    for (solve, (lo, hi)), deriv, trace in mm1_pieces:
+    for solve, (lo, hi), deriv, trace in mm1_pieces:
         solve(0.0)  # the first call evaluates both ends
         d_lo, d_hi = deriv(lo)[0], deriv(hi)[0]
         for mu in _MUS:
@@ -1069,6 +1074,63 @@ def test_split_update_hands_back_its_final_multiplier(variant, cell):
     # An update with no active share hands the multiplier on unchanged.
     _, idle = update(p, phi, np.zeros_like(t), power, 0.0, mu_start=0.25)
     assert idle.iterations == 0 and idle.mu == 0.25
+
+
+@pytest.mark.parametrize("variant", ["mm2", "mm1"])
+def test_split_updates_put_their_shares_on_the_simplex(variant):
+    # The multiplier search hands back the shares it found, which spend the
+    # budget only to its 1e-8 tolerance; the update divides them by their
+    # sum, so every split it returns spends the budget to 1e-12.
+    outputs = []
+    real = solver._P3_VARIANTS[variant]
+
+    def recording(*args, **kw):
+        phi, trace = real(*args, **kw)
+        outputs.append(phi)
+        return phi, trace
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(solver._P3_VARIANTS, variant, recording)
+        for m, task in WATERFILL_CELLS:
+            for offload_only in (False, True):
+                bcd_solve(reference_params(m, task_mbits=task), variant=variant,
+                          offload_only=offload_only)
+    assert len(outputs) >= 50
+    for phi in outputs:
+        assert abs(phi.sum() - 1.0) <= 1e-12 and phi.min() >= 0.0
+
+
+@pytest.mark.parametrize("variant", ["mm2", "mm1"])
+def test_split_update_damps_a_step_that_loses_once(variant):
+    # A step whose split is worse than the iterate counts a pathology and is
+    # halved once: kept when the half step is no worse, else the update
+    # stops on the iterate it had.  Here the multiplier search is replaced
+    # by one that returns a fixed split.
+    p = reference_params(2, task_mbits=10.0)
+    _, t, power, rho = _split_inputs(p)
+    start = np.array([0.05, 0.9, 0.05])
+    update = getattr(solver, f"solve_p3_{variant}")
+
+    def run(shares):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "waterfill_mu", lambda solvers, **kw: (1.0, np.array(shares)))
+            return update(p, start, t, power, rho, max_iter=1)
+
+    def ln(phi):
+        return ln_success(p, phi, t, power, rho)
+
+    # All on server 2 loses 1.25 nats; the half step gains 0.57.
+    phi, trace = run([0.0, 0.0, 1.0])
+    half = 0.5 * (start + np.array([0.0, 0.0, 1.0]))
+    assert ln([0.0, 0.0, 1.0]) < ln(start) < ln(half)
+    assert np.array_equal(phi, half)
+    assert trace.pathologies == 1 and trace.iterations == 1
+    assert trace.ln_values == [ln(start), ln(half)]
+    # All local loses 9.2 nats and the half step 4.3: the start stays.
+    phi, trace = run([1.0, 0.0, 0.0])
+    assert np.array_equal(phi, start / start.sum())
+    assert trace.pathologies == 1 and trace.iterations == 0
+    assert trace.ln_values == [ln(start)]
 
 
 def test_pg_takes_a_multiplier_and_reports_none():
