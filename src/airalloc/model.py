@@ -163,7 +163,9 @@ class Allocation:
 
 def default_allocation(p: SystemParams, offload_only: bool = False) -> Allocation:
     """Nominal starting point: uniform split, half the latency budget spent on
-    the uplink in equal shares, and the largest feasible ``rho``.
+    the uplink in equal shares, and the largest feasible ``rho``.  An
+    offload-only start splits over the servers alone and spends no energy on
+    local cycles (``rho`` = 0).
 
     The power is the cap, or less when transmitting at the cap for that half
     would spend more than half the energy budget: E / (2 * sum(T)), written
@@ -171,14 +173,12 @@ def default_allocation(p: SystemParams, offload_only: bool = False) -> Allocatio
     is therefore feasible for every valid problem.
     """
     m = p.n_servers
-    if offload_only:
-        phi = (0.0,) + (1.0 / m,) * m
-    else:
-        phi = (1.0 / (m + 1),) * (m + 1)
     t = (p.latency_budget_s / (2.0 * m),) * m
     power = min(p.p_max_w, p.energy_budget_j / p.latency_budget_s)
-    rho = local_budget_rho(p, t, power)
-    return Allocation(phi=phi, t_shares=t, power_w=power, rho=max(rho, 0.0))
+    if offload_only:
+        return Allocation(phi=(0.0,) + (1.0 / m,) * m, t_shares=t, power_w=power, rho=0.0)
+    phi = (1.0 / (m + 1),) * (m + 1)
+    return Allocation(phi=phi, t_shares=t, power_w=power, rho=max(local_budget_rho(p, t, power), 0.0))
 
 
 def assert_feasible(p: SystemParams, alloc: Allocation) -> None:
@@ -249,12 +249,8 @@ def local_cycle_energy(p) -> float:
 def local_cycle_budget(p, latency_s, energy_left_j):
     """Cycles the local CPU of ``p`` (as in :func:`local_cycle_energy`) may
     spend: the smaller of what fits in ``latency_s`` and what ``energy_left_j``
-    pays for.  Elementwise over arrays; scalars keep the type ``min`` picks."""
-    latency_cap = p.local_speed_hz * latency_s
-    energy_cap = energy_left_j / local_cycle_energy(p)
-    if isinstance(energy_cap, np.ndarray):
-        return np.minimum(latency_cap, energy_cap)
-    return min(latency_cap, energy_cap)
+    pays for, in the type ``min`` picks."""
+    return min(p.local_speed_hz * latency_s, energy_left_j / local_cycle_energy(p))
 
 
 def local_budget_rho(p: SystemParams, t_shares, power_w: float) -> float:

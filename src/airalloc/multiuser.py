@@ -484,10 +484,7 @@ def action_options(mp: MultiUserParams, granularity: float) -> tuple[int, int, i
     return per_user
 
 
-def enumerate_actions(
-    mp: MultiUserParams,
-    granularity: float = 0.1,
-) -> ActionGrid:
+def enumerate_actions(mp: MultiUserParams, granularity: float) -> ActionGrid:
     """Enumerate the joint discretized action space.
 
     Each user picks a share row on the ``granularity`` simplex grid, one

@@ -525,12 +525,12 @@ def _tallied(
     return tallied
 
 
-def _active_shares(p: SystemParams, t, rho: float, offload_only: bool) -> list[int]:
+def _active_shares(p: SystemParams, t, rho: float) -> list[int]:
     """Indices of the shares the split block may move: the local share
-    while there is a cycle budget and the solve is not offload-only, and
-    server m while it has airtime and latency is left after the first m
-    airtimes.  Every update and :func:`split_residual` pin the others at 0."""
-    active = [0] if rho > 0.0 and not offload_only else []
+    while there is a cycle budget, and server m while it has airtime and
+    latency is left after the first m airtimes.  Every update and
+    :func:`split_residual` pin the others at 0."""
+    active = [0] if rho > 0.0 else []
     elapsed = 0.0
     for m, t_m in enumerate(np.asarray(t, dtype=float).tolist(), start=1):
         elapsed += t_m
@@ -553,7 +553,6 @@ def _mm_split_loop(
     rho: float,
     piece,
     *,
-    offload_only: bool,
     max_iter: int,
     mu_start: float | None,
 ) -> tuple[np.ndarray, InnerTrace]:
@@ -576,7 +575,7 @@ def _mm_split_loop(
     vanishing value.
     """
     t = np.asarray(t_shares, dtype=float)
-    indices = _active_shares(p, t, rho, offload_only)
+    indices = _active_shares(p, t, rho)
     if not indices:
         return np.array(phi_start, dtype=float), InnerTrace(mu=mu_start)
     phi = np.zeros(p.n_servers + 1)
@@ -663,7 +662,6 @@ def solve_p3_mm2(
     power_w: float,
     rho: float,
     *,
-    offload_only: bool = False,
     max_iter: int = 100,
     mu_start: float | None = None,
 ) -> tuple[np.ndarray, InnerTrace]:
@@ -691,7 +689,7 @@ def solve_p3_mm2(
         return solver
 
     return _mm_split_loop(p, phi_start, t_shares, power_w, rho, piece,
-                          offload_only=offload_only, max_iter=max_iter, mu_start=mu_start)
+                          max_iter=max_iter, mu_start=mu_start)
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +786,6 @@ def solve_p3_mm1(
     power_w: float,
     rho: float,
     *,
-    offload_only: bool = False,
     max_iter: int = 100,
     mu_start: float | None = None,
 ) -> tuple[np.ndarray, InnerTrace]:
@@ -797,7 +794,7 @@ def solve_p3_mm1(
     minorant's derivative (:func:`_mm1_piece`)."""
     piece = partial(_mm1_piece, p.workload.shape)
     return _mm_split_loop(p, phi_start, t_shares, power_w, rho, piece,
-                          offload_only=offload_only, max_iter=max_iter, mu_start=mu_start)
+                          max_iter=max_iter, mu_start=mu_start)
 
 
 # ---------------------------------------------------------------------------
@@ -805,14 +802,12 @@ def solve_p3_mm1(
 # ---------------------------------------------------------------------------
 
 
-def split_residual(
-    p: SystemParams, phi, t_shares, power_w: float, rho: float, *, offload_only: bool = False
-) -> float:
+def split_residual(p: SystemParams, phi, t_shares, power_w: float, rho: float) -> float:
     """Projected-gradient norm of ln P_success over the active split
     (:func:`_active_shares`, unit step): 0 at a stationary split, large
     where a split update froze short of one."""
     phi = np.asarray(phi, dtype=float)
-    active = _active_shares(p, t_shares, rho, offload_only)
+    active = _active_shares(p, t_shares, rho)
     grad = np.array(allocation_log_factors(p, phi, t_shares, power_w, rho).d_phi)
     target = np.zeros_like(phi)
     if active:
@@ -827,7 +822,6 @@ def solve_p3_pg(
     power_w: float,
     rho: float,
     *,
-    offload_only: bool = False,
     max_iter: int = 500,
     mu_start: float | None = None,
 ) -> tuple[np.ndarray, InnerTrace]:
@@ -840,7 +834,7 @@ def solve_p3_pg(
     for the minorize-maximize updates; it takes ``mu_start`` for the same
     call shape, prices no shares and so ignores it and reports no ``mu``."""
     t = np.asarray(t_shares, dtype=float)
-    free = _active_shares(p, t, rho, offload_only)
+    free = _active_shares(p, t, rho)
     start = np.asarray(phi_start, dtype=float)
     if not free:
         return start.copy(), InnerTrace()
@@ -952,17 +946,19 @@ def _to_allocation(p: SystemParams, phi, t, power_w: float, rho: float) -> Alloc
 
 def _sweep(p: SystemParams, solve_p3: Callable, trace: BcdTrace, offload_only: bool) -> None:
     """One outer iteration from the trace's last allocation: the power and
-    local budget, the airtimes, then the split by ``solve_p3``, whose
-    multiplier search starts from the last sweep's multiplier.  Appends the
-    stored allocation, its ln P_success, the split's last multiplier and the
-    blocks' work counts."""
+    local budget (0 when ``offload_only``), the airtimes, then the split by
+    ``solve_p3``, whose multiplier search starts from the last sweep's
+    multiplier.  Appends the stored allocation, its ln P_success, the
+    split's last multiplier and the blocks' work counts."""
     last = trace.allocations[-1]
     phi = np.asarray(last.phi, dtype=float)
     t = np.asarray(last.t_shares, dtype=float)
     power, rho = solve_p1(p, phi, t)
+    if offload_only:
+        rho = 0.0
     t, evals = solve_p2(p, phi, t, power, rho)
     mu_start = trace.split_mu[-1] if trace.split_mu else None
-    phi, split = solve_p3(p, phi, t, power, rho, offload_only=offload_only, mu_start=mu_start)
+    phi, split = solve_p3(p, phi, t, power, rho, mu_start=mu_start)
     # Round-trip through the stored form so the recorded objective is the
     # objective of the recorded allocation, not of a drifted work array.
     stored = _to_allocation(p, phi, t, power, rho)
@@ -987,7 +983,10 @@ def bcd_solve(
     """Alternate the three block updates (:func:`_sweep`) until ln
     P_success stalls.
 
-    Stops when the improvement drops below 1e-6 or after
+    An offload-only solve gives the local CPU no cycle budget (rho = 0),
+    so it spends no energy on local cycles: the split block then pins the
+    local share at 0, and the airtime is capped by the latency budget and
+    E / P alone.  Stops when the improvement drops below 1e-6 or after
     ``max_outer`` rounds.  Raises :class:`FeasibilityError` when the starting
     allocation violates a constraint.
     """
@@ -1008,6 +1007,5 @@ def bcd_solve(
             break
 
     final = trace.allocations[-1]
-    trace.split_residual = split_residual(p, final.phi, final.t_shares, final.power_w, final.rho,
-                                          offload_only=offload_only)
+    trace.split_residual = split_residual(p, final.phi, final.t_shares, final.power_w, final.rho)
     return BcdResult(allocation=final, breakdown=success_breakdown(p, final), trace=trace)

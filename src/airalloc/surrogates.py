@@ -185,21 +185,19 @@ def _taylor_minorant(
     return SurrogateCoeffs(c2=c2, c1=c1, c0=c0, lo=region[0], hi=region[1])
 
 
-def _floor_region(region: tuple[float, float], phi_hat: float) -> tuple[float, float]:
-    """The region widened to hold phi_hat, where the Taylor remainder lives."""
-    return min(region[0], phi_hat), max(region[1], phi_hat)
-
-
 def surrogate_transmission(
     y: float, c: float, phi_hat: float, region: tuple[float, float]
 ) -> SurrogateCoeffs:
-    """Quadratic minorant, on the share interval ``region``, of the delivery
-    probability chi(c * phi, y) of a server's share."""
+    """Quadratic minorant, on the share interval ``region`` (which holds
+    phi_hat), of the delivery probability chi(c * phi, y) of a server's
+    share."""
     if not (phi_hat > 0.0):
         raise ValueError("expansion point must be positive")
+    if not region[0] <= phi_hat <= region[1]:
+        raise ValueError(f"expansion point {phi_hat} must lie in the region {region}")
     if not (0.0 < c < math.inf):
         raise ValueError(f"c must be finite and > 0, got {c}")
-    floor = b_chi(y, c, _floor_region(region, phi_hat))  # first: it rejects y <= 0
+    floor = b_chi(y, c, region)  # first: it rejects y <= 0
     ln_v, d_ln = ln_chi(c * phi_hat, y)
     value = math.exp(ln_v)
     slope = value * d_ln * c
@@ -209,11 +207,14 @@ def surrogate_transmission(
 def surrogate_computation(
     psi: float, workload: GammaWorkload, phi_hat: float, region: tuple[float, float]
 ) -> SurrogateCoeffs:
-    """Quadratic minorant, on the share interval ``region``, of the
-    compute-success probability P(shape, psi / phi) of a share."""
+    """Quadratic minorant, on the share interval ``region`` (which holds
+    phi_hat), of the compute-success probability P(shape, psi / phi) of a
+    share."""
     if not (phi_hat > 0.0):
         raise ValueError("expansion point must be positive")
-    floor = b_gamma(psi, workload, _floor_region(region, phi_hat))  # first: it rejects bad psi
+    if not region[0] <= phi_hat <= region[1]:
+        raise ValueError(f"expansion point {phi_hat} must lie in the region {region}")
+    floor = b_gamma(psi, workload, region)  # first: it rejects bad psi
     u_hat = psi / phi_hat
     ln_v, d_ln = ln_lower_gamma(workload.shape, u_hat)
     value = math.exp(ln_v)

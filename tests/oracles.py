@@ -21,9 +21,9 @@ from airalloc.model import (
     Allocation,
     SystemParams,
     local_budget_rho,
-    local_cycle_budget,
     local_cycle_energy,
     log_factors,
+    reference_params,
 )
 from airalloc.multiuser import (
     _LN_FLOOR,
@@ -131,6 +131,24 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         step[i] = h
         g[i] = (f(x + step) - f(x - step)) / (2.0 * h)
     return g
+
+
+def random_cells(seed: int, *indices: int) -> dict[int, SystemParams]:
+    """Seeded random single-user cells by index: index i is the (i + 1)-th
+    draw of default_rng(seed) of servers M in 1-4, task 5-100 Mbit, energy
+    budget 0.1-2 J and latency budget 0.05-2 s."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for i in range(max(indices) + 1):
+        p = reference_params(
+            int(rng.integers(1, 5)),
+            task_mbits=float(rng.uniform(5.0, 100.0)),
+            energy_j=float(rng.uniform(0.1, 2.0)),
+            latency_s=float(rng.uniform(0.05, 2.0)),
+        )
+        if i in indices:
+            out[i] = p
+    return out
 
 
 def random_feasible_allocation(p: SystemParams, rng: np.random.Generator) -> Allocation:
@@ -395,8 +413,8 @@ def success_vector_numpy(mp: MultiUserParams, state: MultiUserState, action: Mul
     load = state.task_bits[:, None] * action.phi[:, 1:] * w.mean
     cross = load.sum(axis=0)[None, :] - load
     allowance = np.minimum(np.asarray(mp.energy_budgets_j, dtype=float), state.energies)
-    rho = local_cycle_budget(mp, np.asarray(mp.latency_budgets_s, dtype=float),
-                             allowance - action.power * action.t.sum(axis=1))
+    rho = np.minimum(mp.local_speed_hz * np.asarray(mp.latency_budgets_s, dtype=float),
+                     (allowance - action.power * action.t.sum(axis=1)) / local_cycle_energy(mp))
     rows = zip(state.task_bits.tolist(), mp.latency_budgets_s, cross.tolist(), snr.tolist(),
                action.phi.tolist(), action.t.tolist(), rho.tolist())
     return np.array([

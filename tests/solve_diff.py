@@ -1,0 +1,96 @@
+"""Compare every ``BcdTrace`` field of a fixed set of 546 solves between two
+versions of the solver.
+
+The set is the pinned cells of :mod:`pinned` (the 6 benchmark cells and 3
+hard cells) and the seeded cells of :func:`oracles.random_cells` (seeds 0, 1
+and 123; 30, 40 and 12 cells), each solved by every variant, in full and
+offload-only.  ``dump`` writes ``dataclasses.asdict`` of each trace, keyed
+"<cell>/<variant>" or "<cell>/<variant>/offload_only", to a JSON file
+(floats by their shortest round-trip repr, so any moved bit shows).  ``diff``
+names every solve whose trace differs, with the fields that moved and its
+final ln P_success before and after, then the solves' summed work::
+
+    PYTHONPATH=src python tests/solve_diff.py dump before.json
+    # ... change the solver ...
+    PYTHONPATH=src python tests/solve_diff.py dump after.json
+    PYTHONPATH=src python tests/solve_diff.py diff before.json after.json
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+import oracles
+import pinned
+
+from airalloc.model import SystemParams
+from airalloc.solver import VARIANTS, bcd_solve
+
+RANDOM_DRAWS = {0: 30, 1: 40, 123: 12}
+
+
+def cells() -> list[tuple[str, SystemParams]]:
+    """The pinned cells, then the seeded cells as "seed<s> cell <i>"."""
+    out = list(pinned.SOLVE_CELLS)
+    for seed, n in RANDOM_DRAWS.items():
+        out += [(f"seed{seed} cell {i}", p)
+                for i, p in oracles.random_cells(seed, *range(n)).items()]
+    return out
+
+
+def dump(path: Path) -> None:
+    traces = {}
+    for offload_only in (False, True):
+        for name, p in cells():
+            for v in VARIANTS:
+                key = f"{name}/{v}" + ("/offload_only" if offload_only else "")
+                trace = bcd_solve(p, variant=v, offload_only=offload_only).trace
+                traces[key] = dataclasses.asdict(trace)
+    path.write_text(json.dumps(traces) + "\n")
+
+
+def moved_solves(old: dict, new: dict) -> list[str]:
+    """"<solve>: <fields>; ln P <before> -> <after> (<change>)" for every
+    solve whose trace differs, in ``new``'s order, then "<solve> (added)"
+    and "<solve> (removed)" for solves only one side has."""
+    out = []
+    for key, trace in new.items():
+        was = old.get(key)
+        if was is None:
+            out.append(f"{key} (added)")
+        elif was != trace:
+            fields = ", ".join(f for f in trace if was.get(f) != trace[f])
+            a, b = was["ln_p_success"][-1], trace["ln_p_success"][-1]
+            out.append(f"{key}: {fields}; ln P {a!r} -> {b!r} ({b - a:+.2e})")
+    return out + [f"{key} (removed)" for key in old if key not in new]
+
+
+def work(traces: dict) -> str:
+    """Summed outer sweeps, split iterations and P2 evaluations, and the
+    most P2 evaluations in one call."""
+    sweeps = sum(len(t["ln_p_success"]) - 1 for t in traces.values())
+    split = sum(sum(t["inner_iterations"]) for t in traces.values())
+    p2 = sum(sum(t["p2_evals"]) for t in traces.values())
+    p2_max = max(max(t["p2_evals"], default=0) for t in traces.values())
+    return f"{sweeps} outer sweeps, {split} split iterations, {p2} P2 evaluations (at most {p2_max} per call)"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "dump":
+        dump(Path(argv[1]))
+        return 0
+    if len(argv) == 3 and argv[0] == "diff":
+        old, new = (json.loads(Path(a).read_text()) for a in argv[1:])
+        moved = moved_solves(old, new)
+        print("\n".join(moved + [f"{len(moved)} of {len(new)} solves moved"]))
+        print(f"before: {work(old)}\nafter:  {work(new)}")
+        return 0
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

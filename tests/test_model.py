@@ -132,14 +132,9 @@ def test_local_budget_rho_min_of_two_budgets():
     assert local_budget_rho(p, (0.5, 0.6), 1.0) < 0.0
 
 
-def test_local_cycle_budget_is_elementwise_and_keeps_scalar_types():
+def test_local_cycle_budget_keeps_scalar_types():
     p = reference_params(2)
     assert local_cycle_energy(p) == p.switched_capacitance * p.local_speed_hz * p.local_speed_hz
-    latency = np.array([1.0, 0.5, 2.0])
-    left = np.array([0.4, 2.0, -0.1])
-    got = local_cycle_budget(p, latency, left)
-    for k in range(3):
-        assert got[k] == local_cycle_budget(p, float(latency[k]), float(left[k]))
     # Scalars follow min(): the binding cap comes back as it was computed, so a
     # Python float stays one and a numpy scalar stays one.
     assert type(local_cycle_budget(p, 1.0, 0.4)) is float

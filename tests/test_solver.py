@@ -936,6 +936,18 @@ def test_bcd_offload_only_keeps_local_share_zero():
     assert joint.ln_p_success >= res.ln_p_success - 1e-6
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_offload_only_spends_nothing_on_local_cycles(variant):
+    # An offload-only solve gives the local CPU no cycle budget, so its
+    # airtime may spend the whole energy budget: every stored allocation,
+    # the start included, holds rho = 0.  The first six pinned cells are
+    # the benchmark's.
+    for name, p in pinned.SOLVE_CELLS[:6]:
+        res = bcd_solve(p, variant=variant, offload_only=True)
+        assert res.trace.n_outer >= 1
+        assert all(a.rho == 0.0 and a.phi[0] == 0.0 for a in res.trace.allocations), name
+
+
 def test_bcd_search_work_favors_closed_forms():
     wins = 0
     cells = [(1, 10.0), (2, 10.0), (2, 15.0), (3, 10.0)]
@@ -990,14 +1002,7 @@ def test_mm2_converges_at_a_tight_energy_budget():
 
 
 def test_mm2_tracks_mm1_over_random_cells():
-    rng = np.random.default_rng(0)
-    for _ in range(12):
-        p = reference_params(
-            int(rng.integers(1, 5)),
-            task_mbits=float(rng.uniform(5.0, 100.0)),
-            energy_j=float(rng.uniform(0.1, 2.0)),
-            latency_s=float(rng.uniform(0.05, 2.0)),
-        )
+    for p in oracles.random_cells(0, *range(12)).values():
         mm2 = bcd_solve(p, variant="mm2")
         mm1 = bcd_solve(p, variant="mm1")
         assert mm2.ln_p_success >= mm1.ln_p_success - 1e-4, p
@@ -1005,18 +1010,20 @@ def test_mm2_tracks_mm1_over_random_cells():
 
 def test_split_residual_is_the_pg_stopping_norm():
     p = reference_params(2, task_mbits=10.0)
-    for offload_only in (False, True):
-        a = default_allocation(p, offload_only=offload_only)
-        start = split_residual(p, a.phi, a.t_shares, a.power_w, a.rho, offload_only=offload_only)
+    full = default_allocation(p)
+    # The offload-only start has no local budget (rho = 0), which pins the
+    # local share.
+    for a in (full, default_allocation(p, offload_only=True)):
+        start = split_residual(p, a.phi, a.t_shares, a.power_w, a.rho)
         assert start > 0.1
-        phi, trace = solve_p3_pg(p, a.phi, a.t_shares, a.power_w, a.rho,
-                                 offload_only=offload_only, max_iter=2000)
+        phi, trace = solve_p3_pg(p, a.phi, a.t_shares, a.power_w, a.rho, max_iter=2000)
         assert trace.iterations < 2000
-        end = split_residual(p, phi, a.t_shares, a.power_w, a.rho, offload_only=offload_only)
+        end = split_residual(p, phi, a.t_shares, a.power_w, a.rho)
         assert end <= 1e-6
-    # Pinning the local share at 0 is stationary only for the offload-only
-    # projection: moving work back to the local CPU pays.
-    assert split_residual(p, phi, a.t_shares, a.power_w, a.rho) > 0.1
+    # Pinning the local share at 0 is stationary only without a local
+    # budget: with one, moving work back to the local CPU pays.
+    assert a.rho == 0.0 and a.t_shares == full.t_shares and a.power_w == full.power_w
+    assert split_residual(p, phi, a.t_shares, a.power_w, full.rho) > 0.1
     res = bcd_solve(p, variant="pg")
     final = res.allocation
     assert res.trace.split_residual == split_residual(
@@ -1178,28 +1185,11 @@ def test_trace_objective_matches_stored_allocations():
     assert res.p_outage == pytest.approx(1.0 - math.exp(res.ln_p_success), abs=1e-12)
 
 
-def _random_cells(seed, *indices):
-    """Cells of the random draw of test_mm2_tracks_mm1_over_random_cells,
-    made with default_rng(seed) and continued past its 12 cells, by index."""
-    rng = np.random.default_rng(seed)
-    out = {}
-    for i in range(max(indices) + 1):
-        p = reference_params(
-            int(rng.integers(1, 5)),
-            task_mbits=float(rng.uniform(5.0, 100.0)),
-            energy_j=float(rng.uniform(0.1, 2.0)),
-            latency_s=float(rng.uniform(0.05, 2.0)),
-        )
-        if i in indices:
-            out[i] = p
-    return out
-
-
 def test_hopeless_link_keeps_derivatives_finite():
     # M = 3, L = 65.7 Mbit, E = 1.63 J, latency 1.93 s: the solvers' trial
     # points drive an airtime toward 0, where the link's d_phi and d_t would
     # overflow.
-    p = _random_cells(1, 19)[19]
+    p = oracles.random_cells(1, 19)[19]
     assert p.n_servers == 3 and round(p.task_bits / 1e6, 1) == 65.7
     # The solvers' power is a numpy scalar, whose overflow warns.
     snr = [np.float64(0.9) * g / p.noise_w for g in p.mean_gains]
@@ -1224,8 +1214,8 @@ def test_hopeless_link_keeps_derivatives_finite():
 _SOLVE_REF = [(m, 10.0) for m in (1, 2, 3, 4)]
 _BUDGET_CELLS = (
     pinned.SOLVE_CELLS
-    + [(f"seed1 cell {i}", p) for i, p in _random_cells(1, 11, 17, 19).items()]
-    + [("seed0 cell 26", _random_cells(0, 26)[26])]
+    + [(f"seed1 cell {i}", p) for i, p in oracles.random_cells(1, 11, 17, 19).items()]
+    + [("seed0 cell 26", oracles.random_cells(0, 26)[26])]
 )
 
 
@@ -1333,26 +1323,24 @@ def test_split_variants_agree_on_the_active_set(budget_solves, name):
     n_servers=st.integers(1, 4),
     # Per server: no airtime, a slice of the latency budget, or all of it.
     t_fracs=st.lists(st.sampled_from([0.0, 0.05, 0.3, 1.0]), min_size=4, max_size=4),
+    # rho = 0 is also how an offload-only solve pins the local share.
     rho=st.sampled_from([0.0, 1e8]),
-    offload_only=st.booleans(),
     start=st.lists(st.floats(0.05, 1.0), min_size=5, max_size=5),
     # An update that takes no step still returns a split on the active set.
     max_iter=st.sampled_from([0, 5]),
 )
-def test_split_updates_move_only_the_active_shares(n_servers, t_fracs, rho, offload_only, start,
-                                                    max_iter):
+def test_split_updates_move_only_the_active_shares(n_servers, t_fracs, rho, start, max_iter):
     p = reference_params(n_servers, task_mbits=10.0)
     t = p.latency_budget_s * np.array(t_fracs[:n_servers])
     phi_start = np.array(start[:n_servers + 1])
-    active = solver._active_shares(p, t, rho, offload_only)
-    served = [rho > 0.0 and not offload_only]
+    active = solver._active_shares(p, t, rho)
+    served = [rho > 0.0]
     served += [t[m] > 0.0 and t[:m + 1].sum() < p.latency_budget_s for m in range(n_servers)]
     assert active == [i for i, s in enumerate(served) if s]
     pinned = [i for i, s in enumerate(served) if not s]
     for v in VARIANTS:
         update = getattr(solver, f"solve_p3_{v}")
-        phi, trace = update(p, phi_start, t, 1.0, rho, offload_only=offload_only,
-                            max_iter=max_iter)
+        phi, trace = update(p, phi_start, t, 1.0, rho, max_iter=max_iter)
         if not active:
             assert np.array_equal(phi, phi_start) and trace.iterations == 0, v
             continue

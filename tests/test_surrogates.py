@@ -319,8 +319,8 @@ def test_surrogate_slope_matches_finite_difference():
 
 def test_surrogate_argument_validation():
     # The factor arguments are checked where they are used: a non-positive
-    # expansion point or link scale c by the surrogates, y by b_chi and psi
-    # by b_gamma.
+    # expansion point, one outside the region or link scale c by the
+    # surrogates, y by b_chi and psi by b_gamma.
     w, region = GammaWorkload(10.0, 50.0), (PHI_FLOOR, 1.0)
     surrogate_transmission(1e3, 2.0, 0.5, region)
     surrogate_computation(1.0, w, 0.5, region)
@@ -329,6 +329,11 @@ def test_surrogate_argument_validation():
             surrogate_transmission(1e3, 2.0, phi_hat, region)
         with pytest.raises(ValueError, match="expansion point"):
             surrogate_computation(1.0, w, phi_hat, region)
+    for outside in ((0.6, 1.0), (PHI_FLOOR, 0.4)):
+        with pytest.raises(ValueError, match="must lie in the region"):
+            surrogate_transmission(1e3, 2.0, 0.5, outside)
+        with pytest.raises(ValueError, match="must lie in the region"):
+            surrogate_computation(1.0, w, 0.5, outside)
     for c in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="c must be"):
             surrogate_transmission(1e3, c, 0.5, region)
