@@ -165,15 +165,16 @@ def _cmd_eval(args) -> int:
     from .baselines import SCHEDULER_KINDS, evaluate_policy, greedy_policy, schedulers
     from .dqn import load_checkpoint
     from .experiments import _action_grid, _multi_params
-    from .multiuser import MultiUserEnv
+    from .multiuser import MultiUserEnv, state_vector
 
     cfg = _load(args)
     mp = _multi_params(cfg)
     grid = _action_grid(cfg, mp)
+    n_inputs = state_vector(mp, MultiUserEnv(mp).reset(cfg.seed)).size
     theta, _ = load_checkpoint(args.checkpoint)
-    if theta.n_actions != grid.size:
-        print(f"checkpoint scores {theta.n_actions} actions but the configured grid has {grid.size}",
-              file=sys.stderr)
+    if (theta.n_inputs, theta.n_actions) != (n_inputs, grid.size):
+        print(f"checkpoint takes {theta.n_inputs} state features and scores {theta.n_actions} actions, "
+              f"but the configured state has {n_inputs} and the grid {grid.size}", file=sys.stderr)
         return EXIT_CONFIG
     res = evaluate_policy(MultiUserEnv(mp), greedy_policy(theta, grid, mp),
                           args.episodes, args.steps, seed=cfg.seed)

@@ -9,9 +9,7 @@ central finite differences to tight tolerance, and so that training is
 bit-reproducible from a single seed.
 
 Training updates the online and target networks in place: `train_step`
-writes into the online network and `soft_update` into the target, each
-through one workspace of scratch arrays that the network keeps and reuses,
-so a steady-state step allocates nothing large.
+writes into the online network and `soft_update` into the target.
 
 The step's output layer is column-sparse.  The squared TD error reads the
 online Q-value only at each taken action and the target's only at each next
@@ -28,7 +26,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,10 +61,6 @@ class QNetworkParams:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    # Scratch arrays of the training step and the soft update that update
-    # this network in place, reused from call to call; never copied, compared
-    # or saved.
-    _scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def copy(self) -> "QNetworkParams":
         return QNetworkParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
@@ -104,18 +98,17 @@ def init_network(n_inputs: int, n_actions: int, seed: int | None = None) -> QNet
     return QNetworkParams(weights, biases)
 
 
-def _forward(theta: QNetworkParams, x: np.ndarray, outs: list[np.ndarray]) -> list[np.ndarray]:
-    """Run the first len(outs) layers of the network on the batch x, writing
-    layer i's post-activation output into outs[i] (rows of x by the layer's
-    width); returns outs.  Rectifiers apply to every layer but the output."""
-    h = x
+def _forward(theta: QNetworkParams, x: np.ndarray, n_layers: int) -> list[np.ndarray]:
+    """Post-activation outputs of the first n_layers layers of the network on
+    the batch x, one array per layer.  Rectifiers apply to every layer but
+    the output."""
+    outs, h = [], x
     last = len(theta.weights) - 1
-    for i, (w, b, z) in enumerate(zip(theta.weights, theta.biases, outs)):
-        np.matmul(h, w, out=z)
-        z += b
+    for i in range(n_layers):
+        h = h @ theta.weights[i] + theta.biases[i]
         if i < last:
-            np.maximum(z, 0.0, out=z)
-        h = z
+            h = np.maximum(h, 0.0)
+        outs.append(h)
     return outs
 
 
@@ -127,7 +120,7 @@ def q_forward(theta: QNetworkParams, state: np.ndarray) -> np.ndarray:
         x = x[None, :]
     if x.shape[1] != theta.n_inputs:
         raise ValueError(f"state encoding has {x.shape[1]} features, network expects {theta.n_inputs}")
-    q = _forward(theta, x, [np.empty((x.shape[0], w.shape[1])) for w in theta.weights])[-1]
+    q = _forward(theta, x, len(theta.weights))[-1]
     return q[0] if single else q
 
 
@@ -160,7 +153,7 @@ class TrainConfig:
             value, integral = getattr(self, f.name), f.type == "int"
             if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
                 raise TypeError(f"{f.name} must be {'an integer' if integral else 'a number'}, got {value!r}")
-        for name in ("tau", "epsilon_start", "epsilon_min"):
+        for name in ("tau", "epsilon_start", "epsilon_min", "epsilon_decay"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if not 0.0 <= self.discount < 1.0:
@@ -288,47 +281,13 @@ def _check_shapes(net: QNetworkParams, like: QNetworkParams) -> None:
         raise ValueError(f"network shape mismatch: {have} vs {want}")
 
 
-class _StepScratch:
-    """Every large temporary of `train_step` at one batch size b: the stacked
-    [states; next_states] input, the hidden-layer outputs of the online (2b
-    rows) and target (b rows) passes, the online Q-values of the next states
-    (the only full-width output), the output columns at the batch's actions
-    with their b x b products against the last hidden layer, the output
-    gradient and its running column sums over the k <= b distinct actions,
-    and the hidden layers' gradients, deltas and rectifier masks.  The
-    per-batch blocks of k columns are views of flat buffers sized for k = b."""
-
-    def __init__(self, theta: QNetworkParams, b: int):
-        widths = [w.shape[1] for w in theta.weights[:-1]]
-        self.b = b
-        self.x = np.empty((2 * b, theta.n_inputs))
-        self.online = [np.empty((2 * b, n)) for n in widths]
-        self.target = [np.empty((b, n)) for n in widths]
-        self.q_next = np.empty((b, theta.n_actions))
-        self.cols = np.empty((widths[-1], b))
-        self.gram = np.empty((b, b))
-        self.dq = np.empty(b * b)
-        self.dq_sums = np.empty(b * b)
-        self.grad_out = np.empty(widths[-1] * b)
-        self.w_out = np.empty(widths[-1] * b)
-        self.grad_w = [np.empty_like(w) for w in theta.weights[:-1]]
-        self.grad_b = [np.empty_like(v) for v in theta.biases[:-1]]
-        self.deltas = [np.empty((b, n)) for n in widths]
-        self.masks = [np.empty((b, n), dtype=bool) for n in widths]
-
-
-def _block(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """A contiguous rows x cols view of the front of a flat buffer."""
-    return flat[: rows * cols].reshape(rows, cols)
-
-
-def _q_at(theta: QNetworkParams, h: np.ndarray, actions: np.ndarray, ws: _StepScratch) -> np.ndarray:
-    """Q-value of each row of the last hidden layer h at its action, with
-    the output columns gathered into ws.cols.  The diagonal of the one b x b
-    product is, entry for entry, the dot product the full output layer
-    computes, so it matches it bit for bit."""
-    cols = np.take(theta.weights[-1], actions, axis=1, out=ws.cols)
-    return np.matmul(h, cols, out=ws.gram).diagonal() + theta.biases[-1][actions]
+def _q_at(theta: QNetworkParams, h: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q-value of each row of the last hidden layer h at its action, and the
+    gathered output columns.  The diagonal of the one b x b product is, entry
+    for entry, the dot product the full output layer computes, so it matches
+    it bit for bit."""
+    cols = np.take(theta.weights[-1], actions, axis=1)
+    return (h @ cols).diagonal() + theta.biases[-1][actions], cols
 
 
 def train_step(
@@ -338,7 +297,7 @@ def train_step(
     config: TrainConfig,
 ) -> np.ndarray:
     """One SGD step on the importance-weighted squared TD error, written
-    into theta through theta's reusable workspace.
+    into theta in place.
 
     Targets are double-Q: the online network chooses the next action, the
     target network evaluates it; terminal transitions bootstrap nothing.
@@ -351,22 +310,20 @@ def train_step(
     if taken.size and (taken[0] < 0 or taken[-1] >= theta.n_actions):
         raise IndexError(f"batch actions must lie in [0, {theta.n_actions}), got "
                          f"[{taken[0]}, {taken[-1]}]")
-    ws = theta._scratch.get("step")
-    if ws is None or ws.b != b:
-        ws = theta._scratch["step"] = _StepScratch(theta, b)
     # One online forward of the hidden layers over [states; next_states]:
     # rows are independent, the first b feed the backward pass, the rest
     # pick the next actions from the one full-width output product.
-    ws.x[:b] = batch.states
-    ws.x[b:] = batch.next_states
-    acts = [ws.x, *_forward(theta, ws.x, ws.online)]
+    n_layers = len(theta.weights)
+    x = np.concatenate([batch.states, batch.next_states])
+    acts = [x, *_forward(theta, x, n_layers - 1)]
     w_last, b_last = theta.weights[-1], theta.biases[-1]
-    q_next = np.matmul(acts[-1][b:], w_last, out=ws.q_next)
-    q_next += b_last
+    q_next = acts[-1][b:] @ w_last
+    q_next += b_last  # in place: this is the one b x n_actions block
     next_actions = np.argmax(q_next, axis=1)
-    h_target = _forward(theta_target, batch.next_states, ws.target)[-1]
-    bootstrap = _q_at(theta_target, h_target, next_actions, ws)
-    pred = _q_at(theta, acts[-1][:b], batch.actions, ws)  # leaves W[:, actions] in ws.cols
+    h_target = _forward(theta_target, batch.next_states, n_layers - 1)[-1]
+    bootstrap, _ = _q_at(theta_target, h_target, next_actions)
+    h_in = acts[-1][:b]
+    pred, cols = _q_at(theta, h_in, batch.actions)
     targets = batch.rewards + config.discount * bootstrap * (~batch.terminals)
     td = pred - targets
     loss = float(np.mean(batch.weights * td * td))
@@ -381,39 +338,26 @@ def train_step(
     # output column keeps its value, as w - 0 = w.  Layer i's weights feed
     # the next delta before they are overwritten.
     lr = config.learning_rate
-    n_layers, k, n_last = len(theta.weights), taken.size, w_last.shape[0]
     dq_rows = 2.0 * batch.weights * td / b
-    dq = _block(ws.dq, b, k)
-    dq.fill(0.0)
+    dq = np.zeros((b, taken.size))
     dq[np.arange(b), column] = dq_rows
-    h_in = acts[-1][:b]
-    grad_w = np.matmul(h_in.T, dq, out=_block(ws.grad_out, n_last, k))
     # A running sum adds the rows in order, as the full-width column sum
     # does; np.sum over a block this narrow may sum pairwise instead.
-    grad_b = np.cumsum(dq, axis=0, out=_block(ws.dq_sums, b, k))[-1]
+    grad_b = np.cumsum(dq, axis=0)[-1]
     # Row i of dq holds one nonzero, so its product with W^T is column
-    # actions[i] of W scaled by it.
-    delta = np.multiply(ws.cols.T, dq_rows[:, None], out=ws.deltas[-1])
-    delta *= np.greater(h_in, 0.0, out=ws.masks[-1])
-    grad_w *= lr
-    grad_b *= lr
-    w_new = np.take(w_last, taken, axis=1, out=_block(ws.w_out, n_last, k))
-    w_new -= grad_w
-    b_new = b_last[taken] - grad_b
-    w_last[:, taken] = w_new
-    b_last[taken] = b_new
+    # actions[i] of W scaled by it.  cols.T is F-ordered; the delta is built
+    # C-ordered so that the column sums below add its rows in the dense
+    # step's order.
+    delta = np.multiply(cols.T, dq_rows[:, None], order="C") * (h_in > 0.0)
+    w_last[:, taken] -= lr * (h_in.T @ dq)
+    b_last[taken] -= lr * grad_b
     for i in range(n_layers - 2, -1, -1):
         h_in = acts[i][:b]
-        grad_w = np.matmul(h_in.T, delta, out=ws.grad_w[i])
-        grad_b = np.sum(delta, axis=0, out=ws.grad_b[i])
+        grad_w, grad_b = h_in.T @ delta, np.sum(delta, axis=0)
         if i > 0:
-            mask = np.greater(h_in, 0.0, out=ws.masks[i - 1])
-            delta = np.matmul(delta, theta.weights[i].T, out=ws.deltas[i - 1])
-            delta *= mask
-        grad_w *= lr
-        grad_b *= lr
-        theta.weights[i] -= grad_w
-        theta.biases[i] -= grad_b
+            delta = (delta @ theta.weights[i].T) * (h_in > 0.0)
+        theta.weights[i] -= lr * grad_w
+        theta.biases[i] -= lr * grad_b
 
     theta.check_finite()
     return td
@@ -421,16 +365,13 @@ def train_step(
 
 def soft_update(theta_target: QNetworkParams, theta: QNetworkParams, tau: float) -> None:
     """Convex elementwise blend of tau of the online net into the target,
-    in place, through the target's reusable workspace."""
+    in place."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be within [0, 1], got {tau}")
     _check_shapes(theta_target, theta)
-    if "blend" not in theta_target._scratch:
-        theta_target._scratch["blend"] = [np.empty_like(a) for a in _arrays(theta_target)]
-    for online, target, blend in zip(_arrays(theta), _arrays(theta_target), theta_target._scratch["blend"]):
-        np.multiply(online, tau, out=blend)
+    for online, target in zip(_arrays(theta), _arrays(theta_target)):
         target *= 1.0 - tau
-        target += blend
+        target += online * tau
 
 
 def train(
@@ -485,7 +426,6 @@ def train(
                 break
         curve.append(total)
         epsilon = max(config.epsilon_min, epsilon * config.epsilon_decay)
-    theta._scratch.clear()  # the returned network carries no training workspace
     return theta, curve
 
 

@@ -209,8 +209,8 @@ def load_config(path) -> ExperimentConfig:
     seed = raw.get("seed")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"config requires a non-negative integer seed, got {seed!r}")
-    if "output_dir" not in raw:
-        raise ConfigError("config requires output_dir")
+    if not isinstance(raw.get("output_dir"), str):
+        raise ConfigError(f"config requires output_dir as a path, got {raw.get('output_dir')!r}")
 
     single = _require_mapping(raw.get("single_user"), "single_user")
     _check_keys(single, _SINGLE_KEYS, "single_user")
@@ -219,12 +219,12 @@ def load_config(path) -> ExperimentConfig:
     sweep = _require_mapping(raw.get("sweep"), "sweep")
     _check_keys(sweep, _SWEEP_KEYS, "sweep")
     values = sweep.get("values", [])
-    if "values" in sweep and not values:
-        raise ConfigError("sweep.values must be non-empty when given")
+    if not isinstance(values, list) or ("values" in sweep and not values):
+        raise ConfigError(f"sweep.values must be a non-empty list when given, got {values!r}")
     trials = _require_mapping(raw.get("trials"), "trials")
     _check_keys(trials, _TRIAL_KEYS, "trials")
-    train_block = _require_mapping(raw.get("train"), "train")
-    _check_keys(train_block, _TRAIN_KEYS, "train")
+    training = _require_mapping(raw.get("train"), "train")
+    _check_keys(training, _TRAIN_KEYS, "train")
 
     for name, value in trials.items():
         if _count(value, f"trials.{name}") < 1:
@@ -241,9 +241,9 @@ def load_config(path) -> ExperimentConfig:
         variant=variant,
         single_user=single,
         multi_user=multi,
-        sweep_values=list(values),
+        sweep_values=values,
         trials=trials,
-        train=train_block,
+        train=training,
     )
     with _config_errors("train"):
         _train_config(cfg)
@@ -271,14 +271,22 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """A real-valued entry; a bool or string is a ConfigError rather than
+    read as a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _single_params(cfg: ExperimentConfig, **overrides) -> SystemParams:
     block = dict(cfg.single_user)
     block.update(overrides)
     return reference_params(
         n_servers=_count(block.get("n_servers", 2), "n_servers"),
-        task_mbits=float(block.get("task_mbits", 10.0)),
-        latency_s=float(block.get("latency_s", 1.0)),
-        energy_j=float(block.get("energy_j", 1.0)),
+        task_mbits=_real(block.get("task_mbits", 10.0), "task_mbits"),
+        latency_s=_real(block.get("latency_s", 1.0), "latency_s"),
+        energy_j=_real(block.get("energy_j", 1.0), "energy_j"),
     )
 
 
@@ -292,19 +300,20 @@ def _multi_params(cfg: ExperimentConfig, **overrides):
     changes = {}
     if "task_range_mbits" in block:
         lo, hi = block["task_range_mbits"]
-        changes["task_range_bits"] = (float(lo) * 1e6, float(hi) * 1e6)
+        changes["task_range_bits"] = (_real(lo, "task_range_mbits") * 1e6,
+                                      _real(hi, "task_range_mbits") * 1e6)
     if "weights" in block:
-        w = tuple(float(x) for x in block["weights"])
+        w = tuple(_real(x, "weights") for x in block["weights"])
         if len(w) != mp.n_users:
             raise ConfigError(f"weights must have {mp.n_users} entries, got {len(w)}")
         changes["weights"] = w
     if "energy_weight" in block:
-        changes["energy_weight"] = float(block["energy_weight"])
+        changes["energy_weight"] = _real(block["energy_weight"], "energy_weight")
     return dataclasses.replace(mp, **changes) if changes else mp
 
 
 def _granularity(cfg: ExperimentConfig) -> float:
-    return float(cfg.train.get("granularity", 0.5))
+    return _real(cfg.train.get("granularity", 0.5), "granularity")
 
 
 def _action_grid(cfg: ExperimentConfig, mp) -> ActionGrid:
@@ -333,11 +342,11 @@ def _train_policy(cfg: ExperimentConfig, mp, tc: TrainConfig | None = None):
 
 def _convergence_cell(cfg: ExperimentConfig, cell) -> SystemParams:
     m, task = cell
-    return _single_params(cfg, n_servers=m, task_mbits=float(task))
+    return _single_params(cfg, n_servers=m, task_mbits=task)
 
 
 def _task_cell(cfg: ExperimentConfig, task) -> SystemParams:
-    return _single_params(cfg, task_mbits=float(task))
+    return _single_params(cfg, task_mbits=task)
 
 
 def _server_cell(cfg: ExperimentConfig, m) -> SystemParams:
@@ -345,7 +354,7 @@ def _server_cell(cfg: ExperimentConfig, m) -> SystemParams:
 
 
 def _rate_cell(cfg: ExperimentConfig, lr) -> TrainConfig:
-    return dataclasses.replace(_train_config(cfg), learning_rate=float(lr))
+    return dataclasses.replace(_train_config(cfg), learning_rate=_real(lr, "learning_rate"))
 
 
 def _users_cell(cfg: ExperimentConfig, n) -> MultiUserParams:
@@ -354,7 +363,7 @@ def _users_cell(cfg: ExperimentConfig, n) -> MultiUserParams:
 
 def _fairness_cell(cfg: ExperimentConfig, ratio) -> MultiUserParams:
     mp = _multi_params(cfg)
-    return dataclasses.replace(mp, weights=(float(ratio),) + (1.0,) * (mp.n_users - 1))
+    return dataclasses.replace(mp, weights=(_real(ratio, "weight ratio"),) + (1.0,) * (mp.n_users - 1))
 
 
 def _efficiency_cell(cfg: ExperimentConfig, task) -> tuple[SystemParams, MultiUserParams]:

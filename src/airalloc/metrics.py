@@ -81,8 +81,8 @@ def latency_benchmark(
 
     Solver methods time one full allocation of the single-user reference
     configuration with the given server count; the learned method times one
-    greedy decision (state encoding through the network to an action index)
-    on a matching two-user environment.  All methods run on the same machine
+    decision of ``baselines.greedy_policy`` (state encoding through the
+    network to a decoded action) on a matching two-user environment.  All methods run on the same machine
     in the same process; the first call of each cell is warmup and excluded.
     """
     if repetitions < 1:
@@ -99,16 +99,15 @@ def latency_benchmark(
                     repetitions,
                 ))
             else:  # dqn_inference
-                from .dqn import init_network, q_forward
+                from .baselines import greedy_policy
+                from .dqn import init_network
                 from .multiuser import MultiUserEnv, default_multiuser, enumerate_actions, state_vector
 
                 mp = default_multiuser(n_users=2, n_servers=m)
                 grid = enumerate_actions(mp, granularity=0.5)
-                env_state = MultiUserEnv(mp, seed=seed).reset(seed)
+                env_state = MultiUserEnv(mp).reset(seed)
                 theta = init_network(state_vector(mp, env_state).shape[0], grid.size, seed=seed)
-
-                def decide():
-                    grid.decode(int(np.argmax(q_forward(theta, state_vector(mp, env_state)))))
-
-                rows.append(LatencyRow(method, m, _time_calls(decide, repetitions), repetitions))
+                policy = greedy_policy(theta, grid, mp)
+                rows.append(LatencyRow(method, m, _time_calls(lambda: policy(env_state, 0), repetitions),
+                                       repetitions))
     return rows

@@ -540,8 +540,8 @@ def forward_cached(theta: QNetworkParams, x: np.ndarray):
 
 
 def train_step_alloc(theta: QNetworkParams, theta_target: QNetworkParams, batch, config):
-    """`dqn.train_step` as the package kept it before its reusable workspace:
-    fresh arrays for every temporary and a new network as the result.
+    """`dqn.train_step` computed densely: a full-width output layer in the
+    forward and backward passes, and a new network as the result.
 
     One SGD step on the importance-weighted squared TD error.
 
@@ -592,8 +592,8 @@ def train_step_alloc(theta: QNetworkParams, theta_target: QNetworkParams, batch,
 
 
 def soft_update_alloc(theta_target: QNetworkParams, theta: QNetworkParams, tau: float) -> QNetworkParams:
-    """`dqn.soft_update` before its reusable workspace: a convex elementwise
-    blend of tau of the online net into a new target."""
+    """`dqn.soft_update` with a new target as the result: a convex
+    elementwise blend of tau of the online net into the old target."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be within [0, 1], got {tau}")
     ws, bs = [], []

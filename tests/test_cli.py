@@ -289,6 +289,34 @@ def test_eval_rejects_grid_size_mismatch(trained, tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+def test_eval_rejects_state_size_mismatch(tmp_path, capsys):
+    """A checkpoint of 1 user on 2 servers at granularity 0.5 scores 48
+    actions from 6 state features; 1 user on 1 server at granularity 1/11
+    also has 48 actions but only 4 features, so it is refused before any
+    rollout."""
+    from airalloc.dqn import init_network, save_checkpoint
+
+    ckpt = tmp_path / "two_servers.ckpt"
+    save_checkpoint(ckpt, init_network(6, 48, seed=0))
+    cfg = tmp_path / "one_server.yaml"
+    cfg.write_text(
+        "experiment: learning_rate\n"
+        "seed: 5\n"
+        f"output_dir: {tmp_path}\n"
+        "multi_user:\n"
+        "  n_users: 1\n"
+        "  n_servers: 1\n"
+        "train:\n"
+        f"  granularity: {1 / 11!r}\n",
+        encoding="utf-8",
+    )
+    code = main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt), "--episodes", "1", "--steps", "1"])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "6 state features" in captured.err and "state has 4" in captured.err
+    assert "greedy" not in captured.out
+
+
 def test_eval_missing_checkpoint_is_a_runtime_error(trained, tmp_path, capsys):
     cfg, _ = trained
     code = main([

@@ -131,6 +131,11 @@ def test_load_config_requires_output_dir(tmp_path):
     path = _write(tmp_path, "experiment: task_sweep\nseed: 1\n")
     with pytest.raises(ConfigError, match="output_dir"):
         load_config(path)
+    # The path must be a string, not a null or a list.
+    for value in ("null", "[a, b]", "5"):
+        path = _write(tmp_path, f"experiment: task_sweep\nseed: 1\noutput_dir: {value}\n")
+        with pytest.raises(ConfigError, match="output_dir"):
+            load_config(path)
 
 
 def test_load_config_rejects_unknown_experiment(tmp_path):
@@ -152,8 +157,10 @@ def test_load_config_rejects_unknown_variant(tmp_path):
 
 
 def test_load_config_rejects_empty_sweep(tmp_path):
-    with pytest.raises(ConfigError, match="non-empty"):
-        load_config(_minimal(tmp_path, "sweep:\n  values: []"))
+    # An empty sweep, and one that is not a list at all.
+    for values in ("[]", "5", "abc", "{a: 1}"):
+        with pytest.raises(ConfigError, match="non-empty list"):
+            load_config(_minimal(tmp_path, f"sweep:\n  values: {values}"))
 
 
 @pytest.mark.parametrize(
@@ -180,6 +187,10 @@ def test_load_config_rejects_empty_sweep(tmp_path):
         "train:\n  granularity: 0.3",
         "train:\n  granularity: 0",
         "train:\n  granularity: 1.5",
+        "train:\n  granularity: true",
+        "train:\n  epsilon_decay: 1.5",
+        "train:\n  epsilon_decay: .nan",
+        "experiment: learning_rate\nsweep:\n  values: [true]",
     ],
 )
 def test_load_config_rejects_bad_training_settings(tmp_path, body):
@@ -210,6 +221,16 @@ def test_load_config_rejects_bad_training_settings(tmp_path, body):
         "experiment: server_sweep\nsweep:\n  values: [2, 2.7]",
         "experiment: user_count\nsweep:\n  values: [2.5]",
         "experiment: convergence\nsweep:\n  values: [[2.5, 10.0]]",
+        # A boolean is not a number either, though Python reads true as 1.
+        "single_user:\n  task_mbits: true",
+        "single_user:\n  latency_s: true",
+        "multi_user:\n  weights: [true, 2]",
+        "multi_user:\n  energy_weight: true",
+        "multi_user:\n  task_range_mbits: [true, 30]",
+        "experiment: task_sweep\nsweep:\n  values: [true, 10]",
+        "experiment: convergence\nsweep:\n  values: [[2, true]]",
+        "experiment: fairness\nsweep:\n  values: [true]",
+        "experiment: efficiency\nsweep:\n  values: [true]",
     ],
 )
 def test_load_config_rejects_bad_parameter_blocks(tmp_path, body):
