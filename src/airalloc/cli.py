@@ -123,11 +123,9 @@ def _cmd_solve(args) -> int:
         return EXIT_OK
     print(f"variant={args.variant} servers={args.servers} task={args.task_mbits:g} Mbit")
     print(f"outage          {res.p_outage:.6e}")
-    # 1 - P_success rounds to 1 once P_success drops below 1e-16, and to 0
-    # near certain success; these two lines keep both ends readable.
-    outage = -math.expm1(res.ln_p_success)
+    # The outage rounds to 1 below P_success = 1e-16, where ln P stays readable.
     print(f"ln P_success    {res.ln_p_success:.6e}")
-    print(f"log10 outage    {math.log10(outage) if outage > 0.0 else -math.inf:.6f}")
+    print(f"log10 outage    {math.log10(res.p_outage) if res.p_outage > 0.0 else -math.inf:.6f}")
     print(f"local share     {a.phi[0]:.6f}")
     for m in range(1, args.servers + 1):
         print(f"server {m}: share {a.phi[m]:.6f}  airtime {a.t_shares[m - 1]:.6f} s")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .special import (
     ln_chi_curvature,
     ln_lower_gamma,
     ln_lower_gamma_curvature,
+    ln_lower_gamma_value,
     regularized_lower_gamma,
 )
 
@@ -312,21 +314,21 @@ class LogFactors(NamedTuple):
     share contributes a log factor of 0; its link entry of ``d_phi`` is the
     one-sided derivative at zero, so ascent can bring the share back.
 
-    The second derivatives are filled in only on request (``second_order``
-    of :func:`log_factors`).  Each factor depends on one share, so the split
+    The derivatives are filled in up to the ``order`` of :func:`log_factors`
+    (the rest are None).  Each factor depends on one share, so the split
     Hessian is diagonal: ``h_phi`` holds it.  In the airtimes, link m
     depends on T_m alone and server m on the cumulative airtime
-    T_1 + ... + T_m, so ``h_t`` (dense, one row per airtime) is a diagonal
-    link term plus one all-ones block over the first m airtimes per server.
+    T_1 + ... + T_m, so ``h_t`` (dense, one list per row) is a diagonal link
+    term plus one all-ones block over the first m airtimes per server.
     """
 
     local: float
     link: list[float]
     server: list[float]
-    d_phi: list[float]
-    d_t: list[float]
+    d_phi: list[float] | None = None
+    d_t: list[float] | None = None
     h_phi: list[float] | None = None
-    h_t: np.ndarray | None = None
+    h_t: list[list[float]] | None = None
 
     @property
     def total(self) -> float:
@@ -346,7 +348,7 @@ def log_factors(
     t_shares,
     rho: float,
     *,
-    second_order: bool = False,
+    order: int = 1,
 ) -> LogFactors:
     """The one definition of the success factors and their derivatives.
 
@@ -360,13 +362,15 @@ def log_factors(
     a positive share, a link without airtime or power, a hopeless link
     (2**x past e**700, see :func:`~airalloc.special.ln_chi`) and a server
     without cycles left each get a log factor of -inf and add no gradient
-    and no curvature.  ``second_order`` also fills ``h_phi`` and ``h_t``.
+    and no curvature.  ``order`` 0 gives the factors alone (no gamma slope,
+    no derivative work), 1 adds ``d_phi`` and ``d_t``, 2 also ``h_phi`` and
+    ``h_t``; every order computes each factor by the same expression.
     """
     shape, scale = workload.shape, workload.scale
     n = len(t_shares)
     d_phi = [0.0] * (n + 1)
     d_t = [0.0] * n
-    if second_order:
+    if order > 1:
         h_phi = [0.0] * (n + 1)
         h_link = [0.0] * n
         h_server = [0.0] * n  # d^2 / ds_m^2 of server m at s_m = T_1 + ... + T_m
@@ -376,11 +380,13 @@ def log_factors(
         ln_local = 0.0
     elif rho <= 0.0:
         ln_local = -math.inf
+    elif not order:
+        ln_local = ln_lower_gamma_value(shape, rho / (task_bits * phi0 * scale))
     else:
         u = rho / (task_bits * phi0 * scale)
         ln_local, r = ln_lower_gamma(shape, u)
         d_phi[0] = -r * u / phi0
-        if second_order:
+        if order > 1:
             # u = c / phi: u' = -u / phi, u'' = 2 u / phi^2.
             d2 = ln_lower_gamma_curvature(shape, u, r)
             h_phi[0] = (d2 * u + 2.0 * r) * u / (phi0 * phi0)
@@ -396,10 +402,10 @@ def log_factors(
         if t_m > 0.0 and y > 0.0:
             x = task_bits * max(ph, 0.0) / (bandwidth_hz * t_m)
             link[m - 1], dx = ln_chi(x, y)
-            if link[m - 1] > -math.inf:
+            if order and link[m - 1] > -math.inf:
                 d_phi[m] = dx * task_bits / (bandwidth_hz * t_m)
                 d_t[m - 1] = -dx * x / t_m
-                if second_order:
+                if order > 1:
                     # x = c phi with c = bits / (bandwidth T); x' = -x / T and
                     # x'' = 2 x / T^2 in T.
                     d2 = ln_chi_curvature(dx)
@@ -416,29 +422,32 @@ def log_factors(
             continue
         demand = task_bits * ph * scale
         u = cycles / demand
+        if not order:
+            server[m - 1] = ln_lower_gamma_value(shape, u)
+            continue
         server[m - 1], r = ln_lower_gamma(shape, u)
         d_phi[m] -= r * u / ph
         # Every airtime up to and including T_m shortens server m's slack.
         d_slack = r * speeds_hz[m - 1] / demand
         for k in range(m):
             d_t[k] -= d_slack
-        if second_order:
+        if order > 1:
             d2 = ln_lower_gamma_curvature(shape, u, r)
             h_phi[m] += (d2 * u + 2.0 * r) * u / (ph * ph)
             h_server[m - 1] = d2 * (speeds_hz[m - 1] / demand) ** 2
-    if not second_order:
+    if not order:
+        return LogFactors(ln_local, link, server)
+    if order == 1:
         return LogFactors(ln_local, link, server, d_phi, d_t)
     # Row k, column l: the link term on the diagonal plus the curvature of
     # every server whose cumulative airtime holds both T_k and T_l.
-    tail = np.cumsum(h_server[::-1])[::-1]
-    idx = np.arange(n)
-    h_t = tail[np.maximum.outer(idx, idx)]
-    h_t[idx, idx] += h_link
+    tail = list(accumulate(reversed(h_server)))[::-1]
+    h_t = [[tail[max(k, l)] + (h_link[k] if k == l else 0.0) for l in range(n)] for k in range(n)]
     return LogFactors(ln_local, link, server, d_phi, d_t, h_phi, h_t)
 
 
 def allocation_log_factors(
-    p: SystemParams, phi, t_shares, power_w: float, rho: float, *, second_order: bool = False
+    p: SystemParams, phi, t_shares, power_w: float, rho: float, *, order: int = 1
 ) -> LogFactors:
     """:func:`log_factors` of a single-user allocation (no cross load)."""
     return log_factors(
@@ -452,7 +461,7 @@ def allocation_log_factors(
         phi,
         t_shares,
         rho,
-        second_order=second_order,
+        order=order,
     )
 
 
@@ -474,7 +483,7 @@ def success_breakdown(p: SystemParams, alloc: Allocation) -> SuccessBreakdown:
         raise FeasibilityError(
             f"allocation has {len(alloc.phi) - 1} server shares, expected {p.n_servers}"
         )
-    f = allocation_log_factors(p, alloc.phi, alloc.t_shares, alloc.power_w, alloc.rho)
+    f = allocation_log_factors(p, alloc.phi, alloc.t_shares, alloc.power_w, alloc.rho, order=0)
     ln_p = f.total
     p_sus = math.exp(ln_p)
     return SuccessBreakdown(
@@ -482,7 +491,7 @@ def success_breakdown(p: SystemParams, alloc: Allocation) -> SuccessBreakdown:
         p_transmit=tuple(math.exp(v) for v in f.link),
         p_compute=tuple(math.exp(v) for v in f.server),
         p_success=p_sus,
-        p_outage=1.0 - p_sus,
+        p_outage=-math.expm1(ln_p),
         ln_p_success=ln_p,
     )
 

@@ -269,8 +269,8 @@ def success_vector(mp: MultiUserParams, state: MultiUserState, action: MultiUser
         # Local cycle budget after the uplink bill; the per-slot energy
         # allowance is additionally capped by the battery's remaining charge.
         rho = local_cycle_budget(mp, deadline, min(budget, energy) - p * _total(t_n))
-        out.append(math.exp(log_factors(b, mp.bandwidth_hz, mp.workload, deadline,
-                                        mp.server_speeds_hz, cross, snr, phi_n, t_n, rho).total))
+        out.append(math.exp(log_factors(b, mp.bandwidth_hz, mp.workload, deadline, mp.server_speeds_hz,
+                                        cross, snr, phi_n, t_n, rho, order=0).total))
     return np.array(out)
 
 

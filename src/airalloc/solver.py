@@ -7,7 +7,9 @@ The decision variables are updated in three blocks per outer iteration:
    on the decreasing power gradient of the concave interior piece),
 2. per-server airtime (projected Newton ascent on a concave objective with
    its exact Hessian: a diagonal link term plus one all-ones block over the
-   first m airtimes per server, whose slack they share), and
+   first m airtimes per server, whose slack they share; a shifted Cholesky
+   factor certifies that it needs no eigenvalue clamp, so the steps are solved
+   on Python floats, and only a Hessian that fails goes through ``eigh``), and
 3. the task split (two interchangeable minorize-maximize updates: ``mm2``
    replaces each success factor by a concave quadratic minorant and solves
    the budget-coupled subproblem in closed form under a water-filling
@@ -38,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from operator import mul, sub, truediv
 from typing import Callable, Sequence
 
 import numpy as np
@@ -138,7 +141,7 @@ class WaterfillBracketError(SolverError):
 
 def ln_success(p: SystemParams, phi, t_shares, power_w: float, rho: float) -> float:
     """ln P_success of a candidate (phi, T, P, rho); -inf when impossible."""
-    return allocation_log_factors(p, phi, t_shares, power_w, rho).total
+    return allocation_log_factors(p, phi, t_shares, power_w, rho, order=0).total
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +179,7 @@ def solve_p1(p: SystemParams, phi, t_shares) -> tuple[float, float]:
         # ln chi is linear in 1/power: ln chi(x, power * y1) = -coef / power,
         # with coef read off at unit power.  A hopeless link stays hopeless
         # at every power; the other blocks deal with it.
-        unit = allocation_log_factors(p, phi, t, 1.0, 0.0).link
+        unit = allocation_log_factors(p, phi, t, 1.0, 0.0, order=0).link
         tx_coefs = [-v for v in unit if v > -math.inf]
 
         def grad(power: float) -> float:
@@ -204,78 +207,123 @@ def solve_p1(p: SystemParams, phi, t_shares) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _project_simplex_eq(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) = total}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    positive = u - (css - total) / ks > 0.0
-    k = int(ks[positive][-1])
-    theta = (css[k - 1] - total) / k
-    return np.maximum(v - theta, 0.0)
+def _project_simplex(v: list[float], total: float, equality: bool = True) -> list[float]:
+    """Euclidean projection onto {x >= 0, sum(x) = total}, or onto
+    {x >= 0, sum(x) <= total} unless ``equality``."""
+    if not equality:
+        v = [max(x, 0.0) for x in v]
+        if sum(v) <= total:
+            return v
+    css = theta = 0.0
+    for k, u in enumerate(sorted(v, reverse=True), start=1):
+        css += u
+        if u - (css - total) / k > 0.0:
+            theta = (css - total) / k
+    return [max(x - theta, 0.0) for x in v]
 
 
-def _project_capped_simplex(t: np.ndarray, cap: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) <= cap}."""
-    t = np.maximum(t, 0.0)
-    if float(t.sum()) <= cap:
-        return t
-    return _project_simplex_eq(t, cap)
+def _cholesky(a: list[list[float]], shift: float = 0.0) -> list[list[float]] | None:
+    """Lower Cholesky factor of a - shift I (row i holds its first i + 1
+    entries), or None when a - shift I is not positive definite."""
+    low: list[list[float]] = []
+    for i, a_i in enumerate(a):
+        row: list[float] = []
+        for j in range(i):
+            s = a_i[j]
+            for l_ik, l_jk in zip(row, low[j]):
+                s -= l_ik * l_jk
+            row.append(s / low[j][j])
+        pivot = a_i[i] - shift - sum(map(mul, row, row))
+        if not pivot > 0.0:
+            return None
+        low.append(row + [math.sqrt(pivot)])
+    return low
+
+
+def _cholesky_solve(low: list[list[float]], r: list[float]) -> list[float]:
+    """Solve L L^T z = r for the lower factor L = ``low``."""
+    z: list[float] = []
+    for row, r_i in zip(low, r):
+        z.append((r_i - sum(map(mul, row, z))) / row[-1])
+    for i in range(len(z) - 1, -1, -1):
+        for k in range(i + 1, len(z)):
+            z[i] -= low[k][i] * z[k]
+        z[i] /= low[i][i]
+    return z
 
 
 def _newton_direction(
-    x: np.ndarray, g: np.ndarray, h: np.ndarray, cap: float, equality: bool
-) -> tuple[np.ndarray, float]:
+    x: list[float], g: list[float], h, cap: float, equality: bool
+) -> tuple[list[float], float]:
     """Newton direction of a quadratic model on the face of active
     constraints of {x >= 0, sum(x) <= cap} (``sum(x) == cap`` when
     ``equality``), and the gain the model predicts for it.
 
-    The curvature ``h`` is first clamped to negative definite: each
-    eigenvalue becomes -max(|w|, 1e-10 max|w|), so a convex direction is
-    climbed with its own curvature's step, and a flat model (every w = 0)
-    takes the plain gradient.  A constraint counts as reached within 1e-10
-    cap, so round-off does not free it.  A bound x_i = 0 is active while the
-    gradient, net of the sum constraint's multiplier, points outward; the
-    sum constraint is active (always when ``equality``) while its multiplier
-    is positive.  On the free set the direction solves the KKT system of the
-    model, so it sums to zero when the sum constraint is active.  Bounds the
-    multiplier shows to point inward are freed and the system solved again.
+    The curvature ``h`` (a flat list when diagonal, else one list per row)
+    is first clamped to negative definite: each eigenvalue becomes
+    -max(|w|, 1e-10 max|w|), so a convex direction is climbed with its own
+    curvature's step, and a flat model (every w = 0) takes the plain
+    gradient.  A diagonal is clamped entry by entry; a dense h needs no
+    clamp when -h - 1e-10 ||h||_F I has a Cholesky factor (every eigenvalue
+    of -h then exceeds 1e-10 ||h||_F >= 1e-10 max|w|), and only one that
+    fails this certificate is clamped through ``np.linalg.eigh``.  A
+    constraint counts as reached within 1e-10 cap, so round-off does not
+    free it.  A bound x_i = 0 is active while the gradient, net of the sum
+    constraint's multiplier, points outward; the sum constraint is active
+    (always when ``equality``) while its multiplier is positive.  On the
+    free set the direction solves the KKT system of the model (by Cholesky
+    on floats), so it sums to zero when the sum constraint is active.
+    Bounds the multiplier shows to point inward are freed and solved again.
     """
-    w, v = np.linalg.eigh(h)
-    mag = np.abs(w)
-    floor = _CURV_FLOOR * float(mag.max()) or 1.0
-    h = (v * -np.maximum(mag, floor)) @ v.T
-    free = x > _BOUND_TOL * cap
-    sum_on = equality or float(x.sum()) >= cap * (1.0 - _BOUND_TOL)
+    dense = isinstance(h[0], list)
+    if dense:
+        a = [[-w for w in row] for row in h]
+        if _cholesky(a, _CURV_FLOOR * math.sqrt(sum(w * w for row in h for w in row))) is None:
+            w, v = np.linalg.eigh(np.array(h))
+            mag = np.abs(w)
+            a = ((v * np.maximum(mag, _CURV_FLOOR * float(mag.max()) or 1.0)) @ v.T).tolist()
+    else:
+        mag = [abs(w) for w in h]
+        floor = _CURV_FLOOR * max(mag) or 1.0
+        a = [max(w, floor) for w in mag]
+    n = len(x)
+    free = [i for i in range(n) if x[i] > _BOUND_TOL * cap]
+    sum_on = equality or sum(x) >= cap * (1.0 - _BOUND_TOL)
     while True:
-        d = np.zeros_like(x)
+        d = [0.0] * n
         lam = 0.0
-        if free.any():
-            q = np.linalg.inv(h[np.ix_(free, free)])
-            g_free = g[free]
+        if free:
+            if dense:
+                block = a if len(free) == n else [[a[i][j] for j in free] for i in free]
+                solve = partial(_cholesky_solve, _cholesky(block))
+            else:
+                diag = [a[i] for i in free]
+                solve = lambda r: list(map(truediv, r, diag))  # noqa: E731
+            g_free = [g[i] for i in free]
             if sum_on:
-                q1 = q.sum(axis=1)
-                lam = float(q1 @ g_free) / float(q1.sum())
-            d[free] = q @ (lam - g_free)
+                q1 = solve([1.0] * len(free))
+                lam = sum(map(mul, q1, g_free)) / sum(q1)
+            for i, di in zip(free, solve([gi - lam for gi in g_free])):
+                d[i] = di
         if sum_on and not equality and lam <= 0.0:
             sum_on = False
             continue
-        release = ~free & (g > lam)
-        if not release.any():
-            return d, 0.5 * float(g @ d)
-        free |= release
+        release = [i for i in range(n) if i not in free and g[i] > lam]
+        if not release:
+            return d, 0.5 * sum(map(mul, g, d))
+        free = sorted(free + release)
 
 
 def _projected_newton(
-    kernel: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
-    x: np.ndarray,
+    kernel: Callable[[list[float]], tuple[float, list[float], list]],
+    x: list[float],
     cap: float,
     equality: bool,
     max_iter: int,
-) -> tuple[np.ndarray, list[float], int]:
+) -> tuple[list[float], list[float], int]:
     """Projected Newton ascent (Bertsekas, SIAM J. Control Optim. 1982) of
     ``kernel`` (value, gradient, Hessian) over {x >= 0, sum(x) <= cap}, or
-    ``sum(x) == cap`` when ``equality``.
+    ``sum(x) == cap`` when ``equality``, on Python floats.
 
     Each step takes :func:`_newton_direction`, clipped to the box
     [0, cap], along the projection arc: the first trial is the full step,
@@ -286,20 +334,20 @@ def _projected_newton(
     the start and after every accepted step, and the number of kernel
     evaluations.
     """
-    project = _project_simplex_eq if equality else _project_capped_simplex
     fval, g, h = kernel(x)
     values, evals = [fval], 1
     for _ in range(max_iter):
         d, gain = _newton_direction(x, g, h, cap, equality)
         if not gain > _NEWTON_TOL:
             break
-        d = np.clip(d, -x, cap - x)
+        d = [min(max(di, -xi), cap - xi) for di, xi in zip(d, x)]
         s = 1.0
         for _ in range(_HALVINGS):
-            trial = project(x + s * d, cap)
+            trial = _project_simplex([xi + s * di for xi, di in zip(x, d)], cap, equality)
             tval, tgrad, thess = kernel(trial)
             evals += 1
-            if tval > -math.inf and tval >= fval + 1e-4 * max(float(g @ (trial - x)), 0.0):
+            rise = sum(map(mul, g, map(sub, trial, x)))
+            if tval > -math.inf and tval >= fval + 1e-4 * max(rise, 0.0):
                 break
             s *= 0.5
         else:
@@ -328,32 +376,28 @@ def solve_p2(
     and the number of objective evaluations spent.
     """
     phi = np.asarray(phi, dtype=float)
-    t = np.asarray(t_start, dtype=float).copy()
-    n_srv = p.n_servers
     cap_lat = p.latency_budget_s * (1.0 - 1e-9)
     cap_energy = (
         (p.energy_budget_j - rho * local_cycle_energy(p)) / power_w if power_w > 0.0 else math.inf
     )
     cap = min(cap_lat, cap_energy)
     if cap <= 0.0:
-        raise FeasibilityError(
-            f"committed rho {rho} and power {power_w} leave no airtime budget"
-        )
+        raise FeasibilityError(f"committed rho {rho} and power {power_w} leave no airtime budget")
     if not np.any(phi[1:] > 0.0):
-        return np.zeros(n_srv), 0
+        return np.zeros(p.n_servers), 0
     # The local factor does not depend on the airtime: zero its share.
-    phi_tx = np.concatenate(([0.0], phi[1:]))
+    phi_tx = [0.0] + phi[1:].tolist()
 
-    def kernel(tv: np.ndarray):
-        f = allocation_log_factors(p, phi_tx, tv, power_w, rho, second_order=True)
-        return f.total, np.array(f.d_t), f.h_t
+    def kernel(tv: list[float]):
+        f = allocation_log_factors(p, phi_tx, tv, power_w, rho, order=2)
+        return f.total, f.d_t, f.h_t
 
     # Start from a strictly interior feasible point.
-    t = np.maximum(t, cap * 1e-9)
+    t = np.maximum(np.asarray(t_start, dtype=float), cap * 1e-9)
     if float(t.sum()) > cap:
         t *= cap * (1.0 - 1e-12) / float(t.sum())
-    t, _, evals = _projected_newton(kernel, t, cap, False, _P2_MAX_ITER)
-    return t, evals
+    t, _, evals = _projected_newton(kernel, t.tolist(), cap, False, _P2_MAX_ITER)
+    return np.array(t), evals
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +855,7 @@ def split_residual(p: SystemParams, phi, t_shares, power_w: float, rho: float) -
     grad = np.array(allocation_log_factors(p, phi, t_shares, power_w, rho).d_phi)
     target = np.zeros_like(phi)
     if active:
-        target[active] = _project_simplex_eq(phi[active] + grad[active], 1.0)
+        target[active] = _project_simplex((phi[active] + grad[active]).tolist(), 1.0)
     return float(np.linalg.norm(target - phi))
 
 
@@ -833,25 +877,26 @@ def solve_p3_pg(
     objective evaluations.  Kept mainly as a like-for-like reference point
     for the minorize-maximize updates; it takes ``mu_start`` for the same
     call shape, prices no shares and so ignores it and reports no ``mu``."""
-    t = np.asarray(t_shares, dtype=float)
+    t = np.asarray(t_shares, dtype=float).tolist()
     free = _active_shares(p, t, rho)
     start = np.asarray(phi_start, dtype=float)
     if not free:
         return start.copy(), InnerTrace()
-    phi = np.zeros(p.n_servers + 1)
-    phi[free] = _project_simplex_eq(start[free], 1.0)
+    phi = [0.0] * (p.n_servers + 1)
 
-    def kernel(x: np.ndarray):
-        phi[free] = x
-        f = allocation_log_factors(p, phi, t, power_w, rho, second_order=True)
-        return f.total, np.array(f.d_phi)[free], np.diag(np.array(f.h_phi)[free])
+    def kernel(x: list[float]):
+        for i, v in zip(free, x):
+            phi[i] = v
+        f = allocation_log_factors(p, phi, t, power_w, rho, order=2)
+        return f.total, [f.d_phi[i] for i in free], [f.h_phi[i] for i in free]
 
-    x, values, evals = _projected_newton(kernel, phi[free], 1.0, True, max_iter)
-    # A share within the bound tolerance is a projection residue, not a
-    # choice: left in place it asks the airtime update for a link.
-    x[x <= _BOUND_TOL] = 0.0
-    phi[free] = x
-    return phi, InnerTrace(ln_values=values, iterations=len(values) - 1, search_evals=evals)
+    x, values, evals = _projected_newton(
+        kernel, _project_simplex(start[free].tolist(), 1.0), 1.0, True, max_iter)
+    for i, v in zip(free, x):
+        # A share within the bound tolerance is a projection residue, not a
+        # choice: left in place it asks the airtime update for a link.
+        phi[i] = 0.0 if v <= _BOUND_TOL else v
+    return np.array(phi), InnerTrace(ln_values=values, iterations=len(values) - 1, search_evals=evals)
 
 
 # ---------------------------------------------------------------------------

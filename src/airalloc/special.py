@@ -26,6 +26,7 @@ __all__ = [
     "ln_chi",
     "ln_chi_curvature",
     "ln_lower_gamma",
+    "ln_lower_gamma_value",
     "ln_lower_gamma_curvature",
     "decreasing_root",
     "decreasing_root_newton",
@@ -221,6 +222,12 @@ def ln_lower_gamma(shape: float, u: float) -> tuple[float, float]:
         return -math.inf, shape / u - shape / (shape + 1.0)
     log_num = (shape - 1.0) * math.log(u) - u - math.lgamma(shape)
     return math.log(g), (math.exp(log_num) / g if log_num > -_EXP_LIMIT else 0.0)
+
+
+def ln_lower_gamma_value(shape: float, u: float) -> float:
+    """ln P(shape, u) of :func:`ln_lower_gamma`, without its slope."""
+    g = 0.0 if u <= 0.0 else regularized_lower_gamma(shape, u)
+    return math.log(g) if g > 0.0 else -math.inf
 
 
 def ln_lower_gamma_curvature(shape: float, u: float, slope: float) -> float:

@@ -35,6 +35,7 @@ from airalloc.multiuser import (
     _share_rows,
     success_vector,
 )
+from airalloc.solver import _BOUND_TOL, _CURV_FLOOR
 from airalloc.special import (
     _DEGENERATE_REL,
     DegenerateCoefficientError,
@@ -284,6 +285,47 @@ def argmax_candidates(objective, candidates) -> float:
         # midpoint so the caller's monotonicity guard can reject the step.
         best_phi = sorted(candidates)[len(candidates) // 2]
     return best_phi
+
+
+def clamped_curvature_eigh(h: np.ndarray) -> np.ndarray:
+    """The curvature clamped to negative definite through ``np.linalg.eigh``:
+    each eigenvalue w becomes -max(|w|, 1e-10 max|w|), or -1 when every w
+    is 0."""
+    w, v = np.linalg.eigh(h)
+    mag = np.abs(w)
+    floor = _CURV_FLOOR * float(mag.max()) or 1.0
+    return (v * -np.maximum(mag, floor)) @ v.T
+
+
+def newton_direction_eigh(
+    x: np.ndarray, g: np.ndarray, h: np.ndarray, cap: float, equality: bool
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """The projected Newton direction the package computed on arrays before
+    it moved to floats: the curvature clamped through ``np.linalg.eigh``
+    whatever it is (:func:`clamped_curvature_eigh`), and each free set's KKT
+    system solved through ``np.linalg.inv``.  Same contract as
+    ``solver._newton_direction`` with ``h`` a dense array, and returns the
+    final free set (a mask) after the direction and its gain."""
+    h = clamped_curvature_eigh(h)
+    free = x > _BOUND_TOL * cap
+    sum_on = equality or float(x.sum()) >= cap * (1.0 - _BOUND_TOL)
+    while True:
+        d = np.zeros_like(x)
+        lam = 0.0
+        if free.any():
+            q = np.linalg.inv(h[np.ix_(free, free)])
+            g_free = g[free]
+            if sum_on:
+                q1 = q.sum(axis=1)
+                lam = float(q1 @ g_free) / float(q1.sum())
+            d[free] = q @ (lam - g_free)
+        if sum_on and not equality and lam <= 0.0:
+            sum_on = False
+            continue
+        release = ~free & (g > lam)
+        if not release.any():
+            return d, 0.5 * float(g @ d), free
+        free |= release
 
 
 def solve_poly_real(coeffs: QuarticCoeffs) -> list[float]:

@@ -8,7 +8,11 @@ offload-only.  ``dump`` writes ``dataclasses.asdict`` of each trace, keyed
 "<cell>/<variant>" or "<cell>/<variant>/offload_only", to a JSON file
 (floats by their shortest round-trip repr, so any moved bit shows).  ``diff``
 names every solve whose trace differs, with the fields that moved and its
-final ln P_success before and after, then the solves' summed work::
+final ln P_success before and after, then the solves' summed work, and ends
+with one summary line: the largest |change| of the final ln P_success over
+the solves converged in both files, and every solve whose ``converged``
+flag, pathology count or capped-loop count (split loops at their variant's
+``max_iter``) changed::
 
     PYTHONPATH=src python tests/solve_diff.py dump before.json
     # ... change the solver ...
@@ -19,6 +23,7 @@ final ln P_success before and after, then the solves' summed work::
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -26,6 +31,7 @@ from pathlib import Path
 import oracles
 import pinned
 
+from airalloc import solver
 from airalloc.model import SystemParams
 from airalloc.solver import VARIANTS, bcd_solve
 
@@ -78,6 +84,31 @@ def work(traces: dict) -> str:
     return f"{sweeps} outer sweeps, {split} split iterations, {p2} P2 evaluations (at most {p2_max} per call)"
 
 
+def outcome(trace: dict) -> tuple[bool, int, int]:
+    """The solve's ``converged`` flag, pathology count and capped-loop count."""
+    cap = inspect.signature(getattr(solver, f"solve_p3_{trace['variant']}")).parameters["max_iter"].default
+    return (trace["converged"], sum(trace["inner_pathologies"]),
+            sum(n >= cap for n in trace["inner_iterations"]))
+
+
+def summary(old: dict, new: dict) -> str:
+    """"largest |dln P| <change> (<solve>) over <n> solves converged in
+    both; converged/pathologies/capped changed: <solve> <before> -> <after>,
+    ..." for the solves both files hold."""
+    both = [key for key in new if key in old]
+    converged = [key for key in both if old[key]["converged"] and new[key]["converged"]]
+
+    def change(key: str) -> float:
+        return abs(new[key]["ln_p_success"][-1] - old[key]["ln_p_success"][-1])
+
+    worst = max(converged, key=change, default=None)
+    largest = f"{change(worst):.2e} ({worst})" if worst is not None else "n/a"
+    changed = [f"{key} {outcome(old[key])} -> {outcome(new[key])}"
+               for key in both if outcome(old[key]) != outcome(new[key])]
+    return (f"largest |dln P| {largest} over {len(converged)} solves converged in both; "
+            f"converged/pathologies/capped changed: {', '.join(changed) or 'none'}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "dump":
         dump(Path(argv[1]))
@@ -87,6 +118,7 @@ def main(argv: list[str]) -> int:
         moved = moved_solves(old, new)
         print("\n".join(moved + [f"{len(moved)} of {len(new)} solves moved"]))
         print(f"before: {work(old)}\nafter:  {work(new)}")
+        print(summary(old, new))
         return 0
     print(__doc__, file=sys.stderr)
     return 2

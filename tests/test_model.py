@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airalloc.model import (
@@ -17,6 +17,7 @@ from airalloc.model import (
     local_cycle_budget,
     local_cycle_energy,
     local_success,
+    log_factors,
     monte_carlo_outage,
     reference_params,
     share_scales,
@@ -322,7 +323,7 @@ def test_log_factor_hessians_match_finite_differences():
     rng = np.random.default_rng(11)
     checked = deep = 0
     for p, phi, t, power, rho in _hessian_cases(rng):
-        f = allocation_log_factors(p, phi, t, power, rho, second_order=True)
+        f = allocation_log_factors(p, phi, t, power, rho, order=2)
         first = allocation_log_factors(p, phi, t, power, rho)
         assert first.h_phi is None and first.h_t is None
         assert (first.d_phi, first.d_t) == (f.d_phi, f.d_t)
@@ -346,9 +347,45 @@ def test_log_factor_hessians_match_finite_differences():
             down[k] -= h
             fd = (np.array(allocation_log_factors(p, phi, up, power, rho).d_t)
                   - np.array(allocation_log_factors(p, phi, down, power, rho).d_t)) / (2.0 * h)
-            np.testing.assert_allclose(fd, f.h_t[:, k], rtol=1e-5, atol=tol)
+            np.testing.assert_allclose(fd, np.asarray(f.h_t)[:, k], rtol=1e-5, atol=tol)
         checked += 1
     assert checked == 96 and deep >= 40
+
+
+# One server of the order test: its share, airtime, SNR and the cycles other
+# users claim on it.  The fixed values reach every -inf branch: a positive
+# share with no airtime or no power, a link past 2**x = e**700 (1e-9 s for a
+# share of 10 Mbit over 100 MHz), a server with no cycles left, and airtimes
+# that pass the deadline.
+_ORDER_SERVER = st.tuples(
+    st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+    st.one_of(st.just(0.0), st.just(1e-9), st.just(0.6), st.floats(1e-3, 0.4)),
+    st.one_of(st.just(0.0), st.floats(1.0, 1e5)),
+    st.one_of(st.just(0.0), st.just(1e13), st.floats(0.0, 5e9)),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_ORDER_SERVER, min_size=1, max_size=4),
+       st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+       st.one_of(st.just(-1.0), st.just(0.0), st.floats(1e3, 1e11)))
+@example([(0.5, 0.0, 1e3, 0.0), (0.0, 0.2, 1e3, 0.0)], 0.5, 1e9)    # no airtime, zero share
+@example([(0.5, 0.2, 0.0, 0.0)], 0.5, 0.0)                           # no power, rho = 0
+@example([(0.5, 1e-9, 1e3, 0.0)], 0.5, -1.0)                         # hopeless link, rho < 0
+@example([(0.5, 0.2, 1e3, 1e13)], 0.0, 1e9)                          # no cycles left
+@example([(0.3, 0.6, 1e3, 0.0), (0.3, 0.6, 1e3, 0.0)], 0.4, 1e9)     # past the deadline
+def test_log_factor_values_are_the_same_at_every_order(servers, phi0, rho):
+    # Order 0 skips the gamma slopes and the derivative work, yet computes
+    # each factor by the same expression: local, link, server and total
+    # agree bit for bit with orders 1 and 2, the -inf branches included.
+    p = reference_params(len(servers))
+    phi, t, snr, cross = zip(*servers)
+    runs = [log_factors(p.task_bits, p.bandwidth_hz, p.workload, p.latency_budget_s,
+                        p.server_speeds_hz, cross, snr, (phi0,) + phi, t, rho, order=k)
+            for k in (0, 1, 2)]
+    values = [(f.local, f.link, f.server, f.total) for f in runs]
+    assert values[0] == values[1] == values[2]
+    assert runs[0].d_phi is runs[0].d_t is runs[0].h_phi is runs[0].h_t is None
 
 
 def test_log_factor_gradient_at_zero_share_is_one_sided():

@@ -176,6 +176,81 @@ def _scan_max(objective, lo, hi, n=20_000):
     return vals[i], float(xs[i])
 
 
+# Curvatures of the float Newton direction's test, with the path each takes:
+# True where the dense certificate fails and the clamp goes through eigh.
+def _random_curvature(kind: str, n: int, rng) -> tuple[list, bool]:
+    if kind.startswith("diag"):
+        w = -rng.uniform(0.1, 3.0, n)
+        if kind == "diag semidefinite":
+            w[rng.integers(n)] = 0.0
+        elif kind == "diag zero":
+            w[:] = 0.0
+        elif kind == "diag non-concave":
+            w[rng.integers(n)] = rng.uniform(0.1, 3.0)
+        return w.tolist(), False
+    if kind == "dense zero":
+        return np.zeros((n, n)).tolist(), True
+    b = rng.normal(size=(n, n))
+    if kind == "dense concave":
+        return (-(b @ b.T) - 0.1 * np.eye(n)).tolist(), False
+    # Random eigenvectors and eigenvalue magnitudes in [0.5, 2]: indefinite
+    # with at least one positive eigenvalue, or concave with one eigenvalue
+    # 1e-13 of the largest, below the certificate's margin (with one
+    # eigenvalue there is no smaller one, and the certificate holds).
+    q = np.linalg.qr(b)[0]
+    w = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    if kind == "dense indefinite":
+        w[0] = abs(w[0])
+        return ((q * w) @ q.T).tolist(), True
+    w = -np.abs(w)
+    w[0] = -1e-13 * np.abs(w).max()
+    return ((q * w) @ q.T).tolist(), n > 1
+
+
+_CURVATURE_KINDS = ("dense concave", "dense indefinite", "dense near-singular", "dense zero",
+                    "diag concave", "diag semidefinite", "diag zero", "diag non-concave")
+
+
+@pytest.mark.parametrize("kind", _CURVATURE_KINDS)
+def test_float_newton_direction_matches_the_eigh_reference(kind, monkeypatch):
+    # The float direction against the eigh-and-inverse one it replaced, on
+    # random points with bounds and the sum at and off their limits: zero
+    # off the reference's free set, and within 1e-12 of the unconstrained
+    # Newton step's size, the scale of both solves' rounding.  (A zero
+    # curvature clamped to 1e-10 max|w| under the sum constraint leaves
+    # both 1e-6 from the exact direction, so a bound relative to the
+    # direction itself cannot hold there.)  eigh runs only where the dense
+    # certificate fails.  A near-singular curvature fails it and is clamped
+    # to condition 1e10, where the float Cholesky and numpy's inverse part
+    # by up to 1e10 ulp: there the check is the path taken, and 1e-3.
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    for n in range(1, 6):
+        for equality in (False, True):
+            for _ in range(20):
+                cap = rng.uniform(0.5, 2.0)
+                x = rng.uniform(0.0, 1.0, n) * (rng.random(n) > 0.3)
+                if equality or rng.random() < 0.3:
+                    x = x / x.sum() * cap if x.sum() > 0.0 else np.full(n, cap / n)
+                else:
+                    x *= 0.9 * cap / max(x.sum(), cap)
+                g = rng.normal(size=n)
+                h, fallback = _random_curvature(kind, n, rng)
+                dense = np.array(h) if kind.startswith("dense") else np.diag(h)
+                want, want_gain, free = oracles.newton_direction_eigh(x, g, dense, cap, equality)
+                step = np.linalg.solve(oracles.clamped_curvature_eigh(dense), g)
+                calls.clear()
+                d, gain = solver._newton_direction(x.tolist(), g.tolist(), h, cap, equality)
+                assert len(calls) == fallback, (kind, n, equality)
+                assert all(v == 0.0 for v in np.array(d)[~free])
+                scale = float(np.abs(step).max())
+                rtol = 1e-3 if kind == "dense near-singular" else 1e-12
+                np.testing.assert_allclose(d, want, rtol=rtol, atol=rtol * scale)
+                assert gain == pytest.approx(want_gain, rel=rtol, abs=rtol * scale * np.abs(g).max())
+
+
 def test_p32a_matches_dense_scan():
     comp = SurrogateCoeffs(c2=-2.0, c1=1.6, c0=0.1)
     lo, hi = 0.05, 0.9
@@ -1198,7 +1273,7 @@ def test_hopeless_link_keeps_derivatives_finite():
         # Server 1's link: x ln2 = 6e5, far past the hopeless threshold 700.
         f = log_factors(p.task_bits, p.bandwidth_hz, p.workload, p.latency_budget_s,
                         p.server_speeds_hz, (0.0,) * 3, snr, [0.1, 0.5, 0.2, 0.2],
-                        [1e-9, 0.3, 0.3], 1e8, second_order=True)
+                        [1e-9, 0.3, 0.3], 1e8, order=2)
         assert f.link[0] == -math.inf and f.total == -math.inf
         assert all(math.isfinite(v) for v in f.d_phi + f.d_t + f.h_phi)
         assert np.all(np.isfinite(f.h_t))
