@@ -187,8 +187,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     from .experiments import _latency_rows, write_rows
+    from .model import reference_params
 
-    rows = _latency_rows(tuple(args.servers), args.repetitions, args.seed)
+    cells = [reference_params(n_servers=m, task_mbits=10.0) for m in args.servers]
+    rows = _latency_rows(cells, args.repetitions, args.seed)
     path = write_rows(Path(args.output_dir) / "latency.csv", rows)
     print(path)
     return EXIT_OK

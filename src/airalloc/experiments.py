@@ -524,13 +524,12 @@ def _exp_fairness(cfg: ExperimentConfig, cells) -> list[MetricRow]:
 
 
 def _exp_latency(cfg: ExperimentConfig, cells) -> list[MetricRow]:
-    grid = tuple(p.n_servers for _, p in cells)
-    return _latency_rows(grid, int(cfg.trials.get("repetitions", 5)), cfg.seed)
+    return _latency_rows([p for _, p in cells], int(cfg.trials.get("repetitions", 5)), cfg.seed)
 
 
-def _latency_rows(server_grid: tuple, repetitions: int, seed: int) -> list[MetricRow]:
+def _latency_rows(cells, repetitions: int, seed: int) -> list[MetricRow]:
     return [MetricRow(float(c.n_servers), "median_latency [s]", c.median_s, None, c.method)
-            for c in latency_benchmark(server_grid=server_grid, repetitions=repetitions, seed=seed)]
+            for c in latency_benchmark(cells, repetitions=repetitions, seed=seed)]
 
 
 def _exp_efficiency(cfg: ExperimentConfig, cells) -> list[MetricRow]:

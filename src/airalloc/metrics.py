@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import reference_params
 from .solver import bcd_solve
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
 ]
 
 BENCH_METHODS = ("bcd_mm1", "bcd_mm2", "gradient_descent", "dqn_inference")
-_BENCH_TASK_MBITS = 10.0
 
 
 def jain_index(values) -> float:
@@ -71,26 +69,22 @@ def _time_calls(fn, repetitions: int) -> float:
     return float(np.median(samples))
 
 
-def latency_benchmark(
-    server_grid=(1, 2, 3),
-    repetitions: int = 5,
-    seed: int = 0,
-) -> list[LatencyRow]:
-    """Per-decision latency of each allocator (``BENCH_METHODS``) across
-    problem scales.
+def latency_benchmark(cells, repetitions: int = 5, seed: int = 0) -> list[LatencyRow]:
+    """Per-decision latency of each allocator (``BENCH_METHODS``) on each
+    single-user problem of ``cells`` (a sequence of ``SystemParams``).
 
-    Solver methods time one full allocation of the single-user reference
-    configuration with the given server count; the learned method times one
-    decision of ``baselines.greedy_policy`` (state encoding through the
-    network to a decoded action) on a matching two-user environment.  All methods run on the same machine
-    in the same process; the first call of each cell is warmup and excluded.
+    Solver methods time one full allocation of the cell itself; the learned
+    method times one decision of ``baselines.greedy_policy`` (state encoding
+    through the network to a decoded action) on a two-user environment with
+    the cell's server count.  All methods run on the same machine in the same
+    process; the first call of each cell is warmup and excluded.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     rows: list[LatencyRow] = []
     variant_of = {"bcd_mm1": "mm1", "bcd_mm2": "mm2", "gradient_descent": "pg"}
-    for m in server_grid:
-        p = reference_params(n_servers=m, task_mbits=_BENCH_TASK_MBITS)
+    for p in cells:
+        m = p.n_servers
         for method in BENCH_METHODS:
             if method in variant_of:
                 variant = variant_of[method]

@@ -43,6 +43,7 @@ __all__ = [
     "local_cycle_energy",
     "local_cycle_budget",
     "local_budget_rho",
+    "optimal_rho",
     "local_success",
     "local_energy_scale",
     "ShareScales",
@@ -165,9 +166,8 @@ class Allocation:
 
 def default_allocation(p: SystemParams, offload_only: bool = False) -> Allocation:
     """Nominal starting point: uniform split, half the latency budget spent on
-    the uplink in equal shares, and the largest feasible ``rho``.  An
-    offload-only start splits over the servers alone and spends no energy on
-    local cycles (``rho`` = 0).
+    the uplink in equal shares, and ``rho`` from :func:`optimal_rho`.  An
+    offload-only start splits over the servers alone.
 
     The power is the cap, or less when transmitting at the cap for that half
     would spend more than half the energy budget: E / (2 * sum(T)), written
@@ -177,10 +177,8 @@ def default_allocation(p: SystemParams, offload_only: bool = False) -> Allocatio
     m = p.n_servers
     t = (p.latency_budget_s / (2.0 * m),) * m
     power = min(p.p_max_w, p.energy_budget_j / p.latency_budget_s)
-    if offload_only:
-        return Allocation(phi=(0.0,) + (1.0 / m,) * m, t_shares=t, power_w=power, rho=0.0)
-    phi = (1.0 / (m + 1),) * (m + 1)
-    return Allocation(phi=phi, t_shares=t, power_w=power, rho=max(local_budget_rho(p, t, power), 0.0))
+    phi = (0.0,) + (1.0 / m,) * m if offload_only else (1.0 / (m + 1),) * (m + 1)
+    return Allocation(phi=phi, t_shares=t, power_w=power, rho=optimal_rho(p, t, power, offload_only))
 
 
 def assert_feasible(p: SystemParams, alloc: Allocation) -> None:
@@ -260,6 +258,18 @@ def local_budget_rho(p: SystemParams, t_shares, power_w: float) -> float:
     latency budget and of the energy left after paying for the uplink."""
     total_t = float(np.sum(np.asarray(t_shares, dtype=float)))
     return local_cycle_budget(p, p.latency_budget_s, p.energy_budget_j - power_w * total_t)
+
+
+def optimal_rho(p: SystemParams, t_shares, power_w: float, offload_only: bool) -> float:
+    """The local cycle budget for airtimes ``t_shares`` at power ``power_w``:
+    0 for an offload-only solve, else :func:`local_budget_rho` clamped at 0.
+
+    rho is not a decision.  The local factor rises with it, and its cap
+    spends only the energy the uplink leaves, so the cap is optimal at every
+    (phi, T, P)."""
+    if offload_only:
+        return 0.0
+    return max(local_budget_rho(p, t_shares, power_w), 0.0)
 
 
 def local_success(p: SystemParams, phi_0: float, rho: float) -> float:

@@ -2,9 +2,10 @@
 
 The decision variables are updated in three blocks per outer iteration:
 
-1. transmit power and local cycle budget (closed-form threshold rule plus
-   the bracketed root search of :func:`~airalloc.special.decreasing_root`
-   on the decreasing power gradient of the concave interior piece),
+1. transmit power (closed-form threshold rule plus the bracketed root
+   search of :func:`~airalloc.special.decreasing_root` on the decreasing
+   power gradient of the concave interior piece); the local cycle budget is
+   then set by the rule :func:`~airalloc.model.optimal_rho`, not searched,
 2. per-server airtime (projected Newton ascent on a concave objective with
    its exact Hessian: a diagonal link term plus one all-ones block over the
    first m airtimes per server, whose slack they share; a shifted Cholesky
@@ -54,10 +55,10 @@ from .model import (
     allocation_log_factors,
     assert_feasible,
     default_allocation,
-    local_budget_rho,
     local_cycle_budget,
     local_cycle_energy,
     local_energy_scale,
+    optimal_rho,
     share_scales,
     success_breakdown,
 )
@@ -145,12 +146,13 @@ def ln_success(p: SystemParams, phi, t_shares, power_w: float, rho: float) -> fl
 
 
 # ---------------------------------------------------------------------------
-# Block 1: transmit power and local cycle budget.
+# Block 1: transmit power.
 # ---------------------------------------------------------------------------
 
 
-def solve_p1(p: SystemParams, phi, t_shares) -> tuple[float, float]:
-    """Best transmit power and local cycle budget for a fixed split/airtime.
+def solve_p1(p: SystemParams, phi, t_shares) -> float:
+    """Best transmit power for a fixed split/airtime, with the local cycle
+    budget at its cap (:func:`~airalloc.model.optimal_rho`) at every power.
 
     Below the threshold power at which transmit energy starts to eat into
     the local latency-capped cycle budget, more power only helps, so the cap
@@ -164,42 +166,34 @@ def solve_p1(p: SystemParams, phi, t_shares) -> tuple[float, float]:
     rho_lat = local_cycle_budget(p, p.latency_budget_s, math.inf)  # the latency cap alone
     total_t = float(t.sum())
     if total_t <= 0.0:
-        return p.p_max_w, local_budget_rho(p, t, p.p_max_w)
+        return p.p_max_w
 
     p_thresh = (p.energy_budget_j - e_coef * rho_lat) / total_t
-    if p.p_max_w <= p_thresh:
-        return p.p_max_w, rho_lat
-
     p_hi = min(p.p_max_w, p.energy_budget_j / total_t)
     p_lo = max(p_thresh, p_hi * 1e-12)
     if p_lo >= p_hi or phi[0] <= 0.0:
-        best = p_hi
-    else:
-        shape, u_coef = p.workload.shape, local_energy_scale(p, phi[0])
-        # ln chi is linear in 1/power: ln chi(x, power * y1) = -coef / power,
-        # with coef read off at unit power.  A hopeless link stays hopeless
-        # at every power; the other blocks deal with it.
-        unit = allocation_log_factors(p, phi, t, 1.0, 0.0, order=0).link
-        tx_coefs = [-v for v in unit if v > -math.inf]
+        return p_hi
+    shape, u_coef = p.workload.shape, local_energy_scale(p, phi[0])
+    # ln chi is linear in 1/power: ln chi(x, power * y1) = -coef / power,
+    # with coef read off at unit power.  A hopeless link stays hopeless
+    # at every power; the other blocks deal with it.
+    unit = allocation_log_factors(p, phi, t, 1.0, 0.0, order=0).link
+    tx_coefs = [-v for v in unit if v > -math.inf]
 
-        def grad(power: float) -> float:
-            u = (p.energy_budget_j - power * total_t) * u_coef
-            val = -ln_lower_gamma(shape, u)[1] * total_t * u_coef
-            for coef in tx_coefs:
-                val += coef / (power * power)
-            return val
+    def grad(power: float) -> float:
+        u = (p.energy_budget_j - power * total_t) * u_coef
+        val = -ln_lower_gamma(shape, u)[1] * total_t * u_coef
+        for coef in tx_coefs:
+            val += coef / (power * power)
+        return val
 
-        g_lo = grad(p_lo)
-        if g_lo <= 0.0:
-            best = p_lo
-        else:
-            g_hi = grad(p_hi)
-            if math.isfinite(g_hi) and g_hi >= 0.0:
-                best = p_hi
-            else:
-                best = decreasing_root(grad, p_lo, p_hi, g_lo, g_hi)
-
-    return best, max(local_budget_rho(p, t, best), 0.0)
+    g_lo = grad(p_lo)
+    if g_lo <= 0.0:
+        return p_lo
+    g_hi = grad(p_hi)
+    if math.isfinite(g_hi) and g_hi >= 0.0:
+        return p_hi
+    return decreasing_root(grad, p_lo, p_hi, g_lo, g_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -985,22 +979,21 @@ def _to_allocation(p: SystemParams, phi, t, power_w: float, rho: float) -> Alloc
         phi=tuple(float(v) for v in phi),
         t_shares=tuple(max(float(v), 0.0) for v in np.asarray(t, dtype=float)),
         power_w=float(power_w),
-        rho=max(float(rho), 0.0),
+        rho=float(rho),
     )
 
 
 def _sweep(p: SystemParams, solve_p3: Callable, trace: BcdTrace, offload_only: bool) -> None:
-    """One outer iteration from the trace's last allocation: the power and
-    local budget (0 when ``offload_only``), the airtimes, then the split by
+    """One outer iteration from the trace's last allocation: the power, the
+    local budget it leaves (0 when ``offload_only``), the airtimes, then the split by
     ``solve_p3``, whose multiplier search starts from the last sweep's
     multiplier.  Appends the stored allocation, its ln P_success, the
     split's last multiplier and the blocks' work counts."""
     last = trace.allocations[-1]
     phi = np.asarray(last.phi, dtype=float)
     t = np.asarray(last.t_shares, dtype=float)
-    power, rho = solve_p1(p, phi, t)
-    if offload_only:
-        rho = 0.0
+    power = solve_p1(p, phi, t)
+    rho = optimal_rho(p, t, power, offload_only)
     t, evals = solve_p2(p, phi, t, power, rho)
     mu_start = trace.split_mu[-1] if trace.split_mu else None
     phi, split = solve_p3(p, phi, t, power, rho, mu_start=mu_start)

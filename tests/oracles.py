@@ -11,7 +11,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy import special as sps
 
 from airalloc.baselines import scheduler_action
@@ -20,6 +20,7 @@ from airalloc.model import (
     _FEAS_TOL,
     Allocation,
     SystemParams,
+    assert_feasible,
     local_budget_rho,
     local_cycle_energy,
     log_factors,
@@ -35,7 +36,7 @@ from airalloc.multiuser import (
     _share_rows,
     success_vector,
 )
-from airalloc.solver import _BOUND_TOL, _CURV_FLOOR
+from airalloc.solver import _BOUND_TOL, _CURV_FLOOR, ln_success
 from airalloc.special import (
     _DEGENERATE_REL,
     DegenerateCoefficientError,
@@ -173,6 +174,66 @@ def random_feasible_allocation(p: SystemParams, rng: np.random.Generator) -> All
         power_w=power,
         rho=rho,
     )
+
+
+def joint_polish(p: SystemParams, alloc: Allocation, *,
+                 offload_only: bool = False) -> tuple[float, Allocation]:
+    """Polish ``alloc`` in all its variables at once, with rho at its cap.
+
+    scipy's SLSQP (``ftol`` 1e-14) runs from ``alloc`` over (phi, T /
+    latency, P / P_max), with rho at min(s0 latency, (E - P sum T) / e), or
+    0 and phi_0 pinned at 0 when ``offload_only``.  The objective is
+    ``solver.ln_success``; the constraints are sum phi = 1, sum T <= latency
+    and P sum T <= E.  SLSQP shares no code with the solver's blocks, so a
+    gain is a joint direction that the blocks missed.  It is a local check:
+    it stays in the start's basin.
+
+    Returns (ln P, allocation) of the better of the start, scored at its own
+    rho, and the result, which must pass ``model.assert_feasible``.
+    """
+    m = p.n_servers
+    lat, p_max, e_coef = p.latency_budget_s, p.p_max_w, local_cycle_energy(p)
+
+    def unpack(z: np.ndarray) -> Allocation:
+        phi = np.maximum(z[:m + 1], 0.0)
+        t = np.maximum(z[m + 1:-1], 0.0) * lat
+        total_t = float(np.sum(t))
+        power = float(z[-1]) * p_max
+        # SLSQP meets P sum T <= E only up to rounding, and its line search
+        # may step past it, while assert_feasible rejects even one ulp over
+        # E (its tolerance is in joules, the cap it tests in cycles).  So
+        # clip the power onto E, rounding down.
+        if p.energy_budget_j - power * total_t < 0.0:
+            power = p.energy_budget_j / total_t
+            while p.energy_budget_j - power * total_t < 0.0:
+                power = math.nextafter(power, 0.0)
+        rho = 0.0 if offload_only else max(
+            min(p.local_speed_hz * lat, (p.energy_budget_j - power * total_t) / e_coef), 0.0)
+        return Allocation(phi=tuple(float(v) for v in phi / phi.sum()),
+                          t_shares=tuple(float(v) for v in t), power_w=power, rho=float(rho))
+
+    def score(a: Allocation) -> float:
+        return ln_success(p, a.phi, a.t_shares, a.power_w, a.rho)
+
+    def loss(z: np.ndarray) -> float:
+        # SLSQP needs finite values; an impossible candidate is just bad.
+        value = score(unpack(z))
+        return -value if math.isfinite(value) else 1e10
+
+    z0 = np.concatenate([alloc.phi, np.asarray(alloc.t_shares) / lat, [alloc.power_w / p_max]])
+    bounds = ([(0.0, 0.0) if offload_only else (0.0, 1.0)] + [(0.0, 1.0)] * m
+              + [(0.0, 1.0)] * m + [(1e-12, 1.0)])
+    constraints = [
+        {"type": "eq", "fun": lambda z: np.sum(z[:m + 1]) - 1.0},
+        {"type": "ineq", "fun": lambda z: 1.0 - np.sum(z[m + 1:-1])},
+        {"type": "ineq", "fun": lambda z: 1.0 - z[-1] * p_max * lat * np.sum(z[m + 1:-1]) / p.energy_budget_j},
+    ]
+    res = optimize.minimize(loss, z0, method="SLSQP", bounds=bounds, constraints=constraints,
+                            options={"ftol": 1e-14, "maxiter": 200})
+    polished = unpack(res.x)
+    assert_feasible(p, polished)
+    start, end = score(alloc), score(polished)
+    return (end, polished) if end > start else (start, alloc)
 
 
 def analytic_success_grid(p: SystemParams, phi0, t1, power, chunk: int = 64):

@@ -108,12 +108,12 @@ def trace_digest(trace) -> dict:
     return out
 
 
-def solve_digests(solves=None) -> dict[str, dict[str, str]]:
+def solve_digests(solves=None, offload_solves=None) -> dict[str, dict[str, str]]:
     """Field digests per "<cell>/<variant>", then per
-    "<cell>/<variant>/offload_only"; ``solves`` maps (cell, variant) to a
-    ``BcdResult`` already computed (not offload-only), and missing ones are
-    solved here."""
-    solves = solves or {}
+    "<cell>/<variant>/offload_only"; ``solves`` and ``offload_solves`` map
+    (cell, variant) to a ``BcdResult`` already computed, full and
+    offload-only, and missing ones are solved here."""
+    solves, offload_solves = solves or {}, offload_solves or {}
     out = {}
     for name, p in SOLVE_CELLS:
         for v in VARIANTS:
@@ -121,7 +121,7 @@ def solve_digests(solves=None) -> dict[str, dict[str, str]]:
             out[f"{name}/{v}"] = trace_digest(res.trace)
     for name, p in SOLVE_CELLS:
         for v in VARIANTS:
-            res = bcd_solve(p, variant=v, offload_only=True)
+            res = offload_solves.get((name, v)) or bcd_solve(p, variant=v, offload_only=True)
             out[f"{name}/{v}/offload_only"] = trace_digest(res.trace)
     return out
 

@@ -12,12 +12,15 @@ final ln P_success before and after, then the solves' summed work, and ends
 with one summary line: the largest |change| of the final ln P_success over
 the solves converged in both files, and every solve whose ``converged``
 flag, pathology count or capped-loop count (split loops at their variant's
-``max_iter``) changed::
+``max_iter``) changed.  ``gain`` polishes each final allocation of one dump
+with :func:`oracles.joint_polish` and names every solve that the polish
+raises by more than 1e-6 nats, then counts them per variant::
 
     PYTHONPATH=src python tests/solve_diff.py dump before.json
     # ... change the solver ...
     PYTHONPATH=src python tests/solve_diff.py dump after.json
     PYTHONPATH=src python tests/solve_diff.py diff before.json after.json
+    PYTHONPATH=src python tests/solve_diff.py gain after.json
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import oracles
 import pinned
 
 from airalloc import solver
-from airalloc.model import SystemParams
+from airalloc.model import Allocation, SystemParams
 from airalloc.solver import VARIANTS, bcd_solve
 
 RANDOM_DRAWS = {0: 30, 1: 40, 123: 12}
@@ -109,6 +112,33 @@ def summary(old: dict, new: dict) -> str:
             f"converged/pathologies/capped changed: {', '.join(changed) or 'none'}")
 
 
+GAIN_TOL = 1e-6
+
+
+def polish_gains(traces: dict) -> list[str]:
+    """"<solve>: ln P <end> -> <polished> (+<gain>)" for every solve whose
+    final allocation :func:`oracles.joint_polish` raises by more than
+    ``GAIN_TOL`` nats, then one line counting them per variant, full and
+    offload-only."""
+    params = dict(cells())
+    out, counts = [], {}
+    for key, trace in traces.items():
+        name, variant, *offload = key.split("/")
+        last = trace["allocations"][-1]
+        alloc = Allocation(phi=tuple(last["phi"]), t_shares=tuple(last["t_shares"]),
+                           power_w=last["power_w"], rho=last["rho"])
+        end = trace["ln_p_success"][-1]
+        polished, _ = oracles.joint_polish(params[name], alloc, offload_only=bool(offload))
+        tally = counts.setdefault(f"{variant}{'/offload_only' if offload else ''}", [0, 0])
+        tally[1] += 1
+        if polished - end > GAIN_TOL:
+            tally[0] += 1
+            out.append(f"{key}: ln P {end!r} -> {polished!r} ({polished - end:+.2e})")
+    total = sum(n for n, _ in counts.values())
+    per = ", ".join(f"{k} {n} of {m}" for k, (n, m) in counts.items())
+    return out + [f"{total} of {len(traces)} solves gain more than {GAIN_TOL:g} nats ({per})"]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "dump":
         dump(Path(argv[1]))
@@ -119,6 +149,9 @@ def main(argv: list[str]) -> int:
         print("\n".join(moved + [f"{len(moved)} of {len(new)} solves moved"]))
         print(f"before: {work(old)}\nafter:  {work(new)}")
         print(summary(old, new))
+        return 0
+    if len(argv) == 2 and argv[0] == "gain":
+        print("\n".join(polish_gains(json.loads(Path(argv[1]).read_text()))))
         return 0
     print(__doc__, file=sys.stderr)
     return 2

@@ -28,6 +28,7 @@ from oracles import (
 from test_dqn import _random_batch
 from test_special import _planted_quartic
 
+from airalloc import experiments
 from airalloc.baselines import (
     SCHEDULER_KINDS,
     baseline_full_offload,
@@ -47,7 +48,6 @@ from airalloc.dqn import (
 )
 from airalloc.metrics import jain_index, latency_benchmark
 from airalloc.model import (
-    Allocation,
     monte_carlo_outage,
     reference_params,
     success_breakdown,
@@ -242,14 +242,8 @@ def test_criterion_08_quality_trends():
     outages = []
     for m in (1, 2, 3, 4):
         p = reference_params(m, task_mbits=10.0)
-        res = bcd_solve(p, variant="mm2")
-        if prev is not None:
-            phi = tuple(prev.phi) + (0.0,) * (m + 1 - len(prev.phi))
-            t = tuple(prev.t_shares) + (0.0,) * (m - len(prev.t_shares))
-            warm = bcd_solve(p, variant="mm2", init=Allocation(
-                phi=phi, t_shares=t, power_w=prev.power_w, rho=prev.rho))
-            if warm.ln_p_success > res.ln_p_success:
-                res = warm
+        init = None if prev is None else experiments._extend_allocation(prev, m)
+        res = experiments._best_solve(p, "mm2", init)
         prev = res.allocation
         outages.append(res.p_outage)
     monotone = all(b <= a + 1e-12 for a, b in zip(outages, outages[1:]))
@@ -376,7 +370,8 @@ def test_criterion_10_learning_machinery():
 
 
 def test_criterion_11_inference_latency_advantage():
-    rows = latency_benchmark(server_grid=(1, 2, 3), repetitions=5, seed=0)
+    cells = [reference_params(m, task_mbits=10.0) for m in (1, 2, 3)]
+    rows = latency_benchmark(cells, repetitions=5, seed=0)
     medians = {(r.method, r.n_servers): r.median_s for r in rows}
     ratios = {
         m: medians[("bcd_mm1", m)] / medians[("dqn_inference", m)] for m in (1, 2, 3)

@@ -523,6 +523,37 @@ def test_run_latency(tmp_path):
         assert r.value > 0.0
 
 
+def test_run_latency_times_its_own_cells(tmp_path, monkeypatch):
+    # The solvers are timed on the single_user block of the config, not on
+    # the 10 Mbit, 1 J reference cell of `airalloc bench`.
+    from airalloc import metrics
+
+    seen = []
+    real = metrics.bcd_solve
+
+    def spy(p, **kwargs):
+        seen.append((p.n_servers, p.task_bits, p.energy_budget_j))
+        return real(p, **kwargs)
+
+    monkeypatch.setattr(metrics, "bcd_solve", spy)
+    _run(
+        tmp_path,
+        f"""\
+        experiment: latency
+        seed: 0
+        output_dir: {tmp_path / "out"}
+        single_user:
+          task_mbits: 30
+          energy_j: 0.5
+        sweep:
+          values: [1]
+        trials:
+          repetitions: 1
+        """,
+    )
+    assert seen and set(seen) == {(1, 3e7, 0.5)}
+
+
 def test_run_efficiency(tmp_path):
     rows, _ = _run(
         tmp_path,

@@ -7,6 +7,7 @@ from airalloc.metrics import (
     jain_index,
     latency_benchmark,
 )
+from airalloc.model import reference_params
 
 
 def test_jain_index_values():
@@ -36,7 +37,7 @@ def test_energy_efficiency():
 
 
 def test_latency_benchmark_rows():
-    rows = latency_benchmark(server_grid=(1,), repetitions=2, seed=0)
+    rows = latency_benchmark([reference_params(1, task_mbits=10.0)], repetitions=2, seed=0)
     assert [row.method for row in rows] == list(BENCH_METHODS)
     for row in rows:
         assert isinstance(row, LatencyRow)
@@ -47,4 +48,4 @@ def test_latency_benchmark_rows():
 
 def test_latency_benchmark_rejects_zero_repetitions():
     with pytest.raises(ValueError, match="repetitions"):
-        latency_benchmark(server_grid=(1,), repetitions=0)
+        latency_benchmark([reference_params(1)], repetitions=0)

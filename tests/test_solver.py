@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -21,6 +22,7 @@ from airalloc.model import (
     default_allocation,
     local_budget_rho,
     log_factors,
+    optimal_rho,
     reference_params,
     success_breakdown,
 )
@@ -63,7 +65,8 @@ def test_p1_beats_dense_power_scan():
     p = reference_params(2, task_mbits=10.0)
     phi = np.array([0.1, 0.5, 0.4])
     t = np.array([0.2, 0.25])
-    power, rho = solve_p1(p, phi, t)
+    power = solve_p1(p, phi, t)
+    rho = optimal_rho(p, t, power, offload_only=False)
     assert 0.0 < power <= p.p_max_w
     best = ln_success(p, phi, t, power, rho)
 
@@ -85,7 +88,8 @@ def test_p1_interior_power_is_stationary():
     p = reference_params(2)
     phi = np.array([0.1, 0.5, 0.4])
     t = np.array([0.2, 0.25])
-    power, rho = solve_p1(p, phi, t)
+    power = solve_p1(p, phi, t)
+    rho = optimal_rho(p, t, power, offload_only=False)
     assert 0.0 < power < p.p_max_w
     assert power == pytest.approx(0.08869, rel=1e-4)
     assert rho == local_budget_rho(p, t, power)
@@ -99,7 +103,8 @@ def test_p1_interior_power_is_stationary():
 
 def test_p1_full_power_when_no_local_share():
     p = reference_params(1)
-    power, rho = solve_p1(p, np.array([0.0, 1.0]), np.array([0.4]))
+    power = solve_p1(p, np.array([0.0, 1.0]), np.array([0.4]))
+    rho = optimal_rho(p, np.array([0.4]), power, offload_only=False)
     # With no local work, transmit energy is unconstrained by the CPU's needs
     # and more SNR only ever helps.
     assert power == p.p_max_w
@@ -108,7 +113,8 @@ def test_p1_full_power_when_no_local_share():
 
 def test_p1_zero_airtime_short_circuits():
     p = reference_params(1)
-    power, rho = solve_p1(p, np.array([1.0, 0.0]), np.array([0.0]))
+    power = solve_p1(p, np.array([1.0, 0.0]), np.array([0.0]))
+    rho = optimal_rho(p, np.array([0.0]), power, offload_only=False)
     assert power == p.p_max_w
     e_coef = p.switched_capacitance * p.local_speed_hz ** 2
     assert rho == pytest.approx(
@@ -125,7 +131,8 @@ def test_p2_improves_and_stays_feasible():
     p = reference_params(3, task_mbits=12.0)
     phi = np.array([0.1, 0.3, 0.3, 0.3])
     t0 = np.array([0.15, 0.15, 0.15])
-    power, rho = solve_p1(p, phi, t0)
+    power = solve_p1(p, phi, t0)
+    rho = optimal_rho(p, t0, power, offload_only=False)
     t1, _ = solve_p2(p, phi, t0, power, rho)
     assert ln_success(p, phi, t1, power, rho) >= ln_success(p, phi, t0, power, rho) - 1e-12
     assert float(t1.sum()) <= p.latency_budget_s
@@ -1123,7 +1130,8 @@ def _split_inputs(p):
     updates, as the first sweep hands them over."""
     a = default_allocation(p)
     phi, t = np.asarray(a.phi), np.asarray(a.t_shares)
-    power, rho = solve_p1(p, phi, t)
+    power = solve_p1(p, phi, t)
+    rho = optimal_rho(p, t, power, offload_only=False)
     t, _ = solve_p2(p, phi, t, power, rho)
     return phi, t, power, rho
 
@@ -1299,16 +1307,62 @@ def budget_solves():
     return {(name, v): bcd_solve(p, variant=v) for name, p in _BUDGET_CELLS for v in VARIANTS}
 
 
-def test_solve_traces_match_the_pinned_digests(budget_solves):
+@pytest.fixture(scope="module")
+def pinned_offload_solves():
+    return {(name, v): bcd_solve(p, variant=v, offload_only=True)
+            for name, p in pinned.SOLVE_CELLS for v in VARIANTS}
+
+
+def test_solve_traces_match_the_pinned_digests(budget_solves, pinned_offload_solves):
     # Every BcdTrace field, allocations included, of the 54 pinned solves
     # (27 of them offload-only);
     # a failure names the fields that moved (tests/pinned.py regenerates the
     # manifest).
     manifest = json.loads(pinned.SOLVE_MANIFEST.read_text())
-    digests = pinned.solve_digests(budget_solves)
+    digests = pinned.solve_digests(budget_solves, pinned_offload_solves)
     assert digests.keys() == manifest["digests"].keys()
     moved = pinned.moved_entries(manifest["digests"], digests)
     assert not moved, f"solve traces moved: {moved}." + pinned.environment_note(manifest)
+
+
+def test_stored_rho_is_the_rule_at_the_sweeps_power(budget_solves, pinned_offload_solves):
+    # rho is no block variable: each sweep sets it by optimal_rho from the
+    # airtime the sweep started from and the power P1 chose.
+    for offload_only, solves in ((False, budget_solves), (True, pinned_offload_solves)):
+        for name, p in pinned.SOLVE_CELLS:
+            for v in VARIANTS:
+                allocs = solves[name, v].trace.allocations
+                for prev, a in zip(allocs, allocs[1:]):
+                    assert a.rho == optimal_rho(p, prev.t_shares, a.power_w, offload_only), (name, v)
+
+
+def test_joint_polish_finds_the_stall_at_seed0_cell6():
+    # M = 1, L = 68.7 Mbit, E = 1.33 J, latency 1.25 s: every block is at its
+    # own optimum at pg's answer, yet giving up airtime for local cycles gains.
+    p = oracles.random_cells(0, 6)[6]
+    res = bcd_solve(p, variant="pg")
+    assert res.ln_p_success == pytest.approx(-11.5063, abs=1e-4)
+    polished, _ = oracles.joint_polish(p, res.allocation)
+    assert polished == pytest.approx(-11.4071, abs=1e-4)
+
+
+def test_joint_polish_gains_from_rho_below_its_cap(budget_solves):
+    p = reference_params(1, task_mbits=10.0)
+    a = budget_solves["M1 L10", "pg"].allocation
+    half = dataclasses.replace(a, rho=0.5 * a.rho)
+    start = ln_success(p, half.phi, half.t_shares, half.power_w, half.rho)
+    polished, _ = oracles.joint_polish(p, half)
+    assert polished > start + 1e-3
+
+
+def test_joint_polish_never_returns_below_its_start(budget_solves):
+    for name, p in pinned.SOLVE_CELLS:
+        for v in VARIANTS:
+            res = budget_solves[name, v]
+            polished, alloc = oracles.joint_polish(p, res.allocation)
+            assert polished >= res.ln_p_success, (name, v)
+            assert_feasible(p, alloc)
+            assert polished == ln_success(p, alloc.phi, alloc.t_shares, alloc.power_w, alloc.rho)
 
 
 def test_p2_never_reaches_its_step_cap(budget_solves):
