@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams
+from .model import SystemParams, _total
 from .multiuser import (
     ActionGrid,
     MultiUserAction,
     MultiUserEnv,
     MultiUserParams,
     MultiUserState,
-    _total,
     spent_energy,
     state_vector,
     success_vector,

@@ -58,6 +58,17 @@ __all__ = [
 _FEAS_TOL = 1e-9
 
 
+def _total(values) -> float:
+    """Sum from 0.0, left to right.  numpy's ``add.reduce`` takes this order
+    for fewer than 8 entries, so the two agree to the bit there; the builtin
+    ``sum`` compensates float sums from Python 3.12 on.  The split block and
+    the multi-user slot both sum with it."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class FeasibilityError(ValueError):
     """An allocation violates one of the problem constraints."""
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from .model import (
     _FEAS_TOL,
+    _total,
     FeasibilityError,
     SystemParams,
     local_cycle_budget,
@@ -212,16 +213,6 @@ def _check_dims(mp: MultiUserParams, action: MultiUserAction) -> None:
         raise FeasibilityError(f"t must be {(n, m)}, got {action.t.shape}")
     if action.power.shape != (n,):
         raise FeasibilityError(f"power must be {(n,)}, got {action.power.shape}")
-
-
-def _total(values) -> float:
-    """Sum from 0.0, left to right.  numpy's ``add.reduce`` takes this order
-    for fewer than 8 entries, so the two agree to the bit there; the builtin
-    ``sum`` compensates float sums from Python 3.12 on."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def _column_totals(rows: list[list[float]]) -> list[float]:

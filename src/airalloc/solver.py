@@ -47,6 +47,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import (
+    _total,
     Allocation,
     FeasibilityError,
     ShareScales,
@@ -434,13 +435,15 @@ def solve_p32b(
         mu * cross_23 + 2.0 * cross_13,
         mu * r3 * l3 + cross_23,
     )
-    f_lo, f_hi = quartic(lo), quartic(hi)
+    a, b, c, d, e = quartic
+    f_lo = (((a * lo + b) * lo + c) * lo + d) * lo + e
+    f_hi = (((a * hi + b) * hi + c) * hi + d) * hi + e
     if f_lo <= 0.0:
         return lo, 0.0
     if f_hi >= 0.0:
         return hi, 0.0
     if tx is None:
-        roots = solve_quadratic_real(quartic.c, quartic.d, quartic.e)
+        roots = solve_quadratic_real(c, d, e)
     else:
         try:
             roots = solve_quartic_real(quartic, (lo, hi))
@@ -449,7 +452,7 @@ def solve_p32b(
     root = next((r for r in roots if lo < r < hi), None)
     if root is None:
         root = min(max(bracketed_poly_root(quartic, lo, hi, f_lo, f_hi), lo), hi)
-    f_root = quartic.derivative(root)
+    f_root = ((4.0 * a * root + 3.0 * b) * root + 2.0 * c) * root + d
     product = ((r1 * root + r2) * root + r3) * ((l1 * root + l2) * root + l3)
     return root, (-product / f_root if f_root < 0.0 else 0.0)
 
@@ -577,10 +580,15 @@ def _active_shares(p: SystemParams, t, rho: float) -> list[int]:
     return active
 
 
-def _normalized_expansion(phi: np.ndarray, indices: list[int]) -> np.ndarray:
+def _normalized(values: list[float]) -> list[float]:
+    """``values`` divided by their total."""
+    total = _total(values)
+    return [v / total for v in values]
+
+
+def _normalized_expansion(phi: list[float], indices: list[int]) -> list[float]:
     """Clamp active shares to the floor and rescale them to spend the budget."""
-    ph = np.maximum(phi[indices], PHI_FLOOR)
-    return ph / ph.sum()
+    return _normalized([max(phi[i], PHI_FLOOR) for i in indices])
 
 
 def _mm_split_loop(
@@ -611,24 +619,30 @@ def _mm_split_loop(
     iteration improves the objective by less than 1e-9 — near flat optima
     the curvature-floored surrogates keep producing above-tolerance steps of
     vanishing value.
+
+    The loop runs on Python floats (shares, airtimes, power and budget):
+    numpy scalars slow down the pieces' scalar arithmetic and every
+    objective evaluation.  Its sums run left to right, numpy's order below
+    8 entries, so up to 6 servers its steps match an array form to the bit.
     """
-    t = np.asarray(t_shares, dtype=float)
+    t = np.asarray(t_shares, dtype=float).tolist()
+    power_w, rho = float(power_w), float(rho)
     indices = _active_shares(p, t, rho)
     if not indices:
         return np.array(phi_start, dtype=float), InnerTrace(mu=mu_start)
-    phi = np.zeros(p.n_servers + 1)
-    phi[indices] = np.asarray(phi_start, dtype=float)[indices]
-    total = phi.sum()
-    if total > 0.0:
-        phi /= total
+    start = np.asarray(phi_start, dtype=float).tolist()
+    phi = [0.0] * (p.n_servers + 1)
+    for i in indices:
+        phi[i] = start[i]
+    if _total(phi) > 0.0:
+        phi = _normalized(phi)
     scales = share_scales(p, t, power_w, rho)
     trace = InnerTrace(ln_values=[ln_success(p, phi, t, power_w, rho)], mu=mu_start)
 
-    def pieces(ph: np.ndarray):
+    def pieces(ph: list[float]):
         out = []
-        for pos, m in enumerate(indices):
-            # The pieces do scalar arithmetic, which numpy scalars slow down.
-            built = piece(scales[m], float(ph[pos]), trace)
+        for m, ph_m in zip(indices, ph):
+            built = piece(scales[m], ph_m, trace)
             if built is None:
                 return None
             out.append(built)
@@ -648,14 +662,15 @@ def _mm_split_loop(
         except (WaterfillBracketError, ConvergenceError):
             trace.pathologies += 1
             break
-        phi_new = np.zeros_like(phi)
-        phi_new[indices] = shares
-        phi_new /= phi_new.sum()
+        phi_new = [0.0] * len(phi)
+        for i, share in zip(indices, shares.tolist()):
+            phi_new[i] = share
+        phi_new = _normalized(phi_new)
         ln_new = ln_success(p, phi_new, t, power_w, rho)
         if ln_new < trace.ln_values[-1] - 1e-9:
             # Surrogate arithmetic went numerically sour: damp once, then stop.
             trace.pathologies += 1
-            phi_try = 0.5 * (phi + phi_new)
+            phi_try = [0.5 * (a + b) for a, b in zip(phi, phi_new)]
             ln_try = ln_success(p, phi_try, t, power_w, rho)
             if ln_try < trace.ln_values[-1] - 1e-9:
                 break
@@ -671,26 +686,26 @@ def _mm_split_loop(
             # objective gain that no feasible split provides.  The search
             # stops before an active share drops below the floor, where the
             # next expansion would clamp it off the iterate.
-            direction = phi_new - phi
+            direction = [b - a for a, b in zip(phi, phi_new)]
             scale = 2.0
             while scale <= 2.0**30:
-                cand = phi + scale * direction
-                if float(cand[indices].min()) < PHI_FLOOR:
+                cand = [a + scale * d for a, d in zip(phi, direction)]
+                if min(cand[i] for i in indices) < PHI_FLOOR:
                     break
-                cand /= cand.sum()
+                cand = _normalized(cand)
                 ln_cand = ln_success(p, cand, t, power_w, rho)
                 if ln_cand <= ln_new:
                     break
                 phi_new, ln_new = cand, ln_cand
                 scale *= 2.0
-        delta = float(np.max(np.abs(phi_new - phi)))
+        delta = max(abs(b - a) for a, b in zip(phi, phi_new))
         gain = ln_new - trace.ln_values[-1]
         phi = phi_new
         trace.ln_values.append(ln_new)
         trace.iterations += 1
         if delta < _SPLIT_TOL or gain < _SPLIT_FTOL:
             break
-    return phi, trace
+    return np.array(phi), trace
 
 
 def solve_p3_mm2(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "ConvergenceError",
@@ -156,14 +156,14 @@ def regularized_lower_gamma(shape: float, x: float) -> float:
     series' prefactor adds its own rounding: against 40-digit mpmath the
     relative error below shape + 1 reaches about 1.1e-12 at shape 200.
     """
-    if not (math.isfinite(shape) and shape > 0.0):
+    if not 0.0 < shape < math.inf:
         raise ValueError(f"shape must be finite and > 0, got {shape}")
-    if math.isnan(x) or x < 0.0:
+    if not 0.0 < x < math.inf:
+        if x == 0.0:
+            return 0.0
+        if x == math.inf:
+            return 1.0
         raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
     if x < shape + 1.0:
         return min(1.0, _lower_series(shape, x))
     n = int(shape)
@@ -331,26 +331,30 @@ def _bisection_point(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuarticCoeffs:
-    """Real coefficients of a*x^4 + b*x^3 + c*x^2 + d*x + e, stored as
-    Python floats."""
-
+class _QuarticFields(NamedTuple):
     a: float
     b: float
     c: float
     d: float
     e: float
 
-    def __post_init__(self) -> None:
+
+class QuarticCoeffs(_QuarticFields):
+    """Real coefficients of a*x^4 + b*x^3 + c*x^2 + d*x + e: an immutable
+    tuple of finite Python floats, which unpacks as (a, b, c, d, e)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float, c: float, d: float, e: float) -> QuarticCoeffs:
         # Python floats: numpy scalars are slow in the closed form, and
         # np.float64 + complex is complex128, whose cube root rounds unlike
         # Python's complex.
-        for name in ("a", "b", "c", "d", "e"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"coefficient {name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
+        values = a, b, c, d, e = float(a), float(b), float(c), float(d), float(e)
+        if not (-math.inf < a < math.inf and -math.inf < b < math.inf and -math.inf < c < math.inf
+                and -math.inf < d < math.inf and -math.inf < e < math.inf):
+            name, v = next((n, v) for n, v in zip(cls._fields, values) if not math.isfinite(v))
+            raise ValueError(f"coefficient {name} must be finite, got {v}")
+        return tuple.__new__(cls, values)
 
     @property
     def norm(self) -> float:
@@ -360,11 +364,11 @@ class QuarticCoeffs:
         # Horner evaluation; works for real and complex arguments.
         return (((self.a * x + self.b) * x + self.c) * x + self.d) * x + self.e
 
-    def derivative(self, x):
-        return ((4.0 * self.a * x + 3.0 * self.b) * x + 2.0 * self.c) * x + self.d
-
 
 _OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)  # primitive cube root of unity
+# The factors (omega^(k-1), omega^((4-k) mod 3)), k = 1, 2, 3, of the
+# resolvent cubic's three roots.
+_OMEGA_PAIRS = tuple((_OMEGA ** (k - 1), _OMEGA ** ((4 - k) % 3)) for k in (1, 2, 3))
 
 
 def _quartic_closed_form(a: float, b: float, c: float, d: float, e: float) -> list[complex]:
@@ -391,8 +395,8 @@ def _quartic_closed_form(a: float, b: float, c: float, d: float, e: float) -> li
 
     best_y = 0j
     best_m2 = 0j
-    for k in (1, 2, 3):
-        y = _OMEGA ** (k - 1) * u1 + _OMEGA ** ((4 - k) % 3) * v1
+    for w_u, w_v in _OMEGA_PAIRS:
+        y = w_u * u1 + w_v * v1
         m2 = b * b - (8.0 / 3.0) * a * c + 4.0 * a * y
         if abs(m2) >= abs(best_m2):
             best_m2 = m2
@@ -422,11 +426,13 @@ def _quartic_closed_form(a: float, b: float, c: float, d: float, e: float) -> li
 
 
 def _polish_complex(q: QuarticCoeffs, z: complex, steps: int) -> complex:
+    a, b, c, d, e = q
+    a4, b3, c2 = 4.0 * a, 3.0 * b, 2.0 * c
     for _ in range(steps):
-        dq = q.derivative(z)
+        dq = ((a4 * z + b3) * z + c2) * z + d
         if dq == 0:
             break
-        z_next = z - q(z) / dq
+        z_next = z - ((((a * z + b) * z + c) * z + d) * z + e) / dq
         if not (math.isfinite(z_next.real) and math.isfinite(z_next.imag)):
             break
         z = z_next
@@ -435,15 +441,17 @@ def _polish_complex(q: QuarticCoeffs, z: complex, steps: int) -> complex:
 
 def _polish_real(q: QuarticCoeffs, x: float, steps: int) -> float:
     # Guarded Newton: only accept steps that reduce the residual.
-    fx = q(x)
+    a, b, c, d, e = q
+    a4, b3, c2 = 4.0 * a, 3.0 * b, 2.0 * c
+    fx = (((a * x + b) * x + c) * x + d) * x + e
     for _ in range(steps):
-        dq = q.derivative(x)
+        dq = ((a4 * x + b3) * x + c2) * x + d
         if dq == 0.0:
             break
         x_next = x - fx / dq
         if not math.isfinite(x_next):
             break
-        f_next = q(x_next)
+        f_next = (((a * x_next + b) * x_next + c) * x_next + d) * x_next + e
         if abs(f_next) >= abs(fx):
             break
         x, fx = x_next, f_next
@@ -470,20 +478,23 @@ def _merge_sorted_roots(roots: list[float], tol: float) -> list[float]:
     return merged
 
 
-def _residual_bound(q: QuarticCoeffs, r: float, degree: int) -> float:
-    return _RESIDUAL_TOL * max(1.0, q.norm) * max(1.0, abs(r)) ** degree
+def _residual_bound(norm: float, r: float, degree: int) -> float:
+    return _RESIDUAL_TOL * max(1.0, norm) * max(1.0, abs(r)) ** degree
 
 
-def _certified(q: QuarticCoeffs, roots: list[float], degree: int) -> list[float]:
-    """Merge duplicate roots of ``q`` at 1e-8 and certify every residual:
+def _certified(q: QuarticCoeffs, roots: list[float], degree: int, norm: float) -> list[float]:
+    """Merge duplicate roots of ``q`` (whose ``norm`` the caller gives) at
+    1e-8 and certify every residual:
     |q(r)| <= 1e-9 * max(1, ||q||_inf) * max(1, |r|)^degree, the root-size
     factor accounting for Horner evaluation noise away from the origin."""
     merged = _merge_sorted_roots(roots, _ROOT_MERGE_TOL)
+    a, b, c, d, e = q
     for r in merged:
-        bound = _residual_bound(q, r, degree)
-        if abs(q(r)) > bound:
+        residual = (((a * r + b) * r + c) * r + d) * r + e
+        bound = _residual_bound(norm, r, degree)
+        if abs(residual) > bound:
             raise ConvergenceError(
-                f"degree-{degree} root {r} has residual {q(r):.3e} above bound {bound:.3e}"
+                f"degree-{degree} root {r} has residual {residual:.3e} above bound {bound:.3e}"
             )
     return merged
 
@@ -506,24 +517,25 @@ def solve_quartic_real(
     Raises :class:`DegenerateCoefficientError` when the leading coefficient is
     numerically zero.
     """
+    a, b, c, d, e = coeffs
     norm = coeffs.norm
     if norm == 0.0:
         raise DegenerateCoefficientError("all quartic coefficients are zero")
-    if abs(coeffs.a) < _DEGENERATE_REL * norm:
+    if abs(a) < _DEGENERATE_REL * norm:
         raise DegenerateCoefficientError(
-            f"leading coefficient {coeffs.a} is degenerate relative to ||coeffs||={norm}"
+            f"leading coefficient {a} is degenerate relative to ||coeffs||={norm}"
         )
 
     lo, hi = interval
     real_roots = []
-    for z in _quartic_closed_form(coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e):
+    for z in _quartic_closed_form(a, b, c, d, e):
         if lo < z.real < hi:
             z = _polish_complex(coeffs, z, 4)
             if abs(z.imag) <= _IMAG_TOL:
                 real_roots.append(_polish_real(coeffs, z.real, 8))
     if lo == -math.inf and hi == math.inf:
         real_roots = _close_sign_changes(coeffs, real_roots)
-    return [r for r in _certified(coeffs, real_roots, 4) if lo < r < hi]
+    return [r for r in _certified(coeffs, real_roots, 4, norm) if lo < r < hi]
 
 
 def _close_sign_changes(q: QuarticCoeffs, roots: list[float]) -> list[float]:
@@ -591,9 +603,9 @@ def solve_cubic_real(b: float, c: float, d: float, e: float) -> list[float]:
             continue
         x = abs(xs[i])
         backward = _RESIDUAL_TOL * (((abs(b) * x + abs(c)) * x + abs(d)) * x + abs(e))
-        if abs(poly(xs[i])) <= min(backward, _residual_bound(poly, x, 3)):
+        if abs(poly(xs[i])) <= min(backward, _residual_bound(norm, x, 3)):
             roots.append(xs[i])
-    return _certified(poly, roots, 3)
+    return _certified(poly, roots, 3, norm)
 
 
 def solve_quadratic_real(c: float, d: float, e: float) -> list[float]:

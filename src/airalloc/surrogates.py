@@ -20,7 +20,7 @@ factor's local curvature instead of its worst case over all shares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .special import _EXP_LIMIT, _LN2, GammaWorkload, ln_chi, ln_lower_gamma
 
@@ -125,23 +125,30 @@ def b_gamma(psi: float, workload: GammaWorkload, region: tuple[float, float] | N
     return _gamma_curvature(a, u1) / (psi * psi)
 
 
-@dataclass(frozen=True)
-class SurrogateCoeffs:
-    """Concave quadratic q(phi) = c2*phi^2 + c1*phi + c0 with c2 < 0, a
-    minorant of its factor on the share region [lo, hi]."""
-
+class _SurrogateFields(NamedTuple):
     c2: float
     c1: float
     c0: float
     lo: float = PHI_FLOOR
     hi: float = 1.0
 
-    def __post_init__(self) -> None:
-        for name in ("c2", "c1", "c0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"surrogate coefficient {name} must be finite")
-        if not self.c2 < 0.0:
-            raise ValueError(f"surrogate curvature must be negative, got {self.c2}")
+
+class SurrogateCoeffs(_SurrogateFields):
+    """Concave quadratic q(phi) = c2*phi^2 + c1*phi + c0 with c2 < 0, a
+    minorant of its factor on the share region [lo, hi]: an immutable tuple
+    (c2, c1, c0, lo, hi) with finite coefficients."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, c2: float, c1: float, c0: float, lo: float = PHI_FLOOR, hi: float = 1.0
+    ) -> SurrogateCoeffs:
+        if not (-math.inf < c2 < 0.0 and -math.inf < c1 < math.inf and -math.inf < c0 < math.inf):
+            for name, v in (("c2", c2), ("c1", c1), ("c0", c0)):
+                if not math.isfinite(v):
+                    raise ValueError(f"surrogate coefficient {name} must be finite")
+            raise ValueError(f"surrogate curvature must be negative, got {c2}")
+        return tuple.__new__(cls, (c2, c1, c0, lo, hi))
 
     def value(self, phi: float) -> float:
         return (self.c2 * phi + self.c1) * phi + self.c0

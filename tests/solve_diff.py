@@ -12,9 +12,11 @@ final ln P_success before and after, then the solves' summed work, and ends
 with one summary line: the largest |change| of the final ln P_success over
 the solves converged in both files, and every solve whose ``converged``
 flag, pathology count or capped-loop count (split loops at their variant's
-``max_iter``) changed.  ``gain`` polishes each final allocation of one dump
-with :func:`oracles.joint_polish` and names every solve that the polish
-raises by more than 1e-6 nats, then counts them per variant::
+``max_iter``) changed.  Like diff(1), it exits with status 1 when any solve
+moved, was added or was removed, and 0 otherwise.  ``gain`` polishes each
+final allocation of one dump with :func:`oracles.joint_polish` and names
+every solve that the polish raises by more than 1e-6 nats, then counts them
+per variant::
 
     PYTHONPATH=src python tests/solve_diff.py dump before.json
     # ... change the solver ...
@@ -149,7 +151,7 @@ def main(argv: list[str]) -> int:
         print("\n".join(moved + [f"{len(moved)} of {len(new)} solves moved"]))
         print(f"before: {work(old)}\nafter:  {work(new)}")
         print(summary(old, new))
-        return 0
+        return 1 if moved else 0
     if len(argv) == 2 and argv[0] == "gain":
         print("\n".join(polish_gains(json.loads(Path(argv[1]).read_text()))))
         return 0

@@ -70,6 +70,14 @@ def test_lower_gamma_edge_cases():
         regularized_lower_gamma(-1.0, 1.0)
     with pytest.raises(ValueError):
         regularized_lower_gamma(math.nan, 1.0)
+    # Signed zero and infinity have their limits; a NaN x or an infinite
+    # shape is rejected.
+    assert regularized_lower_gamma(2.0, -0.0) == 0.0
+    assert regularized_lower_gamma(2.0, math.inf) == 1.0
+    with pytest.raises(ValueError, match="x must be >= 0"):
+        regularized_lower_gamma(2.0, math.nan)
+    with pytest.raises(ValueError, match="shape must be finite"):
+        regularized_lower_gamma(math.inf, 1.0)
 
 
 @given(
@@ -358,6 +366,19 @@ def test_quartic_biquadratic_and_scaling():
     # Scaling all coefficients leaves the roots alone.
     q2 = QuarticCoeffs(1e-3, 0.0, -5e-3, 0.0, 4e-3)
     assert solve_quartic_real(q2) == pytest.approx([-2.0, -1.0, 1.0, 2.0], abs=1e-8)
+
+
+def test_quartic_coeffs_are_finite_python_floats():
+    for name in "abcde":
+        for bad in (math.inf, -math.inf, math.nan):
+            values = dict(a=1.0, b=2.0, c=3.0, d=4.0, e=5.0)
+            values[name] = bad
+            with pytest.raises(ValueError, match=f"^coefficient {name} must be finite, got {bad}$"):
+                QuarticCoeffs(**values)
+    q = QuarticCoeffs(np.float64(1.5), np.float32(2.0), np.int64(3), 4, np.float64(-0.0))
+    assert all(type(v) is float for v in (q.a, q.b, q.c, q.d, q.e))
+    assert (q.a, q.b, q.c, q.d, q.e) == (1.5, 2.0, 3.0, 4.0, 0.0)
+    assert math.copysign(1.0, q.e) == -1.0
 
 
 def test_quartic_degenerate_leading_coefficient():

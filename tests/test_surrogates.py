@@ -242,6 +242,14 @@ def test_surrogate_coeffs_validation():
         SurrogateCoeffs(c2=0.1, c1=0.0, c0=0.0)
     with pytest.raises(ValueError):
         SurrogateCoeffs(c2=-1.0, c1=math.nan, c0=0.0)
+    # A non-finite c2 fails the finite check before the curvature check.
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^surrogate coefficient c2 must be finite$"):
+            SurrogateCoeffs(c2=bad, c1=0.0, c0=0.0)
+    with pytest.raises(ValueError, match="^surrogate coefficient c0 must be finite$"):
+        SurrogateCoeffs(c2=0.1, c1=0.0, c0=-math.inf)
+    with pytest.raises(ValueError, match="^surrogate curvature must be negative, got -0.0$"):
+        SurrogateCoeffs(c2=-0.0, c1=0.0, c0=0.0)
 
 
 def test_positive_roots_brackets_positive_region():
