@@ -3,6 +3,7 @@ per-decision wall-clock latency of the different allocators."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ BENCH_METHODS = ("bcd_mm1", "bcd_mm2", "gradient_descent", "dqn_inference")
 
 
 def jain_index(values) -> float:
-    """Fairness of a non-negative allocation vector: (sum x)^2 / (n sum x^2).
+    """Fairness of a finite non-negative vector: (sum x)^2 / (n sum x^2).
 
     Equals 1 when everyone holds the same amount and 1/n when one user holds
     everything.  An all-zero vector carries no allocation to rate.
@@ -30,6 +31,8 @@ def jain_index(values) -> float:
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise ValueError("fairness of an empty vector is undefined")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("fairness inputs must be finite")
     if np.any(x < 0.0):
         raise ValueError("fairness inputs must be non-negative")
     total = x.sum()
@@ -40,10 +43,10 @@ def jain_index(values) -> float:
 
 def energy_efficiency(bits_completed: float, joules_spent: float) -> float:
     """Throughput per unit energy, bits per joule."""
-    if joules_spent <= 0.0:
-        raise ValueError(f"energy spent must be > 0, got {joules_spent}")
-    if bits_completed < 0.0:
-        raise ValueError(f"completed bits must be >= 0, got {bits_completed}")
+    if not 0.0 < joules_spent < math.inf:
+        raise ValueError(f"energy spent must be finite and > 0, got {joules_spent}")
+    if not 0.0 <= bits_completed < math.inf:
+        raise ValueError(f"completed bits must be finite and >= 0, got {bits_completed}")
     return bits_completed / joules_spent
 
 

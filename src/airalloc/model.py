@@ -12,6 +12,7 @@ the outage probability is one minus the product.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple, Sequence
@@ -193,14 +194,15 @@ def default_allocation(p: SystemParams, offload_only: bool = False) -> Allocatio
 
 
 def assert_feasible(p: SystemParams, alloc: Allocation) -> None:
-    """Raise :class:`FeasibilityError` on any constraint violation."""
+    """Raise :class:`FeasibilityError` on any constraint violation (energy
+    in joules, within 1e-9 E)."""
     if len(alloc.phi) != p.n_servers + 1:
         raise FeasibilityError(
             f"allocation has {len(alloc.phi) - 1} server shares, expected {p.n_servers}"
         )
     if alloc.power_w > p.p_max_w * (1.0 + _FEAS_TOL):
         raise FeasibilityError(f"power {alloc.power_w} exceeds cap {p.p_max_w}")
-    total_t = sum(alloc.t_shares)
+    total_t = _total(alloc.t_shares)
     if total_t >= p.latency_budget_s * (1.0 + _FEAS_TOL):
         raise FeasibilityError(
             f"total airtime {total_t} leaves no compute slack within {p.latency_budget_s}"
@@ -208,14 +210,18 @@ def assert_feasible(p: SystemParams, alloc: Allocation) -> None:
     for m in range(1, p.n_servers + 1):
         if alloc.phi[m] > _FEAS_TOL and alloc.t_shares[m - 1] <= 0.0:
             raise FeasibilityError(f"server {m} receives work but zero airtime")
-    rho_cap = local_budget_rho(p, alloc.t_shares, alloc.power_w)
-    if rho_cap < -_FEAS_TOL * p.energy_budget_j:
+    energy_cap = p.energy_budget_j * (1.0 + _FEAS_TOL)
+    tx_energy = alloc.power_w * total_t
+    if tx_energy > energy_cap:
         raise FeasibilityError(
             "transmit energy alone exceeds the device energy budget "
             f"(power {alloc.power_w} W for {total_t} s)"
         )
-    if alloc.rho > rho_cap + _FEAS_TOL * max(1.0, abs(rho_cap)):
-        raise FeasibilityError(f"rho {alloc.rho} exceeds its feasible cap {rho_cap}")
+    if tx_energy + local_cycle_energy(p) * alloc.rho > energy_cap:
+        raise FeasibilityError(f"rho {alloc.rho} cycles overspend the energy budget after the uplink")
+    rho_lat = local_cycle_budget(p, p.latency_budget_s, math.inf)
+    if alloc.rho > rho_lat * (1.0 + _FEAS_TOL):
+        raise FeasibilityError(f"rho {alloc.rho} exceeds the latency cap {rho_lat}")
 
 
 def transmission_success(
@@ -267,8 +273,7 @@ def local_cycle_budget(p, latency_s, energy_left_j):
 def local_budget_rho(p: SystemParams, t_shares, power_w: float) -> float:
     """Largest cycle count the local CPU may spend: the binding one of the
     latency budget and of the energy left after paying for the uplink."""
-    total_t = float(np.sum(np.asarray(t_shares, dtype=float)))
-    return local_cycle_budget(p, p.latency_budget_s, p.energy_budget_j - power_w * total_t)
+    return local_cycle_budget(p, p.latency_budget_s, p.energy_budget_j - power_w * _total(t_shares))
 
 
 def optimal_rho(p: SystemParams, t_shares, power_w: float, offload_only: bool) -> float:
@@ -315,14 +320,13 @@ def share_scales(p: SystemParams, t_shares, power_w: float, rho: float) -> list[
     """:class:`ShareScales` of every share (local first) at airtimes
     ``t_shares``, transmit power ``power_w`` and local cycle budget ``rho``.
     Server m's psi counts the slack after the first m airtimes; a server
-    without airtime gets c = inf.  Every entry is a Python float."""
+    without airtime gets c = inf.  Python floats in give Python floats out."""
     demand = p.task_bits * p.workload.scale
-    scales = [ShareScales(float(rho) / demand)]
-    t = np.asarray(t_shares, dtype=float)
-    slacks = p.latency_budget_s - np.cumsum(t)
-    for m, (t_m, slack) in enumerate(zip(t.tolist(), slacks.tolist()), start=1):
+    scales = [ShareScales(rho / demand)]
+    for m, (t_m, elapsed) in enumerate(zip(t_shares, accumulate(t_shares)), start=1):
         c = p.task_bits / (p.bandwidth_hz * t_m) if t_m > 0.0 else math.inf
-        y = float(power_w) * p.mean_gains[m - 1] / p.noise_w
+        y = power_w * p.mean_gains[m - 1] / p.noise_w
+        slack = p.latency_budget_s - elapsed
         scales.append(ShareScales(p.server_speeds_hz[m - 1] * slack / demand, y, c))
     return scales
 
@@ -383,9 +387,11 @@ def log_factors(
     a positive share, a link without airtime or power, a hopeless link
     (2**x past e**700, see :func:`~airalloc.special.ln_chi`) and a server
     without cycles left each get a log factor of -inf and add no gradient
-    and no curvature.  ``order`` 0 gives the factors alone (no gamma slope,
-    no derivative work), 1 adds ``d_phi`` and ``d_t``, 2 also ``h_phi`` and
-    ``h_t``; every order computes each factor by the same expression.
+    and no curvature; a finite link factor whose derivatives overflow
+    raises a ``RuntimeWarning`` naming the server and x.  ``order`` 0 gives
+    the factors alone (no gamma slope, no derivative work), 1 adds ``d_phi``
+    and ``d_t``, 2 also ``h_phi`` and ``h_t``; every order computes each
+    factor by the same expression.
     """
     shape, scale = workload.shape, workload.scale
     n = len(t_shares)
@@ -426,6 +432,7 @@ def log_factors(
             if order and link[m - 1] > -math.inf:
                 d_phi[m] = dx * task_bits / (bandwidth_hz * t_m)
                 d_t[m - 1] = -dx * x / t_m
+                formed = d_phi[m] + d_t[m - 1]
                 if order > 1:
                     # x = c phi with c = bits / (bandwidth T); x' = -x / T and
                     # x'' = 2 x / T^2 in T.
@@ -433,6 +440,9 @@ def log_factors(
                     c = task_bits / (bandwidth_hz * t_m)
                     h_phi[m] = d2 * c * c
                     h_link[m - 1] = (d2 * x + 2.0 * dx) * x / (t_m * t_m)
+                    formed += h_phi[m] + h_link[m - 1]
+                if not math.isfinite(formed):
+                    warnings.warn(f"link {m} derivatives overflow at x = {x:.1f}", RuntimeWarning)
         elif ph > 0.0:
             link[m - 1] = -math.inf
         if ph <= 0.0:

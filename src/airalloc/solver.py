@@ -34,6 +34,11 @@ to the per-index work.
 
 Every block never decreases the objective, so the outer trace of
 ``ln P_success`` is monotone up to solver tolerances.
+
+Every block takes float sequences (the stored allocation's tuples) and
+returns Python floats or lists of them, summed left to right by
+:func:`~airalloc.model._total` (numpy's order below 8 entries): numpy
+appears only in the ``eigh`` fallback and in :func:`split_residual`'s norm.
 """
 
 from __future__ import annotations
@@ -161,11 +166,9 @@ def solve_p1(p: SystemParams, phi, t_shares) -> float:
     stationary point is the root of the decreasing power gradient, closed by
     :func:`~airalloc.special.decreasing_root` from the two end gradients.
     """
-    phi = np.asarray(phi, dtype=float)
-    t = np.asarray(t_shares, dtype=float)
     e_coef = local_cycle_energy(p)
     rho_lat = local_cycle_budget(p, p.latency_budget_s, math.inf)  # the latency cap alone
-    total_t = float(t.sum())
+    total_t = _total(t_shares)
     if total_t <= 0.0:
         return p.p_max_w
 
@@ -178,7 +181,7 @@ def solve_p1(p: SystemParams, phi, t_shares) -> float:
     # ln chi is linear in 1/power: ln chi(x, power * y1) = -coef / power,
     # with coef read off at unit power.  A hopeless link stays hopeless
     # at every power; the other blocks deal with it.
-    unit = allocation_log_factors(p, phi, t, 1.0, 0.0, order=0).link
+    unit = allocation_log_factors(p, phi, t_shares, 1.0, 0.0, order=0).link
     tx_coefs = [-v for v in unit if v > -math.inf]
 
     def grad(power: float) -> float:
@@ -361,7 +364,7 @@ def solve_p2(
     t_start,
     power_w: float,
     rho: float,
-) -> tuple[np.ndarray, int]:
+) -> tuple[list[float], int]:
     """Airtime update: projected Newton ascent (:func:`_projected_newton`)
     on the concave airtime objective, with its exact Hessian.
 
@@ -370,7 +373,6 @@ def solve_p2(
     committed local cycle budget ``rho`` affordable).  Returns the airtimes
     and the number of objective evaluations spent.
     """
-    phi = np.asarray(phi, dtype=float)
     cap_lat = p.latency_budget_s * (1.0 - 1e-9)
     cap_energy = (
         (p.energy_budget_j - rho * local_cycle_energy(p)) / power_w if power_w > 0.0 else math.inf
@@ -378,21 +380,22 @@ def solve_p2(
     cap = min(cap_lat, cap_energy)
     if cap <= 0.0:
         raise FeasibilityError(f"committed rho {rho} and power {power_w} leave no airtime budget")
-    if not np.any(phi[1:] > 0.0):
-        return np.zeros(p.n_servers), 0
+    if not any(v > 0.0 for v in phi[1:]):
+        return [0.0] * p.n_servers, 0
     # The local factor does not depend on the airtime: zero its share.
-    phi_tx = [0.0] + phi[1:].tolist()
+    phi_tx = [0.0, *phi[1:]]
 
     def kernel(tv: list[float]):
         f = allocation_log_factors(p, phi_tx, tv, power_w, rho, order=2)
         return f.total, f.d_t, f.h_t
 
     # Start from a strictly interior feasible point.
-    t = np.maximum(np.asarray(t_start, dtype=float), cap * 1e-9)
-    if float(t.sum()) > cap:
-        t *= cap * (1.0 - 1e-12) / float(t.sum())
-    t, _, evals = _projected_newton(kernel, t.tolist(), cap, False, _P2_MAX_ITER)
-    return np.array(t), evals
+    t = [max(v, cap * 1e-9) for v in t_start]
+    total = _total(t)
+    if total > cap:
+        t = [v * (cap * (1.0 - 1e-12) / total) for v in t]
+    t, _, evals = _projected_newton(kernel, t, cap, False, _P2_MAX_ITER)
+    return t, evals
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +465,7 @@ def waterfill_mu(
     *,
     max_iter: int = 200,
     mu_start: float | None = None,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, list[float]]:
     """Find the multiplier at which the per-index maximizers spend the unit
     share budget.
 
@@ -529,7 +532,7 @@ def waterfill_mu(
         step_old, step, mu = step, mu - nxt, nxt
     if not below and err_best > _WATERFILL_TOL:
         residual(0.0)  # every multiplier tried overspent: S(0) decides
-    return mu_best, np.array(phi_best)
+    return mu_best, phi_best
 
 
 @dataclass
@@ -573,7 +576,7 @@ def _active_shares(p: SystemParams, t, rho: float) -> list[int]:
     :func:`split_residual` pin the others at 0."""
     active = [0] if rho > 0.0 else []
     elapsed = 0.0
-    for m, t_m in enumerate(np.asarray(t, dtype=float).tolist(), start=1):
+    for m, t_m in enumerate(t, start=1):
         elapsed += t_m
         if t_m > 0.0 and elapsed < p.latency_budget_s:
             active.append(m)
@@ -594,14 +597,14 @@ def _normalized_expansion(phi: list[float], indices: list[int]) -> list[float]:
 def _mm_split_loop(
     p: SystemParams,
     phi_start,
-    t_shares,
+    t,
     power_w: float,
     rho: float,
     piece,
     *,
     max_iter: int,
     mu_start: float | None,
-) -> tuple[np.ndarray, InnerTrace]:
+) -> tuple[list[float], InnerTrace]:
     """Shared loop of both split updates.
 
     The shares outside :func:`_active_shares` are pinned at 0 (the update
@@ -619,21 +622,13 @@ def _mm_split_loop(
     iteration improves the objective by less than 1e-9 — near flat optima
     the curvature-floored surrogates keep producing above-tolerance steps of
     vanishing value.
-
-    The loop runs on Python floats (shares, airtimes, power and budget):
-    numpy scalars slow down the pieces' scalar arithmetic and every
-    objective evaluation.  Its sums run left to right, numpy's order below
-    8 entries, so up to 6 servers its steps match an array form to the bit.
     """
-    t = np.asarray(t_shares, dtype=float).tolist()
-    power_w, rho = float(power_w), float(rho)
     indices = _active_shares(p, t, rho)
     if not indices:
-        return np.array(phi_start, dtype=float), InnerTrace(mu=mu_start)
-    start = np.asarray(phi_start, dtype=float).tolist()
+        return list(phi_start), InnerTrace(mu=mu_start)
     phi = [0.0] * (p.n_servers + 1)
     for i in indices:
-        phi[i] = start[i]
+        phi[i] = phi_start[i]
     if _total(phi) > 0.0:
         phi = _normalized(phi)
     scales = share_scales(p, t, power_w, rho)
@@ -663,7 +658,7 @@ def _mm_split_loop(
             trace.pathologies += 1
             break
         phi_new = [0.0] * len(phi)
-        for i, share in zip(indices, shares.tolist()):
+        for i, share in zip(indices, shares):
             phi_new[i] = share
         phi_new = _normalized(phi_new)
         ln_new = ln_success(p, phi_new, t, power_w, rho)
@@ -705,7 +700,7 @@ def _mm_split_loop(
         trace.iterations += 1
         if delta < _SPLIT_TOL or gain < _SPLIT_FTOL:
             break
-    return np.array(phi), trace
+    return phi, trace
 
 
 def solve_p3_mm2(
@@ -717,7 +712,7 @@ def solve_p3_mm2(
     *,
     max_iter: int = 100,
     mu_start: float | None = None,
-) -> tuple[np.ndarray, InnerTrace]:
+) -> tuple[list[float], InnerTrace]:
     """Split update with quadratic minorants and closed-form inner solves.
 
     Each minorant takes its curvature floor over a trust region around the
@@ -841,7 +836,7 @@ def solve_p3_mm1(
     *,
     max_iter: int = 100,
     mu_start: float | None = None,
-) -> tuple[np.ndarray, InnerTrace]:
+) -> tuple[list[float], InnerTrace]:
     """Split update with first-order minorants; same contract as ``mm2``
     but every inner maximization is a safeguarded Newton root search on the
     minorant's derivative (:func:`_mm1_piece`)."""
@@ -859,13 +854,10 @@ def split_residual(p: SystemParams, phi, t_shares, power_w: float, rho: float) -
     """Projected-gradient norm of ln P_success over the active split
     (:func:`_active_shares`, unit step): 0 at a stationary split, large
     where a split update froze short of one."""
-    phi = np.asarray(phi, dtype=float)
     active = _active_shares(p, t_shares, rho)
-    grad = np.array(allocation_log_factors(p, phi, t_shares, power_w, rho).d_phi)
-    target = np.zeros_like(phi)
-    if active:
-        target[active] = _project_simplex((phi[active] + grad[active]).tolist(), 1.0)
-    return float(np.linalg.norm(target - phi))
+    grad = allocation_log_factors(p, phi, t_shares, power_w, rho).d_phi
+    target = dict(zip(active, _project_simplex([phi[i] + grad[i] for i in active], 1.0)))
+    return float(np.linalg.norm([target.get(i, 0.0) - v for i, v in enumerate(phi)]))
 
 
 def solve_p3_pg(
@@ -877,7 +869,7 @@ def solve_p3_pg(
     *,
     max_iter: int = 500,
     mu_start: float | None = None,
-) -> tuple[np.ndarray, InnerTrace]:
+) -> tuple[list[float], InnerTrace]:
     """Split update by projected Newton ascent (:func:`_projected_newton`)
     on the true objective, with its diagonal Hessian clamped to negative
     definite where the split is not concave.
@@ -886,26 +878,24 @@ def solve_p3_pg(
     objective evaluations.  Kept mainly as a like-for-like reference point
     for the minorize-maximize updates; it takes ``mu_start`` for the same
     call shape, prices no shares and so ignores it and reports no ``mu``."""
-    t = np.asarray(t_shares, dtype=float).tolist()
-    free = _active_shares(p, t, rho)
-    start = np.asarray(phi_start, dtype=float)
+    free = _active_shares(p, t_shares, rho)
     if not free:
-        return start.copy(), InnerTrace()
+        return list(phi_start), InnerTrace()
     phi = [0.0] * (p.n_servers + 1)
 
     def kernel(x: list[float]):
         for i, v in zip(free, x):
             phi[i] = v
-        f = allocation_log_factors(p, phi, t, power_w, rho, order=2)
+        f = allocation_log_factors(p, phi, t_shares, power_w, rho, order=2)
         return f.total, [f.d_phi[i] for i in free], [f.h_phi[i] for i in free]
 
     x, values, evals = _projected_newton(
-        kernel, _project_simplex(start[free].tolist(), 1.0), 1.0, True, max_iter)
+        kernel, _project_simplex([phi_start[i] for i in free], 1.0), 1.0, True, max_iter)
     for i, v in zip(free, x):
         # A share within the bound tolerance is a projection residue, not a
         # choice: left in place it asks the airtime update for a link.
         phi[i] = 0.0 if v <= _BOUND_TOL else v
-    return np.array(phi), InnerTrace(ln_values=values, iterations=len(values) - 1, search_evals=evals)
+    return phi, InnerTrace(ln_values=values, iterations=len(values) - 1, search_evals=evals)
 
 
 # ---------------------------------------------------------------------------
@@ -987,17 +977,6 @@ class BcdResult:
         return self.trace.ln_p_success[-1]
 
 
-def _to_allocation(p: SystemParams, phi, t, power_w: float, rho: float) -> Allocation:
-    phi = np.maximum(np.asarray(phi, dtype=float), 0.0)
-    phi = phi / phi.sum()
-    return Allocation(
-        phi=tuple(float(v) for v in phi),
-        t_shares=tuple(max(float(v), 0.0) for v in np.asarray(t, dtype=float)),
-        power_w=float(power_w),
-        rho=float(rho),
-    )
-
-
 def _sweep(p: SystemParams, solve_p3: Callable, trace: BcdTrace, offload_only: bool) -> None:
     """One outer iteration from the trace's last allocation: the power, the
     local budget it leaves (0 when ``offload_only``), the airtimes, then the split by
@@ -1005,8 +984,7 @@ def _sweep(p: SystemParams, solve_p3: Callable, trace: BcdTrace, offload_only: b
     multiplier.  Appends the stored allocation, its ln P_success, the
     split's last multiplier and the blocks' work counts."""
     last = trace.allocations[-1]
-    phi = np.asarray(last.phi, dtype=float)
-    t = np.asarray(last.t_shares, dtype=float)
+    phi, t = last.phi, last.t_shares
     power = solve_p1(p, phi, t)
     rho = optimal_rho(p, t, power, offload_only)
     t, evals = solve_p2(p, phi, t, power, rho)
@@ -1014,7 +992,7 @@ def _sweep(p: SystemParams, solve_p3: Callable, trace: BcdTrace, offload_only: b
     phi, split = solve_p3(p, phi, t, power, rho, mu_start=mu_start)
     # Round-trip through the stored form so the recorded objective is the
     # objective of the recorded allocation, not of a drifted work array.
-    stored = _to_allocation(p, phi, t, power, rho)
+    stored = Allocation(tuple(_normalized(phi)), tuple(t), power, rho)
     trace.ln_p_success.append(ln_success(p, stored.phi, stored.t_shares, stored.power_w, stored.rho))
     trace.allocations.append(stored)
     trace.p2_evals.append(evals)

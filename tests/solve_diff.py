@@ -6,17 +6,19 @@ hard cells) and the seeded cells of :func:`oracles.random_cells` (seeds 0, 1
 and 123; 30, 40 and 12 cells), each solved by every variant, in full and
 offload-only.  ``dump`` writes ``dataclasses.asdict`` of each trace, keyed
 "<cell>/<variant>" or "<cell>/<variant>/offload_only", to a JSON file
-(floats by their shortest round-trip repr, so any moved bit shows).  ``diff``
-names every solve whose trace differs, with the fields that moved and its
-final ln P_success before and after, then the solves' summed work, and ends
-with one summary line: the largest |change| of the final ln P_success over
-the solves converged in both files, and every solve whose ``converged``
-flag, pathology count or capped-loop count (split loops at their variant's
-``max_iter``) changed.  Like diff(1), it exits with status 1 when any solve
-moved, was added or was removed, and 0 otherwise.  ``gain`` polishes each
-final allocation of one dump with :func:`oracles.joint_polish` and names
-every solve that the polish raises by more than 1e-6 nats, then counts them
-per variant::
+(floats by their shortest round-trip repr, so any moved bit shows), with
+the messages of the ``RuntimeWarning``s the solve raised under
+``warnings``.  ``diff`` names every solve whose trace differs, with the
+fields that moved and its final ln P_success before and after, then every
+solve whose warnings changed (a dump without the field counts as none), the
+solves' summed work, and ends with one summary line: the largest |change|
+of the final ln P_success over the solves converged in both files, and
+every solve whose ``converged`` flag, pathology count or capped-loop count
+(split loops at their variant's ``max_iter``) changed.  Like diff(1), it
+exits with status 1 when any solve moved, was added, was removed or changed
+its warnings, and 0 otherwise.  ``gain`` polishes each final allocation of
+one dump with :func:`oracles.joint_polish` and names every solve that the
+polish raises by more than 1e-6 nats, then counts them per variant::
 
     PYTHONPATH=src python tests/solve_diff.py dump before.json
     # ... change the solver ...
@@ -31,6 +33,7 @@ import dataclasses
 import inspect
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import oracles
@@ -58,9 +61,17 @@ def dump(path: Path) -> None:
         for name, p in cells():
             for v in VARIANTS:
                 key = f"{name}/{v}" + ("/offload_only" if offload_only else "")
-                trace = bcd_solve(p, variant=v, offload_only=offload_only).trace
-                traces[key] = dataclasses.asdict(trace)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    trace = bcd_solve(p, variant=v, offload_only=offload_only).trace
+                traces[key] = dataclasses.asdict(trace) | {"warnings": [
+                    str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]}
     path.write_text(json.dumps(traces) + "\n")
+
+
+def _fields(trace: dict) -> dict:
+    """The trace's ``BcdTrace`` fields, without its warnings."""
+    return {f: v for f, v in trace.items() if f != "warnings"}
 
 
 def moved_solves(old: dict, new: dict) -> list[str]:
@@ -72,11 +83,28 @@ def moved_solves(old: dict, new: dict) -> list[str]:
         was = old.get(key)
         if was is None:
             out.append(f"{key} (added)")
-        elif was != trace:
-            fields = ", ".join(f for f in trace if was.get(f) != trace[f])
+        elif _fields(was) != _fields(trace):
+            fields = ", ".join(f for f in _fields(trace) if was.get(f) != trace[f])
             a, b = was["ln_p_success"][-1], trace["ln_p_success"][-1]
             out.append(f"{key}: {fields}; ln P {a!r} -> {b!r} ({b - a:+.2e})")
     return out + [f"{key} (removed)" for key in old if key not in new]
+
+
+def warning_changes(old: dict, new: dict) -> list[str]:
+    """"<solve>: warnings <before> -> <after>" for every solve both dumps
+    hold whose ``RuntimeWarning`` messages differ, in ``new``'s order."""
+    out = []
+    for key, trace in new.items():
+        if key in old:
+            a, b = old[key].get("warnings", []), trace.get("warnings", [])
+            if a != b:
+                out.append(f"{key}: warnings {a} -> {b}")
+    return out
+
+
+def warned(traces: dict) -> int:
+    """How many solves raised a ``RuntimeWarning``."""
+    return sum(bool(t.get("warnings")) for t in traces.values())
 
 
 def work(traces: dict) -> str:
@@ -147,11 +175,14 @@ def main(argv: list[str]) -> int:
         return 0
     if len(argv) == 3 and argv[0] == "diff":
         old, new = (json.loads(Path(a).read_text()) for a in argv[1:])
-        moved = moved_solves(old, new)
+        moved, warned_moved = moved_solves(old, new), warning_changes(old, new)
         print("\n".join(moved + [f"{len(moved)} of {len(new)} solves moved"]))
+        print("\n".join(warned_moved + [
+            f"{len(warned_moved)} of {len(new)} solves changed their warnings "
+            f"({warned(old)} warned before, {warned(new)} after)"]))
         print(f"before: {work(old)}\nafter:  {work(new)}")
         print(summary(old, new))
-        return 1 if moved else 0
+        return 1 if moved or warned_moved else 0
     if len(argv) == 2 and argv[0] == "gain":
         print("\n".join(polish_gains(json.loads(Path(argv[1]).read_text()))))
         return 0

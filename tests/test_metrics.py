@@ -25,6 +25,9 @@ def test_jain_index_rejects_degenerate_input():
         jain_index([1.0, -0.5])
     with pytest.raises(ValueError):
         jain_index([0.0, 0.0])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="must be finite"):
+            jain_index([bad, 1.0])
 
 
 def test_energy_efficiency():
@@ -34,6 +37,9 @@ def test_energy_efficiency():
         energy_efficiency(1e6, 0.0)
     with pytest.raises(ValueError):
         energy_efficiency(-1.0, 1.0)
+    for bits, joules in ((float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("inf")), (1.0, float("nan"))):
+        with pytest.raises(ValueError, match="must be finite"):
+            energy_efficiency(bits, joules)
 
 
 def test_latency_benchmark_rows():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from airalloc.model import (
 )
 from airalloc.solver import ln_success
 from airalloc.special import chi, ln_chi, ln_lower_gamma, regularized_lower_gamma
-from oracles import random_feasible_allocation
+from oracles import random_cells, random_feasible_allocation
 
 
 def test_reference_params_layout():
@@ -90,6 +91,38 @@ def test_assert_feasible_names_a_starved_link_and_an_unpaid_uplink():
     with pytest.raises(FeasibilityError, match="transmit energy alone exceeds"):
         assert_feasible(p, Allocation((0.0, 0.5, 0.5), (0.2, 0.2), 1.0, 0.0))
     assert_feasible(p, Allocation((0.0, 0.5, 0.5), (0.1, 0.1), 1.0, 0.0))
+
+
+def test_assert_feasible_checks_energy_in_joules():
+    # Seed 0 cell 26 spends 1e-9 J per local cycle.  The whole task on
+    # server 1 at full power for one ulp more than E / P_max overspends E by
+    # 2.2e-16 J, inside the 1e-9 E that every energy check allows; 1e-6 E is
+    # not.
+    p = random_cells(0, 26)[26]
+    e, rest = local_cycle_energy(p), (0.0,) * (p.n_servers - 1)
+    assert e == 1e-9
+    phi = (0.0, 1.0) + rest
+
+    def alloc(t_1: float, rho: float = 0.0) -> Allocation:
+        return Allocation(phi, (t_1,) + rest, p.p_max_w, rho)
+
+    ulp_over = math.nextafter(p.energy_budget_j / p.p_max_w, math.inf)
+    assert p.p_max_w * ulp_over > p.energy_budget_j
+    assert_feasible(p, alloc(ulp_over))
+    with pytest.raises(FeasibilityError, match="transmit energy alone exceeds"):
+        assert_feasible(p, alloc(p.energy_budget_j * (1.0 + 1e-6) / p.p_max_w))
+    # The local cycles pay from what the uplink leaves, in joules too.
+    t_1 = 0.5 * p.energy_budget_j / p.p_max_w
+    fits = (p.energy_budget_j - p.p_max_w * t_1) / e
+    assert_feasible(p, alloc(t_1, fits))
+    with pytest.raises(FeasibilityError, match="overspend the energy budget"):
+        assert_feasible(p, alloc(t_1, fits + 1e-6 * p.energy_budget_j / e))
+    # and never past what the CPU runs within the latency budget.
+    rich = reference_params(1, energy_j=100.0)
+    lat_cap = rich.local_speed_hz * rich.latency_budget_s
+    assert_feasible(rich, Allocation((1.0, 0.0), (0.0,), 1.0, lat_cap))
+    with pytest.raises(FeasibilityError, match="exceeds the latency cap"):
+        assert_feasible(rich, Allocation((1.0, 0.0), (0.0,), 1.0, lat_cap * (1.0 + 1e-8)))
 
 
 def test_transmission_success_closed_form():
@@ -374,15 +407,23 @@ _ORDER_SERVER = st.tuples(
 @example([(0.5, 1e-9, 1e3, 0.0)], 0.5, -1.0)                         # hopeless link, rho < 0
 @example([(0.5, 0.2, 1e3, 1e13)], 0.0, 1e9)                          # no cycles left
 @example([(0.3, 0.6, 1e3, 0.0), (0.3, 0.6, 1e3, 0.0)], 0.4, 1e9)     # past the deadline
+@example([(1e-5, 1e-9, 1.0, 0.0)], 0.0, -1.0)                        # derivatives overflow
 def test_log_factor_values_are_the_same_at_every_order(servers, phi0, rho):
     # Order 0 skips the gamma slopes and the derivative work, yet computes
     # each factor by the same expression: local, link, server and total
     # agree bit for bit with orders 1 and 2, the -inf branches included.
     p = reference_params(len(servers))
     phi, t, snr, cross = zip(*servers)
-    runs = [log_factors(p.task_bits, p.bandwidth_hz, p.workload, p.latency_budget_s,
-                        p.server_speeds_hz, cross, snr, (phi0,) + phi, t, rho, order=k)
-            for k in (0, 1, 2)]
+    runs = []
+    for k in (0, 1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs.append(log_factors(p.task_bits, p.bandwidth_hz, p.workload, p.latency_budget_s,
+                                    p.server_speeds_hz, cross, snr, (phi0,) + phi, t, rho, order=k))
+        # A link short of the hopeless cut on a 1e-9 s airtime (x = 1000 at
+        # SNR 1) has overflowing derivatives, which orders 1 and 2 report.
+        assert all("derivatives overflow" in str(w.message) for w in caught)
+        assert k or not caught
     values = [(f.local, f.link, f.server, f.total) for f in runs]
     assert values[0] == values[1] == values[2]
     assert runs[0].d_phi is runs[0].d_t is runs[0].h_phi is runs[0].h_t is None

@@ -60,3 +60,20 @@ def test_a_moved_added_or_removed_solve_exits_1(tmp_path, capsys):
 def test_a_bad_command_line_exits_2(capsys):
     assert solve_diff.main(["diff", "only-one.json"]) == 2
     assert "solve_diff.py dump" in capsys.readouterr().err
+
+
+def test_changed_warnings_are_named_and_exit_1(tmp_path, capsys):
+    # A dump without the field counts as one without warnings.
+    quiet = {k: dict(t, warnings=[]) for k, t in OLD.items()}
+    assert solve_diff.warning_changes(OLD, quiet) == []
+    assert solve_diff.main(["diff", *_dumps(tmp_path, quiet)]) == 0
+    assert "0 of 3 solves changed their warnings (0 warned before, 0 after)" in capsys.readouterr().out
+
+    warned = dict(quiet, **{"B/mm1": dict(OLD["B/mm1"], warnings=["link 1 derivatives overflow at x = 998.0"])})
+    assert solve_diff.moved_solves(OLD, warned) == []
+    assert solve_diff.warning_changes(OLD, warned) == [
+        "B/mm1: warnings [] -> ['link 1 derivatives overflow at x = 998.0']"]
+    assert solve_diff.main(["diff", *_dumps(tmp_path, warned)]) == 1
+    out = capsys.readouterr().out
+    assert "0 of 3 solves moved" in out
+    assert "1 of 3 solves changed their warnings (0 warned before, 1 after)" in out
