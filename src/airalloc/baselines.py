@@ -53,7 +53,7 @@ def _fraction_action(mp: MultiUserParams, state: MultiUserState, fracs: list[lis
     server m's airtime and capacity, offloading greedily server by server
     until its task is placed."""
     phi, t = [], []
-    for f_n, bits in zip(fracs, state.task_bits.tolist()):
+    for f_n, bits in zip(fracs, state.task_bits):
         local = 1.0
         shares, times = [], []
         for f, capacity, speed in zip(f_n, mp.capacities_s, mp.server_speeds_hz):
@@ -63,12 +63,12 @@ def _fraction_action(mp: MultiUserParams, state: MultiUserState, fracs: list[lis
             # Airtime only where something is actually sent; half the
             # granted window stays free so the server can still compute.
             times.append(0.5 * f * mp.slot_s if share > 0.0 else 0.0)
-        phi.append([local, *shares])
-        t.append(times)
-    return MultiUserAction(np.array(phi), np.array(t), np.asarray(mp.p_max_w, dtype=float))
+        phi.append((local, *shares))
+        t.append(tuple(times))
+    return MultiUserAction(tuple(phi), tuple(t), tuple(map(float, mp.p_max_w)))
 
 
-def _max_min_fractions(mp: MultiUserParams, tasks: list[float]) -> list[float]:
+def _max_min_fractions(mp: MultiUserParams, tasks: tuple[float, ...]) -> list[float]:
     """Raise every user's served task fraction together until the fraction
     budget runs out, freezing users whose whole task fits."""
     total_bits = sum(c * s for c, s in zip(mp.capacities_s, mp.server_speeds_hz))
@@ -104,11 +104,11 @@ def scheduler_action(kind: str, mp: MultiUserParams, state: MultiUserState, slot
             for n in range(mp.n_users)
         ])
     if kind == "max_min":
-        fracs = _max_min_fractions(mp, state.task_bits.tolist())
+        fracs = _max_min_fractions(mp, state.task_bits)
     elif kind in ("weighted", "proportional"):
         claims = list(mp.weights)
         if kind == "proportional":
-            claims = [w * b for w, b in zip(claims, state.task_bits.tolist())]
+            claims = [w * b for w, b in zip(claims, state.task_bits)]
         total = _total(claims)
         fracs = [c / total for c in claims]
     else:
@@ -167,10 +167,10 @@ def evaluate_policy(
         total = 0.0
         for k in range(steps_per_episode):
             action = policy(state, k)
-            success = success_vector(mp, state, action).tolist()
+            success = success_vector(mp, state, action)
             success_sum = [s + p for s, p in zip(success_sum, success)]
-            bits += _total(b * p for b, p in zip(state.task_bits.tolist(), success))
-            joules += _total(spent_energy(mp, state, action).tolist())
+            bits += _total(b * p for b, p in zip(state.task_bits, success))
+            joules += _total(spent_energy(mp, state, action))
             slots += 1
             state, r, done = env.step(action)
             total += r

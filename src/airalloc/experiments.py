@@ -20,8 +20,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .baselines import (
     SCHEDULER_KINDS,
     baseline_full_offload,
@@ -32,6 +30,7 @@ from .baselines import (
 from .dqn import TrainConfig, train
 from .metrics import energy_efficiency, jain_index, latency_benchmark
 from .model import (
+    _total,
     Allocation,
     SystemParams,
     local_cycle_energy,
@@ -468,21 +467,13 @@ def _static_bcd_action(mp, variant: str) -> MultiUserAction:
     problem at the nominal task size, then its airtime is scaled into an
     equal 1/N share of the slot.  The resulting joint action is replayed
     every slot regardless of the realized state."""
-    n, m = mp.n_users, mp.n_servers
-    phi = np.zeros((n, m + 1))
-    t = np.zeros((n, m))
-    power = np.zeros(n)
-    for u in range(n):
-        alloc = bcd_solve(mp.device(u), variant=variant).allocation
-        share = np.asarray(alloc.t_shares, dtype=float)
-        cap = mp.slot_s / n
-        total = share.sum()
-        if total > cap:
-            share = share * (cap / total)
-        phi[u] = alloc.phi
-        t[u] = share
-        power[u] = alloc.power_w
-    return MultiUserAction(phi, t, power)
+    cap = mp.slot_s / mp.n_users
+    allocs = [bcd_solve(mp.device(u), variant=variant).allocation for u in range(mp.n_users)]
+    t = []
+    for alloc in allocs:
+        total = _total(alloc.t_shares)
+        t.append(tuple(v * (cap / total) for v in alloc.t_shares) if total > cap else alloc.t_shares)
+    return MultiUserAction(tuple(a.phi for a in allocs), tuple(t), tuple(a.power_w for a in allocs))
 
 
 def _exp_user_count(cfg: ExperimentConfig, cells) -> list[MetricRow]:

@@ -15,6 +15,13 @@ workloads enter a given user's computation-success factor at their *mean*
 lower-incomplete-gamma expression.  The Monte-Carlo oracle in the test suite
 samples those workloads instead, so the size of the mean-field gap is
 measured rather than assumed away.
+
+A slot's state and joint action are frozen dataclasses of tuples of Python
+floats, from the environment's draws to the reward, so the environment hands
+out its state without copies; ``success_vector`` and ``spent_energy``
+return lists.  numpy appears only in the random draws, in ``state_vector``
+(the value network's input) and in the joint action table of
+:class:`ActionGrid`, whose ``decode`` hands out a row as tuples.
 """
 
 from __future__ import annotations
@@ -116,8 +123,8 @@ class MultiUserParams:
                 if not (math.isfinite(v) and v > 0.0):
                     raise ValueError(f"{name} entries must be finite and > 0, got {v}")
         lo, hi = self.task_range_bits
-        if not (0.0 < lo <= hi):
-            raise ValueError(f"task_range_bits must satisfy 0 < lo <= hi, got {self.task_range_bits}")
+        if not (0.0 < lo <= hi < math.inf):
+            raise ValueError(f"task_range_bits must satisfy 0 < lo <= hi < inf, got {self.task_range_bits}")
 
     @property
     def n_users(self) -> int:
@@ -174,48 +181,48 @@ def default_multiuser(n_users: int = 2, n_servers: int = 1) -> MultiUserParams:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiUserState:
-    """Observable system snapshot at the start of a slot.
+    """Observable system snapshot at the start of a slot, as tuples of
+    Python floats.
 
     ``task_bits`` are this slot's job sizes, ``gains`` the realized uplink
-    gains (N x M), ``queues`` the per-server backlog in pending cycles, and
-    ``energies`` the per-user battery levels in joules.
+    gains (N rows of M), ``queues`` the per-server backlog in pending cycles,
+    and ``energies`` the per-user battery levels in joules.
     """
 
-    task_bits: np.ndarray
-    gains: np.ndarray
-    queues: np.ndarray
-    energies: np.ndarray
-
-    def copy(self) -> "MultiUserState":
-        return MultiUserState(
-            self.task_bits.copy(), self.gains.copy(),
-            self.queues.copy(), self.energies.copy(),
-        )
+    task_bits: tuple[float, ...]
+    gains: tuple[tuple[float, ...], ...]
+    queues: tuple[float, ...]
+    energies: tuple[float, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiUserAction:
-    """One joint decision: task split rows ``phi`` (N x (M+1), local share in
-    column 0), airtime matrix ``t`` (N x M), and transmit powers (N,)."""
+    """One joint decision, as tuples of Python floats: task split rows
+    ``phi`` (N rows of M+1, local share first), airtime rows ``t`` (N rows
+    of M), and transmit powers (N)."""
 
-    phi: np.ndarray
-    t: np.ndarray
-    power: np.ndarray
+    phi: tuple[tuple[float, ...], ...]
+    t: tuple[tuple[float, ...], ...]
+    power: tuple[float, ...]
 
 
 def _check_dims(mp: MultiUserParams, action: MultiUserAction) -> None:
     n, m = mp.n_users, mp.n_servers
-    if action.phi.shape != (n, m + 1):
-        raise FeasibilityError(f"phi must be {(n, m + 1)}, got {action.phi.shape}")
-    if action.t.shape != (n, m):
-        raise FeasibilityError(f"t must be {(n, m)}, got {action.t.shape}")
-    if action.power.shape != (n,):
-        raise FeasibilityError(f"power must be {(n,)}, got {action.power.shape}")
+    for name, rows, width in (("phi", action.phi, m + 1), ("t", action.t, m)):
+        if len(rows) != n or any(len(row) != width for row in rows):
+            raise FeasibilityError(f"{name} must be {n} rows of {width} entries")
+    if len(action.power) != n:
+        raise FeasibilityError(f"power must have {n} entries, got {len(action.power)}")
 
 
-def _column_totals(rows: list[list[float]]) -> list[float]:
+def _tuples(a: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """Rows of a 2-D array as tuples of Python floats."""
+    return tuple(map(tuple, a.tolist()))
+
+
+def _column_totals(rows) -> list[float]:
     """Per-column totals of equal-length rows, adding the rows in sequence
     as numpy's ``sum(axis=0)`` does."""
     totals = [0.0] * len(rows[0])
@@ -224,13 +231,13 @@ def _column_totals(rows: list[list[float]]) -> list[float]:
     return totals
 
 
-def _server_loads(mp: MultiUserParams, bits: list[float], phi: list[list[float]]) -> list[list[float]]:
+def _server_loads(mp: MultiUserParams, bits, phi) -> list[list[float]]:
     """Cycles each user's server shares claim, at the mean per-bit workload."""
     mean = mp.workload.mean
     return [[b * ph * mean for ph in phi_n[1:]] for b, phi_n in zip(bits, phi)]
 
 
-def success_vector(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> np.ndarray:
+def success_vector(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> list[float]:
     """Every user's end-to-end success probability under the joint action.
 
     Each user's factors are the single-user ones (:func:`model.log_factors`)
@@ -244,15 +251,12 @@ def success_vector(mp: MultiUserParams, state: MultiUserState, action: MultiUser
     be delivered.
     """
     _check_dims(mp, action)
-    bits = state.task_bits.tolist()
-    phi = action.phi.tolist()
-    power = action.power.tolist()
     rx = [[p * g if ph > 0.0 else 0.0 for g, ph in zip(g_n, phi_n[1:])]
-          for p, g_n, phi_n in zip(power, state.gains.tolist(), phi)]
-    loads = _server_loads(mp, bits, phi)
+          for p, g_n, phi_n in zip(action.power, state.gains, action.phi)]
+    loads = _server_loads(mp, state.task_bits, action.phi)
     rx_total, load_total = _column_totals(rx), _column_totals(loads)
-    rows = zip(bits, phi, action.t.tolist(), power, mp.mean_gains, rx, loads,
-               mp.latency_budgets_s, mp.energy_budgets_j, state.energies.tolist())
+    rows = zip(state.task_bits, action.phi, action.t, action.power, mp.mean_gains, rx, loads,
+               mp.latency_budgets_s, mp.energy_budgets_j, state.energies)
     out = []
     for b, phi_n, t_n, p, gains_n, rx_n, load_n, deadline, budget, energy in rows:
         snr = [p * g / (mp.noise_w + max(s - r, 0.0)) for g, s, r in zip(gains_n, rx_total, rx_n)]
@@ -262,7 +266,7 @@ def success_vector(mp: MultiUserParams, state: MultiUserState, action: MultiUser
         rho = local_cycle_budget(mp, deadline, min(budget, energy) - p * _total(t_n))
         out.append(math.exp(log_factors(b, mp.bandwidth_hz, mp.workload, deadline, mp.server_speeds_hz,
                                         cross, snr, phi_n, t_n, rho, order=0).total))
-    return np.array(out)
+    return out
 
 
 def violations(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> list[str]:
@@ -273,35 +277,30 @@ def violations(mp: MultiUserParams, state: MultiUserState, action: MultiUserActi
     power caps.  Each violated constraint is reported once.
     """
     _check_dims(mp, action)
-    phi = action.phi.tolist()
-    t = action.t.tolist()
+    phi, t = action.phi, action.t
     out: list[str] = []
-    for n, (phi_n, t_n, p, cap) in enumerate(zip(phi, t, action.power.tolist(), mp.p_max_w), start=1):
+    for n, (phi_n, t_n, p, cap) in enumerate(zip(phi, t, action.power, mp.p_max_w), start=1):
         if min(phi_n) < -_FEAS_TOL or abs(_total(phi_n) - 1.0) > 1e-6:
             out.append(f"share row of user {n} off the simplex")
         if min(t_n) < -_FEAS_TOL:
             out.append(f"negative airtime for user {n}")
         if not 0.0 <= p <= cap + _FEAS_TOL:
             out.append(f"power of user {n} outside [0, {cap}]")
-    bits = state.task_bits.tolist()
     for m, (speed, capacity) in enumerate(zip(mp.server_speeds_hz, mp.capacities_s), start=1):
         if _total(t_n[m - 1] for t_n in t) > mp.slot_s + _FEAS_TOL:
             out.append(f"airtime on server {m} over the slot budget")
-        if _total(b * phi_n[m] for b, phi_n in zip(bits, phi)) / speed > capacity + _FEAS_TOL:
+        if _total(b * phi_n[m] for b, phi_n in zip(state.task_bits, phi)) / speed > capacity + _FEAS_TOL:
             out.append(f"compute load on server {m} over capacity")
     return out
 
 
-def spent_energy(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> np.ndarray:
+def spent_energy(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> list[float]:
     """Per-user energy bill for the slot: uplink power times total airtime
     plus local-compute energy at the mean per-bit workload."""
     per_cycle = local_cycle_energy(mp)
     mean = mp.workload.mean
-    return np.array([
-        p * _total(t_n) + per_cycle * (b * phi_n[0] * mean)
-        for p, t_n, b, phi_n in zip(action.power.tolist(), action.t.tolist(),
-                                    state.task_bits.tolist(), action.phi.tolist())
-    ])
+    return [p * _total(t_n) + per_cycle * (b * phi_n[0] * mean)
+            for p, t_n, b, phi_n in zip(action.power, action.t, state.task_bits, action.phi)]
 
 
 def _feasible_reward(mp: MultiUserParams, breakdowns: list[float], energies: list[float]) -> float:
@@ -315,12 +314,11 @@ def state_vector(mp: MultiUserParams, state: MultiUserState) -> np.ndarray:
     task sizes over the sampling range, gains over their means, queue backlog
     saturating against one slot of service, and battery fractions."""
     lo, hi = mp.task_range_bits
-    tasks = (state.task_bits - lo) / max(hi - lo, 1e-300)
-    means = np.asarray(mp.mean_gains, dtype=float)
-    gains = state.gains / means
-    serve = np.asarray(mp.server_speeds_hz, dtype=float) * mp.slot_s
-    queues = state.queues / (state.queues + serve)
-    energy = state.energies / np.asarray(mp.energy_capacity_j, dtype=float)
+    tasks = (np.array(state.task_bits) - lo) / max(hi - lo, 1e-300)
+    gains = np.array(state.gains) / np.asarray(mp.mean_gains, dtype=float)
+    backlog = np.array(state.queues)
+    queues = backlog / (backlog + np.asarray(mp.server_speeds_hz, dtype=float) * mp.slot_s)
+    energy = np.array(state.energies) / np.asarray(mp.energy_capacity_j, dtype=float)
     return np.concatenate([tasks, gains.ravel(), queues, energy])
 
 
@@ -345,23 +343,22 @@ class MultiUserEnv:
         self._mean_gains = np.asarray(mp.mean_gains, dtype=float)
         self._served = [s * mp.slot_s for s in mp.server_speeds_hz]  # cycles per slot
 
-    def _draw_gains(self) -> np.ndarray:
+    def _draw(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+        """This slot's task sizes and channel gains."""
+        lo, hi = self.mp.task_range_bits
+        bits = self._rng.uniform(lo, hi, size=self.mp.n_users)
         # Standard exponentials times the means: the draws of
         # exponential(means), without its per-call argument checks.
-        return self._rng.standard_exponential(self._mean_gains.shape) * self._mean_gains
+        gains = self._rng.standard_exponential(self._mean_gains.shape) * self._mean_gains
+        return tuple(bits.tolist()), _tuples(gains)
 
     def reset(self, seed: int | None = None) -> MultiUserState:
         if seed is not None:
             self._rng = np.random.default_rng(seed)
         mp = self.mp
-        lo, hi = mp.task_range_bits
-        self.state = MultiUserState(
-            task_bits=self._rng.uniform(lo, hi, size=mp.n_users),
-            gains=self._draw_gains(),
-            queues=np.zeros(mp.n_servers),
-            energies=np.asarray(mp.energy_capacity_j, dtype=float),
-        )
-        return self.state.copy()
+        self.state = MultiUserState(*self._draw(), queues=(0.0,) * mp.n_servers,
+                                    energies=tuple(map(float, mp.energy_capacity_j)))
+        return self.state
 
     def step(self, action: MultiUserAction) -> tuple[MultiUserState, float, bool]:
         if self.state is None:
@@ -378,22 +375,14 @@ class MultiUserEnv:
             bill = [0.0] * mp.n_users
             assigned = [0.0] * mp.n_servers
         else:
-            bill = spent_energy(mp, state, action).tolist()
-            r = _feasible_reward(mp, success_vector(mp, state, action).tolist(), bill)
-            assigned = _column_totals(_server_loads(mp, state.task_bits.tolist(), action.phi.tolist()))
+            bill = spent_energy(mp, state, action)
+            r = _feasible_reward(mp, success_vector(mp, state, action), bill)
+            assigned = _column_totals(_server_loads(mp, state.task_bits, action.phi))
 
-        lo, hi = mp.task_range_bits
-        energies = [max(e - b, 0.0) for e, b in zip(state.energies.tolist(), bill)]
-        queues = [max(q + a - s, 0.0) for q, a, s in zip(state.queues.tolist(), assigned, self._served)]
-        nxt = MultiUserState(
-            task_bits=self._rng.uniform(lo, hi, size=mp.n_users),
-            gains=self._draw_gains(),
-            queues=np.array(queues),
-            energies=np.array(energies),
-        )
-        terminal = any(e <= 0.0 for e in energies)
-        self.state = nxt
-        return nxt.copy(), r, terminal
+        energies = tuple(max(e - b, 0.0) for e, b in zip(state.energies, bill))
+        queues = tuple(max(q + a - s, 0.0) for q, a, s in zip(state.queues, assigned, self._served))
+        self.state = MultiUserState(*self._draw(), queues=queues, energies=energies)
+        return self.state, r, any(e <= 0.0 for e in energies)
 
 
 def grid_steps(granularity: float) -> int:
@@ -438,18 +427,19 @@ class ActionGrid:
     def decode(self, idx: int) -> MultiUserAction:
         if not 0 <= idx < self.size:
             raise IndexError(f"action index {idx} outside [0, {self.size})")
-        # Copies: a row of the table is a view, and callers may write to it.
-        return MultiUserAction(self.phi[idx].copy(), self.t[idx].copy(), self.power[idx].copy())
+        return MultiUserAction(_tuples(self.phi[idx]), _tuples(self.t[idx]),
+                               tuple(self.power[idx].tolist()))
 
     def encode(self, action: MultiUserAction) -> int:
         """Index of the grid point the action sits on: equal share counts on
         the granularity lattice, airtimes and powers equal to 12 decimals."""
-        if (action.phi.shape, action.t.shape, action.power.shape) == (
+        phi, t, power = np.array(action.phi), np.array(action.t), np.array(action.power)
+        if (phi.shape, t.shape, power.shape) == (
                 self.phi.shape[1:], self.t.shape[1:], self.power.shape[1:]):
             k = grid_steps(self.granularity)
-            hit = (np.all(np.rint(self.phi * k) == np.rint(action.phi * k), axis=(1, 2))
-                   & np.all(np.round(self.t, 12) == np.round(action.t, 12), axis=(1, 2))
-                   & np.all(np.round(self.power, 12) == np.round(action.power, 12), axis=1))
+            hit = (np.all(np.rint(self.phi * k) == np.rint(phi * k), axis=(1, 2))
+                   & np.all(np.round(self.t, 12) == np.round(t, 12), axis=(1, 2))
+                   & np.all(np.round(self.power, 12) == np.round(power, 12), axis=1))
             found = np.flatnonzero(hit)
             if found.size:
                 return int(found[0])

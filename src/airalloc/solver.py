@@ -371,8 +371,12 @@ def solve_p2(
     The feasible set couples the latency budget (total airtime must leave
     compute slack) with the energy budget (transmit energy must leave the
     committed local cycle budget ``rho`` affordable).  Returns the airtimes
-    and the number of objective evaluations spent.
+    and the number of objective evaluations spent.  A split with no server
+    share returns zero airtime before the budget is checked: P1 then puts
+    the power at the cap and ``rho`` may take the whole energy budget.
     """
+    if not any(v > 0.0 for v in phi[1:]):
+        return [0.0] * p.n_servers, 0
     cap_lat = p.latency_budget_s * (1.0 - 1e-9)
     cap_energy = (
         (p.energy_budget_j - rho * local_cycle_energy(p)) / power_w if power_w > 0.0 else math.inf
@@ -380,8 +384,6 @@ def solve_p2(
     cap = min(cap_lat, cap_energy)
     if cap <= 0.0:
         raise FeasibilityError(f"committed rho {rho} and power {power_w} leave no airtime budget")
-    if not any(v > 0.0 for v in phi[1:]):
-        return [0.0] * p.n_servers, 0
     # The local factor does not depend on the airtime: zero its share.
     phi_tx = [0.0, *phi[1:]]
 

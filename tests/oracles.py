@@ -7,6 +7,7 @@ not a tautology.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -498,10 +499,25 @@ class ListReplay:
         return idx, [self.items[i] for i in idx], weights / weights.max()
 
 
+def is_float_tuple(value, rows: bool = False) -> bool:
+    """``value`` is a tuple of Python floats or, with ``rows``, a tuple of
+    such tuples."""
+    return type(value) is tuple and all(
+        is_float_tuple(v) if rows else type(v) is float for v in value)
+
+
+def slot_fields_are_float_tuples(obj) -> bool:
+    """Every field of a ``MultiUserState`` or ``MultiUserAction`` is a tuple
+    of Python floats; ``gains``, ``phi`` and ``t`` are tuples of such rows."""
+    return all(is_float_tuple(getattr(obj, f.name), rows=f.name in ("gains", "phi", "t"))
+               for f in dataclasses.fields(obj))
+
+
 def interference_matrix(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> np.ndarray:
     """Uplink interference I[n, m]: realized received power of every other
     user that actually transmits to server m this slot."""
-    rx = action.power[:, None] * state.gains * (action.phi[:, 1:] > 0.0)
+    power, gains, phi = (np.asarray(v, dtype=float) for v in (action.power, state.gains, action.phi))
+    rx = power[:, None] * gains * (phi[:, 1:] > 0.0)
     return np.maximum(rx.sum(axis=0)[None, :] - rx, 0.0)
 
 
@@ -510,16 +526,18 @@ def success_vector_numpy(mp: MultiUserParams, state: MultiUserState, action: Mul
     couplings (interference, cross load, local budget) as whole-matrix numpy
     expressions, then :func:`~airalloc.model.log_factors` per user."""
     _check_dims(mp, action)
+    bits, energies, phi, t, power = (np.asarray(v, dtype=float) for v in (
+        state.task_bits, state.energies, action.phi, action.t, action.power))
     w = mp.workload
     gains = np.asarray(mp.mean_gains, dtype=float)
-    snr = action.power[:, None] * gains / (mp.noise_w + interference_matrix(mp, state, action))
-    load = state.task_bits[:, None] * action.phi[:, 1:] * w.mean
+    snr = power[:, None] * gains / (mp.noise_w + interference_matrix(mp, state, action))
+    load = bits[:, None] * phi[:, 1:] * w.mean
     cross = load.sum(axis=0)[None, :] - load
-    allowance = np.minimum(np.asarray(mp.energy_budgets_j, dtype=float), state.energies)
+    allowance = np.minimum(np.asarray(mp.energy_budgets_j, dtype=float), energies)
     rho = np.minimum(mp.local_speed_hz * np.asarray(mp.latency_budgets_s, dtype=float),
-                     (allowance - action.power * action.t.sum(axis=1)) / local_cycle_energy(mp))
-    rows = zip(state.task_bits.tolist(), mp.latency_budgets_s, cross.tolist(), snr.tolist(),
-               action.phi.tolist(), action.t.tolist(), rho.tolist())
+                     (allowance - power * t.sum(axis=1)) / local_cycle_energy(mp))
+    rows = zip(bits.tolist(), mp.latency_budgets_s, cross.tolist(), snr.tolist(),
+               phi.tolist(), t.tolist(), rho.tolist())
     return np.array([
         math.exp(log_factors(bits, mp.bandwidth_hz, w, deadline, mp.server_speeds_hz,
                              cross_n, snr_n, phi_n, t_n, rho_n).total)
@@ -530,19 +548,21 @@ def success_vector_numpy(mp: MultiUserParams, state: MultiUserState, action: Mul
 def violations_numpy(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> list[str]:
     """``multiuser.violations`` on array rows and columns."""
     _check_dims(mp, action)
+    bits, phi, t, power = (np.asarray(v, dtype=float) for v in (
+        state.task_bits, action.phi, action.t, action.power))
     out: list[str] = []
     for n in range(mp.n_users):
-        row = action.phi[n]
+        row = phi[n]
         if row.min() < -_FEAS_TOL or abs(row.sum() - 1.0) > 1e-6:
             out.append(f"share row of user {n + 1} off the simplex")
-        if action.t[n].min() < -_FEAS_TOL:
+        if t[n].min() < -_FEAS_TOL:
             out.append(f"negative airtime for user {n + 1}")
-        if not 0.0 <= action.power[n] <= mp.p_max_w[n] + _FEAS_TOL:
+        if not 0.0 <= power[n] <= mp.p_max_w[n] + _FEAS_TOL:
             out.append(f"power of user {n + 1} outside [0, {mp.p_max_w[n]}]")
     for m in range(mp.n_servers):
-        if action.t[:, m].sum() > mp.slot_s + _FEAS_TOL:
+        if t[:, m].sum() > mp.slot_s + _FEAS_TOL:
             out.append(f"airtime on server {m + 1} over the slot budget")
-        load = float(np.sum(state.task_bits * action.phi[:, m + 1])) / mp.server_speeds_hz[m]
+        load = float(np.sum(bits * phi[:, m + 1])) / mp.server_speeds_hz[m]
         if load > mp.capacities_s[m] + _FEAS_TOL:
             out.append(f"compute load on server {m + 1} over capacity")
     return out
@@ -550,8 +570,10 @@ def violations_numpy(mp: MultiUserParams, state: MultiUserState, action: MultiUs
 
 def spent_energy_numpy(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> np.ndarray:
     """``multiuser.spent_energy`` as whole-array expressions."""
-    tx = action.power * action.t.sum(axis=1)
-    local_cycles = state.task_bits * action.phi[:, 0] * mp.workload.mean
+    bits, phi, t, power = (np.asarray(v, dtype=float) for v in (
+        state.task_bits, action.phi, action.t, action.power))
+    tx = power * t.sum(axis=1)
+    local_cycles = bits * phi[:, 0] * mp.workload.mean
     return tx + local_cycle_energy(mp) * local_cycles
 
 
@@ -594,12 +616,8 @@ def scheduler_nominal_rates(kind: str, mp: MultiUserParams) -> np.ndarray:
     gains, configured task sizes, full batteries), averaged over one full
     rotation of slots.  Symmetric users under round_robin come out exactly
     equal, which pins the fairness index at 1."""
-    state = MultiUserState(
-        task_bits=np.asarray(mp.task_bits, dtype=float),
-        gains=np.asarray(mp.mean_gains, dtype=float),
-        queues=np.zeros(mp.n_servers),
-        energies=np.asarray(mp.energy_capacity_j, dtype=float),
-    )
+    state = MultiUserState(task_bits=mp.task_bits, gains=mp.mean_gains,
+                           queues=(0.0,) * mp.n_servers, energies=mp.energy_capacity_j)
     slots = [success_vector(mp, state, scheduler_action(kind, mp, state, k))
              for k in range(mp.n_users)]
     # fsum rounds once, so the result does not depend on the order of the
@@ -621,11 +639,10 @@ def enumerate_actions_loop(mp, granularity: float, time_fracs=(0.25, 0.5),
                                                t_rows, powers)))
     actions = []
     for combo in itertools.product(*per_user):
-        t = np.array([c[1] for c in combo])
-        if np.any(t.sum(axis=0) > mp.slot_s + 1e-9):
+        phi, t, power = zip(*combo)
+        if np.any(np.array(t).sum(axis=0) > mp.slot_s + 1e-9):
             continue
-        actions.append(MultiUserAction(np.array([c[0] for c in combo]), t,
-                                       np.array([c[2] for c in combo])))
+        actions.append(MultiUserAction(phi, t, power))
     return actions
 
 

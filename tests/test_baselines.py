@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pinned
-from oracles import scheduler_nominal_rates
+from oracles import scheduler_nominal_rates, slot_fields_are_float_tuples
 
 from airalloc.baselines import (
     SCHEDULER_KINDS,
@@ -19,7 +19,6 @@ from airalloc.baselines import (
 from airalloc.dqn import init_network, q_forward
 from airalloc.model import reference_params
 from airalloc.multiuser import (
-    MultiUserAction,
     MultiUserEnv,
     MultiUserState,
     default_multiuser,
@@ -33,12 +32,7 @@ from airalloc.solver import bcd_solve
 
 
 def _nominal_state(mp):
-    return MultiUserState(
-        task_bits=np.asarray(mp.task_bits, dtype=float),
-        gains=np.asarray(mp.mean_gains, dtype=float).copy(),
-        queues=np.zeros(mp.n_servers),
-        energies=np.asarray(mp.energy_capacity_j, dtype=float).copy(),
-    )
+    return MultiUserState(mp.task_bits, mp.mean_gains, (0.0,) * mp.n_servers, mp.energy_capacity_j)
 
 
 def test_full_offload_pins_local_share():
@@ -57,6 +51,7 @@ def test_scheduler_actions_are_always_feasible(kind):
     for slot in range(1, 7):
         action = scheduler_action(kind, mp, state, slot)
         assert violations(mp, state, action) == [], f"{kind} slot {slot}"
+        assert slot_fields_are_float_tuples(action), f"{kind} slot {slot}"
         state, _, _ = env.step(action)
 
 
@@ -72,44 +67,43 @@ def test_round_robin_rotates_exclusive_assignment():
     owners = []
     for slot in range(1, 4):
         action = scheduler_action("round_robin", mp, state, slot)
-        offloaders = np.flatnonzero(action.phi[:, 1] > 0.0)
+        phi, t = np.array(action.phi), np.array(action.t)
+        offloaders = np.flatnonzero(phi[:, 1] > 0.0)
         assert offloaders.size == 1  # one user owns the server per slot
         owner = int(offloaders[0])
         owners.append(owner)
         # The owner splits airtime and slack; everyone else stays local.
-        assert action.t[owner, 0] == pytest.approx(0.5 * mp.slot_s)
+        assert t[owner, 0] == pytest.approx(0.5 * mp.slot_s)
         silent = [n for n in range(3) if n != owner]
-        assert np.all(action.phi[silent, 0] == 1.0)
-        assert np.all(action.t[silent, 0] == 0.0)
+        assert np.all(phi[silent, 0] == 1.0)
+        assert np.all(t[silent, 0] == 0.0)
     assert sorted(owners) == [0, 1, 2]  # a full rotation visits everyone
 
 
 def test_weighted_split_follows_priorities():
     mp = default_multiuser(2, 1)
     lopsided = dataclasses.replace(mp, weights=(3.0, 1.0))
-    state = _nominal_state(lopsided)
-    state.task_bits = np.array([3e7, 3e7])  # big enough that capacity binds
+    # Tasks big enough that capacity binds.
+    state = dataclasses.replace(_nominal_state(lopsided), task_bits=(3e7, 3e7))
     action = scheduler_action("weighted", lopsided, state, 1)
     assert violations(lopsided, state, action) == []
     # The heavy user gets the larger slice of airtime and offloaded bits.
-    assert action.t[0, 0] > action.t[1, 0]
-    off_bits = state.task_bits * action.phi[:, 1]
+    assert action.t[0][0] > action.t[1][0]
+    off_bits = np.array(state.task_bits) * np.array(action.phi)[:, 1]
     assert off_bits[0] > off_bits[1]
 
 
 def test_proportional_split_scales_with_task_size():
     mp = default_multiuser(2, 1)
-    state = _nominal_state(mp)
-    state.task_bits = np.array([3e7, 1e7])
+    state = dataclasses.replace(_nominal_state(mp), task_bits=(3e7, 1e7))
     action = scheduler_action("proportional", mp, state, 1)
     # Equal weights: fractions follow task size (3:1), so airtime does too.
-    assert action.t[0, 0] == pytest.approx(3.0 * action.t[1, 0], rel=1e-9)
+    assert action.t[0][0] == pytest.approx(3.0 * action.t[1][0], rel=1e-9)
 
 
 def test_max_min_equalizes_served_fractions():
     mp = default_multiuser(2, 1)
-    state = _nominal_state(mp)
-    state.task_bits = np.array([3e7, 5e6])  # badly asymmetric
+    state = dataclasses.replace(_nominal_state(mp), task_bits=(3e7, 5e6))  # badly asymmetric
     action = scheduler_action("max_min", mp, state, 1)
     assert violations(mp, state, action) == []
     rates_mm = scheduler_nominal_rates("max_min", dataclasses.replace(
@@ -163,7 +157,8 @@ def test_evaluate_policy_sums_bits_and_energy_per_slot():
 
         def policy(state, slot):
             a = pick(state, slot)
-            return MultiUserAction(a.phi, a.t, a.power + slot % 2 * np.asarray(mp.p_max_w))
+            return dataclasses.replace(a, power=tuple(
+                p + slot % 2 * cap for p, cap in zip(a.power, mp.p_max_w)))
 
         return policy
 
@@ -180,7 +175,7 @@ def test_evaluate_policy_sums_bits_and_energy_per_slot():
         state = env.reset(int(seeds[ep]))
         for k in range(steps):
             action = policy(state, k)
-            bits += float(np.sum(state.task_bits * success_vector(mp, state, action)))
+            bits += float(np.sum(np.array(state.task_bits) * success_vector(mp, state, action)))
             joules += float(np.sum(spent_energy(mp, state, action)))
             broken = violations(mp, state, action)
             nxt, _, done = env.step(action)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from airalloc import dqn, solver
+from airalloc import baselines, dqn, solver
 from airalloc.model import reference_params
 from airalloc.multiuser import MultiUserEnv, default_multiuser, enumerate_actions
 
@@ -87,3 +87,21 @@ def test_traced_training_reaches_the_dqn_layers(tracer):
         assert calls.get(name, 0) == calls["dqn.replay_sample"], name
     assert calls.get("dqn.q_forward", 0) > 0
     assert {attr: getattr(dqn, attr) for attr in layers} == originals
+
+
+@pytest.mark.parametrize("kind", baselines.SCHEDULER_KINDS)
+def test_traced_scheduler_rollouts_score_each_slot_twice(tracer, kind):
+    # The fleet workload's self-check: a scheduler's actions are feasible,
+    # so each slot calls success_vector twice, in evaluate_policy and in the
+    # reward, through names the tracer rebinds.
+    t = tracer.Tracer()
+    restore = tracer.install(t)
+    try:
+        baselines.schedulers(kind, default_multiuser(2, 2), episodes=2, steps_per_episode=5)
+    finally:
+        restore()
+    t.end_segment(kind)
+    calls = {name: n for name, (n, _) in t.summary(kind).items()}
+    steps = calls.get("multiuser.MultiUserEnv.step", 0)
+    assert steps > 0
+    assert calls.get("multiuser.success_vector", 0) == 2 * steps

@@ -210,6 +210,7 @@ def test_sweep_unknown_key_is_a_config_error(tmp_path, capsys):
         "train:\n  granularity: 0.3\n",
         "single_user:\n  energy_j: -1.0\n",
         "multi_user:\n  task_range_mbits: [30, 5]\n",
+        "multi_user:\n  task_range_mbits: [5, .inf]\n",
         "multi_user:\n  energy_weight: -1\n",
         "experiment: task_sweep\nsweep:\n  values: [5, -5]\n",
         "experiment: server_sweep\nsweep:\n  values: [0]\n",

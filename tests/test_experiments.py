@@ -20,6 +20,7 @@ from airalloc.multiuser import default_multiuser
 from airalloc.solver import VARIANTS, bcd_solve
 
 import pinned
+from oracles import slot_fields_are_float_tuples
 
 
 def _write(tmp_path, text, name="cfg.yaml"):
@@ -461,8 +462,9 @@ def test_static_bcd_action_scales_airtime_into_an_equal_slot_share():
         assert (t.sum() > cap) == (u == 0)
         want = t * (cap / t.sum()) if u == 0 else t
         assert np.array_equal(action.t[u], want)
-        assert action.phi[u].tolist() == list(solo.phi) and action.power[u] == solo.power_w
-    assert action.t[0].sum() == pytest.approx(cap, rel=1e-15)
+        assert list(action.phi[u]) == list(solo.phi) and action.power[u] == solo.power_w
+    assert np.sum(action.t[0]) == pytest.approx(cap, rel=1e-15)
+    assert slot_fields_are_float_tuples(action)
 
 
 def test_run_fairness(tmp_path):

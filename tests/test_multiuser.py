@@ -26,11 +26,32 @@ from oracles import (
     enumerate_actions_loop,
     interference_matrix,
     reward,
+    slot_fields_are_float_tuples,
     spent_energy_numpy,
     success_vector_numpy,
     user_success,
     violations_numpy,
 )
+
+
+def _floats(values):
+    """A vector or a matrix (nested sequences or an array) as a tuple of
+    Python floats or a tuple of such rows."""
+    a = np.asarray(values, dtype=float)
+    return tuple(map(tuple, a.tolist())) if a.ndim == 2 else tuple(a.tolist())
+
+
+def _action(phi, t, power):
+    return MultiUserAction(_floats(phi), _floats(t), _floats(power))
+
+
+def _state(task_bits, gains, queues, energies):
+    return MultiUserState(_floats(task_bits), _floats(gains), _floats(queues), _floats(energies))
+
+
+def _arrays(action):
+    """Writable float arrays of an action's phi, t and power."""
+    return tuple(np.array(v, dtype=float) for v in (action.phi, action.t, action.power))
 
 
 def _feasible_action(mp, offload=0.5, time_frac=0.5, power_frac=1.0):
@@ -40,7 +61,7 @@ def _feasible_action(mp, offload=0.5, time_frac=0.5, power_frac=1.0):
     phi[:, 1:] = offload / m
     t = np.full((n, m), time_frac * mp.slot_s / n)
     power = np.array([power_frac * mp.p_max_w[i] for i in range(n)])
-    return MultiUserAction(phi=phi, t=t, power=power)
+    return _action(phi, t, power)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +92,9 @@ def test_params_validation_catches_shape_errors():
         MultiUserParams(**{**fields, "task_bits": (1e7, -1e7)})
     with pytest.raises(ValueError):
         MultiUserParams(**{**fields, "task_range_bits": (5e6, 4e6)})  # hi < lo
+    for bad in ((5e6, math.inf), (math.nan, 3e7), (5e6, math.nan)):
+        with pytest.raises(ValueError, match="task_range_bits"):
+            MultiUserParams(**{**fields, "task_range_bits": bad})
     # A degenerate range is allowed: it pins the task size.
     MultiUserParams(**{**fields, "task_range_bits": (5e6, 5e6)})
     with pytest.raises(ValueError):
@@ -121,11 +145,9 @@ def test_single_user_reduces_to_reference_model():
     for _ in range(8):
         phi = rng.dirichlet(np.ones(3))[None, :]
         t = rng.uniform(0.05, 0.45, size=(1, 2))
-        actions.append(MultiUserAction(phi, t, np.array([rng.uniform(0.3, 1.0)])))
-    zero_local = _feasible_action(mp)
-    zero_local.phi[0] = [0.0, 0.7, 0.3]
-    zero_server = _feasible_action(mp)
-    zero_server.phi[0] = [0.4, 0.0, 0.6]
+        actions.append(_action(phi, t, [rng.uniform(0.3, 1.0)]))
+    zero_local = dataclasses.replace(_feasible_action(mp), phi=((0.0, 0.7, 0.3),))
+    zero_server = dataclasses.replace(_feasible_action(mp), phi=((0.4, 0.0, 0.6),))
     actions += [zero_local, zero_server]
     for action in actions:
         p, alloc = _reference_twin(mp, state, action)
@@ -135,12 +157,7 @@ def test_single_user_reduces_to_reference_model():
 
 
 def _pair_state(mp):
-    return MultiUserState(
-        task_bits=np.array([1e7, 1e7]),
-        gains=np.asarray(mp.mean_gains, dtype=float).copy(),
-        queues=np.zeros(mp.n_servers),
-        energies=np.asarray(mp.energy_capacity_j, dtype=float).copy(),
-    )
+    return _state([1e7, 1e7], mp.mean_gains, np.zeros(mp.n_servers), mp.energy_capacity_j)
 
 
 def test_transmission_closed_form_and_interference_penalty():
@@ -149,10 +166,10 @@ def test_transmission_closed_form_and_interference_penalty():
     w = mp.workload
     # User 1 offloads everything, so its local factor is 1; user 2 first
     # stays local, so user 1 hears no interference and shares no cycles.
-    action = MultiUserAction(
-        phi=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        t=np.array([[0.3], [0.3]]),
-        power=np.array([0.8, 0.5]),
+    action = _action(
+        phi=[[0.0, 1.0], [1.0, 0.0]],
+        t=[[0.3], [0.3]],
+        power=[0.8, 0.5],
     )
     x = 1e7 / (mp.bandwidth_hz * 0.3)
     slack = mp.latency_budgets_s[0] - 0.3
@@ -162,17 +179,17 @@ def test_transmission_closed_form_and_interference_penalty():
 
     # User 2 now uploads a sliver to the same server.  Its power raises user
     # 1's effective noise floor; its share claims expected cycles.
-    action.phi[1] = [0.99, 0.01]
+    action = dataclasses.replace(action, phi=(action.phi[0], (0.99, 0.01)))
     cross = 1e7 * 0.01 * w.shape * w.scale
     crowded = regularized_lower_gamma(
         w.shape, (mp.server_speeds_hz[0] * slack - cross) / (1e7 * w.scale)
     )
     quiet = user_success(mp, state, action, 1)
-    interference = 0.5 * state.gains[1, 0]
+    interference = 0.5 * state.gains[1][0]
     y_i = 0.8 * mp.mean_gains[0][0] / (mp.noise_w + interference)
     assert quiet == pytest.approx(chi(x, y_i) * crowded, rel=1e-12)
     # Only the interference changes with user 2's power, and it must hurt.
-    action.power[1] = 1.0
+    action = dataclasses.replace(action, power=(0.8, 1.0))
     assert user_success(mp, state, action, 1) < quiet
 
 
@@ -190,24 +207,24 @@ def test_zero_share_and_dead_link_conventions():
     # A zero share needs neither the link nor the server (factor 1), with or
     # without airtime; only the local factor is left.
     for airtime in (0.3, 0.0):
-        action = MultiUserAction(
-            phi=np.array([[1.0, 0.0], [0.5, 0.5]]),
-            t=np.array([[airtime], [0.3]]),
-            power=np.array([0.8, 0.8]),
+        action = _action(
+            phi=[[1.0, 0.0], [0.5, 0.5]],
+            t=[[airtime], [0.3]],
+            power=[0.8, 0.8],
         )
         assert user_success(mp, state, action, 1) == pytest.approx(
             local_only(airtime, 0.8), rel=1e-12
         )
     # A positive share with no airtime or no power is never delivered.
-    action = MultiUserAction(
-        phi=np.array([[0.5, 0.5], [1.0, 0.0]]),
-        t=np.array([[0.0], [0.3]]),
-        power=np.array([0.8, 0.8]),
+    action = _action(
+        phi=[[0.5, 0.5], [1.0, 0.0]],
+        t=[[0.0], [0.3]],
+        power=[0.8, 0.8],
     )
     assert user_success(mp, state, action, 1) == 0.0
-    action.t[0, 0] = 0.3
+    action = dataclasses.replace(action, t=((0.3,), (0.3,)))
     assert user_success(mp, state, action, 1) > 0.0
-    action.power[0] = 0.0
+    action = dataclasses.replace(action, power=(0.0, 0.8))
     assert user_success(mp, state, action, 1) == 0.0
 
 
@@ -215,11 +232,12 @@ def test_interference_matrix_sums_other_transmitters():
     mp = default_multiuser(3, 2)
     env = MultiUserEnv(mp, seed=5)
     state = env.reset()
-    action = _feasible_action(mp, offload=0.9)
-    action.phi[2, 1] = 0.0  # user 3 skips server 1
-    action.phi[2, 0] = 1.0 - action.phi[2, 1:].sum()
+    phi, t, power = _arrays(_feasible_action(mp, offload=0.9))
+    phi[2, 1] = 0.0  # user 3 skips server 1
+    phi[2, 0] = 1.0 - phi[2, 1:].sum()
+    action = _action(phi, t, power)
     inter = interference_matrix(mp, state, action)
-    rx = action.power[:, None] * state.gains
+    rx = power[:, None] * np.array(state.gains)
     # User 1 at server 1 hears user 2 (user 3 is silent there).
     assert inter[0, 0] == pytest.approx(rx[1, 0], rel=1e-12)
     # At server 2 everyone transmits, so user 1 hears users 2 and 3.
@@ -232,10 +250,10 @@ def test_shared_compute_crowding_out():
     state = _pair_state(mp)
     # User 2 transmits at zero power, so user 1 hears no interference and
     # only user 2's claim on the shared server's cycles separates the cases.
-    power = np.array([1.0, 0.0])
-    t = np.array([[0.25], [0.25]])
-    solo = MultiUserAction(np.array([[0.0, 1.0], [1.0, 0.0]]), t, power)
-    both = MultiUserAction(np.array([[0.0, 1.0], [0.5, 0.5]]), t.copy(), power.copy())
+    power = [1.0, 0.0]
+    t = [[0.25], [0.25]]
+    solo = _action([[0.0, 1.0], [1.0, 0.0]], t, power)
+    both = _action([[0.0, 1.0], [0.5, 0.5]], t, power)
     assert interference_matrix(mp, state, both)[0, 0] == 0.0
     s_solo = user_success(mp, state, solo, 1)
     s_both = user_success(mp, state, both, 1)
@@ -251,8 +269,8 @@ def test_shared_compute_crowding_out():
         chi(x, y) * regularized_lower_gamma(w.shape, cycles / (1e7 * w.scale)), rel=1e-12
     )
     # A server already claimed past its cycle budget cannot finish the share.
-    both.phi[1] = [0.0, 1.0]
-    big = dataclasses.replace(state, task_bits=np.array([1e7, 1e9]))
+    both = dataclasses.replace(both, phi=(both.phi[0], (0.0, 1.0)))
+    big = dataclasses.replace(state, task_bits=(1e7, 1e9))
     assert user_success(mp, big, both, 1) == 0.0
 
 
@@ -262,8 +280,8 @@ def test_success_vector_bounds_and_interference_coupling():
     state = env.reset()
     both = _feasible_action(mp, offload=0.8)
     solo = _feasible_action(mp, offload=0.8)
-    solo.phi[1] = np.array([1.0, 0.0])  # user 2 keeps everything local
-    s_both = success_vector(mp, state, both)
+    solo = dataclasses.replace(solo, phi=(solo.phi[0], (1.0, 0.0)))  # user 2 keeps everything local
+    s_both = np.array(success_vector(mp, state, both))
     s_solo = success_vector(mp, state, solo)
     assert np.all(s_both >= 0.0) and np.all(s_both <= 1.0)
     # User 1's own factors are identical; only user 2's concurrent upload
@@ -283,11 +301,11 @@ def test_violations_name_each_broken_rule():
     ok = _feasible_action(mp)
     assert violations(mp, state, ok) == []
 
-    bad = _feasible_action(mp)
-    bad.phi[0, 0] += 0.2  # off the simplex
-    bad.power[1] = mp.p_max_w[1] * 3.0
-    bad.t[:, 0] = mp.slot_s  # 2 users x full slot on one server
-    msgs = violations(mp, state, bad)
+    phi, t, power = _arrays(_feasible_action(mp))
+    phi[0, 0] += 0.2  # off the simplex
+    power[1] = mp.p_max_w[1] * 3.0
+    t[:, 0] = mp.slot_s  # 2 users x full slot on one server
+    msgs = violations(mp, state, _action(phi, t, power))
     assert len(msgs) == 3
     assert any("simplex" in m for m in msgs)
     assert any("power" in m for m in msgs)
@@ -299,9 +317,10 @@ def test_capacity_violation_depends_on_task_sizes():
     env = MultiUserEnv(mp, seed=2)
     state = env.reset()
     action = _feasible_action(mp, offload=1.0)
-    state.task_bits[:] = 1e6
+    state = dataclasses.replace(state, task_bits=(1e6, 1e6))
     assert violations(mp, state, action) == []
-    state.task_bits[:] = mp.capacities_s[0] * mp.server_speeds_hz[0]  # 2x over together
+    big = mp.capacities_s[0] * mp.server_speeds_hz[0]  # 2x over together
+    state = dataclasses.replace(state, task_bits=(big, big))
     msgs = violations(mp, state, action)
     assert any("capacity" in m for m in msgs)
 
@@ -314,8 +333,8 @@ def test_spent_energy_hand_computation():
     bill = spent_energy(mp, state, action)
     w = mp.workload
     for n in range(2):
-        tx = action.power[n] * action.t[n].sum()
-        cycles = state.task_bits[n] * action.phi[n, 0] * w.shape * w.scale
+        tx = action.power[n] * np.sum(action.t[n])
+        cycles = state.task_bits[n] * action.phi[n][0] * w.shape * w.scale
         local = mp.switched_capacitance * mp.local_speed_hz ** 2 * cycles
         assert bill[n] == pytest.approx(tx + local, rel=1e-12)
 
@@ -332,13 +351,13 @@ def test_reward_formula_and_penalty():
     expect = sum(
         w * (max(math.log(s), floor) if s > 0.0 else floor)
         for w, s in zip(mp.weights, succ)
-    ) - mp.energy_weight * float(np.sum(bill / np.asarray(mp.energy_capacity_j)))
+    ) - mp.energy_weight * float(np.sum(np.array(bill) / np.asarray(mp.energy_capacity_j)))
     assert r == pytest.approx(expect, rel=1e-12)
 
-    bad = _feasible_action(mp)
-    bad.phi[0, 0] += 0.5
-    bad.power[0] = 10.0
-    assert reward(mp, state, bad) == -20.0  # two broken rules, -10 each
+    phi, t, power = _arrays(_feasible_action(mp))
+    phi[0, 0] += 0.5
+    power[0] = 10.0
+    assert reward(mp, state, _action(phi, t, power)) == -20.0  # two broken rules, -10 each
 
 
 def test_reward_is_monotone_in_success():
@@ -381,30 +400,31 @@ def test_step_updates_queues_and_energies():
     env = MultiUserEnv(mp, seed=10)
     state = env.reset()
     action = _feasible_action(mp, offload=0.8)
-    bill = spent_energy(mp, state, action)
+    bill = np.array(spent_energy(mp, state, action))
     mean_cpb = mp.workload.shape * mp.workload.scale
-    assigned = float(np.sum(state.task_bits * action.phi[:, 1] * mean_cpb))
+    assigned = float(np.sum(np.array(state.task_bits) * np.array(action.phi)[:, 1] * mean_cpb))
     served = mp.server_speeds_hz[0] * mp.slot_s
     nxt, r, done = env.step(action)
     assert r == reward(mp, state, action)
     assert not done
-    assert nxt.energies == pytest.approx(state.energies - bill, rel=1e-12)
+    assert nxt.energies == pytest.approx(np.array(state.energies) - bill, rel=1e-12)
     assert nxt.queues[0] == pytest.approx(max(state.queues[0] + assigned - served, 0.0))
     lo, hi = mp.task_range_bits
-    assert np.all((nxt.task_bits >= lo) & (nxt.task_bits <= hi))
+    assert all(lo <= b <= hi for b in nxt.task_bits)
 
 
 def test_infeasible_step_idles_the_slot():
     mp = default_multiuser(2, 1)
     env = MultiUserEnv(mp, seed=12)
     state = env.reset()
-    bad = _feasible_action(mp)
-    bad.t[:, 0] = mp.slot_s
-    nxt, r, done = env.step(bad)
+    phi, t, power = _arrays(_feasible_action(mp))
+    t[:, 0] = mp.slot_s
+    nxt, r, done = env.step(_action(phi, t, power))
     assert r == -10.0
     assert not done
     assert np.array_equal(nxt.energies, state.energies)  # nothing spent
-    assert np.all(nxt.queues <= np.maximum(state.queues - 0.0, state.queues))
+    queues = np.array(state.queues)
+    assert np.all(np.array(nxt.queues) <= np.maximum(queues - 0.0, queues))
 
 
 def test_battery_depletion_terminates():
@@ -451,13 +471,9 @@ def test_grid_size_and_row_structure():
     # 3 share rows x 2 airtimes x 2 powers per user, squared for the pair.
     assert grid.size == 144
     for action in map(grid.decode, range(20)):
-        assert violations(mp, MultiUserState(
-            task_bits=np.full(2, 1e6),
-            gains=np.asarray(mp.mean_gains, dtype=float),
-            queues=np.zeros(1),
-            energies=np.asarray(mp.energy_capacity_j, dtype=float),
-        ), action) == []
-        assert action.phi.sum(axis=1) == pytest.approx(np.ones(2))
+        assert violations(mp, _state(np.full(2, 1e6), mp.mean_gains, np.zeros(1),
+                                     mp.energy_capacity_j), action) == []
+        assert np.sum(action.phi, axis=1) == pytest.approx(np.ones(2))
 
 
 def test_grid_encode_decode_roundtrip():
@@ -467,13 +483,16 @@ def test_grid_encode_decode_roundtrip():
     for idx in rng.integers(0, grid.size, size=50):
         action = grid.decode(int(idx))
         assert grid.encode(action) == int(idx)
-    # Decode must hand out private copies: writing to one leaves the table.
+    # Decode hands out tuples: writing to one fails and leaves the table.
     fields = ("phi", "t", "power")
     before = {f: np.array(getattr(grid.decode(7), f)) for f in fields}
     scribbled = grid.decode(7)
-    scribbled.phi[0, 0] = 0.123
-    scribbled.t[0, 0] = 0.123
-    scribbled.power[0] = 0.123
+    with pytest.raises(TypeError):
+        scribbled.phi[0][0] = 0.123
+    with pytest.raises(TypeError):
+        scribbled.t[0][0] = 0.123
+    with pytest.raises(TypeError):
+        scribbled.power[0] = 0.123
     after = grid.decode(7)
     for f in fields:
         assert np.array_equal(getattr(after, f), before[f])
@@ -513,7 +532,7 @@ def _assert_table_is(grid, want):
     for i, a in enumerate(want):
         got = grid.decode(i)
         for field in ("phi", "t", "power"):
-            g, w = getattr(got, field), getattr(a, field)
+            g, w = np.array(getattr(got, field)), np.array(getattr(a, field))
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
     # Each encode scans the whole table, so round-trip a spread of rows.
     for i in np.unique(np.linspace(0, grid.size - 1, 100).astype(int)):
@@ -559,7 +578,7 @@ def _slots(draw):
         return np.where(rng.random(shape) < 1.0 / 3.0, 0.0, rng.uniform(lo, hi, shape))
 
     mp = dataclasses.replace(default_multiuser(n, m), weights=tuple(rng.uniform(0.1, 5.0, n).tolist()))
-    state = MultiUserState(
+    state = _state(
         task_bits=rng.uniform(*mp.task_range_bits, n),
         gains=entries((n, m), 1e-8, 2e-6),
         queues=entries(m, 0.0, 1e10),
@@ -575,7 +594,7 @@ def _slots(draw):
         phi = entries((n, m + 1), -0.05, 1.0)
         t = entries((n, m), -0.05, 0.7)
         power = entries(n, -1.0, 1.2)
-    return mp, state, MultiUserAction(phi, t, power)
+    return mp, state, _action(phi, t, power)
 
 
 def test_reward_sums_weighted_log_successes_left_to_right():
@@ -599,21 +618,38 @@ def test_reward_sums_weighted_log_successes_left_to_right():
 def test_float_path_equals_numpy_references(slot):
     mp, state, action = slot
     assert violations(mp, state, action) == violations_numpy(mp, state, action)
-    assert success_vector(mp, state, action).tolist() == success_vector_numpy(mp, state, action).tolist()
+    assert success_vector(mp, state, action) == success_vector_numpy(mp, state, action).tolist()
     bill = spent_energy(mp, state, action)
-    assert bill.tolist() == spent_energy_numpy(mp, state, action).tolist()
+    assert bill == spent_energy_numpy(mp, state, action).tolist()
 
     env = MultiUserEnv(mp, seed=0)
     env.reset()
-    env.state = state.copy()
+    env.state = state
     nxt, r, done = env.step(action)
     assert r == reward(mp, state, action)
     if violations_numpy(mp, state, action):
         bill, assigned = np.zeros(mp.n_users), np.zeros(mp.n_servers)
     else:
-        assigned = (state.task_bits[:, None] * action.phi[:, 1:] * mp.workload.mean).sum(axis=0)
+        assigned = (np.array(state.task_bits)[:, None] * np.array(action.phi)[:, 1:]
+                    * mp.workload.mean).sum(axis=0)
     served = np.asarray(mp.server_speeds_hz, dtype=float) * mp.slot_s
-    assert nxt.queues.tolist() == np.maximum(state.queues + assigned - served, 0.0).tolist()
-    energies = np.maximum(state.energies - bill, 0.0)
-    assert nxt.energies.tolist() == energies.tolist()
+    assert list(nxt.queues) == np.maximum(np.array(state.queues) + assigned - served, 0.0).tolist()
+    energies = np.maximum(np.array(state.energies) - bill, 0.0)
+    assert list(nxt.energies) == energies.tolist()
     assert done == bool(np.any(energies <= 0.0))
+
+
+def test_slot_is_frozen_tuples_of_floats():
+    mp = default_multiuser(2, 2)
+    env = MultiUserEnv(mp, seed=3)
+    grid = enumerate_actions(mp, granularity=0.5)
+    actions = [grid.decode(k) for k in (0, 7, grid.size - 1)]
+    states = [env.reset()] + [env.step(a)[0] for a in actions]
+    assert all(slot_fields_are_float_tuples(v) for v in states + actions)
+    for action in actions:
+        for out in (success_vector(mp, states[0], action), spent_energy(mp, states[0], action)):
+            assert type(out) is list and all(type(v) is float for v in out)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        states[0].energies = (0.0, 0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        actions[0].power = (0.0, 0.0)

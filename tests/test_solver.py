@@ -1065,6 +1065,20 @@ def test_bcd_starts_inside_a_tight_energy_budget(energy_j, variant):
     assert math.isfinite(res.ln_p_success)
 
 
+@pytest.mark.parametrize("energy_j", [0.05, 0.3, 0.6, 0.99])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_bcd_starts_from_an_all_local_split(energy_j, variant):
+    # With no server share, P1 puts the power at the cap and rho takes the
+    # whole energy budget, which leaves P2 no airtime budget; P2 has no
+    # share to carry either, so the start must not be rejected.
+    p = reference_params(2, 10.0, energy_j=energy_j)
+    start = default_allocation(p)
+    init = Allocation((1.0, 0.0, 0.0), start.t_shares, start.power_w, start.rho)
+    res = bcd_solve(p, variant, init=init)
+    assert_feasible(p, res.allocation)
+    assert math.isfinite(res.ln_p_success)
+
+
 @pytest.mark.parametrize(
     "overrides", [{"energy_j": 0.1}, {"latency_s": 0.05}, {"task_mbits": 60.0}]
 )
