@@ -71,7 +71,7 @@ def _fraction_action(mp: MultiUserParams, state: MultiUserState, fracs: list[lis
 def _max_min_fractions(mp: MultiUserParams, tasks: tuple[float, ...]) -> list[float]:
     """Raise every user's served task fraction together until the fraction
     budget runs out, freezing users whose whole task fits."""
-    total_bits = sum(c * s for c, s in zip(mp.capacities_s, mp.server_speeds_hz))
+    total_bits = _total(c * s for c, s in zip(mp.capacities_s, mp.server_speeds_hz))
     f = [0.0] * mp.n_users
     served = [0.0] * mp.n_users
     budget = 1.0

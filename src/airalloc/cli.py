@@ -100,7 +100,11 @@ def _cmd_solve(args) -> int:
     from .model import reference_params
     from .solver import bcd_solve
 
-    p = reference_params(n_servers=args.servers, task_mbits=args.task_mbits)
+    try:
+        p = reference_params(n_servers=args.servers, task_mbits=args.task_mbits)
+    except ValueError as exc:  # a server count outside the reference problem's range
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     res = bcd_solve(p, variant=args.variant, offload_only=args.offload_only)
     a = res.allocation
     if args.json:
@@ -189,7 +193,11 @@ def _cmd_bench(args) -> int:
     from .experiments import _latency_rows, write_rows
     from .model import reference_params
 
-    cells = [reference_params(n_servers=m, task_mbits=10.0) for m in args.servers]
+    try:
+        cells = [reference_params(n_servers=m, task_mbits=10.0) for m in args.servers]
+    except ValueError as exc:  # a server count outside the reference problem's range
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     rows = _latency_rows(cells, args.repetitions, args.seed)
     path = write_rows(Path(args.output_dir) / "latency.csv", rows)
     print(path)

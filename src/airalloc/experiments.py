@@ -533,7 +533,7 @@ def _exp_efficiency(cfg: ExperimentConfig, cells) -> list[MetricRow]:
             res = bcd_solve(p, variant=cfg.variant)
             alloc = res.allocation
             # Times shape, then scale: a product with workload.mean rounds differently.
-            spent = (alloc.power_w * sum(alloc.t_shares) + local_cycle_energy(p) * p.task_bits
+            spent = (alloc.power_w * _total(alloc.t_shares) + local_cycle_energy(p) * p.task_bits
                      * alloc.phi[0] * p.workload.shape * p.workload.scale)
             done_bits = p.task_bits * res.breakdown.p_success
             rows.append(MetricRow(task, "energy_efficiency [bits/J]",

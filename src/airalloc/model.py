@@ -60,10 +60,11 @@ _FEAS_TOL = 1e-9
 
 
 def _total(values) -> float:
-    """Sum from 0.0, left to right.  numpy's ``add.reduce`` takes this order
-    for fewer than 8 entries, so the two agree to the bit there; the builtin
-    ``sum`` compensates float sums from Python 3.12 on.  The split block and
-    the multi-user slot both sum with it."""
+    """Sum from 0.0, left to right: the one rule for every float sum in the
+    package.  numpy's ``add.reduce`` takes this order for fewer than 8
+    entries, so the two agree to the bit there; the builtin ``sum`` does only
+    up to Python 3.11 and compensates float sums from 3.12 on, so the package
+    keeps it to integers."""
     total = 0.0
     for v in values:
         total += v
@@ -91,29 +92,19 @@ class SystemParams:
     workload: GammaWorkload
 
     def __post_init__(self) -> None:
-        scalars = {
-            "task_bits": self.task_bits,
-            "bandwidth_hz": self.bandwidth_hz,
-            "noise_w": self.noise_w,
-            "p_max_w": self.p_max_w,
-            "local_speed_hz": self.local_speed_hz,
-            "latency_budget_s": self.latency_budget_s,
-            "energy_budget_j": self.energy_budget_j,
-            "switched_capacitance": self.switched_capacitance,
-        }
-        for name, v in scalars.items():
+        for name in ("task_bits", "bandwidth_hz", "noise_w", "p_max_w", "local_speed_hz",
+                     "latency_budget_s", "energy_budget_j", "switched_capacitance"):
+            v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
         if len(self.mean_gains) != len(self.server_speeds_hz):
             raise ValueError("mean_gains and server_speeds_hz must have equal length")
         if len(self.mean_gains) == 0:
             raise ValueError("at least one edge server is required")
-        for g in self.mean_gains:
-            if not (math.isfinite(g) and g > 0.0):
-                raise ValueError(f"mean gains must be finite and > 0, got {g}")
-        for s in self.server_speeds_hz:
-            if not (math.isfinite(s) and s > 0.0):
-                raise ValueError(f"server speeds must be finite and > 0, got {s}")
+        for name, values in (("mean gains", self.mean_gains), ("server speeds", self.server_speeds_hz)):
+            for v in values:
+                if not (math.isfinite(v) and v > 0.0):
+                    raise ValueError(f"{name} must be finite and > 0, got {v}")
 
     @property
     def n_servers(self) -> int:
@@ -130,8 +121,10 @@ def reference_params(
 
     1 GHz local CPU, 5 GHz servers, 100 MHz uplink bandwidth, -90 dBm noise,
     1 W transmit cap, mean channel gains (11-m)*1e-7, and a Gamma(10, 50)
-    cycles-per-bit workload.
+    cycles-per-bit workload, for 1-10 servers (the gains reach 0 at 11).
     """
+    if not 1 <= n_servers <= 10:
+        raise ValueError(f"n_servers must lie in 1-10 (mean gains (11 - m) * 1e-7), got {n_servers}")
     return SystemParams(
         task_bits=task_mbits * 1e6,
         bandwidth_hz=1e8,
@@ -165,8 +158,8 @@ class Allocation:
         for v in self.phi:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"phi entries must be finite and >= 0, got {v}")
-        if abs(sum(self.phi) - 1.0) > _FEAS_TOL:
-            raise ValueError(f"phi must sum to 1 within {_FEAS_TOL}, got sum {sum(self.phi)!r}")
+        if abs(_total(self.phi) - 1.0) > _FEAS_TOL:
+            raise ValueError(f"phi must sum to 1 within {_FEAS_TOL}, got sum {_total(self.phi)!r}")
         for v in self.t_shares:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"time shares must be finite and >= 0, got {v}")
@@ -263,10 +256,10 @@ def local_cycle_energy(p) -> float:
     return p.switched_capacitance * p.local_speed_hz * p.local_speed_hz
 
 
-def local_cycle_budget(p, latency_s, energy_left_j):
+def local_cycle_budget(p, latency_s: float, energy_left_j: float) -> float:
     """Cycles the local CPU of ``p`` (as in :func:`local_cycle_energy`) may
     spend: the smaller of what fits in ``latency_s`` and what ``energy_left_j``
-    pays for, in the type ``min`` picks."""
+    pays for."""
     return min(p.local_speed_hz * latency_s, energy_left_j / local_cycle_energy(p))
 
 
@@ -358,7 +351,7 @@ class LogFactors(NamedTuple):
     @property
     def total(self) -> float:
         """ln P_success: the sum of every log factor."""
-        return self.local + sum(self.link) + sum(self.server)
+        return self.local + _total(self.link) + _total(self.server)
 
 
 def log_factors(

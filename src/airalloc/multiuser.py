@@ -19,9 +19,10 @@ measured rather than assumed away.
 A slot's state and joint action are frozen dataclasses of tuples of Python
 floats, from the environment's draws to the reward, so the environment hands
 out its state without copies; ``success_vector`` and ``spent_energy``
-return lists.  numpy appears only in the random draws, in ``state_vector``
-(the value network's input) and in the joint action table of
-:class:`ActionGrid`, whose ``decode`` hands out a row as tuples.
+return lists, summed by ``model._total`` as every float sum in the package
+is.  numpy appears only in the random draws, in ``state_vector`` (the value
+network's input) and in the joint action table of :class:`ActionGrid`,
+whose ``decode`` hands out a row as tuples.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ _MAX_ACTIONS = 200_000      # cap on the joint grid's combinations before filter
 
 
 class ActionSpaceError(ValueError):
-    """The requested action grid is too large to enumerate jointly."""
+    """The requested action grid is too large to enumerate jointly or has no feasible action."""
 
 
 @dataclass(frozen=True)
@@ -222,15 +223,6 @@ def _tuples(a: np.ndarray) -> tuple[tuple[float, ...], ...]:
     return tuple(map(tuple, a.tolist()))
 
 
-def _column_totals(rows) -> list[float]:
-    """Per-column totals of equal-length rows, adding the rows in sequence
-    as numpy's ``sum(axis=0)`` does."""
-    totals = [0.0] * len(rows[0])
-    for row in rows:
-        totals = [s + v for s, v in zip(totals, row)]
-    return totals
-
-
 def _server_loads(mp: MultiUserParams, bits, phi) -> list[list[float]]:
     """Cycles each user's server shares claim, at the mean per-bit workload."""
     mean = mp.workload.mean
@@ -254,7 +246,8 @@ def success_vector(mp: MultiUserParams, state: MultiUserState, action: MultiUser
     rx = [[p * g if ph > 0.0 else 0.0 for g, ph in zip(g_n, phi_n[1:])]
           for p, g_n, phi_n in zip(action.power, state.gains, action.phi)]
     loads = _server_loads(mp, state.task_bits, action.phi)
-    rx_total, load_total = _column_totals(rx), _column_totals(loads)
+    rx_total = [_total(col) for col in zip(*rx)]
+    load_total = [_total(col) for col in zip(*loads)]
     rows = zip(state.task_bits, action.phi, action.t, action.power, mp.mean_gains, rx, loads,
                mp.latency_budgets_s, mp.energy_budgets_j, state.energies)
     out = []
@@ -274,22 +267,23 @@ def violations(mp: MultiUserParams, state: MultiUserState, action: MultiUserActi
 
     Checked: per-user share rows on the simplex, per-server airtime budget,
     per-server compute capacity against this slot's task sizes, and per-user
-    power caps.  Each violated constraint is reported once.
+    power caps.  Each violated constraint is reported once; a NaN entry
+    fails every check it enters.
     """
     _check_dims(mp, action)
     phi, t = action.phi, action.t
     out: list[str] = []
     for n, (phi_n, t_n, p, cap) in enumerate(zip(phi, t, action.power, mp.p_max_w), start=1):
-        if min(phi_n) < -_FEAS_TOL or abs(_total(phi_n) - 1.0) > 1e-6:
+        if not (all(v >= -_FEAS_TOL for v in phi_n) and abs(_total(phi_n) - 1.0) <= 1e-6):
             out.append(f"share row of user {n} off the simplex")
-        if min(t_n) < -_FEAS_TOL:
+        if not all(v >= -_FEAS_TOL for v in t_n):
             out.append(f"negative airtime for user {n}")
         if not 0.0 <= p <= cap + _FEAS_TOL:
             out.append(f"power of user {n} outside [0, {cap}]")
     for m, (speed, capacity) in enumerate(zip(mp.server_speeds_hz, mp.capacities_s), start=1):
-        if _total(t_n[m - 1] for t_n in t) > mp.slot_s + _FEAS_TOL:
+        if not _total(t_n[m - 1] for t_n in t) <= mp.slot_s + _FEAS_TOL:
             out.append(f"airtime on server {m} over the slot budget")
-        if _total(b * phi_n[m] for b, phi_n in zip(state.task_bits, phi)) / speed > capacity + _FEAS_TOL:
+        if not _total(b * phi_n[m] for b, phi_n in zip(state.task_bits, phi)) / speed <= capacity + _FEAS_TOL:
             out.append(f"compute load on server {m} over capacity")
     return out
 
@@ -377,7 +371,7 @@ class MultiUserEnv:
         else:
             bill = spent_energy(mp, state, action)
             r = _feasible_reward(mp, success_vector(mp, state, action), bill)
-            assigned = _column_totals(_server_loads(mp, state.task_bits, action.phi))
+            assigned = [_total(col) for col in zip(*_server_loads(mp, state.task_bits, action.phi))]
 
         energies = tuple(max(e - b, 0.0) for e, b in zip(state.energies, bill))
         queues = tuple(max(q + a - s, 0.0) for q, a, s in zip(state.queues, assigned, self._served))
@@ -450,8 +444,8 @@ def action_options(mp: MultiUserParams, granularity: float) -> tuple[int, int, i
     """Each user's option counts on the joint action grid: share rows on the
     ``granularity`` simplex grid, airtime rows and power levels.  Raises
     :class:`ActionSpaceError` when the joint grid has more than
-    ``_MAX_ACTIONS`` combinations before filtering, so its size is checked
-    without enumerating it."""
+    ``_MAX_ACTIONS`` combinations before filtering, or none after it (every
+    user at the lowest airtime level overfills the slot), without enumerating."""
     m = mp.n_servers
     per_user = (math.comb(grid_steps(granularity) + m, m), len(_TIME_FRACS) ** m,
                 len(_POWER_FRACS))
@@ -461,6 +455,11 @@ def action_options(mp: MultiUserParams, granularity: float) -> tuple[int, int, i
             f"joint action grid has {total} combinations before filtering, over the "
             f"cap of {_MAX_ACTIONS}; coarsen the grid or switch to factored per-user "
             f"action selection (enumerate each user's options separately)"
+        )
+    if _total([min(_TIME_FRACS) * mp.slot_s] * mp.n_users) > mp.slot_s + _FEAS_TOL:
+        raise ActionSpaceError(
+            "no jointly feasible action: per-user airtime levels cannot share the slot; "
+            "lower _TIME_FRACS or switch to factored per-user action selection"
         )
     return per_user
 
@@ -487,11 +486,6 @@ def enumerate_actions(mp: MultiUserParams, granularity: float) -> ActionGrid:
     share, airtime, level = np.unravel_index(combos, per_user)
     t = t_rows[airtime]
     keep = ~np.any(t.sum(axis=1) > mp.slot_s + _FEAS_TOL, axis=1)
-    if not keep.any():
-        raise ActionSpaceError(
-            "no jointly feasible action: per-user airtime levels cannot share the slot; "
-            "lower _TIME_FRACS or switch to factored per-user action selection"
-        )
     powers = np.array(_POWER_FRACS)[None, :] * np.asarray(mp.p_max_w, dtype=float)[:, None]
     return ActionGrid(granularity, rows[share[keep]], t[keep],
                       powers[np.arange(n), level[keep]])

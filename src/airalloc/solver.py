@@ -37,7 +37,7 @@ Every block never decreases the objective, so the outer trace of
 
 Every block takes float sequences (the stored allocation's tuples) and
 returns Python floats or lists of them, summed left to right by
-:func:`~airalloc.model._total` (numpy's order below 8 entries): numpy
+:func:`~airalloc.model._total` as every float sum in the package is: numpy
 appears only in the ``eigh`` fallback and in :func:`split_residual`'s norm.
 """
 
@@ -210,7 +210,7 @@ def _project_simplex(v: list[float], total: float, equality: bool = True) -> lis
     {x >= 0, sum(x) <= total} unless ``equality``."""
     if not equality:
         v = [max(x, 0.0) for x in v]
-        if sum(v) <= total:
+        if _total(v) <= total:
             return v
     css = theta = 0.0
     for k, u in enumerate(sorted(v, reverse=True), start=1):
@@ -231,7 +231,7 @@ def _cholesky(a: list[list[float]], shift: float = 0.0) -> list[list[float]] | N
             for l_ik, l_jk in zip(row, low[j]):
                 s -= l_ik * l_jk
             row.append(s / low[j][j])
-        pivot = a_i[i] - shift - sum(map(mul, row, row))
+        pivot = a_i[i] - shift - _total(map(mul, row, row))
         if not pivot > 0.0:
             return None
         low.append(row + [math.sqrt(pivot)])
@@ -242,7 +242,7 @@ def _cholesky_solve(low: list[list[float]], r: list[float]) -> list[float]:
     """Solve L L^T z = r for the lower factor L = ``low``."""
     z: list[float] = []
     for row, r_i in zip(low, r):
-        z.append((r_i - sum(map(mul, row, z))) / row[-1])
+        z.append((r_i - _total(map(mul, row, z))) / row[-1])
     for i in range(len(z) - 1, -1, -1):
         for k in range(i + 1, len(z)):
             z[i] -= low[k][i] * z[k]
@@ -276,7 +276,7 @@ def _newton_direction(
     dense = isinstance(h[0], list)
     if dense:
         a = [[-w for w in row] for row in h]
-        if _cholesky(a, _CURV_FLOOR * math.sqrt(sum(w * w for row in h for w in row))) is None:
+        if _cholesky(a, _CURV_FLOOR * math.sqrt(_total(w * w for row in h for w in row))) is None:
             w, v = np.linalg.eigh(np.array(h))
             mag = np.abs(w)
             a = ((v * np.maximum(mag, _CURV_FLOOR * float(mag.max()) or 1.0)) @ v.T).tolist()
@@ -286,7 +286,7 @@ def _newton_direction(
         a = [max(w, floor) for w in mag]
     n = len(x)
     free = [i for i in range(n) if x[i] > _BOUND_TOL * cap]
-    sum_on = equality or sum(x) >= cap * (1.0 - _BOUND_TOL)
+    sum_on = equality or _total(x) >= cap * (1.0 - _BOUND_TOL)
     while True:
         d = [0.0] * n
         lam = 0.0
@@ -300,7 +300,7 @@ def _newton_direction(
             g_free = [g[i] for i in free]
             if sum_on:
                 q1 = solve([1.0] * len(free))
-                lam = sum(map(mul, q1, g_free)) / sum(q1)
+                lam = _total(map(mul, q1, g_free)) / _total(q1)
             for i, di in zip(free, solve([gi - lam for gi in g_free])):
                 d[i] = di
         if sum_on and not equality and lam <= 0.0:
@@ -308,7 +308,7 @@ def _newton_direction(
             continue
         release = [i for i in range(n) if i not in free and g[i] > lam]
         if not release:
-            return d, 0.5 * sum(map(mul, g, d))
+            return d, 0.5 * _total(map(mul, g, d))
         free = sorted(free + release)
 
 
@@ -344,7 +344,7 @@ def _projected_newton(
             trial = _project_simplex([xi + s * di for xi, di in zip(x, d)], cap, equality)
             tval, tgrad, thess = kernel(trial)
             evals += 1
-            rise = sum(map(mul, g, map(sub, trial, x)))
+            rise = _total(map(mul, g, map(sub, trial, x)))
             if tval > -math.inf and tval >= fval + 1e-4 * max(rise, 0.0):
                 break
             s *= 0.5
@@ -499,7 +499,7 @@ def waterfill_mu(
             share, ds = s(mu)
             shares.append(share)
             slope += ds
-        r = sum(shares) - 1.0
+        r = _total(shares) - 1.0
         if mu == 0.0 and r > _WATERFILL_TOL:
             raise WaterfillBracketError(f"shares already sum to {r + 1.0} > 1 at zero multiplier")
         if abs(r) < err_best:

@@ -91,6 +91,43 @@ def upper_gamma_scipy(shape: float, x) -> float:
     return sps.gammaincc(shape, x)
 
 
+def compensated_sum(iterable, /, start=0):
+    """The builtin ``sum`` of CPython 3.12, written out.  Exact ints add as
+    ints.  From the first exact float on, exact floats are added with
+    Neumaier's compensation (Z. angew. Math. Mech. 54, 1974) and ints in the
+    C long range as plain doubles; the compensation joins the total at the
+    end, or before an item of any other type (a numpy scalar, say), after
+    which items add plainly.  A compensation of 0 or one that is not finite
+    is dropped, so an overflowed sum stays infinite.  Python 3.11 and
+    earlier add every item plainly, left to right."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            total = total + item
+            if type(item) not in (int, bool):
+                break
+    if type(total) is float:
+        comp = 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                comp += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+                total = t
+            elif isinstance(item, int) and -2**63 <= item < 2**63:
+                total += float(item)
+            else:
+                if comp and math.isfinite(comp):
+                    total += comp
+                total, comp = total + item, 0.0
+                break
+        if comp and math.isfinite(comp):
+            total += comp
+    for item in items:
+        total = total + item
+    return total
+
+
 def quartic_roots_companion(a: float, b: float, c: float, d: float, e: float,
                             imag_tol: float = 1e-8) -> list[float]:
     """Real quartic roots via numpy's companion-matrix eigensolver."""

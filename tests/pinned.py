@@ -210,27 +210,35 @@ def _pinned_digests(path: Path, key: str) -> dict:
     return json.loads(path.read_text())[key] if path.exists() else {}
 
 
+def current_entries(workdir: Path) -> list[tuple[Path, str, dict]]:
+    """Per manifest: its path, the key its entries sit under, and the
+    entries as this run computes them, the experiment CSVs written under
+    ``workdir``."""
+    solves = solve_digests()
+    kinds = {kind: csv_digest(kind, run_kind(kind, config, workdir))
+             for kind, config in EXPERIMENT_CONFIGS.items()}
+    return [(SOLVE_MANIFEST, "digests", solves), (EXPERIMENT_MANIFEST, "kinds", kinds),
+            (ROLLOUT_MANIFEST, "values", rollout_values())]
+
+
+def moved_against_manifests(entries) -> list[str]:
+    """"<manifest>: <entry>" for every entry of ``entries`` (as
+    :func:`current_entries` returns them) that moved against its manifest."""
+    return [f"{path.stem}: {k}" for path, key, values in entries
+            for k in moved_entries(_pinned_digests(path, key), values)]
+
+
 def regenerate() -> list[str]:
     """Rewrite the three manifests; return "<manifest>: <entry>" for every
     entry that moved against the manifest it replaces."""
     GOLDEN_DIR.mkdir(exist_ok=True)
     env = environment()
-    old_solves = _pinned_digests(SOLVE_MANIFEST, "digests")
-    old_kinds = _pinned_digests(EXPERIMENT_MANIFEST, "kinds")
-    old_rollouts = _pinned_digests(ROLLOUT_MANIFEST, "values")
-    digests = solve_digests()
-    SOLVE_MANIFEST.write_text(json.dumps({**env, "digests": digests}, indent=1) + "\n")
-    kinds = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for kind, config in EXPERIMENT_CONFIGS.items():
-            path = run_kind(kind, config, Path(tmp))
-            kinds[kind] = csv_digest(kind, path)
-    EXPERIMENT_MANIFEST.write_text(json.dumps({**env, "kinds": kinds}, indent=1) + "\n")
-    rollouts = rollout_values()
-    ROLLOUT_MANIFEST.write_text(json.dumps({**env, "values": rollouts}, indent=1) + "\n")
-    return ([f"{SOLVE_MANIFEST.stem}: {k}" for k in moved_entries(old_solves, digests)]
-            + [f"{EXPERIMENT_MANIFEST.stem}: {k}" for k in moved_entries(old_kinds, kinds)]
-            + [f"{ROLLOUT_MANIFEST.stem}: {k}" for k in moved_entries(old_rollouts, rollouts)])
+        entries = current_entries(Path(tmp))
+    moved = moved_against_manifests(entries)
+    for path, key, values in entries:
+        path.write_text(json.dumps({**env, key: values}, indent=1) + "\n")
+    return moved
 
 
 if __name__ == "__main__":

@@ -226,6 +226,8 @@ def test_sweep_unknown_key_is_a_config_error(tmp_path, capsys):
         "experiment: learning_rate\nmulti_user:\n  n_servers: 2\ntrain:\n  granularity: 0.1\n",
         "experiment: efficiency\nmulti_user:\n  n_servers: 2\ntrain:\n  granularity: 0.1\n",
         "sweep:\n  values: [2, 5]\n",
+        # The reference gains (11 - m) * 1e-7 reach 0 at the eleventh server.
+        "single_user:\n  n_servers: 11\n",
     ],
 )
 @pytest.mark.parametrize("command", ["sweep", "train", "eval"])
@@ -372,6 +374,34 @@ def test_bench_writes_latency_table(tmp_path, capsys):
     rows = read_rows(tmp_path / "latency.csv")
     assert {r.tag for r in rows} == {"bcd_mm1", "bcd_mm2", "gradient_descent", "dqn_inference"}
     assert all(r.value > 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("argv", [["solve", "--servers", "11"], ["solve", "--servers", "12", "--json"],
+                                  ["bench", "--servers", "1", "11"]])
+def test_server_count_outside_the_reference_problem_is_a_config_error(tmp_path, capsys, argv):
+    # The reference problem takes 1-10 servers; solve and bench build every
+    # problem before solving any, so nothing runs or is written.
+    out = tmp_path / "out"
+    code = main(argv + (["--output-dir", str(out), "--repetitions", "1"] if argv[0] == "bench" else []))
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: n_servers must lie in 1-10")
+    assert not out.exists()
+
+
+def test_grid_without_a_feasible_action_fails_at_load(tmp_path, capsys):
+    # Five users at the lowest airtime level (a quarter slot each) overfill
+    # the slot, so the grid has no feasible action: rejected at load, where
+    # the sweep used to die mid-run with exit 1.
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"experiment: learning_rate\nseed: 0\noutput_dir: {tmp_path / 'out'}\n"
+                   "multi_user:\n  n_users: 5\n  n_servers: 1\ntrain:\n  granularity: 1.0\n",
+                   encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot share the slot" in err and "factored per-user" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import json
 import textwrap
@@ -20,7 +21,7 @@ from airalloc.multiuser import default_multiuser
 from airalloc.solver import VARIANTS, bcd_solve
 
 import pinned
-from oracles import slot_fields_are_float_tuples
+from oracles import compensated_sum, slot_fields_are_float_tuples
 
 
 def _write(tmp_path, text, name="cfg.yaml"):
@@ -587,6 +588,15 @@ def test_experiment_csv_matches_the_pinned_manifest(kind, tmp_path):
     path = pinned.run_kind(kind, pinned.EXPERIMENT_CONFIGS[kind], tmp_path)
     assert pinned.csv_digest(kind, path) == manifest["kinds"][kind], (
         f"{kind} CSV moved." + pinned.environment_note(manifest))
+
+
+def test_pinned_entries_hold_under_a_compensated_builtin_sum(tmp_path, monkeypatch):
+    # From Python 3.12 on the builtin sum compensates float sums.  The
+    # package sums floats with model._total alone, so no solve trace, CSV
+    # or rollout may move when the builtin compensates.
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    moved = pinned.moved_against_manifests(pinned.current_entries(tmp_path))
+    assert not moved, f"moved under a compensated sum: {moved}"
 
 
 def test_regeneration_names_the_moved_entries(tmp_path, monkeypatch):

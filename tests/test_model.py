@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airalloc.model import (
+    _total,
     Allocation,
     FeasibilityError,
     SystemParams,
@@ -27,7 +29,7 @@ from airalloc.model import (
 )
 from airalloc.solver import ln_success
 from airalloc.special import chi, ln_chi, ln_lower_gamma, regularized_lower_gamma
-from oracles import random_cells, random_feasible_allocation
+from oracles import compensated_sum, random_cells, random_feasible_allocation
 
 
 def test_reference_params_layout():
@@ -39,6 +41,36 @@ def test_reference_params_layout():
     assert p.mean_gains == pytest.approx((10e-7, 9e-7, 8e-7))
     assert p.workload.mean == pytest.approx(500.0)
     assert p.p_max_w == 1.0 and p.latency_budget_s == 1.0 and p.energy_budget_j == 1.0
+
+
+@pytest.mark.parametrize("n_servers", [0, 11, 12])
+def test_reference_params_takes_one_to_ten_servers(n_servers):
+    # Server m's mean gain is (11 - m) * 1e-7, which reaches 0 at m = 11.
+    assert reference_params(10).mean_gains[-1] == pytest.approx(1e-7)
+    with pytest.raises(ValueError, match=rf"n_servers must lie in 1-10 .*got {n_servers}$"):
+        reference_params(n_servers)
+
+
+def test_total_adds_left_to_right_where_the_compensated_sum_does_not():
+    # _total is the package's one rule for float sums: plain additions from
+    # 0.0, in order, as Python 3.11's builtin sum.  The oracle of the
+    # builtin from Python 3.12 on compensates them.
+    assert _total([0.1] * 10) == 0.9999999999999999
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert _total([1e100, 1.0, -1e100]) == 0.0
+    assert compensated_sum([1e100, 1.0, -1e100]) == 1.0
+    # An overflow stays infinite; ints stay exact; a numpy scalar ends the
+    # compensation and adds plainly from there on.
+    assert compensated_sum([1e308, 1e308, -1e308]) == math.inf
+    assert compensated_sum([2**70, 1, 2]) == 2**70 + 3
+    assert compensated_sum([0.1] * 10 + [np.float64(0.0)]) == 1.0
+    assert compensated_sum([np.float64(0.1)] + [0.1] * 9) == 0.9999999999999999
+    assert compensated_sum([[1], [2]], []) == [1, 2]
+    rows = np.random.default_rng(3).normal(size=(20, 7)).tolist()
+    if sys.version_info >= (3, 12):
+        assert [compensated_sum(r) for r in rows] == [sum(r) for r in rows]
+    else:
+        assert [_total(r) for r in rows] == [sum(r) for r in rows]
 
 
 def test_params_validation():

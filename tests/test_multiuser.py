@@ -312,6 +312,24 @@ def test_violations_name_each_broken_rule():
     assert any("airtime on server" in m for m in msgs)
 
 
+@pytest.mark.parametrize("field, row, want", [
+    ("phi", (math.nan, 0.5), ["share row of user 1 off the simplex"]),
+    ("t", (math.nan,), ["negative airtime for user 1", "airtime on server 1 over the slot budget"]),
+])
+def test_violations_flag_a_nan_entry(field, row, want):
+    # Every comparison with NaN is False, so each check passes only when its
+    # comparison holds: a NaN share or airtime is flagged, and step pays the
+    # penalty rather than evaluating a success factor at NaN.
+    mp = default_multiuser(2, 1)
+    env = MultiUserEnv(mp, seed=1)
+    state = env.reset()
+    ok = _feasible_action(mp)
+    action = dataclasses.replace(ok, **{field: (row,) + getattr(ok, field)[1:]})
+    assert violations(mp, state, action) == want
+    _, r, _ = env.step(action)
+    assert r == multiuser._PENALTY * len(want)
+
+
 def test_capacity_violation_depends_on_task_sizes():
     mp = default_multiuser(2, 1)
     env = MultiUserEnv(mp, seed=2)
