@@ -38,7 +38,7 @@ Every block never decreases the objective, so the outer trace of
 Every block takes float sequences (the stored allocation's tuples) and
 returns Python floats or lists of them, summed left to right by
 :func:`~airalloc.model._total` as every float sum in the package is: numpy
-appears only in the ``eigh`` fallback and in :func:`split_residual`'s norm.
+appears only in the ``eigh`` fallback.
 """
 
 from __future__ import annotations
@@ -859,7 +859,8 @@ def split_residual(p: SystemParams, phi, t_shares, power_w: float, rho: float) -
     active = _active_shares(p, t_shares, rho)
     grad = allocation_log_factors(p, phi, t_shares, power_w, rho).d_phi
     target = dict(zip(active, _project_simplex([phi[i] + grad[i] for i in active], 1.0)))
-    return float(np.linalg.norm([target.get(i, 0.0) - v for i, v in enumerate(phi)]))
+    step = [target.get(i, 0.0) - v for i, v in enumerate(phi)]
+    return math.sqrt(_total(d * d for d in step))
 
 
 def solve_p3_pg(

@@ -1,7 +1,11 @@
 import builtins
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -597,6 +601,23 @@ def test_pinned_entries_hold_under_a_compensated_builtin_sum(tmp_path, monkeypat
     monkeypatch.setattr(builtins, "sum", compensated_sum)
     moved = pinned.moved_against_manifests(pinned.current_entries(tmp_path))
     assert not moved, f"moved under a compensated sum: {moved}"
+
+
+def test_pinned_entries_hold_under_another_openblas_kernel(tmp_path):
+    # On the pinned set only the DQN's matrix products go through the BLAS,
+    # so under the Haswell kernel (no AVX-512) the training digest may move
+    # and nothing else: no solve trace, CSV or rollout.  A subset, so a host
+    # whose own kernel is Haswell passes too.
+    tests = Path(__file__).parent
+    code = (f"import json, pinned, pathlib; print(json.dumps(pinned.moved_against_manifests("
+            f"pinned.current_entries(pathlib.Path({str(tmp_path)!r})))))")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    moved = json.loads(proc.stdout.splitlines()[-1])
+    assert set(moved) <= {"rollouts: train: digest"}, f"moved under Haswell: {moved}"
 
 
 def test_regeneration_names_the_moved_entries(tmp_path, monkeypatch):

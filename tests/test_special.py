@@ -92,9 +92,10 @@ def test_lower_gamma_monotone_and_bounded(shape, x, bump):
 
 
 def test_erlang_tail_matches_scipy_for_every_integral_shape_below_the_cap():
-    # Q(n, x) from the finite sum, from x = n + 1 (where it takes over from
-    # the series) to 745 (past which e^-x underflows).  scipy flushes a
-    # subnormal Q to 0, so there the sum only has to be subnormal too.
+    # Q(n, x) from the finite sum, from x = n + 1 (where P > 0.5, so every
+    # point takes the sum) to 745 (past which e^-x underflows).  scipy
+    # flushes a subnormal Q to 0, so there the sum only has to be subnormal
+    # too.
     for n in range(1, special._ERLANG_MAX_SHAPE + 1):
         xs = np.linspace(n + 1.0, 745.0, 300)
         ours = np.array([special._erlang_upper_tail(n, float(x)) for x in xs])
@@ -115,16 +116,63 @@ def test_erlang_tail_reads_one_past_the_underflow(shape):
         assert special._erlang_upper_tail(int(shape), 1e4) == 0.0
 
 
+def _summed(n, x):
+    # Whether P(n, x) comes from the finite sum: its 1 - Q reaches 0.01.
+    return 1.0 - special._erlang_upper_tail(n, x) >= special._ERLANG_MIN_LOWER
+
+
+def _erlang_seam(n):
+    # The smallest float x from which P(n, x) comes from the finite sum,
+    # found by bisection on floats; below it the series runs.
+    lo, hi = 0.0, float(n + 1)
+    assert _summed(n, hi), n
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        lo, hi = (lo, mid) if _summed(n, mid) else (mid, hi)
+
+
 def test_lower_gamma_is_continuous_where_the_series_meets_the_tail():
-    # Below n + 1 the series, at n + 1 the finite sum: the jump between
+    # Below the seam the series, at it the finite sum: the jump between
     # neighbouring floats is the series' own truncation (it stops at 1e-12
     # relative), not a seam between two formulas.
     for n in range(1, special._ERLANG_MAX_SHAPE + 1):
-        x = float(n + 1)
+        x = _erlang_seam(n)
         below = regularized_lower_gamma(n, math.nextafter(x, 0.0))
         at = regularized_lower_gamma(n, x)
         assert below <= at
         assert at - below <= 1e-11 * at, n
+
+
+def test_erlang_difference_matches_scipy_from_the_seam_to_shape_plus_one():
+    # Below shape + 1, from P = 0.01 on, 1 - Q keeps within 1e-13 of scipy
+    # (itself within 1e-14 of 40-digit mpmath there), where the series
+    # reached 7e-13 at shape 40.
+    for n in range(1, special._ERLANG_MAX_SHAPE + 1):
+        xs = np.linspace(_erlang_seam(n), n + 1.0, 300, endpoint=False)
+        ours = np.array([regularized_lower_gamma(n, float(x)) for x in xs])
+        err = np.abs(ours / lower_gamma_scipy(n, xs) - 1.0)
+        assert float(err.max()) <= 1e-13, n
+
+
+def test_lower_series_runs_only_below_the_seam(monkeypatch):
+    # For an integral shape up to the cap, the series is called exactly
+    # where the finite sum's 1 - Q falls below 0.01.
+    series = special._lower_series
+    calls = []
+
+    def counted(shape, x):
+        calls.append((shape, x))
+        return series(shape, x)
+
+    monkeypatch.setattr(special, "_lower_series", counted)
+    for n in range(1, special._ERLANG_MAX_SHAPE + 1):
+        for x in np.linspace(0.01, n + 1.0, 200):
+            x = float(x)
+            calls.clear()
+            regularized_lower_gamma(n, x)
+            assert len(calls) == (0 if _summed(n, x) else 1), (n, x)
 
 
 def _series_to_the_last_bit(shape, x):
