@@ -8,8 +8,10 @@ gradient descent so that the analytic backward pass can be checked against
 central finite differences to tight tolerance, and so that training is
 bit-reproducible from a single seed.
 
-Training updates the online and target networks in place: `train_step`
-writes into the online network and `soft_update` into the target.
+Each network keeps its parameters in one float64 vector, which its weight
+and bias arrays view (`QNetworkParams`).  Training updates the online and
+target networks in place: `train_step` writes into the online network and
+`soft_update` into the target.
 
 The step's output layer is column-sparse.  The squared TD error reads the
 online Q-value only at each taken action and the target's only at each next
@@ -54,16 +56,45 @@ PRIORITY_EXPONENT = 0.6
 IMPORTANCE_EXPONENT = 0.4
 
 
-@dataclass
 class QNetworkParams:
     """Weights and biases of the scoring network, input -> 128 -> 64 -> 32 ->
-    action count, rectifiers on the hidden layers and a linear output."""
+    action count, rectifiers on the hidden layers and a linear output.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    Every parameter lives in one float64 vector, ``vector``, laid out as
+    w0, b0, w1, b1, ... (the checkpoint's order); ``weights`` and ``biases``
+    are views into it, so a whole-network operation is one operation on the
+    vector.  The constructor copies the arrays it is given."""
+
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+        if len(weights) != len(biases):
+            raise ValueError(f"need one bias per weight matrix, got {len(weights)} and {len(biases)}")
+        arrays = [np.asarray(a, dtype=float) for pair in zip(weights, biases) for a in pair]
+        self._wrap(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays])
+
+    @classmethod
+    def _of(cls, vector: np.ndarray, shapes: list[tuple[int, ...]]) -> "QNetworkParams":
+        """The network whose parameters are vector itself, split into arrays
+        of the given shapes (w0, b0, w1, b1, ...)."""
+        theta = cls.__new__(cls)
+        theta._wrap(vector, shapes)
+        return theta
+
+    def _wrap(self, vector: np.ndarray, shapes: list[tuple[int, ...]]) -> None:
+        self.vector = vector
+        views, pos = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(vector[pos:pos + size].reshape(shape))
+            pos += size
+        self.weights: list[np.ndarray] = views[0::2]
+        self.biases: list[np.ndarray] = views[1::2]
+
+    @property
+    def shapes(self) -> list[tuple[int, ...]]:
+        return [a.shape for pair in zip(self.weights, self.biases) for a in pair]
 
     def copy(self) -> "QNetworkParams":
-        return QNetworkParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return QNetworkParams._of(self.vector.copy(), self.shapes)
 
     @property
     def n_inputs(self) -> int:
@@ -74,16 +105,11 @@ class QNetworkParams:
         return self.weights[-1].shape[1]
 
     def flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return self.vector.copy()
 
     def check_finite(self) -> None:
-        for arr in (*self.weights, *self.biases):
-            if not np.all(np.isfinite(arr)):
-                raise FloatingPointError("network parameters contain non-finite entries")
+        if not np.isfinite(self.vector).all():
+            raise FloatingPointError("network parameters contain non-finite entries")
 
 
 def init_network(n_inputs: int, n_actions: int, seed: int | None = None) -> QNetworkParams:
@@ -105,9 +131,10 @@ def _forward(theta: QNetworkParams, x: np.ndarray, n_layers: int) -> list[np.nda
     outs, h = [], x
     last = len(theta.weights) - 1
     for i in range(n_layers):
-        h = h @ theta.weights[i] + theta.biases[i]
+        h = h @ theta.weights[i]
+        h += theta.biases[i]  # in place: the product is a fresh array
         if i < last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
         outs.append(h)
     return outs
 
@@ -271,12 +298,8 @@ def replay_sample(
                       buffer.next_states[idx], buffer.terminals[idx], weights)
 
 
-def _arrays(theta: QNetworkParams) -> list[np.ndarray]:
-    return [*theta.weights, *theta.biases]
-
-
 def _check_shapes(net: QNetworkParams, like: QNetworkParams) -> None:
-    have, want = [a.shape for a in _arrays(net)], [a.shape for a in _arrays(like)]
+    have, want = net.shapes, like.shapes
     if have != want:
         raise ValueError(f"network shape mismatch: {have} vs {want}")
 
@@ -349,15 +372,21 @@ def train_step(
     # C-ordered so that the column sums below add its rows in the dense
     # step's order.
     delta = np.multiply(cols.T, dq_rows[:, None], order="C") * (h_in > 0.0)
-    w_last[:, taken] -= lr * (h_in.T @ dq)
-    b_last[taken] -= lr * grad_b
+    # Each gradient is a fresh array, so it is scaled by lr in place.
+    grad_w = h_in.T @ dq
+    grad_w *= lr
+    grad_b *= lr
+    w_last[:, taken] -= grad_w
+    b_last[taken] -= grad_b
     for i in range(n_layers - 2, -1, -1):
         h_in = acts[i][:b]
         grad_w, grad_b = h_in.T @ delta, np.sum(delta, axis=0)
         if i > 0:
             delta = (delta @ theta.weights[i].T) * (h_in > 0.0)
-        theta.weights[i] -= lr * grad_w
-        theta.biases[i] -= lr * grad_b
+        grad_w *= lr
+        grad_b *= lr
+        theta.weights[i] -= grad_w
+        theta.biases[i] -= grad_b
 
     theta.check_finite()
     return td
@@ -369,9 +398,11 @@ def soft_update(theta_target: QNetworkParams, theta: QNetworkParams, tau: float)
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be within [0, 1], got {tau}")
     _check_shapes(theta_target, theta)
-    for online, target in zip(_arrays(theta), _arrays(theta_target)):
-        target *= 1.0 - tau
-        target += online * tau
+    # The online term is read before the target is scaled, so a network
+    # blended into itself stays as it is.
+    blend = tau * theta.vector
+    theta_target.vector *= 1.0 - tau
+    theta_target.vector += blend
 
 
 def train(
@@ -500,11 +531,4 @@ def _parse_checkpoint(raw: bytes) -> tuple[QNetworkParams, dict]:
         raise ValueError(f"checkpoint layer shapes {shapes} do not hold {flat.size} parameters")
     if not np.all(np.isfinite(flat)):
         raise ValueError("checkpoint parameters contain non-finite entries")
-    weights, biases = [], []
-    pos = 0
-    for rows, cols in shapes:
-        weights.append(flat[pos:pos + rows * cols].reshape(rows, cols))
-        pos += rows * cols
-        biases.append(flat[pos:pos + cols])
-        pos += cols
-    return QNetworkParams(weights, biases), header
+    return QNetworkParams._of(flat, [s for rows, cols in shapes for s in ((rows, cols), (cols,))]), header

@@ -22,7 +22,10 @@ out its state without copies; ``success_vector`` and ``spent_energy``
 return lists, summed by ``model._total`` as every float sum in the package
 is.  numpy appears only in the random draws, in ``state_vector`` (the value
 network's input) and in the joint action table of :class:`ActionGrid`,
-whose ``decode`` hands out a row as tuples.
+whose ``decode`` hands out a row as tuples.  Because a slot's objects are
+immutable, ``success_vector`` remembers its last scoring by the identity of
+its arguments: a rollout scores each slot and the reward scores it again
+with the same objects, and the second scoring costs nothing.
 """
 
 from __future__ import annotations
@@ -229,6 +232,15 @@ def _server_loads(mp: MultiUserParams, bits, phi) -> list[list[float]]:
     return [[b * ph * mean for ph in phi_n[1:]] for b, phi_n in zip(bits, phi)]
 
 
+# The last scoring, as (mp, state, action, successes).  A rollout slot is
+# scored twice with the same three objects, by the rollout loop and by the
+# reward in `MultiUserEnv.step`, and all three are frozen tuples of floats,
+# so the same objects always give the same successes.  The entry holds its
+# objects, so their identities cannot be reused while it stands.  It goes
+# once `step` hands the slot's successes back to the rollout loop.
+_last_scored: tuple = (None, None, None, ())
+
+
 def success_vector(mp: MultiUserParams, state: MultiUserState, action: MultiUserAction) -> list[float]:
     """Every user's end-to-end success probability under the joint action.
 
@@ -241,7 +253,14 @@ def success_vector(mp: MultiUserParams, state: MultiUserState, action: MultiUser
     error, so that reward surfaces stay continuous.  A zero share needs no
     link (probability 1); a positive share with no airtime or power cannot
     be delivered.
+
+    A call with the very objects of the previous call returns its values
+    again, as a new list, without recomputing them.
     """
+    global _last_scored
+    last_mp, last_state, last_action, last = _last_scored
+    if last_mp is mp and last_state is state and last_action is action:
+        return list(last)
     _check_dims(mp, action)
     rx = [[p * g if ph > 0.0 else 0.0 for g, ph in zip(g_n, phi_n[1:])]
           for p, g_n, phi_n in zip(action.power, state.gains, action.phi)]
@@ -259,6 +278,7 @@ def success_vector(mp: MultiUserParams, state: MultiUserState, action: MultiUser
         rho = local_cycle_budget(mp, deadline, min(budget, energy) - p * _total(t_n))
         out.append(math.exp(log_factors(b, mp.bandwidth_hz, mp.workload, deadline, mp.server_speeds_hz,
                                         cross, snr, phi_n, t_n, rho, order=0).total))
+    _last_scored = (mp, state, action, tuple(out))
     return out
 
 

@@ -359,6 +359,76 @@ def test_soft_update_lag_decays_geometrically():
         assert gap == pytest.approx((1.0 - tau) ** k * gap0, rel=1e-12)
 
 
+def test_soft_update_of_a_network_into_itself_keeps_it():
+    net = init_network(3, 4, seed=12)
+    before = net.flat()
+    soft_update(net, net, 0.5)
+    assert net.flat().tobytes() == before.tobytes()
+    soft_update(net, net, 0.37)
+    assert np.allclose(net.flat(), before, rtol=4e-16, atol=0.0)
+
+
+def _layers(theta):
+    return [*theta.weights, *theta.biases]
+
+
+def _is_one_vector(theta):
+    """Every weight and bias is a view into theta.vector, and together they
+    tile it in checkpoint order (w0, b0, w1, b1, ...)."""
+    arrays = [a for pair in zip(theta.weights, theta.biases) for a in pair]
+    return (all(np.shares_memory(a, theta.vector) for a in arrays)
+            and theta.vector.flags.c_contiguous
+            and np.concatenate([a.ravel() for a in arrays]).tobytes() == theta.vector.tobytes())
+
+
+def test_parameters_live_in_one_vector(tmp_path):
+    theta = init_network(5, 7, seed=13)
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, theta)
+    for net in (theta, theta.copy(), load_checkpoint(path)[0],
+                QNetworkParams([w * 2.0 for w in theta.weights], theta.biases)):
+        assert _is_one_vector(net)
+    # The constructor copies what it is given.
+    ws, bs = [w.copy() for w in theta.weights], [b.copy() for b in theta.biases]
+    net = QNetworkParams(ws, bs)
+    ws[0][0, 0] += 1.0
+    bs[-1][0] += 1.0
+    assert net.flat().tobytes() == theta.flat().tobytes()
+
+
+def test_copy_is_independent_of_the_original():
+    theta = init_network(4, 3, seed=14)
+    twin = theta.copy()
+    assert not np.shares_memory(twin.vector, theta.vector)
+    assert not any(np.shares_memory(a, theta.vector) for a in _layers(twin))
+    before = theta.flat()
+    twin.weights[1][0, 0] = 5.0
+    twin.vector[-1] = 6.0
+    assert theta.flat().tobytes() == before.tobytes()
+    assert twin.biases[-1][-1] == 6.0
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.01, 0.37, 1.0])
+def test_soft_update_matches_allocating_oracle(tau):
+    online = init_network(4, 3, seed=15)
+    target = init_network(4, 3, seed=16)
+    want = soft_update_alloc(target, online, tau)
+    soft_update(target, online, tau)
+    assert target.flat().tobytes() == want.flat().tobytes()
+    assert _is_one_vector(target)
+
+
+def test_check_finite_catches_each_layer():
+    theta = init_network(4, 3, seed=17)
+    theta.check_finite()
+    for k in range(len(_layers(theta))):
+        for bad in (math.nan, math.inf):
+            net = theta.copy()
+            _layers(net)[k].ravel()[-1] = bad
+            with pytest.raises(FloatingPointError):
+                net.check_finite()
+
+
 @pytest.fixture(scope="module")
 def fleet_shape():
     """(state features, joint actions) of the benchmark's fleet: two users
@@ -684,6 +754,23 @@ def _write_raw_checkpoint(path, shapes, flat):
     blob = json.dumps({"config": None, "layer_shapes": shapes, "n_params": len(flat)}).encode()
     path.write_bytes(b"QNETCKPT" + struct.pack("<I", len(blob)) + blob
                      + np.asarray(flat, dtype="<f8").tobytes())
+
+
+def test_checkpoint_from_per_layer_arrays_loads_to_the_same_network(tmp_path):
+    """A file laid out from the per-layer arrays, as the header describes it,
+    is the file save_checkpoint writes, and loads to the same parameters."""
+    theta = init_network(6, 9, seed=18)
+    layered = tmp_path / "layered.ckpt"
+    _write_raw_checkpoint(layered, [list(w.shape) for w in theta.weights],
+                          np.concatenate([a.ravel() for w, b in zip(theta.weights, theta.biases)
+                                          for a in (w, b)]))
+    saved = tmp_path / "saved.ckpt"
+    save_checkpoint(saved, theta)
+    assert saved.read_bytes() == layered.read_bytes()
+    loaded, _ = load_checkpoint(layered)
+    assert [a.shape for a in _layers(loaded)] == [a.shape for a in _layers(theta)]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(_layers(loaded), _layers(theta)))
+    assert _is_one_vector(loaded)
 
 
 @pytest.mark.parametrize(

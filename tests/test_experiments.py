@@ -603,21 +603,42 @@ def test_pinned_entries_hold_under_a_compensated_builtin_sum(tmp_path, monkeypat
     assert not moved, f"moved under a compensated sum: {moved}"
 
 
+def _moved_in_subprocess(tmp_path, **environ):
+    """The pinned entries that move in a fresh interpreter run with the
+    given environment variables set."""
+    tests = Path(__file__).parent
+    code = (f"import json, pinned, pathlib; print(json.dumps(pinned.moved_against_manifests("
+            f"pinned.current_entries(pathlib.Path({str(tmp_path)!r})))))")
+    env = {**os.environ, **environ,
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_pinned_entries_hold_under_another_openblas_kernel(tmp_path):
     # On the pinned set only the DQN's matrix products go through the BLAS,
     # so under the Haswell kernel (no AVX-512) the training digest may move
     # and nothing else: no solve trace, CSV or rollout.  A subset, so a host
     # whose own kernel is Haswell passes too.
-    tests = Path(__file__).parent
-    code = (f"import json, pinned, pathlib; print(json.dumps(pinned.moved_against_manifests("
-            f"pinned.current_entries(pathlib.Path({str(tmp_path)!r})))))")
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
-           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=False)
-    assert proc.returncode == 0, proc.stderr
-    moved = json.loads(proc.stdout.splitlines()[-1])
+    moved = _moved_in_subprocess(tmp_path, OPENBLAS_CORETYPE="Haswell")
     assert set(moved) <= {"rollouts: train: digest"}, f"moved under Haswell: {moved}"
+
+
+_WIDE_DISPATCH = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_pinned_entries_hold_under_narrower_numpy_dispatch(tmp_path):
+    # numpy's array pow, exp and log round differently per SIMD dispatch
+    # target, and only the replay sampler's powers reach them on the pinned
+    # set, so with the AVX-512 targets turned off the training digest may
+    # move and nothing else.  The target names are numpy 2's.
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    if not any(f in umath.__cpu_dispatch__ and umath.__cpu_features__.get(f) for f in _WIDE_DISPATCH):
+        pytest.skip("numpy dispatches none of " + ", ".join(_WIDE_DISPATCH) + " on this host")
+    moved = _moved_in_subprocess(tmp_path, NPY_DISABLE_CPU_FEATURES=" ".join(_WIDE_DISPATCH))
+    assert set(moved) <= {"rollouts: train: digest"}, f"moved under narrower dispatch: {moved}"
 
 
 def test_regeneration_names_the_moved_entries(tmp_path, monkeypatch):

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airalloc import multiuser
-from airalloc.model import Allocation, local_budget_rho, reference_params, success_breakdown
+from airalloc.baselines import evaluate_policy, scheduler_action
+from airalloc.model import (
+    Allocation,
+    FeasibilityError,
+    local_budget_rho,
+    reference_params,
+    success_breakdown,
+)
 from airalloc.multiuser import (
     ActionSpaceError,
     MultiUserAction,
@@ -287,6 +294,74 @@ def test_success_vector_bounds_and_interference_coupling():
     # User 1's own factors are identical; only user 2's concurrent upload
     # (interference + shared compute) separates the two worlds.
     assert s_both[0] < s_solo[0]
+
+
+def _count_log_factors(monkeypatch):
+    calls = []
+    real = multiuser.log_factors
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(multiuser, "log_factors", counted)
+    return calls
+
+
+def test_success_vector_scores_the_same_objects_once(monkeypatch):
+    mp = default_multiuser(2, 2)
+    state = MultiUserEnv(mp, seed=12).reset()
+    action = _feasible_action(mp, offload=0.6)
+    calls = _count_log_factors(monkeypatch)
+    first = success_vector(mp, state, action)
+    second = success_vector(mp, state, action)
+    assert len(calls) == mp.n_users
+    assert second == first and second is not first
+    first[0] = -1.0
+    second.append(2.0)
+    assert success_vector(mp, state, action) == success_vector_numpy(mp, state, action).tolist()
+    assert len(calls) == mp.n_users
+
+
+def test_scheduler_rollout_scores_each_slot_once(monkeypatch):
+    # evaluate_policy scores a slot and the reward in env.step scores it
+    # again with the same objects; the second scoring recomputes nothing.
+    mp = default_multiuser(2, 2)
+    slots = []
+
+    def policy(state, slot):
+        slots.append(slot)
+        return scheduler_action("weighted", mp, state, slot)
+
+    calls = _count_log_factors(monkeypatch)
+    evaluate_policy(MultiUserEnv(mp), policy, episodes=2, steps_per_episode=5)
+    assert len(slots) == 10
+    assert len(calls) == mp.n_users * len(slots)
+
+
+def test_success_vector_recomputes_for_equal_copies(monkeypatch):
+    mp = default_multiuser(2, 2)
+    state = MultiUserEnv(mp, seed=13).reset()
+    action = _feasible_action(mp, offload=0.6)
+    want = success_vector(mp, state, action)
+    calls = _count_log_factors(monkeypatch)
+    for args in ((dataclasses.replace(mp), state, action),
+                 (mp, dataclasses.replace(state), action),
+                 (mp, state, dataclasses.replace(action))):
+        assert success_vector(*args) == want
+    assert len(calls) == 3 * mp.n_users
+
+
+def test_success_vector_stores_nothing_when_it_raises():
+    mp = default_multiuser(2, 2)
+    state = MultiUserEnv(mp, seed=14).reset()
+    action = _feasible_action(mp)
+    short = dataclasses.replace(action, power=action.power[:1])
+    want = success_vector(mp, state, action)
+    for _ in range(2):
+        with pytest.raises(FeasibilityError):
+            success_vector(mp, state, short)
+    assert success_vector(mp, state, action) == want
 
 
 # ---------------------------------------------------------------------------
