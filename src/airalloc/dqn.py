@@ -69,23 +69,11 @@ class QNetworkParams:
         if len(weights) != len(biases):
             raise ValueError(f"need one bias per weight matrix, got {len(weights)} and {len(biases)}")
         arrays = [np.asarray(a, dtype=float) for pair in zip(weights, biases) for a in pair]
-        self._wrap(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays])
-
-    @classmethod
-    def _of(cls, vector: np.ndarray, shapes: list[tuple[int, ...]]) -> "QNetworkParams":
-        """The network whose parameters are vector itself, split into arrays
-        of the given shapes (w0, b0, w1, b1, ...)."""
-        theta = cls.__new__(cls)
-        theta._wrap(vector, shapes)
-        return theta
-
-    def _wrap(self, vector: np.ndarray, shapes: list[tuple[int, ...]]) -> None:
-        self.vector = vector
+        self.vector = np.concatenate([a.ravel() for a in arrays])
         views, pos = [], 0
-        for shape in shapes:
-            size = math.prod(shape)
-            views.append(vector[pos:pos + size].reshape(shape))
-            pos += size
+        for a in arrays:
+            views.append(self.vector[pos:pos + a.size].reshape(a.shape))
+            pos += a.size
         self.weights: list[np.ndarray] = views[0::2]
         self.biases: list[np.ndarray] = views[1::2]
 
@@ -94,7 +82,7 @@ class QNetworkParams:
         return [a.shape for pair in zip(self.weights, self.biases) for a in pair]
 
     def copy(self) -> "QNetworkParams":
-        return QNetworkParams._of(self.vector.copy(), self.shapes)
+        return QNetworkParams(self.weights, self.biases)
 
     @property
     def n_inputs(self) -> int:
@@ -520,7 +508,7 @@ def _parse_checkpoint(raw: bytes) -> tuple[QNetworkParams, dict]:
     if not (isinstance(shapes, list) and all(
             isinstance(s, list) and len(s) == 2 and all(_is_count(v, 1) for v in s) for s in shapes)):
         raise ValueError(f"checkpoint layer shapes must be [rows, cols] integer pairs, got {shapes!r}")
-    flat = np.frombuffer(raw[12 + hlen:], dtype="<f8").astype(float)
+    flat = np.frombuffer(raw[12 + hlen:], dtype="<f8")
     if flat.size != n_params:
         raise ValueError(f"checkpoint holds {flat.size} parameters, header says {n_params}")
     if not shapes:
@@ -531,4 +519,7 @@ def _parse_checkpoint(raw: bytes) -> tuple[QNetworkParams, dict]:
         raise ValueError(f"checkpoint layer shapes {shapes} do not hold {flat.size} parameters")
     if not np.all(np.isfinite(flat)):
         raise ValueError("checkpoint parameters contain non-finite entries")
-    return QNetworkParams._of(flat, [s for rows, cols in shapes for s in ((rows, cols), (cols,))]), header
+    # The constructor copies the read-only buffer into the network's vector.
+    parts = np.split(flat, np.cumsum([n for rows, cols in shapes for n in (rows * cols, cols)])[:-1])
+    weights = [w.reshape(shape) for w, shape in zip(parts[0::2], shapes)]
+    return QNetworkParams(weights, parts[1::2]), header

@@ -136,17 +136,6 @@ class ExperimentConfig:
     train: dict = field(default_factory=dict)
 
 
-_TOP_KEYS = {"experiment", "seed", "output_dir", "variant", "single_user",
-             "multi_user", "sweep", "trials", "train"}
-_SINGLE_KEYS = {"n_servers", "task_mbits", "latency_s", "energy_j"}
-_MULTI_KEYS = {"n_users", "n_servers", "task_range_mbits", "weights", "energy_weight"}
-_SWEEP_KEYS = {"values"}
-_TRIAL_KEYS = {"episodes", "steps", "mc_trials", "repetitions"}
-_TRAIN_KEYS = {"learning_rate", "discount", "epsilon_start", "epsilon_min",
-               "epsilon_decay", "tau", "batch_size", "buffer_capacity",
-               "episodes", "steps_per_episode", "granularity"}
-
-
 def _require_mapping(block, name: str) -> dict:
     if block is None:
         return {}
@@ -155,8 +144,8 @@ def _require_mapping(block, name: str) -> dict:
     return block
 
 
-def _check_keys(block: dict, allowed: set, name: str) -> None:
-    unknown = set(block) - allowed
+def _check_keys(block: dict, allowed, name: str) -> None:
+    unknown = set(block).difference(allowed)
     if unknown:
         raise ConfigError(
             f"unknown key(s) {sorted(unknown)} in {name}; allowed: {sorted(allowed)}"
@@ -178,10 +167,11 @@ def load_config(path) -> ExperimentConfig:
     Schema: ``experiment`` (one of the known kinds), ``seed`` (non-negative
     int, required), ``output_dir``, optional ``variant``, optional
     ``single_user`` / ``multi_user`` parameter blocks, optional
-    ``sweep: {values: [...]}``, optional ``trials``
-    (episodes/steps/mc_trials/repetitions) and ``train`` (network
-    hyperparameters and the action grid's ``granularity``) blocks.  Every
-    ``trials`` value must be a positive integer.  The parameter blocks, the
+    ``sweep: {values: [...]}``, optional ``trials`` (the budgets of the
+    kinds' runners; ``cfg.trials`` holds the kind's defaults updated by the
+    block) and ``train`` (the fields of ``TrainConfig`` but its seed, and the
+    action grid's ``granularity``) blocks.  Every ``trials`` value must be a
+    positive integer.  The parameter blocks, the
     ``train`` block and every value of the sweep that will run (the kind's
     default when ``sweep`` is absent) are checked by building the parameters
     they give, and the action grids that training would enumerate by their
@@ -211,22 +201,18 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(raw.get("output_dir"), str):
         raise ConfigError(f"config requires output_dir as a path, got {raw.get('output_dir')!r}")
 
-    single = _require_mapping(raw.get("single_user"), "single_user")
-    _check_keys(single, _SINGLE_KEYS, "single_user")
-    multi = _require_mapping(raw.get("multi_user"), "multi_user")
-    _check_keys(multi, _MULTI_KEYS, "multi_user")
-    sweep = _require_mapping(raw.get("sweep"), "sweep")
-    _check_keys(sweep, _SWEEP_KEYS, "sweep")
+    blocks = {}
+    for name, keys in _BLOCK_KEYS.items():
+        blocks[name] = _require_mapping(raw.get(name), name)
+        _check_keys(blocks[name], keys, name)
+    sweep = blocks["sweep"]
     values = sweep.get("values", [])
     if not isinstance(values, list) or ("values" in sweep and not values):
         raise ConfigError(f"sweep.values must be a non-empty list when given, got {values!r}")
-    trials = _require_mapping(raw.get("trials"), "trials")
-    _check_keys(trials, _TRIAL_KEYS, "trials")
-    training = _require_mapping(raw.get("train"), "train")
-    _check_keys(training, _TRAIN_KEYS, "train")
-
-    for name, value in trials.items():
-        if _count(value, f"trials.{name}") < 1:
+    trials = dict(_KINDS[kind].trials)
+    for name, value in blocks["trials"].items():
+        trials[name] = _count(value, f"trials.{name}")
+        if trials[name] < 1:
             raise ConfigError(f"trials.{name} must be a positive integer, got {value!r}")
 
     variant = raw.get("variant", "mm2")
@@ -238,11 +224,11 @@ def load_config(path) -> ExperimentConfig:
         seed=seed,
         output_dir=Path(raw["output_dir"]),
         variant=variant,
-        single_user=single,
-        multi_user=multi,
+        single_user=blocks["single_user"],
+        multi_user=blocks["multi_user"],
         sweep_values=values,
         trials=trials,
-        train=training,
+        train=blocks["train"],
     )
     with _config_errors("train"):
         _train_config(cfg)
@@ -279,23 +265,18 @@ def _real(value, name: str) -> float:
 
 
 def _single_params(cfg: ExperimentConfig, **overrides) -> SystemParams:
-    block = dict(cfg.single_user)
-    block.update(overrides)
-    return reference_params(
-        n_servers=_count(block.get("n_servers", 2), "n_servers"),
-        task_mbits=_real(block.get("task_mbits", 10.0), "task_mbits"),
-        latency_s=_real(block.get("latency_s", 1.0), "latency_s"),
-        energy_j=_real(block.get("energy_j", 1.0), "energy_j"),
-    )
+    """``reference_params`` with the keys the block and ``overrides`` give;
+    it keeps the defaults of the others."""
+    block = {**cfg.single_user, **overrides}
+    return reference_params(**{k: (_count if k == "n_servers" else _real)(block[k], k)
+                               for k in _BLOCK_KEYS["single_user"] if k in block})
 
 
 def _multi_params(cfg: ExperimentConfig, **overrides):
-    block = dict(cfg.multi_user)
-    block.update(overrides)
-    mp = default_multiuser(
-        n_users=_count(block.get("n_users", 2), "n_users"),
-        n_servers=_count(block.get("n_servers", 1), "n_servers"),
-    )
+    """``default_multiuser`` with the counts the block and ``overrides``
+    give, then their task range, weights and energy weight."""
+    block = {**cfg.multi_user, **overrides}
+    mp = default_multiuser(**{k: _count(block[k], k) for k in ("n_users", "n_servers") if k in block})
     changes = {}
     if "task_range_mbits" in block:
         lo, hi = block["task_range_mbits"]
@@ -439,13 +420,12 @@ def _exp_server_sweep(cfg: ExperimentConfig, cells) -> list[MetricRow]:
 
 
 def _exp_speed_uncertainty(cfg: ExperimentConfig, cells) -> list[MetricRow]:
-    n_trials = int(cfg.trials.get("mc_trials", 100_000))
     rows = []
     for task, p in cells:
         res = bcd_solve(p, variant=cfg.variant)
         rows.append(MetricRow(float(task), "outage [probability]", res.p_outage, None, "analytic"))
         for jitter, tag in ((0.0, "mc_exact_speed"), (0.2, "mc_speed_jitter_20pct")):
-            mc = monte_carlo_outage(p, res.allocation, n_trials=n_trials,
+            mc = monte_carlo_outage(p, res.allocation, n_trials=cfg.trials["mc_trials"],
                                     seed=cfg.seed, speed_jitter=jitter)
             rows.append(MetricRow(float(task), "outage [probability]",
                                   mc.p_outage, mc.std_error, tag))
@@ -477,8 +457,7 @@ def _static_bcd_action(mp, variant: str) -> MultiUserAction:
 
 
 def _exp_user_count(cfg: ExperimentConfig, cells) -> list[MetricRow]:
-    episodes = int(cfg.trials.get("episodes", 100))
-    steps = int(cfg.trials.get("steps", 20))
+    episodes, steps = cfg.trials["episodes"], cfg.trials["steps"]
     rows = []
     for n, mp in cells:
         grid, _, theta, _ = _train_policy(cfg, mp)
@@ -495,9 +474,9 @@ def _exp_user_count(cfg: ExperimentConfig, cells) -> list[MetricRow]:
 
 
 def _exp_fairness(cfg: ExperimentConfig, cells) -> list[MetricRow]:
-    episodes = int(cfg.trials.get("episodes", 100))
-    steps = int(cfg.trials.get("steps", 20))
-    train_episodes = int(cfg.train.get("episodes", 0))
+    episodes, steps = cfg.trials["episodes"], cfg.trials["steps"]
+    # The DQN series is added only when the config asks for training.
+    train_episodes = cfg.train.get("episodes", 0)
     rows = []
     for ratio, mp in cells:
         for kind in SCHEDULER_KINDS:
@@ -515,7 +494,7 @@ def _exp_fairness(cfg: ExperimentConfig, cells) -> list[MetricRow]:
 
 
 def _exp_latency(cfg: ExperimentConfig, cells) -> list[MetricRow]:
-    return _latency_rows([p for _, p in cells], int(cfg.trials.get("repetitions", 5)), cfg.seed)
+    return _latency_rows([p for _, p in cells], cfg.trials["repetitions"], cfg.seed)
 
 
 def _latency_rows(cells, repetitions: int, seed: int) -> list[MetricRow]:
@@ -524,8 +503,7 @@ def _latency_rows(cells, repetitions: int, seed: int) -> list[MetricRow]:
 
 
 def _exp_efficiency(cfg: ExperimentConfig, cells) -> list[MetricRow]:
-    episodes = int(cfg.trials.get("episodes", 10))
-    steps = int(cfg.trials.get("steps", 20))
+    episodes, steps = cfg.trials["episodes"], cfg.trials["steps"]
     rows = []
     for p_max in (0.8, 1.0):
         for task, (p, _) in cells:
@@ -558,12 +536,14 @@ def _exp_efficiency(cfg: ExperimentConfig, cells) -> list[MetricRow]:
 class _Kind:
     """One experiment kind: the config block its sweep values override, the
     builder from a sweep value to its cell's parameters, the sweep run when
-    the config gives none, and the runner over ``(value, parameters)``."""
+    the config gives none, the runner over ``(value, parameters)``, and the
+    trial budgets the runner reads from ``cfg.trials``, with their defaults."""
 
     block: str
     cell: Callable
     default_sweep: tuple
     run: Callable
+    trials: dict = field(default_factory=dict)
 
 
 _KINDS = {
@@ -573,15 +553,29 @@ _KINDS = {
                         _exp_task_sweep),
     "server_sweep": _Kind("single_user", _server_cell, (1, 2, 3, 4), _exp_server_sweep),
     "speed_uncertainty": _Kind("single_user", _task_cell, (5.0, 10.0, 15.0, 20.0),
-                               _exp_speed_uncertainty),
+                               _exp_speed_uncertainty, {"mc_trials": 100_000}),
     "learning_rate": _Kind("train", _rate_cell, (1e-3, 8e-4, 5e-4, 1e-4), _exp_learning_rate),
-    "user_count": _Kind("multi_user", _users_cell, (2, 3), _exp_user_count),
-    "fairness": _Kind("multi_user", _fairness_cell, (1.0, 2.0, 4.0, 8.0), _exp_fairness),
-    "latency": _Kind("single_user", _server_cell, (1, 2, 3), _exp_latency),
+    "user_count": _Kind("multi_user", _users_cell, (2, 3), _exp_user_count,
+                        {"episodes": 100, "steps": 20}),
+    "fairness": _Kind("multi_user", _fairness_cell, (1.0, 2.0, 4.0, 8.0), _exp_fairness,
+                      {"episodes": 100, "steps": 20}),
+    "latency": _Kind("single_user", _server_cell, (1, 2, 3), _exp_latency, {"repetitions": 5}),
     "efficiency": _Kind("single_user and multi_user", _efficiency_cell, (5.0, 10.0, 15.0),
-                        _exp_efficiency),
+                        _exp_efficiency, {"episodes": 10, "steps": 20}),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
+
+# The keys each config block accepts, in the order `load_config` checks the
+# blocks: `trials` takes every kind's budgets, `train` every `TrainConfig`
+# field but the seed, which is the config's own.
+_BLOCK_KEYS = {
+    "single_user": ("n_servers", "task_mbits", "latency_s", "energy_j"),
+    "multi_user": ("n_users", "n_servers", "task_range_mbits", "weights", "energy_weight"),
+    "sweep": ("values",),
+    "trials": {k for record in _KINDS.values() for k in record.trials},
+    "train": {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"} | {"granularity"},
+}
+_TOP_KEYS = {"experiment", "seed", "output_dir", "variant", *_BLOCK_KEYS}
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:

@@ -12,10 +12,12 @@ of the CSV that the kind's small fixed config below writes; for
 row set (sweep value, metric, tag).  ``tests/golden/rollouts.json`` holds
 every ``EvalResult`` field of short rollouts of each scheduler and of a
 greedy policy on ``default_multiuser(2, 2)``, and the digest of the short
-training run behind that policy.  All three files record the numpy version
-and the BLAS build they were taken with, because the DQN's matrix products
-go through the BLAS, whose kernels may fuse multiply-adds and so round
-differently from one build to another.
+training run behind that policy.  All three files record the environment
+they were taken in (:func:`environment`): the DQN's matrix products go
+through the BLAS, whose kernels may fuse multiply-adds and so round
+differently from one build or CPU kernel to another; numpy's array powers
+round differently per SIMD dispatch target; and the solver's ``exp``,
+``log`` and ``pow`` come from the C library.
 
 A change that moves a pinned result on purpose regenerates the manifests
 and names the moved entries, which the regeneration prints, one line per
@@ -30,9 +32,11 @@ its value before and after, so the line says how far the entry moved::
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -82,20 +86,46 @@ EXPERIMENT_CONFIGS = {
 
 
 def environment() -> dict:
-    """The numpy version and BLAS build that pinned results may depend on."""
+    """What pinned results may depend on: the numpy version and BLAS build,
+    the OpenBLAS kernel picked for this CPU (None for a BLAS that does not
+    say), numpy's enabled SIMD dispatch targets (None where numpy does not
+    list them) and the C library."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '?')}"}
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '?')}",
+            "blas_core": _openblas_core(), "numpy_dispatch": _numpy_dispatch(),
+            "libc": " ".join(platform.libc_ver()).strip() or None}
+
+
+def _openblas_core() -> str | None:
+    """The kernel name that the scipy-openblas library bundled with numpy
+    reports, or None when there is no such library or it has no such call."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def _numpy_dispatch() -> str | None:
+    """numpy's dispatch targets whose CPU feature is on, in numpy's order."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        return None
+    return " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
 
 
 def environment_note(pinned: dict) -> str:
-    """Empty when this run matches the manifest's numpy and BLAS; otherwise
-    a sentence saying how it differs."""
-    here = environment()
-    if all(pinned.get(k) == v for k, v in here.items()):
+    """Empty when this run's :func:`environment` matches the manifest's;
+    otherwise a sentence naming every value that differs."""
+    diffs = [f"{k} {pinned.get(k)!r} there, {v!r} here"
+             for k, v in environment().items() if pinned.get(k) != v]
+    if not diffs:
         return ""
-    return (f" The manifest was taken with numpy {pinned.get('numpy')} and BLAS "
-            f"{pinned.get('blas')}, this run has numpy {here['numpy']} and BLAS "
-            f"{here['blas']}; results that go through the BLAS may differ in their last bits.")
+    return (f" The manifest was taken in another environment ({'; '.join(diffs)}); results "
+            "that go through the BLAS, numpy's SIMD loops or the C library may differ in "
+            "their last bits.")
 
 
 def trace_digest(trace) -> dict:

@@ -10,17 +10,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import airalloc.experiments as experiments
+from airalloc.dqn import TrainConfig
 from airalloc.experiments import (
     CSV_HEADER,
     EXPERIMENT_KINDS,
     ConfigError,
     MetricRow,
+    _KINDS,
+    _multi_params,
+    _single_params,
     _static_bcd_action,
+    _train_config,
     load_config,
     read_rows,
     run_experiment,
     write_rows,
 )
+from airalloc.model import reference_params
 from airalloc.multiuser import default_multiuser
 from airalloc.solver import VARIANTS, bcd_solve
 
@@ -100,6 +107,7 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         "sweep:\n  points: [1]",
         "trials:\n  reps: 4",
         "train:\n  momentum: 0.9",
+        "train:\n  seed: 1",  # the seed is the config's own
     ]
     for body in cases:
         with pytest.raises(ConfigError, match="unknown key"):
@@ -268,6 +276,74 @@ def test_load_config_accepts_a_learning_rate_sweep_and_every_variant(tmp_path):
 def test_load_config_rejects_non_mapping_block(tmp_path):
     with pytest.raises(ConfigError, match="mapping"):
         load_config(_minimal(tmp_path, "trials: [1, 2]"))
+
+
+def test_empty_blocks_build_the_defaults_of_the_code_they_configure(tmp_path):
+    # A key a block leaves out keeps the default of reference_params,
+    # default_multiuser or TrainConfig; the harness holds no copy of it.
+    cfg = load_config(_minimal(tmp_path, "single_user: {}\nmulti_user: {}\ntrain: {}"))
+    assert _single_params(cfg) == reference_params()
+    assert _multi_params(cfg) == default_multiuser()
+    assert _train_config(cfg) == TrainConfig(seed=7)
+
+
+@pytest.mark.parametrize("field", [f for f in dataclasses.fields(TrainConfig) if f.name != "seed"],
+                         ids=lambda f: f.name)
+def test_every_train_config_field_but_the_seed_is_a_train_key(tmp_path, field):
+    cfg = load_config(_minimal(tmp_path, f"train:\n  {field.name}: {field.default!r}"))
+    assert getattr(_train_config(cfg), field.name) == field.default
+
+
+class _Recorded(Exception):
+    """Stops a run at the call that takes a trial budget."""
+
+
+# Per kind with budgets: the call that takes them, the config that keeps the
+# run short up to that call, and how to read the budgets off its arguments.
+_BUDGET_CALLS = {
+    "speed_uncertainty": ("monte_carlo_outage", "sweep:\n  values: [10.0]",
+                          lambda args, kw: {"mc_trials": kw["n_trials"]}),
+    "user_count": ("evaluate_policy", "sweep:\n  values: [2]",
+                   lambda args, kw: {"episodes": args[2], "steps": args[3]}),
+    "fairness": ("evaluate_policy", "sweep:\n  values: [1.0]",
+                 lambda args, kw: {"episodes": args[2], "steps": args[3]}),
+    "latency": ("_latency_rows", "sweep:\n  values: [1]",
+                lambda args, kw: {"repetitions": args[1]}),
+    "efficiency": ("evaluate_policy", "sweep:\n  values: [10.0]",
+                   lambda args, kw: {"episodes": args[2], "steps": args[3]}),
+}
+
+
+def test_every_kind_with_budgets_has_a_budget_check():
+    assert {kind for kind, record in _KINDS.items() if record.trials} == set(_BUDGET_CALLS)
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["default", "given"])
+@pytest.mark.parametrize("kind", sorted(_BUDGET_CALLS))
+def test_runner_gets_the_record_budget_or_the_config_value(tmp_path, monkeypatch, kind, given):
+    name, sweep, budgets_of = _BUDGET_CALLS[kind]
+    defaults = _KINDS[kind].trials
+    want = {k: v + 1 for k, v in defaults.items()} if given else defaults
+    trials = "".join(f"\n  {k}: {v}" for k, v in want.items())
+    body = (f"experiment: {kind}\n{sweep}\ntrain:\n  episodes: 1\n  steps_per_episode: 2\n"
+            f"  batch_size: 1" + (f"\ntrials:{trials}" if given else ""))
+    calls = []
+
+    def record(*args, **kw):
+        calls.append(budgets_of(args, kw))
+        raise _Recorded
+
+    def schedulers(kind, mp, episodes, seed, steps_per_episode):
+        calls.append({"episodes": episodes, "steps": steps_per_episode})
+        return np.ones(mp.n_users)
+
+    monkeypatch.setattr(experiments, name, record)
+    monkeypatch.setattr(experiments, "schedulers", schedulers)
+    cfg = load_config(_minimal(tmp_path, body))
+    assert cfg.trials == want
+    with pytest.raises(_Recorded):
+        run_experiment(cfg)
+    assert calls and all(c == want for c in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +758,28 @@ def test_regeneration_names_the_moved_entries(tmp_path, monkeypatch):
         "solve_traces: M2 L10/mm1 (added)", "solve_traces: hard x/mm1 (removed)",
         "experiments: task_sweep",
         "rollouts: weighted: mean_reward -1.5 -> -1.25, per_user_success"]
+
+
+def test_readme_lists_every_kind_budget_with_its_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| kind | `trials` budgets (defaults) |"):].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        kind, budgets = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[kind.strip("`")] = {k.strip("`"): int(v) for k, v in
+                                 (item.split() for item in budgets.split(", "))}
+    assert rows == {kind: record.trials for kind, record in _KINDS.items() if record.trials}
+
+
+def test_environment_note_names_every_value_that_differs():
+    here = pinned.environment()
+    assert pinned.environment_note(here) == ""
+    note = pinned.environment_note({**here, "blas_core": "Haswell"})
+    assert f"(blas_core 'Haswell' there, {here['blas_core']!r} here)" in note
+    # The manifests record every value environment() reads.
+    for path, key in ((pinned.SOLVE_MANIFEST, "digests"), (pinned.EXPERIMENT_MANIFEST, "kinds"),
+                      (pinned.ROLLOUT_MANIFEST, "values")):
+        assert set(json.loads(path.read_text())) - {key} == set(here)
 
 
 def test_experiment_kinds_all_have_runners():
